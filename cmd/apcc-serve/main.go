@@ -51,15 +51,14 @@ func main() {
 		queue    = flag.Int("queue", 256, "worker pool queue depth")
 		batch    = flag.Int("batch", 8, "worker pool max batch per wakeup")
 		polName  = flag.String("policy", "klru", "block-cache replacement policy: "+strings.Join(policy.Names(), " | "))
-		storeDir = flag.String("store", "", "content-addressed disk store directory (L2 tier + warm restarts)")
-		rahead   = flag.Int("readahead", 0, "predicted successor blocks fetched per L2 read and admitted to L1\n(0 = default of 2, negative disables; needs -store)")
+		storeDir = flag.String("store", "", "content-addressed disk store directory (word reads + warm restarts)")
 
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline; expired requests get 504 (0 disables)")
 		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g.\n'store.read-at:p=0.1,lat=2ms;store.read-at:p=0.01,err'\n(also settable at runtime via POST /debug/faults)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed (deterministic replay)")
 		faultsHTTP = flag.Bool("debug-faults", false, "mount the GET/POST /debug/faults runtime fault-control endpoint on\nthe serving mux (implied by -faults). Off by default: the endpoint\nmutates process-global fault state, so never expose it to untrusted\nclients")
-		chaos      = flag.Bool("chaos", false, "run the three-phase chaos scenario (requires -store):\nload under -faults (default "+
-			"10% lat / 1% err / 0.1% bitflip on store reads),\nforced breaker open, healed recovery; exits non-zero on wrong bytes")
+		chaos      = flag.Bool("chaos", false, "run the three-phase chaos scenario (requires -store):\nblock and word load under -faults (default "+
+			"10% lat / 1% err / 0.1% bitflip on store reads),\nword reads served from memory while every store read fails,\nthen from the store again once healed; exits non-zero on wrong bytes")
 		retryBusy = flag.Bool("retry-busy", false, "loadgen: retry 429/503/504 responses with capped backoff")
 
 		traceRing = flag.Int("trace", 0, "request-trace ring capacity behind GET /debug/trace\n(0 = default of 256, negative disables tracing)")
@@ -96,7 +95,6 @@ func main() {
 		MaxBatch:       *batch,
 		Policy:         *polName,
 		StoreDir:       *storeDir,
-		ReadaheadK:     *rahead,
 		TraceRing:      *traceRing,
 		RequestTimeout: *reqTimeout,
 		DebugFaults:    *faultsHTTP || *faultSpec != "",
@@ -330,9 +328,10 @@ func runCodecMix(cfg service.Config, target, workload string, clients, steps int
 }
 
 // runChaos runs the fault-injection end-to-end scenario and renders
-// its verdict: load under the profile, a forced breaker-open episode,
-// and a healed recovery. Any wrong bytes (or a breaker that never
-// moved) exits non-zero.
+// its verdict: load under the profile, word reads degraded to memory
+// while every store read fails, and a healed recovery. Any wrong bytes
+// (or a store path that never degraded or never came back) exits
+// non-zero.
 func runChaos(cfg service.Config, profile string, faultSeed uint64, workload, codec string, clients, steps int, seed int64) error {
 	if cfg.StoreDir == "" {
 		return fmt.Errorf("-chaos requires -store")

@@ -30,9 +30,10 @@ import (
 )
 
 // ErrTransient is the sentinel wrapped by every injected transient
-// error. The serving path classifies it as retryable (see
+// error. The serving path classifies it as transient (see
 // internal/errclass), which is the point: injected transients must
-// exercise the retry/backoff machinery, not the quarantine path.
+// exercise the fallback that keeps the store object attached, not the
+// quarantine path.
 var ErrTransient = errors.New("faults: injected transient error")
 
 // Action kinds. A site can carry any number of actions of any kind;

@@ -25,13 +25,15 @@ const (
 	StageRoute      = "route"        // entry resolution, id parse, request validation
 	StageBuild      = "build"        // (workload,codec) container build or warm restore
 	StageL1         = "l1"           // block-cache lookup; on a miss this span covers the compute
-	StageL2Read     = "l2-read"      // store ReadAt through the container index
 	StageWordRead   = "l2-word-read" // sub-block word-span read through the v3 group directory
-	StageDecode     = "decode"       // codec DecompressAppend + CRC verify of one block
-	StageReadahead  = "readahead"    // speculative successor verify + L1 admission
-	StageRebuild    = "rebuild"      // full recompress of the plain image (incl. pool queueing)
+	StageDecode     = "decode"       // codec DecompressAppend of one block (word-read memory fallback)
 	StageWrite      = "write"        // response headers + payload write
 	StageQuarantine = "quarantine"   // store object detached as corrupt (zero-duration event)
+
+	// The server records none of these three; cmd/apcc-bench reads them.
+	StageL2Read    = "l2-read"
+	StageReadahead = "readahead"
+	StageRebuild   = "rebuild"
 )
 
 // Span outcomes.

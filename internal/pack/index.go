@@ -12,7 +12,6 @@ package pack
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -23,7 +22,6 @@ import (
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
 	"apbcc/internal/isa"
-	"apbcc/internal/obs"
 )
 
 // Failpoints on the container's random-access disk boundaries. Bit
@@ -317,9 +315,7 @@ func (x *Index) ReadPayloadAt(r io.ReaderAt, i int) ([]byte, error) {
 // block order (ParseIndex rejects anything else), so the range is one
 // contiguous byte span and block j's payload sits at
 // dst[off + x.Blocks[j].Off - x.Blocks[lo].Off] for len x.Blocks[j].Len
-// — see PayloadRangeSlice. This is the coalescing primitive behind the
-// serving tier's predictive readahead: one disk round trip fetches a
-// block and its likely successors.
+// — see PayloadRangeSlice.
 func (x *Index) ReadPayloadRangeAt(r io.ReaderAt, lo, hi int, dst []byte) ([]byte, error) {
 	if lo < 0 || hi < lo || hi >= len(x.Blocks) {
 		return nil, fmt.Errorf("%w: no block range %d..%d (%d blocks)", ErrCorrupt, lo, hi, len(x.Blocks))
@@ -381,7 +377,8 @@ func (x *Index) DecompressBlockAt(r io.ReaderAt, codec compress.Codec, i int, ds
 // ErrNoGroupIndex, which callers treat as "fall back to full-block
 // decode". Unlike DecompressBlockAt there is no per-block CRC check —
 // a group decode covers too little of the block to verify it — so the
-// serving tier cross-checks against its own copy of the plain image.
+// serving tier compares the returned group bytes with the same range
+// (WordGroupSpan) of its resident copy of the container.
 func (x *Index) ReadWordRangeAt(r io.ReaderAt, codec compress.Codec, block, word, nwords int, compDst, dst []byte) (comp, plain []byte, err error) {
 	if !x.HasGroupIndex() {
 		return compDst, dst, ErrNoGroupIndex
@@ -405,11 +402,7 @@ func (x *Index) ReadWordRangeAt(r io.ReaderAt, codec compress.Codec, block, word
 	}
 	offs := x.BlockGroupOffsets(block)
 	g0, g1 := word/gw, (word+nwords-1)/gw
-	start := int64(offs[g0])
-	end := e.Len
-	if g1+1 < len(offs) {
-		end = int64(offs[g1+1])
-	}
+	start, end := x.WordGroupSpan(block, word, nwords)
 	n := int(end - start)
 	cbase := len(compDst)
 	if cap(compDst)-cbase < n {
@@ -452,6 +445,20 @@ func (x *Index) ReadWordRangeAt(r io.ReaderAt, codec compress.Codec, block, word
 	return compDst, out[:base+nb], nil
 }
 
+// WordGroupSpan returns the byte range, relative to the block's payload
+// start, of the compressed word groups covering [word, word+nwords) —
+// exactly the bytes ReadWordRangeAt reads. The span must lie inside a
+// block of a container with a group directory.
+func (x *Index) WordGroupSpan(block, word, nwords int) (start, end int64) {
+	offs := x.BlockGroupOffsets(block)
+	g1 := (word + nwords - 1) / x.GroupWords
+	start, end = int64(offs[word/x.GroupWords]), x.Blocks[block].Len
+	if g1+1 < len(offs) {
+		end = int64(offs[g1+1])
+	}
+	return start, end
+}
+
 // VerifyBlock decompresses one block's compressed payload appending to
 // dst and checks length and CRC against index entry i. It returns the
 // grown dst (the plain image occupies the appended suffix).
@@ -477,24 +484,6 @@ func (x *Index) VerifyBlock(codec compress.Codec, i int, comp, dst []byte) ([]by
 		return out[:start], fmt.Errorf("%w: block %d: %#x != %#x", ErrBadChecksum, i, crc, e.CRC)
 	}
 	return out, nil
-}
-
-// VerifyBlockCtx is VerifyBlock with the decode timed as a StageDecode
-// span on the context's trace (outcome "ok" or "corrupt"). With no
-// trace attached it costs exactly a VerifyBlock call.
-func (x *Index) VerifyBlockCtx(ctx context.Context, codec compress.Codec, i int, comp, dst []byte) ([]byte, error) {
-	tr := obs.FromContext(ctx)
-	if tr == nil {
-		return x.VerifyBlock(codec, i, comp, dst)
-	}
-	sp := tr.Begin(obs.StageDecode)
-	out, err := x.VerifyBlock(codec, i, comp, dst)
-	if err != nil {
-		sp.End(obs.OutcomeCorrupt)
-	} else {
-		sp.End(obs.OutcomeOK)
-	}
-	return out, err
 }
 
 // validProb reports whether an edge probability deserialized from a

@@ -130,16 +130,13 @@ func BenchmarkPackContainer(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockSource isolates the three places a block fetch can be
-// satisfied from, cheapest to dearest: an L1 cache hit, an L2 read
-// through the container index on disk (one ReadAt + decompress +
-// CRC verify), and a full rebuild (re-running the compressor on the
-// plain image). The serving tier is healthy when the middle column
-// sits strictly between the other two.
+// BenchmarkBlockSource prices the two ways a block fetch is satisfied:
+// an L1 cache hit (plain, with a nil trace sink, and traced) and an L1
+// miss, whose compute is a zero-copy slice of the entry's resident
+// container followed by the cache fill.
 func BenchmarkBlockSource(b *testing.B) {
-	// Suite blocks are tens of words — too small for the tiers to
-	// separate from syscall noise. Synthesize production-sized blocks
-	// (16 KiB each) so per-byte costs dominate.
+	// Suite blocks are tens of words; synthesize production-sized blocks
+	// (16 KiB each), as BenchmarkWordRead does.
 	g := cfg.New()
 	const nblocks, words = 8, 4096
 	ids := make([]cfg.BlockID, nblocks)
@@ -169,15 +166,7 @@ func BenchmarkBlockSource(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := store.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		key, err := st.Put(container)
-		if err != nil {
-			b.Fatal(err)
-		}
-		obj, err := st.Open(key)
+		idx, err := pack.ParseIndex(container)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,6 +176,8 @@ func BenchmarkBlockSource(b *testing.B) {
 		}
 		id := len(plain) / 2
 		img := plain[id]
+		off := idx.PayloadBase + idx.Blocks[id].Off
+		payload := container[off : off+idx.Blocks[id].Len]
 
 		b.Run(codecName+"/l1-hit", func(b *testing.B) {
 			c := NewBlockCache(1, 1<<20)
@@ -237,60 +228,28 @@ func BenchmarkBlockSource(b *testing.B) {
 				rec.Record(tr)
 			}
 		})
-		b.Run(codecName+"/l2-index-read", func(b *testing.B) {
-			scratch := compress.GetBuf(len(img))
-			comps := compress.GetBuf(codec.MaxCompressedLen(len(img)))
-			defer func() {
-				compress.PutBuf(scratch)
-				compress.PutBuf(comps)
-			}()
+		b.Run(codecName+"/l1-miss", func(b *testing.B) {
+			// Two keys alternate through a cache that holds one payload,
+			// so every fetch misses, slices the container, and evicts the
+			// other key — the whole miss path the server runs.
+			c := NewBlockCache(1, len(payload))
+			keys := [2]string{BlockAddress(codecName, nil, img), BlockAddress(codecName, nil, img[1:])}
+			cost := codec.Cost().CompressCycles(len(img))
+			ctx := context.Background()
+			compute := func() ([]byte, int64, error) {
+				if err := faultCacheCompute.Err(); err != nil {
+					return nil, 0, err
+				}
+				return payload[:len(payload):len(payload)], cost, nil
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := obj.VerifiedBlock(codec, id, comps[:0], scratch[:0]); err != nil {
-					b.Fatal(err)
+				if _, hit, _ := c.GetOrComputeCost(ctx, keys[i&1], compute); hit {
+					b.Fatal("not a miss")
 				}
 			}
 		})
-		b.Run(codecName+"/l2-range-read3", func(b *testing.B) {
-			// The coalesced readahead shape: three adjacent blocks in one
-			// ReadAt, each decompress-verified. Compare against 3x the
-			// l2-index-read row to see what coalescing saves.
-			idx := obj.Index()
-			span := int(idx.Blocks[id+2].Off + idx.Blocks[id+2].Len - idx.Blocks[id].Off)
-			buf := compress.GetBuf(span)
-			scratch := compress.GetBuf(len(img))
-			defer func() {
-				compress.PutBuf(buf)
-				compress.PutBuf(scratch)
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := obj.ReadBlockRange(id, id+2, buf[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := id; j <= id+2; j++ {
-					comp := idx.PayloadRangeSlice(out, 0, id, j)
-					if _, err := idx.VerifyBlock(codec, j, comp, scratch[:0]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		b.Run(codecName+"/full-rebuild", func(b *testing.B) {
-			scratch := compress.GetBuf(codec.MaxCompressedLen(len(img)))
-			defer compress.PutBuf(scratch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := codec.CompressAppend(scratch[:0], img); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		obj.Close()
 	}
 }
 

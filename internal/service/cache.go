@@ -179,40 +179,6 @@ func (c *BlockCache) Get(key string) ([]byte, bool) {
 	return c.shard(key).get(key)
 }
 
-// Contains reports whether key is resident without touching policy
-// recency or hit/miss accounting — a pure peek, used to plan readahead
-// without distorting replacement decisions.
-func (c *BlockCache) Contains(key string) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.items[key]
-	return ok
-}
-
-// Add inserts a value produced out of band — the serving tier's
-// readahead admission path. It charges neither hit nor miss, consults
-// the replacement policy's admission rule like any fill, and never
-// replaces an existing entry (the resident value is authoritative; a
-// concurrent demand fill for the same key may also race in first). It
-// reports whether the value was admitted. The cache shares val with
-// future readers: the caller must hand over ownership.
-func (c *BlockCache) Add(key string, val []byte, cost int64) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if _, ok := sh.items[key]; ok {
-		sh.mu.Unlock()
-		return false
-	}
-	admitted, evicted := sh.insert(key, val, cost)
-	storm := sh.onStorm
-	sh.mu.Unlock()
-	if storm != nil && evicted >= stormThreshold {
-		storm(key, evicted)
-	}
-	return admitted
-}
-
 // Stats aggregates statistics across shards.
 func (c *BlockCache) Stats() CacheStats {
 	var s CacheStats
@@ -245,9 +211,10 @@ func (c *BlockCache) shard(key string) *cacheShard {
 
 // flight is one in-progress compute; waiters block on done.
 type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done    chan struct{}
+	val     []byte
+	err     error
+	waiters int // callers that joined this flight; guarded by the shard lock
 }
 
 // cacheShard stores values and byte accounting; the bound policy owns
@@ -298,10 +265,11 @@ func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func(
 		return val, true, nil
 	}
 	if fl, ok := s.inflight[key]; ok {
+		fl.waiters++
 		s.mu.Unlock()
-		// A coalesced waiter must stay cancellable: the leader may be in
-		// an L2 retry loop or queued pool work, and a waiter whose client
-		// disconnected (or whose deadline fired) has to unblock now. The
+		// A coalesced waiter must stay cancellable: the leader's compute
+		// may be stalled, and a waiter whose client disconnected (or
+		// whose deadline fired) has to unblock now. The
 		// flight itself is untouched — the leader still completes and
 		// caches the value for everyone else.
 		select {
@@ -344,7 +312,7 @@ func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func(
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if fl.err == nil {
-		_, evicted = s.insert(key, fl.val, cost)
+		evicted = s.insert(key, fl.val, cost)
 	}
 	storm := s.onStorm
 	s.mu.Unlock()
@@ -374,23 +342,18 @@ func safeCompute(compute func() ([]byte, int64, error)) (val []byte, cost int64,
 }
 
 // insert adds an entry and asks the policy for victims until the shard
-// fits its capacity, reporting whether the value was actually admitted
-// and how many residents it displaced (callers compare that against
-// stormThreshold outside the lock). Values larger than the whole shard
+// fits its capacity, reporting how many residents it displaced (callers
+// compare that against stormThreshold outside the lock). Values larger than the whole shard
 // are not cached at all (admitting them would just flush everything
 // else), and the policy may veto admission outright. Caller holds the
 // lock.
-func (s *cacheShard) insert(key string, val []byte, cost int64) (admitted bool, evicted int) {
+func (s *cacheShard) insert(key string, val []byte, cost int64) (evicted int) {
 	if len(val) > s.capacity {
-		return false, 0
-	}
-	if _, ok := s.items[key]; ok { // lost a race with another insert
-		s.pol.OnAccess(key, s.tick())
-		return false, 0
+		return 0
 	}
 	meta := policy.Meta{Bytes: len(val), Cost: cost}
 	if !s.pol.Admit(key, meta) {
-		return false, 0
+		return 0
 	}
 	now := s.tick()
 	s.items[key] = val
@@ -413,7 +376,7 @@ func (s *cacheShard) insert(key string, val []byte, cost int64) (admitted bool, 
 		s.evictions++
 		evicted++
 	}
-	return true, evicted
+	return evicted
 }
 
 // removeLocked drops one entry, reporting whether any bytes were

@@ -151,8 +151,20 @@ func TestCacheSingleflight(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the one compute is in flight, then release it.
+	// Wait until the one compute is in flight and every other caller has
+	// joined it, then release it: a caller arriving after the release
+	// would find the value resident and count as a hit instead.
 	for computes.Load() == 0 {
+		runtime.Gosched()
+	}
+	sh := c.shard("k")
+	for {
+		sh.mu.Lock()
+		joined := sh.inflight["k"].waiters
+		sh.mu.Unlock()
+		if joined == waiters-1 {
+			break
+		}
 		runtime.Gosched()
 	}
 	close(release)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -11,13 +12,15 @@ import (
 
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
+	"apbcc/internal/isa"
+	"apbcc/internal/pack"
 	"apbcc/internal/report"
 	"apbcc/internal/workloads"
 )
 
 // ChaosStats summarizes a RunChaos run: what the fault layer injected,
-// how the resilience machinery reacted, and — the point of the whole
-// exercise — whether any client ever saw wrong bytes.
+// how the serving path reacted, and — the point of the whole exercise —
+// whether any client ever saw wrong bytes.
 type ChaosStats struct {
 	Load *LoadStats // phase-1 load under the injected fault profile
 
@@ -26,15 +29,11 @@ type ChaosStats struct {
 	// bug: faults may cost latency and availability, never integrity.
 	WrongBytes int64
 
-	RetriesSucceeded int64            // transient L2 errors a retry recovered
-	RetriesExhausted int64            // transient L2 errors that out-failed the budget
-	BreakerOpens     int64            // breaker open transitions across the run
-	BreakerCloses    int64            // breaker close transitions (half-open probe recovered)
-	BreakerRejects   int64            // L2 reads skipped while a breaker was open
-	Shed             int64            // requests rejected 429 by admission control
-	Quarantined      int64            // store objects quarantined as corrupt
-	DegradedFetches  int64            // phase-2/3 fetches served while the object was failing
-	Injected         map[string]int64 // faults injected, by action kind
+	Shed            int64            // requests rejected 429 by admission control
+	Quarantined     int64            // store objects quarantined as corrupt
+	DegradedFetches int64            // phase-2 word reads served from memory while every store read failed
+	Recovered       bool             // phase 3's word read came from the store again
+	Injected        map[string]int64 // faults injected, by action kind
 
 	P99 time.Duration // phase-1 client-observed fetch latency p99
 }
@@ -43,18 +42,15 @@ type ChaosStats struct {
 func (c *ChaosStats) WriteReport(w io.Writer) error {
 	t := report.NewTable("chaos", "metric", "value")
 	t.AddRow("requests", c.Load.Requests)
+	t.AddRow("word_reads", c.Load.WordReads)
 	t.AddRow("http_errors", c.Load.Errors)
 	t.AddRow("wrong_bytes", c.WrongBytes)
 	t.AddRow("busy_retries", c.Load.BusyRetries)
 	t.AddRow("p99", c.P99.String())
-	t.AddRow("retries_succeeded", c.RetriesSucceeded)
-	t.AddRow("retries_exhausted", c.RetriesExhausted)
-	t.AddRow("breaker_opens", c.BreakerOpens)
-	t.AddRow("breaker_closes", c.BreakerCloses)
-	t.AddRow("breaker_rejects", c.BreakerRejects)
 	t.AddRow("shed", c.Shed)
 	t.AddRow("quarantined", c.Quarantined)
 	t.AddRow("degraded_fetches", c.DegradedFetches)
+	t.AddRow("recovered", c.Recovered)
 	for _, kind := range []string{faults.KindLatency, faults.KindTransient, faults.KindBitFlip} {
 		t.AddRow("injected_"+kind, c.Injected[kind])
 	}
@@ -63,41 +59,42 @@ func (c *ChaosStats) WriteReport(w io.Writer) error {
 }
 
 // Err reports whether the run violated the chaos contract: zero wrong
-// bytes, and — when the profile injected anything at all — evidence
-// that the resilience machinery actually moved (the run is worthless
-// as a test if the faults never fired).
+// bytes, word reads that kept answering while the store failed, and an
+// object still attached once the faults cleared.
 func (c *ChaosStats) Err() error {
 	if c.WrongBytes != 0 {
 		return fmt.Errorf("chaos: %d responses carried wrong bytes", c.WrongBytes)
 	}
-	if c.BreakerOpens == 0 {
-		return fmt.Errorf("chaos: breaker never opened")
+	if c.DegradedFetches == 0 {
+		return fmt.Errorf("chaos: no word read was served while the store failed")
 	}
-	if c.BreakerCloses == 0 {
-		return fmt.Errorf("chaos: breaker never recovered (no close)")
+	if !c.Recovered {
+		return fmt.Errorf("chaos: word reads never returned to the store after the faults cleared")
 	}
 	return nil
 }
 
-// chaosPhaseTimeout bounds each deterministic phase of a chaos run so
-// a wedged server fails the run instead of hanging it.
+// chaosPhaseTimeout bounds how long phase 2 waits for its container to
+// persist, so a wedged server fails the run instead of hanging it.
 const chaosPhaseTimeout = 30 * time.Second
 
 // RunChaos is the fault-injection end-to-end scenario. It boots an
 // in-process server on cfg (which must have a StoreDir — the faults
-// under test live on the L2 path), seeds the fault layer, then runs
-// three phases:
+// under test live on the store read path, which word reads take), seeds
+// the fault layer, then runs three phases:
 //
 //  1. Load under the caller's fault profile (latency, transient errors,
-//     bit flips on store reads): clients must see zero wrong bytes no
-//     matter what the disk does, because every L2 read is verified
-//     server-side and corrupt objects are quarantined, not retried.
-//  2. Hard failure: store reads fail with p=1 against a fresh entry
-//     until its circuit breaker opens. Every fetch must still succeed
-//     via the rebuild path — degraded, not down.
-//  3. Heal: faults clear, the breaker cooldown elapses, and the next
-//     fetch's half-open probe must re-attach the object (breaker
-//     closes).
+//     bit flips on store reads), half of it word reads (unless
+//     lcfg.WordFrac says otherwise) so the store is actually read:
+//     clients must see zero wrong bytes no matter what the disk does,
+//     because block reads never leave memory and every word read's
+//     disk bytes are cross-checked against the resident container.
+//  2. Hard failure: every store read fails against a fresh entry whose
+//     codec decodes word groups. Every word read must still succeed,
+//     from memory, without quarantining the object — degraded, not
+//     down.
+//  3. Heal: faults clear, and the next word read must come from the
+//     store again, proving the object stayed attached.
 //
 // The fault layer is reset on the way out. Faults injected by the
 // profile are process-global while the run lasts, so don't run chaos
@@ -139,6 +136,9 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	phase.BaseURL = base
 	phase.Client = nil
 	phase.RetryBusy = true
+	if phase.WordFrac == 0 {
+		phase.WordFrac = 0.5
+	}
 	load, err := RunLoad(ctx, phase)
 	if err != nil {
 		return nil, fmt.Errorf("chaos load phase: %w", err)
@@ -154,44 +154,57 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	}
 
 	// Phases 2 and 3 drive one fresh entry deterministically: a codec
-	// phase 1 did not use, so every block fetch below is L1-cold and
-	// must attempt the L2 read that the injected faults then fail.
-	// The codec is picked from the registry rather than hardcoded so
-	// running chaos with any -codec still leaves phases 2/3 cold.
+	// phase 1 did not use, so its object is untouched by phase 1's bit
+	// flips, and one that decodes word groups, so its word reads go to
+	// the store. The codec is picked from the registry rather than
+	// hardcoded so running chaos with any -codec still finds one.
 	loadCodec := lcfg.Codec
 	if loadCodec == "" {
 		loadCodec = "dict" // RunLoad's default: what phase 1 actually used
-	}
-	coldCodec := ""
-	for _, name := range compress.Names() {
-		if name != loadCodec {
-			coldCodec = name
-			break
-		}
-	}
-	if coldCodec == "" {
-		return nil, fmt.Errorf("chaos: no registered codec distinct from %q for phases 2/3", loadCodec)
 	}
 	wl := strings.TrimSpace(strings.Split(lcfg.Workload, ",")[0])
 	w, err := workloads.ByName(wl)
 	if err != nil {
 		return nil, err
 	}
-	nblocks := w.Program.Graph.NumBlocks()
+	code, err := w.Program.CodeBytes()
+	if err != nil {
+		return nil, err
+	}
+	coldCodec := ""
+	for _, name := range compress.Names() {
+		if name == loadCodec {
+			continue
+		}
+		if c, err := compress.New(name, code); err == nil {
+			if _, ok := compress.AsGroupCodec(c); ok {
+				coldCodec = name
+				break
+			}
+		}
+	}
+	if coldCodec == "" {
+		return nil, fmt.Errorf("chaos: no group-decoding codec distinct from %q for phases 2/3", loadCodec)
+	}
 	m := srv.Metrics()
 	client := &http.Client{}
-	fetchBlock := func(id int) error {
-		_, _, err := fetch(ctx, client, fmt.Sprintf("%s/v1/block/%s/%d?codec=%s", base, wl, id, coldCodec))
-		return err
-	}
 
-	// Build the cold-codec entry and wait for its container to persist
-	// and attach — the L2 object phases 2/3 exercise. persistAsync
-	// bumps StorePersists only after the attach, so polling it is
-	// enough.
+	// Build the cold-codec entry, unpack it as the oracle, and wait for
+	// its container to persist and attach — the object phases 2/3
+	// exercise. persistAsync bumps StorePersists only after the attach,
+	// so polling it is enough.
 	persists0 := m.StorePersists.Load()
-	if _, _, err := fetch(ctx, client, base+"/v1/pack/"+wl+"?codec="+coldCodec); err != nil {
+	container, _, err := fetch(ctx, client, base+"/v1/pack/"+wl+"?codec="+coldCodec)
+	if err != nil {
 		return nil, fmt.Errorf("chaos phase 2 container build: %w", err)
+	}
+	prog, _, _, err := pack.Unpack(wl, container)
+	if err != nil {
+		return nil, fmt.Errorf("chaos phase 2 container verify: %w", err)
+	}
+	want, err := prog.AllBlockBytes()
+	if err != nil {
+		return nil, err
 	}
 	deadline := time.Now().Add(chaosPhaseTimeout)
 	for m.StorePersists.Load() <= persists0 {
@@ -203,56 +216,51 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// fetchWord reads block id's first word and reports where it came
+	// from; wrong bytes are counted, not returned, like phase 1's.
+	fetchWord := func(id int) (string, error) {
+		body, hdr, err := fetch(ctx, client,
+			fmt.Sprintf("%s/v1/block/%s/%d?codec=%s&word=0&words=1", base, wl, id, coldCodec))
+		if err != nil {
+			return "", err
+		}
+		if !bytes.Equal(body, want[id][:isa.WordSize]) {
+			st.WrongBytes++
+		}
+		return hdr.Get(HeaderSource), nil
+	}
 
-	// Phase 2: every store read fails. Distinct L1-cold blocks each
-	// exhaust the retry budget and strike the breaker; the fetches
-	// themselves must still succeed through the rebuild path.
+	// Phase 2: every store read fails. Each block's word read must
+	// still answer, from memory, and a transient failure must never
+	// quarantine the object.
 	if err := faults.Set("store.read-at:p=1,err"); err != nil {
 		return nil, err
 	}
-	opens0 := m.BreakerOpens.Load()
-	id := 0
-	for ; id < nblocks && m.BreakerOpens.Load() == opens0; id++ {
-		if err := fetchBlock(id); err != nil {
-			return nil, fmt.Errorf("chaos phase 2: degraded fetch failed: %w", err)
+	quar0 := srv.Store().Stats().Quarantined
+	for id := range want {
+		source, err := fetchWord(id)
+		if err != nil {
+			return nil, fmt.Errorf("chaos phase 2: degraded word read failed: %w", err)
+		}
+		if source != "memory" {
+			return nil, fmt.Errorf("chaos phase 2: block %d word read came from %q with every store read failing", id, source)
 		}
 		st.DegradedFetches++
 	}
-	if m.BreakerOpens.Load() == opens0 {
-		return nil, fmt.Errorf("chaos phase 2: breaker did not open after %d failing blocks", id)
+	if q := srv.Store().Stats().Quarantined; q != quar0 {
+		return nil, fmt.Errorf("chaos phase 2: transient store failures quarantined %d objects", q-quar0)
 	}
 
-	// Phase 3: clear the faults, let the cooldown elapse, and fetch
-	// further cold blocks until a half-open probe closes the breaker.
+	// Phase 3: clear the faults; the object must still be attached.
 	if err := faults.Set(""); err != nil {
 		return nil, err
 	}
-	cooldown := cfg.withDefaults().BreakerCooldown
-	closes0 := m.BreakerCloses.Load()
-	deadline = time.Now().Add(chaosPhaseTimeout)
-	for m.BreakerCloses.Load() == closes0 {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("chaos phase 3: breaker never closed")
-		}
-		if id >= nblocks {
-			return nil, fmt.Errorf("chaos phase 3: ran out of cold blocks (%d) before the breaker closed", nblocks)
-		}
-		time.Sleep(cooldown + cooldown/4)
-		if err := fetchBlock(id); err != nil {
-			return nil, fmt.Errorf("chaos phase 3: probe fetch failed: %w", err)
-		}
-		st.DegradedFetches++
-		id++
+	source, err := fetchWord(0)
+	if err != nil {
+		return nil, fmt.Errorf("chaos phase 3: word read failed: %w", err)
 	}
+	st.Recovered = source == "store"
 
-	st.RetriesSucceeded = m.RetrySuccess.Load()
-	st.RetriesExhausted = m.RetryExhausted.Load()
-	st.BreakerOpens = m.BreakerOpens.Load()
-	st.BreakerCloses = m.BreakerCloses.Load()
-	st.BreakerRejects = m.BreakerRejects.Load()
 	st.Shed = m.Shed.Load()
 	st.Quarantined = srv.Store().Stats().Quarantined
 	st.Injected = map[string]int64{

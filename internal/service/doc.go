@@ -17,8 +17,9 @@
 //     instance of a pluggable replacement policy (internal/policy;
 //     LRU by default, cost-aware and LFU selectable via Config.Policy)
 //     and an in-flight table providing singleflight-style duplicate
-//     suppression: concurrent misses on one key run the compressor
-//     once.
+//     suppression: concurrent misses on one key run the miss compute
+//     once. A miss compresses nothing: it slices the block's payload
+//     out of the entry's resident container.
 //
 //   - a bounded worker pool with request batching (pool.go). Pack and
 //     compress jobs are queued; a worker that wakes for one job drains
@@ -29,15 +30,16 @@
 //   - the HTTP server itself (server.go), stdlib net/http only. Every
 //     container built is round-tripped through pack.Unpack before it is
 //     ever served, so the whole-image checksum is verified on the
-//     serving path, not just trusted from the packer.
+//     serving path, not just trusted from the packer. That verified
+//     container is the entry's only copy of its code.
 //
-//   - an optional L2 disk tier (Config.StoreDir, internal/store): a
-//     content-addressed container store beneath the block cache. Built
-//     containers are persisted asynchronously; block-cache misses are
-//     first satisfied by one ReadAt through the container's v2 index
-//     (decompress + CRC verify) before falling back to re-running the
-//     compressor; and a restarted server restores previously-built
-//     (workload, codec) entries from disk without invoking the packer.
+//   - an optional disk tier (Config.StoreDir, internal/store): a
+//     content-addressed container store. Built containers are
+//     persisted asynchronously; word reads go through a stored
+//     container's v3 group directory, their disk bytes cross-checked
+//     against the resident container; and a restarted server restores
+//     previously-built (workload, codec) entries from disk without
+//     invoking the packer. Block reads never touch it.
 //
 //   - a load generator (loadgen.go) that replays internal/trace access
 //     patterns as HTTP block fetches from N concurrent simulated

@@ -574,7 +574,11 @@ func fetchBusy(ctx context.Context, client *http.Client, url string, retryBusy b
 		if d > 4*busyRetryBase {
 			d = 4 * busyRetryBase
 		}
-		if !sleepCtx(ctx, d) {
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
 			return body, hdr, err
 		}
 	}

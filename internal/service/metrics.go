@@ -160,27 +160,18 @@ type Metrics struct {
 	// bypass the L1 block cache entirely).
 	WordReads      atomic.Int64 // word-span requests served from any source
 	StoreWordReads atomic.Int64 // word spans served through the store's group directory
-	WordFallbacks  atomic.Int64 // word spans served by slicing the in-memory image
+	WordFallbacks  atomic.Int64 // word spans decoded from the resident container
 
-	// L2 disk-store tier counters (all zero when no store is configured).
-	StoreWarm      atomic.Int64 // entries restored from the store without packing
-	StorePersists  atomic.Int64 // containers persisted to the store
-	StoreL2Hits    atomic.Int64 // L1 block misses satisfied by an index read
-	StoreL2Misses  atomic.Int64 // L1 block misses that fell back to a full rebuild
-	StoreReadahead atomic.Int64 // predicted successor blocks admitted to L1 by coalesced readahead
+	// Disk-store counters (all zero when no store is configured).
+	StoreWarm     atomic.Int64 // entries restored from the store without packing
+	StorePersists atomic.Int64 // containers persisted to the store
 
-	// Resilience counters: the retry/breaker/shed machinery on the
-	// serving path (all zero until faults or overload exercise it).
-	Shed            atomic.Int64 // requests rejected 429 by queue-depth admission control
-	RetrySuccess    atomic.Int64 // transient L2 errors that a retry recovered
-	RetryExhausted  atomic.Int64 // transient L2 errors still failing after the last retry
-	RetryAborted    atomic.Int64 // retry loops abandoned because the request context ended
-	BreakerRejects  atomic.Int64 // L2 reads skipped because an entry's breaker was open
-	BreakerOpens    atomic.Int64 // closed/half-open -> open transitions
-	BreakerCloses   atomic.Int64 // half-open -> closed transitions (probe succeeded)
-	BreakerProbes   atomic.Int64 // open -> half-open transitions (cooldown elapsed)
-	BreakerOpen     atomic.Int64 // gauge: entries currently open
-	BreakerHalfOpen atomic.Int64 // gauge: entries currently half-open
+	Shed atomic.Int64 // requests rejected 429 by queue-depth admission control
+
+	// Nothing writes these; they stay declared, always 0, only because
+	// cmd/apcc-bench reads them.
+	StoreL2Hits, StoreL2Misses, StoreReadahead                 atomic.Int64
+	RetrySuccess, RetryExhausted, RetryAborted, BreakerRejects atomic.Int64
 
 	// Histogram maps use an RWMutex with a read-locked fast path: the
 	// maps only ever grow (codec and stage universes are tiny and
@@ -328,15 +319,6 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 
 	rt := report.NewTable("resilience", "metric", "value")
 	rt.AddRow("shed_total", m.Shed.Load())
-	rt.AddRow("retry_success_total", m.RetrySuccess.Load())
-	rt.AddRow("retry_exhausted_total", m.RetryExhausted.Load())
-	rt.AddRow("retry_aborted_total", m.RetryAborted.Load())
-	rt.AddRow("breaker_rejects_total", m.BreakerRejects.Load())
-	rt.AddRow("breaker_opens_total", m.BreakerOpens.Load())
-	rt.AddRow("breaker_closes_total", m.BreakerCloses.Load())
-	rt.AddRow("breaker_probes_total", m.BreakerProbes.Load())
-	rt.AddRow("breaker_open", m.BreakerOpen.Load())
-	rt.AddRow("breaker_half_open", m.BreakerHalfOpen.Load())
 
 	tables := []*report.Table{svc, ct, pt, lt, rt}
 	if st != nil {
@@ -345,11 +327,6 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 		dt.AddRow("refs", st.Refs)
 		dt.AddRow("warm_restores", m.StoreWarm.Load())
 		dt.AddRow("containers_persisted", m.StorePersists.Load())
-		dt.AddRow("l2_block_hits", m.StoreL2Hits.Load())
-		dt.AddRow("l2_block_misses", m.StoreL2Misses.Load())
-		dt.AddRow("readahead_admitted", m.StoreReadahead.Load())
-		dt.AddRow("block_reads", st.BlockReads)
-		dt.AddRow("block_read_bytes", st.BlockBytes)
 		dt.AddRow("word_reads", st.WordReads)
 		dt.AddRow("word_read_bytes", st.WordReadBytes)
 		dt.AddRow("put_bytes", st.PutBytes)

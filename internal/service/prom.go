@@ -46,7 +46,7 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 	p.Family("apcc_payload_bytes_total", "counter", "Payload bytes written to clients.")
 	p.Sample("apcc_payload_bytes_total", nil, float64(m.BytesSent.Load()))
 	p.Family("apcc_word_reads_total", "counter",
-		"Word-span reads served, by source (store = v3 group directory, memory = entry plain image).")
+		"Word-span reads served, by source (store = v3 group directory, memory = resident container decode).")
 	p.Sample("apcc_word_reads_total", []obs.Label{{Name: "source", Value: "store"}}, float64(m.StoreWordReads.Load()))
 	p.Sample("apcc_word_reads_total", []obs.Label{{Name: "source", Value: "memory"}}, float64(m.WordFallbacks.Load()))
 
@@ -87,19 +87,6 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 	p.Family("apcc_shed_total", "counter",
 		"Requests rejected 429 by queue-depth admission control.")
 	p.Sample("apcc_shed_total", nil, float64(m.Shed.Load()))
-	p.Family("apcc_retries_total", "counter", "Transient L2 read retry loops by outcome.")
-	p.Sample("apcc_retries_total", []obs.Label{{Name: "outcome", Value: "success"}}, float64(m.RetrySuccess.Load()))
-	p.Sample("apcc_retries_total", []obs.Label{{Name: "outcome", Value: "exhausted"}}, float64(m.RetryExhausted.Load()))
-	p.Sample("apcc_retries_total", []obs.Label{{Name: "outcome", Value: "aborted"}}, float64(m.RetryAborted.Load()))
-	p.Family("apcc_breaker_state", "gauge", "Entry circuit breakers currently in each non-closed state.")
-	p.Sample("apcc_breaker_state", []obs.Label{{Name: "state", Value: "open"}}, float64(m.BreakerOpen.Load()))
-	p.Sample("apcc_breaker_state", []obs.Label{{Name: "state", Value: "half-open"}}, float64(m.BreakerHalfOpen.Load()))
-	p.Family("apcc_breaker_transitions_total", "counter", "Circuit-breaker state transitions by kind.")
-	p.Sample("apcc_breaker_transitions_total", []obs.Label{{Name: "kind", Value: "open"}}, float64(m.BreakerOpens.Load()))
-	p.Sample("apcc_breaker_transitions_total", []obs.Label{{Name: "kind", Value: "close"}}, float64(m.BreakerCloses.Load()))
-	p.Sample("apcc_breaker_transitions_total", []obs.Label{{Name: "kind", Value: "probe"}}, float64(m.BreakerProbes.Load()))
-	p.Family("apcc_breaker_rejects_total", "counter", "L2 reads skipped because an entry's breaker was open.")
-	p.Sample("apcc_breaker_rejects_total", nil, float64(m.BreakerRejects.Load()))
 	p.Family("apcc_faults_injected_total", "counter",
 		"Failpoint activations by site and action kind (zero when fault injection is disabled).")
 	for _, site := range faults.Snapshot() {
@@ -126,21 +113,6 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 		p.Sample("apcc_store_warm_restores_total", nil, float64(m.StoreWarm.Load()))
 		p.Family("apcc_store_persists_total", "counter", "Containers persisted to the store.")
 		p.Sample("apcc_store_persists_total", nil, float64(m.StorePersists.Load()))
-		p.Family("apcc_store_l2_events_total", "counter", "L2 tier events by kind.")
-		for _, e := range []struct {
-			kind string
-			v    int64
-		}{
-			{"hit", m.StoreL2Hits.Load()},
-			{"miss", m.StoreL2Misses.Load()},
-			{"readahead_admit", m.StoreReadahead.Load()},
-		} {
-			p.Sample("apcc_store_l2_events_total", []obs.Label{{Name: "event", Value: e.kind}}, float64(e.v))
-		}
-		p.Family("apcc_store_block_reads_total", "counter", "Blocks read from store objects.")
-		p.Sample("apcc_store_block_reads_total", nil, float64(st.BlockReads))
-		p.Family("apcc_store_block_read_bytes_total", "counter", "Compressed bytes read from store objects.")
-		p.Sample("apcc_store_block_read_bytes_total", nil, float64(st.BlockBytes))
 		p.Family("apcc_store_word_reads_total", "counter", "Word-group reads through store objects' group directories.")
 		p.Sample("apcc_store_word_reads_total", nil, float64(st.WordReads))
 		p.Family("apcc_store_word_read_bytes_total", "counter", "Compressed bytes read by word-group reads.")

@@ -1,15 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"apbcc/internal/compress"
 	"apbcc/internal/faults"
+	"apbcc/internal/isa"
+	"apbcc/internal/pack"
 )
 
 // resetFaults clears the process-global fault layer before and after a
@@ -22,7 +25,7 @@ func resetFaults(t *testing.T) {
 
 // buildAttached builds (workload, codec) through the HTTP API and
 // waits until the persisted container's store object is attached to
-// the entry — the precondition for every L2 fault test below.
+// the entry — the precondition for every store fault test below.
 // persistAsync bumps StorePersists only after the attach.
 func buildAttached(t *testing.T, s *Server, ts *httptest.Server, workload, codec string) {
 	t.Helper()
@@ -41,137 +44,67 @@ func buildAttached(t *testing.T, s *Server, ts *httptest.Server, workload, codec
 }
 
 // TestCorruptReadQuarantinedNeverRetried: a bit flip on the store read
-// path must quarantine the object on the spot — zero retries spent,
-// because corrupt disk cannot get better — while the request itself
-// still succeeds through the rebuild path.
+// path must not change any block response — blocks never leave memory —
+// and the word path's cross-check must catch it on the spot:
+// quarantine, answer from memory, and never read the object again.
 func TestCorruptReadQuarantinedNeverRetried(t *testing.T) {
 	resetFaults(t)
 	s, ts := newTestServerConfig(t, Config{Workers: 2, StoreDir: t.TempDir()})
 	buildAttached(t, s, ts, "crc32", "dict")
+	want, codec := unpackedBlocks(t, ts, "crc32", "dict")
 	if err := faults.Set("store.read-at:p=1,bitflip"); err != nil {
 		t.Fatal(err)
 	}
 	code, body, hdr := get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=dict")
 	if code != http.StatusOK {
-		t.Fatalf("degraded fetch: %d %s", code, body)
+		t.Fatalf("block fetch under bit flips: %d %s", code, body)
 	}
-	if hdr.Get(HeaderCache) != "miss" {
-		t.Fatalf("%s = %q, want miss (rebuild path)", HeaderCache, hdr.Get(HeaderCache))
+	if _, err := verifyBlock(codec, body, hdr, want[0], nil); err != nil {
+		t.Fatalf("block fetch under bit flips: %v", err)
+	}
+	if got := s.Store().Stats().Quarantined; got != 0 {
+		t.Fatalf("quarantined = %d after a block fetch, want 0 (blocks never read the store)", got)
+	}
+	nwords := len(want[0]) / isa.WordSize
+	code, body, hdr = get(t, ts.Client(), wordURL(ts.URL, "crc32", 0, "dict", 0, nwords))
+	if code != http.StatusOK || !bytes.Equal(body, want[0]) {
+		t.Fatalf("word read under bit flips: status %d, bytes equal %v", code, bytes.Equal(body, want[0]))
+	}
+	if got := hdr.Get(HeaderSource); got != "memory" {
+		t.Fatalf("source %q, want memory after the cross-check failed", got)
 	}
 	if got := s.Store().Stats().Quarantined; got != 1 {
 		t.Fatalf("quarantined = %d, want 1", got)
 	}
-	m := s.Metrics()
-	if rs, re := m.RetrySuccess.Load(), m.RetryExhausted.Load(); rs != 0 || re != 0 {
-		t.Fatalf("corrupt read consumed retries: success=%d exhausted=%d, want 0/0", rs, re)
+	// The object is detached: the next word read skips the store
+	// entirely, so no further bit flip fires and nothing is quarantined.
+	flips := faults.InjectedTotal(faults.KindBitFlip)
+	get(t, ts.Client(), wordURL(ts.URL, "crc32", 0, "dict", 0, 1))
+	if got := faults.InjectedTotal(faults.KindBitFlip); got != flips {
+		t.Fatalf("bit flips %d -> %d: the detached object was read again", flips, got)
 	}
-	if m.StoreL2Hits.Load() != 0 {
-		t.Fatalf("l2 hits = %d, want 0 (object was corrupt)", m.StoreL2Hits.Load())
-	}
-	// The object is detached: the next cold block skips L2 entirely,
-	// with no further quarantine churn.
-	get(t, ts.Client(), ts.URL+"/v1/block/crc32/1?codec=dict")
 	if got := s.Store().Stats().Quarantined; got != 1 {
 		t.Fatalf("quarantined after detach = %d, want still 1", got)
 	}
 }
 
-// TestTransientRetrySucceeds: exactly one injected transient store
-// error must be absorbed by the retry loop — the request is an L2 hit,
-// nothing is quarantined, and the success is attributed to a retry.
-func TestTransientRetrySucceeds(t *testing.T) {
-	resetFaults(t)
-	s, ts := newTestServerConfig(t, Config{
-		Workers: 2, StoreDir: t.TempDir(), RetryBase: time.Millisecond,
-	})
-	buildAttached(t, s, ts, "crc32", "dict")
-	if err := faults.Set("store.read-at:p=1,err,n=1"); err != nil {
-		t.Fatal(err)
-	}
-	code, body, _ := get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=dict")
+// unpackedBlocks fetches the (workload, codec) container and returns
+// its unpacked block images and codec: the client-side oracle.
+func unpackedBlocks(t *testing.T, ts *httptest.Server, workload, codec string) ([][]byte, compress.Codec) {
+	t.Helper()
+	code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/"+workload+"?codec="+codec)
 	if code != http.StatusOK {
-		t.Fatalf("fetch under one transient fault: %d %s", code, body)
+		t.Fatalf("pack %s/%s: status %d", workload, codec, code)
 	}
-	m := s.Metrics()
-	if got := m.RetrySuccess.Load(); got != 1 {
-		t.Fatalf("retry successes = %d, want 1", got)
-	}
-	if got := m.RetryExhausted.Load(); got != 0 {
-		t.Fatalf("retry exhaustions = %d, want 0", got)
-	}
-	if got := m.StoreL2Hits.Load(); got != 1 {
-		t.Fatalf("l2 hits = %d, want 1 (retry recovered the read)", got)
-	}
-	if got := s.Store().Stats().Quarantined; got != 0 {
-		t.Fatalf("quarantined = %d, want 0 (transient is not corrupt)", got)
-	}
-}
-
-// TestBreakerOpensAndRecovers drives one entry's breaker through its
-// full lifecycle over HTTP: consecutive exhausted retries open it,
-// open short-circuits the L2 read (no retry budget burned), and after
-// the cooldown a successful half-open probe re-attaches the object.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	resetFaults(t)
-	s, ts := newTestServerConfig(t, Config{
-		Workers: 2, StoreDir: t.TempDir(),
-		RetryBase: time.Millisecond, BreakerCooldown: 50 * time.Millisecond,
-	})
-	buildAttached(t, s, ts, "sha", "dict")
-	if err := faults.Set("store.read-at:p=1,err"); err != nil {
+	prog, c, _, err := pack.Unpack(workload, container)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.Metrics()
-	fetchBlock := func(id int) {
-		t.Helper()
-		code, body, _ := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/sha/%d?codec=dict", ts.URL, id))
-		if code != http.StatusOK {
-			t.Fatalf("block %d under faults: %d %s — degraded must not mean down", id, code, body)
-		}
-	}
-	// Default threshold 3: three L1-cold blocks, each exhausting its
-	// retries, open the breaker. Every fetch still serves via rebuild.
-	for id := 0; id < 3; id++ {
-		fetchBlock(id)
-	}
-	if got := m.BreakerOpens.Load(); got != 1 {
-		t.Fatalf("breaker opens = %d, want 1 after %d exhausted reads", got, 3)
-	}
-	if got := m.RetryExhausted.Load(); got != 3 {
-		t.Fatalf("retry exhaustions = %d, want 3", got)
-	}
-	if got := m.BreakerOpen.Load(); got != 1 {
-		t.Fatalf("breaker open gauge = %d, want 1", got)
-	}
-	// While open: the L2 read is skipped outright — no retries burned.
-	ex0 := m.RetryExhausted.Load()
-	fetchBlock(3)
-	if got := m.BreakerRejects.Load(); got == 0 {
-		t.Fatal("open breaker did not short-circuit the L2 read")
-	}
-	if got := m.RetryExhausted.Load(); got != ex0 {
-		t.Fatalf("open breaker still paid a retry loop: exhausted %d -> %d", ex0, got)
-	}
-	// Heal: clear faults, let the cooldown elapse; the next cold block
-	// is the half-open probe and its success closes the breaker.
-	if err := faults.Set(""); err != nil {
+	want, err := prog.AllBlockBytes()
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(75 * time.Millisecond)
-	h0 := m.StoreL2Hits.Load()
-	fetchBlock(4)
-	if got := m.BreakerCloses.Load(); got != 1 {
-		t.Fatalf("breaker closes = %d, want 1 after successful probe", got)
-	}
-	if op, hp := m.BreakerOpen.Load(), m.BreakerHalfOpen.Load(); op != 0 || hp != 0 {
-		t.Fatalf("state gauges after close: open=%d half-open=%d, want 0/0", op, hp)
-	}
-	if got := m.StoreL2Hits.Load(); got != h0+1 {
-		t.Fatalf("l2 hits = %d, want %d (probe fetch re-attached the object)", got, h0+1)
-	}
-	if got := s.Store().Stats().Quarantined; got != 0 {
-		t.Fatalf("quarantined = %d, want 0 (transient flapping must not quarantine)", got)
-	}
+	return want, c
 }
 
 // TestShedsWith429 fills the worker pool's backlog and checks the
@@ -272,7 +205,8 @@ func TestRequestDeadline504(t *testing.T) {
 
 // TestClientDisconnectMidRebuild is the regression for the coalesced
 // waiter path: a client that disconnects while the singleflight leader
-// is rebuilding must unblock immediately with its context error, while
+// is still computing the block must unblock immediately with its
+// context error, while
 // the leader still completes, caches the value, and serves everyone
 // after — no wedged key, no poisoned flight.
 func TestClientDisconnectMidRebuild(t *testing.T) {
@@ -353,9 +287,10 @@ func TestFaultsEndpointGated(t *testing.T) {
 }
 
 // TestChaosScenario runs the full three-phase chaos harness with a
-// fixed seed: injected latency, transient errors and bit flips during
-// load, a forced breaker open, and a healed recovery — with zero wrong
-// bytes end to end.
+// fixed seed: injected latency, transient errors and bit flips during a
+// block and word load, word reads degraded to memory while every store
+// read fails, and a healed return to the store — with zero wrong bytes
+// end to end.
 func TestChaosScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos scenario is seconds-long")
@@ -363,9 +298,7 @@ func TestChaosScenario(t *testing.T) {
 	resetFaults(t)
 	cfg := Config{
 		CacheShards: 4, CacheBytes: 1 << 20, Workers: 2, QueueDepth: 32,
-		StoreDir:  t.TempDir(),
-		RetryBase: time.Millisecond, BreakerCooldown: 50 * time.Millisecond,
-		TraceRing: -1,
+		StoreDir: t.TempDir(), TraceRing: -1,
 	}
 	lcfg := LoadConfig{
 		Workload: "sha", Codec: "dict", Clients: 4, Steps: 60, Seed: 7,
@@ -384,11 +317,11 @@ func TestChaosScenario(t *testing.T) {
 	if st.Injected[faults.KindTransient] == 0 {
 		t.Fatal("no transient faults injected — the run exercised nothing")
 	}
-	if st.BreakerOpens == 0 || st.BreakerCloses == 0 {
-		t.Fatalf("breaker opens=%d closes=%d, want both > 0", st.BreakerOpens, st.BreakerCloses)
+	if st.Load.WordReads == 0 {
+		t.Fatal("phase 1 issued no word reads — the store path never ran")
 	}
-	if st.DegradedFetches == 0 {
-		t.Fatal("no degraded fetches recorded")
+	if st.DegradedFetches == 0 || !st.Recovered {
+		t.Fatalf("degraded fetches = %d, recovered = %v; want > 0 and true", st.DegradedFetches, st.Recovered)
 	}
 	var sb strings.Builder
 	if err := st.WriteReport(&sb); err != nil {

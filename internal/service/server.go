@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -17,14 +18,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
 	"apbcc/internal/errclass"
 	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/obs"
 	"apbcc/internal/pack"
-	"apbcc/internal/policy"
 	"apbcc/internal/program"
 	"apbcc/internal/report"
 	"apbcc/internal/store"
@@ -40,7 +39,7 @@ const (
 	// HeaderWord and HeaderSource are set only on word-read responses
 	// (?word=W&words=N): the span's first word index, and whether the
 	// bytes came through the store's v3 group directory ("store") or by
-	// slicing the entry's in-memory image ("memory").
+	// decoding the entry's resident container ("memory").
 	HeaderWord   = "X-Apcc-Word"
 	HeaderSource = "X-Apcc-Source"
 	// HeaderTrace and HeaderStages are only set when tracing is enabled:
@@ -55,12 +54,8 @@ const (
 const maxAsmBody = 1 << 20
 
 // faultCacheCompute injects latency or transient errors into the L1
-// miss compute, upstream of both the L2 read and the rebuild path.
+// miss compute, ahead of the container slice.
 var faultCacheCompute = faults.Register("service.cache-compute")
-
-// retryCap bounds a single retry backoff sleep; with the default
-// 2ms base the bounded schedule is ~2/4/8ms of jittered delay.
-const retryCap = 50 * time.Millisecond
 
 // Config sizes the serving subsystem. Zero values select defaults.
 type Config struct {
@@ -82,18 +77,12 @@ type Config struct {
 	// resident longer (GreedyDual-Size over the codec cost model).
 	Policy string
 	// StoreDir, when non-empty, roots the content-addressed disk store:
-	// built containers are persisted there asynchronously, block misses
-	// try an index read from disk before rebuilding, and a restart
+	// built containers are persisted there asynchronously, word reads
+	// go through the stored object's group directory, and a restart
 	// against a warm store serves previously-built containers without
-	// re-packing.
+	// re-packing. Block reads never touch it: they are slices of the
+	// entry's resident container.
 	StoreDir string
-	// ReadaheadK is the number of predicted successor blocks an L2 read
-	// fetches alongside the demanded block — one coalesced ReadAt — and
-	// admits into the L1 cache. Candidates come from the entry's
-	// markov-prefetch beam over the CFG edge probabilities. 0 selects
-	// the default of 2; negative disables readahead. Only meaningful
-	// with StoreDir set.
-	ReadaheadK int
 	// TraceRing is the capacity of the completed-request trace ring
 	// behind GET /debug/trace. 0 selects the default of 256; negative
 	// disables tracing entirely, leaving block serving on the nil-sink
@@ -105,27 +94,10 @@ type Config struct {
 	TraceExemplars int
 	// RequestTimeout is the per-request deadline applied by the
 	// instrumented handler: the request context is cancelled when it
-	// expires, which aborts coalesced waits, L2 retry backoffs, and
-	// queued pool work, and the client gets 504. 0 disables (default).
+	// expires, which aborts coalesced cache waits, entry-build waits
+	// and queued pool work, and the client gets 504. 0 disables
+	// (default).
 	RequestTimeout time.Duration
-	// RetryMax bounds how many times a transient L2 store error is
-	// retried (with jittered exponential backoff) before the read
-	// degrades to the rebuild path. 0 selects the default of 3;
-	// negative disables retries. Corrupt reads are never retried.
-	RetryMax int
-	// RetryBase scales the retry backoff: retry n sleeps a uniformly
-	// jittered duration up to RetryBase<<n (capped). Default 2ms.
-	RetryBase time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens an
-	// entry's L2 circuit breaker, detaching the serving path from a
-	// flapping store object (requests degrade to rebuilds without
-	// paying a failing disk read each). 0 selects the default of 3;
-	// negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before
-	// letting one half-open probe through; the probe's success
-	// re-attaches the object. Default 500ms.
-	BreakerCooldown time.Duration
 	// ShedDepth is the pool backlog (queued, unstarted jobs) at which
 	// the admission controller sheds /v1/ requests with 429 and
 	// Retry-After instead of letting them block on a saturated queue.
@@ -160,12 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.ReadaheadK == 0 {
-		c.ReadaheadK = 2
-	}
-	if c.ReadaheadK < 0 {
-		c.ReadaheadK = 0
-	}
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
 	}
@@ -174,21 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceExemplars <= 0 {
 		c.TraceExemplars = 8
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 3
-	}
-	if c.RetryMax < 0 {
-		c.RetryMax = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 2 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 500 * time.Millisecond
 	}
 	if c.ShedDepth == 0 {
 		c.ShedDepth = c.QueueDepth
@@ -202,34 +153,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Readahead shape limits: candidates beyond readaheadWindowBlocks of
-// the demanded block, or spans beyond readaheadMaxBytes of compressed
-// payload, are not worth one coalesced read — the seek they save costs
-// less than the extra bytes they drag in.
-const (
-	readaheadWindowBlocks = 16
-	readaheadMaxBytes     = 256 << 10
-	// readaheadDepth is the markov-prefetch beam depth used to score
-	// successor candidates when an entry is built.
-	readaheadDepth = 2
-)
-
 // Server is the pack-serving subsystem: container and block endpoints
 // in front of the sharded L1 block cache, the batching worker pool,
-// and (when configured) the content-addressed L2 disk store.
+// and (when configured) the content-addressed disk store.
 type Server struct {
-	cache      *BlockCache
-	pool       *Pool
-	metrics    *Metrics
-	store      *store.Store // nil when no StoreDir was configured
-	readaheadK int          // predicted successors fetched per L2 read (0 = off)
-	handler    http.Handler
-	rec        *obs.Recorder // nil when tracing is disabled
-	log        *slog.Logger  // never nil (obs.Discard by default)
+	cache   *BlockCache
+	pool    *Pool
+	metrics *Metrics
+	store   *store.Store // nil when no StoreDir was configured
+	handler http.Handler
+	rec     *obs.Recorder // nil when tracing is disabled
+	log     *slog.Logger  // never nil (obs.Discard by default)
 
 	timeout   time.Duration // per-request deadline (0 = none)
-	retry     retryPolicy   // transient L2 error retry schedule
-	brkCfg    breakerConfig // per-entry circuit breaker sizing
 	shedDepth int           // pool backlog that triggers 429 shedding (0 = off)
 	draining  atomic.Bool   // BeginDrain was called; /healthz reports 503
 
@@ -259,27 +195,38 @@ type entry struct {
 	ready chan struct{}
 	err   error
 
+	// container is the verified container and the entry's only copy of
+	// its code: block responses are slices of it, and word reads decode
+	// from it when the store cannot serve them.
 	container []byte
 	codec     compress.Codec
-	plain     [][]byte   // per-block images of the *unpacked* program
-	crcs      []uint32   // per-block IEEE CRC-32 of plain
+	blocks    []blockLoc // per-block layout, copied out of the container's index
 	keys      []string   // per-block content addresses, precomputed
 	hist      *Histogram // latency histogram for this entry's codec
-	// readahead holds, per block, the markov-prefetch beam's successor
-	// proposals (best first) — the score table the L2 tier coalesces
-	// reads around. nil when readahead is disabled.
-	readahead [][]cfg.BlockID
 
-	// obj is the entry's open store object, the L2 tier block misses
-	// read through. Set asynchronously after a cold build persists (or
-	// immediately on a warm restore); nil when no store is configured
-	// or the object went corrupt and was detached.
+	// obj is the entry's open store object, which word reads go through.
+	// Set asynchronously after a cold build persists (or immediately on
+	// a warm restore); nil when no store is configured or the object
+	// went corrupt and was detached.
 	obj atomic.Pointer[store.Object]
+}
 
-	// brk is the entry's L2 circuit breaker: consecutive read
-	// failures open it and requests skip the object (rebuild path)
-	// until a half-open probe succeeds. nil when disabled.
-	brk *breaker
+// blockLoc is one block's row of an entry's layout table: where its
+// payload sits in the container and what its response advertises. The
+// table holds only these four words per block because a parsed
+// pack.Index per entry would cost more heap than keeping every block's
+// plain image.
+type blockLoc struct {
+	off, len uint32 // payload byte range within the container
+	crc      uint32 // IEEE CRC-32 of the plain block image
+	words    uint32 // plain size in ERI32 words
+}
+
+// payload returns block id's compressed payload: a zero-copy slice of
+// the container, capped so no append can write into it.
+func (e *entry) payload(id int) []byte {
+	b := e.blocks[id]
+	return e.container[b.off : b.off+b.len : b.off+b.len]
 }
 
 // New builds a Server. Call Close when done to stop the worker pool.
@@ -293,21 +240,14 @@ func New(cfg Config) (*Server, error) {
 		cache = NewBlockCache(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards)
 	}
 	s := &Server{
-		cache:      cache,
-		pool:       NewPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch),
-		metrics:    NewMetrics(),
-		readaheadK: cfg.ReadaheadK,
-		entries:    make(map[string]*entry),
-		unp:        pack.NewUnpacker(),
-		log:        cfg.Log,
-		timeout:    cfg.RequestTimeout,
-		retry:      retryPolicy{max: cfg.RetryMax, base: cfg.RetryBase, cap: retryCap},
-		shedDepth:  cfg.ShedDepth,
-	}
-	s.brkCfg = breakerConfig{
-		threshold:    cfg.BreakerThreshold,
-		cooldown:     cfg.BreakerCooldown,
-		onTransition: s.onBreakerTransition,
+		cache:     cache,
+		pool:      NewPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch),
+		metrics:   NewMetrics(),
+		entries:   make(map[string]*entry),
+		unp:       pack.NewUnpacker(),
+		log:       cfg.Log,
+		timeout:   cfg.RequestTimeout,
+		shedDepth: cfg.ShedDepth,
 	}
 	if cfg.TraceRing > 0 {
 		s.rec = obs.NewRecorder(cfg.TraceRing, cfg.TraceExemplars)
@@ -374,29 +314,6 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // CacheStats exposes the block cache aggregate.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
-// onBreakerTransition keeps the breaker transition counters and the
-// per-state gauges in step with every entry breaker's state machine.
-// Invoked by the breaker outside its lock.
-func (s *Server) onBreakerTransition(from, to breakerState) {
-	switch from {
-	case brkOpen:
-		s.metrics.BreakerOpen.Add(-1)
-	case brkHalfOpen:
-		s.metrics.BreakerHalfOpen.Add(-1)
-	}
-	switch to {
-	case brkOpen:
-		s.metrics.BreakerOpens.Add(1)
-		s.metrics.BreakerOpen.Add(1)
-	case brkHalfOpen:
-		s.metrics.BreakerProbes.Add(1)
-		s.metrics.BreakerHalfOpen.Add(1)
-	case brkClosed:
-		s.metrics.BreakerCloses.Add(1)
-	}
-	s.log.Info("l2 circuit breaker transition", "from", from.String(), "to", to.String())
-}
 
 // BeginDrain flips the server into draining mode: /healthz starts
 // reporting 503 so load balancers stop routing here, while in-flight
@@ -628,10 +545,10 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id < 0 || id >= len(ent.plain) {
+	if err != nil || id < 0 || id >= len(ent.blocks) {
 		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
-		http.Error(w, fmt.Sprintf("no block %q (%d blocks)", r.PathValue("id"), len(ent.plain)),
+		http.Error(w, fmt.Sprintf("no block %q (%d blocks)", r.PathValue("id"), len(ent.blocks)),
 			http.StatusNotFound)
 		return
 	}
@@ -640,49 +557,15 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		s.serveWordRange(ctx, w, r, tr, rsp, ent, id)
 		return
 	}
-	plain := ent.plain[id]
-	// The modeled compression cost is what a miss on this key costs
-	// the server; cost-aware replacement weighs it against the bytes.
-	missCost := ent.codec.Cost().CompressCycles(len(plain))
+	blk := ent.blocks[id]
+	// Cost-aware replacement weighs the block's modeled compression
+	// cost against its bytes.
+	missCost := ent.codec.Cost().CompressCycles(int(blk.words) * isa.WordSize)
 	compute := func() ([]byte, int64, error) {
-		// This compute runs synchronously on the request goroutine (the
-		// singleflight leader), so it may use ctx's trace; the pool fn
-		// below runs on a worker and must not.
 		if err := faultCacheCompute.Err(); err != nil {
 			return nil, 0, err
 		}
-		// L2 first: one ReadAt through the container index plus a
-		// decompress-verify is far cheaper than re-running the
-		// compressor on the plain image.
-		if comp, ok := s.blockFromStore(ctx, ent, id); ok {
-			return comp, missCost, nil
-		}
-		// Full rebuild. Detach from the request context: coalesced
-		// waiters depend on this compute, so the leader disconnecting
-		// must not fail it.
-		bctx := context.WithoutCancel(ctx)
-		var comp []byte
-		rbsp := tr.Begin(obs.StageRebuild)
-		err := s.pool.Do(bctx, func() error {
-			// Compress into pooled scratch; the cache retains values
-			// indefinitely, so it gets an exact-size copy and the
-			// (worst-case-sized) scratch goes back to the pool.
-			scratch := compress.GetBuf(ent.codec.MaxCompressedLen(len(plain)))
-			out, cerr := ent.codec.CompressAppend(scratch, plain)
-			if cerr != nil {
-				compress.PutBuf(scratch)
-				return cerr
-			}
-			comp = bytes.Clone(out)
-			compress.PutBuf(out)
-			return nil
-		})
-		if err != nil {
-			rbsp.End(obs.OutcomeError)
-		} else {
-			rbsp.End(obs.OutcomeOK)
-		}
-		return comp, missCost, err
+		return ent.payload(id), missCost, nil
 	}
 	// The closure allocation above stays inside the route span so the
 	// hand-off to the cache leaves only call overhead unattributed.
@@ -694,9 +577,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ctx.Err() != nil {
-		// The deadline fired while the payload was being produced (the
-		// leader completes detached from our context); don't start a
-		// response write the client already gave up on.
+		// The deadline fired while the compute ran (an injected stall);
+		// don't start a response write the client already gave up on.
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, ctx.Err().Error(), statusFor(ctx.Err()))
 		return
@@ -715,8 +597,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderCodec, ent.codec.Name())
-	h.Set(HeaderWords, strconv.Itoa(len(plain)/isa.WordSize))
-	h.Set(HeaderCRC, fmt.Sprintf("%08x", ent.crcs[id]))
+	h.Set(HeaderWords, strconv.Itoa(int(blk.words)))
+	h.Set(HeaderCRC, fmt.Sprintf("%08x", blk.crc))
 	h.Set(HeaderCache, outcome)
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
@@ -732,23 +614,24 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 // block's payload.
 const wordReadCompGuess = 4 << 10
 
-// errWordMismatch marks a store word read whose decoded bytes differ
-// from the entry's verified in-memory image.
-var errWordMismatch = errors.New("word span differs from the entry's plain image")
+// errWordMismatch marks a store word read whose compressed group bytes
+// differ from the entry's verified container.
+var errWordMismatch = errors.New("word groups read from the store differ from the entry's container")
 
 // serveWordRange handles ?word=W&words=N on the block endpoint — the
 // sub-block serving path. The response is the span's *plain* bytes
 // (N×4), not a compressed payload: a word read exists precisely so the
 // client skips its own full-block decode. The read prefers the store's
 // v3 group directory (a bounded ReadAt plus per-group decode, traced
-// as l2-word-read) and cross-checks the result against the entry's
-// in-memory image — a partial decode has no CRC of its own, so the
-// image is the integrity authority, and a mismatch quarantines the
-// object before the memory copy is served instead. Word reads never
-// touch the L1 block cache in either direction: the cache holds whole
-// compressed blocks for full-block serving, and letting sub-block
-// probes admit or promote entries would let a word-scanning client
-// evict the real working set (pinned by TestWordReadDoesNotTouchL1).
+// as l2-word-read) and cross-checks the group bytes it read against
+// the entry's container — a partial decode has no CRC of its own, so
+// the container is the integrity authority, and a mismatch quarantines
+// the object before the span is decoded from memory instead. Word
+// reads never touch the L1 block cache in either direction: the cache
+// holds whole compressed blocks for full-block serving, and letting
+// sub-block probes admit or promote entries would let a word-scanning
+// client evict the real working set (pinned by
+// TestWordReadDoesNotTouchL1).
 func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *http.Request, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
 	q := r.URL.Query()
 	word, err := strconv.Atoi(q.Get("word"))
@@ -758,7 +641,7 @@ func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *h
 			nwords, err = strconv.Atoi(ws)
 		}
 	}
-	blockWords := len(ent.plain[id]) / isa.WordSize
+	blockWords := int(ent.blocks[id].words)
 	if err != nil || word < 0 || nwords < 1 || word > blockWords-nwords {
 		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
@@ -775,9 +658,15 @@ func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *h
 		dst = span // recycle the (possibly grown) buffer
 		s.metrics.StoreWordReads.Add(1)
 	} else {
-		// Fallback: slice the verified in-memory image directly (v2
-		// containers, non-group codecs, detached or absent objects).
-		span = ent.plain[id][word*isa.WordSize : (word+nwords)*isa.WordSize]
+		// Fallback (v2 containers, non-group codecs, failed reads,
+		// detached or absent objects): decode the resident payload.
+		var err error
+		if span, err = wordSpanFromMemory(ctx, ent, id, word, nwords, dst[:0]); err != nil {
+			s.finishTrace(tr, obs.OutcomeError)
+			http.Error(w, err.Error(), statusFor(err))
+			return
+		}
+		dst = span
 		source = "memory"
 		s.metrics.WordFallbacks.Add(1)
 	}
@@ -802,15 +691,15 @@ func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *h
 
 // wordSpanFromStore reads [word, word+nwords) of block id through the
 // entry's store object and its container's v3 group directory,
-// appending the plain bytes to dst. It reports false — fall back to
-// the in-memory image — when there is no attached object, the
+// appending the plain bytes to dst. It reports false — decode from the
+// resident container instead — when there is no attached object, the
 // container predates v3 or its codec cannot decode groups, or the read
-// fails. Failed reads are triaged with the same errclass taxonomy the
-// block path uses: only corrupt bytes — and any cross-check mismatch —
-// detach and quarantine the object, because a store that cannot
-// reproduce the entry's bytes must not serve anyone again. A transient
-// hiccup, a dying context, or a benign miss (ErrNoGroupIndex) costs
-// this request the store path, never the entry its healthy object.
+// fails. Failed reads are triaged through errclass: only corrupt bytes
+// — and any cross-check mismatch — detach and quarantine the object,
+// because a store that cannot reproduce the entry's bytes must not
+// serve anyone again. A transient hiccup, a dying context, or a benign
+// miss (ErrNoGroupIndex) costs this request the store path, never the
+// entry its healthy object.
 func (s *Server) wordSpanFromStore(ctx context.Context, ent *entry, id, word, nwords int, dst []byte) ([]byte, bool) {
 	obj := ent.obj.Load()
 	if obj == nil || !obj.HasGroupIndex() {
@@ -818,7 +707,6 @@ func (s *Server) wordSpanFromStore(ctx context.Context, ent *entry, id, word, nw
 	}
 	comp := compress.GetBuf(wordReadCompGuess)
 	defer func() { compress.PutBuf(comp) }()
-	base := len(dst)
 	var plain []byte
 	comp, plain, err := obj.ReadWordRangeCtx(ctx, ent.codec, id, word, nwords, comp[:0], dst)
 	if err != nil {
@@ -827,17 +715,41 @@ func (s *Server) wordSpanFromStore(ctx context.Context, ent *entry, id, word, nw
 		}
 		return dst, false
 	}
-	if !bytes.Equal(plain[base:], ent.plain[id][word*isa.WordSize:(word+nwords)*isa.WordSize]) {
+	// A partial decode has no CRC of its own; the resident container is
+	// the authority. attachObject proved the object's layout is the
+	// container's, so the group bytes read from disk must equal the same
+	// range of ent.container, and that range lies inside block id.
+	start, _ := obj.Index().WordGroupSpan(id, word, nwords)
+	off := int64(ent.blocks[id].off) + start
+	if !bytes.Equal(comp, ent.container[off:off+int64(len(comp))]) {
 		s.detachObject(obs.FromContext(ctx), ent, obj, id, "word range cross-check", errWordMismatch)
 		return dst, false
 	}
 	return plain, true
 }
 
+// wordSpanFromMemory appends [word, word+nwords) of block id to dst by
+// decoding the block's resident payload into pooled scratch. The
+// container passed the full Unpack verification at build, so the
+// decode needs no check of its own.
+func wordSpanFromMemory(ctx context.Context, ent *entry, id, word, nwords int, dst []byte) ([]byte, error) {
+	sp := obs.FromContext(ctx).Begin(obs.StageDecode)
+	scratch := compress.GetBuf(int(ent.blocks[id].words) * isa.WordSize)
+	defer func() { compress.PutBuf(scratch) }()
+	plain, err := ent.codec.DecompressAppend(scratch[:0], ent.payload(id))
+	if err != nil {
+		sp.End(obs.OutcomeError)
+		return dst, err
+	}
+	scratch = plain
+	sp.End(obs.OutcomeOK)
+	return append(dst, plain[word*isa.WordSize:(word+nwords)*isa.WordSize]...), nil
+}
+
 // detachObject quarantines a store object that failed verification and
 // detaches it from the entry (first failure wins; later racers no-op),
-// degrading that entry to rebuilds and in-memory serving instead of
-// retrying corrupt disk forever.
+// degrading that entry's word reads to the resident container instead
+// of retrying corrupt disk forever.
 func (s *Server) detachObject(tr *obs.Trace, ent *entry, obj *store.Object, block int, what string, err error) {
 	if ent.obj.CompareAndSwap(obj, nil) {
 		s.store.Quarantine(obj.Key())
@@ -891,167 +803,6 @@ func (s *Server) finishTrace(tr *obs.Trace, outcome string) {
 	s.rec.Record(tr)
 }
 
-// blockFromStore is the L2 tier: read block id's compressed payload
-// from the entry's open store object via the container index,
-// decompress-verify it against the index CRC, and cross-check the
-// plain image CRC the entry advertises to clients. The read attempt
-// itself lives in l2Attempt; this wrapper classifies its failures and
-// reacts per class:
-//
-//   - corrupt: quarantine and detach the object immediately — never
-//     retried, corrupt disk cannot get better.
-//   - transient: retry with jittered exponential backoff up to the
-//     configured budget, then count the failure against the entry's
-//     circuit breaker.
-//   - context ended: abort without judging the object.
-//   - anything else (fatal): one breaker strike, no retry.
-//
-// Enough consecutive failures open the entry's breaker: requests then
-// skip the object entirely (degrading to the rebuild path) until a
-// half-open probe succeeds and re-attaches it. Every failure path
-// counts one StoreL2Miss so hits+misses still equal L2 lookups.
-func (s *Server) blockFromStore(ctx context.Context, ent *entry, id int) ([]byte, bool) {
-	obj := ent.obj.Load()
-	if obj == nil {
-		if s.store != nil {
-			s.metrics.StoreL2Misses.Add(1)
-		}
-		return nil, false
-	}
-	if !ent.brk.Allow(time.Now()) {
-		s.metrics.BreakerRejects.Add(1)
-		s.metrics.StoreL2Misses.Add(1)
-		return nil, false
-	}
-	tr := obs.FromContext(ctx)
-	for attempt := 0; ; attempt++ {
-		out, err := s.l2Attempt(ctx, tr, ent, obj, id)
-		if err == nil {
-			if attempt > 0 {
-				s.metrics.RetrySuccess.Add(1)
-			}
-			ent.brk.Result(true)
-			s.metrics.StoreL2Hits.Add(1)
-			return out, true
-		}
-		switch {
-		case errclass.IsCorrupt(err):
-			// Corrupt bytes are never retried: quarantine now so the
-			// object cannot serve anyone again.
-			ent.brk.Result(false)
-			s.detachObject(tr, ent, obj, id, "l2 read", err)
-		case errclass.IsTransient(err) && attempt < s.retry.max:
-			if sleepCtx(ctx, s.retry.backoff(attempt)) {
-				continue
-			}
-			// The request died mid-backoff; don't blame the object.
-			s.metrics.RetryAborted.Add(1)
-			ent.brk.Abort()
-		case errclass.IsTransient(err):
-			s.metrics.RetryExhausted.Add(1)
-			ent.brk.Result(false)
-			s.log.Warn("l2 read transient failure exhausted retries, degrading to rebuild",
-				"key", shortKey(obj.Key()), "block", id, "retries", s.retry.max, "err", err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			ent.brk.Abort()
-		default:
-			ent.brk.Result(false)
-		}
-		s.metrics.StoreL2Misses.Add(1)
-		return nil, false
-	}
-}
-
-// l2Attempt is one try at the L2 read: plan the coalesced readahead
-// span, read it, decompress-verify the demand block, and admit every
-// verified readahead candidate into L1. When readahead is on, the
-// entry's prefetch scores extend the same ReadAt with the blocks
-// execution is most likely to demand next, so the successor fetch that
-// was about to miss hits instead. All disk bytes and decode scratch
-// move through pooled buffers — the steady-state read path allocates
-// only the exact-size copies the cache keeps. Demand-path errors are
-// returned raw (unclassified, unquarantined) for blockFromStore to
-// triage; a corrupt readahead candidate quarantines here since the
-// demand block was still served.
-func (s *Server) l2Attempt(ctx context.Context, tr *obs.Trace, ent *entry, obj *store.Object, id int) ([]byte, error) {
-	idx := obj.Index()
-	// Plan the coalesced span: forward readahead candidates inside the
-	// window that are not already resident, capped in compressed bytes.
-	// Candidates are distinct blocks in (id, id+window], so the stack
-	// array below is a true bound and the plan itself allocates nothing.
-	hi := id
-	var candBuf [readaheadWindowBlocks]cfg.BlockID
-	cands := candBuf[:0]
-	if len(ent.readahead) > id {
-		for _, c := range ent.readahead[id] {
-			ci := int(c)
-			if ci <= id || ci >= len(idx.Blocks) || ci-id > readaheadWindowBlocks ||
-				ci >= len(ent.keys) || len(cands) == cap(cands) ||
-				s.cache.Contains(ent.keys[ci]) {
-				continue
-			}
-			if idx.Blocks[ci].Off+idx.Blocks[ci].Len-idx.Blocks[id].Off > readaheadMaxBytes {
-				continue
-			}
-			cands = append(cands, c)
-			if ci > hi {
-				hi = ci
-			}
-		}
-	}
-	span := int(idx.Blocks[hi].Off + idx.Blocks[hi].Len - idx.Blocks[id].Off)
-	buf := compress.GetBuf(span)
-	defer func() { compress.PutBuf(buf) }()
-	buf, err := obj.ReadBlockRangeCtx(ctx, id, hi, buf[:0])
-	if err != nil {
-		return nil, err
-	}
-	scratch := compress.GetBuf(len(ent.plain[id]))
-	defer func() { compress.PutBuf(scratch) }()
-	// attachObject proved the object's index CRCs equal ent.crcs, so
-	// the index verify below is also the entry-level integrity check.
-	comp := idx.PayloadRangeSlice(buf, 0, id, id)
-	if _, err := idx.VerifyBlockCtx(ctx, ent.codec, id, comp, scratch[:0]); err != nil {
-		return nil, err
-	}
-	// The cache retains values indefinitely; hand it exact-size copies
-	// and recycle the (span-sized) read buffer.
-	out := bytes.Clone(comp)
-	// One readahead span covers the whole speculative batch; the
-	// per-candidate verifies stay plain (their time is the span's).
-	var rasp obs.SpanHandle
-	if len(cands) > 0 {
-		rasp = tr.Begin(obs.StageReadahead)
-	}
-	for _, c := range cands {
-		ci := int(c)
-		ccomp := idx.PayloadRangeSlice(buf, 0, id, ci)
-		if need := len(ent.plain[ci]); cap(scratch) < need {
-			compress.PutBuf(scratch)
-			scratch = compress.GetBuf(need)
-		}
-		if _, err := idx.VerifyBlock(ent.codec, ci, ccomp, scratch[:0]); err != nil {
-			if errclass.IsCorrupt(err) {
-				// Speculative bytes failed verification: the object is as
-				// corrupt as if the demand read had failed.
-				s.detachObject(tr, ent, obj, id, "readahead block verify", err)
-				rasp.End(obs.OutcomeCorrupt)
-			} else {
-				// Transient (or fatal) readahead trouble: stop speculating,
-				// keep the object — the demand block verified fine.
-				rasp.End(obs.OutcomeError)
-			}
-			return out, nil // the demand block itself was served
-		}
-		cost := ent.codec.Cost().CompressCycles(len(ent.plain[ci]))
-		if s.cache.Add(ent.keys[ci], bytes.Clone(ccomp), cost) {
-			s.metrics.StoreReadahead.Add(1)
-		}
-	}
-	rasp.End(obs.OutcomeOK)
-	return out, nil
-}
-
 // codecParam extracts the codec query parameter, defaulting to dict.
 func codecParam(r *http.Request) string {
 	if c := r.URL.Query().Get("codec"); c != "" {
@@ -1077,7 +828,7 @@ func (s *Server) entryFor(ctx context.Context, workload, codecName string) (*ent
 	s.mu.Lock()
 	ent, ok := s.entries[key]
 	if !ok {
-		ent = &entry{ready: make(chan struct{}), brk: newBreaker(s.brkCfg)}
+		ent = &entry{ready: make(chan struct{})}
 		s.entries[key] = ent
 		s.mu.Unlock()
 		bsp := obs.FromContext(ctx).Begin(obs.StageBuild)
@@ -1121,8 +872,7 @@ func statusFor(err error) int {
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	case errclass.IsTransient(err):
-		// A transient failure that exhausted its retries: the client may
-		// retry; the resource is not (known to be) corrupt.
+		// The client may retry; the resource is not (known to be) corrupt.
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -1133,10 +883,10 @@ func statusFor(err error) int {
 // disk store when a previously-built container is available, otherwise
 // by packing the workload and verifying the container by fully
 // unpacking it — the served artifact has passed the image checksum,
-// not just the packer's intent. The entry then serves blocks from the
-// *reconstructed* program, so what devices fetch is exactly what
-// survives verification. Freshly-built containers are persisted to the
-// store asynchronously through the worker pool.
+// not just the packer's intent. Block responses are then slices of that
+// verified container, so what devices fetch is exactly what survived
+// verification. Freshly-built containers are persisted to the store
+// asynchronously through the worker pool.
 func (s *Server) build(ent *entry, workload, codecName string) error {
 	wl, err := workloads.ByName(workload)
 	if err != nil {
@@ -1203,20 +953,29 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 }
 
 // attachObject binds an open store object to its entry after proving
-// the object's index carries exactly the per-block plain CRCs the
-// entry advertises to clients. Checking once here means L2 reads need
-// only the index CRC verify, not a second checksum pass per block; a
-// mismatched object is corrupt-or-wrong and gets quarantined.
+// the object's layout is the entry's container's: the same size and the
+// same metadata prefix, so every index field — block table, group
+// directory, codec model — is the same. store.Open parses whatever
+// index is on disk without re-hashing it, and the word path slices
+// ent.container at the object's group offsets, so an object whose index
+// disagrees is corrupt-or-wrong and gets quarantined instead. An object
+// whose prefix cannot be read is closed but left on disk.
 func (s *Server) attachObject(ent *entry, obj *store.Object) {
-	idx := obj.Index()
-	ok := len(idx.Blocks) == len(ent.crcs)
-	for i := 0; ok && i < len(ent.crcs); i++ {
-		ok = idx.Blocks[i].CRC == ent.crcs[i]
+	ok := obj.Size() == int64(len(ent.container))
+	if ok {
+		meta, err := obj.ReadMeta()
+		if err != nil {
+			obj.Close()
+			s.log.Warn("store object metadata unreadable, not attached",
+				"key", shortKey(obj.Key()), "err", err)
+			return
+		}
+		ok = bytes.Equal(meta, ent.container[:len(meta)])
 	}
 	if !ok {
 		s.store.Quarantine(obj.Key())
 		obj.Close()
-		s.log.Warn("store object CRC table does not match entry, quarantined",
+		s.log.Warn("store object layout does not match entry, quarantined",
 			"key", shortKey(obj.Key()))
 		return
 	}
@@ -1226,54 +985,40 @@ func (s *Server) attachObject(ent *entry, obj *store.Object) {
 }
 
 // finishEntry fills the entry's serving state from a verified
-// (container, reconstructed program, codec) triple.
+// (container, reconstructed program, codec) triple. The program's plain
+// block images are needed only to derive the cache keys; the entry
+// keeps the container and a layout table copied out of its index.
 func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, codec compress.Codec) error {
 	plain, err := p.AllBlockBytes()
 	if err != nil {
 		return err
 	}
-	keys := BlockAddresses(codec.Name(), compress.MarshalModel(codec), plain)
-	crcs := make([]uint32, len(plain))
-	for i, b := range plain {
-		crcs[i] = crc32.ChecksumIEEE(b)
+	idx, err := pack.ParseIndex(container)
+	if err != nil {
+		return err
+	}
+	if len(idx.Blocks) != len(plain) || idx.PayloadBase+idx.PayloadLen != int64(len(container)) ||
+		len(container) > math.MaxUint32 {
+		return fmt.Errorf("service: %s container layout does not fit its program", p.Name)
+	}
+	blocks := make([]blockLoc, len(idx.Blocks))
+	for i, e := range idx.Blocks {
+		blocks[i] = blockLoc{off: uint32(idx.PayloadBase + e.Off), len: uint32(e.Len), crc: e.CRC, words: uint32(e.Words)}
 	}
 	ent.container = container
 	ent.codec = codec
-	ent.plain = plain
-	ent.crcs = crcs
-	ent.keys = keys
-	// Only blockFromStore reads the candidate table, so a store-less
-	// server skips both the beam search and the table's footprint.
-	if s.store != nil && s.readaheadK > 0 {
-		ent.readahead = readaheadCandidates(p.Graph, s.readaheadK)
-	}
+	ent.blocks = blocks
+	ent.keys = BlockAddresses(codec.Name(), compress.MarshalModel(codec), plain)
 	// Resolve the histogram once so the hot path never takes the
 	// metrics mutex.
 	ent.hist = s.metrics.CodecHist(codec.Name())
 	return nil
 }
 
-// readaheadCandidates precomputes every block's prefetch proposals
-// through the markov-prefetch policy beam (path probability over the
-// CFG's edge annotations, depth readaheadDepth, width k, best first) —
-// the same scoring the embedded runtime prefetches under, reused here
-// to decide which successor payloads ride along on an L2 disk read.
-func readaheadCandidates(g *cfg.Graph, k int) [][]cfg.BlockID {
-	pol := policy.NewMarkovPrefetch[string]()
-	pol.Width = k
-	pol.Depth = readaheadDepth
-	pol.Bind(policy.Env{Graph: g})
-	out := make([][]cfg.BlockID, g.NumBlocks())
-	for id := range out {
-		out[id] = pol.PrefetchCandidates(cfg.BlockID(id), nil)
-	}
-	return out
-}
-
 // persistAsync writes a freshly-built container to the disk store
 // through the worker pool, without blocking the requester that
 // triggered the build. Once the object and its ref land, the entry is
-// handed the open object so later block misses can read through it.
+// handed the open object so later word reads can go through it.
 // Persistence is best-effort: a failure leaves the server serving from
 // memory exactly as if no store were configured.
 func (s *Server) persistAsync(ent *entry, name string, container []byte) {

@@ -9,8 +9,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"apbcc/internal/compress"
+	"apbcc/internal/isa"
 	"apbcc/internal/pack"
 	"apbcc/internal/store"
+	"apbcc/internal/workloads"
 )
 
 // storeConfig is the test config with the disk tier enabled.
@@ -20,9 +23,8 @@ func storeConfig(dir string) Config {
 
 // TestWarmRestartServesWithoutPacking is the acceptance pin for the
 // disk tier: a restarted server against a warm store must serve a
-// previously-built (workload, codec) container without invoking the
-// packer, byte-identical to the original, and satisfy block misses
-// through the container index.
+// previously-built (workload, codec) container and its blocks without
+// invoking the packer, byte-identical to the original.
 func TestWarmRestartServesWithoutPacking(t *testing.T) {
 	dir := t.TempDir()
 
@@ -59,8 +61,7 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 	}
 
 	// Every block the warm server hands out must be byte- and
-	// CRC-identical to the same block from a full client-side Unpack —
-	// and the first fetch of each is an L1 miss satisfied by the index.
+	// CRC-identical to the same block from a full client-side Unpack.
 	prog, codec, _, err := pack.Unpack("fft", warm)
 	if err != nil {
 		t.Fatal(err)
@@ -78,26 +79,10 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 			t.Fatalf("block %d: %v", id, err)
 		}
 	}
-	// With readahead, a first fetch is satisfied either by its own L2
-	// demand read or by a successor payload an earlier read dragged in
-	// and admitted to L1 — together they must cover every block exactly
-	// once, and readahead must have fired at all (fft's CFG chains).
-	l2 := s2.Metrics().StoreL2Hits.Load()
-	ra := s2.Metrics().StoreReadahead.Load()
-	if l2+ra != int64(len(want)) {
-		t.Fatalf("L2 demand reads (%d) + readahead admissions (%d) = %d, want %d (each first fetch exactly once)",
-			l2, ra, l2+ra, len(want))
-	}
-	if ra == 0 {
-		t.Fatal("readahead admitted nothing on a chained CFG")
-	}
-	if got := s2.Metrics().StoreL2Misses.Load(); got != 0 {
-		t.Fatalf("L2 misses = %d, want 0", got)
-	}
 
 	// /metrics must surface the store tier.
 	m := metricsCSV(t, ts2.Client(), ts2.URL)
-	for _, key := range []string{"warm_restores", "l2_block_hits", "block_read_bytes"} {
+	for _, key := range []string{"warm_restores", "containers_persisted", "word_read_bytes"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing store counter %q", key)
 		}
@@ -107,11 +92,12 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 	}
 }
 
-// TestStoreCorruptionFallsBackToRebuild: when the on-disk object rots
-// under a live server, the L2 read must detect it (index CRC),
-// quarantine the object, and fall back to a full rebuild — the client
-// still gets a correct block.
-func TestStoreCorruptionFallsBackToRebuild(t *testing.T) {
+// TestStoreCorruptionNeverReachesBlocks: when the on-disk object rots
+// under a live server, no block response changes — blocks are slices of
+// the resident container — and the first word read over the rotten
+// bytes catches it in the cross-check, quarantines the object, and
+// answers correctly from memory.
+func TestStoreCorruptionNeverReachesBlocks(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServerConfig(t, storeConfig(dir))
 
@@ -127,7 +113,7 @@ func TestStoreCorruptionFallsBackToRebuild(t *testing.T) {
 	}
 	path := filepath.Join(dir, "objects", key[:2], key)
 	mut := bytes.Clone(container)
-	mut[len(mut)-1] ^= 0xff // payload section: caught by the per-block CRC
+	mut[len(mut)-1] ^= 0xff // last block's payload bytes
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +126,6 @@ func TestStoreCorruptionFallsBackToRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fetch every block: at least one L2 read hits the flipped byte,
-	// quarantines the object, and rebuilds; every response stays
-	// correct.
 	for id := range want {
 		code, payload, hdr := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/crc32/%d?codec=dict", ts.URL, id))
 		if code != http.StatusOK {
@@ -152,11 +135,100 @@ func TestStoreCorruptionFallsBackToRebuild(t *testing.T) {
 			t.Fatalf("block %d served corrupt data: %v", id, err)
 		}
 	}
-	if got := s.Metrics().StoreL2Misses.Load(); got == 0 {
-		t.Fatal("corrupt store object never fell back to rebuild")
+	if st := s.Store().Stats(); st.Quarantined != 0 {
+		t.Fatalf("quarantined = %d after block reads, want 0 (blocks never read the store)", st.Quarantined)
+	}
+	last := len(want) - 1
+	code, body, hdr := get(t, ts.Client(), wordURL(ts.URL, "crc32", last, "dict", 0, len(want[last])/isa.WordSize))
+	if code != http.StatusOK || !bytes.Equal(body, want[last]) {
+		t.Fatalf("word read over rotten bytes: status %d, bytes equal %v", code, bytes.Equal(body, want[last]))
+	}
+	if got := hdr.Get(HeaderSource); got != "memory" {
+		t.Fatalf("source %q, want memory", got)
 	}
 	if st := s.Store().Stats(); st.Quarantined != 1 {
 		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
+	}
+}
+
+// TestAttachRejectsMismatchedLayout: store.Open parses whatever index is
+// on disk without re-hashing it, so attachObject must prove an object's
+// layout is the entry's container's before the word path slices the
+// container at the object's offsets. A disagreeing object is quarantined
+// at attach and word reads answer from memory.
+func TestAttachRejectsMismatchedLayout(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServerConfig(t, storeConfig(dir))
+	wl, err := workloads.ByName("crc32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := wl.Program.CodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := func(codecName string) []byte {
+		t.Helper()
+		c, err := compress.New(codecName, code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pack.Pack(wl.Program, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dict := packed("dict")
+	// Plant a bdi container under the key of the dict container the
+	// server is about to build: the persist's Put finds the key present
+	// and keeps the planted bytes, which Open then parses.
+	key := store.Key(dict)
+	path := filepath.Join(dir, "objects", key[:2], key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, packed("bdi"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := unpackedBlocks(t, ts, "crc32", "dict")
+	s.persistWG.Wait()
+	if got := s.Store().Stats().Quarantined; got != 1 {
+		t.Fatalf("quarantined = %d, want 1 (planted object rejected at attach)", got)
+	}
+	s.mu.Lock()
+	ent := s.entries[store.RefName("crc32", "dict")]
+	s.mu.Unlock()
+	if ent.obj.Load() != nil {
+		t.Fatal("object with a disagreeing index was attached")
+	}
+	_, body, hdr := get(t, ts.Client(), wordURL(ts.URL, "crc32", 0, "dict", 0, 1))
+	if got := hdr.Get(HeaderSource); got != "memory" || !bytes.Equal(body, want[0][:isa.WordSize]) {
+		t.Fatalf("word read: source %q, bytes equal %v; want memory, true", got, bytes.Equal(body, want[0][:isa.WordSize]))
+	}
+
+	// Same size, last metadata byte apart: rejected too. The genuine
+	// object attaches.
+	for _, flip := range []bool{true, false} {
+		k, err := s.Store().Put(dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, err := s.Store().Open(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &entry{container: bytes.Clone(ent.container)}
+		if flip {
+			e.container[ent.blocks[0].off-1] ^= 1
+		}
+		s.attachObject(e, obj)
+		if attached := e.obj.Load() != nil; attached == flip {
+			t.Fatalf("flipped metadata %v: attached %v", flip, attached)
+		}
+		if !flip {
+			e.obj.Load().Close()
+		}
 	}
 }
 

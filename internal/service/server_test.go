@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/csv"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"apbcc/internal/compress"
+	"apbcc/internal/isa"
 	"apbcc/internal/pack"
 	"apbcc/internal/workloads"
 )
@@ -152,6 +156,58 @@ func TestBlockEndpointServesVerifiableBlocks(t *testing.T) {
 	_, _, hdr := get(t, ts.Client(), ts.URL+"/v1/block/fir/0?codec=dict")
 	if hdr.Get(HeaderCache) != "hit" {
 		t.Errorf("revisit cache header = %q, want hit", hdr.Get(HeaderCache))
+	}
+}
+
+// TestBlockMissServesContainerSlice pins the one-copy design: without
+// a store, every block response — miss or hit — is exactly that block's
+// payload slice of the container /v1/pack serves, with the CRC and word
+// count of the unpacked image in its headers.
+func TestBlockMissServesContainerSlice(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, codec := range compress.Names() {
+		code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fir?codec="+codec)
+		if code != http.StatusOK {
+			t.Fatalf("%s: pack status %d", codec, code)
+		}
+		idx, err := pack.ParseIndex(container)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _, _, err := pack.Unpack("fir", container)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := prog.AllBlockBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cache keys are content addresses: a block whose image repeats
+		// an earlier block's under the same codec hits on first fetch.
+		seen := map[string]bool{}
+		for id, e := range idx.Blocks {
+			payload := container[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
+			first := "miss"
+			if seen[string(want[id])] {
+				first = "hit"
+			}
+			seen[string(want[id])] = true
+			for _, cache := range []string{first, "hit"} {
+				code, body, hdr := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/fir/%d?codec=%s", ts.URL, id, codec))
+				if code != http.StatusOK || !bytes.Equal(body, payload) {
+					t.Fatalf("%s block %d: status %d, payload slice equal %v", codec, id, code, bytes.Equal(body, payload))
+				}
+				if got, wantCRC := hdr.Get(HeaderCRC), fmt.Sprintf("%08x", crc32.ChecksumIEEE(want[id])); got != wantCRC {
+					t.Fatalf("%s block %d: %s %s, want %s", codec, id, HeaderCRC, got, wantCRC)
+				}
+				if got := hdr.Get(HeaderWords); got != strconv.Itoa(len(want[id])/isa.WordSize) {
+					t.Fatalf("%s block %d: %s %s, want %d", codec, id, HeaderWords, got, len(want[id])/isa.WordSize)
+				}
+				if got := hdr.Get(HeaderCache); got != cache {
+					t.Fatalf("%s block %d: %s %q, want %q", codec, id, HeaderCache, got, cache)
+				}
+			}
+		}
 	}
 }
 

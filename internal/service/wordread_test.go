@@ -102,7 +102,7 @@ func TestWordReadDoesNotTouchL1(t *testing.T) {
 	s.persistWG.Wait()
 	before := s.CacheStats()
 	s.mu.Lock()
-	nblocks := len(s.entries[store.RefName("fft", "dict")].plain)
+	nblocks := len(s.entries[store.RefName("fft", "dict")].blocks)
 	s.mu.Unlock()
 	for id := 0; id < nblocks; id++ {
 		if code, _, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", id, "dict", 0, 1)); code != http.StatusOK {

@@ -368,6 +368,17 @@ func (o *Object) Size() int64 { return o.size }
 // Close releases the file handle.
 func (o *Object) Close() error { return o.f.Close() }
 
+// ReadMeta reads the object's metadata prefix: every byte before the
+// payload section, from which its index was parsed. Two containers of
+// the same size with equal prefixes have identical indexes.
+func (o *Object) ReadMeta() ([]byte, error) {
+	meta := make([]byte, o.idx.PayloadBase)
+	if _, err := o.f.ReadAt(meta, 0); err != nil {
+		return nil, fmt.Errorf("store: %s metadata: %w", short(o.key), err)
+	}
+	return meta, nil
+}
+
 // ReadBlock reads block i's raw compressed payload with one ReadAt.
 // The bytes are unverified; use VerifiedBlock when the caller has no
 // checksum path of its own.
@@ -379,8 +390,7 @@ func (o *Object) ReadBlock(i int) ([]byte, error) {
 // lo..hi (inclusive) with one ReadAt, appending to dst (which may be
 // nil, or pooled scratch for allocation-free reads) and returning the
 // extended slice. Block j's payload within the result is located with
-// o.Index().PayloadRangeSlice. This is the disk half of predictive
-// readahead: one seek serves a block and its likely successors.
+// o.Index().PayloadRangeSlice.
 func (o *Object) ReadBlockRange(lo, hi int, dst []byte) ([]byte, error) {
 	base := len(dst)
 	if err := faultReadAt.Err(); err != nil {
@@ -396,24 +406,6 @@ func (o *Object) ReadBlockRange(lo, hi int, dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ReadBlockRangeCtx is ReadBlockRange with the disk read timed as a
-// StageL2Read span on the context's trace. With no trace attached it
-// costs exactly a ReadBlockRange call.
-func (o *Object) ReadBlockRangeCtx(ctx context.Context, lo, hi int, dst []byte) ([]byte, error) {
-	tr := obs.FromContext(ctx)
-	if tr == nil {
-		return o.ReadBlockRange(lo, hi, dst)
-	}
-	sp := tr.Begin(obs.StageL2Read)
-	out, err := o.ReadBlockRange(lo, hi, dst)
-	if err != nil {
-		sp.End(obs.OutcomeError)
-	} else {
-		sp.End(obs.OutcomeOK)
-	}
-	return out, err
-}
-
 // HasGroupIndex reports whether the container carries a v3 group
 // directory, i.e. whether ReadWordRange can serve sub-block spans.
 func (o *Object) HasGroupIndex() bool { return o.idx.HasGroupIndex() }
@@ -426,22 +418,30 @@ func (o *Object) HasGroupIndex() bool { return o.idx.HasGroupIndex() }
 // allocation-free); both grown slices are returned. Containers without
 // a directory (v2, entropy codecs) fail with pack.ErrNoGroupIndex —
 // callers fall back to a full VerifiedBlock. No per-block CRC covers a
-// partial decode, so callers with an independent copy of the plain
-// image should cross-check the span before serving it.
+// partial decode, so callers with an independent copy of the container
+// should cross-check the returned group bytes before serving the span.
 func (o *Object) ReadWordRange(codec compress.Codec, block, word, nwords int, compDst, plainDst []byte) (comp, plain []byte, err error) {
 	cbase := len(compDst)
-	pbase := len(plainDst)
 	if err := faultReadAt.Err(); err != nil {
 		return compDst, plainDst, fmt.Errorf("store: %s block %d words %d+%d: %w", short(o.key), block, word, nwords, err)
 	}
-	comp, plain, err = o.idx.ReadWordRangeAt(o.f, codec, block, word, nwords, compDst, plainDst)
+	comp, plain, err = o.idx.ReadWordRangeAt(mangledFile{o.f}, codec, block, word, nwords, compDst, plainDst)
 	if err != nil {
 		return comp, plain, err
 	}
-	faultReadAt.Mangle(plain[pbase:])
 	o.store.wordReads.Add(1)
 	o.store.wordReadBytes.Add(int64(len(comp) - cbase))
 	return comp, plain, nil
+}
+
+// mangledFile applies the store.read-at bit flips to the bytes a ReadAt
+// returns, before anything decodes them: where disk rot would land.
+type mangledFile struct{ f *os.File }
+
+func (m mangledFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := m.f.ReadAt(p, off)
+	faultReadAt.Mangle(p[:n])
+	return n, err
 }
 
 // ReadWordRangeCtx is ReadWordRange with the read-plus-decode timed as
@@ -466,8 +466,8 @@ func (o *Object) ReadWordRangeCtx(ctx context.Context, codec compress.Codec, blo
 // VerifiedBlock reads block i's compressed payload appending it to
 // compDst, proves it decompresses to a plain image matching the
 // index's length and CRC appending that image to plainDst, and returns
-// both grown slices. Passing pooled buffers for both makes the L2 read
-// path allocation-free (pinned by TestVerifiedBlockAllocFree). A
+// both grown slices. Passing pooled buffers for both makes the read
+// allocation-free (pinned by TestVerifiedBlockAllocFree). A
 // verification failure reports ErrCorrupt; the caller decides whether
 // to Quarantine.
 func (o *Object) VerifiedBlock(codec compress.Codec, i int, compDst, plainDst []byte) (comp, plain []byte, err error) {
@@ -479,7 +479,7 @@ func (o *Object) VerifiedBlock(codec compress.Codec, i int, compDst, plainDst []
 	plain, err = o.idx.VerifyBlock(codec, i, comp[base:], plainDst)
 	if err != nil {
 		// An injected transient decode fault is a timing failure, not
-		// bad bytes: let it keep its class so the retry path (rather
+		// bad bytes: let it keep its class so the transient path (rather
 		// than quarantine) handles it.
 		if errors.Is(err, faults.ErrTransient) {
 			return nil, nil, fmt.Errorf("store: %s block %d: %w", short(o.key), i, err)
