@@ -2,6 +2,7 @@ package asm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -168,6 +169,21 @@ func TestCharLiteral(t *testing.T) {
 	r := assemble(t, `addi r1, r0, 'A'`)
 	if decode(t, r.Words[0]).Imm != 65 {
 		t.Error("char literal")
+	}
+	// A literal is one token: the comment, label and operand separators
+	// inside it are characters, not syntax.
+	for _, c := range []byte{';', '#', ',', ':'} {
+		src := fmt.Sprintf("x: addi r1, r0, '%c' ; comment\n.word '%c', 7 # comment", c, c)
+		r := assemble(t, src)
+		if got := decode(t, r.Words[0]).Imm; got != int32(c) {
+			t.Errorf("addi with '%c': imm = %d, want %d", c, got, c)
+		}
+		if len(r.Words) != 3 || r.Words[1] != uint32(c) || r.Words[2] != 7 {
+			t.Errorf(".word '%c', 7 = %v", c, r.Words[1:])
+		}
+		if len(r.Symbols) != 1 || r.Symbols["x"] != 0 {
+			t.Errorf("'%c': symbols = %v", c, r.Symbols)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ package cfg
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"strconv"
 
 	"apbcc/internal/isa"
 )
@@ -312,17 +312,95 @@ func (g *Graph) reachable() map[BlockID]bool {
 	return seen
 }
 
+// FromParts builds the graph that AddBlock for each of blocks (block i
+// gets ID i), SetEntry(entry) and AddEdge for each of edges, in order,
+// would build — the same blocks, entry, and out- and in-edge lists in
+// the same order, and the same error for the first call that would
+// fail — from a few flat allocations instead of one per block and edge:
+// blocks itself becomes the block store, and every block's Succs and
+// Preds are capacity-capped windows of one edge array each. The graph
+// takes ownership of blocks. On failure bad is the index of the
+// rejected edge, or -1 for a bad entry.
+func FromParts(blocks []Block, entry BlockID, edges []Edge) (g *Graph, bad int, err error) {
+	n := len(blocks)
+	g = &Graph{
+		blocks: make([]*Block, n),
+		succs:  make([][]Edge, n),
+		preds:  make([][]Edge, n),
+		entry:  None,
+	}
+	for i := range blocks {
+		blocks[i].ID = BlockID(i)
+		g.blocks[i] = &blocks[i]
+	}
+	if err := g.SetEntry(entry); err != nil {
+		return nil, -1, err
+	}
+	// Edges up to the first one naming an unknown block go in; an
+	// earlier duplicate still takes precedence over that one.
+	all := edges
+	for k, e := range all {
+		if !g.valid(e.From) || !g.valid(e.To) {
+			edges = all[:k]
+			break
+		}
+	}
+	g.succs = carve(g.succs, edges, func(e Edge) BlockID { return e.From })
+	for k, e := range edges {
+		for _, s := range g.succs[e.From] {
+			if s.To == e.To && s.Kind == e.Kind {
+				return nil, k, fmt.Errorf("cfg: duplicate edge %s->%s (%s)", g.blocks[e.From], g.blocks[e.To], e.Kind)
+			}
+		}
+		g.succs[e.From] = append(g.succs[e.From], e)
+	}
+	if k := len(edges); k < len(all) {
+		return nil, k, fmt.Errorf("cfg: edge %d->%d references unknown block", all[k].From, all[k].To)
+	}
+	g.preds = carve(g.preds, edges, func(e Edge) BlockID { return e.To })
+	for _, e := range edges {
+		g.preds[e.To] = append(g.preds[e.To], e)
+	}
+	return g, -1, nil
+}
+
+// carve gives each block lists[b] an empty window of one shared array,
+// with room for exactly the edges whose key is b; blocks with none keep
+// a nil list, as AddBlock leaves them.
+func carve(lists [][]Edge, edges []Edge, key func(Edge) BlockID) [][]Edge {
+	start := make([]int, len(lists)+1)
+	for _, e := range edges {
+		start[key(e)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	store := make([]Edge, len(edges))
+	for b := range lists {
+		if start[b] < start[b+1] {
+			lists[b] = store[start[b]:start[b]:start[b+1]]
+		}
+	}
+	return lists
+}
+
 // Build constructs a Graph from a decoded instruction stream using
 // leader analysis: the entry, every static control-transfer target and
 // every instruction following a control transfer start a block. Indirect
 // jumps (jr/jalr) end blocks but contribute no static edges. Call edges
 // (jal) link to the callee and, because ERI32 calls return, also add a
 // fallthrough edge to the next block.
+//
+// The leader and block tables are dense slices indexed by word, and
+// FromParts assembles the graph from flat arrays.
 func Build(ins []isa.Instruction, entry int) (*Graph, error) {
 	if entry < 0 || entry >= len(ins) {
 		return nil, fmt.Errorf("cfg: entry %d outside program of %d words", entry, len(ins))
 	}
-	leaders := map[int]bool{entry: true}
+	// blockAt[pc] is first a leader mark (0 or 1), then the ID of the
+	// block starting at pc; it is only read at leaders.
+	blockAt := make([]BlockID, len(ins))
+	blockAt[entry] = 1
 	for pc, in := range ins {
 		if !in.IsControl() {
 			continue
@@ -331,79 +409,81 @@ func Build(ins []isa.Instruction, entry int) (*Graph, error) {
 			if tgt < 0 || tgt >= len(ins) {
 				return nil, fmt.Errorf("cfg: word %d: control target %d outside program", pc, tgt)
 			}
-			leaders[tgt] = true
+			blockAt[tgt] = 1
 		}
 		if pc+1 < len(ins) {
-			leaders[pc+1] = true
+			blockAt[pc+1] = 1
 		}
 	}
-	starts := make([]int, 0, len(leaders))
-	for pc := range leaders {
-		starts = append(starts, pc)
+	n := 0
+	for _, l := range blockAt {
+		n += int(l)
 	}
-	sort.Ints(starts)
 
-	g := New()
-	blockAt := make(map[int]BlockID, len(starts)) // start pc -> block
-	for i, start := range starts {
-		end := len(ins)
-		if i+1 < len(starts) {
-			end = starts[i+1]
+	blocks := make([]Block, n)
+	// The labels "B0", "B1", ... are substrings of one string.
+	var buf []byte
+	for i := 0; i < n; i++ {
+		buf = strconv.AppendInt(append(buf, 'B'), int64(i), 10)
+	}
+	names := string(buf)
+	var id BlockID
+	for pc, l := range blockAt {
+		if l == 0 {
+			continue
 		}
-		id := g.AddBlock(fmt.Sprintf("B%d", i), 0)
-		b := g.Block(id)
-		b.Start, b.End = start, end
-		blockAt[start] = id
+		w := 2 // "B" and the first digit
+		for v := id; v >= 10; v /= 10 {
+			w++
+		}
+		b := &blocks[id]
+		b.Label, b.Start = names[:w], pc
+		names = names[w:]
+		if id > 0 {
+			blocks[id-1].End = pc
+		}
+		blockAt[pc] = id
+		id++
 	}
-	// Instructions before the first leader are unreachable preamble; they
-	// are not part of any block. Locate the entry's block.
-	entryID, ok := blockAt[entry]
-	if !ok {
-		return nil, fmt.Errorf("cfg: internal error: entry %d has no block", entry)
-	}
-	if err := g.SetEntry(entryID); err != nil {
-		return nil, err
-	}
+	blocks[n-1].End = len(ins)
 
-	for _, b := range g.blocks {
+	// Out-edges in block order: a block ends in at most two, of
+	// distinct kinds, so none is a duplicate.
+	edges := make([]Edge, 0, 2*n)
+	for i := range blocks {
+		b := &blocks[i]
+		add := func(to int, kind EdgeKind) {
+			edges = append(edges, Edge{From: BlockID(i), To: blockAt[to], Kind: kind})
+		}
 		last := ins[b.End-1]
 		lastPC := b.End - 1
 		switch {
 		case last.IsBranch():
 			tgt, _ := last.StaticTarget(lastPC)
-			if err := g.AddEdge(b.ID, blockAt[tgt], EdgeTaken, 0); err != nil {
-				return nil, err
-			}
+			add(tgt, EdgeTaken)
 			if b.End < len(ins) {
-				if err := g.AddEdge(b.ID, blockAt[b.End], EdgeFallthrough, 0); err != nil {
-					return nil, err
-				}
+				add(b.End, EdgeFallthrough)
 			}
 		case last.Op == isa.OpJ:
 			tgt, _ := last.StaticTarget(lastPC)
-			if err := g.AddEdge(b.ID, blockAt[tgt], EdgeJump, 0); err != nil {
-				return nil, err
-			}
+			add(tgt, EdgeJump)
 		case last.Op == isa.OpJAL:
 			tgt, _ := last.StaticTarget(lastPC)
-			if err := g.AddEdge(b.ID, blockAt[tgt], EdgeCall, 0); err != nil {
-				return nil, err
-			}
+			add(tgt, EdgeCall)
 			if b.End < len(ins) {
-				if err := g.AddEdge(b.ID, blockAt[b.End], EdgeFallthrough, 0); err != nil {
-					return nil, err
-				}
+				add(b.End, EdgeFallthrough)
 			}
 		case last.IsIndirect() || last.Op == isa.OpHALT:
 			// No static successor.
 		default:
 			// Straight-line block split by a following leader.
 			if b.End < len(ins) {
-				if err := g.AddEdge(b.ID, blockAt[b.End], EdgeFallthrough, 0); err != nil {
-					return nil, err
-				}
+				add(b.End, EdgeFallthrough)
 			}
 		}
 	}
-	return g, nil
+	// Instructions before the first leader are unreachable preamble; they
+	// are not part of any block. The entry is a leader, so it starts one.
+	g, _, err := FromParts(blocks, blockAt[entry], edges)
+	return g, err
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"apbcc/internal/isa"
 )
@@ -116,34 +115,12 @@ func init() {
 // dictionary seeded with the up-to-16 most frequent nonzero words of
 // the training image (nil trains nothing: a cold dictionary).
 func NewCPack(train []byte) Codec {
-	freq := make(map[uint32]int)
-	for i := 0; i+isa.WordSize <= len(train); i += isa.WordSize {
-		freq[isa.ByteOrder.Uint32(train[i:])]++
-	}
-	type wc struct {
-		w uint32
-		c int
-	}
-	all := make([]wc, 0, len(freq))
-	for w, c := range freq {
-		// Zero words are ZZZZ and sub-256 words are ZZZX: both already
-		// encode tighter than a seeded full match would. Singletons stay
-		// in: like dict's table the seed ships as an out-of-band model,
-		// so even one occurrence turns 4.5 raw bytes into a 1.5-byte
-		// full match.
-		if w > 0xFF {
-			all = append(all, wc{w, c})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].w < all[j].w
-	})
-	if len(all) > cpackDictEntries {
-		all = all[:cpackDictEntries]
-	}
+	// Zero words are ZZZZ and sub-256 words are ZZZX: both already encode
+	// tighter than a seeded full match would. Singletons stay in: like
+	// dict's table the seed ships as an out-of-band model, so even one
+	// occurrence turns 4.5 raw bytes into a 1.5-byte full match.
+	all := rankWords(train, func(w wordCount) bool { return w.w > 0xFF })
+	all = all[:min(len(all), cpackDictEntries)]
 	c := &cpack{seedN: len(all)}
 	for i, e := range all {
 		// Ascending frequency: the FIFO cursor evicts slot 0 first, so
@@ -594,7 +571,7 @@ func (c *cpack) CountPatterns(src []byte, acc PatternStats) (PatternStats, error
 // MarshalModel implements ModelMarshaler: uvarint seed count, then the
 // seed words in stored (ascending-frequency) order.
 func (c *cpack) MarshalModel() []byte {
-	out := binary.AppendUvarint(nil, uint64(c.seedN))
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+4*c.seedN), uint64(c.seedN))
 	for i := 0; i < c.seedN; i++ {
 		out = binary.LittleEndian.AppendUint32(out, c.seed[i])
 	}

@@ -1,10 +1,11 @@
 package compress
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"apbcc/internal/isa"
@@ -41,34 +42,56 @@ const DictSize = 256
 // most frequent instruction words become the dictionary, ordered by
 // descending frequency (ties by ascending word value, for determinism).
 func NewDict(train []byte) Codec {
-	freq := make(map[uint32]int)
-	for i := 0; i+isa.WordSize <= len(train); i += isa.WordSize {
-		freq[isa.ByteOrder.Uint32(train[i:])]++
-	}
-	type wc struct {
-		w uint32
-		c int
-	}
-	all := make([]wc, 0, len(freq))
-	for w, c := range freq {
-		if c >= 2 { // singletons cost more as indices than they save
-			all = append(all, wc{w, c})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].w < all[j].w
-	})
-	if len(all) > DictSize {
-		all = all[:DictSize]
-	}
-	d := &dict{}
-	for _, e := range all {
-		d.words = append(d.words, e.w)
+	// Singletons cost more as indices than they save.
+	all := rankWords(train, func(w wordCount) bool { return w.c >= 2 })
+	d := &dict{words: make([]uint32, min(len(all), DictSize))}
+	for i := range d.words {
+		d.words[i] = all[i].w
 	}
 	return d
+}
+
+// wordCount is one distinct instruction word of a training image and
+// how often it occurs.
+type wordCount struct {
+	w uint32
+	c int
+}
+
+// rankWords counts the distinct words of a training image and returns
+// those keep accepts, most frequent first, ties by ascending word value.
+// That order is total, so the ranking is the same however it is
+// computed; here it is two typed sorts, with no map.
+func rankWords(train []byte, keep func(wordCount) bool) []wordCount {
+	words := make([]uint32, len(train)/isa.WordSize)
+	for i := range words {
+		words[i] = isa.ByteOrder.Uint32(train[i*isa.WordSize:])
+	}
+	slices.Sort(words)
+	distinct := 0
+	for i := range words {
+		if i == 0 || words[i] != words[i-1] {
+			distinct++
+		}
+	}
+	all := make([]wordCount, 0, distinct)
+	for i := 0; i < len(words); {
+		j := i + 1
+		for j < len(words) && words[j] == words[i] {
+			j++
+		}
+		if e := (wordCount{words[i], j - i}); keep(e) {
+			all = append(all, e)
+		}
+		i = j
+	}
+	slices.SortFunc(all, func(a, b wordCount) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+	return all
 }
 
 // ensureIndex builds the compressor's word -> slot map on first use.

@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -68,19 +67,8 @@ func NewHuffman(train []byte) Codec {
 		freq[b]++
 	}
 	h := &huffman{}
-	for {
-		lengths := buildCodeLengths(freq[:])
-		maxLen := uint8(0)
-		for _, l := range lengths {
-			if l > maxLen {
-				maxLen = l
-			}
-		}
-		if maxLen <= maxCodeLen {
-			copy(h.lengths[:], lengths)
-			break
-		}
-		// Flatten the distribution and retry until the depth bound holds.
+	// Flatten the distribution and retry until the depth bound holds.
+	for buildCodeLengths(&freq, &h.lengths) > maxCodeLen {
 		for i := range freq {
 			freq[i] = freq[i]/2 + 1
 		}
@@ -89,63 +77,80 @@ func NewHuffman(train []byte) Codec {
 	return h
 }
 
-type huffNode struct {
-	weight      uint64
-	symbol      int // -1 for internal
-	left, right *huffNode
-	order       int // tie-break for determinism
-}
+// huffNodes is the node count of a Huffman tree over 256 symbols: the
+// leaves 0..255 (node i is symbol i) and the internal nodes 256..510 in
+// the order the algorithm creates them.
+const huffNodes = 2*256 - 1
 
-type huffHeap []*huffNode
+// buildCodeLengths runs the classic Huffman algorithm on fixed arrays,
+// with no heap and no node allocations, writes every symbol's code
+// length (its leaf depth) to lengths and returns the longest.
+//
+// Each step merges the two lightest live nodes, ties broken by node
+// index (a leaf's symbol value, an internal node's creation order).
+// That order is total, so the tree is the one any priority queue with
+// the same tie-break builds. Here it is the two-queue form: the leaves
+// sorted once by (weight, symbol), and the internal nodes, which are
+// created in nondecreasing weight and so already sorted by (weight,
+// index). The next node is the lighter of the two queue heads; on equal
+// weight the leaf, whose index is lower.
+func buildCodeLengths(freq *[256]uint64, lengths *[256]uint8) (maxLen uint8) {
+	var weight [huffNodes]uint64
+	copy(weight[:], freq[:])
 
-func (h huffHeap) Len() int { return len(h) }
-func (h huffHeap) Less(i, j int) bool {
-	if h[i].weight != h[j].weight {
-		return h[i].weight < h[j].weight
+	// Leaves in (weight, symbol) order: a stable LSD radix sort of the
+	// symbols by weight, one pass per significant weight byte.
+	var leaves, tmp [256]uint16
+	for i := range leaves {
+		leaves[i] = uint16(i)
 	}
-	return h[i].order < h[j].order
-}
-func (h huffHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *huffHeap) Push(x any)   { *h = append(*h, x.(*huffNode)) }
-func (h *huffHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// buildCodeLengths runs the classic Huffman algorithm and returns the
-// code length of every symbol.
-func buildCodeLengths(freq []uint64) []uint8 {
-	h := make(huffHeap, 0, len(freq))
-	order := 0
-	for sym, f := range freq {
-		h = append(h, &huffNode{weight: f, symbol: sym, order: order})
-		order++
+	var heaviest uint64
+	for _, w := range freq {
+		heaviest = max(heaviest, w)
 	}
-	heap.Init(&h)
-	for h.Len() > 1 {
-		a := heap.Pop(&h).(*huffNode)
-		b := heap.Pop(&h).(*huffNode)
-		heap.Push(&h, &huffNode{weight: a.weight + b.weight, symbol: -1, left: a, right: b, order: order})
-		order++
-	}
-	lengths := make([]uint8, len(freq))
-	var walk func(n *huffNode, depth uint8)
-	walk = func(n *huffNode, depth uint8) {
-		if n.symbol >= 0 {
-			if depth == 0 {
-				depth = 1 // degenerate single-symbol tree
-			}
-			lengths[n.symbol] = depth
-			return
+	for shift := uint(0); shift < 64 && heaviest>>shift != 0; shift += 8 {
+		var start [257]int
+		for _, s := range leaves {
+			start[weight[s]>>shift&0xff+1]++
 		}
-		walk(n.left, depth+1)
-		walk(n.right, depth+1)
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, s := range leaves {
+			d := weight[s] >> shift & 0xff
+			tmp[start[d]] = s
+			start[d]++
+		}
+		leaves = tmp
 	}
-	walk(h[0], 0)
-	return lengths
+
+	var parent [huffNodes]uint16
+	li, ii := 0, 256 // heads of the leaf and internal-node queues
+	lightest := func(next int) int {
+		if li < len(leaves) && (ii == next || weight[leaves[li]] <= weight[ii]) {
+			li++
+			return int(leaves[li-1])
+		}
+		ii++
+		return ii - 1
+	}
+	for next := 256; next < huffNodes; next++ {
+		a := lightest(next)
+		b := lightest(next)
+		weight[next] = weight[a] + weight[b]
+		parent[a], parent[b] = uint16(next), uint16(next)
+	}
+	// Children precede their parent, so one pass down from the root
+	// (node huffNodes-1, depth 0) sets every depth.
+	var depth [huffNodes]uint8
+	for v := huffNodes - 2; v >= 0; v-- {
+		depth[v] = depth[parent[v]] + 1
+	}
+	for sym := range lengths {
+		lengths[sym] = depth[sym]
+		maxLen = max(maxLen, depth[sym])
+	}
+	return maxLen
 }
 
 // buildCanonical derives canonical codes and decode tables from lengths.
@@ -155,24 +160,25 @@ func (h *huffman) buildCanonical() {
 	}
 	h.counts[0] = 0
 	code := uint32(0)
+	idx := 0
 	for l := 1; l <= maxCodeLen; l++ {
 		code = (code + uint32(h.counts[l-1])) << 1
 		h.firstCode[l] = code
-	}
-	// Assign codes in (length, symbol) order.
-	next := h.firstCode
-	h.symbols = h.symbols[:0]
-	idx := 0
-	for l := 1; l <= maxCodeLen; l++ {
 		h.firstIdx[l] = idx
-		for sym := 0; sym < 256; sym++ {
-			if int(h.lengths[sym]) == l {
-				h.codes[sym] = next[l]
-				next[l]++
-				h.symbols = append(h.symbols, byte(sym))
-				idx++
-			}
+		idx += h.counts[l]
+	}
+	// Assign codes in (length, symbol) order: one counting-sort pass
+	// places each symbol after the shorter codes and the smaller symbols
+	// of its own length.
+	h.symbols = make([]byte, idx)
+	next := h.firstIdx
+	for sym, l := range h.lengths {
+		if l == 0 {
+			continue
 		}
+		h.codes[sym] = h.firstCode[l] + uint32(next[l]-h.firstIdx[l])
+		h.symbols[next[l]] = byte(sym)
+		next[l]++
 	}
 	h.buildTable()
 }
@@ -186,9 +192,7 @@ func (h *huffman) buildCanonical() {
 // two different decodings, so the table decode is exactly the
 // first-match-by-increasing-length walk of the bit-serial decoder.
 func (h *huffman) buildTable() {
-	for i := range h.table {
-		h.table[i] = 0
-	}
+	clear(h.table[:])
 	for sym := 0; sym < 256; sym++ {
 		l := int(h.lengths[sym])
 		if l == 0 || l > huffTableBits {
@@ -201,19 +205,22 @@ func (h *huffman) buildTable() {
 		}
 	}
 	// Pair pass: refine slots whose tail bits start (and finish) a
-	// second code. Total fills are bounded by 2^huffTableBits times the
-	// Kraft sum, so this stays O(table size).
-	for s1 := 0; s1 < 256; s1++ {
+	// second code. symbols is sorted by code length, so both loops stop
+	// at the first code too long to pair: only pairs that fill a slot
+	// are visited, and fills are bounded by 2^huffTableBits times the
+	// Kraft sum. Distinct pairs claim disjoint slots (prefix-freedom
+	// again), so the visiting order does not change the table.
+	for _, s1 := range h.symbols {
 		l1 := int(h.lengths[s1])
-		if l1 == 0 || l1 >= huffTableBits {
-			continue
+		if l1 >= huffTableBits {
+			break
 		}
-		for s2 := 0; s2 < 256; s2++ {
+		for _, s2 := range h.symbols {
 			l2 := int(h.lengths[s2])
-			if l2 == 0 || l1+l2 > huffTableBits {
-				continue
-			}
 			lt := l1 + l2
+			if lt > huffTableBits {
+				break
+			}
 			entry := huffPairFlag | uint32(l1) | uint32(lt)<<4 | uint32(s1)<<9 | uint32(s2)<<17
 			base := h.codes[s1]<<(huffTableBits-l1) | h.codes[s2]<<(huffTableBits-lt)
 			for j := uint32(0); j < 1<<(huffTableBits-lt); j++ {

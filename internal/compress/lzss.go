@@ -20,17 +20,27 @@ const (
 	lzHashSize = 1 << 13
 )
 
-// lzssMatcher is the per-call hash-chain state of the compressor:
-// head[h] is the most recent position with 3-byte hash h; prev links
-// positions sharing a hash (bounded chain search). It is pooled so
-// steady-state compression allocates nothing — the head table alone is
-// 32 KiB and used to be rebuilt on every Compress call.
+// lzssMatcher is the pooled hash-chain state of the compressor:
+// head[h] is the most recent position with 3-byte hash h and prev links
+// positions sharing a hash (bounded chain search). A head entry is
+// stamped with the call that wrote it: it stores base+pos, and each
+// call starts its base past every value an earlier call stored, so a
+// stale entry reads as a negative position, an empty chain. No call
+// clears the 32 KiB table, and one call costs O(len(src)) however
+// short the block; only when the base would overflow int32 (after 2 GiB
+// of input through one matcher) is the table cleared.
 type lzssMatcher struct {
 	head [lzHashSize]int32
 	prev []int32
+	base int // every head entry is below base; at least 1, so a zero table is empty
 }
 
-var lzssMatchers = sync.Pool{New: func() any { return new(lzssMatcher) }}
+var lzssMatchers = sync.Pool{New: func() any { return &lzssMatcher{base: 1} }}
+
+// lzHash hashes the 3 bytes at src[i:].
+func lzHash(src []byte, i int) int {
+	return int(uint32(src[i])<<7^uint32(src[i+1])<<4^uint32(src[i+2])) & (lzHashSize - 1)
+}
 
 // NewLZSS returns the LZSS codec.
 func NewLZSS() Codec { return lzss{} }
@@ -52,50 +62,43 @@ func (lzss) CompressAppend(dst, src []byte) ([]byte, error) {
 	if len(src) > math.MaxInt32 {
 		return nil, fmt.Errorf("compress: lzss input %d bytes exceeds 2 GiB", len(src))
 	}
-	out := dst
 	m := lzssMatchers.Get().(*lzssMatcher)
 	defer lzssMatchers.Put(m)
-	for i := range m.head {
-		m.head[i] = -1
+	return m.compress(dst, src), nil
+}
+
+// compress is CompressAppend on this matcher's state; len(src) is at
+// most math.MaxInt32.
+func (m *lzssMatcher) compress(dst, src []byte) []byte {
+	if m.base > math.MaxInt32-len(src) {
+		clear(m.head[:])
+		m.base = 1
 	}
+	base := m.base
+	m.base += len(src)
 	if cap(m.prev) < len(src) {
 		m.prev = make([]int32, len(src))
 	}
 	prev := m.prev[:len(src)]
-	hash := func(i int) int {
-		return int(uint32(src[i])<<7^uint32(src[i+1])<<4^uint32(src[i+2])) & (lzHashSize - 1)
+	// chain returns the newest position of this call with hash h, or -1.
+	chain := func(h int) int {
+		if p := int(m.head[h]) - base; p >= 0 {
+			return p
+		}
+		return -1
 	}
 
-	var flagPos int
-	var flagBit uint
-	newFlag := func() {
-		flagPos = len(out)
-		out = append(out, 0)
-		flagBit = 0
-	}
-	newFlag()
-	emit := func(isMatch bool, bytes ...byte) {
-		if flagBit == 8 {
-			newFlag()
-		}
-		if isMatch {
-			out[flagPos] |= 1 << flagBit
-		}
-		flagBit++
-		out = append(out, bytes...)
-	}
-
+	out := dst
+	flagPos := len(out)
+	out = append(out, 0)
+	flagBit := uint(0)
 	for i := 0; i < len(src); {
 		bestLen, bestOff := 0, 0
 		if i+lzMinMatch <= len(src) {
-			h := hash(i)
-			cand := int(m.head[h])
+			cand := chain(lzHash(src, i))
 			for tries := 0; cand >= 0 && i-cand <= lzWindow-1 && tries < 32; tries++ {
 				l := 0
-				max := len(src) - i
-				if max > lzMaxMatch {
-					max = lzMaxMatch
-				}
+				max := min(len(src)-i, lzMaxMatch)
 				for l < max && src[cand+l] == src[i+l] {
 					l++
 				}
@@ -105,27 +108,31 @@ func (lzss) CompressAppend(dst, src []byte) ([]byte, error) {
 				cand = int(prev[cand])
 			}
 		}
-		insert := func(pos int) {
-			if pos+lzMinMatch <= len(src) {
-				h := hash(pos)
-				prev[pos] = m.head[h]
-				m.head[h] = int32(pos)
-			}
+		if flagBit == 8 {
+			flagPos = len(out)
+			out = append(out, 0)
+			flagBit = 0
 		}
+		n := 1 // positions this token covers
 		if bestLen >= lzMinMatch {
+			out[flagPos] |= 1 << flagBit
 			token := uint16(bestOff)<<4 | uint16(bestLen-lzMinMatch)
-			emit(true, byte(token>>8), byte(token))
-			for j := 0; j < bestLen; j++ {
-				insert(i + j)
-			}
-			i += bestLen
+			out = append(out, byte(token>>8), byte(token))
+			n = bestLen
 		} else {
-			emit(false, src[i])
-			insert(i)
-			i++
+			out = append(out, src[i])
+		}
+		flagBit++
+		// Insert every covered position that still has 3 bytes to hash.
+		for end := i + n; i < end; i++ {
+			if i+lzMinMatch <= len(src) {
+				h := lzHash(src, i)
+				prev[i] = int32(chain(h))
+				m.head[h] = int32(base + i)
+			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // DecompressAppend is the fast-path decoder: all-literal groups (flag

@@ -49,7 +49,7 @@ func MarshalModel(c Codec) []byte {
 
 // MarshalModel implements ModelMarshaler for the dictionary codec.
 func (d *dict) MarshalModel() []byte {
-	out := binary.AppendUvarint(nil, uint64(len(d.words)))
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+4*len(d.words)), uint64(len(d.words)))
 	for _, w := range d.words {
 		out = binary.LittleEndian.AppendUint32(out, w)
 	}

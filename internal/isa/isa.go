@@ -200,17 +200,69 @@ func (op Opcode) Format() Format {
 }
 
 // OpcodeByName returns the opcode with the given assembly mnemonic.
+// The assembler calls it once per statement, so it is one probe of a
+// collision-free hash table over integer keys rather than a
+// string-hashing map lookup.
 func OpcodeByName(name string) (Opcode, bool) {
-	op, ok := opByName[name]
-	return op, ok
+	if len(name) == 0 || len(name) > maxNameKeyLen {
+		return 0, false
+	}
+	k := nameKey(name)
+	e := opHash.slots[k*opHash.mul>>(64-opHashBits)]
+	if e.key != k {
+		return 0, false
+	}
+	return e.op, true
 }
 
-var opByName = func() map[string]Opcode {
-	m := make(map[string]Opcode, numOpcodes)
-	for op := Opcode(0); op < numOpcodes; op++ {
-		m[opTable[op].name] = op
+// maxNameKeyLen is the longest name nameKey packs without loss: seven
+// bytes above the length byte.
+const maxNameKeyLen = 7
+
+// nameKey packs a name of at most maxNameKeyLen bytes and its length
+// into one integer; distinct names get distinct keys, and no key is 0.
+func nameKey(name string) uint64 {
+	k := uint64(len(name))
+	for i := 0; i < len(name); i++ {
+		k |= uint64(name[i]) << (8 * (i + 1))
 	}
-	return m
+	return k
+}
+
+// opHashBits sizes the mnemonic table: 256 slots for 39 keys, so a
+// collision-free multiplier turns up within a few tries.
+const opHashBits = 8
+
+// opHash maps nameKey(name)*mul>>(64-opHashBits) to the mnemonic's
+// slot. Empty slots have key 0, which no name has.
+var opHash = func() (h struct {
+	mul   uint64
+	slots [1 << opHashBits]struct {
+		key uint64
+		op  Opcode
+	}
+}) {
+	for op := Opcode(0); op < numOpcodes; op++ {
+		if len(opTable[op].name) > maxNameKeyLen {
+			panic("isa: mnemonic " + opTable[op].name + " is too long for nameKey")
+		}
+	}
+	// Try odd multipliers, stepping by twice the golden ratio so
+	// successive tries scatter differently, until no two mnemonics share
+	// a slot. The search is deterministic and takes about ten tries.
+	for h.mul = 0x9E3779B97F4A7C15; ; h.mul += 0x3C6EF372FE94F82A {
+		clear(h.slots[:])
+		ok := true
+		for op := Opcode(0); op < numOpcodes && ok; op++ {
+			k := nameKey(opTable[op].name)
+			s := &h.slots[k*h.mul>>(64-opHashBits)]
+			ok = s.key == 0
+			s.key, s.op = k, op
+		}
+		if ok {
+			return h
+		}
+	}
 }()
 
 // Instruction is one decoded ERI32 instruction. The meaning of the

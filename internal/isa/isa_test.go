@@ -26,8 +26,10 @@ func TestOpcodeByName(t *testing.T) {
 			t.Errorf("OpcodeByName(%q) = %v, want %v", op.String(), got, op)
 		}
 	}
-	if _, ok := OpcodeByName("bogus"); ok {
-		t.Error("OpcodeByName(bogus) unexpectedly found")
+	for _, name := range []string{"bogus", "", "ad", "add\x00", "ADD", "addi ", "haltx", "\x03add"} {
+		if _, ok := OpcodeByName(name); ok {
+			t.Errorf("OpcodeByName(%q) unexpectedly found", name)
+		}
 	}
 }
 

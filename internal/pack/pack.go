@@ -96,12 +96,11 @@ func Pack(p *program.Program, codec compress.Codec) ([]byte, error) {
 // GOMAXPROCS, capped so every worker amortizes at least
 // packParallelGrain bytes of compression work — small builds stay
 // serial, because each extra worker pays fixed per-stride costs (a
-// goroutine, pooled scratch, and for LZSS a 32 KiB matcher reset) that
-// swamp sub-grain inputs. An explicit positive count is honored as
-// given. Each worker compresses its stride of blocks into its own
-// pooled scratch buffer; payloads are assembled in block order
-// afterwards, so the container is byte-identical for every worker
-// count. The codec must be safe for concurrent use (all built-in
+// goroutine and its payload arena) that swamp sub-grain inputs. An
+// explicit positive count is honored as given. Each worker compresses
+// its stride of blocks into its own arena; payloads are assembled in
+// block order afterwards, so the container is byte-identical for every
+// worker count. The codec must be safe for concurrent use (all built-in
 // codecs are — per-call state is stack-local or pooled).
 func PackParallel(p *program.Program, codec compress.Codec, workers int) ([]byte, error) {
 	return packVersion(p, codec, workers, Version)
@@ -139,17 +138,15 @@ func packVersion(p *program.Program, codec compress.Codec, workers, version int)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// The whole-image bytes are only needed transiently for the header
-	// CRC, so they go through a pooled buffer rather than CodeBytes.
-	plain := compress.GetBuf(p.TotalBytes())
-	plain, err := p.AppendCodeBytes(plain[:0])
+	// Encode the whole image once, into a pooled buffer: its CRC goes in
+	// the header, and every block's plain image is a window of it.
+	image := compress.GetBuf(p.TotalBytes())
+	defer func() { compress.PutBuf(image) }()
+	image, err := p.AppendCodeBytes(image[:0])
 	if err != nil {
-		compress.PutBuf(plain)
 		return nil, err
 	}
-	plainCRC := crc32.ChecksumIEEE(plain)
-	compress.PutBuf(plain)
-	payloads, crcs, err := compressBlocks(p, codec, workers)
+	payloads, crcs, err := compressBlocks(p, image, codec, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -161,83 +158,89 @@ func packVersion(p *program.Program, codec compress.Codec, workers, version int)
 	for _, pay := range payloads {
 		payloadBytes += len(pay)
 	}
-	var buf bytes.Buffer
-	// One up-front growth instead of log2(size) doublings: payloads plus
-	// a generous per-block/per-edge metadata estimate.
-	buf.Grow(payloadBytes + 64*g.NumBlocks() + 32*nedges + 256)
-	buf.Write(Magic)
-	writeUvarint(&buf, uint64(version))
-	writeBytes(&buf, []byte(codec.Name()))
-	writeBytes(&buf, compress.MarshalModel(codec))
-	writeFixed32(&buf, plainCRC)
+	// One allocation: payloads plus a generous per-block/per-edge
+	// metadata estimate.
+	buf := make([]byte, 0, payloadBytes+64*g.NumBlocks()+32*nedges+256)
+	buf = append(buf, Magic...)
+	buf = binary.AppendUvarint(buf, uint64(version))
+	buf = appendBytes(buf, codec.Name())
+	buf = appendBytes(buf, compress.MarshalModel(codec))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(image))
 
-	writeUvarint(&buf, uint64(g.Entry()))
-	writeUvarint(&buf, uint64(g.NumBlocks()))
+	buf = binary.AppendUvarint(buf, uint64(g.Entry()))
+	buf = binary.AppendUvarint(buf, uint64(g.NumBlocks()))
 	var off uint64
 	for i, b := range g.Blocks() {
-		writeBytes(&buf, []byte(b.Label))
-		writeBytes(&buf, []byte(b.Func))
-		writeUvarint(&buf, uint64(b.Words()))
+		buf = appendBytes(buf, b.Label)
+		buf = appendBytes(buf, b.Func)
+		buf = binary.AppendUvarint(buf, uint64(b.Words()))
 		if version == VersionV1 {
-			writeBytes(&buf, payloads[i])
+			buf = appendBytes(buf, payloads[i])
 			continue
 		}
-		writeUvarint(&buf, off)
-		writeUvarint(&buf, uint64(len(payloads[i])))
-		writeFixed32(&buf, crcs[i])
+		buf = binary.AppendUvarint(buf, off)
+		buf = binary.AppendUvarint(buf, uint64(len(payloads[i])))
+		buf = binary.LittleEndian.AppendUint32(buf, crcs[i])
 		off += uint64(len(payloads[i]))
 	}
-	edges := make([]cfg.Edge, 0, nedges)
+	buf = binary.AppendUvarint(buf, uint64(nedges))
 	for _, b := range g.Blocks() {
-		edges = append(edges, g.Succs(b.ID)...)
-	}
-	writeUvarint(&buf, uint64(len(edges)))
-	for _, e := range edges {
-		writeUvarint(&buf, uint64(e.From))
-		writeUvarint(&buf, uint64(e.To))
-		writeUvarint(&buf, uint64(e.Kind))
-		var p64 [8]byte
-		binary.LittleEndian.PutUint64(p64[:], math.Float64bits(e.Prob))
-		buf.Write(p64[:])
+		for _, e := range g.Succs(b.ID) {
+			buf = binary.AppendUvarint(buf, uint64(e.From))
+			buf = binary.AppendUvarint(buf, uint64(e.To))
+			buf = binary.AppendUvarint(buf, uint64(e.Kind))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Prob))
+		}
 	}
 	if version == Version {
-		gw, flat, bases := groupDirectory(codec, payloads)
-		writeUvarint(&buf, uint64(gw))
+		gw, flat, bases := groupDirectory(codec, g.Blocks(), payloads)
+		buf = binary.AppendUvarint(buf, uint64(gw))
 		for i := 0; gw > 0 && i < len(payloads); i++ {
 			var prev uint32
 			for g, o := range flat[bases[i]:bases[i+1]] {
 				if g == 0 {
-					writeUvarint(&buf, uint64(o))
+					buf = binary.AppendUvarint(buf, uint64(o))
 				} else {
-					writeUvarint(&buf, uint64(o-prev))
+					buf = binary.AppendUvarint(buf, uint64(o-prev))
 				}
 				prev = o
 			}
 		}
 	}
 	if version != VersionV1 {
-		writeUvarint(&buf, off)
+		buf = binary.AppendUvarint(buf, off)
 		for _, pay := range payloads {
-			buf.Write(pay)
+			buf = append(buf, pay...)
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
+}
+
+// appendBytes appends b with its uvarint length prefix.
+func appendBytes[T []byte | string](buf []byte, b T) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(b))), b...)
 }
 
 // groupDirectory computes the v3 sub-block group directory: for a
 // group-capable codec, every block payload's group start offsets
 // (ceil(words/groupWords) per block), flattened in block order so block
 // i's offsets sit at flat[bases[i]:bases[i+1]] — two allocations total,
-// keeping the pack alloc budget per-block-linear. Any payload the codec
-// cannot slice disables the directory for the whole container —
-// groupWords 0 — and readers fall back to full-block decode; block
-// images are always whole words, so for the built-in group codecs that
-// never happens in practice.
-func groupDirectory(codec compress.Codec, payloads [][]byte) (gw int, flat []uint32, bases []int) {
+// keeping the pack alloc budget independent of the block count. Any
+// payload the codec cannot slice disables the directory for the whole
+// container — groupWords 0 — and readers fall back to full-block
+// decode; block images are always whole words, so for the built-in
+// group codecs that never happens in practice.
+func groupDirectory(codec compress.Codec, blocks []*cfg.Block, payloads [][]byte) (gw int, flat []uint32, bases []int) {
 	gc, ok := compress.AsGroupCodec(codec)
 	if !ok {
 		return 0, nil, nil
 	}
+	gw = gc.GroupWords()
+	total := 0
+	for _, b := range blocks {
+		total += (max(b.Words(), 0) + gw - 1) / gw
+	}
+	flat = make([]uint32, 0, total)
 	bases = make([]int, len(payloads)+1)
 	for i, pay := range payloads {
 		bases[i] = len(flat)
@@ -248,15 +251,16 @@ func groupDirectory(codec compress.Codec, payloads [][]byte) (gw int, flat []uin
 		}
 	}
 	bases[len(payloads)] = len(flat)
-	return gc.GroupWords(), flat, bases
+	return gw, flat, bases
 }
 
-// compressBlocks compresses every block image, returning payloads and
+// compressBlocks compresses every block's plain image — a window of
+// image, the program's whole code image — returning payloads and
 // plain-image CRCs indexed in g.Blocks() order. Workers take strided
 // indices so the result is position-deterministic regardless of
-// scheduling; each worker reuses one pooled scratch buffer and retains
-// only exact-size payload copies.
-func compressBlocks(p *program.Program, codec compress.Codec, workers int) ([][]byte, []uint32, error) {
+// scheduling. Each worker compresses its stride into one arena (see
+// compressStride), so the payloads cost one allocation per worker.
+func compressBlocks(p *program.Program, image []byte, codec compress.Codec, workers int) ([][]byte, []uint32, error) {
 	blocks := p.Graph.Blocks()
 	if workers <= 0 {
 		workers = autoWorkers(p.TotalBytes(), runtime.GOMAXPROCS(0))
@@ -266,59 +270,61 @@ func compressBlocks(p *program.Program, codec compress.Codec, workers int) ([][]
 	}
 	payloads := make([][]byte, len(blocks))
 	crcs := make([]uint32, len(blocks))
-	stride := func(start int) error {
-		// Two pooled buffers per worker: one for the block's plain
-		// image (encoded in place, no per-block BlockBytes allocation)
-		// and one for the compressed form. Only the exact-size payload
-		// copy survives the loop.
-		img := compress.GetBuf(0)
-		scratch := compress.GetBuf(0)
-		defer func() {
-			compress.PutBuf(img)
-			compress.PutBuf(scratch)
-		}()
-		for i := start; i < len(blocks); i += workers {
-			if need := blocks[i].Words() * isa.WordSize; cap(img) < need {
-				compress.PutBuf(img)
-				img = compress.GetBuf(need)
-			}
-			var err error
-			img, err = p.AppendBlockBytes(img[:0], blocks[i].ID)
-			if err != nil {
-				return err
-			}
-			crcs[i] = crc32.ChecksumIEEE(img)
-			if need := codec.MaxCompressedLen(len(img)); cap(scratch) < need {
-				compress.PutBuf(scratch)
-				scratch = compress.GetBuf(need)
-			}
-			scratch, err = codec.CompressAppend(scratch[:0], img)
-			if err != nil {
-				return fmt.Errorf("pack: block %s: %w", blocks[i], err)
-			}
-			payloads[i] = bytes.Clone(scratch)
-		}
-		return nil
-	}
 	if workers <= 1 {
-		return payloads, crcs, stride(0)
+		return payloads, crcs, compressStride(p, image, codec, payloads, crcs, 0, 1)
 	}
+	if err := compressParallel(p, image, codec, payloads, crcs, workers); err != nil {
+		return nil, nil, err
+	}
+	return payloads, crcs, nil
+}
+
+// compressParallel runs one compressStride per worker and waits for
+// all of them. It is apart from compressBlocks so a serial build does
+// not pay for the variables the goroutines capture.
+func compressParallel(p *program.Program, image []byte, codec compress.Codec, payloads [][]byte, crcs []uint32, workers int) error {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = stride(w)
+			errs[w] = compressStride(p, image, codec, payloads, crcs, w, workers)
 		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
-	return payloads, crcs, nil
+	return nil
+}
+
+// compressStride compresses blocks start, start+step, ... into one
+// arena sized for the codec's worst case on them, filling their
+// payloads (windows of the arena) and CRCs.
+func compressStride(p *program.Program, image []byte, codec compress.Codec, payloads [][]byte, crcs []uint32, start, step int) error {
+	blocks := p.Graph.Blocks()
+	size := 0
+	for i := start; i < len(blocks); i += step {
+		size += codec.MaxCompressedLen(max(blocks[i].Bytes(), 0))
+	}
+	arena := make([]byte, 0, size)
+	for i := start; i < len(blocks); i += step {
+		img, err := p.BlockImage(image, blocks[i].ID)
+		if err != nil {
+			return err
+		}
+		crcs[i] = crc32.ChecksumIEEE(img)
+		lo := len(arena)
+		arena, err = codec.CompressAppend(arena, img)
+		if err != nil {
+			return fmt.Errorf("pack: block %s: %w", blocks[i], err)
+		}
+		payloads[i] = arena[lo:len(arena):len(arena)]
+	}
+	return nil
 }
 
 // Info summarizes a container without fully unpacking it.
@@ -338,20 +344,29 @@ type Info struct {
 // container, verifying the image checksum (and, for v2/v3, every
 // per-block checksum). All three format versions are accepted.
 func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
+	p, codec, info, _, err := unpack(name, data)
+	return p, codec, info, err
+}
+
+// unpack is Unpack that also returns the parsed index of a v2/v3
+// container (nil for v1), so the streaming Unpacker can cache it
+// without parsing the metadata a second time.
+func unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, *Index, error) {
 	r := &reader{data: data}
 	magic := r.take(len(Magic))
 	if !bytes.Equal(magic, Magic) {
-		return nil, nil, nil, ErrBadMagic
+		return nil, nil, nil, nil, ErrBadMagic
 	}
 	switch v := r.uvarint(); {
 	case r.err != nil:
-		return nil, nil, nil, r.err
+		return nil, nil, nil, nil, r.err
 	case v == VersionV1:
-		return unpackV1(name, r, len(data))
+		p, codec, info, err := unpackV1(name, r, len(data))
+		return p, codec, info, nil, err
 	case v == VersionV2 || v == Version:
 		return unpackV2(name, data)
 	default:
-		return nil, nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return nil, nil, nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 }
 
@@ -430,26 +445,25 @@ func unpackV1(name string, r *reader, containerBytes int) (*program.Program, com
 
 // unpackV2 reads the indexed formats (v2 and v3): parse the metadata
 // prefix, then decompress the payload section block by block, verifying
-// each block CRC as it lands.
-func unpackV2(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
+// each block CRC as it lands. It returns the parsed index too.
+func unpackV2(name string, data []byte) (*program.Program, compress.Codec, *Info, *Index, error) {
 	idx, err := ParseIndex(data)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if idx.PayloadBase+idx.PayloadLen != int64(len(data)) {
-		return nil, nil, nil, fmt.Errorf("%w: container is %d bytes, index describes %d",
+		return nil, nil, nil, nil, fmt.Errorf("%w: container is %d bytes, index describes %d",
 			ErrCorrupt, len(data), idx.PayloadBase+idx.PayloadLen)
 	}
 	codec, err := idx.NewCodec()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	info := &Info{
 		Version: idx.Version, Codec: idx.Codec, Blocks: len(idx.Blocks), Edges: len(idx.Edges),
 		CompressedBytes: int(idx.PayloadLen), ContainerBytes: len(data),
 		GroupWords: idx.GroupWords, Groups: idx.NumGroups(),
 	}
-	g := cfg.New()
 	// The index fixes the exact plain-image size up front, so the image
 	// streams through one exactly-sized pooled buffer — it is scratch:
 	// finalize decodes instructions straight out of it and the Program
@@ -468,24 +482,27 @@ func unpackV2(name string, data []byte) (*program.Program, compress.Codec, *Info
 	}
 	plain := compress.GetBuf(int(totalBytes))
 	defer func() { compress.PutBuf(plain) }()
+	blocks := make([]cfg.Block, len(idx.Blocks))
 	for i := range idx.Blocks {
 		e := idx.Blocks[i]
-		id := g.AddBlock(e.Label, e.Words)
-		g.Block(id).Func = e.Func
+		blocks[i] = cfg.Block{Label: e.Label, Func: e.Func, End: e.Words}
 		comp := data[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
 		if plain, err = idx.VerifyBlock(codec, i, comp, plain); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
 	}
-	if err := g.SetEntry(idx.Entry); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, idx.Entry)
+	g, bad, err := cfg.FromParts(blocks, idx.Entry, idx.Edges)
+	switch {
+	case err != nil && bad < 0:
+		return nil, nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, idx.Entry)
+	case err != nil:
+		return nil, nil, nil, nil, fmt.Errorf("%w: edge %d: %v", ErrCorrupt, bad, err)
 	}
-	for i, e := range idx.Edges {
-		if err := g.AddEdge(e.From, e.To, e.Kind, e.Prob); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: edge %d: %v", ErrCorrupt, i, err)
-		}
+	p, codec, info, err := finalize(name, g, plain, idx.ImageCRC, info, codec)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	return finalize(name, g, plain, idx.ImageCRC, info, codec)
+	return p, codec, info, idx, nil
 }
 
 // finalize is the version-independent tail of Unpack: whole-image
@@ -524,24 +541,7 @@ func finalize(name string, g *cfg.Graph, plain []byte, wantCRC uint32, info *Inf
 	return p, codec, info, nil
 }
 
-// --- primitive readers/writers ---------------------------------------
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func writeBytes(buf *bytes.Buffer, b []byte) {
-	writeUvarint(buf, uint64(len(b)))
-	buf.Write(b)
-}
-
-func writeFixed32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
+// --- primitive readers ----------------------------------------------
 
 type reader struct {
 	data []byte

@@ -52,13 +52,18 @@ func TestPackParallelDeterministic(t *testing.T) {
 }
 
 // TestPackBuildAllocBudget pins the serial build's allocation count so
-// the pooled-buffer compression path cannot silently regress. The
-// budget is per-block-linear because each block retains exactly one
-// exact-size payload clone; everything transient (block image, scratch,
-// whole-image CRC buffer) must come from the pool. The fixed headroom
-// covers the container buffer's growth doublings, the model marshal,
-// and Validate/BranchSites bookkeeping.
+// the build path cannot silently regress. The budget does not grow with
+// the block count: the whole code image is a pooled buffer every block
+// image is a window of, and all payloads share one arena. What remains
+// is Validate's two BranchSites tables, the payload and CRC tables, the
+// arena, the model marshal, the two group-directory tables, the
+// container itself and the pool's own bookkeeping: at most 10
+// allocations, with one spare. A -race build drops sync.Pool entries at
+// random, so the pin is skipped there.
 func TestPackBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
+	}
 	w, err := workloads.ByName("fft")
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +85,9 @@ func TestPackBuildAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		budget := float64(w.Program.Graph.NumBlocks() + 30)
+		const budget = 11
 		if allocs > budget {
-			t.Errorf("%s: Pack allocates %.0f times, budget %.0f (blocks=%d)",
+			t.Errorf("%s: Pack allocates %.0f times, budget %d (blocks=%d)",
 				codecName, allocs, budget, w.Program.Graph.NumBlocks())
 		}
 	}

@@ -90,11 +90,13 @@ func (u *Unpacker) Unpack(name string, data []byte) (*program.Program, compress.
 		return u.prog, u.codec, &info, nil
 	}
 	u.full.Add(1)
-	p, codec, info, err := Unpack(name, data)
+	p, codec, info, idx, err := unpack(name, data)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	u.cache(name, data, p, codec, info)
+	if idx != nil {
+		u.cache(name, data, idx, p, codec, info)
+	}
 	return p, codec, info, err
 }
 
@@ -131,16 +133,13 @@ func (u *Unpacker) redecode(data []byte) bool {
 	return crc32.ChecksumIEEE(plain) == u.idx.ImageCRC
 }
 
-// cache stores the skeleton of a successfully unpacked v2 container.
-// It is deliberately cheap — one metadata re-parse and a prefix copy,
-// no image copies — because a caller cycling through distinct
-// containers refills the slot on every miss. v1 containers have no
-// index and are never cached: every call takes the full path.
-func (u *Unpacker) cache(name string, data []byte, p *program.Program, codec compress.Codec, info *Info) {
-	idx, err := ParseIndex(data)
-	if err != nil {
-		return
-	}
+// cache stores the skeleton of a successfully unpacked v2/v3
+// container, reusing the index the unpack already parsed. It is
+// deliberately cheap — a prefix copy, no re-parse and no image copies —
+// because a caller cycling through distinct containers refills the slot
+// on every miss. v1 containers have no index and are never cached:
+// every call takes the full path.
+func (u *Unpacker) cache(name string, data []byte, idx *Index, p *program.Program, codec compress.Codec, info *Info) {
 	u.name = name
 	u.meta = append(u.meta[:0], data[:idx.PayloadBase]...)
 	u.idx = idx

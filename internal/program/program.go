@@ -10,7 +10,9 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"apbcc/internal/asm"
 	"apbcc/internal/cfg"
@@ -51,13 +53,18 @@ func FromAssembly(name, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	byStart := make(map[int]*cfg.Block)
-	for _, b := range p.Graph.Blocks() {
-		byStart[b.Start] = b
-	}
+	// Build lists blocks in ascending start order, so a label's block is
+	// a binary search away. Where several labels share a block start the
+	// lexically smallest names it, whatever the symbol table's order.
+	blocks := p.Graph.Blocks()
+	named := make([]bool, len(blocks))
 	for label, addr := range r.Symbols {
-		if b, ok := byStart[addr]; ok {
-			b.Label = label
+		i, ok := slices.BinarySearchFunc(blocks, addr, func(b *cfg.Block, addr int) int {
+			return cmp.Compare(b.Start, addr)
+		})
+		if ok && (!named[i] || label < blocks[i].Label) {
+			blocks[i].Label = label
+			named[i] = true
 		}
 	}
 	return p, nil
@@ -86,11 +93,11 @@ func (p *Program) BlockBytes(id cfg.BlockID) ([]byte, error) {
 	return isa.WordsToBytes(words), nil
 }
 
-// AppendBlockBytes appends a block's little-endian byte image to dst
-// and returns the extended slice — BlockBytes without the two
-// per-call allocations. The pack pipeline calls this once per block
-// per build with a pooled buffer.
-func (p *Program) AppendBlockBytes(dst []byte, id cfg.BlockID) ([]byte, error) {
+// BlockImage returns a block's little-endian byte image as a window of
+// image, the whole code image AppendCodeBytes builds — BlockBytes
+// without encoding or allocating. The pack pipeline encodes a program
+// once and cuts every block from that image.
+func (p *Program) BlockImage(image []byte, id cfg.BlockID) ([]byte, error) {
 	b := p.Graph.Block(id)
 	if b == nil {
 		return nil, fmt.Errorf("program %s: unknown block %d", p.Name, id)
@@ -99,7 +106,10 @@ func (p *Program) AppendBlockBytes(dst []byte, id cfg.BlockID) ([]byte, error) {
 		return nil, fmt.Errorf("program %s: block %s range [%d,%d) outside %d words",
 			p.Name, b, b.Start, b.End, len(p.Ins))
 	}
-	return isa.AppendEncodedBytes(dst, p.Ins[b.Start:b.End])
+	if len(image) != p.TotalBytes() {
+		return nil, fmt.Errorf("program %s: code image is %d bytes, want %d", p.Name, len(image), p.TotalBytes())
+	}
+	return image[b.Start*isa.WordSize : b.End*isa.WordSize], nil
 }
 
 // AllBlockBytes returns the byte image of every block, indexed by
@@ -163,34 +173,57 @@ type BranchSite struct {
 // produce no fallthrough site: their continuation is reached through a
 // computed address that cannot be patched.
 func (p *Program) BranchSites() ([]BranchSite, error) {
-	startToBlock := make(map[int]cfg.BlockID, p.Graph.NumBlocks())
-	for _, b := range p.Graph.Blocks() {
-		startToBlock[b.Start] = b.ID
+	// Most blocks end in one branch site and one fallthrough site.
+	sites := make([]BranchSite, 0, 2*p.Graph.NumBlocks())
+	err := p.eachBranchSite(func(s BranchSite) { sites = append(sites, s) })
+	if err != nil {
+		return nil, err
 	}
-	var sites []BranchSite
+	return sites, nil
+}
+
+// eachBranchSite calls visit for every site BranchSites returns, in the
+// same order, without collecting them; it fails where BranchSites
+// fails, after visiting the sites before the failure.
+func (p *Program) eachBranchSite(visit func(BranchSite)) error {
+	// startToBlock[w] is the block starting at word w, or -1; a later
+	// block with the same start replaces an earlier one.
+	startToBlock := make([]int32, len(p.Ins)+1)
+	for i := range startToBlock {
+		startToBlock[i] = -1
+	}
+	for _, b := range p.Graph.Blocks() {
+		if b.Start >= 0 && b.Start < len(startToBlock) {
+			startToBlock[b.Start] = int32(b.ID)
+		}
+	}
+	blockAt := func(w int) (cfg.BlockID, bool) {
+		if w < 0 || w >= len(startToBlock) || startToBlock[w] < 0 {
+			return cfg.None, false
+		}
+		return cfg.BlockID(startToBlock[w]), true
+	}
 	for _, b := range p.Graph.Blocks() {
 		for w := b.Start; w < b.End; w++ {
 			tgt, ok := p.Ins[w].StaticTarget(w)
 			if !ok {
 				continue
 			}
-			tb, ok := startToBlock[tgt]
+			tb, ok := blockAt(tgt)
 			if !ok {
-				return nil, fmt.Errorf("program %s: word %d targets %d, which is not a block start",
+				return fmt.Errorf("program %s: word %d targets %d, which is not a block start",
 					p.Name, w, tgt)
 			}
-			sites = append(sites, BranchSite{Block: b.ID, Word: w, Target: tb})
+			visit(BranchSite{Block: b.ID, Word: w, Target: tb})
 		}
 		last := p.Ins[b.End-1]
 		if last.HasFallthrough() && !last.IsJump() && !last.IsIndirect() && b.End < len(p.Ins) {
-			if nb, ok := startToBlock[b.End]; ok {
-				sites = append(sites, BranchSite{
-					Block: b.ID, Word: b.End - 1, Target: nb, Fallthrough: true,
-				})
+			if nb, ok := blockAt(b.End); ok {
+				visit(BranchSite{Block: b.ID, Word: b.End - 1, Target: nb, Fallthrough: true})
 			}
 		}
 	}
-	return sites, nil
+	return nil
 }
 
 // Validate cross-checks the CFG against the instruction stream: block
@@ -200,24 +233,26 @@ func (p *Program) Validate() error {
 	if err := p.Graph.Validate(false); err != nil {
 		return fmt.Errorf("program %s: %w", p.Name, err)
 	}
-	sites, err := p.BranchSites()
-	if err != nil {
-		return err
-	}
-	for _, s := range sites {
-		found := false
+	// A site error takes precedence over a missing edge wherever it
+	// appears, so the walk runs to the end before reporting the first
+	// missing edge.
+	var missing error
+	err := p.eachBranchSite(func(s BranchSite) {
+		if missing != nil {
+			return
+		}
 		for _, e := range p.Graph.Succs(s.Block) {
 			if e.To == s.Target {
-				found = true
-				break
+				return
 			}
 		}
 		// A branch site inside a block body (not the terminator) can
 		// only arise from CFG construction errors.
-		if !found {
-			return fmt.Errorf("program %s: word %d transfers %v->%v without a CFG edge",
-				p.Name, s.Word, s.Block, s.Target)
-		}
+		missing = fmt.Errorf("program %s: word %d transfers %v->%v without a CFG edge",
+			p.Name, s.Word, s.Block, s.Target)
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return missing
 }

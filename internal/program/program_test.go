@@ -40,6 +40,24 @@ func TestFromAssembly(t *testing.T) {
 	}
 }
 
+// TestFromAssemblySharedLabelsDeterministic: where several labels mark
+// one block start, the lexically smallest names the block on every
+// run, so the block's label (and with it the packed container) does
+// not depend on the symbol table's iteration order.
+func TestFromAssemblySharedLabelsDeterministic(t *testing.T) {
+	const src = "top: nop\n  zeta: beta: alpha: gamma: addi r1, r0, 1\n  bne r1, r0, beta\n  halt"
+	for i := 0; i < 50; i++ {
+		p, err := FromAssembly("shared", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := p.Graph.Block(1)
+		if b == nil || b.Label != "alpha" {
+			t.Fatalf("run %d: block 1 = %v, want label alpha", i, b)
+		}
+	}
+}
+
 func TestBlockBytes(t *testing.T) {
 	p, err := FromAssembly("countdown", countdownSrc)
 	if err != nil {

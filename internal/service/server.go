@@ -494,7 +494,11 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "posted"
 	}
-	src, err := io.ReadAll(io.LimitReader(r.Body, maxAsmBody+1))
+	// Sized by the declared length, the body lands in one allocation
+	// (the MinRead spare lets ReadFrom see EOF without growing).
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxAsmBody)+bytes.MinRead))
+	_, err := body.ReadFrom(io.LimitReader(r.Body, maxAsmBody+1))
+	src := body.Bytes()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
