@@ -3,6 +3,7 @@ package asm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,6 +185,41 @@ func TestCharLiteral(t *testing.T) {
 		if len(r.Symbols) != 1 || r.Symbols["x"] != 0 {
 			t.Errorf("'%c': symbols = %v", c, r.Symbols)
 		}
+	}
+	// The base register opens at the first '(' outside a literal.
+	for _, c := range []byte{'(', ')'} {
+		in := decode(t, assemble(t, fmt.Sprintf("lw r1, '%c'(r2)", c)).Words[0])
+		if in.Imm != int32(c) || in.Rs1 != 2 {
+			t.Errorf("lw r1, '%c'(r2) = %v, want displacement %d from r2", c, in, c)
+		}
+	}
+}
+
+// TestWideOperands: a value past 32 bits is an error on its line, not
+// wrapped into a different program, and .word keeps -2^31..2^32-1.
+func TestWideOperands(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		line int
+	}{
+		{"j 4294967301", 1},
+		{"nop\naddi r1, r0, 4294967297", 2},
+		{"lw r1, 4294967304(r2)", 1},
+		{".equ BIG, 4294967297\nnop\naddi r1, r0, BIG", 3},
+		{".word 0x100000001", 1},
+		{".word 7, -2147483649", 1},
+		{"beq r0, r0, 4294967301", 1},
+		{"lui r1, later\n.equ later, -4294967295", 1},
+	} {
+		_, err := Assemble(c.src)
+		var ae *Error
+		if !errors.As(err, &ae) || ae.Line != c.line || !strings.HasSuffix(ae.Msg, "does not fit in 32 bits") {
+			t.Errorf("%q: error %v, want a 32-bit range error on line %d", c.src, err, c.line)
+		}
+	}
+	r := assemble(t, ".word -2147483648, 0xffffffff, -1")
+	if !slices.Equal(r.Words, []uint32{1 << 31, 1<<32 - 1, 1<<32 - 1}) {
+		t.Errorf(".word range ends = %#x", r.Words)
 	}
 }
 

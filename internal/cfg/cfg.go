@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"apbcc/internal/isa"
 )
@@ -389,7 +390,8 @@ func carve(lists [][]Edge, edges []Edge, key func(Edge) BlockID) [][]Edge {
 // every instruction following a control transfer start a block. Indirect
 // jumps (jr/jalr) end blocks but contribute no static edges. Call edges
 // (jal) link to the callee and, because ERI32 calls return, also add a
-// fallthrough edge to the next block.
+// fallthrough edge to the next block. A block's out-edges share its
+// probability evenly, as Normalize shares it on an unannotated graph.
 //
 // The leader and block tables are dense slices indexed by word, and
 // FromParts assembles the graph from flat arrays.
@@ -421,20 +423,29 @@ func Build(ins []isa.Instruction, entry int) (*Graph, error) {
 	}
 
 	blocks := make([]Block, n)
-	// The labels "B0", "B1", ... are substrings of one string.
-	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = strconv.AppendInt(append(buf, 'B'), int64(i), 10)
+	// The labels "B0", "B1", ... are windows of one string: each id
+	// takes a 'B' and one digit, and one more digit per power of ten it
+	// reaches.
+	size := 2 * n
+	for p := 10; p < n; p *= 10 {
+		size += n - p
 	}
-	names := string(buf)
+	var sb strings.Builder
+	sb.Grow(size)
+	var digits [20]byte
+	for i := 0; i < n; i++ {
+		sb.WriteByte('B')
+		sb.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+	}
+	names := sb.String()
 	var id BlockID
+	w, wider := 2, BlockID(10) // w is the width of "B<id>" below wider
 	for pc, l := range blockAt {
 		if l == 0 {
 			continue
 		}
-		w := 2 // "B" and the first digit
-		for v := id; v >= 10; v /= 10 {
-			w++
+		if id == wider {
+			w, wider = w+1, 10*wider
 		}
 		b := &blocks[id]
 		b.Label, b.Start = names[:w], pc
@@ -452,6 +463,7 @@ func Build(ins []isa.Instruction, entry int) (*Graph, error) {
 	edges := make([]Edge, 0, 2*n)
 	for i := range blocks {
 		b := &blocks[i]
+		first := len(edges)
 		add := func(to int, kind EdgeKind) {
 			edges = append(edges, Edge{From: BlockID(i), To: blockAt[to], Kind: kind})
 		}
@@ -480,6 +492,9 @@ func Build(ins []isa.Instruction, entry int) (*Graph, error) {
 			if b.End < len(ins) {
 				add(b.End, EdgeFallthrough)
 			}
+		}
+		for k := first; k < len(edges); k++ {
+			edges[k].Prob = 1.0 / float64(len(edges)-first)
 		}
 	}
 	// Instructions before the first leader are unreachable preamble; they

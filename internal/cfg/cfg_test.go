@@ -3,6 +3,8 @@ package cfg
 import (
 	"errors"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -353,6 +355,44 @@ func TestBuildFromInstructions(t *testing.T) {
 	}
 	if g.Block(loops[0].Header).Start != 1 {
 		t.Errorf("loop header starts at word %d, want 1", g.Block(loops[0].Header).Start)
+	}
+}
+
+// TestBuildNamesAndNormalizes: Build names block i "B<i>" across digit
+// widths, and its edge probabilities are exactly the even shares
+// Normalize gives a graph without annotations.
+func TestBuildNamesAndNormalizes(t *testing.T) {
+	// A branch back one word ends every other word: 1100 two-word
+	// blocks, each with a taken and a fallthrough edge but the last.
+	ins := make([]isa.Instruction, 2200)
+	for pc := 1; pc < len(ins); pc += 2 {
+		ins[pc] = isa.Instruction{Op: isa.OpBNE, Rs1: 1, Imm: -2}
+	}
+	ins[len(ins)-1] = isa.Instruction{Op: isa.OpHALT}
+	g, err := Build(ins, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumBlocks() != len(ins)/2 {
+		t.Fatalf("blocks = %d, want %d", g.NumBlocks(), len(ins)/2)
+	}
+	want := g.Clone()
+	for _, lists := range [][][]Edge{want.succs, want.preds} {
+		for _, edges := range lists {
+			for i := range edges {
+				edges[i].Prob = 0
+			}
+		}
+	}
+	want.Normalize()
+	for _, b := range g.Blocks() {
+		if b.Label != "B"+strconv.Itoa(int(b.ID)) {
+			t.Fatalf("block %d label %q", b.ID, b.Label)
+		}
+		if !slices.Equal(g.Succs(b.ID), want.Succs(b.ID)) || !slices.Equal(g.Preds(b.ID), want.Preds(b.ID)) {
+			t.Fatalf("block %d edges %v / %v, normalized %v / %v",
+				b.ID, g.Succs(b.ID), g.Preds(b.ID), want.Succs(b.ID), want.Preds(b.ID))
+		}
 	}
 }
 

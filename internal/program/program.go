@@ -10,9 +10,7 @@
 package program
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"apbcc/internal/asm"
 	"apbcc/internal/cfg"
@@ -28,43 +26,48 @@ type Program struct {
 }
 
 // FromInstructions builds a Program by running CFG construction over a
-// decoded instruction stream.
+// decoded instruction stream. The graph comes normalized: each block's
+// out-edges share its probability evenly.
 func FromInstructions(name string, ins []isa.Instruction, entry int) (*Program, error) {
 	g, err := cfg.Build(ins, entry)
 	if err != nil {
 		return nil, fmt.Errorf("program %s: %w", name, err)
 	}
-	g.Normalize()
 	return &Program{Name: name, Graph: g, Ins: ins}, nil
 }
 
 // FromAssembly assembles ERI32 source and builds its Program. Labels
-// that land on block starts become block labels.
+// that land on block starts become block labels; where several labels
+// share a block start, the lexically smallest names it.
 func FromAssembly(name, src string) (*Program, error) {
 	r, err := asm.Assemble(src)
 	if err != nil {
 		return nil, fmt.Errorf("program %s: %w", name, err)
 	}
-	ins, err := isa.DecodeAll(r.Words)
-	if err != nil {
-		return nil, fmt.Errorf("program %s: %w", name, err)
+	if r.Ins == nil {
+		// Some .word value is no instruction; decoding names it.
+		if _, err := isa.DecodeAll(r.Words); err != nil {
+			return nil, fmt.Errorf("program %s: %w", name, err)
+		}
 	}
-	p, err := FromInstructions(name, ins, 0)
+	p, err := FromInstructions(name, r.Ins, 0)
 	if err != nil {
 		return nil, err
 	}
-	// Build lists blocks in ascending start order, so a label's block is
-	// a binary search away. Where several labels share a block start the
-	// lexically smallest names it, whatever the symbol table's order.
+	// Build lists blocks in ascending start order and the assembler
+	// lists labels in nondecreasing address order, so one merge pass
+	// pairs every label with the block starting at its address.
 	blocks := p.Graph.Blocks()
-	named := make([]bool, len(blocks))
-	for label, addr := range r.Symbols {
-		i, ok := slices.BinarySearchFunc(blocks, addr, func(b *cfg.Block, addr int) int {
-			return cmp.Compare(b.Start, addr)
-		})
-		if ok && (!named[i] || label < blocks[i].Label) {
-			blocks[i].Label = label
-			named[i] = true
+	b, named := 0, -1 // named: the last block a label has named
+	for _, l := range r.Labels {
+		for b < len(blocks) && blocks[b].Start < l.Addr {
+			b++
+		}
+		if b == len(blocks) {
+			break
+		}
+		if blocks[b].Start == l.Addr && (b != named || l.Name < blocks[b].Label) {
+			blocks[b].Label, named = l.Name, b
 		}
 	}
 	return p, nil
