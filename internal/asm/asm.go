@@ -445,9 +445,12 @@ func (a *assembler) instruction(op isa.Opcode, i int) (int, error) {
 }
 
 // quick assembles the statement of op at i if it has the usual shape:
-// its operands are plain registers, short decimals and labels separated
-// by ", ", and the newline ends it. On that shape it gives the general
-// path's result; on any other it reports false and changes nothing.
+// its operands are plain registers, decimals of at most three digits
+// and labels separated by ", " or ",", and white space, a comment or
+// the line end ends it. It reads a register or decimal without a loop.
+// On that shape it gives the general path's result; on any other it
+// reports false and changes nothing, and the general path reads the
+// statement's operands again.
 func (a *assembler) quick(op isa.Opcode, i int) (int, bool) {
 	s := a.src
 	in := isa.Instruction{Op: op}
@@ -509,7 +512,7 @@ func (a *assembler) quick(op isa.Opcode, i int) (int, bool) {
 		}
 		i += w
 	}
-	if i < len(s) && s[i] != '\n' {
+	if i < len(s) && s[i] != '\n' && !endAt(s, skipSpace(s, i)) {
 		return 0, false
 	}
 	in.Rd, in.Rs1, in.Rs2 = regs[argRd], regs[argRs1], regs[argRs2]
@@ -598,23 +601,28 @@ func (a *assembler) value(k argKind, f string, in *isa.Instruction, at int, ord 
 }
 
 // setImm stores operand value v in the immediate of in, at word address
-// at: a branch holds the offset from the next word. A field value past
-// 32 bits is out of range for every format, and is reported here
-// rather than wrapped into range.
+// at: a branch holds the offset from the next word. Like a .word value,
+// an operand holds -2^31..2^32-1 and is taken as a 32-bit two's
+// complement value, so 0xffffffff is -1; a value outside that range is
+// reported here rather than wrapped into a different one.
 func setImm(in *isa.Instruction, v int64, at int) string {
-	what := "immediate"
-	switch in.Op.Format() {
-	case isa.FormatB:
-		what, v = "offset", v-int64(at)-1
-	case isa.FormatJ:
-		what = "target"
-	}
-	if v != int64(int32(v)) {
+	if !fits32(v) {
+		what := "immediate"
+		if f := in.Op.Format(); f == isa.FormatB || f == isa.FormatJ {
+			what = "target"
+		}
 		return fmt.Sprintf("%s %s %d does not fit in 32 bits", in.Op, what, v)
+	}
+	if in.Op.Format() == isa.FormatB {
+		v -= int64(at) + 1
 	}
 	in.Imm = int32(v)
 	return ""
 }
+
+// fits32 reports whether v is -2^31..2^32-1: a 32-bit value read as
+// signed or unsigned.
+func fits32(v int64) bool { return v >= -1<<31 && v <= 1<<32-1 }
 
 // word scans the values of a .word statement starting at i.
 func (a *assembler) word(i int) (int, error) {
@@ -648,7 +656,7 @@ func (a *assembler) word(i int) (int, error) {
 // setWord stores .word value v, written as f, at word address at. A
 // word holds -2^31..2^32-1.
 func (a *assembler) setWord(at int, v int64, f string, line int, ord int32) {
-	if v < -1<<31 || v > 1<<32-1 {
+	if !fits32(v) {
 		a.fail(line, ord, errf(line, ".word value %q: %d does not fit in 32 bits", f, v))
 		return
 	}

@@ -195,8 +195,9 @@ func TestCharLiteral(t *testing.T) {
 	}
 }
 
-// TestWideOperands: a value past 32 bits is an error on its line, not
-// wrapped into a different program, and .word keeps -2^31..2^32-1.
+// TestWideOperands: an operand outside -2^31..2^32-1 is an error on
+// its line, not wrapped into a different program. Inside that range an
+// immediate, like a .word value, is a 32-bit two's complement value.
 func TestWideOperands(t *testing.T) {
 	for _, c := range []struct {
 		src  string
@@ -220,6 +221,22 @@ func TestWideOperands(t *testing.T) {
 	r := assemble(t, ".word -2147483648, 0xffffffff, -1")
 	if !slices.Equal(r.Words, []uint32{1 << 31, 1<<32 - 1, 1<<32 - 1}) {
 		t.Errorf(".word range ends = %#x", r.Words)
+	}
+	for _, c := range []struct{ src, same string }{
+		{"addi r1, r0, 0xffffffff", "addi r1, r0, -1"},
+		{"lui r1, 0xffff8000", "lui r1, -32768"},
+		{"lw r1, 0xfffffffc(r2)", "lw r1, -4(r2)"},
+		{".equ M, 0xffffffff\naddi r1, r0, M", "addi r1, r0, -1"},
+		{"andi r2, r0, M\n.equ M, 0xffff8000", "andi r2, r0, -32768"},
+	} {
+		r, err := Assemble(c.src)
+		if err != nil {
+			t.Errorf("%q: %v", c.src, err)
+			continue
+		}
+		if want := assemble(t, c.same).Words; !slices.Equal(r.Words, want) {
+			t.Errorf("%q = %#x, want %#x as %q", c.src, r.Words, want, c.same)
+		}
 	}
 }
 

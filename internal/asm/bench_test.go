@@ -19,7 +19,7 @@ func TestGeneratedMatchReference(t *testing.T) {
 }
 
 // TestAssembleConcurrent: goroutines assembling at once share the
-// pooled statement tables, and each still gets exactly the sequential
+// pooled fixup lists, and each still gets exactly the sequential
 // result.
 func TestAssembleConcurrent(t *testing.T) {
 	srcs := workloads.GeneratedAssembly(2, 32)

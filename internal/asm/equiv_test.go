@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -34,13 +35,21 @@ var layoutMsgs = []string{
 }
 
 // wrapped reports whether Assemble's error ae is the intended other
-// difference: an operand value past 32 bits, rejected where the
+// difference: an operand value outside -2^31..2^32-1, rejected where the
 // reference wrapped it into range (TestWideOperands pins the new
 // behavior). The reference then went on, so it either succeeded or
 // failed at a later operand; a reference error on the same line is
 // compared as usual.
 func wrapped(ae, re *Error) bool {
-	if ae == nil || !strings.HasSuffix(ae.Msg, " does not fit in 32 bits") {
+	if ae == nil {
+		return false
+	}
+	msg, ok := strings.CutSuffix(ae.Msg, " does not fit in 32 bits")
+	if !ok {
+		return false
+	}
+	v, err := strconv.ParseInt(msg[strings.LastIndexByte(msg, ' ')+1:], 10, 64)
+	if err != nil || v >= -1<<31 && v <= 1<<32-1 {
 		return false
 	}
 	if re == nil {
@@ -153,6 +162,11 @@ var equivSources = []string{
 	"\tnop\r\n\thalt\r\n",
 	".equ A, B\n",
 	".align 3\n.word 1,2,3,4\n.align 8",
+	"addi r1, r0, 0xffffffff\nlui r2, 0xffff8000\nlw r3, 0xfffffffc(r2)\nandi r4, r0, M\n.equ M, 0xffffffff",
+	"j 4294967301\naddi r1, r0, 4294967297",
+	"addi r1, r0, 5   ; c\nadd r1, r2, r3\t# c\nj x // c\nx: lw r1, 4(r2) \r\nsw r1, 8(r2)\u00a0\n",
+	"add r1, r2, r3 r4",
+	"addi r1, r0, 5 /x",
 }
 
 // TestAssembleEquivalenceGolden runs the equivalence check on the

@@ -328,28 +328,26 @@ func (in Instruction) Validate() error {
 }
 
 // Encode packs the instruction into its 32-bit word representation.
-// It checks what Validate checks in the same pass, and asks Validate
-// for the error only when a check fails.
 func (in Instruction) Encode() (uint32, error) {
+	if err := in.Validate(); err != nil {
+		return 0, err
+	}
 	w := uint32(in.Op) << 26
-	ok := in.Op.Valid()
-	imm16 := in.Imm >= immMin16 && in.Imm <= immMax16
 	switch in.Op.Format() {
 	case FormatR:
-		ok = ok && in.Rd.Valid() && in.Rs1.Valid() && in.Rs2.Valid()
-		w |= uint32(in.Rd)<<21 | uint32(in.Rs1)<<16 | uint32(in.Rs2)<<11
+		w |= uint32(in.Rd) << 21
+		w |= uint32(in.Rs1) << 16
+		w |= uint32(in.Rs2) << 11
 	case FormatI:
-		ok = ok && in.Rd.Valid() && in.Rs1.Valid() && imm16
-		w |= uint32(in.Rd)<<21 | uint32(in.Rs1)<<16 | uint32(uint16(in.Imm))
+		w |= uint32(in.Rd) << 21
+		w |= uint32(in.Rs1) << 16
+		w |= uint32(uint16(in.Imm))
 	case FormatB:
-		ok = ok && in.Rs1.Valid() && in.Rs2.Valid() && imm16
-		w |= uint32(in.Rs1)<<21 | uint32(in.Rs2)<<16 | uint32(uint16(in.Imm))
+		w |= uint32(in.Rs1) << 21
+		w |= uint32(in.Rs2) << 16
+		w |= uint32(uint16(in.Imm))
 	case FormatJ:
-		ok = ok && in.Imm >= 0 && in.Imm <= jmpMax26
 		w |= uint32(in.Imm) & jmpMax26
-	}
-	if !ok {
-		return 0, in.Validate()
 	}
 	return w, nil
 }
