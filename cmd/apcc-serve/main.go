@@ -47,9 +47,8 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address (serve mode)")
 		cacheMB  = flag.Int("cache-mb", 32, "block cache capacity in MiB")
 		shards   = flag.Int("shards", 16, "block cache shard count")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "pack/compress worker pool size")
-		queue    = flag.Int("queue", 256, "worker pool queue depth")
-		batch    = flag.Int("batch", 8, "worker pool max batch per wakeup")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "pack/compress jobs that may run at once")
+		queue    = flag.Int("queue", 256, "pool backlog (jobs waiting for a slot) at which /v1/ requests\nare shed with 429 and Retry-After")
 		polName  = flag.String("policy", "klru", "block-cache replacement policy: "+strings.Join(policy.Names(), " | "))
 		storeDir = flag.String("store", "", "content-addressed disk store directory (word reads + warm restarts)")
 
@@ -92,7 +91,6 @@ func main() {
 		CacheBytes:     *cacheMB << 20,
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		MaxBatch:       *batch,
 		Policy:         *polName,
 		StoreDir:       *storeDir,
 		TraceRing:      *traceRing,
@@ -177,7 +175,7 @@ func main() {
 		fatal(err)
 	}
 	// ListenAndServe returns the moment Shutdown begins; wait for the
-	// drain to finish before tearing down the worker pool.
+	// drain to finish before closing the pool.
 	stop()
 	<-shutdownDone
 }

@@ -67,10 +67,8 @@ func BenchmarkPackGenerated(b *testing.B) {
 }
 
 // BenchmarkVerifyGenerated prices the verification unpack of the
-// generated containers, rotating over codecs and programs so no two
-// consecutive containers share a metadata prefix: plain Unpack against
-// an Unpacker that misses on every call, the path the server's
-// verification takes after each distinct build.
+// generated containers, rotating over codecs and programs: the full
+// Unpack the server runs after each build.
 func BenchmarkVerifyGenerated(b *testing.B) {
 	var builds []generatedBuild
 	for _, name := range postCodecs {
@@ -91,20 +89,6 @@ func BenchmarkVerifyGenerated(b *testing.B) {
 				b.Fatal(err)
 			}
 			i++
-		}
-	})
-	b.Run("unpacker-miss", func(b *testing.B) {
-		u := NewUnpacker()
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			if _, _, _, err := u.Unpack("gen", order[i%len(order)]); err != nil {
-				b.Fatal(err)
-			}
-			i++
-		}
-		if st := u.Stats(); st.Reused != 0 {
-			b.Fatalf("%d reused unpacks, want every call to miss", st.Reused)
 		}
 	})
 }

@@ -240,3 +240,43 @@ func TestUnpackRejectsBadEdgeProb(t *testing.T) {
 		}
 	}
 }
+
+// TestReadPayloadRangeAt checks the coalescing primitive: any block
+// range read in one ReadAt must slice into exactly the per-block
+// payloads the container holds, and invalid ranges must error.
+func TestReadPayloadRangeAt(t *testing.T) {
+	data, _ := packWorkload(t, "fft", "lzss")
+	idx, err := ParseIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data)
+	n := len(idx.Blocks)
+	ranges := [][2]int{{0, 0}, {0, n - 1}, {n / 2, n - 1}, {1, 1}, {n / 3, 2 * n / 3}}
+	for _, rg := range ranges {
+		lo, hi := rg[0], rg[1]
+		if lo > hi {
+			continue
+		}
+		prefix := []byte{0xAB, 0xCD}
+		buf, err := idx.ReadPayloadRangeAt(r, lo, hi, prefix)
+		if err != nil {
+			t.Fatalf("range %d..%d: %v", lo, hi, err)
+		}
+		if !bytes.Equal(buf[:2], prefix) {
+			t.Fatalf("range %d..%d clobbered dst prefix", lo, hi)
+		}
+		for i := lo; i <= hi; i++ {
+			e := idx.Blocks[i]
+			want := data[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
+			if got := idx.PayloadRangeSlice(buf, 2, lo, i); !bytes.Equal(got, want) {
+				t.Fatalf("range %d..%d: block %d payload differs", lo, hi, i)
+			}
+		}
+	}
+	for _, bad := range [][2]int{{-1, 0}, {2, 1}, {0, n}, {n, n}} {
+		if _, err := idx.ReadPayloadRangeAt(r, bad[0], bad[1], nil); err == nil {
+			t.Fatalf("range %d..%d: no error", bad[0], bad[1])
+		}
+	}
+}

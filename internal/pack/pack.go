@@ -344,29 +344,20 @@ type Info struct {
 // container, verifying the image checksum (and, for v2/v3, every
 // per-block checksum). All three format versions are accepted.
 func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
-	p, codec, info, _, err := unpack(name, data)
-	return p, codec, info, err
-}
-
-// unpack is Unpack that also returns the parsed index of a v2/v3
-// container (nil for v1), so the streaming Unpacker can cache it
-// without parsing the metadata a second time.
-func unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, *Index, error) {
 	r := &reader{data: data}
 	magic := r.take(len(Magic))
 	if !bytes.Equal(magic, Magic) {
-		return nil, nil, nil, nil, ErrBadMagic
+		return nil, nil, nil, ErrBadMagic
 	}
 	switch v := r.uvarint(); {
 	case r.err != nil:
-		return nil, nil, nil, nil, r.err
+		return nil, nil, nil, r.err
 	case v == VersionV1:
-		p, codec, info, err := unpackV1(name, r, len(data))
-		return p, codec, info, nil, err
+		return unpackV1(name, r, len(data))
 	case v == VersionV2 || v == Version:
 		return unpackV2(name, data)
 	default:
-		return nil, nil, nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return nil, nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
 	}
 }
 
@@ -445,19 +436,19 @@ func unpackV1(name string, r *reader, containerBytes int) (*program.Program, com
 
 // unpackV2 reads the indexed formats (v2 and v3): parse the metadata
 // prefix, then decompress the payload section block by block, verifying
-// each block CRC as it lands. It returns the parsed index too.
-func unpackV2(name string, data []byte) (*program.Program, compress.Codec, *Info, *Index, error) {
+// each block CRC as it lands.
+func unpackV2(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
 	idx, err := ParseIndex(data)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	if idx.PayloadBase+idx.PayloadLen != int64(len(data)) {
-		return nil, nil, nil, nil, fmt.Errorf("%w: container is %d bytes, index describes %d",
+		return nil, nil, nil, fmt.Errorf("%w: container is %d bytes, index describes %d",
 			ErrCorrupt, len(data), idx.PayloadBase+idx.PayloadLen)
 	}
 	codec, err := idx.NewCodec()
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	info := &Info{
 		Version: idx.Version, Codec: idx.Codec, Blocks: len(idx.Blocks), Edges: len(idx.Edges),
@@ -488,21 +479,17 @@ func unpackV2(name string, data []byte) (*program.Program, compress.Codec, *Info
 		blocks[i] = cfg.Block{Label: e.Label, Func: e.Func, End: e.Words}
 		comp := data[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
 		if plain, err = idx.VerifyBlock(codec, i, comp, plain); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 	g, bad, err := cfg.FromParts(blocks, idx.Entry, idx.Edges)
 	switch {
 	case err != nil && bad < 0:
-		return nil, nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, idx.Entry)
+		return nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, idx.Entry)
 	case err != nil:
-		return nil, nil, nil, nil, fmt.Errorf("%w: edge %d: %v", ErrCorrupt, bad, err)
+		return nil, nil, nil, fmt.Errorf("%w: edge %d: %v", ErrCorrupt, bad, err)
 	}
-	p, codec, info, err := finalize(name, g, plain, idx.ImageCRC, info, codec)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return p, codec, info, idx, nil
+	return finalize(name, g, plain, idx.ImageCRC, info, codec)
 }
 
 // finalize is the version-independent tail of Unpack: whole-image

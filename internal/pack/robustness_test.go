@@ -147,3 +147,42 @@ func FuzzUnpack(f *testing.F) {
 		}
 	})
 }
+
+// TestUnpackRejectsHugeWordsClaim: a tiny container whose index claims
+// an astronomical block size must fail with ErrCorrupt before any
+// large allocation — the claimed plain size is a hint to verify, not
+// to trust (a 4 TiB pre-allocation here used to be a fatal OOM).
+func TestUnpackRejectsHugeWordsClaim(t *testing.T) {
+	craft := func(words uint64) []byte {
+		var buf bytes.Buffer
+		buf.Write(Magic)
+		writeUvarint(&buf, Version)
+		writeBytes(&buf, []byte("identity"))
+		writeBytes(&buf, nil)         // empty model
+		writeFixed32(&buf, 0)         // image CRC (never reached)
+		writeUvarint(&buf, 0)         // entry
+		writeUvarint(&buf, 1)         // nblocks
+		writeBytes(&buf, []byte("b")) // label
+		writeBytes(&buf, nil)         // func
+		writeUvarint(&buf, words)
+		writeUvarint(&buf, 0) // payload off
+		writeUvarint(&buf, 0) // payload len
+		writeFixed32(&buf, 0) // block CRC
+		writeUvarint(&buf, 0) // nedges
+		writeUvarint(&buf, 0) // group words (no directory)
+		writeUvarint(&buf, 0) // payload section length
+		return buf.Bytes()
+	}
+	for _, words := range []uint64{1 << 40, 1 << 61, 1 << 63} {
+		_, _, _, err := Unpack("hostile", craft(words))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("words=%d: err = %v, want ErrCorrupt", words, err)
+		}
+	}
+	// A modest claim still fails verification (0 payload bytes cannot
+	// decode to 2 words) but exercises the same path without tripping
+	// the parse-time bound.
+	if _, _, _, err := Unpack("hostile", craft(2)); err == nil {
+		t.Fatal("modest lying claim accepted")
+	}
+}

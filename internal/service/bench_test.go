@@ -78,10 +78,10 @@ func BenchmarkBlockCache(b *testing.B) {
 	})
 }
 
-// BenchmarkPool measures job submission overhead through the batching
-// pool.
+// BenchmarkPool measures what the pool's slot gate adds to a job run
+// on the calling goroutine.
 func BenchmarkPool(b *testing.B) {
-	p := NewPool(4, 256, 8)
+	p := NewPool(4)
 	defer p.Close()
 	noop := func() error { return nil }
 	b.RunParallel(func(pb *testing.PB) {

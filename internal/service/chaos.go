@@ -15,6 +15,7 @@ import (
 	"apbcc/internal/isa"
 	"apbcc/internal/pack"
 	"apbcc/internal/report"
+	"apbcc/internal/store"
 	"apbcc/internal/workloads"
 )
 
@@ -74,9 +75,35 @@ func (c *ChaosStats) Err() error {
 	return nil
 }
 
-// chaosPhaseTimeout bounds how long phase 2 waits for its container to
-// persist, so a wedged server fails the run instead of hanging it.
+// chaosPhaseTimeout bounds how long the scenario waits for an entry's
+// store object to attach, so a wedged server fails the run instead of
+// hanging it.
 const chaosPhaseTimeout = 30 * time.Second
+
+// waitAttached waits until the (workload, codec) entry has its own store
+// object attached. Only that entry's persist attaches it, so a persist
+// of some other entry still running cannot satisfy the wait, as it
+// could a wait on StorePersists. A failed persist never attaches: the
+// wait ends at timeout or when ctx does.
+func (s *Server) waitAttached(ctx context.Context, workload, codecName string, timeout time.Duration) error {
+	key := store.RefName(workload, codecName)
+	deadline := time.Now().Add(timeout)
+	for {
+		s.mu.Lock()
+		ent := s.entries[key]
+		s.mu.Unlock()
+		if ent != nil && ent.obj.Load() != nil {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("service: %s store object never attached", key)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
 
 // RunChaos is the fault-injection end-to-end scenario. It boots an
 // in-process server on cfg (which must have a StoreDir — the faults
@@ -85,7 +112,8 @@ const chaosPhaseTimeout = 30 * time.Second
 //
 //  1. Load under the caller's fault profile (latency, transient errors,
 //     bit flips on store reads), half of it word reads (unless
-//     lcfg.WordFrac says otherwise) so the store is actually read:
+//     lcfg.WordFrac says otherwise) against entries whose store objects
+//     attached before the profile was armed, so the store is read:
 //     clients must see zero wrong bytes no matter what the disk does,
 //     because block reads never leave memory and every word read's
 //     disk bytes are cross-checked against the resident container.
@@ -124,9 +152,26 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()
+	client := &http.Client{}
+	loadCodec := lcfg.Codec
+	if loadCodec == "" {
+		loadCodec = "dict" // RunLoad's default: what phase 1 actually uses
+	}
 
-	// Phase 1: load under the caller's profile. Clients retry the
-	// busy/transient statuses like a real device would.
+	// Phase 1: build the load's entries and wait for their objects, so
+	// word reads meet the store, then load under the caller's profile.
+	// Clients retry the busy/transient statuses like a real device would.
+	for _, wl := range strings.Split(lcfg.Workload, ",") {
+		if wl = strings.TrimSpace(wl); wl == "" {
+			continue
+		}
+		if _, _, err := fetch(ctx, client, base+"/v1/pack/"+wl+"?codec="+loadCodec); err != nil {
+			return nil, fmt.Errorf("chaos phase 1 container build: %w", err)
+		}
+		if err := srv.waitAttached(ctx, wl, loadCodec, chaosPhaseTimeout); err != nil {
+			return nil, fmt.Errorf("chaos phase 1: %w", err)
+		}
+	}
 	if profile != "" {
 		if err := faults.Set(profile); err != nil {
 			return nil, err
@@ -158,10 +203,6 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	// flips, and one that decodes word groups, so its word reads go to
 	// the store. The codec is picked from the registry rather than
 	// hardcoded so running chaos with any -codec still finds one.
-	loadCodec := lcfg.Codec
-	if loadCodec == "" {
-		loadCodec = "dict" // RunLoad's default: what phase 1 actually used
-	}
 	wl := strings.TrimSpace(strings.Split(lcfg.Workload, ",")[0])
 	w, err := workloads.ByName(wl)
 	if err != nil {
@@ -186,14 +227,9 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	if coldCodec == "" {
 		return nil, fmt.Errorf("chaos: no group-decoding codec distinct from %q for phases 2/3", loadCodec)
 	}
-	m := srv.Metrics()
-	client := &http.Client{}
 
 	// Build the cold-codec entry, unpack it as the oracle, and wait for
-	// its container to persist and attach — the object phases 2/3
-	// exercise. persistAsync bumps StorePersists only after the attach,
-	// so polling it is enough.
-	persists0 := m.StorePersists.Load()
+	// its own object to attach: the object phases 2/3 exercise.
 	container, _, err := fetch(ctx, client, base+"/v1/pack/"+wl+"?codec="+coldCodec)
 	if err != nil {
 		return nil, fmt.Errorf("chaos phase 2 container build: %w", err)
@@ -206,15 +242,8 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(chaosPhaseTimeout)
-	for m.StorePersists.Load() <= persists0 {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("chaos phase 2: container never persisted")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := srv.waitAttached(ctx, wl, coldCodec, chaosPhaseTimeout); err != nil {
+		return nil, fmt.Errorf("chaos phase 2: %w", err)
 	}
 	// fetchWord reads block id's first word and reports where it came
 	// from; wrong bytes are counted, not returned, like phase 1's.
@@ -261,7 +290,7 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	}
 	st.Recovered = source == "store"
 
-	st.Shed = m.Shed.Load()
+	st.Shed = srv.Metrics().Shed.Load()
 	st.Quarantined = srv.Store().Stats().Quarantined
 	st.Injected = map[string]int64{
 		faults.KindLatency:   faults.InjectedTotal(faults.KindLatency),

@@ -21,11 +21,10 @@
 //     once. A miss compresses nothing: it slices the block's payload
 //     out of the entry's resident container.
 //
-//   - a bounded worker pool with request batching (pool.go). Pack and
-//     compress jobs are queued; a worker that wakes for one job drains
-//     up to its batch limit before sleeping again, amortizing
-//     scheduling overhead under load while the queue bound provides
-//     backpressure.
+//   - a slot gate bounding concurrent pack and compress jobs
+//     (pool.go). Each job runs on the goroutine that submits it once
+//     one of Config.Workers slots is free; when the jobs waiting for a
+//     slot reach Config.QueueDepth, /v1/ requests are shed with 429.
 //
 //   - the HTTP server itself (server.go), stdlib net/http only. Every
 //     container built is round-tripped through pack.Unpack before it is

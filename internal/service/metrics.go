@@ -168,6 +168,11 @@ type Metrics struct {
 
 	Shed atomic.Int64 // requests rejected 429 by queue-depth admission control
 
+	// Container verifications (one full pack.Unpack after each build and
+	// on each warm restore) and the nanoseconds they took.
+	VerifyUnpacks atomic.Int64
+	VerifyNS      atomic.Int64
+
 	// Nothing writes these; they stay declared, always 0, only because
 	// cmd/apcc-bench reads them.
 	StoreL2Hits, StoreL2Misses, StoreReadahead                 atomic.Int64
@@ -306,8 +311,6 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 	pt.AddRow("workers", pool.Workers)
 	pt.AddRow("submitted", pool.Submitted)
 	pt.AddRow("completed", pool.Completed)
-	pt.AddRow("batches", pool.Batches)
-	pt.AddRow("mean_batch", fmt.Sprintf("%.2f", pool.MeanBatch()))
 	pt.AddRow("in_flight", pool.InFlight)
 
 	lt := report.NewTable("block latency by codec", "codec", "count", "mean", "p50", "p90", "p99")

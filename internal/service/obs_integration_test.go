@@ -63,7 +63,7 @@ func TestPromEndpointValid(t *testing.T) {
 		"apcc_http_in_flight", "apcc_packs_built_total", "apcc_blocks_served_total",
 		"apcc_payload_bytes_total", "apcc_cache_events_total", "apcc_cache_entries",
 		"apcc_cache_bytes", "apcc_pool_workers", "apcc_pool_jobs_total",
-		"apcc_pool_batches_total", "apcc_pool_in_flight",
+		"apcc_pool_in_flight",
 		"apcc_verify_unpacks_total", "apcc_verify_unpack_seconds_total",
 		"apcc_trace_records_total", "apcc_trace_truncated_total",
 		"apcc_store_objects", "apcc_store_refs", "apcc_store_quarantined_total",

@@ -14,7 +14,7 @@ import (
 var ErrPoolClosed = errors.New("service: pool closed")
 
 // faultPoolSubmit injects latency or transient errors at the pool
-// admission boundary, before a job is queued.
+// admission boundary, before a job waits for a slot.
 var faultPoolSubmit = faults.Register("service.pool-submit")
 
 // PoolStats is a point-in-time snapshot of pool activity.
@@ -22,46 +22,30 @@ type PoolStats struct {
 	Workers   int
 	Submitted int64
 	Completed int64
-	Batches   int64 // worker wakeups; Completed/Batches ≈ mean batch size
-	InFlight  int64 // submitted, not yet finished (queued or running)
+	InFlight  int64 // submitted, not yet finished (waiting or running)
 }
 
-// MeanBatch returns the average number of jobs a worker processed per
-// wakeup — the measure of how much batching is amortizing scheduling.
-func (s PoolStats) MeanBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Completed) / float64(s.Batches)
-}
-
-// Pool is a bounded worker pool with request batching for pack and
-// compress jobs. Jobs enter a bounded queue (backpressure: Do blocks
-// when it is full); a worker that wakes for one job opportunistically
-// drains up to its batch limit before sleeping again, so under load the
-// per-job synchronization cost is shared across a batch.
+// Pool bounds how many pack and compress jobs run at once. It is a
+// slot gate, not a set of workers: Do waits for one of Workers slots
+// and runs the job on the calling goroutine, so a job costs a
+// semaphore send and receive instead of a handoff to another goroutine.
 type Pool struct {
-	jobs     chan poolJob
-	maxBatch int
-	wg       sync.WaitGroup // workers
-	sendWG   sync.WaitGroup // Do calls between admission and enqueue
+	slots chan struct{}  // one token per running job
+	wg    sync.WaitGroup // admitted Do calls, which Close waits for
 
 	mu     sync.Mutex
 	closed bool
 
-	workers    int
-	queueDepth int
-	submitted  atomic.Int64
-	completed  atomic.Int64
-	batches    atomic.Int64
-	inFlight   atomic.Int64
+	workers   int
+	submitted atomic.Int64
+	completed atomic.Int64
+	inFlight  atomic.Int64
 }
 
-// Backlog approximates the number of submitted jobs no worker has
-// picked up yet: in-flight minus the worker count, clamped at zero.
-// The admission controller sheds new requests when the backlog
-// reaches the configured depth instead of letting them block on the
-// full queue.
+// Backlog approximates the number of submitted jobs still waiting for
+// a slot: in-flight minus the slot count, clamped at zero. The
+// admission controller sheds new requests when the backlog reaches
+// Config.QueueDepth.
 func (p *Pool) Backlog() int64 {
 	b := p.inFlight.Load() - int64(p.workers)
 	if b < 0 {
@@ -70,46 +54,19 @@ func (p *Pool) Backlog() int64 {
 	return b
 }
 
-// QueueDepth returns the pool's configured queue capacity.
-func (p *Pool) QueueDepth() int { return p.queueDepth }
-
-type poolJob struct {
-	ctx  context.Context
-	fn   func() error
-	done chan error
-}
-
-// NewPool starts workers goroutines servicing a queue of queueDepth
-// jobs, each wakeup draining at most maxBatch jobs. Arguments are
-// clamped to at least 1.
-func NewPool(workers, queueDepth, maxBatch int) *Pool {
+// NewPool returns a gate that runs at most workers jobs at once
+// (clamped to at least 1).
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	p := &Pool{
-		jobs:       make(chan poolJob, queueDepth),
-		maxBatch:   maxBatch,
-		workers:    workers,
-		queueDepth: queueDepth,
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
+	return &Pool{slots: make(chan struct{}, workers), workers: workers}
 }
 
-// Do submits fn and waits for it to finish, returning its error. If ctx
-// is done before a worker runs the job, Do returns ctx.Err() and fn
-// never runs: a worker reaching an abandoned job discards it. A nil ctx
-// is treated as context.Background, matching what run already
-// tolerates.
+// Do waits for a slot, runs fn on the calling goroutine and returns
+// its error. If ctx is done before Do gets a slot, Do returns
+// ctx.Err() and fn never runs. A nil ctx is treated as
+// context.Background.
 func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -117,7 +74,8 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	if err := faultPoolSubmit.Err(); err != nil {
 		return err
 	}
-	j := poolJob{ctx: ctx, fn: fn, done: make(chan error, 1)}
+	// Add under the same lock Close flips closed with, so no Add can
+	// race Close's Wait on a drained counter.
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -125,28 +83,27 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	}
 	p.submitted.Add(1)
 	p.inFlight.Add(1)
-	p.sendWG.Add(1)
+	p.wg.Add(1)
 	p.mu.Unlock()
+	defer p.wg.Done()
+	defer p.inFlight.Add(-1)
 	select {
-	case p.jobs <- j:
-		p.sendWG.Done()
+	case p.slots <- struct{}{}:
 	case <-ctx.Done():
-		p.sendWG.Done()
-		p.inFlight.Add(-1)
 		return ctx.Err()
 	}
-	select {
-	case err := <-j.done:
+	defer func() { <-p.slots }()
+	// select picks at random among ready cases, so the slot may have
+	// won against a context that had already ended.
+	if err := ctx.Err(); err != nil {
 		return err
-	case <-ctx.Done():
-		// The job stays queued; the worker that dequeues it sees the
-		// dead context, skips fn and settles the counters.
-		return ctx.Err()
 	}
+	err := runGuarded(fn)
+	p.completed.Add(1)
+	return err
 }
 
-// Close stops accepting jobs, waits for queued work to drain and the
-// workers to exit.
+// Close stops admitting jobs and waits for the admitted ones to finish.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -155,10 +112,6 @@ func (p *Pool) Close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	// Workers are still draining, so pending Do sends finish; only then
-	// is the channel safe to close.
-	p.sendWG.Wait()
-	close(p.jobs)
 	p.wg.Wait()
 }
 
@@ -168,49 +121,13 @@ func (p *Pool) Stats() PoolStats {
 		Workers:   p.workers,
 		Submitted: p.submitted.Load(),
 		Completed: p.completed.Load(),
-		Batches:   p.batches.Load(),
 		InFlight:  p.inFlight.Load(),
 	}
 }
 
-func (p *Pool) worker() {
-	defer p.wg.Done()
-	for j := range p.jobs {
-		p.batches.Add(1)
-		p.run(j)
-		// Drain whatever queued while we were busy, up to the batch
-		// limit, without going back to sleep.
-	drain:
-		for n := 1; n < p.maxBatch; n++ {
-			select {
-			case j2, ok := <-p.jobs:
-				if !ok {
-					return
-				}
-				p.run(j2)
-			default:
-				break drain // queue empty; sleep again
-			}
-		}
-	}
-}
-
-func (p *Pool) run(j poolJob) {
-	var err error
-	if j.ctx != nil && j.ctx.Err() != nil {
-		err = j.ctx.Err()
-	} else {
-		err = p.runGuarded(j.fn)
-	}
-	p.completed.Add(1)
-	p.inFlight.Add(-1)
-	j.done <- err
-}
-
-// runGuarded converts a panicking job into an error so one bad job
-// cannot kill a worker (which would leak the caller and shrink the
-// pool for the server's lifetime).
-func (p *Pool) runGuarded(fn func() error) (err error) {
+// runGuarded converts a panicking job into an error, so one bad job
+// fails its caller instead of taking down the process.
+func runGuarded(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: job panic: %v", r)

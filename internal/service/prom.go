@@ -6,7 +6,6 @@ import (
 
 	"apbcc/internal/faults"
 	"apbcc/internal/obs"
-	"apbcc/internal/pack"
 	"apbcc/internal/store"
 )
 
@@ -28,7 +27,7 @@ var promBounds = func() []float64 {
 // families are omitted or zero. Family names are fixed at compile
 // time, so scrape configs survive restarts (pinned by
 // TestPromNamesStableAcrossRestarts).
-func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *store.Stats, ver pack.VerifyStats, rec *obs.Recorder) error {
+func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *store.Stats, rec *obs.Recorder) error {
 	p := obs.NewPromWriter(w)
 
 	p.Family("apcc_uptime_seconds", "gauge", "Seconds since the server started.")
@@ -71,18 +70,15 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 	p.Family("apcc_pool_jobs_total", "counter", "Worker-pool jobs by state.")
 	p.Sample("apcc_pool_jobs_total", []obs.Label{{Name: "state", Value: "submitted"}}, float64(pool.Submitted))
 	p.Sample("apcc_pool_jobs_total", []obs.Label{{Name: "state", Value: "completed"}}, float64(pool.Completed))
-	p.Family("apcc_pool_batches_total", "counter", "Worker wakeups (Completed/Batches = mean batch).")
-	p.Sample("apcc_pool_batches_total", nil, float64(pool.Batches))
 	p.Family("apcc_pool_in_flight", "gauge", "Jobs submitted but not finished.")
 	p.Sample("apcc_pool_in_flight", nil, float64(pool.InFlight))
 
 	p.Family("apcc_verify_unpacks_total", "counter",
-		"Container verification unpacks by mode (reused = cached skeleton fast path).")
-	p.Sample("apcc_verify_unpacks_total", []obs.Label{{Name: "mode", Value: "full"}}, float64(ver.Full))
-	p.Sample("apcc_verify_unpacks_total", []obs.Label{{Name: "mode", Value: "reused"}}, float64(ver.Reused))
+		"Container verification unpacks (one pack.Unpack per build and per warm restore).")
+	p.Sample("apcc_verify_unpacks_total", nil, float64(m.VerifyUnpacks.Load()))
 	p.Family("apcc_verify_unpack_seconds_total", "counter",
 		"Cumulative seconds spent in verification unpacks.")
-	p.Sample("apcc_verify_unpack_seconds_total", nil, time.Duration(ver.NS).Seconds())
+	p.Sample("apcc_verify_unpack_seconds_total", nil, time.Duration(m.VerifyNS.Load()).Seconds())
 
 	p.Family("apcc_shed_total", "counter",
 		"Requests rejected 429 by queue-depth admission control.")

@@ -24,22 +24,16 @@ func resetFaults(t *testing.T) {
 }
 
 // buildAttached builds (workload, codec) through the HTTP API and
-// waits until the persisted container's store object is attached to
-// the entry — the precondition for every store fault test below.
-// persistAsync bumps StorePersists only after the attach.
+// waits until the entry's own store object is attached — the
+// precondition for every store fault test below.
 func buildAttached(t *testing.T, s *Server, ts *httptest.Server, workload, codec string) {
 	t.Helper()
-	p0 := s.Metrics().StorePersists.Load()
 	code, body, _ := get(t, ts.Client(), ts.URL+"/v1/pack/"+workload+"?codec="+codec)
 	if code != http.StatusOK {
 		t.Fatalf("build %s/%s: %d %s", workload, codec, code, body)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().StorePersists.Load() <= p0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s/%s container never persisted", workload, codec)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := s.waitAttached(context.Background(), workload, codec, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -107,15 +101,15 @@ func unpackedBlocks(t *testing.T, ts *httptest.Server, workload, codec string) (
 	return want, c
 }
 
-// TestShedsWith429 fills the worker pool's backlog and checks the
-// admission controller sheds /v1/ requests with 429 + Retry-After
-// while health and metrics endpoints keep answering.
+// TestShedsWith429 fills the pool's backlog and checks the admission
+// controller sheds /v1/ requests with 429 + Retry-After while health
+// and metrics endpoints keep answering.
 func TestShedsWith429(t *testing.T) {
 	s, ts := newTestServerConfig(t, Config{
-		Workers: 1, QueueDepth: 4, ShedDepth: 1, TraceRing: -1,
+		Workers: 1, QueueDepth: 1, TraceRing: -1,
 	})
-	// Wedge the single worker and queue one more job so the backlog
-	// (in-flight minus workers) reaches the shed depth.
+	// Wedge the single slot and make one more job wait for it so the
+	// backlog (in-flight minus slots) reaches QueueDepth.
 	gate := make(chan struct{})
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {

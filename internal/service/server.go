@@ -64,13 +64,13 @@ type Config struct {
 	// CacheBytes is the total block-cache capacity, split evenly across
 	// shards (default 32 MiB).
 	CacheBytes int
-	// Workers is the pack/compress worker-pool size (default
+	// Workers is how many pack/compress jobs run at once (default
 	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the pool's job queue (default 256).
+	// QueueDepth is the pool backlog (jobs waiting for a slot) at which
+	// /v1/ requests are shed with 429 and Retry-After instead of
+	// waiting behind it (default 256).
 	QueueDepth int
-	// MaxBatch is the pool's per-wakeup batch limit (default 8).
-	MaxBatch int
 	// Policy names the block-cache replacement policy (policy.Names);
 	// empty selects "klru", which with expiry disabled is plain LRU.
 	// "cost-aware" keeps blocks that are expensive to recompress
@@ -95,14 +95,9 @@ type Config struct {
 	// RequestTimeout is the per-request deadline applied by the
 	// instrumented handler: the request context is cancelled when it
 	// expires, which aborts coalesced cache waits, entry-build waits
-	// and queued pool work, and the client gets 504. 0 disables
+	// and pool slot waits, and the client gets 504. 0 disables
 	// (default).
 	RequestTimeout time.Duration
-	// ShedDepth is the pool backlog (queued, unstarted jobs) at which
-	// the admission controller sheds /v1/ requests with 429 and
-	// Retry-After instead of letting them block on a saturated queue.
-	// 0 selects the pool's queue depth; negative disables shedding.
-	ShedDepth int
 	// DebugFaults mounts the fault-injection control endpoint
 	// (GET/POST /debug/faults) on the serving mux. Off by default:
 	// unlike /debug/trace, the endpoint mutates process-global fault
@@ -129,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
 	if c.TraceRing == 0 {
 		c.TraceRing = 256
 	}
@@ -141,12 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceExemplars <= 0 {
 		c.TraceExemplars = 8
 	}
-	if c.ShedDepth == 0 {
-		c.ShedDepth = c.QueueDepth
-	}
-	if c.ShedDepth < 0 {
-		c.ShedDepth = 0
-	}
 	if c.Log == nil {
 		c.Log = obs.Discard
 	}
@@ -154,8 +140,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the pack-serving subsystem: container and block endpoints
-// in front of the sharded L1 block cache, the batching worker pool,
-// and (when configured) the content-addressed disk store.
+// in front of the sharded L1 block cache, the pool that bounds pack
+// jobs, and (when configured) the content-addressed disk store.
 type Server struct {
 	cache   *BlockCache
 	pool    *Pool
@@ -165,22 +151,13 @@ type Server struct {
 	rec     *obs.Recorder // nil when tracing is disabled
 	log     *slog.Logger  // never nil (obs.Discard by default)
 
-	timeout   time.Duration // per-request deadline (0 = none)
-	shedDepth int           // pool backlog that triggers 429 shedding (0 = off)
-	draining  atomic.Bool   // BeginDrain was called; /healthz reports 503
+	timeout    time.Duration // per-request deadline (0 = none)
+	queueDepth int           // pool backlog that triggers 429 shedding
+	draining   atomic.Bool   // BeginDrain was called; /healthz reports 503
 
 	mu      sync.Mutex
 	entries map[string]*entry
 	closing bool // no new persists may start once set
-
-	// unp re-verifies containers through pack's streaming Unpacker:
-	// repeated verification of an unchanged container (idempotent
-	// POST /v1/pack retries, warm restores of a container another
-	// entry already proved) skips the parse-and-rebuild and runs only
-	// the decode+CRC pass. Guarded by unpMu; results are read-only and
-	// never recycled, so entries may keep them.
-	unpMu sync.Mutex
-	unp   *pack.Unpacker
 
 	persistWG sync.WaitGroup // in-flight async store persists
 
@@ -229,7 +206,7 @@ func (e *entry) payload(id int) []byte {
 	return e.container[b.off : b.off+b.len : b.off+b.len]
 }
 
-// New builds a Server. Call Close when done to stop the worker pool.
+// New builds a Server. Call Close when done to wait out its pack jobs.
 // An unknown Config.Policy falls back to the LRU default (use
 // policy.Names to validate user input first). The only error source is
 // opening Config.StoreDir.
@@ -240,14 +217,13 @@ func New(cfg Config) (*Server, error) {
 		cache = NewBlockCache(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards)
 	}
 	s := &Server{
-		cache:     cache,
-		pool:      NewPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch),
-		metrics:   NewMetrics(),
-		entries:   make(map[string]*entry),
-		unp:       pack.NewUnpacker(),
-		log:       cfg.Log,
-		timeout:   cfg.RequestTimeout,
-		shedDepth: cfg.ShedDepth,
+		cache:      cache,
+		pool:       NewPool(cfg.Workers),
+		metrics:    NewMetrics(),
+		entries:    make(map[string]*entry),
+		log:        cfg.Log,
+		timeout:    cfg.RequestTimeout,
+		queueDepth: cfg.QueueDepth,
 	}
 	if cfg.TraceRing > 0 {
 		s.rec = obs.NewRecorder(cfg.TraceRing, cfg.TraceExemplars)
@@ -284,8 +260,8 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the instrumented HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Close waits for in-flight store persists, stops the worker pool
-// (draining queued jobs), and releases open store objects.
+// Close waits for in-flight store persists, closes the pool (waiting
+// for admitted jobs), and releases open store objects.
 func (s *Server) Close() {
 	// Flip closing under the same lock persistAsync uses for Add, so no
 	// Add can race the Wait below on a drained counter (sync.WaitGroup
@@ -342,12 +318,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			}
 			s.metrics.BytesSent.Add(rec.bytes)
 		}()
-		// Shed serving-path requests while the pool backlog is at the
-		// configured depth: a request admitted now would only block on
-		// the full queue. Health, metrics, and debug endpoints are
-		// never shed — operators need them most during overload.
-		if s.shedDepth > 0 && strings.HasPrefix(r.URL.Path, "/v1/") &&
-			s.pool.Backlog() >= int64(s.shedDepth) {
+		// Shed serving-path requests while the pool backlog is at
+		// QueueDepth: a request admitted now would only wait behind it.
+		// Health, metrics, and debug endpoints are never shed —
+		// operators need them most during overload.
+		if strings.HasPrefix(r.URL.Path, "/v1/") && s.pool.Backlog() >= int64(s.queueDepth) {
 			s.metrics.Shed.Add(1)
 			rec.Header().Set("Retry-After", "1")
 			http.Error(rec, "server overloaded: worker queue saturated", http.StatusTooManyRequests)
@@ -413,7 +388,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		ss := s.store.Stats()
 		st = &ss
 	}
-	s.metrics.WriteProm(w, s.cache.Stats(), s.pool.Stats(), st, s.unp.Stats(), s.rec)
+	s.metrics.WriteProm(w, s.cache.Stats(), s.pool.Stats(), st, s.rec)
 }
 
 // handleTrace dumps the trace ring as JSON: the n most recent request
@@ -890,7 +865,7 @@ func statusFor(err error) int {
 // not just the packer's intent. Block responses are then slices of that
 // verified container, so what devices fetch is exactly what survived
 // verification. Freshly-built containers are persisted to the store
-// asynchronously through the worker pool.
+// asynchronously through the pool.
 func (s *Server) build(ent *entry, workload, codecName string) error {
 	wl, err := workloads.ByName(workload)
 	if err != nil {
@@ -939,7 +914,7 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	if err != nil {
 		return false
 	}
-	p, codec, _, err := s.verifyUnpack(workload, container)
+	p, codec, err := s.verifyUnpack(workload, container)
 	if err != nil {
 		s.store.Quarantine(key)
 		s.log.Warn("warm restore failed verification, object quarantined",
@@ -1020,10 +995,10 @@ func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, c
 }
 
 // persistAsync writes a freshly-built container to the disk store
-// through the worker pool, without blocking the requester that
-// triggered the build. Once the object and its ref land, the entry is
-// handed the open object so later word reads can go through it.
-// Persistence is best-effort: a failure leaves the server serving from
+// through the pool, without blocking the requester that triggered the
+// build. Once the object and its ref land, the entry is handed the
+// open object so later word reads can go through it. Persistence is
+// best-effort: a failure is logged and leaves the entry serving from
 // memory exactly as if no store were configured.
 func (s *Server) persistAsync(ent *entry, name string, container []byte) {
 	s.mu.Lock()
@@ -1038,20 +1013,31 @@ func (s *Server) persistAsync(ent *entry, name string, container []byte) {
 	s.mu.Unlock()
 	go func() {
 		defer s.persistWG.Done()
-		_ = s.pool.Do(context.Background(), func() error {
-			key, err := s.store.Put(container)
-			if err != nil {
+		var key string
+		err := s.pool.Do(context.Background(), func() error {
+			var err error
+			if key, err = s.store.Put(container); err != nil {
 				return err
 			}
 			if err := s.store.PutRef(name, key); err != nil {
 				return err
 			}
-			if obj, err := s.store.Open(key); err == nil {
+			if obj, err := s.store.Open(key); err != nil {
+				s.log.Warn("persisted container not attached, word reads stay in memory",
+					"ref", name, "key", shortKey(key), "err", err)
+			} else {
 				s.attachObject(ent, obj)
 			}
 			s.metrics.StorePersists.Add(1)
 			return nil
 		})
+		if err != nil {
+			if key == "" {
+				key = store.Key(container)
+			}
+			s.log.Warn("container persist failed, entry serves from memory",
+				"ref", name, "key", shortKey(key), "err", err)
+		}
 	}()
 }
 
@@ -1073,26 +1059,20 @@ func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	up, ucodec, _, err := s.verifyUnpack(p.Name, container)
+	up, ucodec, err := s.verifyUnpack(p.Name, container)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("service: packed container failed verification: %w", err)
 	}
 	return container, up, ucodec, nil
 }
 
-// verifyUnpack runs a full container verification through the shared
-// streaming Unpacker: an unchanged container (a client re-posting the
-// same program, a restore of a just-verified build) pays only the
-// decode+CRC pass instead of a fresh parse-and-rebuild. Results are
-// read-only and possibly shared between entries that verified the
-// same container — which is exactly how entries use them.
-// The Unpacker is used opportunistically: when another verification
-// holds it, this one runs a plain parallel Unpack instead of queueing
-// ms-scale verify work behind a global lock.
-func (s *Server) verifyUnpack(name string, container []byte) (*program.Program, compress.Codec, *pack.Info, error) {
-	if s.unpMu.TryLock() {
-		defer s.unpMu.Unlock()
-		return s.unp.Unpack(name, container)
-	}
-	return pack.Unpack(name, container)
+// verifyUnpack is the one verification every served container passes,
+// after each build and on each warm restore: a full pack.Unpack,
+// counted in the verify metrics.
+func (s *Server) verifyUnpack(name string, container []byte) (*program.Program, compress.Codec, error) {
+	start := time.Now()
+	p, codec, _, err := pack.Unpack(name, container)
+	s.metrics.VerifyUnpacks.Add(1)
+	s.metrics.VerifyNS.Add(int64(time.Since(start)))
+	return p, codec, err
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"apbcc/internal/compress"
+	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/pack"
 	"apbcc/internal/store"
@@ -18,7 +21,7 @@ import (
 
 // storeConfig is the test config with the disk tier enabled.
 func storeConfig(dir string) Config {
-	return Config{CacheShards: 4, CacheBytes: 8 << 20, Workers: 2, QueueDepth: 32, MaxBatch: 4, StoreDir: dir}
+	return Config{CacheShards: 4, CacheBytes: 8 << 20, Workers: 2, QueueDepth: 32, StoreDir: dir}
 }
 
 // TestWarmRestartServesWithoutPacking is the acceptance pin for the
@@ -261,5 +264,49 @@ func TestRunColdWarmScenario(t *testing.T) {
 	}
 	if stats.ColdFirst <= 0 || stats.WarmFirst <= 0 {
 		t.Errorf("first-container latencies not measured: %v, %v", stats.ColdFirst, stats.WarmFirst)
+	}
+}
+
+// TestPersistFailureLogged: a persist that fails is logged at Warn with
+// its ref name and key, and leaves the entry serving from memory with
+// no store object. A failed put is not counted as a persist; a put
+// whose object then fails to open is.
+func TestPersistFailureLogged(t *testing.T) {
+	for _, c := range []struct {
+		name, fault, msg string
+		persists         int64
+	}{
+		{"put", "store.write:p=1,err", "container persist failed", 0},
+		{"open", "pack.index-read:p=1,err", "persisted container not attached", 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resetFaults(t)
+			var logBuf bytes.Buffer
+			cfg := storeConfig(t.TempDir())
+			cfg.Log = slog.New(slog.NewTextHandler(&logBuf, nil))
+			s, ts := newTestServerConfig(t, cfg)
+			if err := faults.Set(c.fault); err != nil {
+				t.Fatal(err)
+			}
+			if code, body, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
+				t.Fatalf("build under %s: %d %s", c.fault, code, body)
+			}
+			// Wait for the persist as Close does, and look at the entry
+			// before Close detaches every object.
+			s.persistWG.Wait()
+			ent := s.entries[store.RefName("crc32", "dict")]
+			if ent.obj.Load() != nil {
+				t.Fatal("entry has a store object after its persist failed")
+			}
+			s.Close()
+			log := logBuf.String()
+			if !strings.Contains(log, "level=WARN") || !strings.Contains(log, c.msg) ||
+				!strings.Contains(log, "crc32") || !strings.Contains(log, "key=") {
+				t.Fatalf("log lacks the %q warning with ref and key:\n%s", c.msg, log)
+			}
+			if got := s.Metrics().StorePersists.Load(); got != c.persists {
+				t.Fatalf("StorePersists = %d, want %d", got, c.persists)
+			}
+		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	return newTestServerConfig(t, Config{CacheShards: 8, CacheBytes: 8 << 20, Workers: 4, QueueDepth: 64, MaxBatch: 4})
+	return newTestServerConfig(t, Config{CacheShards: 8, CacheBytes: 8 << 20, Workers: 4, QueueDepth: 64})
 }
 
 func newTestServerConfig(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -153,7 +153,7 @@ func TestWordReadMemoryFallback(t *testing.T) {
 // TestWordReadBadRange: malformed or out-of-bounds word parameters are
 // client errors, not server faults.
 func TestWordReadBadRange(t *testing.T) {
-	_, ts := newTestServerConfig(t, Config{CacheShards: 2, CacheBytes: 1 << 20, Workers: 2, QueueDepth: 16, MaxBatch: 4})
+	_, ts := newTestServerConfig(t, Config{CacheShards: 2, CacheBytes: 1 << 20, Workers: 2, QueueDepth: 16})
 	for _, q := range []string{
 		"word=abc", "word=-1", "word=0&words=0", "word=0&words=-2",
 		"word=0&words=999999", "word=999999", "word=0&words=abc",
