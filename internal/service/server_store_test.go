@@ -294,7 +294,9 @@ func TestPersistFailureLogged(t *testing.T) {
 			// Wait for the persist as Close does, and look at the entry
 			// before Close detaches every object.
 			s.persistWG.Wait()
+			s.mu.Lock()
 			ent := s.entries[store.RefName("crc32", "dict")]
+			s.mu.Unlock()
 			if ent.obj.Load() != nil {
 				t.Fatal("entry has a store object after its persist failed")
 			}
