@@ -15,6 +15,7 @@ import (
 	"apbcc/internal/pack"
 	"apbcc/internal/program"
 	"apbcc/internal/store"
+	"apbcc/internal/workloads"
 )
 
 // BenchmarkServeBlock measures the hot serving path: cached block
@@ -367,8 +368,28 @@ func BenchmarkWordRead(b *testing.B) {
 // BenchmarkStartup compares what a restarted server pays to get its
 // first (workload, codec) container ready: a cold start runs the
 // packer and the verification unpack; a warm start against a
-// populated store restores from disk without packing.
+// populated store restores from disk without packing. suite is a
+// fresh server without a store building the dict entry of every suite
+// program, the server's half of the hot-block benchmark's set-up; cold
+// and warm write and read disk, suite does not.
 func BenchmarkStartup(b *testing.B) {
+	b.Run("suite", func(b *testing.B) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			s, err := New(Config{TraceRing: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, name := range workloads.Names() {
+				if _, _, err := s.entryFor(ctx, name, "dict"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			s.Close()
+			b.StartTimer()
+		}
+	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := New(Config{Workers: 2, StoreDir: b.TempDir()})

@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -454,7 +455,7 @@ func (s *Server) handleCodecs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePackWorkload(w http.ResponseWriter, r *http.Request) {
-	ent, status, err := s.entryFor(r.Context(), r.PathValue("workload"), codecParam(r))
+	ent, status, err := s.entryFor(r.Context(), r.PathValue("workload"), codecParam(r.URL.Query()))
 	if err != nil {
 		http.Error(w, err.Error(), status)
 		return
@@ -465,7 +466,8 @@ func (s *Server) handlePackWorkload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	q := r.URL.Query()
+	name, codecName := q.Get("name"), codecParam(q)
 	if name == "" {
 		name = "posted"
 	}
@@ -484,7 +486,7 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parse and validate outside the pool so client mistakes are cheap
 	// 400s and never queue behind real work.
-	if err := checkCodec(codecParam(r)); err != nil {
+	if err := checkCodec(codecName); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -496,7 +498,7 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 	var container []byte
 	err = s.pool.Do(r.Context(), func() error {
 		var perr error
-		container, _, _, perr = s.buildContainer(p, codecParam(r))
+		container, _, _, perr = s.buildContainer(p, codecName)
 		return perr
 	})
 	if err != nil {
@@ -516,7 +518,10 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	tr := s.rec.StartTrace()
 	rsp := tr.Begin(obs.StageRoute)
 	ctx := obs.WithTrace(r.Context(), tr)
-	ent, status, err := s.entryFor(ctx, r.PathValue("workload"), codecParam(r))
+	// One parse of the query serves the codec, the word check and the
+	// word range: each r.URL.Query() call re-parses and allocates.
+	q := r.URL.Query()
+	ent, status, err := s.entryFor(ctx, r.PathValue("workload"), codecParam(q))
 	if err != nil {
 		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
@@ -532,8 +537,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.SetLabels(r.PathValue("workload"), ent.codec.Name(), id)
-	if r.URL.Query().Get("word") != "" {
-		s.serveWordRange(ctx, w, r, tr, rsp, ent, id)
+	if q.Get("word") != "" {
+		s.serveWordRange(ctx, w, q, tr, rsp, ent, id)
 		return
 	}
 	blk := ent.blocks[id]
@@ -611,8 +616,7 @@ var errWordMismatch = errors.New("word groups read from the store differ from th
 // sub-block probes admit or promote entries would let a word-scanning
 // client evict the real working set (pinned by
 // TestWordReadDoesNotTouchL1).
-func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *http.Request, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
-	q := r.URL.Query()
+func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, q url.Values, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
 	word, err := strconv.Atoi(q.Get("word"))
 	nwords := 1
 	if err == nil {
@@ -783,8 +787,8 @@ func (s *Server) finishTrace(tr *obs.Trace, outcome string) {
 }
 
 // codecParam extracts the codec query parameter, defaulting to dict.
-func codecParam(r *http.Request) string {
-	if c := r.URL.Query().Get("codec"); c != "" {
+func codecParam(q url.Values) string {
+	if c := q.Get("codec"); c != "" {
 		return c
 	}
 	return "dict"
@@ -865,18 +869,23 @@ func statusFor(err error) int {
 // not just the packer's intent. Block responses are then slices of that
 // verified container, so what devices fetch is exactly what survived
 // verification. Freshly-built containers are persisted to the store
-// asynchronously through the pool.
+// asynchronously through the pool. Only the cold path synthesizes the
+// workload's program; a warm restore never needs it.
 func (s *Server) build(ent *entry, workload, codecName string) error {
-	wl, err := workloads.ByName(workload)
-	if err != nil {
+	// An unknown workload is a 404 ahead of a bad codec's 400, and
+	// neither occupies a pool slot.
+	if err := workloads.Check(workload); err != nil {
 		return err
 	}
-	// Reject bad codec names before they occupy a pool slot.
 	if err := checkCodec(codecName); err != nil {
 		return err
 	}
 	if s.store != nil && s.restoreFromStore(ent, workload, codecName) {
 		return nil
+	}
+	wl, err := workloads.ByName(workload)
+	if err != nil {
+		return err
 	}
 	var (
 		container []byte

@@ -219,6 +219,8 @@ func TestErrorStatuses(t *testing.T) {
 	}{
 		{"/v1/pack/nosuch", http.StatusNotFound},
 		{"/v1/pack/fir?codec=nosuch", http.StatusBadRequest},
+		// The workload is checked before the codec.
+		{"/v1/pack/nosuch?codec=nosuch", http.StatusNotFound},
 		{"/v1/block/nosuch/0", http.StatusNotFound},
 		{"/v1/block/fir/9999", http.StatusNotFound},
 		{"/v1/block/fir/banana", http.StatusNotFound},
@@ -488,5 +490,43 @@ func TestLoadgenScenarioList(t *testing.T) {
 		BaseURL: ts.URL, Workload: " , ", Clients: 1, Steps: 1, Client: ts.Client(),
 	}); err == nil {
 		t.Fatal("empty scenario list accepted")
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps its headers and drops
+// the body, so a request served through Handler() in process costs
+// only the server's own work.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestCachedBlockGetAllocs pins the allocations of an untraced block
+// GET that hits the cache, through Handler(): the handler parses the
+// query once for both the codec and the word check.
+func TestCachedBlockGetAllocs(t *testing.T) {
+	s, err := New(Config{TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/block/crc32/1?codec=dict", nil)
+	w := &discardWriter{h: http.Header{}}
+	for _, want := range []string{"miss", "hit"} {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+		if got := w.h.Get(HeaderCache); got != want {
+			t.Fatalf("%s = %q, want %q", HeaderCache, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	})
+	// 14 with one parse; each extra r.URL.Query() call costs 3 more.
+	if allocs > 14 {
+		t.Errorf("cached block GET makes %v allocations, want at most 14", allocs)
 	}
 }

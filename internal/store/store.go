@@ -73,8 +73,13 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu   sync.Mutex // guards the ref map and directory mutations
-	refs map[string]string
+	// refWrite orders the ref writers (PutRef, DropRef, Quarantine), so
+	// the refs on disk and the map agree. It is held across their disk
+	// work; mu is held only for the map, so Ref and Stats never wait
+	// behind a slow write.
+	refWrite sync.Mutex
+	mu       sync.Mutex // guards refs
+	refs     map[string]string
 
 	puts, putBytes, gets         atomic.Int64
 	blockReads, blockBytes, quar atomic.Int64
@@ -265,19 +270,25 @@ func (s *Store) Has(key string) bool { return s.objectExists(key) }
 
 // PutRef names an object: a durable (workload, codec) → container
 // binding a restarted server resolves before reaching for the packer.
-// The ref write is tmp+rename like object writes.
+// The ref write is tmp+rename like object writes. Racing PutRefs of one
+// name land in call order, on disk and in the map alike.
 func (s *Store) PutRef(name, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.refWrite.Lock()
+	defer s.refWrite.Unlock()
 	if !s.objectExists(key) {
 		return fmt.Errorf("%w: ref %q -> %s", ErrNotFound, name, short(key))
 	}
-	path := filepath.Join(s.dir, "refs", hex.EncodeToString([]byte(name)))
-	if err := s.writeRename([]byte(key+"\n"), path); err != nil {
+	if err := s.writeRename([]byte(key+"\n"), s.refPath(name)); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	s.refs[name] = key
+	s.mu.Unlock()
 	return nil
+}
+
+func (s *Store) refPath(name string) string {
+	return filepath.Join(s.dir, "refs", hex.EncodeToString([]byte(name)))
 }
 
 // Ref resolves a name to an object key.
@@ -290,29 +301,37 @@ func (s *Store) Ref(name string) (string, bool) {
 
 // DropRef removes a name (used when its object turns out corrupt).
 func (s *Store) DropRef(name string) {
+	s.refWrite.Lock()
+	defer s.refWrite.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.refs, name)
-	os.Remove(filepath.Join(s.dir, "refs", hex.EncodeToString([]byte(name))))
+	s.mu.Unlock()
+	os.Remove(s.refPath(name))
 }
 
 // Quarantine moves an object out of objects/ into quarantine/ where it
 // can no longer be served but remains for post-mortems. Refs pointing
 // at it are dropped.
 func (s *Store) Quarantine(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.refWrite.Lock()
+	defer s.refWrite.Unlock()
 	s.quarantinePath(s.objectPath(key), key)
+	var dropped []string
+	s.mu.Lock()
 	for name, k := range s.refs {
 		if k == key {
 			delete(s.refs, name)
-			os.Remove(filepath.Join(s.dir, "refs", hex.EncodeToString([]byte(name))))
+			dropped = append(dropped, name)
 		}
+	}
+	s.mu.Unlock()
+	for _, name := range dropped {
+		os.Remove(s.refPath(name))
 	}
 }
 
-// quarantinePath moves one file into quarantine/. Callers hold mu or
-// run before the store is shared (fsck).
+// quarantinePath moves one file into quarantine/. Callers hold
+// refWrite or run before the store is shared (fsck).
 func (s *Store) quarantinePath(path, name string) {
 	if err := os.Rename(path, filepath.Join(s.dir, "quarantine", name)); err != nil {
 		// Rename across the same filesystem should not fail; removing

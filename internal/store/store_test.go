@@ -3,11 +3,14 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"apbcc/internal/compress"
+	"apbcc/internal/faults"
 	"apbcc/internal/pack"
 	"apbcc/internal/workloads"
 )
@@ -106,6 +109,114 @@ func TestRefsSurviveReopen(t *testing.T) {
 	}
 	if _, ok := s3.Ref(name); ok {
 		t.Fatal("dropped ref resurrected by reopen")
+	}
+}
+
+// stallRefWrite starts PutRef(name, key) on its own goroutine with its
+// fsync stalled for stall by the store.fsync failpoint, and returns once
+// that write is inside the stall. The channel yields PutRef's result.
+func stallRefWrite(t *testing.T, s *Store, name, key string, stall time.Duration) <-chan error {
+	t.Helper()
+	faults.Reset()
+	t.Cleanup(faults.Reset)
+	if err := faults.Set(fmt.Sprintf("store.fsync:p=1,lat=%v,n=1", stall)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.PutRef(name, key) }()
+	for faults.InjectedTotal(faults.KindLatency) == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("PutRef returned %v before its fsync stalled", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	return done
+}
+
+// TestRefReadsDoNotWaitForRefWrites: a ref write stalled in its fsync
+// holds up neither Ref, which every cold build calls, nor Stats, which
+// every metrics scrape calls.
+func TestRefReadsDoNotWaitForRefWrites(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fft, err := s.Put(packSuite(t, "fft", "dict"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRef("fft\x00dict", fft); err != nil {
+		t.Fatal(err)
+	}
+	crc, err := s.Put(packSuite(t, "crc32", "dict"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := stallRefWrite(t, s, "crc32\x00dict", crc, 300*time.Millisecond)
+	start := time.Now()
+	if got, ok := s.Ref("fft\x00dict"); !ok || got != fft {
+		t.Errorf("Ref = %q, %v; want %q", got, ok, fft)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("Ref took %v behind a stalled ref write", d)
+	}
+	start = time.Now()
+	if st := s.Stats(); st.Refs != 1 || st.Objects != 2 {
+		t.Errorf("Stats = %+v during the ref write, want 1 ref and 2 objects", st)
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("Stats took %v behind a stalled ref write", d)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("ref write returned %v before the reads were timed", err)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Ref("crc32\x00dict"); !ok || got != crc {
+		t.Errorf("Ref after the write = %q, %v; want %q", got, ok, crc)
+	}
+}
+
+// TestRacingPutRefsAgreeWithDisk: two PutRefs of one name, the second
+// started while the first is stalled in its fsync, land in call order,
+// so the map names the object a reopened store reads from disk.
+func TestRacingPutRefsAgreeWithDisk(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Put(packSuite(t, "fft", "dict"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Put(packSuite(t, "fft", "bdi"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "fft\x00dict"
+	done := stallRefWrite(t, s, name, first, 100*time.Millisecond)
+	if err := s.PutRef(name, second); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	inMap, _ := s.Ref(name)
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, _ := reopened.Ref(name)
+	if inMap != onDisk {
+		t.Fatalf("map names %.12s, a reopened store reads %.12s", inMap, onDisk)
+	}
+	if inMap != second {
+		t.Errorf("ref names %.12s, want the later write's %.12s", inMap, second)
 	}
 }
 

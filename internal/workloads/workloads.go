@@ -87,43 +87,71 @@ var builders = []builder{
 	{"loopphase", "four loop nests rotating as recurring hot phases", 20000, loopphaseGraph},
 }
 
-// Suite builds every workload in the suite, sorted by name.
+// Suite builds every workload in the suite, sorted by name. Each
+// program is synthesized from its own builder-table seeds, so an entry
+// of Suite equals what ByName returns for its name.
 func Suite() ([]*Workload, error) {
 	out := make([]*Workload, 0, len(builders))
 	for i, b := range builders {
-		g := b.graph()
-		g.Normalize()
-		if err := g.Validate(true); err != nil {
-			return nil, fmt.Errorf("workloads: %s: %w", b.name, err)
-		}
-		p, err := program.Synthesize(b.name, g, int64(1000+i))
+		w, err := build(i, b)
 		if err != nil {
-			return nil, fmt.Errorf("workloads: %s: %w", b.name, err)
+			return nil, err
 		}
-		out = append(out, &Workload{
-			Name:       b.name,
-			Desc:       b.desc,
-			Program:    p,
-			TraceSteps: b.steps,
-			Seed:       int64(77 + i),
-		})
+		out = append(out, w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
-// ByName builds a single workload.
+// ByName builds one workload, synthesizing no other program: a caller
+// that needs one program pays for one, not for the suite. The result
+// equals Suite's entry of the same name. An unknown name reports
+// ErrUnknown.
 func ByName(name string) (*Workload, error) {
-	all, err := Suite()
+	i, err := index(name)
 	if err != nil {
 		return nil, err
 	}
-	for _, w := range all {
-		if w.Name == name {
-			return w, nil
+	return build(i, builders[i])
+}
+
+// Check reports whether name is a suite workload, with the error ByName
+// would give, without synthesizing anything.
+func Check(name string) error {
+	_, err := index(name)
+	return err
+}
+
+// index finds name in the builder table.
+func index(name string) (int, error) {
+	for i, b := range builders {
+		if b.name == name {
+			return i, nil
 		}
 	}
-	return nil, fmt.Errorf("%w %q (have %v)", ErrUnknown, name, Names())
+	return -1, fmt.Errorf("%w %q (have %v)", ErrUnknown, name, Names())
+}
+
+// build synthesizes builder i. Its index fixes both seeds, 1000+i for
+// the program and 77+i for the trace, which is why builders only ever
+// grow at the end.
+func build(i int, b builder) (*Workload, error) {
+	g := b.graph()
+	g.Normalize()
+	if err := g.Validate(true); err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", b.name, err)
+	}
+	p, err := program.Synthesize(b.name, g, int64(1000+i))
+	if err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", b.name, err)
+	}
+	return &Workload{
+		Name:       b.name,
+		Desc:       b.desc,
+		Program:    p,
+		TraceSteps: b.steps,
+		Seed:       int64(77 + i),
+	}, nil
 }
 
 // Names lists the suite's workload names, sorted.

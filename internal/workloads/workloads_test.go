@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"apbcc/internal/trace"
@@ -62,8 +64,65 @@ func TestByName(t *testing.T) {
 	if w.Name != "crc32" {
 		t.Error("wrong workload")
 	}
-	if _, err := ByName("quake3"); err == nil {
-		t.Error("unknown workload accepted")
+	if _, err := ByName("quake3"); !errors.Is(err, ErrUnknown) {
+		t.Errorf("ByName(quake3) = %v, want ErrUnknown", err)
+	}
+	if err := Check("quake3"); !errors.Is(err, ErrUnknown) {
+		t.Errorf("Check(quake3) = %v, want ErrUnknown", err)
+	}
+	if err := Check("crc32"); err != nil {
+		t.Errorf("Check(crc32) = %v", err)
+	}
+}
+
+// TestByNameMatchesSuite pins ByName's one-program build to the suite:
+// the same seeds give the same program, CFG and trace settings, and it
+// costs a fraction of the suite's allocations, so a revert to building
+// every program fails here.
+func TestByNameMatchesSuite(t *testing.T) {
+	all, err := Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	suiteAllocs := testing.AllocsPerRun(3, func() {
+		if _, err := Suite(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, want := range all {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || got.Desc != want.Desc || got.TraceSteps != want.TraceSteps || got.Seed != want.Seed {
+			t.Errorf("%s: ByName = {%q %q %d %d}, Suite = {%q %q %d %d}", want.Name,
+				got.Name, got.Desc, got.TraceSteps, got.Seed, want.Name, want.Desc, want.TraceSteps, want.Seed)
+		}
+		if !slices.Equal(got.Program.Ins, want.Program.Ins) {
+			t.Errorf("%s: instruction image differs from Suite's", want.Name)
+		}
+		gg, wg := got.Program.Graph, want.Program.Graph
+		if gg.Entry() != wg.Entry() || gg.NumBlocks() != wg.NumBlocks() {
+			t.Fatalf("%s: entry %d of %d blocks, Suite has %d of %d", want.Name,
+				gg.Entry(), gg.NumBlocks(), wg.Entry(), wg.NumBlocks())
+		}
+		for i, wb := range wg.Blocks() {
+			gb := gg.Blocks()[i]
+			if gb.Label != wb.Label || gb.Func != wb.Func || gb.Start != wb.Start || gb.End != wb.End {
+				t.Errorf("%s: block %d = %+v, Suite has %+v", want.Name, i, *gb, *wb)
+			}
+			if !slices.Equal(gg.Succs(gb.ID), wg.Succs(wb.ID)) {
+				t.Errorf("%s: block %d edges %v, Suite has %v", want.Name, i, gg.Succs(gb.ID), wg.Succs(wb.ID))
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ByName(want.Name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= suiteAllocs/4 {
+			t.Errorf("%s: ByName made %.0f allocations, Suite %.0f: want under a quarter", want.Name, allocs, suiteAllocs)
+		}
 	}
 }
 
@@ -191,6 +250,27 @@ func TestAccessPatternClasses(t *testing.T) {
 			}
 			if len(funcs) < 3 {
 				t.Errorf("%s: only %d functions; granularity ablation needs >= 3", w.Name, len(funcs))
+			}
+		}
+	})
+}
+
+// BenchmarkByName is the cold-start cost of one entry build's program
+// against the whole suite that ByName used to synthesize to return it.
+func BenchmarkByName(b *testing.B) {
+	b.Run("one", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ByName("fft"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("suite", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Suite(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
