@@ -7,7 +7,7 @@
 // Usage:
 //
 //	apcc-serve -addr :8080                        # serve
-//	apcc-serve -addr :8080 -store /var/lib/apcc   # + disk tier & warm restarts
+//	apcc-serve -addr :8080 -store /var/lib/apcc   # + persistence & warm restarts
 //	apcc-serve -loadgen -clients 32 -workload fft # loadgen against an
 //	                                              # in-process server
 //	apcc-serve -loadgen -target http://host:8080 -clients 64 -steps 1000
@@ -37,10 +37,13 @@ import (
 	"apbcc/internal/service"
 )
 
-// chaosDefaultProfile is the fault profile -chaos runs when -faults is
-// not given: 10% store reads delayed, 1% failing transiently, 0.1%
-// flipping a bit.
-const chaosDefaultProfile = "store.read-at:p=0.1,lat=2ms;store.read-at:p=0.01,err;store.read-at:p=0.001,bitflip"
+// chaosDefaultProfile is the fault profile -chaos loads under when
+// -faults is not given: 10% of decodes delayed and 1% of block computes
+// failing transiently. No request reads the store, so store faults
+// belong to the scenario's restart phase, which sets its own. The
+// scenario's clients unpack in the same process, so decode faults here
+// carry latency only.
+const chaosDefaultProfile = "compress.decode:p=0.1,lat=2ms;service.cache-compute:p=0.01,err"
 
 func main() {
 	var (
@@ -50,14 +53,14 @@ func main() {
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "pack/compress jobs that may run at once")
 		queue    = flag.Int("queue", 256, "pool backlog (jobs waiting for a slot) at which /v1/ requests\nare shed with 429 and Retry-After")
 		polName  = flag.String("policy", "klru", "block-cache replacement policy: "+strings.Join(policy.Names(), " | "))
-		storeDir = flag.String("store", "", "content-addressed disk store directory (word reads + warm restarts)")
+		storeDir = flag.String("store", "", "content-addressed disk store directory: built containers persist\nthere and a restart restores them warm (no request reads it)")
 
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline; expired requests get 504 (0 disables)")
-		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g.\n'store.read-at:p=0.1,lat=2ms;store.read-at:p=0.01,err'\n(also settable at runtime via POST /debug/faults)")
+		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g.\n'compress.decode:p=0.1,lat=2ms;compress.decode:p=0.01,err'\n(also settable at runtime via POST /debug/faults)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed (deterministic replay)")
 		faultsHTTP = flag.Bool("debug-faults", false, "mount the GET/POST /debug/faults runtime fault-control endpoint on\nthe serving mux (implied by -faults). Off by default: the endpoint\nmutates process-global fault state, so never expose it to untrusted\nclients")
 		chaos      = flag.Bool("chaos", false, "run the three-phase chaos scenario (requires -store):\nblock and word load under -faults (default "+
-			"10% lat / 1% err / 0.1% bitflip on store reads),\nword reads served from memory while every store read fails,\nthen from the store again once healed; exits non-zero on wrong bytes")
+			"10% decode latency / 1% transient block-compute errors),\na restart whose every store read flips a bit (each warm restore\nquarantined and rebuilt, every block and word checked), then a\nhealed restart that must restore warm; exits non-zero on wrong bytes")
 		retryBusy = flag.Bool("retry-busy", false, "loadgen: retry 429/503/504 responses with capped backoff")
 
 		traceRing = flag.Int("trace", 0, "request-trace ring capacity behind GET /debug/trace\n(0 = default of 256, negative disables tracing)")
@@ -326,10 +329,10 @@ func runCodecMix(cfg service.Config, target, workload string, clients, steps int
 }
 
 // runChaos runs the fault-injection end-to-end scenario and renders
-// its verdict: load under the profile, word reads degraded to memory
-// while every store read fails, and a healed recovery. Any wrong bytes
-// (or a store path that never degraded or never came back) exits
-// non-zero.
+// its verdict: load under the profile, a restart whose rotten warm
+// restores are quarantined and rebuilt, and a healed restart that
+// restores warm. Any wrong bytes (or a restore path that never rebuilt
+// or never came back warm) exits non-zero.
 func runChaos(cfg service.Config, profile string, faultSeed uint64, workload, codec string, clients, steps int, seed int64) error {
 	if cfg.StoreDir == "" {
 		return fmt.Errorf("-chaos requires -store")

@@ -4,15 +4,15 @@
 //
 //   - Transient errors are worth retrying: injected faults
 //     (faults.ErrTransient), interrupted or timed-out syscalls, I/O
-//     deadline misses. The word read path answers that request from
-//     memory and keeps the store object attached for the next one.
+//     deadline misses. A request that meets one answers 503, which the
+//     client may retry; nothing is quarantined.
 //   - Corrupt errors mean the bytes themselves are wrong
 //     (pack/compress/store ErrCorrupt chains). They are never
 //     retried — rereading a bad object yields the same bad object —
 //     and quarantine fires immediately.
 //   - Fatal errors are everything else: unknown objects, closed
 //     pools, cancelled contexts. No retry, no quarantine; the
-//     request fails or answers from memory.
+//     request fails.
 //
 // Classification priority is corrupt > transient > fatal, so a
 // corrupt error wrapped by a retryable transport layer still

@@ -22,18 +22,17 @@ import (
 // are the label values of the apcc_block_stage_seconds histogram and
 // the span names in /debug/trace.
 const (
-	StageRoute      = "route"        // entry resolution, id parse, request validation
-	StageBuild      = "build"        // (workload,codec) container build or warm restore
-	StageL1         = "l1"           // block-cache lookup; on a miss this span covers the compute
-	StageWordRead   = "l2-word-read" // sub-block word-span read through the v3 group directory
-	StageDecode     = "decode"       // codec DecompressAppend of one block (word-read memory fallback)
-	StageWrite      = "write"        // response headers + payload write
-	StageQuarantine = "quarantine"   // store object detached as corrupt (zero-duration event)
+	StageRoute  = "route"  // entry resolution, id parse, request validation
+	StageBuild  = "build"  // (workload,codec) container build or warm restore
+	StageL1     = "l1"     // block-cache lookup; on a miss this span covers the compute
+	StageDecode = "decode" // word-span decode from the resident container (covering groups or whole block)
+	StageWrite  = "write"  // response headers + payload write
 
-	// The server records none of these three; cmd/apcc-bench reads them.
+	// The server records none of these four; cmd/apcc-bench reads them.
 	StageL2Read    = "l2-read"
 	StageReadahead = "readahead"
 	StageRebuild   = "rebuild"
+	StageWordRead  = "l2-word-read"
 )
 
 // Span outcomes.
@@ -43,7 +42,6 @@ const (
 	OutcomeMiss      = "miss"
 	OutcomeCoalesced = "coalesced"
 	OutcomeError     = "error"
-	OutcomeCorrupt   = "corrupt"
 )
 
 // maxSpans bounds a trace's span count. Traces never grow past it:
@@ -161,20 +159,6 @@ func (h SpanHandle) End(outcome string) {
 	}
 }
 
-// Event records a zero-duration marker span (a quarantine, for
-// example) under the innermost open span.
-func (t *Trace) Event(stage, outcome string) {
-	if t == nil || len(t.spans) == cap(t.spans) {
-		return
-	}
-	t.spans = append(t.spans, Span{
-		Stage:   stage,
-		Outcome: outcome,
-		Parent:  t.cur,
-		StartNS: int64(time.Since(t.start)),
-	})
-}
-
 // Finish stamps the trace's end-to-end duration and outcome. Call
 // after the last span has ended and before Recorder.Record.
 func (t *Trace) Finish(outcome string) {
@@ -217,7 +201,7 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 }
 
 // FromContext returns the attached trace, nil when absent (or ctx is
-// nil). The nil result flows into Begin/Event/Finish as no-ops.
+// nil). The nil result flows into Begin/Finish as no-ops.
 func FromContext(ctx context.Context) *Trace {
 	if ctx == nil {
 		return nil

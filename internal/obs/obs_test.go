@@ -56,7 +56,6 @@ func TestNilTraceNoops(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sp := tr.Begin(StageL1)
 		sp.End(OutcomeHit)
-		tr.Event(StageQuarantine, OutcomeCorrupt)
 		tr.Finish(OutcomeHit)
 		tr.SetLabels("w", "c", 1)
 		c2 := WithTrace(ctx, tr)

@@ -256,29 +256,26 @@ func BenchmarkBlockSource(b *testing.B) {
 
 // BenchmarkWordRead prices the v3 sub-block serving path against what
 // it replaces: serving a single word (or a 16-word span) through the
-// container's group directory — one bounded ReadAt plus one-group
-// decode — versus decoding the whole 16 KiB block through the index
-// (l2-index-read) or re-running the compressor (full-rebuild). The
-// acceptance bar is the word read coming in an order of magnitude
+// container's group directory — resident, the server's path, decodes
+// the covering groups straight out of the entry's container; the
+// l2-word-read cases first read them from a store object with one
+// bounded ReadAt — versus decoding the whole 16 KiB block through the
+// index (l2-index-read) or re-running the compressor (full-rebuild).
+// The acceptance bar is the word read coming in an order of magnitude
 // under the whole-block decode for the group-capable codecs, at zero
 // steady-state allocations.
 func BenchmarkWordRead(b *testing.B) {
-	g := cfg.New()
 	const nblocks, words = 8, 4096 // 16 KiB blocks, production-sized
-	ids := make([]cfg.BlockID, nblocks)
-	for i := range ids {
-		ids[i] = g.AddBlock(fmt.Sprintf("b%d", i), words)
+	blockWords := make([]int, nblocks)
+	for i := range blockWords {
+		blockWords[i] = words
 	}
-	if err := g.SetEntry(ids[0]); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i+1 < len(ids); i++ {
-		g.MustAddEdge(ids[i], ids[i+1], cfg.EdgeJump, 1)
-	}
-	prog, err := program.Synthesize("bigblocks", g, 42)
+	prog := bigBlockProgram(b, blockWords...)
+	srv, err := New(Config{TraceRing: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	for _, codecName := range []string{"dict", "bdi", "cpack", "identity"} {
 		code, err := prog.CodeBytes()
 		if err != nil {
@@ -314,6 +311,19 @@ func BenchmarkWordRead(b *testing.B) {
 		id := len(plain) / 2
 		img := plain[id]
 
+		ent, _, _ := addEntry(b, srv, prog, codecName)
+		b.Run(codecName+"/resident", func(b *testing.B) {
+			dst := compress.GetBuf(len(img))
+			defer func() { compress.PutBuf(dst) }()
+			word := words/2 + 3 // mid-block, mid-group
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := ent.decodeWords(dst[:0], id, word, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		for _, span := range []struct {
 			name   string
 			nwords int

@@ -30,15 +30,17 @@
 //     container built is round-tripped through pack.Unpack before it is
 //     ever served, so the whole-image checksum is verified on the
 //     serving path, not just trusted from the packer. That verified
-//     container is the entry's only copy of its code.
+//     container is the entry's only copy of its code: block responses
+//     are slices of it, and word reads (?word=W&words=N) decode their
+//     span from it — only the covering word groups when the container
+//     has a v3 group directory, the whole block otherwise.
 //
 //   - an optional disk tier (Config.StoreDir, internal/store): a
 //     content-addressed container store. Built containers are
-//     persisted asynchronously; word reads go through a stored
-//     container's v3 group directory, their disk bytes cross-checked
-//     against the resident container; and a restarted server restores
+//     persisted asynchronously, and a restarted server restores
 //     previously-built (workload, codec) entries from disk without
-//     invoking the packer. Block reads never touch it.
+//     invoking the packer. No request reads it, and no entry holds a
+//     store object open.
 //
 //   - a load generator (loadgen.go) that replays internal/trace access
 //     patterns as HTTP block fetches from N concurrent simulated
@@ -55,6 +57,7 @@
 //	GET  /v1/pack/{workload}?codec=dict    whole verified container
 //	POST /v1/pack?name=N&codec=C           pack ERI32 assembly from the request body
 //	GET  /v1/block/{workload}/{id}?codec=C one compressed block + metadata headers
+//	     ...&word=W&words=N                 plain bytes of a word span of the block
 //
 // Metrics are rendered through internal/report so the service speaks
 // the same table/CSV dialect as the rest of the repo.

@@ -156,11 +156,12 @@ type Metrics struct {
 	Blocks    atomic.Int64 // block fetches served
 	BytesSent atomic.Int64 // payload bytes written
 
-	// Word-granular serving counters (the v3 sub-block path; word reads
-	// bypass the L1 block cache entirely).
-	WordReads      atomic.Int64 // word-span requests served from any source
-	StoreWordReads atomic.Int64 // word spans served through the store's group directory
-	WordFallbacks  atomic.Int64 // word spans decoded from the resident container
+	// Word-granular serving counters: every word span is decoded from
+	// the entry's resident container, bypassing the L1 block cache. The
+	// decoded counters are the word path's decompression overhead.
+	WordReads        atomic.Int64 // word-span requests served
+	WordGroups       atomic.Int64 // word groups decoded through a group directory
+	WordDecodedBytes atomic.Int64 // compressed bytes decoded: covering groups, or whole payloads
 
 	// Disk-store counters (all zero when no store is configured).
 	StoreWarm     atomic.Int64 // entries restored from the store without packing
@@ -175,6 +176,7 @@ type Metrics struct {
 
 	// Nothing writes these; they stay declared, always 0, only because
 	// cmd/apcc-bench reads them.
+	StoreWordReads                                             atomic.Int64
 	StoreL2Hits, StoreL2Misses, StoreReadahead                 atomic.Int64
 	RetrySuccess, RetryExhausted, RetryAborted, BreakerRejects atomic.Int64
 
@@ -295,6 +297,8 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 	svc.AddRow("packs_built_total", m.Packs.Load())
 	svc.AddRow("blocks_served_total", m.Blocks.Load())
 	svc.AddRow("word_reads_total", m.WordReads.Load())
+	svc.AddRow("word_groups_decoded_total", m.WordGroups.Load())
+	svc.AddRow("word_decoded_bytes_total", m.WordDecodedBytes.Load())
 	svc.AddRow("payload_bytes_total", m.BytesSent.Load())
 
 	ct := report.NewTable("block cache", "metric", "value")
@@ -330,8 +334,6 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 		dt.AddRow("refs", st.Refs)
 		dt.AddRow("warm_restores", m.StoreWarm.Load())
 		dt.AddRow("containers_persisted", m.StorePersists.Load())
-		dt.AddRow("word_reads", st.WordReads)
-		dt.AddRow("word_read_bytes", st.WordReadBytes)
 		dt.AddRow("put_bytes", st.PutBytes)
 		dt.AddRow("quarantined", st.Quarantined)
 		tables = append(tables, dt)

@@ -61,7 +61,8 @@ func TestPromEndpointValid(t *testing.T) {
 	for _, want := range []string{
 		"apcc_uptime_seconds", "apcc_http_requests_total", "apcc_http_errors_total",
 		"apcc_http_in_flight", "apcc_packs_built_total", "apcc_blocks_served_total",
-		"apcc_payload_bytes_total", "apcc_cache_events_total", "apcc_cache_entries",
+		"apcc_payload_bytes_total", "apcc_word_reads_total", "apcc_word_groups_decoded_total",
+		"apcc_word_decoded_bytes_total", "apcc_cache_events_total", "apcc_cache_entries",
 		"apcc_cache_bytes", "apcc_pool_workers", "apcc_pool_jobs_total",
 		"apcc_pool_in_flight",
 		"apcc_verify_unpacks_total", "apcc_verify_unpack_seconds_total",

@@ -44,10 +44,14 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 	p.Sample("apcc_blocks_served_total", nil, float64(m.Blocks.Load()))
 	p.Family("apcc_payload_bytes_total", "counter", "Payload bytes written to clients.")
 	p.Sample("apcc_payload_bytes_total", nil, float64(m.BytesSent.Load()))
-	p.Family("apcc_word_reads_total", "counter",
-		"Word-span reads served, by source (store = v3 group directory, memory = resident container decode).")
-	p.Sample("apcc_word_reads_total", []obs.Label{{Name: "source", Value: "store"}}, float64(m.StoreWordReads.Load()))
-	p.Sample("apcc_word_reads_total", []obs.Label{{Name: "source", Value: "memory"}}, float64(m.WordFallbacks.Load()))
+	p.Family("apcc_word_reads_total", "counter", "Word-span reads served, each decoded from the resident container.")
+	p.Sample("apcc_word_reads_total", nil, float64(m.WordReads.Load()))
+	p.Family("apcc_word_groups_decoded_total", "counter",
+		"Word groups decoded by word reads through a group directory (whole-block decodes add none).")
+	p.Sample("apcc_word_groups_decoded_total", nil, float64(m.WordGroups.Load()))
+	p.Family("apcc_word_decoded_bytes_total", "counter",
+		"Compressed bytes decoded by word reads: the covering groups, or the whole payload without a group directory.")
+	p.Sample("apcc_word_decoded_bytes_total", nil, float64(m.WordDecodedBytes.Load()))
 
 	p.Family("apcc_cache_events_total", "counter", "Block-cache events by kind.")
 	for _, e := range []struct {
@@ -109,10 +113,6 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 		p.Sample("apcc_store_warm_restores_total", nil, float64(m.StoreWarm.Load()))
 		p.Family("apcc_store_persists_total", "counter", "Containers persisted to the store.")
 		p.Sample("apcc_store_persists_total", nil, float64(m.StorePersists.Load()))
-		p.Family("apcc_store_word_reads_total", "counter", "Word-group reads through store objects' group directories.")
-		p.Sample("apcc_store_word_reads_total", nil, float64(st.WordReads))
-		p.Family("apcc_store_word_read_bytes_total", "counter", "Compressed bytes read by word-group reads.")
-		p.Sample("apcc_store_word_read_bytes_total", nil, float64(st.WordReadBytes))
 		p.Family("apcc_store_put_bytes_total", "counter", "Bytes written to the store.")
 		p.Sample("apcc_store_put_bytes_total", nil, float64(st.PutBytes))
 		p.Family("apcc_store_quarantined_total", "counter", "Objects quarantined as corrupt.")

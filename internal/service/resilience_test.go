@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,62 +24,78 @@ func resetFaults(t *testing.T) {
 	t.Cleanup(faults.Reset)
 }
 
-// buildAttached builds (workload, codec) through the HTTP API and
-// waits until the entry's own store object is attached — the
-// precondition for every store fault test below.
-func buildAttached(t *testing.T, s *Server, ts *httptest.Server, workload, codec string) {
+// buildPersisted builds (workload, codec) through the HTTP API and
+// waits until the entry's own ref is in the store — the precondition
+// for every restore fault test below.
+func buildPersisted(t *testing.T, s *Server, ts *httptest.Server, workload, codec string) {
 	t.Helper()
 	code, body, _ := get(t, ts.Client(), ts.URL+"/v1/pack/"+workload+"?codec="+codec)
 	if code != http.StatusOK {
 		t.Fatalf("build %s/%s: %d %s", workload, codec, code, body)
 	}
-	if err := s.waitAttached(context.Background(), workload, codec, 10*time.Second); err != nil {
+	if err := s.waitPersisted(context.Background(), workload, codec, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// checkServes fetches every block and every whole-block word span of
+// (workload, codec) and compares each with the oracle images.
+func checkServes(t *testing.T, ts *httptest.Server, workload, codecName string, want [][]byte, codec compress.Codec) {
+	t.Helper()
+	for id, img := range want {
+		code, body, hdr := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/%s/%d?codec=%s", ts.URL, workload, id, codecName))
+		if code != http.StatusOK {
+			t.Fatalf("block %d: %d %s", id, code, body)
+		}
+		if _, err := verifyBlock(codec, body, hdr, img, nil); err != nil {
+			t.Fatalf("block %d: %v", id, err)
+		}
+		code, body, _ = get(t, ts.Client(), wordURL(ts.URL, workload, id, codecName, 0, len(img)/isa.WordSize))
+		if code != http.StatusOK || !bytes.Equal(body, img) {
+			t.Fatalf("block %d word read: status %d, bytes equal %v", id, code, bytes.Equal(body, img))
+		}
+	}
+}
+
 // TestCorruptReadQuarantinedNeverRetried: a bit flip on the store read
-// path must not change any block response — blocks never leave memory —
-// and the word path's cross-check must catch it on the spot:
-// quarantine, answer from memory, and never read the object again.
+// path reaches no response. A live server never reads the store, so no
+// flip fires on its block or word reads. A restart's warm restore that
+// reads the rotten bytes fails the content hash, quarantines the
+// object and rebuilds the entry cold with the same bytes, and the
+// quarantined object is never read again.
 func TestCorruptReadQuarantinedNeverRetried(t *testing.T) {
 	resetFaults(t)
-	s, ts := newTestServerConfig(t, Config{Workers: 2, StoreDir: t.TempDir()})
-	buildAttached(t, s, ts, "crc32", "dict")
+	dir := t.TempDir()
+	s, ts := newTestServerConfig(t, Config{Workers: 2, StoreDir: dir})
+	buildPersisted(t, s, ts, "crc32", "dict")
 	want, codec := unpackedBlocks(t, ts, "crc32", "dict")
 	if err := faults.Set("store.read-at:p=1,bitflip"); err != nil {
 		t.Fatal(err)
 	}
-	code, body, hdr := get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=dict")
-	if code != http.StatusOK {
-		t.Fatalf("block fetch under bit flips: %d %s", code, body)
+	checkServes(t, ts, "crc32", "dict", want, codec)
+	if got := faults.InjectedTotal(faults.KindBitFlip); got != 0 {
+		t.Fatalf("%d bit flips on a live server, want 0 (no request reads the store)", got)
 	}
-	if _, err := verifyBlock(codec, body, hdr, want[0], nil); err != nil {
-		t.Fatalf("block fetch under bit flips: %v", err)
+	ts.Close()
+	s.Close()
+
+	s2, ts2 := newTestServerConfig(t, Config{Workers: 2, StoreDir: dir})
+	if code, _, _ := get(t, ts2.Client(), ts2.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
+		t.Fatalf("restart build under bit flips: status %d", code)
 	}
-	if got := s.Store().Stats().Quarantined; got != 0 {
-		t.Fatalf("quarantined = %d after a block fetch, want 0 (blocks never read the store)", got)
+	if got := faults.InjectedTotal(faults.KindBitFlip); got != 1 {
+		t.Fatalf("bit flips = %d, want 1 (the warm restore's read)", got)
 	}
-	nwords := len(want[0]) / isa.WordSize
-	code, body, hdr = get(t, ts.Client(), wordURL(ts.URL, "crc32", 0, "dict", 0, nwords))
-	if code != http.StatusOK || !bytes.Equal(body, want[0]) {
-		t.Fatalf("word read under bit flips: status %d, bytes equal %v", code, bytes.Equal(body, want[0]))
+	m := s2.Metrics()
+	if warm, packs, q := m.StoreWarm.Load(), m.Packs.Load(), s2.Store().Stats().Quarantined; warm != 0 || packs != 1 || q != 1 {
+		t.Fatalf("warm restores %d, packs %d, quarantined %d; want 0, 1, 1", warm, packs, q)
 	}
-	if got := hdr.Get(HeaderSource); got != "memory" {
-		t.Fatalf("source %q, want memory after the cross-check failed", got)
+	checkServes(t, ts2, "crc32", "dict", want, codec)
+	if got := faults.InjectedTotal(faults.KindBitFlip); got != 1 {
+		t.Fatalf("bit flips %d after serving: the quarantined object was read again", got)
 	}
-	if got := s.Store().Stats().Quarantined; got != 1 {
-		t.Fatalf("quarantined = %d, want 1", got)
-	}
-	// The object is detached: the next word read skips the store
-	// entirely, so no further bit flip fires and nothing is quarantined.
-	flips := faults.InjectedTotal(faults.KindBitFlip)
-	get(t, ts.Client(), wordURL(ts.URL, "crc32", 0, "dict", 0, 1))
-	if got := faults.InjectedTotal(faults.KindBitFlip); got != flips {
-		t.Fatalf("bit flips %d -> %d: the detached object was read again", flips, got)
-	}
-	if got := s.Store().Stats().Quarantined; got != 1 {
-		t.Fatalf("quarantined after detach = %d, want still 1", got)
+	if got := s2.Store().Stats().Quarantined; got != 1 {
+		t.Fatalf("quarantined after serving = %d, want still 1", got)
 	}
 }
 
@@ -281,10 +298,11 @@ func TestFaultsEndpointGated(t *testing.T) {
 }
 
 // TestChaosScenario runs the full three-phase chaos harness with a
-// fixed seed: injected latency, transient errors and bit flips during a
-// block and word load, word reads degraded to memory while every store
-// read fails, and a healed return to the store — with zero wrong bytes
-// end to end.
+// fixed seed: injected decode latency, block-compute latency and
+// transient errors during a block and word load; a restart whose every
+// store read flips a bit, so each warm restore is quarantined and
+// rebuilt and every block and word is checked; and a healed restart
+// that restores warm — with zero wrong bytes end to end.
 func TestChaosScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos scenario is seconds-long")
@@ -297,7 +315,11 @@ func TestChaosScenario(t *testing.T) {
 	lcfg := LoadConfig{
 		Workload: "sha", Codec: "dict", Clients: 4, Steps: 60, Seed: 7,
 	}
-	profile := "store.read-at:p=0.2,lat=1ms;store.read-at:p=0.05,err;store.read-at:p=0.02,bitflip"
+	// The in-process clients unpack their oracle through the same
+	// process-global fault layer, so compress.decode carries latency
+	// only here; the transient errors land on the first three block
+	// computes, which the clients retry.
+	profile := "compress.decode:p=0.2,lat=1ms;service.cache-compute:p=0.2,lat=1ms;service.cache-compute:p=1,err,n=3"
 	st, err := RunChaos(context.Background(), cfg, lcfg, profile, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -308,20 +330,22 @@ func TestChaosScenario(t *testing.T) {
 	if st.WrongBytes != 0 {
 		t.Fatalf("wrong bytes = %d, want 0", st.WrongBytes)
 	}
-	if st.Injected[faults.KindTransient] == 0 {
-		t.Fatal("no transient faults injected — the run exercised nothing")
+	if st.Injected[faults.KindTransient] == 0 || st.Injected[faults.KindBitFlip] == 0 {
+		t.Fatalf("injected %v — the run exercised nothing", st.Injected)
 	}
 	if st.Load.WordReads == 0 {
-		t.Fatal("phase 1 issued no word reads — the store path never ran")
+		t.Fatal("phase 1 issued no word reads")
 	}
-	if st.DegradedFetches == 0 || !st.Recovered {
-		t.Fatalf("degraded fetches = %d, recovered = %v; want > 0 and true", st.DegradedFetches, st.Recovered)
+	if st.Rebuilt != 1 || st.WarmRestores != 1 {
+		t.Fatalf("rebuilt restores = %d, warm restores = %d; want 1 and 1", st.Rebuilt, st.WarmRestores)
 	}
 	var sb strings.Builder
 	if err := st.WriteReport(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "wrong_bytes") {
-		t.Fatalf("report missing wrong_bytes row:\n%s", sb.String())
+	for _, row := range []string{"wrong_bytes", "rebuilt_restores", "warm_restores"} {
+		if !strings.Contains(sb.String(), row) {
+			t.Fatalf("report missing %s row:\n%s", row, sb.String())
+		}
 	}
 }

@@ -37,12 +37,9 @@ const (
 	HeaderWords = "X-Apcc-Words" // plain size in ERI32 words
 	HeaderCRC   = "X-Apcc-Crc32" // IEEE CRC-32 of the plain block image
 	HeaderCache = "X-Apcc-Cache" // hit | miss; "bypass" on word reads
-	// HeaderWord and HeaderSource are set only on word-read responses
-	// (?word=W&words=N): the span's first word index, and whether the
-	// bytes came through the store's v3 group directory ("store") or by
-	// decoding the entry's resident container ("memory").
-	HeaderWord   = "X-Apcc-Word"
-	HeaderSource = "X-Apcc-Source"
+	// HeaderWord is set only on word-read responses (?word=W&words=N):
+	// the span's first word index.
+	HeaderWord = "X-Apcc-Word"
 	// HeaderTrace and HeaderStages are only set when tracing is enabled:
 	// the request's trace id (correlate with /debug/trace) and its
 	// per-stage exclusive nanoseconds as "stage:ns;..." — everything but
@@ -78,11 +75,10 @@ type Config struct {
 	// resident longer (GreedyDual-Size over the codec cost model).
 	Policy string
 	// StoreDir, when non-empty, roots the content-addressed disk store:
-	// built containers are persisted there asynchronously, word reads
-	// go through the stored object's group directory, and a restart
-	// against a warm store serves previously-built containers without
-	// re-packing. Block reads never touch it: they are slices of the
-	// entry's resident container.
+	// built containers are persisted there asynchronously, and a restart
+	// against a warm store restores previously-built containers without
+	// re-packing. No request reads it: block and word reads are served
+	// from the entry's resident container.
 	StoreDir string
 	// TraceRing is the capacity of the completed-request trace ring
 	// behind GET /debug/trace. 0 selects the default of 256; negative
@@ -102,10 +98,10 @@ type Config struct {
 	// DebugFaults mounts the fault-injection control endpoint
 	// (GET/POST /debug/faults) on the serving mux. Off by default:
 	// unlike /debug/trace, the endpoint mutates process-global fault
-	// state, so an unauthenticated client could fail every store read
-	// and quarantine healthy objects with one request. Enable it only
-	// on chaos/debug deployments (apcc-serve arms it via -debug-faults,
-	// or implicitly when -faults is given).
+	// state, so an unauthenticated client could fail every decode or
+	// store read with one request. Enable it only on chaos/debug
+	// deployments (apcc-serve arms it via -debug-faults, or implicitly
+	// when -faults is given).
 	DebugFaults bool
 	// Log receives the server's structured events (request debug lines,
 	// quarantines, eviction storms). nil discards everything.
@@ -175,36 +171,87 @@ type entry struct {
 
 	// container is the verified container and the entry's only copy of
 	// its code: block responses are slices of it, and word reads decode
-	// from it when the store cannot serve them.
+	// from it.
 	container []byte
 	codec     compress.Codec
 	blocks    []blockLoc // per-block layout, copied out of the container's index
+	// groupOffs holds every block's word-group start offsets from the
+	// container's v3 group directory, flattened in block order and each
+	// relative to its block's payload start. nil when the container has
+	// no directory: word reads then decode the whole block.
+	groupOffs []uint32
 	keys      []string   // per-block content addresses, precomputed
 	hist      *Histogram // latency histogram for this entry's codec
-
-	// obj is the entry's open store object, which word reads go through.
-	// Set asynchronously after a cold build persists (or immediately on
-	// a warm restore); nil when no store is configured or the object
-	// went corrupt and was detached.
-	obj atomic.Pointer[store.Object]
 }
 
 // blockLoc is one block's row of an entry's layout table: where its
-// payload sits in the container and what its response advertises. The
-// table holds only these four words per block because a parsed
-// pack.Index per entry would cost more heap than keeping every block's
-// plain image.
+// payload and its word groups start and what its response advertises.
+// The row stays four words because a block's payload and group run end
+// where the next block's begin: pack.ParseIndex rejects payloads that
+// are not back to back, and the last block's end at the container's
+// (or groupOffs's) end. A parsed pack.Index per entry would cost more
+// heap than keeping every block's plain image.
 type blockLoc struct {
-	off, len uint32 // payload byte range within the container
-	crc      uint32 // IEEE CRC-32 of the plain block image
-	words    uint32 // plain size in ERI32 words
+	off   uint32 // payload start within the container
+	group uint32 // index of the block's first offset in entry.groupOffs
+	crc   uint32 // IEEE CRC-32 of the plain block image
+	words uint32 // plain size in ERI32 words
 }
 
 // payload returns block id's compressed payload: a zero-copy slice of
 // the container, capped so no append can write into it.
 func (e *entry) payload(id int) []byte {
-	b := e.blocks[id]
-	return e.container[b.off : b.off+b.len : b.off+b.len]
+	off, end := e.blocks[id].off, uint32(len(e.container))
+	if id+1 < len(e.blocks) {
+		end = e.blocks[id+1].off
+	}
+	return e.container[off:end:end]
+}
+
+// groups returns block id's word-group start offsets (nil without a
+// group directory).
+func (e *entry) groups(id int) []uint32 {
+	lo, hi := e.blocks[id].group, uint32(len(e.groupOffs))
+	if id+1 < len(e.blocks) {
+		hi = e.blocks[id+1].group
+	}
+	return e.groupOffs[lo:hi:hi]
+}
+
+// decodeWords appends words [word, word+nwords) of block id to dst,
+// decoding them from the resident container: only the covering word
+// groups when the container has a group directory, the whole block
+// otherwise. dst needs the block's plain size in spare capacity to stay
+// allocation-free. It also reports how many word groups and compressed
+// bytes it decoded; a whole-block decode counts its payload and no
+// groups. The container passed the full Unpack verification at build,
+// so the decode needs no check of its own. An injected compress.decode
+// fault fails it before anything is decoded.
+func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, groups, decoded int, err error) {
+	if err := compress.FaultDecode.Err(); err != nil {
+		return dst, 0, 0, fmt.Errorf("service: block %d word decode: %w", id, err)
+	}
+	comp, words := e.payload(id), int(e.blocks[id].words)
+	if gc, ok := compress.AsGroupCodec(e.codec); ok && e.groupOffs != nil {
+		offs := e.groups(id)
+		if out, err = compress.DecodeWordRange(dst, gc, comp, offs, words, word, nwords); err != nil {
+			return dst, 0, 0, err
+		}
+		gw := gc.GroupWords()
+		g0, g1 := word/gw, (word+nwords-1)/gw
+		end := len(comp)
+		if g1+1 < len(offs) {
+			end = int(offs[g1+1])
+		}
+		return out, g1 - g0 + 1, end - int(offs[g0]), nil
+	}
+	base := len(dst)
+	if out, err = e.codec.DecompressAppend(dst, comp); err != nil {
+		return dst, 0, 0, err
+	}
+	// Slide the span to the front of the decoded block and drop the rest.
+	n := copy(out[base:], out[base+word*isa.WordSize:base+(word+nwords)*isa.WordSize])
+	return out[:base+n], 0, len(comp), nil
 }
 
 // New builds a Server. Call Close when done to wait out its pack jobs.
@@ -261,8 +308,8 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the instrumented HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Close waits for in-flight store persists, closes the pool (waiting
-// for admitted jobs), and releases open store objects.
+// Close waits for in-flight store persists and closes the pool
+// (waiting for admitted jobs).
 func (s *Server) Close() {
 	// Flip closing under the same lock persistAsync uses for Add, so no
 	// Add can race the Wait below on a drained counter (sync.WaitGroup
@@ -272,13 +319,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.persistWG.Wait()
 	s.pool.Close()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, ent := range s.entries {
-		if obj := ent.obj.Swap(nil); obj != nil {
-			obj.Close()
-		}
-	}
 }
 
 // Store exposes the disk store (nil when not configured); tests and
@@ -538,7 +578,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.SetLabels(r.PathValue("workload"), ent.codec.Name(), id)
 	if q.Get("word") != "" {
-		s.serveWordRange(ctx, w, q, tr, rsp, ent, id)
+		s.serveWordRange(w, q, tr, rsp, ent, id)
 		return
 	}
 	blk := ent.blocks[id]
@@ -593,30 +633,17 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	s.finishTrace(tr, outcome)
 }
 
-// wordReadCompGuess pre-sizes the pooled compressed-bytes buffer for a
-// word read: small spans cover a handful of groups, far below one
-// block's payload.
-const wordReadCompGuess = 4 << 10
-
-// errWordMismatch marks a store word read whose compressed group bytes
-// differ from the entry's verified container.
-var errWordMismatch = errors.New("word groups read from the store differ from the entry's container")
-
 // serveWordRange handles ?word=W&words=N on the block endpoint — the
 // sub-block serving path. The response is the span's *plain* bytes
 // (N×4), not a compressed payload: a word read exists precisely so the
-// client skips its own full-block decode. The read prefers the store's
-// v3 group directory (a bounded ReadAt plus per-group decode, traced
-// as l2-word-read) and cross-checks the group bytes it read against
-// the entry's container — a partial decode has no CRC of its own, so
-// the container is the integrity authority, and a mismatch quarantines
-// the object before the span is decoded from memory instead. Word
-// reads never touch the L1 block cache in either direction: the cache
-// holds whole compressed blocks for full-block serving, and letting
-// sub-block probes admit or promote entries would let a word-scanning
-// client evict the real working set (pinned by
+// client skips its own full-block decode. The span is decoded from the
+// entry's resident container (decodeWords), traced as the decode stage.
+// Word reads never touch the L1 block cache in either direction: the
+// cache holds whole compressed blocks for full-block serving, and
+// letting sub-block probes admit or promote entries would let a
+// word-scanning client evict the real working set (pinned by
 // TestWordReadDoesNotTouchL1).
-func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, q url.Values, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
+func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
 	word, err := strconv.Atoi(q.Get("word"))
 	nwords := 1
 	if err == nil {
@@ -633,114 +660,35 @@ func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, q ur
 		return
 	}
 	rsp.End(obs.OutcomeOK)
-	dst := compress.GetBuf(nwords * isa.WordSize)
-	defer func() { compress.PutBuf(dst) }()
-	span, fromStore := s.wordSpanFromStore(ctx, ent, id, word, nwords, dst[:0])
-	source := "store"
-	if fromStore {
-		dst = span // recycle the (possibly grown) buffer
-		s.metrics.StoreWordReads.Add(1)
-	} else {
-		// Fallback (v2 containers, non-group codecs, failed reads,
-		// detached or absent objects): decode the resident payload.
-		var err error
-		if span, err = wordSpanFromMemory(ctx, ent, id, word, nwords, dst[:0]); err != nil {
-			s.finishTrace(tr, obs.OutcomeError)
-			http.Error(w, err.Error(), statusFor(err))
-			return
-		}
-		dst = span
-		source = "memory"
-		s.metrics.WordFallbacks.Add(1)
+	dsp := tr.Begin(obs.StageDecode)
+	buf := compress.GetBuf(blockWords * isa.WordSize)
+	defer func() { compress.PutBuf(buf) }()
+	buf, groups, decoded, err := ent.decodeWords(buf[:0], id, word, nwords)
+	if err != nil {
+		dsp.End(obs.OutcomeError)
+		s.finishTrace(tr, obs.OutcomeError)
+		http.Error(w, err.Error(), statusFor(err))
+		return
 	}
-	s.metrics.WordReads.Add(1)
+	dsp.End(obs.OutcomeOK)
 	wsp := tr.Begin(obs.StageWrite)
+	s.metrics.WordReads.Add(1)
+	s.metrics.WordGroups.Add(int64(groups))
+	s.metrics.WordDecodedBytes.Add(int64(decoded))
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderCodec, ent.codec.Name())
 	h.Set(HeaderWords, strconv.Itoa(nwords))
 	h.Set(HeaderWord, strconv.Itoa(word))
-	h.Set(HeaderSource, source)
-	h.Set(HeaderCRC, fmt.Sprintf("%08x", crc32.ChecksumIEEE(span)))
+	h.Set(HeaderCRC, fmt.Sprintf("%08x", crc32.ChecksumIEEE(buf)))
 	h.Set(HeaderCache, "bypass")
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
-	w.Write(span)
+	w.Write(buf)
 	wsp.End(obs.OutcomeOK)
 	s.finishTrace(tr, obs.OutcomeOK)
-}
-
-// wordSpanFromStore reads [word, word+nwords) of block id through the
-// entry's store object and its container's v3 group directory,
-// appending the plain bytes to dst. It reports false — decode from the
-// resident container instead — when there is no attached object, the
-// container predates v3 or its codec cannot decode groups, or the read
-// fails. Failed reads are triaged through errclass: only corrupt bytes
-// — and any cross-check mismatch — detach and quarantine the object,
-// because a store that cannot reproduce the entry's bytes must not
-// serve anyone again. A transient hiccup, a dying context, or a benign
-// miss (ErrNoGroupIndex) costs this request the store path, never the
-// entry its healthy object.
-func (s *Server) wordSpanFromStore(ctx context.Context, ent *entry, id, word, nwords int, dst []byte) ([]byte, bool) {
-	obj := ent.obj.Load()
-	if obj == nil || !obj.HasGroupIndex() {
-		return dst, false
-	}
-	comp := compress.GetBuf(wordReadCompGuess)
-	defer func() { compress.PutBuf(comp) }()
-	var plain []byte
-	comp, plain, err := obj.ReadWordRangeCtx(ctx, ent.codec, id, word, nwords, comp[:0], dst)
-	if err != nil {
-		if errclass.IsCorrupt(err) {
-			s.detachObject(obs.FromContext(ctx), ent, obj, id, "word range read", err)
-		}
-		return dst, false
-	}
-	// A partial decode has no CRC of its own; the resident container is
-	// the authority. attachObject proved the object's layout is the
-	// container's, so the group bytes read from disk must equal the same
-	// range of ent.container, and that range lies inside block id.
-	start, _ := obj.Index().WordGroupSpan(id, word, nwords)
-	off := int64(ent.blocks[id].off) + start
-	if !bytes.Equal(comp, ent.container[off:off+int64(len(comp))]) {
-		s.detachObject(obs.FromContext(ctx), ent, obj, id, "word range cross-check", errWordMismatch)
-		return dst, false
-	}
-	return plain, true
-}
-
-// wordSpanFromMemory appends [word, word+nwords) of block id to dst by
-// decoding the block's resident payload into pooled scratch. The
-// container passed the full Unpack verification at build, so the
-// decode needs no check of its own.
-func wordSpanFromMemory(ctx context.Context, ent *entry, id, word, nwords int, dst []byte) ([]byte, error) {
-	sp := obs.FromContext(ctx).Begin(obs.StageDecode)
-	scratch := compress.GetBuf(int(ent.blocks[id].words) * isa.WordSize)
-	defer func() { compress.PutBuf(scratch) }()
-	plain, err := ent.codec.DecompressAppend(scratch[:0], ent.payload(id))
-	if err != nil {
-		sp.End(obs.OutcomeError)
-		return dst, err
-	}
-	scratch = plain
-	sp.End(obs.OutcomeOK)
-	return append(dst, plain[word*isa.WordSize:(word+nwords)*isa.WordSize]...), nil
-}
-
-// detachObject quarantines a store object that failed verification and
-// detaches it from the entry (first failure wins; later racers no-op),
-// degrading that entry's word reads to the resident container instead
-// of retrying corrupt disk forever.
-func (s *Server) detachObject(tr *obs.Trace, ent *entry, obj *store.Object, block int, what string, err error) {
-	if ent.obj.CompareAndSwap(obj, nil) {
-		s.store.Quarantine(obj.Key())
-		obj.Close()
-		tr.Event(obs.StageQuarantine, obs.OutcomeCorrupt)
-		s.log.Warn("store object quarantined, detaching from entry",
-			"key", shortKey(obj.Key()), "block", block, "what", what, "err", err)
-	}
 }
 
 // stagesHeader renders a trace's spans as "stage:exclNS;..." for the
@@ -905,7 +853,7 @@ func (s *Server) build(ent *entry, workload, codecName string) error {
 	}
 	s.metrics.Packs.Add(1)
 	if s.store != nil {
-		s.persistAsync(ent, store.RefName(workload, codecName), container)
+		s.persistAsync(store.RefName(workload, codecName), container)
 	}
 	return nil
 }
@@ -933,49 +881,15 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	if err := s.finishEntry(ent, container, p, codec); err != nil {
 		return false
 	}
-	if obj, err := s.store.Open(key); err == nil {
-		s.attachObject(ent, obj)
-	}
 	s.metrics.StoreWarm.Add(1)
 	return true
-}
-
-// attachObject binds an open store object to its entry after proving
-// the object's layout is the entry's container's: the same size and the
-// same metadata prefix, so every index field — block table, group
-// directory, codec model — is the same. store.Open parses whatever
-// index is on disk without re-hashing it, and the word path slices
-// ent.container at the object's group offsets, so an object whose index
-// disagrees is corrupt-or-wrong and gets quarantined instead. An object
-// whose prefix cannot be read is closed but left on disk.
-func (s *Server) attachObject(ent *entry, obj *store.Object) {
-	ok := obj.Size() == int64(len(ent.container))
-	if ok {
-		meta, err := obj.ReadMeta()
-		if err != nil {
-			obj.Close()
-			s.log.Warn("store object metadata unreadable, not attached",
-				"key", shortKey(obj.Key()), "err", err)
-			return
-		}
-		ok = bytes.Equal(meta, ent.container[:len(meta)])
-	}
-	if !ok {
-		s.store.Quarantine(obj.Key())
-		obj.Close()
-		s.log.Warn("store object layout does not match entry, quarantined",
-			"key", shortKey(obj.Key()))
-		return
-	}
-	if !ent.obj.CompareAndSwap(nil, obj) {
-		obj.Close() // someone else attached first
-	}
 }
 
 // finishEntry fills the entry's serving state from a verified
 // (container, reconstructed program, codec) triple. The program's plain
 // block images are needed only to derive the cache keys; the entry
-// keeps the container and a layout table copied out of its index.
+// keeps the container, a layout table copied out of its index, and the
+// index's group directory as one flat offset table.
 func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, codec compress.Codec) error {
 	plain, err := p.AllBlockBytes()
 	if err != nil {
@@ -985,17 +899,25 @@ func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, c
 	if err != nil {
 		return err
 	}
+	gc, grouped := compress.AsGroupCodec(codec)
 	if len(idx.Blocks) != len(plain) || idx.PayloadBase+idx.PayloadLen != int64(len(container)) ||
-		len(container) > math.MaxUint32 {
+		len(container) > math.MaxUint32 ||
+		idx.HasGroupIndex() && (!grouped || gc.GroupWords() != idx.GroupWords) {
 		return fmt.Errorf("service: %s container layout does not fit its program", p.Name)
+	}
+	var offs []uint32
+	if idx.HasGroupIndex() {
+		offs = make([]uint32, 0, idx.NumGroups())
 	}
 	blocks := make([]blockLoc, len(idx.Blocks))
 	for i, e := range idx.Blocks {
-		blocks[i] = blockLoc{off: uint32(idx.PayloadBase + e.Off), len: uint32(e.Len), crc: e.CRC, words: uint32(e.Words)}
+		blocks[i] = blockLoc{off: uint32(idx.PayloadBase + e.Off), group: uint32(len(offs)), crc: e.CRC, words: uint32(e.Words)}
+		offs = append(offs, idx.BlockGroupOffsets(i)...)
 	}
 	ent.container = container
 	ent.codec = codec
 	ent.blocks = blocks
+	ent.groupOffs = offs
 	ent.keys = BlockAddresses(codec.Name(), compress.MarshalModel(codec), plain)
 	// Resolve the histogram once so the hot path never takes the
 	// metrics mutex.
@@ -1003,13 +925,12 @@ func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, c
 	return nil
 }
 
-// persistAsync writes a freshly-built container to the disk store
-// through the pool, without blocking the requester that triggered the
-// build. Once the object and its ref land, the entry is handed the
-// open object so later word reads can go through it. Persistence is
-// best-effort: a failure is logged and leaves the entry serving from
-// memory exactly as if no store were configured.
-func (s *Server) persistAsync(ent *entry, name string, container []byte) {
+// persistAsync writes a freshly-built container and its ref to the
+// disk store through the pool, without blocking the requester that
+// triggered the build, so a restart can restore it. Persistence is
+// best-effort: a failure is logged and changes nothing the entry
+// serves.
+func (s *Server) persistAsync(name string, container []byte) {
 	s.mu.Lock()
 	if s.closing {
 		// Shutting down: the pool is (about to be) closed and Close may
@@ -1031,12 +952,6 @@ func (s *Server) persistAsync(ent *entry, name string, container []byte) {
 			if err := s.store.PutRef(name, key); err != nil {
 				return err
 			}
-			if obj, err := s.store.Open(key); err != nil {
-				s.log.Warn("persisted container not attached, word reads stay in memory",
-					"ref", name, "key", shortKey(key), "err", err)
-			} else {
-				s.attachObject(ent, obj)
-			}
 			s.metrics.StorePersists.Add(1)
 			return nil
 		})
@@ -1044,7 +959,7 @@ func (s *Server) persistAsync(ent *entry, name string, container []byte) {
 			if key == "" {
 				key = store.Key(container)
 			}
-			s.log.Warn("container persist failed, entry serves from memory",
+			s.log.Warn("container persist failed, a restart will rebuild it",
 				"ref", name, "key", shortKey(key), "err", err)
 		}
 	}()

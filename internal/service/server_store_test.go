@@ -13,7 +13,6 @@ import (
 
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
-	"apbcc/internal/isa"
 	"apbcc/internal/pack"
 	"apbcc/internal/store"
 	"apbcc/internal/workloads"
@@ -85,7 +84,7 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 
 	// /metrics must surface the store tier.
 	m := metricsCSV(t, ts2.Client(), ts2.URL)
-	for _, key := range []string{"warm_restores", "containers_persisted", "word_read_bytes"} {
+	for _, key := range []string{"warm_restores", "containers_persisted", "put_bytes"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing store counter %q", key)
 		}
@@ -96,72 +95,13 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 }
 
 // TestStoreCorruptionNeverReachesBlocks: when the on-disk object rots
-// under a live server, no block response changes — blocks are slices of
-// the resident container — and the first word read over the rotten
-// bytes catches it in the cross-check, quarantines the object, and
-// answers correctly from memory.
+// under a live server — one payload byte flipped, or another codec's
+// container in its place — no block or word response changes and
+// nothing is quarantined, because no request reads the store. A
+// restart then finds the rot at its warm restore: the content hash
+// fails, the object is quarantined, and the entry is rebuilt cold with
+// the same bytes.
 func TestStoreCorruptionNeverReachesBlocks(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServerConfig(t, storeConfig(dir))
-
-	code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict")
-	if code != http.StatusOK {
-		t.Fatalf("pack: status %d", code)
-	}
-	// Wait for the async persist, then corrupt the object in place.
-	s.persistWG.Wait()
-	key, ok := s.Store().Ref(store.RefName("crc32", "dict"))
-	if !ok {
-		t.Fatal("no ref after persist")
-	}
-	path := filepath.Join(dir, "objects", key[:2], key)
-	mut := bytes.Clone(container)
-	mut[len(mut)-1] ^= 0xff // last block's payload bytes
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	prog, codec, _, err := pack.Unpack("crc32", container)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prog.AllBlockBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range want {
-		code, payload, hdr := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/crc32/%d?codec=dict", ts.URL, id))
-		if code != http.StatusOK {
-			t.Fatalf("block %d: status %d", id, code)
-		}
-		if _, err := verifyBlock(codec, payload, hdr, want[id], nil); err != nil {
-			t.Fatalf("block %d served corrupt data: %v", id, err)
-		}
-	}
-	if st := s.Store().Stats(); st.Quarantined != 0 {
-		t.Fatalf("quarantined = %d after block reads, want 0 (blocks never read the store)", st.Quarantined)
-	}
-	last := len(want) - 1
-	code, body, hdr := get(t, ts.Client(), wordURL(ts.URL, "crc32", last, "dict", 0, len(want[last])/isa.WordSize))
-	if code != http.StatusOK || !bytes.Equal(body, want[last]) {
-		t.Fatalf("word read over rotten bytes: status %d, bytes equal %v", code, bytes.Equal(body, want[last]))
-	}
-	if got := hdr.Get(HeaderSource); got != "memory" {
-		t.Fatalf("source %q, want memory", got)
-	}
-	if st := s.Store().Stats(); st.Quarantined != 1 {
-		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
-	}
-}
-
-// TestAttachRejectsMismatchedLayout: store.Open parses whatever index is
-// on disk without re-hashing it, so attachObject must prove an object's
-// layout is the entry's container's before the word path slices the
-// container at the object's offsets. A disagreeing object is quarantined
-// at attach and word reads answer from memory.
-func TestAttachRejectsMismatchedLayout(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServerConfig(t, storeConfig(dir))
 	wl, err := workloads.ByName("crc32")
 	if err != nil {
 		t.Fatal(err)
@@ -170,68 +110,57 @@ func TestAttachRejectsMismatchedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := func(codecName string) []byte {
-		t.Helper()
-		c, err := compress.New(codecName, code)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pack.Pack(wl.Program, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	dict := packed("dict")
-	// Plant a bdi container under the key of the dict container the
-	// server is about to build: the persist's Put finds the key present
-	// and keeps the planted bytes, which Open then parses.
-	key := store.Key(dict)
-	path := filepath.Join(dir, "objects", key[:2], key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	bdi, err := compress.New("bdi", code)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, packed("bdi"), 0o644); err != nil {
+	planted, err := pack.Pack(wl.Program, bdi)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := unpackedBlocks(t, ts, "crc32", "dict")
-	s.persistWG.Wait()
-	if got := s.Store().Stats().Quarantined; got != 1 {
-		t.Fatalf("quarantined = %d, want 1 (planted object rejected at attach)", got)
-	}
-	s.mu.Lock()
-	ent := s.entries[store.RefName("crc32", "dict")]
-	s.mu.Unlock()
-	if ent.obj.Load() != nil {
-		t.Fatal("object with a disagreeing index was attached")
-	}
-	_, body, hdr := get(t, ts.Client(), wordURL(ts.URL, "crc32", 0, "dict", 0, 1))
-	if got := hdr.Get(HeaderSource); got != "memory" || !bytes.Equal(body, want[0][:isa.WordSize]) {
-		t.Fatalf("word read: source %q, bytes equal %v; want memory, true", got, bytes.Equal(body, want[0][:isa.WordSize]))
-	}
+	for _, c := range []struct {
+		name string
+		rot  func(container []byte) []byte
+	}{
+		{"flipped", func(container []byte) []byte {
+			mut := bytes.Clone(container)
+			mut[len(mut)-1] ^= 0xff // last block's payload bytes
+			return mut
+		}},
+		{"planted", func([]byte) []byte { return planted }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, ts := newTestServerConfig(t, storeConfig(dir))
+			buildPersisted(t, s, ts, "crc32", "dict")
+			key, ok := s.Store().Ref(store.RefName("crc32", "dict"))
+			if !ok {
+				t.Fatal("no ref after persist")
+			}
+			want, codec := unpackedBlocks(t, ts, "crc32", "dict")
+			_, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict")
+			path := filepath.Join(dir, "objects", key[:2], key)
+			if err := os.WriteFile(path, c.rot(container), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			checkServes(t, ts, "crc32", "dict", want, codec)
+			if st := s.Store().Stats(); st.Quarantined != 0 {
+				t.Fatalf("quarantined = %d on a live server, want 0 (no request reads the store)", st.Quarantined)
+			}
+			ts.Close()
+			s.Close()
 
-	// Same size, last metadata byte apart: rejected too. The genuine
-	// object attaches.
-	for _, flip := range []bool{true, false} {
-		k, err := s.Store().Put(dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		obj, err := s.Store().Open(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &entry{container: bytes.Clone(ent.container)}
-		if flip {
-			e.container[ent.blocks[0].off-1] ^= 1
-		}
-		s.attachObject(e, obj)
-		if attached := e.obj.Load() != nil; attached == flip {
-			t.Fatalf("flipped metadata %v: attached %v", flip, attached)
-		}
-		if !flip {
-			e.obj.Load().Close()
-		}
+			s2, ts2 := newTestServerConfig(t, storeConfig(dir))
+			code, warm, _ := get(t, ts2.Client(), ts2.URL+"/v1/pack/crc32?codec=dict")
+			if code != http.StatusOK || !bytes.Equal(warm, container) {
+				t.Fatalf("restart over rotten store: status %d, container equal %v", code, bytes.Equal(warm, container))
+			}
+			m := s2.Metrics()
+			if w, p, q := m.StoreWarm.Load(), m.Packs.Load(), s2.Store().Stats().Quarantined; w != 0 || p != 1 || q != 1 {
+				t.Fatalf("warm restores %d, packs %d, quarantined %d; want 0, 1, 1", w, p, q)
+			}
+			checkServes(t, ts2, "crc32", "dict", want, codec)
+		})
 	}
 }
 
@@ -268,16 +197,13 @@ func TestRunColdWarmScenario(t *testing.T) {
 }
 
 // TestPersistFailureLogged: a persist that fails is logged at Warn with
-// its ref name and key, and leaves the entry serving from memory with
-// no store object. A failed put is not counted as a persist; a put
-// whose object then fails to open is.
+// its ref name and key, is not counted as a persist, and leaves no ref
+// for a restart to restore.
 func TestPersistFailureLogged(t *testing.T) {
-	for _, c := range []struct {
-		name, fault, msg string
-		persists         int64
-	}{
-		{"put", "store.write:p=1,err", "container persist failed", 0},
-		{"open", "pack.index-read:p=1,err", "persisted container not attached", 1},
+	const msg = "container persist failed"
+	for _, c := range []struct{ name, fault string }{
+		{"put", "store.write:p=1,err"},
+		{"fsync", "store.fsync:p=1,err"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			resetFaults(t)
@@ -291,23 +217,17 @@ func TestPersistFailureLogged(t *testing.T) {
 			if code, body, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
 				t.Fatalf("build under %s: %d %s", c.fault, code, body)
 			}
-			// Wait for the persist as Close does, and look at the entry
-			// before Close detaches every object.
-			s.persistWG.Wait()
-			s.mu.Lock()
-			ent := s.entries[store.RefName("crc32", "dict")]
-			s.mu.Unlock()
-			if ent.obj.Load() != nil {
-				t.Fatal("entry has a store object after its persist failed")
+			s.Close() // waits for the persist
+			if _, ok := s.Store().Ref(store.RefName("crc32", "dict")); ok {
+				t.Fatal("store has a ref after its persist failed")
 			}
-			s.Close()
 			log := logBuf.String()
-			if !strings.Contains(log, "level=WARN") || !strings.Contains(log, c.msg) ||
+			if !strings.Contains(log, "level=WARN") || !strings.Contains(log, msg) ||
 				!strings.Contains(log, "crc32") || !strings.Contains(log, "key=") {
-				t.Fatalf("log lacks the %q warning with ref and key:\n%s", c.msg, log)
+				t.Fatalf("log lacks the %q warning with ref and key:\n%s", msg, log)
 			}
-			if got := s.Metrics().StorePersists.Load(); got != c.persists {
-				t.Fatalf("StorePersists = %d, want %d", got, c.persists)
+			if got := s.Metrics().StorePersists.Load(); got != 0 {
+				t.Fatalf("StorePersists = %d, want 0", got)
 			}
 		})
 	}

@@ -530,3 +530,36 @@ func TestCachedBlockGetAllocs(t *testing.T) {
 		t.Errorf("cached block GET makes %v allocations, want at most 14", allocs)
 	}
 }
+
+// TestWordGetAllocs pins the allocations of an untraced word GET
+// through Handler(), beside TestCachedBlockGetAllocs: a two-word span
+// of fft block 3 under each group-decoding codec, decoded from the
+// resident container into pooled scratch. A -race build drops
+// sync.Pool entries at random, so the pin is skipped there.
+func TestWordGetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
+	}
+	s, err := New(Config{TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, codec := range []string{"dict", "bdi", "cpack"} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/block/fft/3?codec="+codec+"&word=1&words=2", nil)
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req) // build the entry
+		if got := w.h.Get(HeaderWords); got != "2" {
+			t.Fatalf("%s: %s = %q, want 2", codec, HeaderWords, got)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			clear(w.h)
+			h.ServeHTTP(w, req)
+		})
+		// The decode allocates nothing: it fills pooled scratch.
+		if allocs > 18 {
+			t.Errorf("%s word GET makes %v allocations, want at most 18", codec, allocs)
+		}
+	}
+}

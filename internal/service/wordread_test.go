@@ -7,14 +7,18 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/http"
-	"os"
-	"path/filepath"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"apbcc/internal/cfg"
+	"apbcc/internal/compress"
 	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/pack"
+	"apbcc/internal/program"
 	"apbcc/internal/store"
+	"apbcc/internal/workloads"
 )
 
 // wordURL builds a word-read request URL.
@@ -22,26 +26,73 @@ func wordURL(base, workload string, id int, codec string, word, nwords int) stri
 	return fmt.Sprintf("%s/v1/block/%s/%d?codec=%s&word=%d&words=%d", base, workload, id, codec, word, nwords)
 }
 
-// TestWordReadServesSpan is the serving-path acceptance pin: with the
-// disk tier attached, ?word=W&words=N must return exactly the plain
-// span's bytes, marked as served through the store's group directory,
-// and the l2-word-read stage must reach the Prometheus exposition.
+// bigBlockProgram synthesizes a straight-line program whose blocks have
+// the given word counts: 4096 words makes a production-sized 16 KiB
+// block, far above the suite's.
+func bigBlockProgram(tb testing.TB, blockWords ...int) *program.Program {
+	tb.Helper()
+	g := cfg.New()
+	ids := make([]cfg.BlockID, len(blockWords))
+	for i, words := range blockWords {
+		ids[i] = g.AddBlock(fmt.Sprintf("b%d", i), words)
+	}
+	if err := g.SetEntry(ids[0]); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i+1 < len(ids); i++ {
+		g.MustAddEdge(ids[i], ids[i+1], cfg.EdgeJump, 1)
+	}
+	prog, err := program.Synthesize("bigblocks", g, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
+// addEntry packs prog under codecName and installs the verified
+// container as the server's (prog.Name, codecName) entry, the way a
+// build does, returning the entry, its unpacked block images and codec.
+func addEntry(tb testing.TB, s *Server, prog *program.Program, codecName string) (*entry, [][]byte, compress.Codec) {
+	tb.Helper()
+	code, err := prog.CodeBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := compress.New(codecName, code)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	container, err := pack.Pack(prog, c)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	up, codec, _, err := pack.Unpack(prog.Name, container)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ent := &entry{ready: make(chan struct{})}
+	if err := s.finishEntry(ent, container, up, codec); err != nil {
+		tb.Fatal(err)
+	}
+	close(ent.ready)
+	s.mu.Lock()
+	s.entries[store.RefName(prog.Name, codecName)] = ent
+	s.mu.Unlock()
+	want, err := up.AllBlockBytes()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ent, want, codec
+}
+
+// TestWordReadServesSpan is the serving-path acceptance pin:
+// ?word=W&words=N must return exactly the plain span's bytes, decoded
+// from the resident container even with a store configured, and the
+// decode stage and the word counters must reach the Prometheus
+// exposition.
 func TestWordReadServesSpan(t *testing.T) {
 	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
-	code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec=dict")
-	if code != http.StatusOK {
-		t.Fatalf("pack: status %d", code)
-	}
-	s.persistWG.Wait() // the store object attaches after the async persist
-
-	prog, _, _, err := pack.Unpack("fft", container)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prog.AllBlockBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := unpackedBlocks(t, ts, "fft", "dict")
 	for id := range want {
 		blockWords := len(want[id]) / isa.WordSize
 		for _, span := range [][2]int{{0, 1}, {blockWords / 2, 1}, {blockWords - 1, 1}, {0, blockWords}, {1, blockWords - 1}} {
@@ -57,35 +108,37 @@ func TestWordReadServesSpan(t *testing.T) {
 			if !bytes.Equal(body, wantSpan) {
 				t.Fatalf("block %d word %d+%d: span bytes differ", id, word, nwords)
 			}
-			if got := hdr.Get(HeaderSource); got != "store" {
-				t.Fatalf("block %d word %d+%d: source %q, want store", id, word, nwords, got)
-			}
 			if got := hdr.Get(HeaderCRC); got != fmt.Sprintf("%08x", crc32.ChecksumIEEE(wantSpan)) {
 				t.Fatalf("block %d word %d+%d: CRC header %q mismatch", id, word, nwords, got)
 			}
 			if got := hdr.Get(HeaderCache); got != "bypass" {
 				t.Fatalf("word read cache header %q, want bypass", got)
 			}
+			if got := hdr.Get("X-Apcc-Source"); got != "" {
+				t.Fatalf("word read carries X-Apcc-Source %q; the header is gone", got)
+			}
 		}
 	}
-	if got := s.Metrics().StoreWordReads.Load(); got == 0 {
-		t.Fatal("no word reads went through the store path")
+	if got := s.Metrics().WordReads.Load(); got == 0 {
+		t.Fatal("no word read counted")
 	}
-	if got := s.Metrics().WordFallbacks.Load(); got != 0 {
-		t.Fatalf("word fallbacks = %d, want 0 (object attached, codec group-capable)", got)
-	}
-	if st := s.Store().Stats(); st.WordReads == 0 || st.WordReadBytes == 0 {
-		t.Fatalf("store word-read counters not advanced: %+v", st)
+	if st := s.Store().Stats(); st.WordReads != 0 || st.WordReadBytes != 0 {
+		t.Fatalf("word reads advanced store counters: %+v", st)
 	}
 
-	// The trace stage and the counters must surface in the exposition.
 	code, prom, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics/prom: status %d", code)
 	}
-	for _, needle := range []string{`stage="l2-word-read"`, "apcc_store_word_reads_total", `apcc_word_reads_total{source="store"}`} {
+	for _, needle := range []string{`stage="decode"`, "apcc_word_reads_total ",
+		"apcc_word_groups_decoded_total ", "apcc_word_decoded_bytes_total "} {
 		if !bytes.Contains(prom, []byte(needle)) {
 			t.Errorf("/metrics/prom missing %q", needle)
+		}
+	}
+	for _, gone := range []string{`stage="l2-word-read"`, "apcc_store_word_read", `source="`} {
+		if bytes.Contains(prom, []byte(gone)) {
+			t.Errorf("/metrics/prom still carries %q", gone)
 		}
 	}
 }
@@ -115,15 +168,21 @@ func TestWordReadDoesNotTouchL1(t *testing.T) {
 }
 
 // TestWordReadMemoryFallback: entropy codecs have no group directory,
-// so word reads serve from the entry's in-memory image — still correct,
-// marked "memory", and counted as fallbacks.
+// so a word read decodes the entry's whole resident block — still
+// correct, and counted as the block's whole payload with no groups.
 func TestWordReadMemoryFallback(t *testing.T) {
 	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
 	code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec=huffman")
 	if code != http.StatusOK {
 		t.Fatalf("pack: status %d", code)
 	}
-	s.persistWG.Wait()
+	idx, err := pack.ParseIndex(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.HasGroupIndex() {
+		t.Fatal("huffman container carries a group directory")
+	}
 	prog, _, _, err := pack.Unpack("fft", container)
 	if err != nil {
 		t.Fatal(err)
@@ -132,21 +191,16 @@ func TestWordReadMemoryFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body, hdr := get(t, ts.Client(), wordURL(ts.URL, "fft", 0, "huffman", 2, 3))
+	code, body, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", 0, "huffman", 2, 3))
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if !bytes.Equal(body, want[0][2*isa.WordSize:5*isa.WordSize]) {
-		t.Fatal("fallback span bytes differ")
+		t.Fatal("whole-block decode span bytes differ")
 	}
-	if got := hdr.Get(HeaderSource); got != "memory" {
-		t.Fatalf("source %q, want memory", got)
-	}
-	if got := s.Metrics().WordFallbacks.Load(); got != 1 {
-		t.Fatalf("fallbacks = %d, want 1", got)
-	}
-	if got := s.Metrics().StoreWordReads.Load(); got != 0 {
-		t.Fatalf("store word reads = %d, want 0 for an entropy codec", got)
+	m := s.Metrics()
+	if groups, decoded := m.WordGroups.Load(), m.WordDecodedBytes.Load(); groups != 0 || decoded != idx.Blocks[0].Len {
+		t.Fatalf("groups %d, decoded bytes %d; want 0 and block 0's %d payload bytes", groups, decoded, idx.Blocks[0].Len)
 	}
 }
 
@@ -166,15 +220,11 @@ func TestWordReadBadRange(t *testing.T) {
 }
 
 // TestRunLoadWordReadScenario drives the loadgen wordread mix end to
-// end: a store-backed server, half the fetches as zipf word reads, all
-// verified client-side, and every JSONL row of a word read carrying
-// its requested span.
+// end: half the fetches as zipf word reads, all verified client-side,
+// and every JSONL row of a word read carrying its requested span and
+// its decode stage.
 func TestRunLoadWordReadScenario(t *testing.T) {
-	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
-	if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec=dict"); code != http.StatusOK {
-		t.Fatalf("pack: status %d", code)
-	}
-	s.persistWG.Wait() // attach the store object before the run
+	s, ts := newTestServerConfig(t, Config{Workers: 2})
 	var jsonl bytes.Buffer
 	stats, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL: ts.URL, Workload: "fft", Codec: "dict",
@@ -190,10 +240,13 @@ func TestRunLoadWordReadScenario(t *testing.T) {
 	if stats.WordReads == 0 || stats.WordReads == stats.Requests {
 		t.Fatalf("word reads = %d of %d requests, want a mix", stats.WordReads, stats.Requests)
 	}
-	if got := s.Metrics().StoreWordReads.Load(); got == 0 {
-		t.Fatal("no word read went through the store's group directory")
+	if got := s.Metrics().WordReads.Load(); got != stats.WordReads {
+		t.Fatalf("server counted %d word reads, clients issued %d", got, stats.WordReads)
 	}
-	var wordRows, spanStages int
+	if got := s.Metrics().WordGroups.Load(); got < stats.WordReads {
+		t.Fatalf("%d word groups decoded for %d dict word reads, want at least one each", got, stats.WordReads)
+	}
+	var wordRows, decodeStages int
 	for dec := json.NewDecoder(&jsonl); dec.More(); {
 		var rec FetchRecord
 		if err := dec.Decode(&rec); err != nil {
@@ -201,98 +254,201 @@ func TestRunLoadWordReadScenario(t *testing.T) {
 		}
 		if rec.Words > 0 {
 			wordRows++
-			if _, ok := rec.Stages["l2-word-read"]; ok {
-				spanStages++
+			if _, ok := rec.Stages["decode"]; ok {
+				decodeStages++
 			}
 		}
 	}
 	if int64(wordRows) != stats.WordReads {
 		t.Fatalf("JSONL word rows = %d, stats.WordReads = %d", wordRows, stats.WordReads)
 	}
-	if spanStages == 0 {
-		t.Fatal("no word-read row carried the l2-word-read stage")
+	if decodeStages != wordRows {
+		t.Fatalf("%d of %d word-read rows carried the decode stage", decodeStages, wordRows)
 	}
 }
 
-// TestWordReadTransientErrorNoQuarantine is the regression for the
-// word path's error triage: a transient store hiccup must cost the
-// request the store path (fall back to the in-memory image), never
-// the entry its healthy object — only corrupt bytes quarantine, the
-// same taxonomy the block path follows.
+// TestWordReadTransientErrorNoQuarantine: an injected compress.decode
+// fault reaches every word read, on the group path and the whole-block
+// path alike, as a 503 the client may retry. Block reads decode nothing
+// and keep serving the right bytes, nothing is quarantined, and once
+// the fault clears the same word reads return the pack.Unpack bytes.
 func TestWordReadTransientErrorNoQuarantine(t *testing.T) {
 	resetFaults(t)
 	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
-	if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec=dict"); code != http.StatusOK {
-		t.Fatalf("pack: status %d", code)
+	codecs := []string{"dict", "lzss"}
+	want := map[string][][]byte{}
+	oracle := map[string]compress.Codec{}
+	for _, c := range codecs {
+		want[c], oracle[c] = unpackedBlocks(t, ts, "fft", c)
 	}
-	s.persistWG.Wait()
-	if err := faults.Set("store.read-at:p=1,err,n=1"); err != nil {
+	if err := faults.Set("compress.decode:p=1,err"); err != nil {
 		t.Fatal(err)
 	}
-	code, _, hdr := get(t, ts.Client(), wordURL(ts.URL, "fft", 0, "dict", 0, 1))
-	if code != http.StatusOK {
-		t.Fatalf("word read under transient fault: status %d", code)
+	for _, c := range codecs {
+		code, body, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", 3, c, 1, 2))
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("%s word read under a decode fault: %d %s, want 503", c, code, body)
+		}
+		code, body, hdr := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/fft/3?codec=%s", ts.URL, c))
+		if code != http.StatusOK {
+			t.Fatalf("%s block read under a decode fault: %d %s", c, code, body)
+		}
+		if _, err := verifyBlock(oracle[c], body, hdr, want[c][3], nil); err != nil {
+			t.Fatalf("%s block read under a decode fault: %v", c, err)
+		}
 	}
-	if got := hdr.Get(HeaderSource); got != "memory" {
-		t.Fatalf("source %q, want memory fallback", got)
+	if got := faults.InjectedTotal(faults.KindTransient); got != int64(len(codecs)) {
+		t.Fatalf("transient faults injected = %d, want one per word read", got)
 	}
 	if got := s.Store().Stats().Quarantined; got != 0 {
 		t.Fatalf("quarantined = %d, want 0 — transient is not corrupt", got)
 	}
-	// The object stayed attached: with the n=1 fault spent, the next
-	// word read goes through the store's group directory again.
-	if _, _, hdr = get(t, ts.Client(), wordURL(ts.URL, "fft", 0, "dict", 0, 1)); hdr.Get(HeaderSource) != "store" {
-		t.Fatalf("source after fault spent = %q, want store (object still attached)", hdr.Get(HeaderSource))
+	faults.Reset()
+	for _, c := range codecs {
+		code, body, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", 3, c, 1, 2))
+		if code != http.StatusOK || !bytes.Equal(body, want[c][3][isa.WordSize:3*isa.WordSize]) {
+			t.Fatalf("%s word read after the fault cleared: status %d, bytes equal %v",
+				c, code, bytes.Equal(body, want[c][3][isa.WordSize:3*isa.WordSize]))
+		}
 	}
 }
 
-// TestWordReadCrossCheckQuarantines: when the on-disk object rots, the
-// word path's cross-check against the entry's image must catch it,
-// quarantine the object, and serve the correct bytes from memory.
-func TestWordReadCrossCheckQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServerConfig(t, storeConfig(dir))
-	code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict")
-	if code != http.StatusOK {
-		t.Fatalf("pack: status %d", code)
+// TestWordDecodeCounters: word reads advance the decode counters by
+// exactly what they decode — the covering groups' compressed span per
+// the container's own group directory, or the whole payload for a codec
+// without one — and leave every store counter alone.
+func TestWordDecodeCounters(t *testing.T) {
+	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
+	var wantGroups, wantBytes int64
+	for _, c := range []string{"dict", "bdi", "cpack", "lzss"} {
+		code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec="+c)
+		if code != http.StatusOK {
+			t.Fatalf("%s: pack status %d", c, code)
+		}
+		idx, err := pack.ParseIndex(container)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grouped := c != "lzss"; idx.HasGroupIndex() != grouped {
+			t.Fatalf("%s: group directory %v, want %v", c, idx.HasGroupIndex(), grouped)
+		}
+		for id, e := range idx.Blocks {
+			for _, span := range [][2]int{{0, 1}, {e.Words / 2, 2}, {e.Words - 1, 1}, {0, e.Words}} {
+				word, nwords := span[0], min(span[1], e.Words-span[0])
+				if code, _, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", id, c, word, nwords)); code != http.StatusOK {
+					t.Fatalf("%s block %d word %d+%d: status %d", c, id, word, nwords, code)
+				}
+				if !idx.HasGroupIndex() {
+					wantBytes += e.Len
+					continue
+				}
+				start, end := idx.WordGroupSpan(id, word, nwords)
+				wantBytes += end - start
+				wantGroups += int64((word+nwords-1)/idx.GroupWords - word/idx.GroupWords + 1)
+			}
+		}
 	}
-	s.persistWG.Wait()
-	key, ok := s.Store().Ref(store.RefName("crc32", "dict"))
-	if !ok {
-		t.Fatal("no ref after persist")
+	m := s.Metrics()
+	if got := m.WordGroups.Load(); got != wantGroups {
+		t.Errorf("word groups decoded = %d, want %d", got, wantGroups)
 	}
-	path := filepath.Join(dir, "objects", key[:2], key)
-	mut := bytes.Clone(container)
-	mut[len(mut)-1] ^= 0xff // last block's payload bytes
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
+	if got := m.WordDecodedBytes.Load(); got != wantBytes {
+		t.Errorf("word decoded bytes = %d, want %d", got, wantBytes)
+	}
+	if st := s.Store().Stats(); st.WordReads != 0 || st.WordReadBytes != 0 {
+		t.Errorf("memory decodes advanced store counters: %+v", st)
+	}
+	csv := metricsCSV(t, ts.Client(), ts.URL)
+	if csv["word_groups_decoded_total"] != fmt.Sprint(wantGroups) || csv["word_decoded_bytes_total"] != fmt.Sprint(wantBytes) {
+		t.Errorf("/metrics rows: groups %q, bytes %q; want %d, %d",
+			csv["word_groups_decoded_total"], csv["word_decoded_bytes_total"], wantGroups, wantBytes)
+	}
+	_, prom, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
+	for _, line := range []string{
+		fmt.Sprintf("apcc_word_groups_decoded_total %d\n", wantGroups),
+		fmt.Sprintf("apcc_word_decoded_bytes_total %d\n", wantBytes),
+	} {
+		if !bytes.Contains(prom, []byte(line)) {
+			t.Errorf("/metrics/prom lacks %q", strings.TrimSpace(line))
+		}
+	}
+}
+
+// TestWordSpansMatchUnpack pins that no word span's bytes change with
+// the path that decodes them: through Handler(), every suite program
+// under every codec, every block, every start word and 1..4 words
+// (clipped to the block) must equal the same slice of the pack.Unpack
+// image, with that slice's CRC in X-Apcc-Crc32. A program of 16 KiB
+// blocks, the last one short, adds spans at every word-group edge of
+// the group codecs: a group's first and last word, the whole group,
+// and spans crossing one and two group boundaries.
+func TestWordSpansMatchUnpack(t *testing.T) {
+	s, err := New(Config{Workers: 2, TraceRing: -1})
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	check := func(workload, codec string, id, word, nwords int, img []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, wordURL("", workload, id, codec, word, nwords), nil))
+		span := img[word*isa.WordSize : (word+nwords)*isa.WordSize]
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), span) {
+			t.Fatalf("%s/%s block %d word %d+%d: status %d, bytes equal %v",
+				workload, codec, id, word, nwords, rec.Code, bytes.Equal(rec.Body.Bytes(), span))
+		}
+		if got, want := rec.Header().Get(HeaderCRC), fmt.Sprintf("%08x", crc32.ChecksumIEEE(span)); got != want {
+			t.Fatalf("%s/%s block %d word %d+%d: %s %s, want %s", workload, codec, id, word, nwords, HeaderCRC, got, want)
+		}
+	}
+	for _, name := range workloads.Names() {
+		for _, codec := range compress.Names() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/pack/"+name+"?codec="+codec, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s/%s: pack status %d", name, codec, rec.Code)
+			}
+			prog, _, _, err := pack.Unpack(name, rec.Body.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := prog.AllBlockBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, img := range want {
+				words := len(img) / isa.WordSize
+				for word := 0; word < words; word++ {
+					for nwords := 1; nwords <= 4 && word+nwords <= words; nwords++ {
+						check(name, codec, id, word, nwords, img)
+					}
+				}
+			}
+		}
 	}
 
-	prog, _, _, err := pack.Unpack("crc32", container)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := prog.AllBlockBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := len(want) - 1
-	nwords := len(want[last]) / isa.WordSize
-	code, body, hdr := get(t, ts.Client(), wordURL(ts.URL, "crc32", last, "dict", 0, nwords))
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if !bytes.Equal(body, want[last]) {
-		t.Fatal("corrupt store leaked wrong bytes to a word read")
-	}
-	if got := hdr.Get(HeaderSource); got != "memory" {
-		t.Fatalf("source %q, want memory after quarantine", got)
-	}
-	if st := s.Store().Stats(); st.Quarantined != 1 {
-		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
-	}
-	// The detached object stays detached: later word reads fall back.
-	if _, _, hdr = get(t, ts.Client(), wordURL(ts.URL, "crc32", last, "dict", 0, 1)); hdr.Get(HeaderSource) != "memory" {
-		t.Fatal("quarantined object served a later word read")
+	big := bigBlockProgram(t, 4096, 4096, 4093)
+	for _, codec := range []string{"dict", "bdi", "cpack", "identity"} {
+		_, want, c := addEntry(t, s, big, codec)
+		gc, ok := compress.AsGroupCodec(c)
+		if !ok {
+			t.Fatalf("%s decodes no groups", codec)
+		}
+		gw := gc.GroupWords()
+		for id, img := range want {
+			words := len(img) / isa.WordSize
+			for first := 0; first < words; first += gw {
+				last := min(first+gw, words) - 1
+				for _, span := range [][2]int{
+					{first, 1}, {last, 1}, {first, last - first + 1},
+					{last, 2}, {last, gw + 2},
+				} {
+					if nwords := min(span[1], words-span[0]); nwords > 0 {
+						check(big.Name, codec, id, span[0], nwords, img)
+					}
+				}
+			}
+		}
 	}
 }

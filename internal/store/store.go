@@ -21,7 +21,6 @@
 package store
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -34,7 +33,6 @@ import (
 
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
-	"apbcc/internal/obs"
 	"apbcc/internal/pack"
 )
 
@@ -461,25 +459,6 @@ func (m mangledFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := m.f.ReadAt(p, off)
 	faultReadAt.Mangle(p[:n])
 	return n, err
-}
-
-// ReadWordRangeCtx is ReadWordRange with the read-plus-decode timed as
-// a StageWordRead span on the context's trace (outcome "ok" or
-// "error"). With no trace attached it costs exactly a ReadWordRange
-// call.
-func (o *Object) ReadWordRangeCtx(ctx context.Context, codec compress.Codec, block, word, nwords int, compDst, plainDst []byte) (comp, plain []byte, err error) {
-	tr := obs.FromContext(ctx)
-	if tr == nil {
-		return o.ReadWordRange(codec, block, word, nwords, compDst, plainDst)
-	}
-	sp := tr.Begin(obs.StageWordRead)
-	comp, plain, err = o.ReadWordRange(codec, block, word, nwords, compDst, plainDst)
-	if err != nil {
-		sp.End(obs.OutcomeError)
-	} else {
-		sp.End(obs.OutcomeOK)
-	}
-	return comp, plain, err
 }
 
 // VerifiedBlock reads block i's compressed payload appending it to
