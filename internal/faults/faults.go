@@ -31,9 +31,9 @@ import (
 
 // ErrTransient is the sentinel wrapped by every injected transient
 // error. The serving path classifies it as transient (see
-// internal/errclass), which is the point: injected transients must
-// exercise the fallback that keeps the store object attached, not the
-// quarantine path.
+// internal/errclass), which is the point: an injected transient must
+// take the transient path — a 503 to the requester, or a cold rebuild
+// when it fails a warm restore — and never quarantine anything.
 var ErrTransient = errors.New("faults: injected transient error")
 
 // Action kinds. A site can carry any number of actions of any kind;

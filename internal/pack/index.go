@@ -377,8 +377,9 @@ func (x *Index) DecompressBlockAt(r io.ReaderAt, codec compress.Codec, i int, ds
 // ErrNoGroupIndex, which callers treat as "fall back to full-block
 // decode". Unlike DecompressBlockAt there is no per-block CRC check —
 // a group decode covers too little of the block to verify it — so the
-// serving tier compares the returned group bytes with the same range
-// (WordGroupSpan) of its resident copy of the container.
+// span is only as sound as the bytes r returns. The server does not
+// read spans this way: it decodes them from its resident container,
+// which passed a full Unpack when it was built.
 func (x *Index) ReadWordRangeAt(r io.ReaderAt, codec compress.Codec, block, word, nwords int, compDst, dst []byte) (comp, plain []byte, err error) {
 	if !x.HasGroupIndex() {
 		return compDst, dst, ErrNoGroupIndex

@@ -14,6 +14,7 @@ import (
 	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/pack"
+	"apbcc/internal/store"
 )
 
 // resetFaults clears the process-global fault layer before and after a
@@ -97,6 +98,51 @@ func TestCorruptReadQuarantinedNeverRetried(t *testing.T) {
 	if got := s2.Store().Stats().Quarantined; got != 1 {
 		t.Fatalf("quarantined after serving = %d, want still 1", got)
 	}
+}
+
+// TestRestoreTransientFaultKeepsObject: a transient decode fault during
+// a warm restore's verification falls back to a cold build and
+// quarantines nothing, because the stored bytes are not known to be
+// bad; the next restart restores the same object warm.
+func TestRestoreTransientFaultKeepsObject(t *testing.T) {
+	resetFaults(t)
+	dir := t.TempDir()
+	s, ts := newTestServerConfig(t, Config{Workers: 2, StoreDir: dir})
+	buildPersisted(t, s, ts, "crc32", "dict")
+	want, codec := unpackedBlocks(t, ts, "crc32", "dict")
+	key, _ := s.Store().Ref(store.RefName("crc32", "dict"))
+	ts.Close()
+	s.Close()
+
+	if err := faults.Set("compress.decode:p=1,err,n=1"); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := newTestServerConfig(t, Config{Workers: 2, StoreDir: dir})
+	if code, _, _ := get(t, ts2.Client(), ts2.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
+		t.Fatalf("restart build under a decode fault: status %d", code)
+	}
+	if got := faults.InjectedTotal(faults.KindTransient); got != 1 {
+		t.Fatalf("transient faults injected = %d, want 1 (the warm restore's verification)", got)
+	}
+	m := s2.Metrics()
+	if warm, packs, q := m.StoreWarm.Load(), m.Packs.Load(), s2.Store().Stats().Quarantined; warm != 0 || packs != 1 || q != 0 {
+		t.Fatalf("warm restores %d, packs %d, quarantined %d; want 0, 1, 0", warm, packs, q)
+	}
+	if !s2.Store().Has(key) {
+		t.Fatal("the object left the store after a transient restore failure")
+	}
+	checkServes(t, ts2, "crc32", "dict", want, codec)
+	ts2.Close()
+	s2.Close()
+
+	s3, ts3 := newTestServerConfig(t, Config{Workers: 2, StoreDir: dir})
+	if code, _, _ := get(t, ts3.Client(), ts3.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
+		t.Fatalf("second restart: status %d", code)
+	}
+	if warm, packs := s3.Metrics().StoreWarm.Load(), s3.Metrics().Packs.Load(); warm != 1 || packs != 0 {
+		t.Fatalf("second restart: warm restores %d, packs %d; want 1, 0", warm, packs)
+	}
+	checkServes(t, ts3, "crc32", "dict", want, codec)
 }
 
 // unpackedBlocks fetches the (workload, codec) container and returns

@@ -675,6 +675,11 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 	s.metrics.WordReads.Add(1)
 	s.metrics.WordGroups.Add(int64(groups))
 	s.metrics.WordDecodedBytes.Add(int64(decoded))
+	if s.store != nil {
+		// Keeps the store's word counters, which cmd/apcc-bench reads
+		// for the word-read payload ratio, counting the bytes decoded.
+		s.store.CountWordRead(decoded)
+	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderCodec, ent.codec.Name())
@@ -861,7 +866,9 @@ func (s *Server) build(ent *entry, workload, codecName string) error {
 // restoreFromStore is the warm-restart path: resolve the (workload,
 // codec) ref, read and hash-verify the container, and Unpack it (the
 // full image-checksum verification pass) — no packer involved. Any
-// corruption quarantines the object and falls back to a cold build.
+// failure falls back to a cold build; only corruption also quarantines
+// the object, so a transient error (an injected decode fault) leaves a
+// healthy object for the next restart.
 func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	key, ok := s.store.Ref(store.RefName(workload, codecName))
 	if !ok {
@@ -873,9 +880,12 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	}
 	p, codec, err := s.verifyUnpack(workload, container)
 	if err != nil {
-		s.store.Quarantine(key)
-		s.log.Warn("warm restore failed verification, object quarantined",
-			"key", shortKey(key), "workload", workload, "codec", codecName, "err", err)
+		corrupt := errclass.IsCorrupt(err)
+		if corrupt {
+			s.store.Quarantine(key)
+		}
+		s.log.Warn("warm restore failed verification, rebuilding cold",
+			"key", shortKey(key), "workload", workload, "codec", codecName, "quarantined", corrupt, "err", err)
 		return false
 	}
 	if err := s.finishEntry(ent, container, p, codec); err != nil {

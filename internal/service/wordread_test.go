@@ -122,8 +122,8 @@ func TestWordReadServesSpan(t *testing.T) {
 	if got := s.Metrics().WordReads.Load(); got == 0 {
 		t.Fatal("no word read counted")
 	}
-	if st := s.Store().Stats(); st.WordReads != 0 || st.WordReadBytes != 0 {
-		t.Fatalf("word reads advanced store counters: %+v", st)
+	if st := s.Store().Stats(); st.Gets != 0 || st.BlockReads != 0 {
+		t.Fatalf("word reads read the store: %+v", st)
 	}
 
 	code, prom, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
@@ -316,10 +316,11 @@ func TestWordReadTransientErrorNoQuarantine(t *testing.T) {
 // TestWordDecodeCounters: word reads advance the decode counters by
 // exactly what they decode — the covering groups' compressed span per
 // the container's own group directory, or the whole payload for a codec
-// without one — and leave every store counter alone.
+// without one — and the store's word counters by the same spans and
+// bytes.
 func TestWordDecodeCounters(t *testing.T) {
 	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
-	var wantGroups, wantBytes int64
+	var wantReads, wantGroups, wantBytes int64
 	for _, c := range []string{"dict", "bdi", "cpack", "lzss"} {
 		code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec="+c)
 		if code != http.StatusOK {
@@ -338,6 +339,7 @@ func TestWordDecodeCounters(t *testing.T) {
 				if code, _, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", id, c, word, nwords)); code != http.StatusOK {
 					t.Fatalf("%s block %d word %d+%d: status %d", c, id, word, nwords, code)
 				}
+				wantReads++
 				if !idx.HasGroupIndex() {
 					wantBytes += e.Len
 					continue
@@ -355,8 +357,11 @@ func TestWordDecodeCounters(t *testing.T) {
 	if got := m.WordDecodedBytes.Load(); got != wantBytes {
 		t.Errorf("word decoded bytes = %d, want %d", got, wantBytes)
 	}
-	if st := s.Store().Stats(); st.WordReads != 0 || st.WordReadBytes != 0 {
-		t.Errorf("memory decodes advanced store counters: %+v", st)
+	if got := m.WordReads.Load(); got != wantReads {
+		t.Errorf("word reads = %d, want %d", got, wantReads)
+	}
+	if st := s.Store().Stats(); st.WordReads != wantReads || st.WordReadBytes != wantBytes {
+		t.Errorf("store word counters: reads %d, bytes %d; want %d, %d", st.WordReads, st.WordReadBytes, wantReads, wantBytes)
 	}
 	csv := metricsCSV(t, ts.Client(), ts.URL)
 	if csv["word_groups_decoded_total"] != fmt.Sprint(wantGroups) || csv["word_decoded_bytes_total"] != fmt.Sprint(wantBytes) {

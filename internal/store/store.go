@@ -61,8 +61,8 @@ type Stats struct {
 	Gets          int64 // whole-object reads
 	BlockReads    int64 // single-block payload reads through the index
 	BlockBytes    int64 // compressed bytes served by those reads
-	WordReads     int64 // sub-block word-span reads through the v3 group directory
-	WordReadBytes int64 // compressed bytes read to serve those spans
+	WordReads     int64 // word spans served from the store's containers (ReadWordRange, CountWordRead)
+	WordReadBytes int64 // compressed bytes decoded to serve those spans
 	Quarantined   int64 // objects moved aside (fsck + read-time verify)
 }
 
@@ -345,7 +345,6 @@ type Object struct {
 	store *Store
 	key   string
 	f     *os.File
-	size  int64
 	idx   *pack.Index
 }
 
@@ -370,31 +369,14 @@ func (s *Store) Open(key string) (*Object, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, short(key), err)
 	}
-	return &Object{store: s, key: key, f: f, size: st.Size(), idx: idx}, nil
+	return &Object{store: s, key: key, f: f, idx: idx}, nil
 }
-
-// Key returns the object's content key.
-func (o *Object) Key() string { return o.key }
 
 // Index returns the parsed container index.
 func (o *Object) Index() *pack.Index { return o.idx }
 
-// Size returns the container size in bytes.
-func (o *Object) Size() int64 { return o.size }
-
 // Close releases the file handle.
 func (o *Object) Close() error { return o.f.Close() }
-
-// ReadMeta reads the object's metadata prefix: every byte before the
-// payload section, from which its index was parsed. Two containers of
-// the same size with equal prefixes have identical indexes.
-func (o *Object) ReadMeta() ([]byte, error) {
-	meta := make([]byte, o.idx.PayloadBase)
-	if _, err := o.f.ReadAt(meta, 0); err != nil {
-		return nil, fmt.Errorf("store: %s metadata: %w", short(o.key), err)
-	}
-	return meta, nil
-}
 
 // ReadBlock reads block i's raw compressed payload with one ReadAt.
 // The bytes are unverified; use VerifiedBlock when the caller has no
@@ -449,6 +431,16 @@ func (o *Object) ReadWordRange(codec compress.Codec, block, word, nwords int, co
 	o.store.wordReads.Add(1)
 	o.store.wordReadBytes.Add(int64(len(comp) - cbase))
 	return comp, plain, nil
+}
+
+// CountWordRead records one word span that a caller decoded from its
+// own resident copy of a container rather than through ReadWordRange,
+// compBytes being the compressed bytes it decoded. WordReads and
+// WordReadBytes then count every word span served over the store's
+// containers, whichever copy it was decoded from.
+func (s *Store) CountWordRead(compBytes int) {
+	s.wordReads.Add(1)
+	s.wordReadBytes.Add(int64(compBytes))
 }
 
 // mangledFile applies the store.read-at bit flips to the bytes a ReadAt
