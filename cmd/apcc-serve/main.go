@@ -32,27 +32,23 @@ import (
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
 	"apbcc/internal/obs"
-	"apbcc/internal/policy"
 	"apbcc/internal/report"
 	"apbcc/internal/service"
 )
 
 // chaosDefaultProfile is the fault profile -chaos loads under when
-// -faults is not given: 10% of decodes delayed and 1% of block computes
+// -faults is not given: 10% of decodes delayed and 1% of block GETs
 // failing transiently. No request reads the store, so store faults
 // belong to the scenario's restart phase, which sets its own. The
 // scenario's clients unpack in the same process, so decode faults here
 // carry latency only.
-const chaosDefaultProfile = "compress.decode:p=0.1,lat=2ms;service.cache-compute:p=0.01,err"
+const chaosDefaultProfile = "compress.decode:p=0.1,lat=2ms;service.block:p=0.01,err"
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address (serve mode)")
-		cacheMB  = flag.Int("cache-mb", 32, "block cache capacity in MiB")
-		shards   = flag.Int("shards", 16, "block cache shard count")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "pack/compress jobs that may run at once")
 		queue    = flag.Int("queue", 256, "pool backlog (jobs waiting for a slot) at which /v1/ requests\nare shed with 429 and Retry-After")
-		polName  = flag.String("policy", "klru", "block-cache replacement policy: "+strings.Join(policy.Names(), " | "))
 		storeDir = flag.String("store", "", "content-addressed disk store directory: built containers persist\nthere and a restart restores them warm (no request reads it)")
 
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline; expired requests get 504 (0 disables)")
@@ -60,7 +56,7 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed (deterministic replay)")
 		faultsHTTP = flag.Bool("debug-faults", false, "mount the GET/POST /debug/faults runtime fault-control endpoint on\nthe serving mux (implied by -faults). Off by default: the endpoint\nmutates process-global fault state, so never expose it to untrusted\nclients")
 		chaos      = flag.Bool("chaos", false, "run the three-phase chaos scenario (requires -store):\nblock and word load under -faults (default "+
-			"10% decode latency / 1% transient block-compute errors),\na restart whose every store read flips a bit (each warm restore\nquarantined and rebuilt, every block and word checked), then a\nhealed restart that must restore warm; exits non-zero on wrong bytes")
+			"10% decode latency / 1% transient block GET errors),\na restart whose every store read flips a bit (each warm restore\nquarantined and rebuilt, every block and word checked), then a\nhealed restart that must restore warm; exits non-zero on wrong bytes")
 		retryBusy = flag.Bool("retry-busy", false, "loadgen: retry 429/503/504 responses with capped backoff")
 
 		traceRing = flag.Int("trace", 0, "request-trace ring capacity behind GET /debug/trace\n(0 = default of 256, negative disables tracing)")
@@ -82,19 +78,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if _, err := policy.New[int](*polName); err != nil {
-		fatal(err)
-	}
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := service.Config{
-		CacheShards:    *shards,
-		CacheBytes:     *cacheMB << 20,
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		Policy:         *polName,
 		StoreDir:       *storeDir,
 		TraceRing:      *traceRing,
 		RequestTimeout: *reqTimeout,
@@ -172,8 +162,7 @@ func main() {
 			logger.Error("graceful shutdown incomplete; connections were dropped", "err", err)
 		}
 	}()
-	fmt.Printf("apcc-serve: listening on %s (%d shards, %d MiB cache, %s eviction, %d workers)\n",
-		*addr, *shards, *cacheMB, *polName, *workers)
+	fmt.Printf("apcc-serve: listening on %s (%d workers)\n", *addr, *workers)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}
@@ -246,17 +235,11 @@ func runLoadgen(cfg service.Config, target, workload, codec string, clients, ste
 	t.AddRow("word_reads", stats.WordReads)
 	t.AddRow("errors", stats.Errors)
 	t.AddRow("payload_bytes", stats.Bytes)
-	t.AddRow("cache_hits_seen", stats.CacheHits)
 	t.AddRow("duration", stats.Duration.Round(time.Millisecond).String())
 	t.AddRow("fetches_per_sec", fmt.Sprintf("%.0f", stats.Throughput()))
 	t.AddRow("latency_p50", stats.Latency.Quantile(0.50).String())
 	t.AddRow("latency_p99", stats.Latency.Quantile(0.99).String())
 	fmt.Print(t)
-	if inproc != nil {
-		cs := inproc.CacheStats()
-		fmt.Printf("\nserver cache: hits=%d misses=%d coalesced=%d hit_rate=%.4f\n",
-			cs.Hits, cs.Misses, cs.Coalesced, cs.HitRate())
-	}
 	if stats.FirstError != nil {
 		return fmt.Errorf("loadgen saw %d errors; first: %w", stats.Errors, stats.FirstError)
 	}
@@ -303,12 +286,12 @@ func runCodecMix(cfg service.Config, target, workload string, clients, steps int
 		return err
 	}
 	t := report.NewTable(fmt.Sprintf("codec mix %s (%d clients x %d steps per codec)", workload, clients, steps),
-		"codec", "fetches", "errors", "payload_bytes", "cache_hits", "fetches_per_sec", "p50", "p99")
+		"codec", "fetches", "errors", "payload_bytes", "fetches_per_sec", "p50", "p99")
 	var firstErr error
 	var errs int64
 	for _, leg := range mix {
 		s := leg.Stats
-		t.AddRow(leg.Codec, s.Requests, s.Errors, s.Bytes, s.CacheHits,
+		t.AddRow(leg.Codec, s.Requests, s.Errors, s.Bytes,
 			fmt.Sprintf("%.0f", s.Throughput()),
 			s.Latency.Quantile(0.50).String(), s.Latency.Quantile(0.99).String())
 		errs += s.Errors
@@ -317,11 +300,6 @@ func runCodecMix(cfg service.Config, target, workload string, clients, steps int
 		}
 	}
 	fmt.Print(t)
-	if inproc != nil {
-		cs := inproc.CacheStats()
-		fmt.Printf("\nserver cache: hits=%d misses=%d coalesced=%d hit_rate=%.4f\n",
-			cs.Hits, cs.Misses, cs.Coalesced, cs.HitRate())
-	}
 	if firstErr != nil {
 		return fmt.Errorf("codec mix saw %d errors; first: %w", errs, firstErr)
 	}

@@ -29,9 +29,10 @@
 //	           v2: indexed for random block access)
 //	store      content-addressed on-disk container store (crash-safe
 //	           writes, fsck + quarantine, ReadAt block serving)
-//	service    concurrent pack-serving subsystem: sharded block cache,
-//	           L2 disk tier with warm restarts, batching worker pool,
-//	           HTTP container/block endpoints, load generator
+//	service    concurrent pack-serving subsystem: blocks served as
+//	           slices of verified resident containers, disk tier with
+//	           warm restarts, pack slot gate, HTTP container/block
+//	           endpoints, load generator
 //
 // Commands: cmd/apcc (single run), cmd/apcc-sweep (regenerate all
 // experiment tables), cmd/apcc-pack (build/inspect containers),

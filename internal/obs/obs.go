@@ -6,9 +6,8 @@
 //
 // The design center is the nil-sink fast path: every method on a nil
 // *Trace or nil *Recorder is a no-op that touches no clock and
-// allocates nothing, so instrumented hot paths (the L1 block-cache
-// hit) cost the same with tracing disabled as they did before the
-// layer existed. With a sink attached, a trace is pooled, its spans
+// allocates nothing, so instrumented hot paths (the block GET) cost
+// the same with tracing disabled as they did before the layer existed. With a sink attached, a trace is pooled, its spans
 // live in a fixed-capacity array, and recording copies into reusable
 // ring slots — steady-state tracing is allocation-free too.
 package obs
@@ -24,24 +23,24 @@ import (
 const (
 	StageRoute  = "route"  // entry resolution, id parse, request validation
 	StageBuild  = "build"  // (workload,codec) container build or warm restore
-	StageL1     = "l1"     // block-cache lookup; on a miss this span covers the compute
 	StageDecode = "decode" // word-span decode from the resident container (covering groups or whole block)
 	StageWrite  = "write"  // response headers + payload write
 
-	// The server records none of these four; cmd/apcc-bench reads them.
+	// The server records none of these five; cmd/apcc-bench reads them.
 	StageL2Read    = "l2-read"
 	StageReadahead = "readahead"
 	StageRebuild   = "rebuild"
 	StageWordRead  = "l2-word-read"
+	// Deprecated: the block cache is gone and no span carries this
+	// stage. It stays only until cmd/apcc-bench stops reading it
+	// (ROADMAP item 1).
+	StageL1 = "l1"
 )
 
 // Span outcomes.
 const (
-	OutcomeOK        = "ok"
-	OutcomeHit       = "hit"
-	OutcomeMiss      = "miss"
-	OutcomeCoalesced = "coalesced"
-	OutcomeError     = "error"
+	OutcomeOK    = "ok"
+	OutcomeError = "error"
 )
 
 // maxSpans bounds a trace's span count. Traces never grow past it:

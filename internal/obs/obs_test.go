@@ -11,15 +11,15 @@ import (
 // and exclusive times that sum to the root span's duration.
 func TestSpanTree(t *testing.T) {
 	tr := NewTrace(7)
-	root := tr.Begin(StageL1)
-	child := tr.Begin(StageL2Read)
+	root := tr.Begin(StageRoute)
+	child := tr.Begin(StageBuild)
 	time.Sleep(time.Millisecond)
 	grand := tr.Begin(StageDecode)
 	time.Sleep(time.Millisecond)
 	grand.End(OutcomeOK)
 	child.End(OutcomeOK)
-	root.End(OutcomeMiss)
-	tr.Finish(OutcomeMiss)
+	root.End(OutcomeError)
+	tr.Finish(OutcomeError)
 
 	spans := tr.Spans()
 	if len(spans) != 3 {
@@ -28,7 +28,7 @@ func TestSpanTree(t *testing.T) {
 	if spans[0].Parent != -1 || spans[1].Parent != 0 || spans[2].Parent != 1 {
 		t.Fatalf("parents = %d,%d,%d, want -1,0,1", spans[0].Parent, spans[1].Parent, spans[2].Parent)
 	}
-	if spans[0].Outcome != OutcomeMiss {
+	if spans[0].Outcome != OutcomeError {
 		t.Errorf("root outcome = %q", spans[0].Outcome)
 	}
 	// Exclusive times of the whole tree sum to the root's duration:
@@ -54,9 +54,9 @@ func TestNilTraceNoops(t *testing.T) {
 	var tr *Trace
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		sp := tr.Begin(StageL1)
-		sp.End(OutcomeHit)
-		tr.Finish(OutcomeHit)
+		sp := tr.Begin(StageRoute)
+		sp.End(OutcomeOK)
+		tr.Finish(OutcomeOK)
 		tr.SetLabels("w", "c", 1)
 		c2 := WithTrace(ctx, tr)
 		if FromContext(c2) != nil {
@@ -103,13 +103,13 @@ func TestRecorderRing(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr := rec.StartTrace()
 		tr.SetLabels("fft", "dict", i)
-		sp := tr.Begin(StageL1)
+		sp := tr.Begin(StageRoute)
 		if i == 3 { // make one early trace the slowest of the run
 			time.Sleep(5 * time.Millisecond)
 			slowID = tr.TraceID()
 		}
-		sp.End(OutcomeHit)
-		tr.Finish(OutcomeHit)
+		sp.End(OutcomeOK)
+		tr.Finish(OutcomeOK)
 		rec.Record(tr)
 	}
 	snap := rec.Snapshot(8)
@@ -128,7 +128,7 @@ func TestRecorderRing(t *testing.T) {
 		if r.ID == slowID {
 			t.Errorf("trace %d should have been overwritten in a 16-slot ring", slowID)
 		}
-		if len(r.Spans) != 1 || r.Spans[0].Stage != StageL1 {
+		if len(r.Spans) != 1 || r.Spans[0].Stage != StageRoute {
 			t.Errorf("record %d spans = %+v", r.ID, r.Spans)
 		}
 	}
@@ -155,9 +155,9 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	rec := NewRecorder(64, 2)
 	cycle := func() {
 		tr := rec.StartTrace()
-		sp := tr.Begin(StageL1)
-		sp.End(OutcomeHit)
-		tr.Finish(OutcomeHit)
+		sp := tr.Begin(StageRoute)
+		sp.End(OutcomeOK)
+		tr.Finish(OutcomeOK)
 		rec.Record(tr)
 	}
 	for i := 0; i < 200; i++ { // warm pool, ring slots and exemplars

@@ -138,9 +138,19 @@ func packVersion(p *program.Program, codec compress.Codec, workers, version int)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	// Encode the whole image once, into a pooled buffer: its CRC goes in
-	// the header, and every block's plain image is a window of it.
-	image := compress.GetBuf(p.TotalBytes())
+	g := p.Graph
+	nedges := 0
+	for _, b := range g.Blocks() {
+		nedges += len(g.Succs(b.ID))
+	}
+	model := compress.MarshalModel(codec)
+	// One pooled buffer serves twice. It first holds the whole code
+	// image: its CRC goes in the header, and every block's plain image
+	// is a window of it. Once the blocks are compressed it takes the
+	// metadata, sized here by a generous per-block and per-edge
+	// estimate. The container is then allocated at its exact size, so
+	// an entry that keeps it holds no spare capacity.
+	image := compress.GetBuf(max(p.TotalBytes(), len(model)+64*g.NumBlocks()+32*nedges+256))
 	defer func() { compress.PutBuf(image) }()
 	image, err := p.AppendCodeBytes(image[:0])
 	if err != nil {
@@ -150,22 +160,12 @@ func packVersion(p *program.Program, codec compress.Codec, workers, version int)
 	if err != nil {
 		return nil, err
 	}
-	g := p.Graph
-	nedges, payloadBytes := 0, 0
-	for _, b := range g.Blocks() {
-		nedges += len(g.Succs(b.ID))
-	}
-	for _, pay := range payloads {
-		payloadBytes += len(pay)
-	}
-	// One allocation: payloads plus a generous per-block/per-edge
-	// metadata estimate.
-	buf := make([]byte, 0, payloadBytes+64*g.NumBlocks()+32*nedges+256)
-	buf = append(buf, Magic...)
+	imageCRC := crc32.ChecksumIEEE(image)
+	buf := append(image[:0], Magic...)
 	buf = binary.AppendUvarint(buf, uint64(version))
 	buf = appendBytes(buf, codec.Name())
-	buf = appendBytes(buf, compress.MarshalModel(codec))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(image))
+	buf = appendBytes(buf, model)
+	buf = binary.LittleEndian.AppendUint32(buf, imageCRC)
 
 	buf = binary.AppendUvarint(buf, uint64(g.Entry()))
 	buf = binary.AppendUvarint(buf, uint64(g.NumBlocks()))
@@ -209,11 +209,18 @@ func packVersion(p *program.Program, codec compress.Codec, workers, version int)
 	}
 	if version != VersionV1 {
 		buf = binary.AppendUvarint(buf, off)
+	}
+	// off is the payload section's length; v1 leaves it 0, its payloads
+	// being in buf already.
+	container := make([]byte, len(buf), len(buf)+int(off))
+	copy(container, buf)
+	if version != VersionV1 {
 		for _, pay := range payloads {
-			buf = append(buf, pay...)
+			container = append(container, pay...)
 		}
 	}
-	return buf, nil
+	image = buf // pool the scratch, grown or not
+	return container, nil
 }
 
 // appendBytes appends b with its uvarint length prefix.

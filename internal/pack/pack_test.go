@@ -226,3 +226,20 @@ func TestModelRoundTrip(t *testing.T) {
 		t.Fatalf("huffman model round trip: %v", err)
 	}
 }
+
+// TestPackExactSize: every writer returns its container at its exact
+// size, so a server entry that keeps the container holds no spare
+// capacity behind it. Checked for every suite program under every
+// codec, in all three format versions.
+func TestPackExactSize(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, codecName := range compress.Names() {
+			for _, version := range []int{VersionV1, VersionV2, Version} {
+				data, _ := packWorkloadVersion(t, name, codecName, version)
+				if cap(data) != len(data) {
+					t.Errorf("%s/%s v%d: cap %d, len %d", name, codecName, version, cap(data), len(data))
+				}
+			}
+		}
+	}
+}

@@ -38,7 +38,7 @@ func strategyObserve(env *Env, from, to cfg.BlockID) {
 // Data Compression for Modern Memory Hierarchies"): each entry carries
 // a benefit key H = L + Cost/Bytes, where Cost is the modeled cycle
 // price of re-producing the entry (per-codec decompression cost in the
-// runtime, compression cost in the cache) and Bytes its resident size.
+// runtime) and Bytes its resident size.
 // The victim is the entry with the smallest H; evicting it inflates
 // the global floor L to its H, so long-idle entries age out no matter
 // how expensive they once were. Accessing an entry refreshes its H at

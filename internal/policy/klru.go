@@ -26,8 +26,7 @@ import (
 //     decompressed).
 //
 // With ExpireK == 0 the expiry half disappears and PaperKLRU is plain
-// LRU — the service cache's default, byte-compatible with the list
-// LRU it replaces.
+// LRU.
 type PaperKLRU[K cmp.Ordered] struct {
 	t table[K]
 }

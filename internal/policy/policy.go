@@ -1,29 +1,28 @@
 // Package policy is the pluggable replacement-and-prefetch engine
 // shared by every layer that keeps decompressed (or compressed) block
 // copies under a byte budget: the core runtime Manager, the cycle
-// simulator and concurrent runtime built on it, the multi-application
-// coordinator, and the serving subsystem's block cache.
+// simulator and concurrent runtime built on it, and the
+// multi-application coordinator.
 //
 // The paper's scheme is, at heart, one such policy — k-edge expiry
 // counters, LRU victim selection under a budget, predictor-driven
 // pre-decompression — but it occupies a small corner of a large design
 // space. Extracting the decisions behind an interface lets the same
 // runtime run cost-aware eviction in the spirit of compression-aware
-// memory management (Pekhimenko et al.) or deeper Markov prefetching,
-// and lets the server's cache run the embedded runtime's policies.
+// memory management (Pekhimenko et al.) or deeper Markov prefetching.
 //
 // # Interface contract
 //
 // A Policy tracks a set of resident entries identified by ordered keys
-// (compression-unit IDs in the runtime, content addresses in the
-// service cache) and answers four kinds of questions:
+// (compression-unit IDs in the runtime) and answers four kinds of
+// questions:
 //
 //   - Observe hooks — OnInsert/OnAccess/OnRemove keep the policy's
 //     view of residency and recency in sync with the caller, fed by
-//     the caller's logical clock (the edge clock in the runtime, a
-//     per-shard operation counter in the cache). Tick advances that
-//     clock across one edge and returns the keys whose lifetime ended
-//     (the k-edge expiry set); the caller must then remove them.
+//     the caller's logical clock (the edge clock in the runtime). Tick
+//     advances that clock across one edge and returns the keys whose
+//     lifetime ended (the k-edge expiry set); the caller must then
+//     remove them.
 //   - Victim selection — Victim picks the next entry to discard among
 //     those the caller marks evictable. Selection is deterministic:
 //     ties always break toward the lowest key, so a simulator and a
@@ -46,8 +45,7 @@
 // of one program) and records survive removal: a unit that is deleted
 // and later re-prefetched keeps its last-execution timestamp and
 // frequency, exactly as the seed Manager's per-unit fields did. When
-// ExpireK == 0 (open universes such as the content-addressed cache)
-// records are dropped on removal so the policy's memory stays
+// ExpireK == 0 (an open key universe) records are dropped on removal so the policy's memory stays
 // proportional to the resident set.
 package policy
 
@@ -64,12 +62,11 @@ import (
 // Meta describes one entry at admission/insert time.
 type Meta struct {
 	// Bytes is the entry's resident size: the decompressed copy in the
-	// runtime, the cached payload in the service.
+	// runtime.
 	Bytes int
 	// Cost is the price of re-producing the entry after discarding it
-	// — modeled decompression cycles for a unit, modeled compression
-	// cycles for a cached block. Cost-aware policies keep expensive
-	// bytes resident longer.
+	// — modeled decompression cycles for a unit. Cost-aware policies
+	// keep expensive bytes resident longer.
 	Cost int64
 }
 

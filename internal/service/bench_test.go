@@ -9,17 +9,14 @@ import (
 	"strings"
 	"testing"
 
-	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
-	"apbcc/internal/obs"
 	"apbcc/internal/pack"
-	"apbcc/internal/program"
 	"apbcc/internal/store"
 	"apbcc/internal/workloads"
 )
 
-// BenchmarkServeBlock measures the hot serving path: cached block
-// fetches over real HTTP from parallel clients.
+// BenchmarkServeBlock measures the hot serving path: block fetches of
+// a built entry over real HTTP from parallel clients.
 func BenchmarkServeBlock(b *testing.B) {
 	for _, codec := range []string{"dict", "lzss", "identity", "cpack", "bdi"} {
 		b.Run(codec, func(b *testing.B) {
@@ -30,7 +27,7 @@ func BenchmarkServeBlock(b *testing.B) {
 			ts := httptest.NewServer(s.Handler())
 			defer func() { ts.Close(); s.Close() }()
 			url := ts.URL + "/v1/block/fft/2?codec=" + codec
-			warm, err := ts.Client().Get(url) // build entry + fill cache
+			warm, err := ts.Client().Get(url) // build the entry
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -55,28 +52,6 @@ func BenchmarkServeBlock(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkBlockCache measures the cache in isolation: hits on a
-// resident key from parallel goroutines.
-func BenchmarkBlockCache(b *testing.B) {
-	c := NewBlockCache(16, 1<<20)
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = BlockAddress("dict", nil, []byte{byte(i)})
-		c.GetOrCompute(keys[i], func() ([]byte, error) { return make([]byte, 64), nil })
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, _, err := c.GetOrCompute(keys[i%len(keys)], nil); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
 }
 
 // BenchmarkPool measures what the pool's slot gate adds to a job run
@@ -131,124 +106,40 @@ func BenchmarkPackContainer(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockSource prices the two ways a block fetch is satisfied:
-// an L1 cache hit (plain, with a nil trace sink, and traced) and an L1
-// miss, whose compute is a zero-copy slice of the entry's resident
-// container followed by the cache fill.
+// BenchmarkBlockSource prices what the server does to satisfy a block
+// fetch. resident is an untraced block GET through Handler(): the route
+// (entry lookup, id parse), the block's payload slice of the entry's
+// resident container and the headers, written to a writer that drops
+// the body.
 func BenchmarkBlockSource(b *testing.B) {
 	// Suite blocks are tens of words; synthesize production-sized blocks
 	// (16 KiB each), as BenchmarkWordRead does.
-	g := cfg.New()
 	const nblocks, words = 8, 4096
-	ids := make([]cfg.BlockID, nblocks)
-	for i := range ids {
-		ids[i] = g.AddBlock(fmt.Sprintf("b%d", i), words)
+	blockWords := make([]int, nblocks)
+	for i := range blockWords {
+		blockWords[i] = words
 	}
-	if err := g.SetEntry(ids[0]); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i+1 < len(ids); i++ {
-		g.MustAddEdge(ids[i], ids[i+1], cfg.EdgeJump, 1)
-	}
-	prog, err := program.Synthesize("bigblocks", g, 42)
+	prog := bigBlockProgram(b, blockWords...)
+	srv, err := New(Config{TraceRing: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
+	h := srv.Handler()
 	for _, codecName := range []string{"dict", "lzss", "cpack", "bdi"} {
-		code, err := prog.CodeBytes()
-		if err != nil {
-			b.Fatal(err)
+		addEntry(b, srv, prog, codecName)
+		req := httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/v1/block/%s/%d?codec=%s", prog.Name, nblocks/2, codecName), nil)
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req)
+		if got := w.h.Get(HeaderCodec); got != codecName {
+			b.Fatalf("%s: %s = %q", codecName, HeaderCodec, got)
 		}
-		codec, err := compress.New(codecName, code)
-		if err != nil {
-			b.Fatal(err)
-		}
-		container, err := pack.Pack(prog, codec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		idx, err := pack.ParseIndex(container)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plain, err := prog.AllBlockBytes()
-		if err != nil {
-			b.Fatal(err)
-		}
-		id := len(plain) / 2
-		img := plain[id]
-		off := idx.PayloadBase + idx.Blocks[id].Off
-		payload := container[off : off+idx.Blocks[id].Len]
-
-		b.Run(codecName+"/l1-hit", func(b *testing.B) {
-			c := NewBlockCache(1, 1<<20)
-			k := BlockAddress(codecName, nil, img)
-			c.GetOrCompute(k, func() ([]byte, error) { return img, nil })
+		b.Run(codecName+"/resident", func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, hit, _ := c.GetOrCompute(k, nil); !hit {
-					b.Fatal("not a hit")
-				}
-			}
-		})
-		b.Run(codecName+"/l1-hit-nosink", func(b *testing.B) {
-			// The context-carrying entry point with tracing disabled (no
-			// trace in the context): must match l1-hit — zero allocations
-			// and within noise on ns/op. This is what every request pays
-			// when the operator runs without -trace.
-			c := NewBlockCache(1, 1<<20)
-			k := BlockAddress(codecName, nil, img)
-			ctx := context.Background()
-			c.GetOrComputeCost(ctx, k, func() ([]byte, int64, error) { return img, 1, nil })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, hit, _ := c.GetOrComputeCost(ctx, k, nil); !hit {
-					b.Fatal("not a hit")
-				}
-			}
-		})
-		b.Run(codecName+"/l1-hit-traced", func(b *testing.B) {
-			// Full per-request tracing: trace from the recorder pool, span
-			// around the hit, finish + record back into the ring. The
-			// delta over l1-hit-nosink is the whole observability tax.
-			c := NewBlockCache(1, 1<<20)
-			k := BlockAddress(codecName, nil, img)
-			rec := obs.NewRecorder(256, 8)
-			c.GetOrComputeCost(context.Background(), k, func() ([]byte, int64, error) { return img, 1, nil })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr := rec.StartTrace()
-				ctx := obs.WithTrace(context.Background(), tr)
-				if _, hit, _ := c.GetOrComputeCost(ctx, k, nil); !hit {
-					b.Fatal("not a hit")
-				}
-				tr.Finish(obs.OutcomeHit)
-				rec.Record(tr)
-			}
-		})
-		b.Run(codecName+"/l1-miss", func(b *testing.B) {
-			// Two keys alternate through a cache that holds one payload,
-			// so every fetch misses, slices the container, and evicts the
-			// other key — the whole miss path the server runs.
-			c := NewBlockCache(1, len(payload))
-			keys := [2]string{BlockAddress(codecName, nil, img), BlockAddress(codecName, nil, img[1:])}
-			cost := codec.Cost().CompressCycles(len(img))
-			ctx := context.Background()
-			compute := func() ([]byte, int64, error) {
-				if err := faultCacheCompute.Err(); err != nil {
-					return nil, 0, err
-				}
-				return payload[:len(payload):len(payload)], cost, nil
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, hit, _ := c.GetOrComputeCost(ctx, keys[i&1], compute); hit {
-					b.Fatal("not a miss")
-				}
+				clear(w.h)
+				h.ServeHTTP(w, req)
 			}
 		})
 	}

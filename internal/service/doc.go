@@ -7,19 +7,7 @@
 // the compressed blocks its access pattern touches, and the server's
 // job is to make that path fast at fleet scale.
 //
-// The subsystem is built from five pieces:
-//
-//   - a sharded, content-addressed block cache (cache.go). Keys are
-//     SHA-256 over codec name, serialized codec model and the plain
-//     block image, so identical blocks compressed under identical
-//     models are served from cache regardless of which workload or
-//     request produced them. Each shard carries its own lock, its own
-//     instance of a pluggable replacement policy (internal/policy;
-//     LRU by default, cost-aware and LFU selectable via Config.Policy)
-//     and an in-flight table providing singleflight-style duplicate
-//     suppression: concurrent misses on one key run the miss compute
-//     once. A miss compresses nothing: it slices the block's payload
-//     out of the entry's resident container.
+// The subsystem is built from four pieces:
 //
 //   - a slot gate bounding concurrent pack and compress jobs
 //     (pool.go). Each job runs on the goroutine that submits it once
@@ -30,10 +18,12 @@
 //     container built is round-tripped through pack.Unpack before it is
 //     ever served, so the whole-image checksum is verified on the
 //     serving path, not just trusted from the packer. That verified
-//     container is the entry's only copy of its code: block responses
-//     are slices of it, and word reads (?word=W&words=N) decode their
-//     span from it — only the covering word groups when the container
-//     has a v3 group directory, the whole block otherwise.
+//     container is the entry's only copy of its code, and nothing else
+//     holds its bytes: a block response is the block's payload slice of
+//     it, and a word read (?word=W&words=N) decodes its span from it —
+//     only the covering word groups when the container has a v3 group
+//     directory, the whole block otherwise. /metrics and /metrics/prom
+//     report the entries' resident and plain bytes by codec.
 //
 //   - an optional disk tier (Config.StoreDir, internal/store): a
 //     content-addressed container store. Built containers are
@@ -51,7 +41,7 @@
 // Endpoints:
 //
 //	GET  /healthz                          liveness probe
-//	GET  /metrics[?format=csv]             cache hit rate, in-flight, per-codec latency
+//	GET  /metrics[?format=csv]             counters, entry memory, per-codec latency
 //	GET  /v1/workloads                     the synthetic suite
 //	GET  /v1/codecs                        registered codecs
 //	GET  /v1/pack/{workload}?codec=dict    whole verified container

@@ -83,7 +83,6 @@ type FetchRecord struct {
 	Block    int              `json:"block"`
 	Codec    string           `json:"codec"`
 	TotalNS  int64            `json:"total_ns"`         // client-observed fetch latency
-	Cache    string           `json:"cache,omitempty"`  // X-Apcc-Cache: hit | miss | bypass
 	TraceID  uint64           `json:"trace,omitempty"`  // X-Apcc-Trace (0 if tracing off)
 	Stages   map[string]int64 `json:"stages,omitempty"` // stage -> exclusive ns, from X-Apcc-Stages
 	// Word/Words carry the requested span of a word read. Words > 0
@@ -151,7 +150,6 @@ type LoadStats struct {
 	// BusyRetries counts RetryBusy re-attempts after 429/503/504.
 	BusyRetries int64
 	Bytes       int64 // compressed payload bytes received
-	CacheHits   int64 // responses marked X-Apcc-Cache: hit
 	Duration    time.Duration
 	Latency     *Histogram // per-fetch latency across all clients
 	FirstError  error      // sample for diagnostics
@@ -219,7 +217,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 			stats.VerifyErrors += cs.verifyErrors
 			stats.BusyRetries += cs.busyRetries
 			stats.Bytes += cs.bytes
-			stats.CacheHits += cs.hits
 			if err != nil {
 				stats.Errors++
 				if stats.FirstError == nil {
@@ -236,9 +233,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 }
 
 type clientStats struct {
-	requests, wordReads, errors, bytes, hits int64
-	verifyErrors, busyRetries                int64
-	firstError                               error
+	requests, wordReads, errors, bytes int64
+	verifyErrors, busyRetries          int64
+	firstError                         error
 }
 
 // runClient is one simulated device: fetch container, verify, replay
@@ -322,9 +319,6 @@ func runClient(ctx context.Context, client *http.Client, cfg LoadConfig, workloa
 			continue
 		}
 		cs.bytes += int64(len(payload))
-		if hdr.Get(HeaderCache) == "hit" {
-			cs.hits++
-		}
 		var verr error
 		scratch, verr = verifyBlock(codec, payload, hdr, want[blockID], scratch)
 		if verr != nil {
@@ -335,7 +329,6 @@ func runClient(ctx context.Context, client *http.Client, cfg LoadConfig, workloa
 			}
 		}
 		if rec != nil {
-			rec.Cache = hdr.Get(HeaderCache)
 			rec.TraceID, _ = strconv.ParseUint(hdr.Get(HeaderTrace), 10, 64)
 			rec.Stages = parseStagesHeader(hdr.Get(HeaderStages))
 			if verr != nil {
@@ -396,7 +389,6 @@ func fetchWordSpan(ctx context.Context, client *http.Client, cfg LoadConfig, wor
 		return err
 	}
 	if rec != nil {
-		rec.Cache = hdr.Get(HeaderCache)
 		rec.TraceID, _ = strconv.ParseUint(hdr.Get(HeaderTrace), 10, 64)
 		rec.Stages = parseStagesHeader(hdr.Get(HeaderStages))
 	}
@@ -435,7 +427,7 @@ type CodecMixStats struct {
 // RunCodecMix replays the same load scenario once per registered codec,
 // in registry order. Every leg packs, serves, decompresses and verifies
 // the same workload set under a different codec, so after a mix run the
-// server's per-codec metrics (cache entries, Prometheus stage/codec
+// server's per-codec metrics (entry memory, Prometheus stage/codec
 // labels, decode attribution) are populated across the whole codec
 // family — the end-to-end exercise for codec-labelled observability.
 // cfg.Codec is ignored; each leg sets its own.

@@ -15,7 +15,7 @@ import (
 
 // histBounds are the latency bucket upper bounds. The last bucket is
 // open-ended. Spacing is roughly logarithmic from 1µs to 1s: the
-// sub-50µs buckets resolve per-stage attribution (an L1 lookup or a
+// sub-50µs buckets resolve per-stage attribution (a route or a
 // single-block decode is microseconds), the top covers cold
 // whole-container packs.
 var histBounds = []time.Duration{
@@ -157,8 +157,8 @@ type Metrics struct {
 	BytesSent atomic.Int64 // payload bytes written
 
 	// Word-granular serving counters: every word span is decoded from
-	// the entry's resident container, bypassing the L1 block cache. The
-	// decoded counters are the word path's decompression overhead.
+	// the entry's resident container. The decoded counters are the word
+	// path's decompression overhead.
 	WordReads        atomic.Int64 // word-span requests served
 	WordGroups       atomic.Int64 // word groups decoded through a group directory
 	WordDecodedBytes atomic.Int64 // compressed bytes decoded: covering groups, or whole payloads
@@ -283,12 +283,12 @@ func (m *Metrics) stageKeys() []StageKey {
 	return keys
 }
 
-// WriteTables renders the metrics through internal/report. st carries
-// the disk-store census (nil when no store is configured; the store
-// table is omitted). csv selects the CSV dialect (one table after
-// another, separated by blank lines); otherwise aligned text tables
-// are written.
-func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st *store.Stats, csv bool) error {
+// WriteTables renders the metrics through internal/report. mem is the
+// built entries' memory by codec. st carries the disk-store census (nil
+// when no store is configured; the store table is omitted). csv selects
+// the CSV dialect (one table after another, separated by blank lines);
+// otherwise aligned text tables are written.
+func (m *Metrics) WriteTables(w io.Writer, mem []EntryMemory, pool PoolStats, st *store.Stats, csv bool) error {
 	svc := report.NewTable("service", "metric", "value")
 	svc.AddRow("uptime_seconds", fmt.Sprintf("%.1f", time.Since(m.start).Seconds()))
 	svc.AddRow("requests_total", m.Requests.Load())
@@ -301,15 +301,10 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 	svc.AddRow("word_decoded_bytes_total", m.WordDecodedBytes.Load())
 	svc.AddRow("payload_bytes_total", m.BytesSent.Load())
 
-	ct := report.NewTable("block cache", "metric", "value")
-	ct.AddRow("hits", cache.Hits)
-	ct.AddRow("misses", cache.Misses)
-	ct.AddRow("coalesced", cache.Coalesced)
-	ct.AddRow("wait_aborts", cache.WaitAborts)
-	ct.AddRow("hit_rate", fmt.Sprintf("%.4f", cache.HitRate()))
-	ct.AddRow("evictions", cache.Evictions)
-	ct.AddRow("entries", cache.Entries)
-	ct.AddRow("bytes", cache.Bytes)
+	et := report.NewTable("entry memory by codec", "codec", "resident_bytes", "plain_bytes")
+	for _, e := range mem {
+		et.AddRow(e.Codec, e.Resident, e.Plain)
+	}
 
 	pt := report.NewTable("worker pool", "metric", "value")
 	pt.AddRow("workers", pool.Workers)
@@ -327,7 +322,7 @@ func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st 
 	rt := report.NewTable("resilience", "metric", "value")
 	rt.AddRow("shed_total", m.Shed.Load())
 
-	tables := []*report.Table{svc, ct, pt, lt, rt}
+	tables := []*report.Table{svc, et, pt, lt, rt}
 	if st != nil {
 		dt := report.NewTable("disk store", "metric", "value")
 		dt.AddRow("objects", st.Objects)

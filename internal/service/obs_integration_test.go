@@ -15,6 +15,8 @@ import (
 
 	"apbcc/internal/compress"
 	"apbcc/internal/obs"
+	"apbcc/internal/pack"
+	"apbcc/internal/store"
 )
 
 // promFamilies extracts the "# TYPE name typ" declarations from an
@@ -38,9 +40,9 @@ func TestPromEndpointValid(t *testing.T) {
 	_, ts := newTestServerConfig(t, Config{
 		Workers: 4, StoreDir: t.TempDir(),
 	})
-	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=rle") // miss
-	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=rle") // hit
-	get(t, ts.Client(), ts.URL+"/v1/pack/nosuch")             // error
+	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=rle")
+	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=rle")
+	get(t, ts.Client(), ts.URL+"/v1/pack/nosuch") // error
 
 	code, body, hdr := get(t, ts.Client(), ts.URL+"/metrics/prom")
 	if code != http.StatusOK {
@@ -62,9 +64,8 @@ func TestPromEndpointValid(t *testing.T) {
 		"apcc_uptime_seconds", "apcc_http_requests_total", "apcc_http_errors_total",
 		"apcc_http_in_flight", "apcc_packs_built_total", "apcc_blocks_served_total",
 		"apcc_payload_bytes_total", "apcc_word_reads_total", "apcc_word_groups_decoded_total",
-		"apcc_word_decoded_bytes_total", "apcc_cache_events_total", "apcc_cache_entries",
-		"apcc_cache_bytes", "apcc_pool_workers", "apcc_pool_jobs_total",
-		"apcc_pool_in_flight",
+		"apcc_word_decoded_bytes_total", "apcc_entry_resident_bytes", "apcc_entry_plain_bytes",
+		"apcc_pool_workers", "apcc_pool_jobs_total", "apcc_pool_in_flight",
 		"apcc_verify_unpacks_total", "apcc_verify_unpack_seconds_total",
 		"apcc_trace_records_total", "apcc_trace_truncated_total",
 		"apcc_store_objects", "apcc_store_refs", "apcc_store_quarantined_total",
@@ -74,17 +75,78 @@ func TestPromEndpointValid(t *testing.T) {
 			t.Errorf("family %s missing from exposition", want)
 		}
 	}
-	if fams["apcc_block_stage_seconds"] != "histogram" {
-		t.Errorf("apcc_block_stage_seconds type = %q", fams["apcc_block_stage_seconds"])
+	for name, typ := range fams {
+		if strings.HasPrefix(name, "apcc_cache_") {
+			t.Errorf("block-cache family %s still exposed", name)
+		}
+		if name == "apcc_block_stage_seconds" && typ != "histogram" {
+			t.Errorf("apcc_block_stage_seconds type = %q", typ)
+		}
 	}
 	// The traffic above must have produced stage attribution series.
 	for _, want := range []string{
-		`apcc_block_stage_seconds_bucket{stage="l1",codec="rle",outcome="hit"`,
-		`apcc_block_stage_seconds_bucket{stage="route"`,
-		`apcc_block_stage_seconds_bucket{stage="write"`,
+		`apcc_block_stage_seconds_bucket{stage="route",codec="rle",outcome="ok"`,
+		`apcc_block_stage_seconds_bucket{stage="write",codec="rle",outcome="ok"`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %s", want)
+		}
+	}
+	if strings.Contains(string(body), `stage="l1"`) {
+		t.Error("exposition carries an l1 stage series")
+	}
+}
+
+// TestEntryMemoryGauges: /metrics/prom and /metrics report, by codec,
+// the memory the built entries hold (container capacity, 16 B per
+// layout row, 4 B per group offset) and the plain bytes their
+// containers encode, which must add up to the block images pack.Unpack
+// rebuilds from the served containers. A built container is held at its
+// exact size.
+func TestEntryMemoryGauges(t *testing.T) {
+	s, ts := newTestServer(t)
+	resident, plain := map[string]int64{}, map[string]int64{}
+	for _, codec := range []string{"dict", "huffman"} {
+		for _, name := range []string{"fft", "crc32"} {
+			code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/"+name+"?codec="+codec)
+			if code != http.StatusOK {
+				t.Fatalf("%s/%s: pack status %d", name, codec, code)
+			}
+			prog, _, _, err := pack.Unpack(name, container)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images, err := prog.AllBlockBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, img := range images {
+				plain[codec] += int64(len(img))
+			}
+			s.mu.Lock()
+			ent := s.entries[store.RefName(name, codec)]
+			s.mu.Unlock()
+			if cap(ent.container) != len(container) {
+				t.Errorf("%s/%s: entry holds a %d-byte container in %d bytes of capacity", name, codec, len(container), cap(ent.container))
+			}
+			resident[codec] += int64(len(container) + 16*len(ent.blocks) + 4*len(ent.groupOffs))
+		}
+	}
+
+	_, body, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
+	_, tables, _ := get(t, ts.Client(), ts.URL+"/metrics?format=csv")
+	for codec := range resident {
+		for family, want := range map[string]int64{
+			"apcc_entry_resident_bytes": resident[codec], "apcc_entry_plain_bytes": plain[codec],
+		} {
+			series := fmt.Sprintf("%s{codec=%q} %d\n", family, codec, want)
+			if !bytes.Contains(body, []byte(series)) {
+				t.Errorf("exposition lacks %q", series)
+			}
+		}
+		row := fmt.Sprintf("%s,%d,%d\n", codec, resident[codec], plain[codec])
+		if !bytes.Contains(tables, []byte("codec,resident_bytes,plain_bytes\n")) || !bytes.Contains(tables, []byte(row)) {
+			t.Errorf("/metrics entry memory table lacks row %q:\n%s", row, tables)
 		}
 	}
 }
@@ -93,7 +155,7 @@ func TestPromEndpointValid(t *testing.T) {
 // end against one server and asserts the Prometheus exposition then
 // carries per-stage decode attribution for every registered codec —
 // in particular the word-pattern codecs, whose serving path (pack,
-// L1/L2, decode, verify) must be exercised by the mix, not just by
+// verify, route, write) must be exercised by the mix, not just by
 // unit tests.
 func TestCodecMixPopulatesPromLabels(t *testing.T) {
 	_, ts := newTestServerConfig(t, Config{Workers: 4, StoreDir: t.TempDir()})
@@ -124,7 +186,7 @@ func TestCodecMixPopulatesPromLabels(t *testing.T) {
 		t.Fatalf("exposition invalid after mix: %v", err)
 	}
 	for _, codec := range compress.Names() {
-		series := fmt.Sprintf(`apcc_block_stage_seconds_bucket{stage="l1",codec=%q`, codec)
+		series := fmt.Sprintf(`apcc_block_stage_seconds_bucket{stage="route",codec=%q`, codec)
 		if !strings.Contains(string(body), series) {
 			t.Errorf("exposition missing stage series for codec %s", codec)
 		}
@@ -159,7 +221,7 @@ func TestMetricsCSVDialect(t *testing.T) {
 			}
 		}
 	}
-	// service, cache, pool, latency, resilience, store.
+	// service, entry memory, pool, latency, resilience, store.
 	if tables != 6 {
 		t.Errorf("got %d CSV tables, want 6", tables)
 	}
@@ -262,8 +324,8 @@ func TestDebugTraceAndStageSum(t *testing.T) {
 		recs++
 		if rec.TraceID > 0 && len(rec.Stages) > 0 {
 			withStages++
-			if _, ok := rec.Stages[obs.StageL1]; !ok {
-				t.Fatalf("record missing l1 stage: %+v", rec)
+			if _, ok := rec.Stages[obs.StageRoute]; !ok {
+				t.Fatalf("record missing route stage: %+v", rec)
 			}
 		}
 	}
@@ -308,9 +370,9 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceHeadersOnHit: the serving path advertises its trace id and
-// stage breakdown, and the stages parse back through the loadgen's
-// header parser.
+// TestTraceHeadersOnHit: a block GET of a built entry advertises its
+// trace id and stage breakdown, and the stages parse back through the
+// loadgen's header parser.
 func TestTraceHeadersOnHit(t *testing.T) {
 	_, ts := newTestServer(t)
 	get(t, ts.Client(), ts.URL+"/v1/block/crc32/1?codec=dict")
@@ -319,10 +381,8 @@ func TestTraceHeadersOnHit(t *testing.T) {
 		t.Fatal("no trace id header")
 	}
 	stages := parseStagesHeader(hdr.Get(HeaderStages))
-	for _, want := range []string{obs.StageRoute, obs.StageL1} {
-		if _, ok := stages[want]; !ok {
-			t.Errorf("stages header %q missing %s", hdr.Get(HeaderStages), want)
-		}
+	if _, ok := stages[obs.StageRoute]; !ok || len(stages) != 1 {
+		t.Errorf("stages header %q, want the route stage alone", hdr.Get(HeaderStages))
 	}
 	if _, ok := stages[obs.StageWrite]; ok {
 		t.Error("write stage leaked into the header (still open when rendered)")
@@ -335,67 +395,13 @@ func TestTraceHeadersOnHit(t *testing.T) {
 func TestMetricsLookupAllocFree(t *testing.T) {
 	m := NewMetrics()
 	m.CodecHist("dict")
-	m.StageHist(obs.StageL1, "dict", obs.OutcomeHit)
+	m.StageHist(obs.StageRoute, "dict", obs.OutcomeOK)
 	allocs := testing.AllocsPerRun(200, func() {
 		m.CodecHist("dict").Observe(time.Microsecond)
-		m.StageHist(obs.StageL1, "dict", obs.OutcomeHit).Observe(30 * time.Microsecond)
+		m.StageHist(obs.StageRoute, "dict", obs.OutcomeOK).Observe(30 * time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Errorf("resident histogram lookup allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestCacheHitPathAllocFree pins the untraced L1 hit: context plumbing
-// through GetOrComputeCost must not add allocations when no trace is
-// attached.
-func TestCacheHitPathAllocFree(t *testing.T) {
-	c := NewBlockCache(1, 1<<20)
-	ctx := context.Background()
-	if _, _, err := c.GetOrComputeCost(ctx, "k", func() ([]byte, int64, error) {
-		return []byte("v"), 1, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		_, hit, _ := c.GetOrComputeCost(ctx, "k", nil)
-		if !hit {
-			t.Fatal("unexpected miss")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("untraced hit path allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestEvictionStormCallback: one insert displacing >= stormThreshold
-// residents fires the callback with the count, outside the shard lock.
-func TestEvictionStormCallback(t *testing.T) {
-	c := NewBlockCache(1, 64)
-	var mu sync.Mutex
-	var gotKey string
-	var gotEvicted int
-	c.SetEvictionStormFn(func(key string, evicted int) {
-		// Re-entering the cache proves the callback runs unlocked.
-		c.Get("anything")
-		mu.Lock()
-		gotKey, gotEvicted = key, evicted
-		mu.Unlock()
-	})
-	fill := func(key string, val []byte) {
-		t.Helper()
-		c.GetOrCompute(key, func() ([]byte, error) { return val, nil })
-		if _, ok := c.Get(key); !ok {
-			t.Fatalf("entry %s not admitted", key)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		fill(fmt.Sprintf("k%02d", i), []byte("abcd"))
-	}
-	fill("big", make([]byte, 60))
-	mu.Lock()
-	defer mu.Unlock()
-	if gotKey != "big" || gotEvicted < stormThreshold {
-		t.Errorf("storm callback got (%q, %d), want (big, >=%d)", gotKey, gotEvicted, stormThreshold)
 	}
 }
 

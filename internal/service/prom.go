@@ -23,11 +23,11 @@ var promBounds = func() []float64 {
 // text exposition (version 0.0.4): the same data /metrics shows as
 // tables, plus the per-stage attribution histograms
 // apcc_block_stage_seconds{stage,codec,outcome} the tracing layer
-// feeds. st and rec may be nil (no store / tracing disabled); their
-// families are omitted or zero. Family names are fixed at compile
-// time, so scrape configs survive restarts (pinned by
-// TestPromNamesStableAcrossRestarts).
-func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *store.Stats, rec *obs.Recorder) error {
+// feeds. mem is the built entries' memory by codec. st and rec may be
+// nil (no store / tracing disabled); their families are omitted or
+// zero. Family names are fixed at compile time, so scrape configs
+// survive restarts (pinned by TestPromNamesStableAcrossRestarts).
+func (m *Metrics) WriteProm(w io.Writer, mem []EntryMemory, pool PoolStats, st *store.Stats, rec *obs.Recorder) error {
 	p := obs.NewPromWriter(w)
 
 	p.Family("apcc_uptime_seconds", "gauge", "Seconds since the server started.")
@@ -53,21 +53,15 @@ func (m *Metrics) WriteProm(w io.Writer, cache CacheStats, pool PoolStats, st *s
 		"Compressed bytes decoded by word reads: the covering groups, or the whole payload without a group directory.")
 	p.Sample("apcc_word_decoded_bytes_total", nil, float64(m.WordDecodedBytes.Load()))
 
-	p.Family("apcc_cache_events_total", "counter", "Block-cache events by kind.")
-	for _, e := range []struct {
-		kind string
-		v    int64
-	}{
-		{"hit", cache.Hits}, {"miss", cache.Misses},
-		{"coalesced", cache.Coalesced}, {"wait_abort", cache.WaitAborts},
-		{"eviction", cache.Evictions},
-	} {
-		p.Sample("apcc_cache_events_total", []obs.Label{{Name: "event", Value: e.kind}}, float64(e.v))
+	p.Family("apcc_entry_resident_bytes", "gauge",
+		"Memory built entries hold, by codec: container capacity plus layout and group-offset tables.")
+	for _, e := range mem {
+		p.Sample("apcc_entry_resident_bytes", []obs.Label{{Name: "codec", Value: e.Codec}}, float64(e.Resident))
 	}
-	p.Family("apcc_cache_entries", "gauge", "Resident block-cache entries.")
-	p.Sample("apcc_cache_entries", nil, float64(cache.Entries))
-	p.Family("apcc_cache_bytes", "gauge", "Resident block-cache bytes.")
-	p.Sample("apcc_cache_bytes", nil, float64(cache.Bytes))
+	p.Family("apcc_entry_plain_bytes", "gauge", "Plain code bytes the built entries' containers encode, by codec.")
+	for _, e := range mem {
+		p.Sample("apcc_entry_plain_bytes", []obs.Label{{Name: "codec", Value: e.Codec}}, float64(e.Plain))
+	}
 
 	p.Family("apcc_pool_workers", "gauge", "Worker-pool size.")
 	p.Sample("apcc_pool_workers", nil, float64(pool.Workers))

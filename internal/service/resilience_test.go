@@ -234,8 +234,8 @@ func TestDrainFlipsHealthz(t *testing.T) {
 	s.BeginDrain() // idempotent
 }
 
-// TestRequestDeadline504: a request that outlives Config.RequestTimeout
-// must come back 504, not hang on the slow compute.
+// TestRequestDeadline504: a block GET that outlives
+// Config.RequestTimeout must come back 504, not be served late.
 func TestRequestDeadline504(t *testing.T) {
 	resetFaults(t)
 	_, ts := newTestServerConfig(t, Config{
@@ -245,50 +245,44 @@ func TestRequestDeadline504(t *testing.T) {
 	if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
 		t.Fatal("warmup build failed")
 	}
-	if err := faults.Set("service.cache-compute:p=1,lat=200ms,n=1"); err != nil {
+	if err := faults.Set("service.block:p=1,lat=200ms,n=1"); err != nil {
 		t.Fatal(err)
 	}
 	code, body, _ := get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=dict")
 	if code != http.StatusGatewayTimeout {
-		t.Fatalf("slow compute: %d %s, want 504", code, body)
+		t.Fatalf("slow block GET: %d %s, want 504", code, body)
 	}
-	// The fault was n=1-limited: the same block must now serve fine and
-	// the singleflight key must not be poisoned.
+	// The fault was n=1-limited: the same block must now serve fine.
 	code, _, _ = get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=dict")
 	if code != http.StatusOK {
 		t.Fatalf("fetch after deadline miss: %d, want 200", code)
 	}
 }
 
-// TestClientDisconnectMidRebuild is the regression for the coalesced
-// waiter path: a client that disconnects while the singleflight leader
-// is still computing the block must unblock immediately with its
-// context error, while
-// the leader still completes, caches the value, and serves everyone
-// after — no wedged key, no poisoned flight.
+// TestClientDisconnectMidRebuild: a client that disconnects while
+// another request is still building the entry it waits on must unblock
+// at once with its context error, while the build completes and serves
+// that request and everyone after it.
 func TestClientDisconnectMidRebuild(t *testing.T) {
 	resetFaults(t)
 	s, ts := newTestServerConfig(t, Config{Workers: 2})
-	if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict"); code != http.StatusOK {
-		t.Fatal("warmup build failed")
-	}
-	// The leader's compute stalls 300ms; the waiter's client gives up
-	// after 30ms.
-	if err := faults.Set("service.cache-compute:p=1,lat=300ms,n=1"); err != nil {
+	// The cold build stalls 300ms at the pool; the waiter's client gives
+	// up after 30ms.
+	if err := faults.Set("service.pool-submit:p=1,lat=300ms,n=1"); err != nil {
 		t.Fatal(err)
 	}
 	url := ts.URL + "/v1/block/crc32/0?codec=dict"
-	leaderDone := make(chan int, 1)
+	firstDone := make(chan int, 1)
 	go func() {
 		resp, err := ts.Client().Get(url)
 		if err != nil {
-			leaderDone <- 0
+			firstDone <- 0
 			return
 		}
 		resp.Body.Close()
-		leaderDone <- resp.StatusCode
+		firstDone <- resp.StatusCode
 	}()
-	time.Sleep(50 * time.Millisecond) // let the leader enter the compute
+	time.Sleep(50 * time.Millisecond) // let the first request start the build
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -300,21 +294,22 @@ func TestClientDisconnectMidRebuild(t *testing.T) {
 	if waited := time.Since(t0); waited > 150*time.Millisecond {
 		t.Fatalf("waiter blocked %v after disconnect — not context-aware", waited)
 	}
-	if code := <-leaderDone; code != http.StatusOK {
-		t.Fatalf("leader finished %d, want 200 (waiter cancellation must not poison the flight)", code)
+	// The waiter's handler must end too while the build is still
+	// stalled, leaving only the building request in flight.
+	for deadline := time.Now().Add(150 * time.Millisecond); s.Metrics().InFlight.Load() > 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests in flight 150ms after the disconnect, want 1 (the build)", s.Metrics().InFlight.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// The flight completed and cached: the block now serves as a hit.
-	code, _, hdr := get(t, ts.Client(), url)
-	if code != http.StatusOK || hdr.Get(HeaderCache) != "hit" {
-		t.Fatalf("post-disconnect fetch: %d cache=%q, want 200 hit", code, hdr.Get(HeaderCache))
+	if code := <-firstDone; code != http.StatusOK {
+		t.Fatalf("building request finished %d, want 200 (a waiter's cancellation must not fail the build)", code)
 	}
-	if s.CacheStats().Coalesced != 0 {
-		// The cancelled waiter must not be counted coalesced-as-hit.
-		t.Fatalf("coalesced = %d, want 0", s.CacheStats().Coalesced)
+	if code, _, _ := get(t, ts.Client(), url); code != http.StatusOK {
+		t.Fatalf("post-disconnect fetch: %d, want 200", code)
 	}
-	if got := s.CacheStats().WaitAborts; got != 1 {
-		// Nor as a miss: the disconnect is a wait abort, full stop.
-		t.Fatalf("wait aborts = %d, want 1 (the disconnected waiter)", got)
+	if packs := s.Metrics().Packs.Load(); packs != 1 {
+		t.Fatalf("packs = %d, want 1: the build ran once for every request", packs)
 	}
 }
 
@@ -344,8 +339,8 @@ func TestFaultsEndpointGated(t *testing.T) {
 }
 
 // TestChaosScenario runs the full three-phase chaos harness with a
-// fixed seed: injected decode latency, block-compute latency and
-// transient errors during a block and word load; a restart whose every
+// fixed seed: injected decode latency, block GET latency and transient
+// errors during a block and word load; a restart whose every
 // store read flips a bit, so each warm restore is quarantined and
 // rebuilt and every block and word is checked; and a healed restart
 // that restores warm — with zero wrong bytes end to end.
@@ -355,8 +350,7 @@ func TestChaosScenario(t *testing.T) {
 	}
 	resetFaults(t)
 	cfg := Config{
-		CacheShards: 4, CacheBytes: 1 << 20, Workers: 2, QueueDepth: 32,
-		StoreDir: t.TempDir(), TraceRing: -1,
+		Workers: 2, QueueDepth: 32, StoreDir: t.TempDir(), TraceRing: -1,
 	}
 	lcfg := LoadConfig{
 		Workload: "sha", Codec: "dict", Clients: 4, Steps: 60, Seed: 7,
@@ -364,8 +358,8 @@ func TestChaosScenario(t *testing.T) {
 	// The in-process clients unpack their oracle through the same
 	// process-global fault layer, so compress.decode carries latency
 	// only here; the transient errors land on the first three block
-	// computes, which the clients retry.
-	profile := "compress.decode:p=0.2,lat=1ms;service.cache-compute:p=0.2,lat=1ms;service.cache-compute:p=1,err,n=3"
+	// GETs, which the clients retry.
+	profile := "compress.decode:p=0.2,lat=1ms;service.block:p=0.2,lat=1ms;service.block:p=1,err,n=3"
 	st, err := RunChaos(context.Background(), cfg, lcfg, profile, 42)
 	if err != nil {
 		t.Fatal(err)

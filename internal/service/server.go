@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,7 +37,6 @@ const (
 	HeaderCodec = "X-Apcc-Codec" // codec the payload was compressed with
 	HeaderWords = "X-Apcc-Words" // plain size in ERI32 words
 	HeaderCRC   = "X-Apcc-Crc32" // IEEE CRC-32 of the plain block image
-	HeaderCache = "X-Apcc-Cache" // hit | miss; "bypass" on word reads
 	// HeaderWord is set only on word-read responses (?word=W&words=N):
 	// the span's first word index.
 	HeaderWord = "X-Apcc-Word"
@@ -51,17 +51,16 @@ const (
 // maxAsmBody bounds POST /v1/pack request bodies.
 const maxAsmBody = 1 << 20
 
-// faultCacheCompute injects latency or transient errors into the L1
-// miss compute, ahead of the container slice.
-var faultCacheCompute = faults.Register("service.cache-compute")
+// faultBlock injects latency or transient errors into every block GET,
+// ahead of the payload slice.
+var faultBlock = faults.Register("service.block")
 
 // Config sizes the serving subsystem. Zero values select defaults.
 type Config struct {
-	// CacheShards is the block-cache shard count (default 16).
-	CacheShards int
-	// CacheBytes is the total block-cache capacity, split evenly across
-	// shards (default 32 MiB).
-	CacheBytes int
+	// Deprecated: the block cache is gone and nothing reads these two
+	// fields. They stay only until cmd/apcc-bench stops setting them
+	// (ROADMAP item 1).
+	CacheShards, CacheBytes int
 	// Workers is how many pack/compress jobs run at once (default
 	// GOMAXPROCS).
 	Workers int
@@ -69,11 +68,6 @@ type Config struct {
 	// /v1/ requests are shed with 429 and Retry-After instead of
 	// waiting behind it (default 256).
 	QueueDepth int
-	// Policy names the block-cache replacement policy (policy.Names);
-	// empty selects "klru", which with expiry disabled is plain LRU.
-	// "cost-aware" keeps blocks that are expensive to recompress
-	// resident longer (GreedyDual-Size over the codec cost model).
-	Policy string
 	// StoreDir, when non-empty, roots the content-addressed disk store:
 	// built containers are persisted there asynchronously, and a restart
 	// against a warm store restores previously-built containers without
@@ -91,9 +85,8 @@ type Config struct {
 	TraceExemplars int
 	// RequestTimeout is the per-request deadline applied by the
 	// instrumented handler: the request context is cancelled when it
-	// expires, which aborts coalesced cache waits, entry-build waits
-	// and pool slot waits, and the client gets 504. 0 disables
-	// (default).
+	// expires, which aborts entry-build waits and pool slot waits, and
+	// the client gets 504. 0 disables (default).
 	RequestTimeout time.Duration
 	// DebugFaults mounts the fault-injection control endpoint
 	// (GET/POST /debug/faults) on the serving mux. Off by default:
@@ -104,17 +97,11 @@ type Config struct {
 	// when -faults is given).
 	DebugFaults bool
 	// Log receives the server's structured events (request debug lines,
-	// quarantines, eviction storms). nil discards everything.
+	// quarantines, failed persists). nil discards everything.
 	Log *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = 32 << 20
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -137,10 +124,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the pack-serving subsystem: container and block endpoints
-// in front of the sharded L1 block cache, the pool that bounds pack
-// jobs, and (when configured) the content-addressed disk store.
+// over the built entries, the pool that bounds pack jobs, and (when
+// configured) the content-addressed disk store.
 type Server struct {
-	cache   *BlockCache
 	pool    *Pool
 	metrics *Metrics
 	store   *store.Store // nil when no StoreDir was configured
@@ -180,7 +166,6 @@ type entry struct {
 	// relative to its block's payload start. nil when the container has
 	// no directory: word reads then decode the whole block.
 	groupOffs []uint32
-	keys      []string   // per-block content addresses, precomputed
 	hist      *Histogram // latency histogram for this entry's codec
 }
 
@@ -255,17 +240,10 @@ func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, group
 }
 
 // New builds a Server. Call Close when done to wait out its pack jobs.
-// An unknown Config.Policy falls back to the LRU default (use
-// policy.Names to validate user input first). The only error source is
-// opening Config.StoreDir.
+// The only error source is opening Config.StoreDir.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	cache, err := NewBlockCachePolicy(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards, cfg.Policy)
-	if err != nil {
-		cache = NewBlockCache(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards)
-	}
 	s := &Server{
-		cache:      cache,
 		pool:       NewPool(cfg.Workers),
 		metrics:    NewMetrics(),
 		entries:    make(map[string]*entry),
@@ -276,10 +254,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceRing > 0 {
 		s.rec = obs.NewRecorder(cfg.TraceRing, cfg.TraceExemplars)
 	}
-	cache.SetEvictionStormFn(func(key string, evicted int) {
-		s.log.Warn("cache eviction storm: one insert displaced many residents",
-			"key", shortKey(key), "evicted", evicted)
-	})
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
 		if err != nil {
@@ -329,8 +303,19 @@ func (s *Server) Store() *store.Store { return s.store }
 // tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// CacheStats exposes the block cache aggregate.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+// CacheStats is always zero.
+//
+// Deprecated: the block cache is gone. The type stays only until
+// cmd/apcc-bench stops reading it (ROADMAP item 1).
+type CacheStats struct {
+	Hits, Misses, Coalesced, Evictions int64
+}
+
+// CacheStats returns a zero CacheStats.
+//
+// Deprecated: the block cache is gone. The method stays only until
+// cmd/apcc-bench stops calling it (ROADMAP item 1).
+func (s *Server) CacheStats() CacheStats { return CacheStats{} }
 
 // BeginDrain flips the server into draining mode: /healthz starts
 // reporting 503 so load balancers stop routing here, while in-flight
@@ -417,7 +402,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ss := s.store.Stats()
 		st = &ss
 	}
-	s.metrics.WriteTables(w, s.cache.Stats(), s.pool.Stats(), st, csv)
+	s.metrics.WriteTables(w, s.entryMemory(), s.pool.Stats(), st, csv)
 }
 
 // handleMetricsProm serves the same counters as /metrics, plus the
@@ -429,7 +414,50 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		ss := s.store.Stats()
 		st = &ss
 	}
-	s.metrics.WriteProm(w, s.cache.Stats(), s.pool.Stats(), st, s.rec)
+	s.metrics.WriteProm(w, s.entryMemory(), s.pool.Stats(), st, s.rec)
+}
+
+// EntryMemory is the memory held by one codec's built entries.
+type EntryMemory struct {
+	Codec string
+	// Resident is what the entries keep: container capacity, 16 B per
+	// layout row and 4 B per group offset.
+	Resident int64
+	// Plain is the size of the plain code images the containers encode.
+	Plain int64
+}
+
+// entryMemory sums the built entries' memory by codec, in codec order.
+// Entries still building are skipped.
+func (s *Server) entryMemory() []EntryMemory {
+	byCodec := map[string]*EntryMemory{}
+	s.mu.Lock()
+	for _, ent := range s.entries {
+		select {
+		case <-ent.ready:
+		default:
+			continue
+		}
+		if ent.err != nil {
+			continue
+		}
+		m := byCodec[ent.codec.Name()]
+		if m == nil {
+			m = &EntryMemory{Codec: ent.codec.Name()}
+			byCodec[m.Codec] = m
+		}
+		m.Resident += int64(cap(ent.container) + 16*cap(ent.blocks) + 4*cap(ent.groupOffs))
+		for _, b := range ent.blocks {
+			m.Plain += int64(b.words) * isa.WordSize
+		}
+	}
+	s.mu.Unlock()
+	out := make([]EntryMemory, 0, len(byCodec))
+	for _, m := range byCodec {
+		out = append(out, *m)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Codec < out[j].Codec })
+	return out
 }
 
 // handleTrace dumps the trace ring as JSON: the n most recent request
@@ -554,7 +582,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// With tracing disabled (nil recorder) tr is nil and every obs call
 	// below is a free no-op: the hot path costs what it did untraced
-	// (pinned by BenchmarkBlockSource l1-hit and TestTracedPathAllocs).
+	// (pinned by TestBlockGetAllocs).
 	tr := s.rec.StartTrace()
 	rsp := tr.Begin(obs.StageRoute)
 	ctx := obs.WithTrace(r.Context(), tr)
@@ -581,41 +609,25 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		s.serveWordRange(w, q, tr, rsp, ent, id)
 		return
 	}
-	blk := ent.blocks[id]
-	// Cost-aware replacement weighs the block's modeled compression
-	// cost against its bytes.
-	missCost := ent.codec.Cost().CompressCycles(int(blk.words) * isa.WordSize)
-	compute := func() ([]byte, int64, error) {
-		if err := faultCacheCompute.Err(); err != nil {
-			return nil, 0, err
-		}
-		return ent.payload(id), missCost, nil
+	err = faultBlock.Err()
+	if err == nil {
+		// The deadline may have fired during an injected stall; don't
+		// start a response write the client already gave up on.
+		err = ctx.Err()
 	}
-	// The closure allocation above stays inside the route span so the
-	// hand-off to the cache leaves only call overhead unattributed.
-	rsp.End(obs.OutcomeOK)
-	payload, hit, err := s.cache.GetOrComputeCost(ctx, ent.keys[id], compute)
 	if err != nil {
+		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	if ctx.Err() != nil {
-		// The deadline fired while the compute ran (an injected stall);
-		// don't start a response write the client already gave up on.
-		s.finishTrace(tr, obs.OutcomeError)
-		http.Error(w, ctx.Err().Error(), statusFor(ctx.Err()))
-		return
-	}
-	outcome := obs.OutcomeMiss
-	if hit {
-		outcome = obs.OutcomeHit
-	}
+	rsp.End(obs.OutcomeOK)
 	// The write span opens before the metric and header work so almost
 	// all handler time lives inside some span: summed exclusive times
 	// then track the trace's end-to-end total (asserted within 10% by
 	// the e2e test).
 	wsp := tr.Begin(obs.StageWrite)
+	blk := ent.blocks[id]
 	s.metrics.Blocks.Add(1)
 	ent.hist.Observe(time.Since(start))
 	h := w.Header()
@@ -623,14 +635,13 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	h.Set(HeaderCodec, ent.codec.Name())
 	h.Set(HeaderWords, strconv.Itoa(int(blk.words)))
 	h.Set(HeaderCRC, fmt.Sprintf("%08x", blk.crc))
-	h.Set(HeaderCache, outcome)
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
-	w.Write(payload)
+	w.Write(ent.payload(id))
 	wsp.End(obs.OutcomeOK)
-	s.finishTrace(tr, outcome)
+	s.finishTrace(tr, obs.OutcomeOK)
 }
 
 // serveWordRange handles ?word=W&words=N on the block endpoint — the
@@ -638,11 +649,6 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 // (N×4), not a compressed payload: a word read exists precisely so the
 // client skips its own full-block decode. The span is decoded from the
 // entry's resident container (decodeWords), traced as the decode stage.
-// Word reads never touch the L1 block cache in either direction: the
-// cache holds whole compressed blocks for full-block serving, and
-// letting sub-block probes admit or promote entries would let a
-// word-scanning client evict the real working set (pinned by
-// TestWordReadDoesNotTouchL1).
 func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
 	word, err := strconv.Atoi(q.Get("word"))
 	nwords := 1
@@ -686,7 +692,6 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 	h.Set(HeaderWords, strconv.Itoa(nwords))
 	h.Set(HeaderWord, strconv.Itoa(word))
 	h.Set(HeaderCRC, fmt.Sprintf("%08x", crc32.ChecksumIEEE(buf)))
-	h.Set(HeaderCache, "bypass")
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
@@ -896,21 +901,16 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 }
 
 // finishEntry fills the entry's serving state from a verified
-// (container, reconstructed program, codec) triple. The program's plain
-// block images are needed only to derive the cache keys; the entry
-// keeps the container, a layout table copied out of its index, and the
-// index's group directory as one flat offset table.
+// (container, reconstructed program, codec) triple: the container, a
+// layout table copied out of its index, and the index's group
+// directory as one flat offset table.
 func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, codec compress.Codec) error {
-	plain, err := p.AllBlockBytes()
-	if err != nil {
-		return err
-	}
 	idx, err := pack.ParseIndex(container)
 	if err != nil {
 		return err
 	}
 	gc, grouped := compress.AsGroupCodec(codec)
-	if len(idx.Blocks) != len(plain) || idx.PayloadBase+idx.PayloadLen != int64(len(container)) ||
+	if len(idx.Blocks) != p.Graph.NumBlocks() || idx.PayloadBase+idx.PayloadLen != int64(len(container)) ||
 		len(container) > math.MaxUint32 ||
 		idx.HasGroupIndex() && (!grouped || gc.GroupWords() != idx.GroupWords) {
 		return fmt.Errorf("service: %s container layout does not fit its program", p.Name)
@@ -928,7 +928,6 @@ func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, c
 	ent.codec = codec
 	ent.blocks = blocks
 	ent.groupOffs = offs
-	ent.keys = BlockAddresses(codec.Name(), compress.MarshalModel(codec), plain)
 	// Resolve the histogram once so the hot path never takes the
 	// metrics mutex.
 	ent.hist = s.metrics.CodecHist(codec.Name())

@@ -20,7 +20,7 @@ import (
 
 // storeConfig is the test config with the disk tier enabled.
 func storeConfig(dir string) Config {
-	return Config{CacheShards: 4, CacheBytes: 8 << 20, Workers: 2, QueueDepth: 32, StoreDir: dir}
+	return Config{Workers: 2, QueueDepth: 32, StoreDir: dir}
 }
 
 // TestWarmRestartServesWithoutPacking is the acceptance pin for the

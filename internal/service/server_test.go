@@ -22,7 +22,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	return newTestServerConfig(t, Config{CacheShards: 8, CacheBytes: 8 << 20, Workers: 4, QueueDepth: 64})
+	return newTestServerConfig(t, Config{Workers: 4, QueueDepth: 64})
 }
 
 func newTestServerConfig(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -151,60 +151,63 @@ func TestBlockEndpointServesVerifiableBlocks(t *testing.T) {
 			t.Errorf("block %d: words header %d, want %d", id, words, len(want[id])/4)
 		}
 	}
-
-	// Second pass over block 0 must be a cache hit.
-	_, _, hdr := get(t, ts.Client(), ts.URL+"/v1/block/fir/0?codec=dict")
-	if hdr.Get(HeaderCache) != "hit" {
-		t.Errorf("revisit cache header = %q, want hit", hdr.Get(HeaderCache))
-	}
 }
 
-// TestBlockMissServesContainerSlice pins the one-copy design: without
-// a store, every block response — miss or hit — is exactly that block's
-// payload slice of the container /v1/pack serves, with the CRC and word
-// count of the unpacked image in its headers.
-func TestBlockMissServesContainerSlice(t *testing.T) {
-	_, ts := newTestServer(t)
-	for _, codec := range compress.Names() {
-		code, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fir?codec="+codec)
-		if code != http.StatusOK {
-			t.Fatalf("%s: pack status %d", codec, code)
-		}
-		idx, err := pack.ParseIndex(container)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, _, _, err := pack.Unpack("fir", container)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := prog.AllBlockBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cache keys are content addresses: a block whose image repeats
-		// an earlier block's under the same codec hits on first fetch.
-		seen := map[string]bool{}
-		for id, e := range idx.Blocks {
-			payload := container[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
-			first := "miss"
-			if seen[string(want[id])] {
-				first = "hit"
+// TestBlockResponsesMatchUnpack pins the single block path: for every
+// suite program under every codec, each block response through
+// Handler() is exactly that block's payload slice of the container
+// /v1/pack serves, its CRC, word count and codec headers match the
+// images pack.Unpack rebuilds, and no X-Apcc-Cache header is sent.
+func TestBlockResponsesMatchUnpack(t *testing.T) {
+	s, err := New(Config{TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	serve := func(url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		return rec
+	}
+	for _, name := range workloads.Names() {
+		for _, codec := range compress.Names() {
+			rec := serve("/v1/pack/" + name + "?codec=" + codec)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s/%s: pack status %d", name, codec, rec.Code)
 			}
-			seen[string(want[id])] = true
-			for _, cache := range []string{first, "hit"} {
-				code, body, hdr := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/fir/%d?codec=%s", ts.URL, id, codec))
-				if code != http.StatusOK || !bytes.Equal(body, payload) {
-					t.Fatalf("%s block %d: status %d, payload slice equal %v", codec, id, code, bytes.Equal(body, payload))
+			container := rec.Body.Bytes()
+			idx, err := pack.ParseIndex(container)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, _, _, err := pack.Unpack(name, container)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := prog.AllBlockBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, e := range idx.Blocks {
+				rec := serve(fmt.Sprintf("/v1/block/%s/%d?codec=%s", name, id, codec))
+				payload := container[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), payload) {
+					t.Fatalf("%s/%s block %d: status %d, payload slice equal %v",
+						name, codec, id, rec.Code, bytes.Equal(rec.Body.Bytes(), payload))
 				}
+				hdr := rec.Header()
 				if got, wantCRC := hdr.Get(HeaderCRC), fmt.Sprintf("%08x", crc32.ChecksumIEEE(want[id])); got != wantCRC {
-					t.Fatalf("%s block %d: %s %s, want %s", codec, id, HeaderCRC, got, wantCRC)
+					t.Fatalf("%s/%s block %d: %s %s, want %s", name, codec, id, HeaderCRC, got, wantCRC)
 				}
 				if got := hdr.Get(HeaderWords); got != strconv.Itoa(len(want[id])/isa.WordSize) {
-					t.Fatalf("%s block %d: %s %s, want %d", codec, id, HeaderWords, got, len(want[id])/isa.WordSize)
+					t.Fatalf("%s/%s block %d: %s %s, want %d", name, codec, id, HeaderWords, got, len(want[id])/isa.WordSize)
 				}
-				if got := hdr.Get(HeaderCache); got != cache {
-					t.Fatalf("%s block %d: %s %q, want %q", codec, id, HeaderCache, got, cache)
+				if got := hdr.Get(HeaderCodec); got != codec {
+					t.Fatalf("%s/%s block %d: %s %s", name, codec, id, HeaderCodec, got)
+				}
+				if got, ok := hdr["X-Apcc-Cache"]; ok {
+					t.Fatalf("%s/%s block %d: X-Apcc-Cache %q; the header is gone", name, codec, id, got)
 				}
 			}
 		}
@@ -281,7 +284,7 @@ func metricsCSV(t *testing.T, client *http.Client, base string) map[string]strin
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	// Generate traffic: two fetches of the same block = one miss, one hit.
+	// Generate traffic: two block fetches and one error.
 	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=rle")
 	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=rle")
 	get(t, ts.Client(), ts.URL+"/v1/pack/nosuch") // one error
@@ -294,9 +297,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		{"requests_total", func(v float64) bool { return v >= 3 }},
 		{"errors_total", func(v float64) bool { return v >= 1 }},
 		{"blocks_served_total", func(v float64) bool { return v == 2 }},
-		{"hits", func(v float64) bool { return v == 1 }},
-		{"misses", func(v float64) bool { return v == 1 }},
-		{"hit_rate", func(v float64) bool { return v == 0.5 }},
 	}
 	for _, c := range checks {
 		raw, ok := m[c.key]
@@ -310,11 +310,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The aligned-text rendering must mention the latency table.
+	// The aligned-text rendering must mention the latency and entry
+	// memory tables, and no block cache.
 	code, body, _ := get(t, ts.Client(), ts.URL+"/metrics")
 	if code != http.StatusOK || !strings.Contains(string(body), "block latency by codec") ||
-		!strings.Contains(string(body), "rle") {
-		t.Errorf("text metrics missing latency table:\n%s", body)
+		!strings.Contains(string(body), "entry memory by codec") || !strings.Contains(string(body), "rle") ||
+		strings.Contains(string(body), "block cache") {
+		t.Errorf("text metrics tables wrong:\n%s", body)
 	}
 }
 
@@ -331,12 +333,12 @@ func TestListEndpoints(t *testing.T) {
 }
 
 // TestLoadgenE2E is the acceptance run: ≥32 concurrent clients replay a
-// workload trace over HTTP with zero errors, the cache reports a
-// nonzero hit rate on /metrics, and (inside RunLoad) every container
+// workload trace over HTTP with zero errors, /metrics counts every
+// fetch as a block served, and (inside RunLoad) every container
 // round-trips through pack.Unpack. Run under -race this doubles as the
 // subsystem's concurrency test.
 func TestLoadgenE2E(t *testing.T) {
-	s, ts := newTestServer(t)
+	_, ts := newTestServer(t)
 	stats, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:  ts.URL,
 		Workload: "fft",
@@ -355,23 +357,14 @@ func TestLoadgenE2E(t *testing.T) {
 	if want := int64(32 * 100); stats.Requests != want {
 		t.Fatalf("requests = %d, want %d", stats.Requests, want)
 	}
-	if stats.CacheHits == 0 {
-		t.Fatal("no cache hits observed by clients")
-	}
-
-	cs := s.CacheStats()
-	if cs.HitRate() <= 0 {
-		t.Fatalf("server hit rate = %v, want > 0 (stats %+v)", cs.HitRate(), cs)
-	}
 	m := metricsCSV(t, ts.Client(), ts.URL)
-	rate, err := strconv.ParseFloat(m["hit_rate"], 64)
-	if err != nil || rate <= 0 {
-		t.Fatalf("/metrics hit_rate = %q, want > 0", m["hit_rate"])
+	if got := m["blocks_served_total"]; got != strconv.FormatInt(stats.Requests, 10) {
+		t.Fatalf("/metrics blocks_served_total = %q, want %d", got, stats.Requests)
 	}
 }
 
 // TestLoadgenMixedWorkloads hammers several (workload, codec) pairs at
-// once so entry building, the cache and the pool all race.
+// once so entry building, serving and the pool all race.
 func TestLoadgenMixedWorkloads(t *testing.T) {
 	_, ts := newTestServer(t)
 	type run struct {
@@ -502,10 +495,10 @@ func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(int)             {}
 
-// TestCachedBlockGetAllocs pins the allocations of an untraced block
-// GET that hits the cache, through Handler(): the handler parses the
-// query once for both the codec and the word check.
-func TestCachedBlockGetAllocs(t *testing.T) {
+// TestBlockGetAllocs pins the allocations of an untraced block GET
+// through Handler(): the handler parses the query once for both the
+// codec and the word check, and sends four headers.
+func TestBlockGetAllocs(t *testing.T) {
 	s, err := New(Config{TraceRing: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -514,25 +507,22 @@ func TestCachedBlockGetAllocs(t *testing.T) {
 	h := s.Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/block/crc32/1?codec=dict", nil)
 	w := &discardWriter{h: http.Header{}}
-	for _, want := range []string{"miss", "hit"} {
-		clear(w.h)
-		h.ServeHTTP(w, req)
-		if got := w.h.Get(HeaderCache); got != want {
-			t.Fatalf("%s = %q, want %q", HeaderCache, got, want)
-		}
+	h.ServeHTTP(w, req) // build the entry
+	if got := w.h.Get(HeaderCodec); got != "dict" {
+		t.Fatalf("%s = %q, want dict", HeaderCodec, got)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		clear(w.h)
 		h.ServeHTTP(w, req)
 	})
-	// 14 with one parse; each extra r.URL.Query() call costs 3 more.
-	if allocs > 14 {
-		t.Errorf("cached block GET makes %v allocations, want at most 14", allocs)
+	// 13 with one parse; each extra r.URL.Query() call costs 3 more.
+	if allocs > 13 {
+		t.Errorf("block GET makes %v allocations, want at most 13", allocs)
 	}
 }
 
 // TestWordGetAllocs pins the allocations of an untraced word GET
-// through Handler(), beside TestCachedBlockGetAllocs: a two-word span
+// through Handler(), beside TestBlockGetAllocs: a two-word span
 // of fft block 3 under each group-decoding codec, decoded from the
 // resident container into pooled scratch. A -race build drops
 // sync.Pool entries at random, so the pin is skipped there.
@@ -558,8 +548,8 @@ func TestWordGetAllocs(t *testing.T) {
 			h.ServeHTTP(w, req)
 		})
 		// The decode allocates nothing: it fills pooled scratch.
-		if allocs > 18 {
-			t.Errorf("%s word GET makes %v allocations, want at most 18", codec, allocs)
+		if allocs > 17 {
+			t.Errorf("%s word GET makes %v allocations, want at most 17", codec, allocs)
 		}
 	}
 }

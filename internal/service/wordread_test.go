@@ -111,11 +111,10 @@ func TestWordReadServesSpan(t *testing.T) {
 			if got := hdr.Get(HeaderCRC); got != fmt.Sprintf("%08x", crc32.ChecksumIEEE(wantSpan)) {
 				t.Fatalf("block %d word %d+%d: CRC header %q mismatch", id, word, nwords, got)
 			}
-			if got := hdr.Get(HeaderCache); got != "bypass" {
-				t.Fatalf("word read cache header %q, want bypass", got)
-			}
-			if got := hdr.Get("X-Apcc-Source"); got != "" {
-				t.Fatalf("word read carries X-Apcc-Source %q; the header is gone", got)
+			for _, gone := range []string{"X-Apcc-Cache", "X-Apcc-Source"} {
+				if got, ok := hdr[gone]; ok {
+					t.Fatalf("word read carries %s %q; the header is gone", gone, got)
+				}
 			}
 		}
 	}
@@ -140,30 +139,6 @@ func TestWordReadServesSpan(t *testing.T) {
 		if bytes.Contains(prom, []byte(gone)) {
 			t.Errorf("/metrics/prom still carries %q", gone)
 		}
-	}
-}
-
-// TestWordReadDoesNotTouchL1 pins the cache-admission rule: word reads
-// must neither admit to nor read from the L1 block cache — a
-// word-scanning client must not evict the full-block working set.
-func TestWordReadDoesNotTouchL1(t *testing.T) {
-	s, ts := newTestServerConfig(t, storeConfig(t.TempDir()))
-	code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec=dict")
-	if code != http.StatusOK {
-		t.Fatalf("pack: status %d", code)
-	}
-	s.persistWG.Wait()
-	before := s.CacheStats()
-	s.mu.Lock()
-	nblocks := len(s.entries[store.RefName("fft", "dict")].blocks)
-	s.mu.Unlock()
-	for id := 0; id < nblocks; id++ {
-		if code, _, _ := get(t, ts.Client(), wordURL(ts.URL, "fft", id, "dict", 0, 1)); code != http.StatusOK {
-			t.Fatalf("block %d: status %d", id, code)
-		}
-	}
-	if after := s.CacheStats(); after != before {
-		t.Fatalf("word reads touched the L1 cache: before %+v, after %+v", before, after)
 	}
 }
 
@@ -207,7 +182,7 @@ func TestWordReadMemoryFallback(t *testing.T) {
 // TestWordReadBadRange: malformed or out-of-bounds word parameters are
 // client errors, not server faults.
 func TestWordReadBadRange(t *testing.T) {
-	_, ts := newTestServerConfig(t, Config{CacheShards: 2, CacheBytes: 1 << 20, Workers: 2, QueueDepth: 16})
+	_, ts := newTestServerConfig(t, Config{Workers: 2, QueueDepth: 16})
 	for _, q := range []string{
 		"word=abc", "word=-1", "word=0&words=0", "word=0&words=-2",
 		"word=0&words=999999", "word=999999", "word=0&words=abc",
