@@ -135,6 +135,9 @@ func TestEntryMemoryGauges(t *testing.T) {
 
 	_, body, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
 	_, tables, _ := get(t, ts.Client(), ts.URL+"/metrics?format=csv")
+	if !bytes.Contains(tables, []byte("codec,resident_bytes,plain_bytes\n")) {
+		t.Fatalf("/metrics lacks the entry memory table:\n%s", tables)
+	}
 	for codec := range resident {
 		for family, want := range map[string]int64{
 			"apcc_entry_resident_bytes": resident[codec], "apcc_entry_plain_bytes": plain[codec],
@@ -145,7 +148,7 @@ func TestEntryMemoryGauges(t *testing.T) {
 			}
 		}
 		row := fmt.Sprintf("%s,%d,%d\n", codec, resident[codec], plain[codec])
-		if !bytes.Contains(tables, []byte("codec,resident_bytes,plain_bytes\n")) || !bytes.Contains(tables, []byte(row)) {
+		if !bytes.Contains(tables, []byte(row)) {
 			t.Errorf("/metrics entry memory table lacks row %q:\n%s", row, tables)
 		}
 	}
