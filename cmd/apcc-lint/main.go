@@ -1,7 +1,7 @@
 // Command apcc-lint runs the repo's static invariant suite
 // (internal/analysis): bufpool ownership, the append-API dst-prefix
-// contract, ErrCorrupt discipline, lock hygiene, span pairing, and
-// suppression-comment validity.
+// contract, ErrCorrupt discipline, lock hygiene, single-goroutine obs
+// traces, and suppression-comment validity.
 //
 // It runs two ways:
 //

@@ -5,8 +5,9 @@
 // dashboard.
 //
 // Exit status follows the repo's lint-tool convention: 0 = artifacts
-// are valid, 1 = lint findings (malformed exposition, invalid span
-// tree, too few spans), 2 = usage or IO error.
+// are valid, 1 = lint findings (malformed exposition, a trace whose
+// tiles do not run back to back to its total, too few spans), 2 =
+// usage or IO error.
 //
 // Usage:
 //

@@ -9,9 +9,9 @@ import (
 
 const validProm = "# HELP apcc_x x\n# TYPE apcc_x counter\napcc_x 1\n"
 
-const validDump = `{"traces":[{"id":1,"spans":[
-	{"stage":"route","outcome":"ok","parent":-1},
-	{"stage":"write","outcome":"ok","parent":0}
+const validDump = `{"traces":[{"id":1,"total_ns":5000,"spans":[
+	{"stage":"route","outcome":"ok","start_ns":0,"excl_ns":1200},
+	{"stage":"write","outcome":"ok","start_ns":1200,"excl_ns":3800}
 ]}]}`
 
 func writeFile(t *testing.T, name, content string) string {
@@ -29,7 +29,11 @@ func TestExitCodes(t *testing.T) {
 	prom := writeFile(t, "metrics.txt", validProm)
 	badProm := writeFile(t, "bad.txt", "apcc_x 1\n") // sample without TYPE
 	dump := writeFile(t, "trace.json", validDump)
-	badDump := writeFile(t, "bad.json", `{"traces":[{"id":1,"spans":[{"stage":"","parent":-1}]}]}`)
+	// The write tile starts 300 ns after the route tile ends.
+	badDump := writeFile(t, "bad.json", `{"traces":[{"id":1,"total_ns":5000,"spans":[
+	{"stage":"route","outcome":"ok","start_ns":0,"excl_ns":1200},
+	{"stage":"write","outcome":"ok","start_ns":1500,"excl_ns":3500}
+]}]}`)
 
 	cases := []struct {
 		name string
@@ -40,7 +44,7 @@ func TestExitCodes(t *testing.T) {
 		{"clean trace", []string{"-trace", dump, "-min-spans", "1"}, 0},
 		{"clean both", []string{"-prom", prom, "-trace", dump}, 0},
 		{"malformed prom", []string{"-prom", badProm}, 1},
-		{"invalid span tree", []string{"-trace", badDump}, 1},
+		{"broken tiling", []string{"-trace", badDump}, 1},
 		{"span shortfall", []string{"-trace", dump, "-min-spans", "100"}, 1},
 		{"no inputs", []string{}, 2},
 		{"unknown flag", []string{"-nosuch"}, 2},

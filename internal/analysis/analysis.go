@@ -4,9 +4,9 @@
 // invariant checkers the codebase lives by — pooled-buffer ownership
 // (bufpool), the append-API dst-prefix contract (appendapi),
 // ErrCorrupt discipline on hostile-input paths (corrupterr), no
-// callbacks or logging under shard locks (lockdisc), and span
-// Begin/End pairing (spanpair) — along with allowcheck, which lints
-// the suppression comments themselves.
+// callbacks or logging under shard locks (lockdisc), and obs traces
+// kept on one goroutine (spanpair) — along with allowcheck, which
+// lints the suppression comments themselves.
 //
 // The suite runs through cmd/apcc-lint, either standalone or as a
 // `go vet -vettool` plugin (the driver in unitchecker.go speaks the

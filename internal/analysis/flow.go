@@ -1,6 +1,6 @@
-// flow.go implements the branch-sensitive acquire/release tracker
-// shared by the bufpool and spanpair analyzers. It is a pragmatic
-// AST-level abstract interpretation, not a full CFG: paths through
+// flow.go implements the bufpool analyzer's branch-sensitive
+// acquire/release tracker. It is a pragmatic AST-level abstract
+// interpretation, not a full CFG: paths through
 // if/switch/select merge by union (a resource released on only one
 // branch stays live on the merged path), returns check the live set,
 // and loops adopt their body's end state once (so acquire+release
@@ -29,7 +29,7 @@ type pairTracker struct {
 	// isAcquire reports whether call creates a resource.
 	isAcquire func(call *ast.CallExpr) bool
 	// releaseTarget returns the expression whose resource this call
-	// releases (PutBuf's argument, End's receiver), nil otherwise.
+	// releases (PutBuf's argument), nil otherwise.
 	releaseTarget func(call *ast.CallExpr) ast.Expr
 	// isResourceVar reports whether a variable of this type can carry
 	// the resource (gates aliasing through call results).
@@ -38,12 +38,6 @@ type pairTracker struct {
 	// (panic, log.Fatal); live resources are not reported on those
 	// paths.
 	terminates func(call *ast.CallExpr) bool
-
-	// transfersOnCall: passing the resource as a plain argument moves
-	// custody into the callee (span handles are handed off this way);
-	// when false the caller keeps ownership (pooled buffers lent to a
-	// codec still need the caller's PutBuf).
-	transfersOnCall bool
 
 	what        string // e.g. "pooled buffer from GetBuf"
 	releaseName string // e.g. "PutBuf"
@@ -75,19 +69,6 @@ func (s *state) clone() *state {
 func (s *state) union(o *state) {
 	for g := range o.live {
 		s.live[g] = true
-	}
-}
-
-// run walks every function declaration in the pass's source files.
-func (t *pairTracker) run() {
-	for _, file := range t.pass.SourceFiles() {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			t.walkFunc(fn)
-		}
 	}
 }
 
@@ -265,24 +246,8 @@ func (t *pairTracker) handleExpr(e ast.Expr, st *state) (terminated bool) {
 	if t.terminates != nil && t.terminates(call) {
 		return true
 	}
-	t.transferArgs(call, st)
 	t.scanOrphanAcquires(e, st, e)
 	return false
-}
-
-// transferArgs, under transfersOnCall, hands custody of any live
-// resource passed as an argument to the callee.
-func (t *pairTracker) transferArgs(call *ast.CallExpr, st *state) {
-	if !t.transfersOnCall {
-		return
-	}
-	for _, arg := range call.Args {
-		if obj := argBaseObj(t.pass.TypesInfo, arg); obj != nil {
-			if g := t.binding[obj]; g != nil {
-				delete(st.live, g)
-			}
-		}
-	}
 }
 
 // handleDefer distinguishes `defer Put(x)` (releases the value x
@@ -379,7 +344,6 @@ func (t *pairTracker) bindCall(a *ast.AssignStmt, call *ast.CallExpr, st *state)
 	if lobj == nil || !t.isResourceVar(lobj.Type()) {
 		// Result cannot carry the resource; still catch acquires
 		// buried in the arguments with no way out.
-		t.transferArgs(call, st)
 		t.scanOrphanAcquires(call, st, call)
 		return
 	}

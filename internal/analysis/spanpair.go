@@ -5,79 +5,22 @@ import (
 	"go/types"
 )
 
-// SpanPair enforces the obs tracing contract: every span opened with
-// (*obs.Trace).Begin must be closed with SpanHandle.End on all return
-// paths of the opening function, and neither a *obs.Trace nor an open
-// SpanHandle may cross a go statement — a Trace is documented as
-// single-goroutine (Begin/End must be ordered by happens-before on
-// the request goroutine), so handing either to a goroutine corrupts
-// the span stack.
+// SpanPair enforces the obs tracing contract that a *obs.Trace never
+// crosses a go statement. A trace is single-goroutine (Next and Finish
+// must be ordered by happens-before on the request goroutine), so
+// handing one to a goroutine races on its tiles. The name stays
+// spanpair so that //apcc:allow spanpair comments keep matching.
 var SpanPair = &Analyzer{
 	Name: "spanpair",
-	Doc:  "check that obs span Begin has a matching End on all paths and spans never cross a go statement",
+	Doc:  "check that obs traces never cross a go statement",
 	Run:  runSpanPair,
 }
 
 func runSpanPair(pass *Pass) error {
 	info := pass.TypesInfo
-
-	isBegin := func(call *ast.CallExpr) bool {
-		fn := funcObj(info, call)
-		if !isFuncNamed(fn, "internal/obs", "Begin") {
-			return false
-		}
-		recv := fn.Signature().Recv()
-		return recv != nil && isNamedType(recv.Type(), "internal/obs", "Trace")
-	}
-	endTarget := func(call *ast.CallExpr) ast.Expr {
-		fn := funcObj(info, call)
-		if !isFuncNamed(fn, "internal/obs", "End") {
-			return nil
-		}
-		recv := fn.Signature().Recv()
-		if recv == nil || !isNamedType(recv.Type(), "internal/obs", "SpanHandle") {
-			return nil
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return sel.X
-		}
-		return nil
-	}
-
 	for _, file := range pass.SourceFiles() {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			t := &pairTracker{
-				pass:          pass,
-				isAcquire:     isBegin,
-				releaseTarget: endTarget,
-				isResourceVar: func(t types.Type) bool {
-					return isNamedType(t, "internal/obs", "SpanHandle")
-				},
-				terminates: func(call *ast.CallExpr) bool {
-					return isTerminatorCall(info, call)
-				},
-				// Passing a handle to a callee hands it off (the route
-				// span moves into serveWordRange-style helpers, which
-				// End it); unlike pooled buffers, a SpanHandle argument
-				// is never a loan.
-				transfersOnCall: true,
-				what:            "span opened by obs Begin",
-				releaseName:     "End",
-				escape: func(g *group, site ast.Node, kind string) {
-					pass.Reportf(site.Pos(), "open span %s: a SpanHandle must End in the function that Begin-ed it", kind)
-				},
-			}
-			t.walkFunc(fn)
-		}
-
-		// Independent goroutine-boundary check: any *obs.Trace or
-		// obs.SpanHandle value declared outside a `go` statement but
-		// referenced inside it crosses goroutines, which the Trace
-		// contract forbids regardless of pairing.
+		// Any *obs.Trace variable declared outside a `go` statement but
+		// referenced inside it crosses goroutines.
 		ast.Inspect(file, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -88,16 +31,18 @@ func runSpanPair(pass *Pass) error {
 				if !ok {
 					return true
 				}
-				obj := info.Uses[id]
-				if obj == nil || obj.Pos() == 0 {
+				// Only variables carry a trace; the type name in
+				// `var tr *obs.Trace` does not.
+				obj, ok := info.Uses[id].(*types.Var)
+				if !ok || obj.Pos() == 0 {
 					return true
 				}
 				// Declared inside the go statement's own literal is fine.
 				if obj.Pos() >= g.Pos() && obj.Pos() < g.End() {
 					return true
 				}
-				if isNamedType(obj.Type(), "internal/obs", "Trace") || isNamedType(obj.Type(), "internal/obs", "SpanHandle") {
-					pass.Reportf(id.Pos(), "%s crosses a go statement: obs traces and spans are single-goroutine", obj.Name())
+				if isNamedType(obj.Type(), "internal/obs", "Trace") {
+					pass.Reportf(id.Pos(), "%s crosses a go statement: obs traces are single-goroutine", obj.Name())
 				}
 				return true
 			})

@@ -1,14 +1,9 @@
 // Package obs stubs the repo's tracing package: the spanpair analyzer
-// matches Trace.Begin and SpanHandle.End by the internal/obs path
-// suffix, so fixtures import this copy.
+// matches *obs.Trace by the internal/obs path suffix, so fixtures
+// import this copy.
 package obs
 
 type Trace struct{ open int }
-
-type SpanHandle struct {
-	t *Trace
-	i int
-}
 
 type Stage uint8
 
@@ -16,7 +11,7 @@ type Outcome string
 
 const (
 	StageRoute Stage = iota
-	StageRebuild
+	StageBuild
 	StageWrite
 )
 
@@ -25,6 +20,6 @@ const (
 	OutcomeError Outcome = "error"
 )
 
-func (t *Trace) Begin(s Stage) SpanHandle { return SpanHandle{t: t} }
+func (t *Trace) Next(s Stage) {}
 
-func (h SpanHandle) End(o Outcome) {}
+func (t *Trace) Finish(o Outcome) {}

@@ -1,64 +1,55 @@
-// Package spantest is the spanpair analyzer's golden fixture: paired
-// spans, the hand-off-to-helper pattern, leaks, discarded handles,
-// goroutine crossings, and a reasoned suppression.
+// Package spantest is the spanpair analyzer's golden fixture: traces
+// used on one goroutine, traces crossing a go statement, and a
+// reasoned suppression.
 package spantest
 
 import "apbcc/internal/obs"
 
 func cond() bool { return false }
 
-// paired Ends on every path.
-func paired(tr *obs.Trace) {
-	sp := tr.Begin(obs.StageRoute)
+// sameGoroutine tiles a trace on the goroutine that owns it.
+func sameGoroutine(tr *obs.Trace) {
+	tr.Next(obs.StageBuild)
 	if cond() {
-		sp.End(obs.OutcomeError)
+		tr.Finish(obs.OutcomeError)
 		return
 	}
-	sp.End(obs.OutcomeOK)
+	tr.Next(obs.StageWrite)
+	tr.Finish(obs.OutcomeOK)
 }
 
-// handoff passes the open handle to a helper, which takes over the
-// obligation to End it.
-func handoff(tr *obs.Trace) {
-	sp := tr.Begin(obs.StageRoute)
-	finish(sp)
-}
-
-func finish(sp obs.SpanHandle) { sp.End(obs.OutcomeOK) }
-
-// missingEnd leaks the span on the early return.
-func missingEnd(tr *obs.Trace) {
-	sp := tr.Begin(obs.StageRoute) // want `span opened by obs Begin is not released by End on every path`
-	if cond() {
-		return
-	}
-	sp.End(obs.OutcomeOK)
-}
-
-// discarded never binds the handle, so it can never End.
-func discarded(tr *obs.Trace) {
-	tr.Begin(obs.StageRebuild) // want `result of this call is discarded`
-}
-
-// crossGoroutine moves an open handle onto another goroutine: both
-// the pairing rule and the single-goroutine rule fire.
-func crossGoroutine(tr *obs.Trace) {
-	sp := tr.Begin(obs.StageWrite)
-	go func() { // want `open span captured by goroutine`
-		sp.End(obs.OutcomeOK) // want `sp crosses a go statement`
-	}()
+// helper takes the trace on the same goroutine: a call is no crossing.
+func helper(tr *obs.Trace) {
+	sameGoroutine(tr)
 }
 
 // traceCrossing hands the trace itself to a goroutine.
 func traceCrossing(tr *obs.Trace) {
 	go func() {
-		sp := tr.Begin(obs.StageWrite) // want `tr crosses a go statement`
-		sp.End(obs.OutcomeOK)
+		tr.Next(obs.StageWrite) // want `tr crosses a go statement`
 	}()
 }
 
-// allowDiscard shows a reasoned suppression.
-func allowDiscard(tr *obs.Trace) {
-	//apcc:allow spanpair fixture demonstrates a reviewed suppression
-	_ = tr.Begin(obs.StageWrite)
+// argCrossing passes the trace as the goroutine's argument.
+func argCrossing(tr *obs.Trace) {
+	go sameGoroutine(tr) // want `tr crosses a go statement`
+}
+
+// localTrace declares its own trace inside the goroutine: neither the
+// variable nor the type name in its declaration crosses anything.
+func localTrace() {
+	go func() {
+		var tr *obs.Trace
+		tr.Finish(obs.OutcomeOK)
+	}()
+}
+
+// allowCrossing shows a reasoned suppression.
+func allowCrossing(tr *obs.Trace, done chan struct{}) {
+	go func() {
+		//apcc:allow spanpair fixture demonstrates a reviewed suppression
+		tr.Finish(obs.OutcomeOK)
+		close(done)
+	}()
+	<-done
 }

@@ -335,8 +335,11 @@ func labelsetKey(labels []Label) string {
 }
 
 // LintTraceDump validates a /debug/trace JSON document, returning how
-// many traces and spans it carries. Used by the CI smoke job to fail
-// on zero recorded spans.
+// many traces and spans it carries. Every trace must tile its total:
+// the first tile starts at 0, each later tile starts where the
+// previous one ended, no tile is negative or unnamed, and the last
+// tile ends at TotalNS. The CI smoke job runs it on a live dump, so an
+// attribution bug or zero recorded spans fails the build.
 func LintTraceDump(r io.Reader) (traces, spans int, err error) {
 	var d Dump
 	dec := json.NewDecoder(r)
@@ -344,13 +347,21 @@ func LintTraceDump(r io.Reader) (traces, spans int, err error) {
 		return 0, 0, fmt.Errorf("trace dump: %w", err)
 	}
 	for _, rec := range append(append([]Record(nil), d.Traces...), d.Exemplars...) {
+		var end int64
 		for i, sp := range rec.Spans {
-			if sp.Parent >= i || sp.Parent < -1 {
-				return 0, 0, fmt.Errorf("trace %d: span %d has invalid parent %d", rec.ID, i, sp.Parent)
-			}
 			if sp.Stage == "" {
-				return 0, 0, fmt.Errorf("trace %d: span %d has empty stage", rec.ID, i)
+				return 0, 0, fmt.Errorf("trace %d: tile %d has empty stage", rec.ID, i)
 			}
+			if sp.StartNS != end {
+				return 0, 0, fmt.Errorf("trace %d: tile %d (%s) starts at %d ns, previous tile ends at %d ns", rec.ID, i, sp.Stage, sp.StartNS, end)
+			}
+			if sp.ExclNS < 0 {
+				return 0, 0, fmt.Errorf("trace %d: tile %d (%s) has negative duration %d ns", rec.ID, i, sp.Stage, sp.ExclNS)
+			}
+			end += sp.ExclNS
+		}
+		if end != rec.TotalNS {
+			return 0, 0, fmt.Errorf("trace %d: tiles end at %d ns, total is %d ns", rec.ID, end, rec.TotalNS)
 		}
 	}
 	traces = len(d.Traces)

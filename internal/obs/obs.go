@@ -1,15 +1,16 @@
 // Package obs is the serving stack's zero-dependency observability
-// layer: request-scoped span traces carried via context.Context,
-// a lock-striped ring buffer of completed traces with tail-latency
-// exemplars, Prometheus text-exposition helpers (writer and linter),
-// and log/slog construction shared by the commands.
+// layer: request-scoped traces of back-to-back stage tiles carried via
+// context.Context, a lock-striped ring buffer of completed traces with
+// tail-latency exemplars, Prometheus text-exposition helpers (writer
+// and linter), and log/slog construction shared by the commands.
 //
 // The design center is the nil-sink fast path: every method on a nil
 // *Trace or nil *Recorder is a no-op that touches no clock and
 // allocates nothing, so instrumented hot paths (the block GET) cost
-// the same with tracing disabled as they did before the layer existed. With a sink attached, a trace is pooled, its spans
-// live in a fixed-capacity array, and recording copies into reusable
-// ring slots — steady-state tracing is allocation-free too.
+// the same with tracing disabled as they did before the layer existed.
+// With a sink attached, a trace is pooled, its tiles live in a
+// fixed-capacity array, and recording copies into reusable ring slots —
+// steady-state tracing is allocation-free too.
 package obs
 
 import (
@@ -43,31 +44,25 @@ const (
 	OutcomeError = "error"
 )
 
-// maxSpans bounds a trace's span count. Traces never grow past it:
-// Begin drops further spans (marking the trace truncated) so one
-// pathological request cannot balloon the pool's retained memory.
+// maxSpans bounds a trace's tile count. Traces never grow past it:
+// Next keeps the open tile running instead (marking the trace
+// truncated) so one pathological request cannot balloon the pool's
+// retained memory.
 const maxSpans = 64
 
-// Span is one timed stage within a trace. Parent indexes the enclosing
-// span within the same trace (-1 for a root-level span), forming the
-// span tree /debug/trace renders. Durations are nanoseconds relative
-// to the trace clock; ExclNS is DurNS minus the summed durations of
-// direct children — the time attributable to this stage alone, which
-// is what the per-stage histograms observe (so nested stages never
-// double-count).
+// Span is one tile of a trace: a stage's stretch of the request, from
+// StartNS (nanoseconds since the trace began) for ExclNS nanoseconds.
+// Tiles are back to back, so a trace's ExclNS values sum to its
+// TotalNS; ExclNS is what the per-stage histograms observe.
 type Span struct {
 	Stage   string `json:"stage"`
 	Outcome string `json:"outcome"`
-	Parent  int    `json:"parent"`
 	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
 	ExclNS  int64  `json:"excl_ns"`
-
-	childNS int64 // summed DurNS of direct children; finalized before End
 }
 
-// Trace is one request's span collection. It is not safe for
-// concurrent use: spans must Begin and End on goroutines ordered by
+// Trace is one request's row of tiles. It is not safe for concurrent
+// use: Next and Finish must run on goroutines ordered by
 // happens-before (the request goroutine, including compute callbacks
 // it runs synchronously). All methods are nil-receiver safe no-ops,
 // which is the tracing-disabled fast path.
@@ -80,27 +75,25 @@ type Trace struct {
 	TotalNS  int64  `json:"total_ns"`
 
 	start     time.Time
-	spans     []Span
-	cur       int // index of the innermost open span, -1 at root
+	spans     []Span // the last one is the open tile until Finish
 	truncated bool
 }
 
-// NewTrace returns a standalone trace (tests and tools; the serving
-// tier gets pooled traces from a Recorder).
-func NewTrace(id uint64) *Trace {
+// NewTrace returns a standalone trace whose first tile is stage (tests
+// and tools; the serving tier gets pooled traces from a Recorder).
+func NewTrace(id uint64, stage string) *Trace {
 	t := &Trace{spans: make([]Span, 0, maxSpans)}
-	t.reset(id)
+	t.reset(id, stage)
 	return t
 }
 
-func (t *Trace) reset(id uint64) {
+func (t *Trace) reset(id uint64, stage string) {
 	t.ID = id
 	t.Workload, t.Codec, t.Outcome = "", "", ""
 	t.Block = 0
 	t.TotalNS = 0
 	t.start = time.Now()
-	t.spans = t.spans[:0]
-	t.cur = -1
+	t.spans = append(t.spans[:0], Span{Stage: stage, Outcome: OutcomeOK})
 	t.truncated = false
 }
 
@@ -113,63 +106,41 @@ func (t *Trace) SetLabels(workload, codec string, block int) {
 	t.Workload, t.Codec, t.Block = workload, codec, block
 }
 
-// SpanHandle is the value returned by Begin; End closes the span. A
-// zero handle (from a nil trace or a truncated one) is a no-op.
-type SpanHandle struct {
-	t   *Trace
-	idx int32
-}
-
-// Begin opens a span as a child of the innermost open span. On a nil
-// trace it returns a no-op handle without reading the clock.
-func (t *Trace) Begin(stage string) SpanHandle {
+// Next ends the open tile with outcome ok and opens a tile for stage
+// at the same clock read. On a full trace it marks the trace truncated
+// and leaves the open tile running, so the tiles still sum to the
+// total. On a nil trace it returns without reading the clock.
+func (t *Trace) Next(stage string) {
 	if t == nil {
-		return SpanHandle{}
+		return
 	}
 	if len(t.spans) == cap(t.spans) {
 		t.truncated = true
-		return SpanHandle{}
-	}
-	idx := len(t.spans)
-	t.spans = append(t.spans, Span{
-		Stage:   stage,
-		Outcome: OutcomeOK,
-		Parent:  t.cur,
-		StartNS: int64(time.Since(t.start)),
-	})
-	t.cur = idx
-	return SpanHandle{t: t, idx: int32(idx)}
-}
-
-// End closes the span with the given outcome, finalizing its duration
-// and exclusive time and crediting the duration to the parent's child
-// total.
-func (h SpanHandle) End(outcome string) {
-	if h.t == nil {
 		return
 	}
-	sp := &h.t.spans[h.idx]
-	sp.DurNS = int64(time.Since(h.t.start)) - sp.StartNS
-	sp.ExclNS = sp.DurNS - sp.childNS
-	sp.Outcome = outcome
-	h.t.cur = sp.Parent
-	if sp.Parent >= 0 {
-		h.t.spans[sp.Parent].childNS += sp.DurNS
-	}
+	now := int64(time.Since(t.start))
+	open := &t.spans[len(t.spans)-1]
+	open.ExclNS = now - open.StartNS
+	t.spans = append(t.spans, Span{Stage: stage, Outcome: OutcomeOK, StartNS: now})
 }
 
-// Finish stamps the trace's end-to-end duration and outcome. Call
-// after the last span has ended and before Recorder.Record.
+// Finish ends the open tile with the request's outcome, at the clock
+// read that stamps TotalNS, so an error is charged to the stage it
+// happened in. Call once, before Recorder.Record.
 func (t *Trace) Finish(outcome string) {
 	if t == nil {
 		return
 	}
 	t.Outcome = outcome
 	t.TotalNS = int64(time.Since(t.start))
+	open := &t.spans[len(t.spans)-1]
+	open.ExclNS = t.TotalNS - open.StartNS
+	open.Outcome = outcome
 }
 
-// Spans exposes the recorded spans (read-only; valid until the trace
-// is handed back to its recorder via Record).
+// Spans exposes the recorded tiles (read-only; valid until the trace
+// is handed back to its recorder via Record). Before Finish, the last
+// tile is still open and its ExclNS is 0.
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
@@ -185,7 +156,7 @@ func (t *Trace) TraceID() uint64 {
 	return t.ID
 }
 
-// Truncated reports whether Begin dropped spans past the per-trace cap.
+// Truncated reports whether Next hit the per-trace tile cap.
 func (t *Trace) Truncated() bool { return t != nil && t.truncated }
 
 type ctxKey struct{}
@@ -200,7 +171,7 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 }
 
 // FromContext returns the attached trace, nil when absent (or ctx is
-// nil). The nil result flows into Begin/Finish as no-ops.
+// nil). The nil result flows into Next/Finish as no-ops.
 func FromContext(ctx context.Context) *Trace {
 	if ctx == nil {
 		return nil

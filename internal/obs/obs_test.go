@@ -7,44 +7,41 @@ import (
 	"time"
 )
 
-// TestSpanTree: nesting via Begin/End produces correct parent links
-// and exclusive times that sum to the root span's duration.
-func TestSpanTree(t *testing.T) {
-	tr := NewTrace(7)
-	root := tr.Begin(StageRoute)
-	child := tr.Begin(StageBuild)
+// TestTraceTiles: StartTrace, Next and Finish lay tiles back to back,
+// so each starts where the previous one ended, their durations sum to
+// TotalNS exactly, and the request's outcome lands on the last tile.
+func TestTraceTiles(t *testing.T) {
+	tr := NewTrace(7, StageRoute)
+	tr.Next(StageBuild)
 	time.Sleep(time.Millisecond)
-	grand := tr.Begin(StageDecode)
+	tr.Next(StageRoute)
 	time.Sleep(time.Millisecond)
-	grand.End(OutcomeOK)
-	child.End(OutcomeOK)
-	root.End(OutcomeError)
+	tr.Next(StageWrite)
 	tr.Finish(OutcomeError)
 
 	spans := tr.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
-	}
-	if spans[0].Parent != -1 || spans[1].Parent != 0 || spans[2].Parent != 1 {
-		t.Fatalf("parents = %d,%d,%d, want -1,0,1", spans[0].Parent, spans[1].Parent, spans[2].Parent)
-	}
-	if spans[0].Outcome != OutcomeError {
-		t.Errorf("root outcome = %q", spans[0].Outcome)
-	}
-	// Exclusive times of the whole tree sum to the root's duration:
-	// each child's DurNS was subtracted exactly once from its parent.
-	var excl int64
+	var got []string
 	for _, sp := range spans {
-		if sp.ExclNS < 0 {
-			t.Errorf("span %s: negative exclusive %d", sp.Stage, sp.ExclNS)
+		got = append(got, sp.Stage+"/"+sp.Outcome)
+	}
+	if want := "route/ok build/ok route/ok write/error"; strings.Join(got, " ") != want {
+		t.Fatalf("tiles = %v, want %s", got, want)
+	}
+	var end int64
+	for i, sp := range spans {
+		if sp.StartNS != end {
+			t.Errorf("tile %d starts at %d, previous ended at %d", i, sp.StartNS, end)
 		}
-		excl += sp.ExclNS
+		if sp.ExclNS < 0 {
+			t.Errorf("tile %d: negative duration %d", i, sp.ExclNS)
+		}
+		end += sp.ExclNS
 	}
-	if excl != spans[0].DurNS {
-		t.Errorf("sum excl = %d, want root dur %d", excl, spans[0].DurNS)
+	if end != tr.TotalNS {
+		t.Errorf("tiles sum to %d, total %d", end, tr.TotalNS)
 	}
-	if tr.TotalNS < spans[0].DurNS {
-		t.Errorf("total %d < root dur %d", tr.TotalNS, spans[0].DurNS)
+	if spans[1].ExclNS < int64(time.Millisecond) {
+		t.Errorf("build tile %d ns, slept 1ms in it", spans[1].ExclNS)
 	}
 }
 
@@ -54,8 +51,7 @@ func TestNilTraceNoops(t *testing.T) {
 	var tr *Trace
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(100, func() {
-		sp := tr.Begin(StageRoute)
-		sp.End(OutcomeOK)
+		tr.Next(StageRoute)
 		tr.Finish(OutcomeOK)
 		tr.SetLabels("w", "c", 1)
 		c2 := WithTrace(ctx, tr)
@@ -70,7 +66,7 @@ func TestNilTraceNoops(t *testing.T) {
 		t.Errorf("nil-sink path allocates %v/op, want 0", allocs)
 	}
 	var rec *Recorder
-	if rec.StartTrace() != nil {
+	if rec.StartTrace(StageRoute) != nil {
 		t.Fatal("nil recorder started a trace")
 	}
 	rec.Record(nil)
@@ -79,18 +75,27 @@ func TestNilTraceNoops(t *testing.T) {
 	}
 }
 
-// TestTraceTruncation: a trace drops spans past the cap instead of
-// growing, and reports it.
+// TestTraceTruncation: a trace stops adding tiles at the cap instead
+// of growing, reports it, and still sums to its total because the
+// open tile keeps running.
 func TestTraceTruncation(t *testing.T) {
-	tr := NewTrace(1)
+	tr := NewTrace(1, StageRoute)
 	for i := 0; i < maxSpans+10; i++ {
-		tr.Begin(StageDecode).End(OutcomeOK)
+		tr.Next(StageDecode)
 	}
+	tr.Finish(OutcomeOK)
 	if len(tr.Spans()) != maxSpans {
 		t.Fatalf("got %d spans, want cap %d", len(tr.Spans()), maxSpans)
 	}
 	if !tr.Truncated() {
 		t.Fatal("truncation not reported")
+	}
+	var sum int64
+	for _, sp := range tr.Spans() {
+		sum += sp.ExclNS
+	}
+	if sum != tr.TotalNS {
+		t.Errorf("truncated trace tiles sum to %d, total %d", sum, tr.TotalNS)
 	}
 }
 
@@ -101,14 +106,12 @@ func TestRecorderRing(t *testing.T) {
 	rec := NewRecorder(16, 2)
 	slowID := uint64(0)
 	for i := 0; i < 100; i++ {
-		tr := rec.StartTrace()
+		tr := rec.StartTrace(StageRoute)
 		tr.SetLabels("fft", "dict", i)
-		sp := tr.Begin(StageRoute)
 		if i == 3 { // make one early trace the slowest of the run
 			time.Sleep(5 * time.Millisecond)
 			slowID = tr.TraceID()
 		}
-		sp.End(OutcomeOK)
 		tr.Finish(OutcomeOK)
 		rec.Record(tr)
 	}
@@ -149,14 +152,12 @@ func TestRecorderRing(t *testing.T) {
 }
 
 // TestRecorderSteadyStateAllocs: with the pool warm and ring slots
-// populated, a start→span→finish→record cycle allocates only the
-// context value.
+// populated, a start→next→finish→record cycle allocates nothing.
 func TestRecorderSteadyStateAllocs(t *testing.T) {
 	rec := NewRecorder(64, 2)
 	cycle := func() {
-		tr := rec.StartTrace()
-		sp := tr.Begin(StageRoute)
-		sp.End(OutcomeOK)
+		tr := rec.StartTrace(StageRoute)
+		tr.Next(StageWrite)
 		tr.Finish(OutcomeOK)
 		rec.Record(tr)
 	}
@@ -171,7 +172,7 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 
 // TestContextRoundTrip: WithTrace/FromContext carry the trace.
 func TestContextRoundTrip(t *testing.T) {
-	tr := NewTrace(9)
+	tr := NewTrace(9, StageRoute)
 	ctx := WithTrace(context.Background(), tr)
 	if got := FromContext(ctx); got != tr {
 		t.Fatalf("FromContext = %p, want %p", got, tr)

@@ -66,18 +66,25 @@ func TestLintPromRejects(t *testing.T) {
 	}
 }
 
-// TestLintTraceDump: valid dumps count, invalid parents are caught.
+// TestLintTraceDump: valid dumps count, and a trace whose tiles do not
+// run back to back from 0 to its total is caught.
 func TestLintTraceDump(t *testing.T) {
-	good := `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"l1","outcome":"hit","parent":-1},{"stage":"decode","outcome":"ok","parent":0}]}],"exemplars":[]}`
+	good := `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"route","outcome":"ok","start_ns":0,"excl_ns":40},{"stage":"write","outcome":"ok","start_ns":40,"excl_ns":60}]}],"exemplars":[]}`
 	traces, spans, err := LintTraceDump(strings.NewReader(good))
 	if err != nil || traces != 1 || spans != 2 {
 		t.Fatalf("good dump: traces=%d spans=%d err=%v", traces, spans, err)
 	}
-	bad := `{"traces":[{"id":1,"spans":[{"stage":"l1","parent":0}]}]}`
-	if _, _, err := LintTraceDump(strings.NewReader(bad)); err == nil {
-		t.Error("self-parenting span accepted")
+	bad := map[string]string{
+		"gap":         `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"route","start_ns":0,"excl_ns":40},{"stage":"write","start_ns":50,"excl_ns":50}]}]}`,
+		"overlap":     `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"route","start_ns":0,"excl_ns":40},{"stage":"write","start_ns":30,"excl_ns":70}]}]}`,
+		"short sum":   `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"route","start_ns":0,"excl_ns":40},{"stage":"write","start_ns":40,"excl_ns":50}]}]}`,
+		"negative":    `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"route","start_ns":0,"excl_ns":-10},{"stage":"write","start_ns":-10,"excl_ns":110}]}]}`,
+		"empty stage": `{"traces":[{"id":1,"total_ns":100,"spans":[{"stage":"route","start_ns":0,"excl_ns":40},{"stage":"","start_ns":40,"excl_ns":60}]}]}`,
+		"truncated":   "{",
 	}
-	if _, _, err := LintTraceDump(strings.NewReader("{")); err == nil {
-		t.Error("truncated JSON accepted")
+	for name, dump := range bad {
+		if _, _, err := LintTraceDump(strings.NewReader(dump)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 const ringStripes = 8
 
 // Record is one completed trace as stored in the ring and rendered by
-// /debug/trace: the trace's identity plus a deep copy of its spans.
+// /debug/trace: the trace's identity plus a deep copy of its tiles.
 type Record struct {
 	ID       uint64    `json:"id"`
 	Start    time.Time `json:"start"`
@@ -25,8 +25,8 @@ type Record struct {
 }
 
 // Dump is the /debug/trace JSON document: the most recent traces plus
-// the slowest-K exemplars, which keep their full span trees however
-// long ago they happened.
+// the slowest-K exemplars, which keep their tiles however long ago
+// they happened.
 type Dump struct {
 	Traces    []Record `json:"traces"`
 	Exemplars []Record `json:"exemplars"`
@@ -35,9 +35,7 @@ type Dump struct {
 // RecorderStats is a point-in-time snapshot of recorder activity.
 type RecorderStats struct {
 	Recorded  int64 // traces recorded since start
-	Truncated int64 // traces that hit the per-trace span cap
-	Capacity  int   // ring capacity across stripes
-	Exemplars int   // tail-exemplar slots
+	Truncated int64 // traces that hit the per-trace tile cap
 }
 
 // Recorder collects finished traces into a lock-striped ring buffer
@@ -55,8 +53,6 @@ type Recorder struct {
 	exMu      sync.Mutex
 	exemplars []Record // up to exK, unordered; min evicted on overflow
 	exK       int
-
-	capacity int
 }
 
 type ringStripe struct {
@@ -75,27 +71,28 @@ func NewRecorder(capacity, exemplarK int) *Recorder {
 	if exemplarK < 1 {
 		exemplarK = 1
 	}
-	r := &Recorder{exK: exemplarK, capacity: capacity}
+	r := &Recorder{exK: exemplarK}
 	per := (capacity + ringStripes - 1) / ringStripes
 	for i := range r.stripes {
 		r.stripes[i].buf = make([]Record, per)
 	}
-	r.pool.New = func() any { return NewTrace(0) }
+	r.pool.New = func() any { return &Trace{spans: make([]Span, 0, maxSpans)} }
 	return r
 }
 
-// StartTrace hands out a pooled trace stamped with a fresh id. On a
-// nil recorder it returns nil — the disabled fast path.
-func (r *Recorder) StartTrace() *Trace {
+// StartTrace hands out a pooled trace stamped with a fresh id, its
+// first tile, stage, opened at the clock read that starts the trace.
+// On a nil recorder it returns nil — the disabled fast path.
+func (r *Recorder) StartTrace(stage string) *Trace {
 	if r == nil {
 		return nil
 	}
 	t := r.pool.Get().(*Trace)
-	t.reset(r.seq.Add(1))
+	t.reset(r.seq.Add(1), stage)
 	return t
 }
 
-// Record stores a finished trace (copying its spans into a reusable
+// Record stores a finished trace (copying its tiles into a reusable
 // ring slot and, when slow enough, an exemplar) and returns the trace
 // to the pool. The trace must not be used afterwards. Nil recorder or
 // trace no-ops.
@@ -118,7 +115,7 @@ func (r *Recorder) Record(t *Trace) {
 	r.pool.Put(t)
 }
 
-// fillRecord copies t into slot, reusing the slot's span capacity.
+// fillRecord copies t into slot, reusing the slot's tile capacity.
 func fillRecord(slot *Record, t *Trace) {
 	slot.ID = t.ID
 	slot.Start = t.start
@@ -218,7 +215,5 @@ func (r *Recorder) Stats() RecorderStats {
 	return RecorderStats{
 		Recorded:  r.recorded.Load(),
 		Truncated: r.truncated.Load(),
-		Capacity:  r.capacity,
-		Exemplars: r.exK,
 	}
 }

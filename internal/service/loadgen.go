@@ -131,7 +131,7 @@ func parseStagesHeader(h string) map[string]int64 {
 		if err != nil {
 			continue
 		}
-		out[stage] += ns // repeated stages (e.g. two decode spans) sum
+		out[stage] += ns // repeated stages (route before and after a build) sum
 	}
 	return out
 }

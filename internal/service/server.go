@@ -79,10 +79,6 @@ type Config struct {
 	// disables tracing entirely, leaving block serving on the nil-sink
 	// fast path (no clock reads, no allocations).
 	TraceRing int
-	// TraceExemplars is how many slowest-request traces survive ring
-	// recycling as exemplars (default 8). Only meaningful with tracing
-	// enabled.
-	TraceExemplars int
 	// RequestTimeout is the per-request deadline applied by the
 	// instrumented handler: the request context is cancelled when it
 	// expires, which aborts entry-build waits and pool slot waits, and
@@ -113,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceRing < 0 {
 		c.TraceRing = 0
-	}
-	if c.TraceExemplars <= 0 {
-		c.TraceExemplars = 8
 	}
 	if c.Log == nil {
 		c.Log = obs.Discard
@@ -252,7 +245,7 @@ func New(cfg Config) (*Server, error) {
 		queueDepth: cfg.QueueDepth,
 	}
 	if cfg.TraceRing > 0 {
-		s.rec = obs.NewRecorder(cfg.TraceRing, cfg.TraceExemplars)
+		s.rec = obs.NewRecorder(cfg.TraceRing, 8) // the 8 slowest traces outlive the ring
 	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
@@ -583,22 +576,19 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	// With tracing disabled (nil recorder) tr is nil and every obs call
 	// below is a free no-op: the hot path costs what it did untraced
 	// (pinned by TestBlockGetAllocs).
-	tr := s.rec.StartTrace()
-	rsp := tr.Begin(obs.StageRoute)
+	tr := s.rec.StartTrace(obs.StageRoute)
 	ctx := obs.WithTrace(r.Context(), tr)
 	// One parse of the query serves the codec, the word check and the
 	// word range: each r.URL.Query() call re-parses and allocates.
 	q := r.URL.Query()
 	ent, status, err := s.entryFor(ctx, r.PathValue("workload"), codecParam(q))
 	if err != nil {
-		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, err.Error(), status)
 		return
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || id < 0 || id >= len(ent.blocks) {
-		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, fmt.Sprintf("no block %q (%d blocks)", r.PathValue("id"), len(ent.blocks)),
 			http.StatusNotFound)
@@ -606,7 +596,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.SetLabels(r.PathValue("workload"), ent.codec.Name(), id)
 	if q.Get("word") != "" {
-		s.serveWordRange(w, q, tr, rsp, ent, id)
+		s.serveWordRange(w, q, tr, ent, id)
 		return
 	}
 	err = faultBlock.Err()
@@ -616,17 +606,11 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		err = ctx.Err()
 	}
 	if err != nil {
-		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	rsp.End(obs.OutcomeOK)
-	// The write span opens before the metric and header work so almost
-	// all handler time lives inside some span: summed exclusive times
-	// then track the trace's end-to-end total (asserted within 10% by
-	// the e2e test).
-	wsp := tr.Begin(obs.StageWrite)
+	tr.Next(obs.StageWrite)
 	blk := ent.blocks[id]
 	s.metrics.Blocks.Add(1)
 	ent.hist.Observe(time.Since(start))
@@ -640,7 +624,6 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
 	w.Write(ent.payload(id))
-	wsp.End(obs.OutcomeOK)
 	s.finishTrace(tr, obs.OutcomeOK)
 }
 
@@ -649,7 +632,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 // (N×4), not a compressed payload: a word read exists precisely so the
 // client skips its own full-block decode. The span is decoded from the
 // entry's resident container (decodeWords), traced as the decode stage.
-func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
+func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Trace, ent *entry, id int) {
 	word, err := strconv.Atoi(q.Get("word"))
 	nwords := 1
 	if err == nil {
@@ -659,25 +642,21 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 	}
 	blockWords := int(ent.blocks[id].words)
 	if err != nil || word < 0 || nwords < 1 || word > blockWords-nwords {
-		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, fmt.Sprintf("bad word range word=%q words=%q (block %d has %d words)",
 			q.Get("word"), q.Get("words"), id, blockWords), http.StatusBadRequest)
 		return
 	}
-	rsp.End(obs.OutcomeOK)
-	dsp := tr.Begin(obs.StageDecode)
+	tr.Next(obs.StageDecode)
 	buf := compress.GetBuf(blockWords * isa.WordSize)
 	defer func() { compress.PutBuf(buf) }()
 	buf, groups, decoded, err := ent.decodeWords(buf[:0], id, word, nwords)
 	if err != nil {
-		dsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	dsp.End(obs.OutcomeOK)
-	wsp := tr.Begin(obs.StageWrite)
+	tr.Next(obs.StageWrite)
 	s.metrics.WordReads.Add(1)
 	s.metrics.WordGroups.Add(int64(groups))
 	s.metrics.WordDecodedBytes.Add(int64(decoded))
@@ -697,12 +676,11 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
 	w.Write(buf)
-	wsp.End(obs.OutcomeOK)
 	s.finishTrace(tr, obs.OutcomeOK)
 }
 
-// stagesHeader renders a trace's spans as "stage:exclNS;..." for the
-// X-Apcc-Stages header. The write span is still open while the header
+// stagesHeader renders a trace's tiles as "stage:exclNS;..." for the
+// X-Apcc-Stages header. The write tile is still open while the header
 // is rendered, so it is omitted — /debug/trace has it.
 func stagesHeader(spans []obs.Span) string {
 	var sb strings.Builder
@@ -720,9 +698,10 @@ func stagesHeader(spans []obs.Span) string {
 	return sb.String()
 }
 
-// finishTrace stamps a completed request trace, attributes each span's
-// exclusive time to the per-stage histograms, emits the per-request
-// debug log line, and hands the trace to the ring. Nil trace no-ops.
+// finishTrace ends a request trace's last tile with outcome,
+// attributes each tile's time to the per-stage histograms, emits the
+// per-request debug log line, and hands the trace to the ring. Nil
+// trace no-ops.
 func (s *Server) finishTrace(tr *obs.Trace, outcome string) {
 	if tr == nil {
 		return
@@ -772,14 +751,14 @@ func (s *Server) entryFor(ctx context.Context, workload, codecName string) (*ent
 		ent = &entry{ready: make(chan struct{})}
 		s.entries[key] = ent
 		s.mu.Unlock()
-		bsp := obs.FromContext(ctx).Begin(obs.StageBuild)
+		// A failed build's tile stays open for the caller's Finish to
+		// close with the error.
+		tr := obs.FromContext(ctx)
+		tr.Next(obs.StageBuild)
 		ent.err = s.build(ent, workload, codecName)
-		if ent.err != nil {
-			bsp.End(obs.OutcomeError)
+		if ent.err == nil {
+			tr.Next(obs.StageRoute)
 		} else {
-			bsp.End(obs.OutcomeOK)
-		}
-		if ent.err != nil {
 			// Drop failed builds so errors are not cached forever and
 			// bogus names cannot grow the map without bound.
 			s.mu.Lock()
