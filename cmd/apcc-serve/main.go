@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -189,28 +188,13 @@ func runLoadgen(cfg service.Config, target, workload, codec string, clients, ste
 		defer f.Close()
 		traceW = f
 	}
-	var inproc *service.Server
 	if target == "" {
-		var err error
-		inproc, err = service.New(cfg)
+		_, base, stop, err := service.ServeLoopback(cfg)
 		if err != nil {
 			return err
 		}
-		defer inproc.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{
-			Handler:           inproc.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      60 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		target = "http://" + ln.Addr().String()
+		defer stop()
+		target = base
 		fmt.Printf("apcc-serve: in-process server on %s\n", target)
 	}
 
@@ -231,7 +215,7 @@ func runLoadgen(cfg service.Config, target, workload, codec string, clients, ste
 
 	t := report.NewTable(fmt.Sprintf("loadgen %s/%s", workload, codec), "metric", "value")
 	t.AddRow("clients", stats.Clients)
-	t.AddRow("block_fetches", stats.Requests)
+	t.AddRow("fetches", stats.Requests)
 	t.AddRow("word_reads", stats.WordReads)
 	t.AddRow("errors", stats.Errors)
 	t.AddRow("payload_bytes", stats.Bytes)
@@ -251,28 +235,13 @@ func runLoadgen(cfg service.Config, target, workload, codec string, clients, ste
 // exercises and compares the whole codec family end to end — and, on
 // the server side, populates the per-codec Prometheus stage metrics.
 func runCodecMix(cfg service.Config, target, workload string, clients, steps int, seed int64) error {
-	var inproc *service.Server
 	if target == "" {
-		var err error
-		inproc, err = service.New(cfg)
+		_, base, stop, err := service.ServeLoopback(cfg)
 		if err != nil {
 			return err
 		}
-		defer inproc.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{
-			Handler:           inproc.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      60 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
-		target = "http://" + ln.Addr().String()
+		defer stop()
+		target = base
 		fmt.Printf("apcc-serve: in-process server on %s\n", target)
 	}
 	mix, err := service.RunCodecMix(context.Background(), service.LoadConfig{
@@ -357,7 +326,7 @@ func runColdWarm(cfg service.Config, workload, codec string, clients, steps int,
 	t.AddRow("store_restores", 0, stats.WarmRestores)
 	t.AddRow("first_container", stats.ColdFirst.Round(time.Microsecond).String(),
 		stats.WarmFirst.Round(time.Microsecond).String())
-	t.AddRow("block_fetches", stats.Cold.Requests, stats.Warm.Requests)
+	t.AddRow("fetches", stats.Cold.Requests, stats.Warm.Requests)
 	t.AddRow("errors", stats.Cold.Errors, stats.Warm.Errors)
 	t.AddRow("fetches_per_sec", fmt.Sprintf("%.0f", stats.Cold.Throughput()),
 		fmt.Sprintf("%.0f", stats.Warm.Throughput()))

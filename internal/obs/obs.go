@@ -19,7 +19,7 @@ import (
 )
 
 // Stage names: where a block-serving request spends its time. These
-// are the label values of the apcc_block_stage_seconds histogram and
+// are the stage label values of the per-stage latency histogram and
 // the span names in /debug/trace.
 const (
 	StageRoute  = "route"  // entry resolution, id parse, request validation

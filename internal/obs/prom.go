@@ -55,7 +55,7 @@ func (p *PromWriter) Family(name, typ, help string) {
 // Sample writes one sample line: name{labels} value.
 func (p *PromWriter) Sample(name string, labels []Label, v float64) {
 	p.sb.WriteString(name)
-	p.writeLabels(labels, "", 0, false)
+	p.writeLabels(labels, "", false)
 	p.sb.WriteByte(' ')
 	p.sb.WriteString(formatPromFloat(v))
 	p.sb.WriteByte('\n')
@@ -71,35 +71,45 @@ func (p *PromWriter) Histogram(name string, labels []Label, bounds []float64, cu
 	for i, b := range bounds {
 		p.sb.WriteString(name)
 		p.sb.WriteString("_bucket")
-		p.writeLabels(labels, formatPromFloat(b), 0, true)
+		p.writeLabels(labels, formatPromFloat(b), true)
 		p.sb.WriteByte(' ')
 		p.sb.WriteString(strconv.FormatInt(cumCounts[i], 10))
 		p.sb.WriteByte('\n')
 	}
 	p.sb.WriteString(name)
 	p.sb.WriteString("_bucket")
-	p.writeLabels(labels, "+Inf", 0, true)
+	p.writeLabels(labels, "+Inf", true)
 	p.sb.WriteByte(' ')
 	p.sb.WriteString(strconv.FormatInt(count, 10))
 	p.sb.WriteByte('\n')
 	p.sb.WriteString(name)
 	p.sb.WriteString("_sum")
-	p.writeLabels(labels, "", 0, false)
+	p.writeLabels(labels, "", false)
 	p.sb.WriteByte(' ')
 	p.sb.WriteString(formatPromFloat(sum))
 	p.sb.WriteByte('\n')
 	p.sb.WriteString(name)
 	p.sb.WriteString("_count")
-	p.writeLabels(labels, "", 0, false)
+	p.writeLabels(labels, "", false)
 	p.sb.WriteByte(' ')
 	p.sb.WriteString(strconv.FormatInt(count, 10))
 	p.sb.WriteByte('\n')
 	p.flushLine()
 }
 
+// SeriesName spells one series the way its sample line does:
+// name{labels}, with label values escaped, or the bare name when there
+// are no labels.
+func SeriesName(name string, labels []Label) string {
+	var p PromWriter
+	p.sb.WriteString(name)
+	p.writeLabels(labels, "", false)
+	return p.sb.String()
+}
+
 // writeLabels renders {a="b",le="..."}; nothing when there are no
 // labels and no le.
-func (p *PromWriter) writeLabels(labels []Label, le string, _ int, withLE bool) {
+func (p *PromWriter) writeLabels(labels []Label, le string, withLE bool) {
 	if len(labels) == 0 && !withLE {
 		return
 	}

@@ -37,6 +37,15 @@ func TestPromWriterLintRoundTrip(t *testing.T) {
 	if !strings.Contains(out, `event="weird\"value\\n"`) {
 		t.Errorf("label escaping wrong:\n%s", out)
 	}
+	// SeriesName spells a series exactly as its sample line does.
+	for _, series := range []string{
+		SeriesName("apcc_requests_total", nil),
+		SeriesName("apcc_cache_events_total", []Label{{"event", `weird"value\n`}}),
+	} {
+		if !strings.Contains(out, "\n"+series+" ") {
+			t.Errorf("no sample line for series %s:\n%s", series, out)
+		}
+	}
 }
 
 // TestLintPromRejects: each class of malformed exposition is caught.

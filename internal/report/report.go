@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -41,16 +42,18 @@ func (t *Table) AddRow(cells ...any) {
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// WriteTo renders the table. It implements io.WriterTo.
+// WriteTo renders the table. It implements io.WriterTo. Columns are
+// padded by characters, not bytes, so a multi-byte cell such as a µs
+// duration does not shift the columns after it.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -65,7 +68,7 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(c)
-			for p := len(c); p < widths[i]; p++ {
+			for p := utf8.RuneCountInString(c); p < widths[i]; p++ {
 				sb.WriteByte(' ')
 			}
 		}

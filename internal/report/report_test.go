@@ -3,6 +3,7 @@ package report
 import (
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -32,6 +33,24 @@ func TestTableAlignment(t *testing.T) {
 	}
 	if tb.NumRows() != 2 {
 		t.Errorf("NumRows = %d", tb.NumRows())
+	}
+}
+
+// TestTableAlignsMultiByteCells: a µs duration is wider in bytes than
+// in characters, and the column after it must still start at the same
+// character offset on every row.
+func TestTableAlignsMultiByteCells(t *testing.T) {
+	tb := NewTable("", "series", "mean", "p50")
+	tb.AddRow("a", "283.7µs", "x")
+	tb.AddRow("b", "10ms", "y")
+	tb.AddRow("c", "1.5µs", "z")
+	lines := strings.Split(strings.TrimRight(tb.String(), "\n"), "\n")
+	want := utf8.RuneCountInString(lines[0][:strings.Index(lines[0], "p50")])
+	for i, cell := range []string{"x", "y", "z"} {
+		line := lines[2+i]
+		if col := utf8.RuneCountInString(line[:strings.Index(line, cell)]); col != want {
+			t.Errorf("row %d: p50 column starts at character %d, want %d:\n%s", i, col, want, tb)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -100,27 +99,6 @@ func (s *Server) waitPersisted(ctx context.Context, workload, codecName string, 
 	}
 }
 
-// chaosServer boots a server on cfg behind a loopback listener. stop
-// closes both, waiting out the server's persists; it may be called
-// more than once.
-func chaosServer(cfg Config) (srv *Server, base string, stop func(), err error) {
-	if srv, err = New(cfg); err != nil {
-		return nil, "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, "", nil, err
-	}
-	hs := &http.Server{
-		Handler:      srv.Handler(),
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 30 * time.Second,
-	}
-	go hs.Serve(ln)
-	return srv, "http://" + ln.Addr().String(), func() { hs.Close(); srv.Close() }, nil
-}
-
 // RunChaos is the fault-injection end-to-end scenario. It boots an
 // in-process server on cfg (which must have a StoreDir — phases 2 and
 // 3 restart on it, and the store's restore path is the only one that
@@ -161,7 +139,7 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	// oracle, and wait for their persists, so phases 2 and 3 restore
 	// them; then load under the caller's profile. Clients retry the
 	// busy/transient statuses like a real device would.
-	srv, base, stop, err := chaosServer(cfg)
+	srv, base, stop, err := ServeLoopback(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +189,7 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	// Phase 2: every store read flips a bit. No restore may pass; each
 	// one is quarantined and rebuilt, and the rebuilt entries must
 	// serve phase 1's bytes.
-	srv, base, stop, err = chaosServer(cfg)
+	srv, base, stop, err = ServeLoopback(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +216,7 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	stop()
 
 	// Phase 3: healed, every entry restores warm with phase 1's bytes.
-	srv, base, stop, err = chaosServer(cfg)
+	srv, base, stop, err = ServeLoopback(cfg)
 	if err != nil {
 		return nil, err
 	}

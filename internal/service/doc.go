@@ -41,7 +41,10 @@
 // Endpoints:
 //
 //	GET  /healthz                          liveness probe
-//	GET  /metrics[?format=csv]             counters, entry memory, per-codec latency
+//	GET  /metrics[?format=csv]             every family as two tables: metrics, latency
+//	GET  /metrics/prom                     the same families as Prometheus text exposition
+//	GET  /debug/trace?n=N                  recent request traces and slowest exemplars (JSON)
+//	GET|POST /debug/faults                 fault-injection control (only with Config.DebugFaults)
 //	GET  /v1/workloads                     the synthetic suite
 //	GET  /v1/codecs                        registered codecs
 //	GET  /v1/pack/{workload}?codec=dict    whole verified container
@@ -49,6 +52,8 @@
 //	GET  /v1/block/{workload}/{id}?codec=C one compressed block + metadata headers
 //	     ...&word=W&words=N                 plain bytes of a word span of the block
 //
-// Metrics are rendered through internal/report so the service speaks
-// the same table/CSV dialect as the rest of the repo.
+// Server.writeMetrics declares every metric family once. /metrics
+// renders it through internal/report, in the same table/CSV dialect as
+// the rest of the repo, with each row named by its Prometheus series;
+// /metrics/prom renders it through obs.PromWriter.
 package service

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -469,26 +468,14 @@ func RunColdWarm(ctx context.Context, cfg Config, lcfg LoadConfig) (*ColdWarmSta
 	}
 	out := &ColdWarmStats{}
 	run := func(packs *int64, first *time.Duration, restores *int64) (*LoadStats, error) {
-		srv, err := New(cfg)
+		srv, base, stop, err := ServeLoopback(cfg)
 		if err != nil {
 			return nil, err
 		}
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		httpSrv := &http.Server{
-			Handler:           srv.Handler(),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      30 * time.Second,
-		}
-		go httpSrv.Serve(ln)
-		defer httpSrv.Close()
+		defer stop()
 
 		phase := lcfg
-		phase.BaseURL = "http://" + ln.Addr().String()
+		phase.BaseURL = base
 		phase.Client = nil
 
 		// Time-to-first-container: what a device waits on after the

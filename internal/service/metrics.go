@@ -1,16 +1,16 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"apbcc/internal/faults"
+	"apbcc/internal/obs"
 	"apbcc/internal/report"
-	"apbcc/internal/store"
 )
 
 // histBounds are the latency bucket upper bounds. The last bucket is
@@ -229,8 +229,7 @@ func (m *Metrics) CodecHist(codec string) *Histogram {
 }
 
 // StageHist returns (creating if needed) the per-stage histogram for
-// {stage, codec, outcome} — the series behind
-// apcc_block_stage_seconds. Same RWMutex fast path as CodecHist.
+// {stage, codec, outcome}. Same RWMutex fast path as CodecHist.
 func (m *Metrics) StageHist(stage, codec, outcome string) *Histogram {
 	k := StageKey{Stage: stage, Codec: codec, Outcome: outcome}
 	m.stageMu.RLock()
@@ -283,72 +282,154 @@ func (m *Metrics) stageKeys() []StageKey {
 	return keys
 }
 
-// WriteTables renders the metrics through internal/report. mem is the
-// built entries' memory by codec. st carries the disk-store census (nil
-// when no store is configured; the store table is omitted). csv selects
-// the CSV dialect (one table after another, separated by blank lines);
-// otherwise aligned text tables are written.
-func (m *Metrics) WriteTables(w io.Writer, mem []EntryMemory, pool PoolStats, st *store.Stats, csv bool) error {
-	svc := report.NewTable("service", "metric", "value")
-	svc.AddRow("uptime_seconds", fmt.Sprintf("%.1f", time.Since(m.start).Seconds()))
-	svc.AddRow("requests_total", m.Requests.Load())
-	svc.AddRow("errors_total", m.Errors.Load())
-	svc.AddRow("in_flight", m.InFlight.Load())
-	svc.AddRow("packs_built_total", m.Packs.Load())
-	svc.AddRow("blocks_served_total", m.Blocks.Load())
-	svc.AddRow("word_reads_total", m.WordReads.Load())
-	svc.AddRow("word_groups_decoded_total", m.WordGroups.Load())
-	svc.AddRow("word_decoded_bytes_total", m.WordDecodedBytes.Load())
-	svc.AddRow("payload_bytes_total", m.BytesSent.Load())
+// promBounds is histBounds in seconds, the unit Prometheus histograms
+// expose.
+var promBounds = func() []float64 {
+	out := make([]float64, len(histBounds))
+	for i, b := range histBounds {
+		out[i] = b.Seconds()
+	}
+	return out
+}()
 
-	et := report.NewTable("entry memory by codec", "codec", "resident_bytes", "plain_bytes")
+// metricSink receives what Server.writeMetrics declares: each family's
+// header, then that family's samples or histogram series.
+type metricSink interface {
+	family(name, typ, help string)
+	sample(name string, labels []obs.Label, v float64)
+	histogram(name string, labels []obs.Label, h *Histogram)
+}
+
+// promSink renders families as Prometheus text exposition (version
+// 0.0.4).
+type promSink struct{ p *obs.PromWriter }
+
+func (s promSink) family(name, typ, help string) { s.p.Family(name, typ, help) }
+
+func (s promSink) sample(name string, labels []obs.Label, v float64) { s.p.Sample(name, labels, v) }
+
+func (s promSink) histogram(name string, labels []obs.Label, h *Histogram) {
+	cum, sumNS := h.snapshot()
+	s.p.Histogram(name, labels, promBounds, cum[:len(histBounds)],
+		time.Duration(sumNS).Seconds(), cum[numBuckets-1])
+}
+
+// tableSink renders families as the /metrics tables: a metrics row per
+// sample and a latency row per histogram series, each named by its
+// Prometheus series. Values are written in full, never in exponent
+// form.
+type tableSink struct{ metrics, latency *report.Table }
+
+func newTableSink() tableSink {
+	return tableSink{
+		metrics: report.NewTable("metrics", "series", "value"),
+		latency: report.NewTable("latency", "series", "count", "mean", "p50", "p90", "p99"),
+	}
+}
+
+func (tableSink) family(name, typ, help string) {}
+
+func (t tableSink) sample(name string, labels []obs.Label, v float64) {
+	t.metrics.AddRow(obs.SeriesName(name, labels), strconv.FormatFloat(v, 'f', -1, 64))
+}
+
+func (t tableSink) histogram(name string, labels []obs.Label, h *Histogram) {
+	t.latency.AddRow(obs.SeriesName(name, labels), h.Count(), h.Mean().String(),
+		h.Quantile(0.50).String(), h.Quantile(0.90).String(), h.Quantile(0.99).String())
+}
+
+// writeMetrics is the one place a metric family is declared: it emits
+// each family's name, type and help, then its samples, to sink. The
+// Prometheus exposition and the /metrics tables are both rendered from
+// it, so they carry the same series. Family names are fixed at compile
+// time, so scrape configs survive restarts (pinned by
+// TestPromNamesStableAcrossRestarts). The store families appear only
+// when a store is configured.
+func (s *Server) writeMetrics(sink metricSink) {
+	m := s.metrics
+	scalar := func(name, typ, help string, v float64) {
+		sink.family(name, typ, help)
+		sink.sample(name, nil, v)
+	}
+	scalar("apcc_uptime_seconds", "gauge", "Seconds since the server started.", time.Since(m.start).Seconds())
+	scalar("apcc_http_requests_total", "counter", "HTTP requests received.", float64(m.Requests.Load()))
+	scalar("apcc_http_errors_total", "counter", "HTTP responses with status >= 400.", float64(m.Errors.Load()))
+	scalar("apcc_http_in_flight", "gauge", "HTTP requests currently being handled.", float64(m.InFlight.Load()))
+	scalar("apcc_packs_built_total", "counter", "Containers built (not cached re-serves).", float64(m.Packs.Load()))
+	scalar("apcc_blocks_served_total", "counter", "Block fetches served.", float64(m.Blocks.Load()))
+	scalar("apcc_payload_bytes_total", "counter", "Payload bytes written to clients.", float64(m.BytesSent.Load()))
+	scalar("apcc_word_reads_total", "counter",
+		"Word-span reads served, each decoded from the resident container.", float64(m.WordReads.Load()))
+	scalar("apcc_word_groups_decoded_total", "counter",
+		"Word groups decoded by word reads through a group directory (whole-block decodes add none).",
+		float64(m.WordGroups.Load()))
+	scalar("apcc_word_decoded_bytes_total", "counter",
+		"Compressed bytes decoded by word reads: the covering groups, or the whole payload without a group directory.",
+		float64(m.WordDecodedBytes.Load()))
+
+	mem := s.memoryByCodec()
+	sink.family("apcc_entry_resident_bytes", "gauge",
+		"Memory built entries hold, by codec: container capacity plus layout and group-offset tables.")
 	for _, e := range mem {
-		et.AddRow(e.Codec, e.Resident, e.Plain)
+		sink.sample("apcc_entry_resident_bytes", []obs.Label{{Name: "codec", Value: e.codec}}, float64(e.resident))
+	}
+	sink.family("apcc_entry_plain_bytes", "gauge", "Plain code bytes the built entries' containers encode, by codec.")
+	for _, e := range mem {
+		sink.sample("apcc_entry_plain_bytes", []obs.Label{{Name: "codec", Value: e.codec}}, float64(e.plain))
 	}
 
-	pt := report.NewTable("worker pool", "metric", "value")
-	pt.AddRow("workers", pool.Workers)
-	pt.AddRow("submitted", pool.Submitted)
-	pt.AddRow("completed", pool.Completed)
-	pt.AddRow("in_flight", pool.InFlight)
+	pool := s.pool.Stats()
+	scalar("apcc_pool_workers", "gauge", "Worker-pool size.", float64(pool.Workers))
+	sink.family("apcc_pool_jobs_total", "counter", "Worker-pool jobs by state.")
+	sink.sample("apcc_pool_jobs_total", []obs.Label{{Name: "state", Value: "submitted"}}, float64(pool.Submitted))
+	sink.sample("apcc_pool_jobs_total", []obs.Label{{Name: "state", Value: "completed"}}, float64(pool.Completed))
+	scalar("apcc_pool_in_flight", "gauge", "Jobs submitted but not finished.", float64(pool.InFlight))
 
-	lt := report.NewTable("block latency by codec", "codec", "count", "mean", "p50", "p90", "p99")
+	scalar("apcc_verify_unpacks_total", "counter",
+		"Container verification unpacks (one pack.Unpack per build and per warm restore).",
+		float64(m.VerifyUnpacks.Load()))
+	scalar("apcc_verify_unpack_seconds_total", "counter",
+		"Cumulative seconds spent in verification unpacks.", time.Duration(m.VerifyNS.Load()).Seconds())
+
+	scalar("apcc_shed_total", "counter",
+		"Requests rejected 429 by queue-depth admission control.", float64(m.Shed.Load()))
+	sink.family("apcc_faults_injected_total", "counter",
+		"Failpoint activations by site and action kind (zero when fault injection is disabled).")
+	for _, site := range faults.Snapshot() {
+		for _, kind := range []string{faults.KindLatency, faults.KindTransient, faults.KindBitFlip} {
+			sink.sample("apcc_faults_injected_total", []obs.Label{
+				{Name: "site", Value: site.Name},
+				{Name: "kind", Value: kind},
+			}, float64(site.Injected[kind]))
+		}
+	}
+
+	rs := s.rec.Stats()
+	scalar("apcc_trace_records_total", "counter", "Request traces recorded to the ring buffer.", float64(rs.Recorded))
+	scalar("apcc_trace_truncated_total", "counter", "Traces that hit the per-trace span cap.", float64(rs.Truncated))
+
+	if s.store != nil {
+		st := s.store.Stats()
+		scalar("apcc_store_objects", "gauge", "Objects in the disk store.", float64(st.Objects))
+		scalar("apcc_store_refs", "gauge", "Named refs in the disk store.", float64(st.Refs))
+		scalar("apcc_store_warm_restores_total", "counter",
+			"Entries restored from the store without packing.", float64(m.StoreWarm.Load()))
+		scalar("apcc_store_persists_total", "counter", "Containers persisted to the store.", float64(m.StorePersists.Load()))
+		scalar("apcc_store_put_bytes_total", "counter", "Bytes written to the store.", float64(st.PutBytes))
+		scalar("apcc_store_quarantined_total", "counter", "Objects quarantined as corrupt.", float64(st.Quarantined))
+	}
+
+	sink.family("apcc_block_serve_seconds", "histogram", "End-to-end block serve latency by codec.")
 	for _, name := range m.codecNames() {
-		h := m.CodecHist(name)
-		lt.AddRow(name, h.Count(), h.Mean().String(),
-			h.Quantile(0.50).String(), h.Quantile(0.90).String(), h.Quantile(0.99).String())
+		sink.histogram("apcc_block_serve_seconds", []obs.Label{{Name: "codec", Value: name}}, m.CodecHist(name))
 	}
-
-	rt := report.NewTable("resilience", "metric", "value")
-	rt.AddRow("shed_total", m.Shed.Load())
-
-	tables := []*report.Table{svc, et, pt, lt, rt}
-	if st != nil {
-		dt := report.NewTable("disk store", "metric", "value")
-		dt.AddRow("objects", st.Objects)
-		dt.AddRow("refs", st.Refs)
-		dt.AddRow("warm_restores", m.StoreWarm.Load())
-		dt.AddRow("containers_persisted", m.StorePersists.Load())
-		dt.AddRow("put_bytes", st.PutBytes)
-		dt.AddRow("quarantined", st.Quarantined)
-		tables = append(tables, dt)
+	sink.family("apcc_block_stage_seconds", "histogram",
+		"Per-stage exclusive latency of block serving, attributed by stage, codec and outcome.")
+	for _, k := range m.stageKeys() {
+		sink.histogram("apcc_block_stage_seconds", []obs.Label{
+			{Name: "stage", Value: k.Stage},
+			{Name: "codec", Value: k.Codec},
+			{Name: "outcome", Value: k.Outcome},
+		}, m.StageHist(k.Stage, k.Codec, k.Outcome))
 	}
-	for _, t := range tables {
-		if csv {
-			if _, err := io.WriteString(w, t.CSV()); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := t.WriteTo(w); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

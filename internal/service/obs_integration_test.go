@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -135,9 +136,9 @@ func TestEntryMemoryGauges(t *testing.T) {
 	}
 
 	_, body, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
-	_, tables, _ := get(t, ts.Client(), ts.URL+"/metrics?format=csv")
-	if !bytes.Contains(tables, []byte("codec,resident_bytes,plain_bytes\n")) {
-		t.Fatalf("/metrics lacks the entry memory table:\n%s", tables)
+	tables := metricsCSV(t, ts.Client(), ts.URL)
+	if _, ok := tables[`apcc_entry_resident_bytes{codec="dict"}`]; !ok {
+		t.Fatalf("/metrics lacks the entry memory rows:\n%v", tables)
 	}
 	for codec := range resident {
 		for family, want := range map[string]int64{
@@ -147,10 +148,10 @@ func TestEntryMemoryGauges(t *testing.T) {
 			if !bytes.Contains(body, []byte(series)) {
 				t.Errorf("exposition lacks %q", series)
 			}
-		}
-		row := fmt.Sprintf("%s,%d,%d\n", codec, resident[codec], plain[codec])
-		if !bytes.Contains(tables, []byte(row)) {
-			t.Errorf("/metrics entry memory table lacks row %q:\n%s", row, tables)
+			row := fmt.Sprintf("%s{codec=%q}", family, codec)
+			if got := tables[row]; got != fmt.Sprint(want) {
+				t.Errorf("/metrics row %s = %q, want %d", row, got, want)
+			}
 		}
 	}
 }
@@ -225,9 +226,87 @@ func TestMetricsCSVDialect(t *testing.T) {
 			}
 		}
 	}
-	// service, entry memory, pool, latency, resilience, store.
-	if tables != 6 {
-		t.Errorf("got %d CSV tables, want 6", tables)
+	// metrics and latency.
+	if tables != 2 {
+		t.Errorf("got %d CSV tables, want 2", tables)
+	}
+}
+
+// TestMetricsFormatsAgree: /metrics?format=csv and /metrics/prom are
+// rendered from one declaration, so they name the same series. Every
+// metrics row is a sample line and every latency row a histogram
+// series, read from its _count line, with nothing left over on either
+// side. Values agree wherever the scrapes themselves do not move them.
+func TestMetricsFormatsAgree(t *testing.T) {
+	s, ts := newTestServerConfig(t, Config{Workers: 2, StoreDir: t.TempDir()})
+	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=dict")
+	get(t, ts.Client(), ts.URL+"/v1/block/sha/1?codec=dict&word=0&words=1")
+	get(t, ts.Client(), ts.URL+"/v1/block/fft/0?codec=lzss")
+	get(t, ts.Client(), ts.URL+"/v1/pack/nosuch") // error
+	s.persistWG.Wait()                            // no persist lands between the scrapes
+	_, body, _ := get(t, ts.Client(), ts.URL+"/metrics?format=csv")
+	_, prom, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
+
+	rows := map[bool]map[string]string{false: {}, true: {}} // latency table? -> series -> value or count
+	for _, chunk := range strings.Split(strings.TrimSpace(string(body)), "\n\n") {
+		recs, err := csv.NewReader(strings.NewReader(chunk)).ReadAll()
+		if err != nil {
+			t.Fatalf("csv: %v\n%s", err, chunk)
+		}
+		for _, rec := range recs[1:] {
+			rows[len(recs[0]) > 2][rec[0]] = rec[1]
+		}
+	}
+	histograms := map[string]bool{}
+	for name, typ := range promFamilies(string(prom)) {
+		histograms[name] = typ == "histogram"
+	}
+	scraped := map[bool]map[string]string{false: {}, true: {}}
+	for _, line := range strings.Split(strings.TrimSpace(string(prom)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		series, value := line[:i], line[i+1:]
+		name, labels, _ := strings.Cut(series, "{")
+		if labels != "" {
+			labels = "{" + labels
+		}
+		if histograms[name] {
+			t.Fatalf("histogram %s has a bare sample line %q", name, line)
+		}
+		if base, ok := strings.CutSuffix(name, "_count"); ok && histograms[base] {
+			scraped[true][base+labels] = value
+		} else if !histograms[strings.TrimSuffix(name, "_bucket")] && !histograms[strings.TrimSuffix(name, "_sum")] {
+			scraped[false][series] = value
+		}
+	}
+	if len(rows[true]) == 0 || len(rows[false]) == 0 {
+		t.Fatalf("empty tables:\n%s", body)
+	}
+	moving := func(series string) bool {
+		return series == "apcc_uptime_seconds" || series == "apcc_payload_bytes_total" ||
+			strings.HasPrefix(series, "apcc_http_")
+	}
+	for _, latency := range []bool{false, true} {
+		table, exposed := rows[latency], scraped[latency]
+		for series, v := range table {
+			pv, ok := exposed[series]
+			if !ok {
+				t.Errorf("/metrics row %s (latency table %v) has no series in /metrics/prom", series, latency)
+				continue
+			}
+			a, errA := strconv.ParseFloat(v, 64)
+			b, errB := strconv.ParseFloat(pv, 64)
+			if errA != nil || errB != nil || (a != b && !moving(series)) {
+				t.Errorf("%s: /metrics %q, /metrics/prom %q", series, v, pv)
+			}
+		}
+		for series := range exposed {
+			if _, ok := table[series]; !ok {
+				t.Errorf("/metrics/prom series %s (histogram %v) has no /metrics row", series, latency)
+			}
+		}
 	}
 }
 

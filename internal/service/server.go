@@ -10,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -272,6 +273,30 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// ServeLoopback boots a server on cfg behind a listener on a free
+// loopback port, with apcc-serve's serving timeouts, and returns it with
+// its base URL. stop closes the listener and then the server, waiting
+// out its persists; it may be called more than once.
+func ServeLoopback(cfg Config) (srv *Server, base string, stop func(), err error) {
+	if srv, err = New(cfg); err != nil {
+		return nil, "", nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		return nil, "", nil, err
+	}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	go hs.Serve(ln)
+	return srv, "http://" + ln.Addr().String(), func() { hs.Close(); srv.Close() }, nil
+}
+
 // Handler returns the instrumented HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
@@ -383,47 +408,41 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
+// handleMetrics renders every family as two tables, metrics and
+// latency, in aligned text or, with ?format=csv, as CSV.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	csv := r.URL.Query().Get("format") == "csv"
-	if csv {
+	t := newTableSink()
+	s.writeMetrics(t)
+	if r.URL.Query().Get("format") == "csv" {
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		io.WriteString(w, t.metrics.CSV()+"\n"+t.latency.CSV()+"\n")
+		return
 	}
-	var st *store.Stats
-	if s.store != nil {
-		ss := s.store.Stats()
-		st = &ss
-	}
-	s.metrics.WriteTables(w, s.entryMemory(), s.pool.Stats(), st, csv)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, t.metrics.String()+"\n"+t.latency.String()+"\n")
 }
 
-// handleMetricsProm serves the same counters as /metrics, plus the
-// per-stage attribution histograms, in Prometheus text exposition.
+// handleMetricsProm renders the same families as /metrics in Prometheus
+// text exposition, with each histogram's buckets, sum and count.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var st *store.Stats
-	if s.store != nil {
-		ss := s.store.Stats()
-		st = &ss
-	}
-	s.metrics.WriteProm(w, s.entryMemory(), s.pool.Stats(), st, s.rec)
+	s.writeMetrics(promSink{obs.NewPromWriter(w)})
 }
 
-// EntryMemory is the memory held by one codec's built entries.
-type EntryMemory struct {
-	Codec string
-	// Resident is what the entries keep: container capacity, 16 B per
+// entryMemory is the memory held by one codec's built entries.
+type entryMemory struct {
+	codec string
+	// resident is what the entries keep: container capacity, 16 B per
 	// layout row and 4 B per group offset.
-	Resident int64
-	// Plain is the size of the plain code images the containers encode.
-	Plain int64
+	resident int64
+	// plain is the size of the plain code images the containers encode.
+	plain int64
 }
 
-// entryMemory sums the built entries' memory by codec, in codec order.
-// Entries still building are skipped.
-func (s *Server) entryMemory() []EntryMemory {
-	byCodec := map[string]*EntryMemory{}
+// memoryByCodec sums the built entries' memory by codec, in codec
+// order. Entries still building are skipped.
+func (s *Server) memoryByCodec() []entryMemory {
+	byCodec := map[string]*entryMemory{}
 	s.mu.Lock()
 	for _, ent := range s.entries {
 		select {
@@ -436,20 +455,20 @@ func (s *Server) entryMemory() []EntryMemory {
 		}
 		m := byCodec[ent.codec.Name()]
 		if m == nil {
-			m = &EntryMemory{Codec: ent.codec.Name()}
-			byCodec[m.Codec] = m
+			m = &entryMemory{codec: ent.codec.Name()}
+			byCodec[m.codec] = m
 		}
-		m.Resident += int64(cap(ent.container) + 16*cap(ent.blocks) + 4*cap(ent.groupOffs))
+		m.resident += int64(cap(ent.container) + 16*cap(ent.blocks) + 4*cap(ent.groupOffs))
 		for _, b := range ent.blocks {
-			m.Plain += int64(b.words) * isa.WordSize
+			m.plain += int64(b.words) * isa.WordSize
 		}
 	}
 	s.mu.Unlock()
-	out := make([]EntryMemory, 0, len(byCodec))
+	out := make([]entryMemory, 0, len(byCodec))
 	for _, m := range byCodec {
 		out = append(out, *m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Codec < out[j].Codec })
+	sort.Slice(out, func(i, j int) bool { return out[i].codec < out[j].codec })
 	return out
 }
 

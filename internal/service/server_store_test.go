@@ -84,13 +84,13 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 
 	// /metrics must surface the store tier.
 	m := metricsCSV(t, ts2.Client(), ts2.URL)
-	for _, key := range []string{"warm_restores", "containers_persisted", "put_bytes"} {
+	for _, key := range []string{"apcc_store_warm_restores_total", "apcc_store_persists_total", "apcc_store_put_bytes_total"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing store counter %q", key)
 		}
 	}
-	if m["warm_restores"] != "1" {
-		t.Errorf("warm_restores = %q, want 1", m["warm_restores"])
+	if m["apcc_store_warm_restores_total"] != "1" {
+		t.Errorf("apcc_store_warm_restores_total = %q, want 1", m["apcc_store_warm_restores_total"])
 	}
 }
 

@@ -257,8 +257,8 @@ func TestFailedBuildsAreNotCached(t *testing.T) {
 	}
 }
 
-// metricsCSV fetches /metrics?format=csv and returns metric -> value
-// for the named table's two-column rows.
+// metricsCSV fetches /metrics?format=csv and returns series -> value
+// for the metrics table's two-column rows.
 func metricsCSV(t *testing.T, client *http.Client, base string) map[string]string {
 	t.Helper()
 	code, body, _ := get(t, client, base+"/metrics?format=csv")
@@ -274,7 +274,7 @@ func metricsCSV(t *testing.T, client *http.Client, base string) map[string]strin
 			t.Fatalf("metrics csv: %v", err)
 		}
 		for _, rec := range recs {
-			if len(rec) == 2 && rec[0] != "metric" {
+			if len(rec) == 2 && rec[0] != "series" {
 				out[rec[0]] = rec[1]
 			}
 		}
@@ -294,9 +294,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		key string
 		ok  func(float64) bool
 	}{
-		{"requests_total", func(v float64) bool { return v >= 3 }},
-		{"errors_total", func(v float64) bool { return v >= 1 }},
-		{"blocks_served_total", func(v float64) bool { return v == 2 }},
+		{"apcc_http_requests_total", func(v float64) bool { return v >= 3 }},
+		{"apcc_http_errors_total", func(v float64) bool { return v >= 1 }},
+		{"apcc_blocks_served_total", func(v float64) bool { return v == 2 }},
 	}
 	for _, c := range checks {
 		raw, ok := m[c.key]
@@ -310,11 +310,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The aligned-text rendering must mention the latency and entry
-	// memory tables, and no block cache.
+	// The aligned-text rendering must carry the rle latency and entry
+	// memory rows, and no block cache.
 	code, body, _ := get(t, ts.Client(), ts.URL+"/metrics")
-	if code != http.StatusOK || !strings.Contains(string(body), "block latency by codec") ||
-		!strings.Contains(string(body), "entry memory by codec") || !strings.Contains(string(body), "rle") ||
+	if code != http.StatusOK || !strings.Contains(string(body), `apcc_block_serve_seconds{codec="rle"}`) ||
+		!strings.Contains(string(body), `apcc_entry_resident_bytes{codec="rle"}`) || !strings.Contains(string(body), "rle") ||
 		strings.Contains(string(body), "block cache") {
 		t.Errorf("text metrics tables wrong:\n%s", body)
 	}
@@ -358,8 +358,8 @@ func TestLoadgenE2E(t *testing.T) {
 		t.Fatalf("requests = %d, want %d", stats.Requests, want)
 	}
 	m := metricsCSV(t, ts.Client(), ts.URL)
-	if got := m["blocks_served_total"]; got != strconv.FormatInt(stats.Requests, 10) {
-		t.Fatalf("/metrics blocks_served_total = %q, want %d", got, stats.Requests)
+	if got := m["apcc_blocks_served_total"]; got != strconv.FormatInt(stats.Requests, 10) {
+		t.Fatalf("/metrics apcc_blocks_served_total = %q, want %d", got, stats.Requests)
 	}
 }
 

@@ -339,9 +339,9 @@ func TestWordDecodeCounters(t *testing.T) {
 		t.Errorf("store word counters: reads %d, bytes %d; want %d, %d", st.WordReads, st.WordReadBytes, wantReads, wantBytes)
 	}
 	csv := metricsCSV(t, ts.Client(), ts.URL)
-	if csv["word_groups_decoded_total"] != fmt.Sprint(wantGroups) || csv["word_decoded_bytes_total"] != fmt.Sprint(wantBytes) {
+	if csv["apcc_word_groups_decoded_total"] != fmt.Sprint(wantGroups) || csv["apcc_word_decoded_bytes_total"] != fmt.Sprint(wantBytes) {
 		t.Errorf("/metrics rows: groups %q, bytes %q; want %d, %d",
-			csv["word_groups_decoded_total"], csv["word_decoded_bytes_total"], wantGroups, wantBytes)
+			csv["apcc_word_groups_decoded_total"], csv["apcc_word_decoded_bytes_total"], wantGroups, wantBytes)
 	}
 	_, prom, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
 	for _, line := range []string{
