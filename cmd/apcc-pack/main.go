@@ -5,12 +5,11 @@
 //
 //	apcc-pack -workload fft -o fft.apcc            # pack a suite workload
 //	apcc-pack -asm prog.s -codec lzss -o prog.apcc # pack assembled source
-//	apcc-pack -workload fft -parallel 0 -o f.apcc  # parallel build (0 = auto)
 //	apcc-pack -info fft.apcc                       # inspect a container
 //	apcc-pack -verify fft.apcc                     # unpack + validate
 //
-// Parallel and serial builds produce byte-identical containers; the
-// worker count only changes build latency.
+// -info and -verify read format v3 only, the one format the packer
+// writes.
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 		out       = flag.String("o", "", "output container path")
 		info      = flag.String("info", "", "container to summarize")
 		verify    = flag.String("verify", "", "container to unpack and validate")
-		parallel  = flag.Int("parallel", 1, "block-compression workers (0 = auto: all cores, small builds stay serial)")
 		storeDir  = flag.String("store", "", "also persist the container to this content-addressed store\n(same layout apcc-serve -store consumes for warm restarts)")
 	)
 	flag.Parse()
@@ -104,7 +102,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		data, err := pack.PackParallel(p, codec, *parallel)
+		data, err := pack.Pack(p, codec)
 		if err != nil {
 			fatal(err)
 		}

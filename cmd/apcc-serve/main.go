@@ -323,7 +323,7 @@ func runColdWarm(cfg service.Config, workload, codec string, clients, steps int,
 	t := report.NewTable(fmt.Sprintf("cold vs warm %s/%s", workload, codec),
 		"metric", "cold", "warm")
 	t.AddRow("packs_built", stats.ColdPacks, stats.WarmPacks)
-	t.AddRow("store_restores", 0, stats.WarmRestores)
+	t.AddRow("store_restores", stats.ColdRestores, stats.WarmRestores)
 	t.AddRow("first_container", stats.ColdFirst.Round(time.Microsecond).String(),
 		stats.WarmFirst.Round(time.Microsecond).String())
 	t.AddRow("fetches", stats.Cold.Requests, stats.Warm.Requests)

@@ -26,7 +26,7 @@
 //	bench      experiment harnesses (the tables in EXPERIMENTS.md)
 //	report     text tables / CSV
 //	pack       deployable compressed-image containers (the APCC format,
-//	           v2: indexed for random block access)
+//	           v3: indexed for random block and word access)
 //	store      content-addressed on-disk container store (crash-safe
 //	           writes, fsck + quarantine, ReadAt block serving)
 //	service    concurrent pack-serving subsystem: blocks served as

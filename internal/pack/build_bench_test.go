@@ -8,6 +8,106 @@ import (
 	"apbcc/internal/workloads"
 )
 
+// TestPackBuildAllocBudget pins the build's allocation count so the
+// build path cannot silently regress. The budget does not grow with the
+// block count: the whole code image is a pooled buffer every block
+// image is a window of, and all payloads share one arena. What remains
+// is Validate's two BranchSites tables, the payload and CRC tables, the
+// arena, the model marshal, the two group-directory tables, the
+// container itself and the pool's own bookkeeping: at most 10
+// allocations, with one spare. A -race build drops sync.Pool entries at
+// random, so the pin is skipped there.
+func TestPackBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
+	}
+	w, err := workloads.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := w.Program.CodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codecName := range []string{"dict", "cpack", "bdi"} {
+		codec, err := compress.New(codecName, code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Pack(w.Program, codec); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Pack(w.Program, codec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const budget = 11
+		if allocs > budget {
+			t.Errorf("%s: Pack allocates %.0f times, budget %d (blocks=%d)",
+				codecName, allocs, budget, w.Program.Graph.NumBlocks())
+		}
+	}
+}
+
+// BenchmarkPackBuild is the pack-level entry of the tracked benchmark
+// set (run with -benchmem in CI): one container build per codec, with
+// allocation counts. The cases keep the <codec>/serial names of earlier
+// artifacts so the series stays comparable.
+func BenchmarkPackBuild(b *testing.B) {
+	w, err := workloads.ByName("fft")
+	if err != nil {
+		b.Fatal(err)
+	}
+	code, err := w.Program.CodeBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, codecName := range []string{"dict", "lzss", "cpack", "bdi"} {
+		codec, err := compress.New(codecName, code)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(codecName+"/serial", func(b *testing.B) {
+			b.SetBytes(int64(w.Program.TotalBytes()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Pack(w.Program, codec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkUnpack times full container verification (decompress-into-
+// image plus CRC and CFG reconstruction) on the append path.
+func BenchmarkUnpack(b *testing.B) {
+	w, err := workloads.ByName("fft")
+	if err != nil {
+		b.Fatal(err)
+	}
+	code, err := w.Program.CodeBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	codec, err := compress.New("dict", code)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := Pack(w.Program, codec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(w.Program.TotalBytes()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := Unpack("fft", data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // postCodecs are the codecs the pack-write benchmark workload rotates
 // its POSTs over.
 var postCodecs = []string{"dict", "bdi", "cpack", "lzss", "huffman"}

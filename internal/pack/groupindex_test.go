@@ -3,7 +3,6 @@ package pack
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -19,13 +18,10 @@ import (
 func TestParseIndexGroupDirectory(t *testing.T) {
 	for _, codecName := range compress.Names() {
 		t.Run(codecName, func(t *testing.T) {
-			data, _ := packWorkloadVersion(t, "fft", codecName, Version)
+			data, _ := packWorkload(t, "fft", codecName)
 			idx, err := ParseIndex(data)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if idx.Version != Version {
-				t.Fatalf("Version = %d, want %d", idx.Version, Version)
 			}
 			codec, err := idx.NewCodec()
 			if err != nil {
@@ -78,7 +74,7 @@ func TestReadWordRangeAtMatchesUnpack(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, codecName := range compress.Names() {
 		t.Run(codecName, func(t *testing.T) {
-			data, _ := packWorkloadVersion(t, "fft", codecName, Version)
+			data, _ := packWorkload(t, "fft", codecName)
 			idx, err := ParseIndex(data)
 			if err != nil {
 				t.Fatal(err)
@@ -136,7 +132,7 @@ func TestReadWordRangeAtMatchesUnpack(t *testing.T) {
 // group codec of different granularity with ErrCorrupt — never decode
 // garbage.
 func TestReadWordRangeAtCodecMismatch(t *testing.T) {
-	data, w := packWorkloadVersion(t, "fft", "bdi", Version)
+	data, w := packWorkload(t, "fft", "bdi")
 	idx, err := ParseIndex(data)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +156,7 @@ func TestReadWordRangeAtCodecMismatch(t *testing.T) {
 // the group directory performs zero allocations.
 func TestReadWordRangeAtAllocFree(t *testing.T) {
 	for _, codecName := range []string{"bdi", "cpack", "dict", "identity"} {
-		data, _ := packWorkloadVersion(t, "fft", codecName, Version)
+		data, _ := packWorkload(t, "fft", codecName)
 		idx, err := ParseIndex(data)
 		if err != nil {
 			t.Fatal(err)
@@ -188,55 +184,6 @@ func TestReadWordRangeAtAllocFree(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: ReadWordRangeAt allocs/op = %.1f, want 0", codecName, allocs)
 		}
-	}
-}
-
-// frozenV2VersionGate replicates, verbatim, the version check every
-// pre-v3 reader ran before this PR: only version 2 passes. It exists to
-// prove v3 containers fail cleanly (typed ErrBadVersion, no misparse)
-// on deployed v2-era readers.
-func frozenV2VersionGate(data []byte) error {
-	r := &reader{data: data}
-	if !bytes.Equal(r.take(len(Magic)), Magic) {
-		return ErrBadMagic
-	}
-	if v := r.uvarint(); v != VersionV2 {
-		if r.err != nil {
-			return r.err
-		}
-		return fmt.Errorf("%w: %d (index requires v%d)", ErrBadVersion, v, VersionV2)
-	}
-	return nil
-}
-
-// TestV2ReaderRejectsV3 pins forward compatibility in both directions:
-// a v2-era reader rejects a v3 container with ErrBadVersion, and a v3
-// container whose version byte is doctored down to 2 (so a v2 reader
-// would try to parse the directory as the payload section) is rejected
-// by ParseIndex rather than misread.
-func TestV2ReaderRejectsV3(t *testing.T) {
-	v3, _ := packWorkloadVersion(t, "fft", "bdi", Version)
-	if err := frozenV2VersionGate(v3); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("frozen v2 gate on v3: err = %v, want ErrBadVersion", err)
-	}
-	v2, _ := packWorkloadVersion(t, "fft", "bdi", VersionV2)
-	if err := frozenV2VersionGate(v2); err != nil {
-		t.Fatalf("frozen v2 gate on v2: %v", err)
-	}
-	if idx, err := ParseIndex(v2); err != nil || idx.HasGroupIndex() {
-		t.Fatalf("v2 parse: idx=%+v err=%v", idx, err)
-	}
-	// Doctor the version byte (single-byte uvarint right after magic).
-	mut := bytes.Clone(v3)
-	if mut[len(Magic)] != Version {
-		t.Fatal("version field is not a single-byte uvarint")
-	}
-	mut[len(Magic)] = VersionV2
-	if _, err := ParseIndex(mut); err == nil {
-		t.Fatal("v3 container with doctored v2 version byte accepted")
-	}
-	if _, _, _, err := Unpack("doctored", mut); err == nil {
-		t.Fatal("Unpack accepted doctored container")
 	}
 }
 
@@ -356,7 +303,7 @@ func identityCodec(t testing.TB) compress.Codec {
 // fine, out-of-bounds slices are not.
 func FuzzParseIndexV3(f *testing.F) {
 	for _, codec := range []string{"bdi", "cpack", "dict", "identity", "huffman"} {
-		data, _ := packWorkloadVersion(f, "fft", codec, Version)
+		data, _ := packWorkload(f, "fft", codec)
 		f.Add(data, uint16(0), uint16(0))
 	}
 	f.Add(craftV3(func(buf *bytes.Buffer) {
@@ -368,9 +315,6 @@ func FuzzParseIndexV3(f *testing.F) {
 		idx, err := ParseIndex(data)
 		if err != nil {
 			return
-		}
-		if idx.Version != Version && idx.Version != VersionV2 {
-			t.Fatalf("accepted version %d", idx.Version)
 		}
 		if idx.HasGroupIndex() {
 			for i := range idx.Blocks {

@@ -1,13 +1,13 @@
-// Index: the indexed container's block index table (v2/v3), and random
-// block access through it. The index is a pure prefix of the container
-// (header, per-block table, edges, and in v3 the sub-block group
-// directory), so a reader can locate and decompress any single block
-// with one bounded metadata read plus one ReadAt of the payload bytes —
-// the software analogue of block-granular access to compressed memory,
-// and what lets the disk store serve blocks without inflating whole
-// containers. With a v3 group directory the same holds one level down:
-// ReadWordRangeAt serves any word span by reading and decoding only the
-// covering word groups.
+// Index: the container's block index table, and random block access
+// through it. The index is a pure prefix of the container (header,
+// per-block table, edges and the sub-block group directory), so a
+// reader can locate and decompress any single block with one bounded
+// metadata read plus one ReadAt of the payload bytes — the software
+// analogue of block-granular access to compressed memory, and what lets
+// the disk store serve blocks without inflating whole containers. With
+// a group directory the same holds one level down: ReadWordRangeAt
+// serves any word span by reading and decoding only the covering word
+// groups.
 package pack
 
 import (
@@ -43,13 +43,12 @@ type IndexEntry struct {
 	CRC   uint32 // IEEE CRC-32 of the plain block image
 }
 
-// Index is the parsed metadata prefix of an indexed container:
-// everything except the payload bytes themselves. It is sufficient to
-// reconstruct the CFG, rebuild the trained codec, and read any block's
-// compressed payload directly by offset — and, when a v3 group
-// directory is present, any word span within a block.
+// Index is the parsed metadata prefix of a container: everything
+// except the payload bytes themselves. It is sufficient to reconstruct
+// the CFG, rebuild the trained codec, and read any block's compressed
+// payload directly by offset — and, when a group directory is present,
+// any word span within a block.
 type Index struct {
-	Version  int // container format version (VersionV2 or Version)
 	Codec    string
 	Model    []byte
 	ImageCRC uint32 // IEEE CRC-32 of the whole plain image
@@ -57,9 +56,9 @@ type Index struct {
 	Blocks   []IndexEntry
 	Edges    []cfg.Edge
 
-	// GroupWords is the v3 group directory granularity in plain words;
-	// 0 means the container has no directory (v2, or a codec that
-	// cannot slice) and word reads must fall back to full-block decode.
+	// GroupWords is the group directory granularity in plain words; 0
+	// means the container has no directory (its codec cannot slice) and
+	// word reads must fall back to full-block decode.
 	GroupWords int
 
 	PayloadBase int64 // absolute container offset of the payload section
@@ -85,11 +84,10 @@ const indexReadChunk = 64 << 10
 // stay sane even before payload verification exposes the lie.
 const maxBlockWords = 1 << 26
 
-// ParseIndex parses the metadata prefix of an indexed (v2 or v3)
-// container. data may be the full container or any prefix long enough
-// to hold the metadata; payload bytes after the index are not touched.
-// v1 containers are rejected with ErrBadVersion: they have no index, so
-// blocks cannot be located without a full decompression pass.
+// ParseIndex parses the metadata prefix of a container. data may be
+// the full container or any prefix long enough to hold the metadata;
+// payload bytes after the index are not touched. A version other than
+// Version fails with ErrBadVersion.
 func ParseIndex(data []byte) (*Index, error) {
 	r := &reader{data: data}
 	if !bytes.Equal(r.take(len(Magic)), Magic) {
@@ -99,10 +97,10 @@ func ParseIndex(data []byte) (*Index, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if v != Version && v != VersionV2 {
-		return nil, fmt.Errorf("%w: %d (index requires v%d or v%d)", ErrBadVersion, v, VersionV2, Version)
+	if v != Version {
+		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, Version)
 	}
-	idx := &Index{Version: int(v)}
+	idx := &Index{}
 	idx.Codec = string(r.bytes())
 	idx.Model = bytes.Clone(r.bytes())
 	crcBytes := r.take(4)
@@ -163,10 +161,8 @@ func ParseIndex(data []byte) (*Index, error) {
 			return nil, fmt.Errorf("%w: edge %d probability %v outside [0,1]", ErrCorrupt, i, e.Prob)
 		}
 	}
-	if idx.Version == Version {
-		if err := parseGroupDirectory(r, idx); err != nil {
-			return nil, err
-		}
+	if err := parseGroupDirectory(r, idx); err != nil {
+		return nil, err
 	}
 	idx.PayloadLen = int64(r.uvarint())
 	if r.err != nil {
@@ -256,7 +252,7 @@ func (x *Index) BlockGroupOffsets(i int) []uint32 {
 	return x.groupOffs[x.groupBase[i]:x.groupBase[i+1]:x.groupBase[i+1]]
 }
 
-// ReadIndexAt parses a v2 container's index from a random-access
+// ReadIndexAt parses a container's index from a random-access
 // reader holding size bytes, reading only as much of the metadata
 // prefix as needed (geometrically growing from a 64 KiB guess). The
 // payload section is never read.
@@ -300,22 +296,14 @@ func (x *Index) NewCodec() (compress.Codec, error) {
 	return c, nil
 }
 
-// ReadPayloadAt reads block i's raw compressed payload from r via one
-// ReadAt of exactly Len bytes. No decompression or verification
-// happens; pair with VerifyBlock (or DecompressBlockAt) before trusting
-// the bytes. Allocation-sensitive callers use ReadPayloadRangeAt with a
-// pooled dst instead.
-func (x *Index) ReadPayloadAt(r io.ReaderAt, i int) ([]byte, error) {
-	return x.ReadPayloadRangeAt(r, i, i, nil)
-}
-
 // ReadPayloadRangeAt reads the concatenated compressed payloads of
 // blocks lo..hi (inclusive) with one ReadAt, appending them to dst and
 // returning the extended slice. Payloads are stored back to back in
 // block order (ParseIndex rejects anything else), so the range is one
 // contiguous byte span and block j's payload sits at
-// dst[off + x.Blocks[j].Off - x.Blocks[lo].Off] for len x.Blocks[j].Len
-// — see PayloadRangeSlice.
+// dst[base + x.Blocks[j].Off - x.Blocks[lo].Off] for len x.Blocks[j].Len,
+// base being len(dst) at call time. No decompression or verification
+// happens; pair each payload with VerifyBlock before trusting it.
 func (x *Index) ReadPayloadRangeAt(r io.ReaderAt, lo, hi int, dst []byte) ([]byte, error) {
 	if lo < 0 || hi < lo || hi >= len(x.Blocks) {
 		return nil, fmt.Errorf("%w: no block range %d..%d (%d blocks)", ErrCorrupt, lo, hi, len(x.Blocks))
@@ -340,32 +328,6 @@ func (x *Index) ReadPayloadRangeAt(r io.ReaderAt, lo, hi int, dst []byte) ([]byt
 	return dst, nil
 }
 
-// PayloadRangeSlice returns block i's payload within a buffer produced
-// by ReadPayloadRangeAt(r, lo, hi, dst) with base == len(dst) at call
-// time.
-func (x *Index) PayloadRangeSlice(buf []byte, base, lo, i int) []byte {
-	off := base + int(x.Blocks[i].Off-x.Blocks[lo].Off)
-	return buf[off : off+int(x.Blocks[i].Len)]
-}
-
-// DecompressBlockAt reads block i's payload from r, decompresses it
-// with the given codec appending to dst, and verifies the plain image
-// against the index's per-block length and CRC. It returns the
-// compressed payload and the grown dst; dst[start:] is the plain
-// image. Any mismatch is ErrCorrupt (or ErrBadChecksum for a CRC
-// failure).
-func (x *Index) DecompressBlockAt(r io.ReaderAt, codec compress.Codec, i int, dst []byte) (comp, plain []byte, err error) {
-	comp, err = x.ReadPayloadAt(r, i)
-	if err != nil {
-		return nil, nil, err
-	}
-	plain, err = x.VerifyBlock(codec, i, comp, dst)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp, plain, nil
-}
-
 // ReadWordRangeAt serves a sub-block word span through the v3 group
 // directory: one bounded ReadAt of exactly the covering groups'
 // compressed bytes, then one DecompressGroup per covering group —
@@ -375,7 +337,7 @@ func (x *Index) DecompressBlockAt(r io.ReaderAt, codec compress.Codec, i int, ds
 // Both grown slices are returned; plain's appended suffix is the word
 // span. Containers or codecs without group support fail with
 // ErrNoGroupIndex, which callers treat as "fall back to full-block
-// decode". Unlike DecompressBlockAt there is no per-block CRC check —
+// decode". Unlike VerifyBlock there is no per-block CRC check —
 // a group decode covers too little of the block to verify it — so the
 // span is only as sound as the bytes r returns. The server does not
 // read spans this way: it decodes them from its resident container,

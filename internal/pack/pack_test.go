@@ -14,7 +14,8 @@ import (
 	"apbcc/internal/workloads"
 )
 
-func packWorkload(t *testing.T, name, codecName string) ([]byte, *workloads.Workload) {
+// packWorkload packs a suite workload with a codec trained on its code.
+func packWorkload(t testing.TB, name, codecName string) ([]byte, *workloads.Workload) {
 	t.Helper()
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -227,18 +228,15 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackExactSize: every writer returns its container at its exact
-// size, so a server entry that keeps the container holds no spare
-// capacity behind it. Checked for every suite program under every
-// codec, in all three format versions.
+// TestPackExactSize: Pack returns its container at its exact size, so
+// a server entry that keeps the container holds no spare capacity
+// behind it. Checked for every suite program under every codec.
 func TestPackExactSize(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, codecName := range compress.Names() {
-			for _, version := range []int{VersionV1, VersionV2, Version} {
-				data, _ := packWorkloadVersion(t, name, codecName, version)
-				if cap(data) != len(data) {
-					t.Errorf("%s/%s v%d: cap %d, len %d", name, codecName, version, cap(data), len(data))
-				}
+			data, _ := packWorkload(t, name, codecName)
+			if cap(data) != len(data) {
+				t.Errorf("%s/%s: cap %d, len %d", name, codecName, cap(data), len(data))
 			}
 		}
 	}

@@ -83,10 +83,14 @@ func TestUnpackTypedErrors(t *testing.T) {
 	})
 
 	t.Run("bad version", func(t *testing.T) {
-		mut := append([]byte{}, data...)
-		mut[len(Magic)] = Version + 1 // single-byte uvarint
-		if _, _, _, err := Unpack("v", mut); !errors.Is(err, ErrBadVersion) {
-			t.Fatalf("err = %v, want ErrBadVersion", err)
+		// The retired v1 and v2 formats and any later one: the version
+		// is a single-byte uvarint right after the magic.
+		for _, v := range []byte{1, 2, Version + 1} {
+			mut := append([]byte{}, data...)
+			mut[len(Magic)] = v
+			if _, _, _, err := Unpack("v", mut); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("version %d: err = %v, want ErrBadVersion", v, err)
+			}
 		}
 	})
 
@@ -128,7 +132,9 @@ func FuzzUnpack(f *testing.F) {
 	for _, codec := range []string{"dict", "identity", "lzss", "cpack", "bdi"} {
 		data, _ := buildContainer(f, "crc32", codec)
 		f.Add(data)
-		v1, _ := packWorkloadVersion(f, "crc32", codec, VersionV1)
+		// The same container behind the retired v1 version byte.
+		v1 := bytes.Clone(data)
+		v1[len(Magic)] = 1
 		f.Add(v1)
 	}
 	f.Add([]byte("APCC"))

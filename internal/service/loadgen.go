@@ -448,10 +448,10 @@ func RunCodecMix(ctx context.Context, cfg LoadConfig) ([]CodecMixStats, error) {
 // ColdWarmStats reports the two phases of a cold-start/warm-restart
 // scenario run against the same store directory.
 type ColdWarmStats struct {
-	Cold, Warm           *LoadStats
-	ColdPacks, WarmPacks int64         // containers actually built per phase
-	WarmRestores         int64         // entries restored from the store
-	ColdFirst, WarmFirst time.Duration // time to the first served container
+	Cold, Warm                 *LoadStats
+	ColdPacks, WarmPacks       int64         // containers actually built per phase
+	ColdRestores, WarmRestores int64         // entries restored from the store per phase
+	ColdFirst, WarmFirst       time.Duration // time to the first served container
 }
 
 // RunColdWarm is the restart scenario: phase one starts a server
@@ -459,9 +459,9 @@ type ColdWarmStats struct {
 // from scratch and persisted), replays the load, and shuts the server
 // down. Phase two starts a *fresh* server on the same directory and
 // replays the same load; with a warm store it must restore containers
-// from disk without invoking the packer. The two phases' pack counts
-// and first-container latencies quantify what the disk tier buys a
-// restarted server.
+// from disk without invoking the packer. The two phases' pack and
+// restore counts and first-container latencies quantify what the disk
+// tier buys a restarted server.
 func RunColdWarm(ctx context.Context, cfg Config, lcfg LoadConfig) (*ColdWarmStats, error) {
 	if cfg.StoreDir == "" {
 		return nil, fmt.Errorf("service: cold/warm scenario requires Config.StoreDir")
@@ -500,9 +500,8 @@ func RunColdWarm(ctx context.Context, cfg Config, lcfg LoadConfig) (*ColdWarmSta
 		*restores = srv.Metrics().StoreWarm.Load()
 		return stats, nil
 	}
-	var coldRestores int64
 	var err error
-	if out.Cold, err = run(&out.ColdPacks, &out.ColdFirst, &coldRestores); err != nil {
+	if out.Cold, err = run(&out.ColdPacks, &out.ColdFirst, &out.ColdRestores); err != nil {
 		return nil, fmt.Errorf("cold phase: %w", err)
 	}
 	if out.Warm, err = run(&out.WarmPacks, &out.WarmFirst, &out.WarmRestores); err != nil {

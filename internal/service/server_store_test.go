@@ -164,22 +164,62 @@ func TestStoreCorruptionNeverReachesBlocks(t *testing.T) {
 	}
 }
 
+// TestWarmRestoreQuarantinesUnpackFailure: a stored container that
+// passes its content hash but fails the restore's Unpack — a copy whose
+// version byte reads 2, a format no build reads — is quarantined, and
+// the entry is rebuilt cold with the original bytes.
+func TestWarmRestoreQuarantinesUnpackFailure(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServerConfig(t, storeConfig(dir))
+	buildPersisted(t, s, ts, "crc32", "dict")
+	want, codec := unpackedBlocks(t, ts, "crc32", "dict")
+	_, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict")
+	ts.Close()
+	s.Close()
+
+	// Stored under its own key, the copy is hash-valid, so store.Get
+	// passes it and only Unpack can reject it.
+	v2 := bytes.Clone(container)
+	v2[len(pack.Magic)] = 2
+	key, err := s.Store().Put(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Store().PutRef(store.RefName("crc32", "dict"), key); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServerConfig(t, storeConfig(dir))
+	code, warm, _ := get(t, ts2.Client(), ts2.URL+"/v1/pack/crc32?codec=dict")
+	if code != http.StatusOK || !bytes.Equal(warm, container) {
+		t.Fatalf("restart over a v2 container: status %d, container equal %v", code, bytes.Equal(warm, container))
+	}
+	m := s2.Metrics()
+	if w, p, q := m.StoreWarm.Load(), m.Packs.Load(), s2.Store().Stats().Quarantined; w != 0 || p != 1 || q != 1 {
+		t.Fatalf("warm restores %d, packs %d, quarantined %d; want 0, 1, 1", w, p, q)
+	}
+	checkServes(t, ts2, "crc32", "dict", want, codec)
+}
+
 // TestRunColdWarmScenario drives the loadgen restart scenario end to
-// end: the warm phase must not pack and must see zero errors.
+// end: the warm phase must not pack and must see zero errors. A second
+// run on the same store starts warm, so its cold phase restores both
+// containers (fft and crc32 under dict) and packs none.
 func TestRunColdWarmScenario(t *testing.T) {
 	cfg := storeConfig(t.TempDir())
-	stats, err := RunColdWarm(context.Background(), cfg, LoadConfig{
+	lcfg := LoadConfig{
 		Workload: "fft,crc32",
 		Codec:    "dict",
 		Clients:  4,
 		Steps:    30,
 		Seed:     7,
-	})
+	}
+	stats, err := RunColdWarm(context.Background(), cfg, lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ColdPacks == 0 {
-		t.Error("cold phase packed nothing")
+	if stats.ColdPacks == 0 || stats.ColdRestores != 0 {
+		t.Errorf("cold phase on an empty store: packs %d, restores %d; want > 0, 0", stats.ColdPacks, stats.ColdRestores)
 	}
 	if stats.WarmPacks != 0 {
 		t.Errorf("warm phase packed %d containers, want 0", stats.WarmPacks)
@@ -193,6 +233,14 @@ func TestRunColdWarmScenario(t *testing.T) {
 	}
 	if stats.ColdFirst <= 0 || stats.WarmFirst <= 0 {
 		t.Errorf("first-container latencies not measured: %v, %v", stats.ColdFirst, stats.WarmFirst)
+	}
+
+	again, err := RunColdWarm(context.Background(), cfg, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ColdPacks != 0 || again.ColdRestores != 2 {
+		t.Errorf("cold phase on a warm store: packs %d, restores %d; want 0, 2", again.ColdPacks, again.ColdRestores)
 	}
 }
 

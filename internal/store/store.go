@@ -3,7 +3,7 @@
 // checksummed compressed-code images that survive process restarts.
 // Containers are keyed by the SHA-256 of their bytes, written
 // crash-safely (tmp file + rename within one filesystem), and served
-// block-at-a-time through the pack v2 index with plain ReadAt calls —
+// block-at-a-time through the pack index with plain ReadAt calls —
 // a warm store lets a restarted server hand out blocks without ever
 // re-running the packer.
 //
@@ -339,7 +339,7 @@ func (s *Store) quarantinePath(path, name string) {
 	s.quar.Add(1)
 }
 
-// Object is an open container: a file handle plus its parsed v2 index,
+// Object is an open container: a file handle plus its parsed index,
 // ready to serve individual compressed blocks by offset.
 type Object struct {
 	store *Store
@@ -349,8 +349,9 @@ type Object struct {
 }
 
 // Open opens an object for block-level access, parsing (and thereby
-// structurally validating) its index. v1 containers — or anything else
-// that does not parse — are rejected; use Get for whole-object reads.
+// structurally validating) its index. An object whose index does not
+// parse — a container of another format version among them — is
+// rejected with ErrCorrupt; use Get for whole-object reads.
 func (s *Store) Open(key string) (*Object, error) {
 	if !s.objectExists(key) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, short(key))
@@ -378,18 +379,13 @@ func (o *Object) Index() *pack.Index { return o.idx }
 // Close releases the file handle.
 func (o *Object) Close() error { return o.f.Close() }
 
-// ReadBlock reads block i's raw compressed payload with one ReadAt.
-// The bytes are unverified; use VerifiedBlock when the caller has no
-// checksum path of its own.
-func (o *Object) ReadBlock(i int) ([]byte, error) {
-	return o.ReadBlockRange(i, i, nil)
-}
-
 // ReadBlockRange reads the concatenated compressed payloads of blocks
 // lo..hi (inclusive) with one ReadAt, appending to dst (which may be
 // nil, or pooled scratch for allocation-free reads) and returning the
-// extended slice. Block j's payload within the result is located with
-// o.Index().PayloadRangeSlice.
+// extended slice. The bytes are unverified; use VerifiedBlock when the
+// caller has no checksum path of its own. Block j's payload sits at
+// offset Blocks[j].Off - Blocks[lo].Off of the appended bytes (see
+// pack.Index.ReadPayloadRangeAt).
 func (o *Object) ReadBlockRange(lo, hi int, dst []byte) ([]byte, error) {
 	base := len(dst)
 	if err := faultReadAt.Err(); err != nil {
@@ -415,7 +411,7 @@ func (o *Object) HasGroupIndex() bool { return o.idx.HasGroupIndex() }
 // leaves disk. The span's plain bytes are appended to plainDst, the
 // compressed group bytes to compDst (pass pooled buffers to stay
 // allocation-free); both grown slices are returned. Containers without
-// a directory (v2, entropy codecs) fail with pack.ErrNoGroupIndex —
+// a directory (entropy codecs) fail with pack.ErrNoGroupIndex —
 // callers fall back to a full VerifiedBlock. No per-block CRC covers a
 // partial decode, so callers with an independent copy of the container
 // should cross-check the returned group bytes before serving the span.

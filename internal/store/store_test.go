@@ -15,7 +15,7 @@ import (
 	"apbcc/internal/workloads"
 )
 
-// packSuite builds a v2 container for a suite workload.
+// packSuite builds a container for a suite workload.
 func packSuite(t testing.TB, workload, codecName string) []byte {
 	t.Helper()
 	w, err := workloads.ByName(workload)
@@ -361,7 +361,8 @@ func TestObjectServesBlocks(t *testing.T) {
 	if st.BlockReads != int64(full.Graph.NumBlocks()) || st.BlockBytes <= 0 {
 		t.Fatalf("block read counters = %+v", st)
 	}
-	if _, err := obj.ReadBlock(len(full.Graph.Blocks()) + 1); err == nil {
+	bad := full.Graph.NumBlocks() + 1
+	if _, err := obj.ReadBlockRange(bad, bad, nil); err == nil {
 		t.Fatal("out-of-range block read accepted")
 	}
 }
@@ -373,8 +374,7 @@ func TestOpenRejectsV1Object(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hand-build a v1-versioned header: Open must reject it as
-	// indexless, not crash.
+	// Hand-build a v1-versioned header: Open must reject it, not crash.
 	bogus := append([]byte("APCC"), 1)
 	key, err := s.Put(bogus)
 	if err != nil {
@@ -412,12 +412,13 @@ func TestReadBlockRangeCoalesced(t *testing.T) {
 	}
 	var want []byte
 	for i := 0; i < n; i++ {
-		single, err := obj.ReadBlock(i)
+		single, err := obj.ReadBlockRange(i, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, single...)
-		if got := idx.PayloadRangeSlice(buf, 0, 0, i); !bytes.Equal(got, single) {
+		off := int(idx.Blocks[i].Off - idx.Blocks[0].Off)
+		if got := buf[off : off+int(idx.Blocks[i].Len)]; !bytes.Equal(got, single) {
 			t.Fatalf("block %d payload differs between range and single read", i)
 		}
 	}
