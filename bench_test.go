@@ -1,11 +1,10 @@
 // Benchmarks: one per reproduced figure/experiment (see the experiment
-// index in DESIGN.md). Each benchmark times the experiment's
+// index in README.md). Each benchmark times the experiment's
 // representative configuration end-to-end (manager construction
 // excluded, simulation included) and attaches the headline result
 // numbers as custom metrics, so `go test -bench=.` both times the
 // system and regenerates the paper-shape results. The full row-by-row
-// tables are produced by `go run ./cmd/apcc-sweep` and recorded in
-// EXPERIMENTS.md.
+// tables are produced by `go run ./cmd/apcc-sweep`.
 package apbcc_test
 
 import (
@@ -26,8 +25,8 @@ import (
 	"apbcc/internal/workloads"
 )
 
-// benchSteps keeps per-iteration work moderate; the recorded
-// EXPERIMENTS.md numbers use bench.DefaultSteps via apcc-sweep.
+// benchSteps keeps per-iteration work moderate; apcc-sweep's tables
+// use bench.DefaultSteps.
 const benchSteps = 5000
 
 // runCell builds and simulates one cell, reporting b.Fatal on error.
@@ -254,14 +253,14 @@ func BenchmarkE3Codecs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		comp, err := codec.Compress(img)
+		comp, err := codec.CompressAppend(nil, img)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(name+"/compress", func(b *testing.B) {
 			b.SetBytes(int64(len(img)))
 			for i := 0; i < b.N; i++ {
-				if _, err := codec.Compress(img); err != nil {
+				if _, err := codec.CompressAppend(nil, img); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -270,7 +269,7 @@ func BenchmarkE3Codecs(b *testing.B) {
 		b.Run(name+"/decompress", func(b *testing.B) {
 			b.SetBytes(int64(len(img)))
 			for i := 0; i < b.N; i++ {
-				if _, err := codec.Decompress(comp); err != nil {
+				if _, err := codec.DecompressAppend(nil, comp); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,5 +1,5 @@
 // Command apcc-sweep regenerates the reproduction's experiment tables
-// (the experiment index of DESIGN.md / the results in EXPERIMENTS.md).
+// (the experiment index in README.md).
 //
 // Usage:
 //

@@ -13,7 +13,8 @@
 //	asm        two-pass ERI32 assembler
 //	cfg        control flow graphs and analyses (dominators, loops, k-edge reach)
 //	program    programs = instructions + CFG + branch sites
-//	compress   block codecs (dict, lzss, huffman, rle, identity) + cost models
+//	compress   block codecs (dict, cpack, bdi, lzss, huffman, identity),
+//	           one registry, cost models
 //	mem        software-managed code memory (arena allocator, image, occupancy)
 //	trace      block access traces, profiles, predictors
 //	policy     pluggable replacement & prefetch engine (paper k-edge LRU,
@@ -23,12 +24,12 @@
 //	sim        deterministic three-thread cycle simulator
 //	rt         goroutine-based concurrent runtime (race-clean)
 //	workloads  eleven-kernel synthetic embedded benchmark suite
-//	bench      experiment harnesses (the tables in EXPERIMENTS.md)
+//	bench      experiment harnesses (the experiment index in README.md)
 //	report     text tables / CSV
 //	pack       deployable compressed-image containers (the APCC format,
 //	           v3: indexed for random block and word access)
 //	store      content-addressed on-disk container store (crash-safe
-//	           writes, fsck + quarantine, ReadAt block serving)
+//	           writes, fsck + quarantine, whole-container warm restores)
 //	service    concurrent pack-serving subsystem: blocks served as
 //	           slices of verified resident containers, disk tier with
 //	           warm restarts, pack slot gate, HTTP container/block
@@ -40,6 +41,6 @@
 // replays access patterns against it), cmd/benchdiff (benchstat-style
 // old-vs-new comparison of tracked benchmark captures, the CI
 // regression gate), cmd/cfgdump, cmd/asmtool.
-// Runnable examples are under examples/. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// Runnable examples are under examples/. See README.md (with the
+// experiment index) and DESIGN.md.
 package apbcc

@@ -1,8 +1,7 @@
 // Package bench contains the experiment harnesses that regenerate every
 // figure-level result of the reproduction (the experiment index in
-// DESIGN.md). Each harness returns a report.Table whose rows are what
-// EXPERIMENTS.md records; cmd/apcc-sweep prints them and the root-level
-// benchmarks time them.
+// README.md). Each harness returns a report.Table; cmd/apcc-sweep
+// prints them and the root-level benchmarks time them.
 package bench
 
 import (

@@ -77,13 +77,13 @@ func TestDecompressAppendZeroAlloc(t *testing.T) {
 
 // TestMaxCompressedLenBounds verifies that CompressAppend never appends
 // more than MaxCompressedLen promises, across adversarial shapes
-// (incompressible randomish data, all escape bytes, word-aligned and
+// (incompressible randomish data, runs of one byte, word-aligned and
 // ragged sizes).
 func TestMaxCompressedLenBounds(t *testing.T) {
 	inputs := [][]byte{
 		nil,
-		{rleEscape},
-		bytes.Repeat([]byte{rleEscape}, 100),
+		{0xA5},
+		bytes.Repeat([]byte{0xA5}, 100),
 		trainImage(t, 301),
 	}
 	// Adversarial: every byte distinct mod 256, no runs, no matches.
@@ -144,11 +144,11 @@ func BenchmarkAllocRoundTrip(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				comp, err := c.Compress(in)
+				comp, err := c.CompressAppend(nil, in)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.Decompress(comp); err != nil {
+				if _, err := c.DecompressAppend(nil, comp); err != nil {
 					b.Fatal(err)
 				}
 			}

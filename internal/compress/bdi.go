@@ -59,9 +59,6 @@ const (
 // bdiModeNames orders the mode labels for pattern reporting.
 var bdiModeNames = [bdiModeCount]string{"ZERO", "REP", "D1", "D2", "RAW"}
 
-// NewBDI returns the base-delta-immediate codec.
-func NewBDI() Codec { return bdi{} }
-
 func (bdi) Name() string { return "bdi" }
 
 // Cost reflects the decoder's shape: one dispatch per eight-word group
@@ -305,9 +302,6 @@ func (bdi) DecompressAppend(dst, src []byte) ([]byte, error) {
 	return out[:l+tail], nil
 }
 
-func (c bdi) Compress(src []byte) ([]byte, error)   { return c.CompressAppend(nil, src) }
-func (c bdi) Decompress(src []byte) ([]byte, error) { return c.DecompressAppend(nil, src) }
-
 // CountPatterns implements PatternReporter: a counting compression pass
 // whose per-mode word and byte totals (mode bytes included) are merged
 // into acc.
@@ -327,6 +321,5 @@ func (c bdi) CountPatterns(src []byte, acc PatternStats) (PatternStats, error) {
 }
 
 func init() {
-	Register("bdi", func([]byte) (Codec, error) { return NewBDI(), nil })
-	RegisterModel("bdi", func([]byte) (Codec, error) { return NewBDI(), nil })
+	register("bdi", func([]byte) Codec { return bdi{} }, func([]byte) (Codec, error) { return bdi{}, nil })
 }

@@ -6,13 +6,17 @@
 // The paper treats the codec as a pluggable component (its contribution
 // is *when* to compress/decompress, not *how*), so this package supplies
 // a spectrum: a fast instruction-dictionary codec in the style of IBM
-// CodePack and the selective-compression literature the paper cites, an
-// LZSS codec, a shared-model canonical Huffman codec, byte RLE, and the
-// identity codec used as the uncompressed baseline.
+// CodePack and the selective-compression literature the paper cites,
+// the C-Pack and base-delta-immediate word-pattern codecs, an LZSS
+// codec, a shared-model canonical Huffman codec, and the identity codec
+// used as the uncompressed baseline.
 //
-// All codecs are deterministic and self-contained: Decompress(Compress(b))
-// == b with no out-of-band state beyond the codec value itself (trained
-// codecs embed their model).
+// Each codec registers itself once, in its own file, with a trainer
+// (New builds it from a program image) and a model constructor
+// (FromModel rebuilds it from the model a container stores). All codecs
+// are deterministic and self-contained: decompressing a block's
+// compressed form gives the block back with no out-of-band state beyond
+// the codec value itself (trained codecs embed their model).
 //
 // # Buffer ownership
 //
@@ -40,11 +44,8 @@
 //
 // GetBuf/PutBuf expose the package's size-classed buffer pool for
 // callers that want steady-state-allocation-free (de)compression; see
-// bufpool.go for the pool discipline.
-//
-// Compress and Decompress remain as thin convenience wrappers that
-// allocate a fresh slice per call (CompressAppend(nil, src)); cold
-// paths and tests use them, hot paths use the append forms.
+// bufpool.go for the pool discipline. CompressAppend(nil, src) is the
+// allocating form.
 package compress
 
 import (
@@ -98,12 +99,6 @@ type Codec interface {
 	// MaxCompressedLen bounds the bytes CompressAppend appends for an
 	// n-byte input, for exact dst pre-sizing.
 	MaxCompressedLen(n int) int
-	// Compress is the allocating convenience form:
-	// CompressAppend(nil, src).
-	Compress(src []byte) ([]byte, error)
-	// Decompress is the allocating convenience form:
-	// DecompressAppend(nil, src).
-	Decompress(src []byte) ([]byte, error)
 	// Cost returns the codec's cycle cost model.
 	Cost() CostModel
 }
@@ -121,29 +116,46 @@ var FaultDecode = faults.Register("compress.decode")
 // callers branch on it with errors.Is.
 var ErrUnknownCodec = errors.New("compress: unknown codec")
 
-// Factory builds a codec, optionally training it on a representative
-// byte image (the whole program's code, typically). Codecs that need no
-// training ignore the argument.
-type Factory func(train []byte) (Codec, error)
+// codecEntry is one registered codec's two constructors: train builds
+// it from a training image (the whole program's code, typically; codecs
+// that need no training ignore it), fromModel from the serialized model
+// a container stores.
+type codecEntry struct {
+	train     func(train []byte) Codec
+	fromModel func(model []byte) (Codec, error)
+}
 
-var registry = map[string]Factory{}
+// registry holds every codec, keyed by name. Each codec's file fills it
+// once, from init, through register.
+var registry = map[string]codecEntry{}
 
-// Register installs a codec factory under a name. It panics on
-// duplicates, mirroring database/sql conventions.
-func Register(name string, f Factory) {
+// register installs a codec under a name. It panics on duplicates,
+// mirroring database/sql conventions.
+func register(name string, train func([]byte) Codec, fromModel func([]byte) (Codec, error)) {
 	if _, dup := registry[name]; dup {
-		panic("compress: Register called twice for " + name)
+		panic("compress: codec registered twice: " + name)
 	}
-	registry[name] = f
+	registry[name] = codecEntry{train, fromModel}
 }
 
 // New builds a registered codec by name, training it on train.
 func New(name string, train []byte) (Codec, error) {
-	f, ok := registry[name]
+	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownCodec, name, Names())
 	}
-	return f(train)
+	return e.train(train), nil
+}
+
+// FromModel rebuilds a codec from its name and serialized model.
+func FromModel(name string, model []byte) (Codec, error) {
+	e, ok := registry[name]
+	if !ok {
+		// The name typically comes from a container header, so an
+		// unregistered codec means a corrupt or foreign container.
+		return nil, fmt.Errorf("%w: codec %q is not registered", ErrCorrupt, name)
+	}
+	return e.fromModel(model)
 }
 
 // Registered reports whether a codec name is in the registry, without
@@ -161,6 +173,22 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// ModelMarshaler is implemented by trained codecs whose model (the
+// decompressor's side table) can be serialized into a deployable image.
+type ModelMarshaler interface {
+	// MarshalModel serializes the codec's trained state.
+	MarshalModel() []byte
+}
+
+// MarshalModel extracts the serialized model of any codec: trained
+// codecs provide their table, stateless ones an empty model.
+func MarshalModel(c Codec) []byte {
+	if m, ok := c.(ModelMarshaler); ok {
+		return m.MarshalModel()
+	}
+	return nil
 }
 
 // Ratio returns compressedSize/originalSize; 1 means no saving. A zero
@@ -262,11 +290,9 @@ func Measure(c Codec, blocks [][]byte) (BlockStats, error) {
 	return s, nil
 }
 
-// identity is the no-op codec: the uncompressed baseline.
+// identity is the no-op codec: the uncompressed baseline (zero cost,
+// ratio 1).
 type identity struct{}
-
-// NewIdentity returns the identity codec (zero cost, ratio 1).
-func NewIdentity() Codec { return identity{} }
 
 func (identity) Name() string { return "identity" }
 
@@ -280,11 +306,8 @@ func (identity) DecompressAppend(dst, src []byte) ([]byte, error) {
 	return append(dst, src...), nil
 }
 
-func (c identity) Compress(src []byte) ([]byte, error)   { return c.CompressAppend(nil, src) }
-func (c identity) Decompress(src []byte) ([]byte, error) { return c.DecompressAppend(nil, src) }
-
 func (identity) Cost() CostModel { return CostModel{} }
 
 func init() {
-	Register("identity", func([]byte) (Codec, error) { return NewIdentity(), nil })
+	register("identity", func([]byte) Codec { return identity{} }, func([]byte) (Codec, error) { return identity{}, nil })
 }

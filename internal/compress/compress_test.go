@@ -52,7 +52,7 @@ func allCodecs(t testing.TB) []Codec {
 }
 
 func TestRegistryNames(t *testing.T) {
-	want := []string{"bdi", "cpack", "dict", "huffman", "identity", "lzss", "rle"}
+	want := []string{"bdi", "cpack", "dict", "huffman", "identity", "lzss"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names = %v, want %v", got, want)
@@ -70,10 +70,10 @@ func TestRegistryNames(t *testing.T) {
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate Register did not panic")
+			t.Error("duplicate register did not panic")
 		}
 	}()
-	Register("rle", func([]byte) (Codec, error) { return NewRLE(), nil })
+	register("lzss", func([]byte) Codec { return lzss{} }, func([]byte) (Codec, error) { return lzss{}, nil })
 }
 
 func TestRoundTripFixedInputs(t *testing.T) {
@@ -81,8 +81,8 @@ func TestRoundTripFixedInputs(t *testing.T) {
 		nil,
 		{},
 		{0},
-		{rleEscape},
-		{rleEscape, rleEscape, rleEscape, rleEscape, rleEscape},
+		{0xA5},
+		{0xA5, 0xA5, 0xA5, 0xA5, 0xA5},
 		[]byte("hello, embedded world"),
 		bytes.Repeat([]byte{0xAA}, 300),
 		bytes.Repeat([]byte{1, 2, 3, 4}, 64),
@@ -90,11 +90,11 @@ func TestRoundTripFixedInputs(t *testing.T) {
 	}
 	for _, c := range allCodecs(t) {
 		for i, in := range inputs {
-			comp, err := c.Compress(in)
+			comp, err := c.CompressAppend(nil, in)
 			if err != nil {
 				t.Fatalf("%s input %d: Compress: %v", c.Name(), i, err)
 			}
-			got, err := c.Decompress(comp)
+			got, err := c.DecompressAppend(nil, comp)
 			if err != nil {
 				t.Fatalf("%s input %d: Decompress: %v", c.Name(), i, err)
 			}
@@ -109,11 +109,11 @@ func TestRoundTripPropertyRandomBytes(t *testing.T) {
 	codecs := allCodecs(t)
 	f := func(in []byte) bool {
 		for _, c := range codecs {
-			comp, err := c.Compress(in)
+			comp, err := c.CompressAppend(nil, in)
 			if err != nil {
 				return false
 			}
-			got, err := c.Decompress(comp)
+			got, err := c.DecompressAppend(nil, comp)
 			if err != nil || !bytes.Equal(got, in) {
 				return false
 			}
@@ -141,11 +141,11 @@ func TestRoundTripPropertyInstructionImages(t *testing.T) {
 		}
 		in := isa.WordsToBytes(words)
 		for _, c := range codecs {
-			comp, err := c.Compress(in)
+			comp, err := c.CompressAppend(nil, in)
 			if err != nil {
 				return false
 			}
-			got, err := c.Decompress(comp)
+			got, err := c.DecompressAppend(nil, comp)
 			if err != nil || !bytes.Equal(got, in) {
 				return false
 			}
@@ -163,7 +163,7 @@ func TestCodeImagesCompress(t *testing.T) {
 	// reports ~60-70% ratios; our synthetic image is more redundant).
 	img := trainImage(t, 4096)
 	for _, c := range allCodecs(t) {
-		comp, err := c.Compress(img)
+		comp, err := c.CompressAppend(nil, img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +175,7 @@ func TestCodeImagesCompress(t *testing.T) {
 			}
 			continue
 		}
-		switch c.Name() {
-		case "rle":
-			continue // RLE legitimately struggles on instruction streams
-		case "bdi":
+		if c.Name() == "bdi" {
 			// BDI is a data codec: instruction words inside one 8-word
 			// group rarely share a base, so most groups fall back to RAW
 			// and code images hover around ratio 1. It earns its keep on
@@ -249,8 +246,6 @@ func TestCorruptInputs(t *testing.T) {
 		name string
 		bad  []byte
 	}{
-		{"rle", []byte{rleEscape}},         // truncated token
-		{"rle", []byte{rleEscape, 0, 1}},   // zero-length run
 		{"lzss", []byte{0x01}},             // match flag, no token
 		{"lzss", []byte{0x01, 0xFF, 0xFF}}, // offset beyond output
 		{"huffman", []byte{}},              // no header
@@ -280,26 +275,26 @@ func TestCorruptInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := codec.Decompress(c.bad); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s.Decompress(%v) err = %v, want ErrCorrupt", c.name, c.bad, err)
+		if _, err := codec.DecompressAppend(nil, c.bad); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecompressAppend(%v) err = %v, want ErrCorrupt", c.name, c.bad, err)
 		}
 	}
 }
 
 func TestDictIndexOutOfRange(t *testing.T) {
-	d := NewDict(nil) // empty dictionary
+	d := trainDict(nil) // empty dictionary
 	// Header says 4 bytes; tag says dict index; index 0 beyond empty dict.
 	bad := []byte{4, 0x01, 0}
-	if _, err := d.Decompress(bad); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.DecompressAppend(nil, bad); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestDictDeterministicTraining(t *testing.T) {
 	train := trainImage(t, 2048)
-	a := NewDict(train).(*dict)
-	b := NewDict(train).(*dict)
-	if a.DictEntries() != b.DictEntries() {
+	a := trainDict(train).(*dict)
+	b := trainDict(train).(*dict)
+	if len(a.words) != len(b.words) {
 		t.Fatal("dict sizes differ across identical training runs")
 	}
 	for i := range a.words {
@@ -307,7 +302,7 @@ func TestDictDeterministicTraining(t *testing.T) {
 			t.Fatal("dict contents differ across identical training runs")
 		}
 	}
-	if a.DictEntries() == 0 {
+	if len(a.words) == 0 {
 		t.Error("trained dictionary is empty")
 	}
 }
@@ -317,8 +312,8 @@ func TestHuffmanDeterministic(t *testing.T) {
 	in := trainImage(t, 100)
 	a, _ := New("huffman", train)
 	b, _ := New("huffman", train)
-	ca, _ := a.Compress(in)
-	cb, _ := b.Compress(in)
+	ca, _ := a.CompressAppend(nil, in)
+	cb, _ := b.CompressAppend(nil, in)
 	if !bytes.Equal(ca, cb) {
 		t.Error("huffman output differs across identical training runs")
 	}
@@ -330,13 +325,13 @@ func TestHuffmanSkewedDistribution(t *testing.T) {
 	for i := range train {
 		train[i] = 0 // all zeros: maximally skewed
 	}
-	h := NewHuffman(train)
+	h := trainHuffman(train)
 	in := []byte{0, 0, 0, 1, 2, 255, 0, 0}
-	comp, err := h.Compress(in)
+	comp, err := h.CompressAppend(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Decompress(comp)
+	got, err := h.DecompressAppend(nil, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,19 +341,19 @@ func TestHuffmanSkewedDistribution(t *testing.T) {
 }
 
 func TestIdentityDoesNotAlias(t *testing.T) {
-	c := NewIdentity()
+	c := identity{}
 	in := []byte{1, 2, 3}
-	comp, _ := c.Compress(in)
+	comp, _ := c.CompressAppend(nil, in)
 	comp[0] = 9
 	if in[0] != 1 {
-		t.Error("Compress aliases its input")
+		t.Error("CompressAppend aliases its input")
 	}
 }
 
 func TestLZSSFindsMatches(t *testing.T) {
-	c := NewLZSS()
+	c := lzss{}
 	in := bytes.Repeat([]byte("abcdefgh"), 100)
-	comp, err := c.Compress(in)
+	comp, err := c.CompressAppend(nil, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,14 +55,14 @@ import (
 type cpack struct {
 	// seed is the trained initial dictionary state, ascending by
 	// frequency over seed[:seedN]; the rest is zero.
-	seed  [cpackDictEntries]uint32
+	seed  [cpackDictSize]uint32
 	seedN int
 }
 
-// cpackDictEntries is the moving-dictionary capacity. 16 entries keep
+// cpackDictSize is the moving-dictionary capacity. 16 entries keep
 // the whole dictionary in registers/L1 and the index inside one nibble
 // of headroom (it is stored in a full byte; values >= 16 are corrupt).
-const cpackDictEntries = 16
+const cpackDictSize = 16
 
 // cpackGroupWords is the group-decode granularity: the moving
 // dictionary is reset to the trained seed every 32 words, on both
@@ -111,16 +111,16 @@ func init() {
 	}
 }
 
-// NewCPack returns the C-Pack word-pattern codec, its moving
+// trainCPack returns the C-Pack word-pattern codec, its moving
 // dictionary seeded with the up-to-16 most frequent nonzero words of
 // the training image (nil trains nothing: a cold dictionary).
-func NewCPack(train []byte) Codec {
+func trainCPack(train []byte) Codec {
 	// Zero words are ZZZZ and sub-256 words are ZZZX: both already encode
 	// tighter than a seeded full match would. Singletons stay in: like
 	// dict's table the seed ships as an out-of-band model, so even one
 	// occurrence turns 4.5 raw bytes into a 1.5-byte full match.
 	all := rankWords(train, func(w wordCount) bool { return w.w > 0xFF })
-	all = all[:min(len(all), cpackDictEntries)]
+	all = all[:min(len(all), cpackDictSize)]
 	c := &cpack{seedN: len(all)}
 	for i, e := range all {
 		// Ascending frequency: the FIFO cursor evicts slot 0 first, so
@@ -155,11 +155,11 @@ func (c *cpack) MaxCompressedLen(n int) int {
 // state: with the half-tag share, ZZZZ costs 0.5 bytes, MMMM/ZZZX 1.5,
 // MMMX 2.5, MMXX 3.5 and XXXX 4.5 — so classes are tried in cost
 // order.
-func cpackClassify(w uint32, dct *[cpackDictEntries]uint32) (cls, idx byte) {
+func cpackClassify(w uint32, dct *[cpackDictSize]uint32) (cls, idx byte) {
 	if w == 0 {
 		return cpZZZZ, 0
 	}
-	for i := 0; i < cpackDictEntries; i++ {
+	for i := 0; i < cpackDictSize; i++ {
 		if dct[i] == w {
 			return cpMMMM, byte(i)
 		}
@@ -167,12 +167,12 @@ func cpackClassify(w uint32, dct *[cpackDictEntries]uint32) (cls, idx byte) {
 	if w <= 0xFF {
 		return cpZZZX, 0
 	}
-	for i := 0; i < cpackDictEntries; i++ {
+	for i := 0; i < cpackDictSize; i++ {
 		if dct[i]>>8 == w>>8 {
 			return cpMMMX, byte(i)
 		}
 	}
-	for i := 0; i < cpackDictEntries; i++ {
+	for i := 0; i < cpackDictSize; i++ {
 		if dct[i]>>16 == w>>16 {
 			return cpMMXX, byte(i)
 		}
@@ -182,7 +182,7 @@ func cpackClassify(w uint32, dct *[cpackDictEntries]uint32) (cls, idx byte) {
 
 // cpackEmit appends the payload for one classified word and applies the
 // dictionary push rule (XXXX, MMXX and MMMX insert the decoded word).
-func cpackEmit(out []byte, w uint32, cls, idx byte, dct *[cpackDictEntries]uint32, head *int) []byte {
+func cpackEmit(out []byte, w uint32, cls, idx byte, dct *[cpackDictSize]uint32, head *int) []byte {
 	switch cls {
 	case cpZZZZ:
 	case cpMMMM:
@@ -192,15 +192,15 @@ func cpackEmit(out []byte, w uint32, cls, idx byte, dct *[cpackDictEntries]uint3
 	case cpMMXX:
 		out = append(out, idx, byte(w), byte(w>>8))
 		dct[*head] = w
-		*head = (*head + 1) & (cpackDictEntries - 1)
+		*head = (*head + 1) & (cpackDictSize - 1)
 	case cpMMMX:
 		out = append(out, idx, byte(w))
 		dct[*head] = w
-		*head = (*head + 1) & (cpackDictEntries - 1)
+		*head = (*head + 1) & (cpackDictSize - 1)
 	case cpXXXX:
 		out = append(out, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 		dct[*head] = w
-		*head = (*head + 1) & (cpackDictEntries - 1)
+		*head = (*head + 1) & (cpackDictSize - 1)
 	}
 	return out
 }
@@ -217,14 +217,14 @@ func (c *cpack) compressAppend(dst, src []byte, pats *[cpClassCount]patternAcc) 
 	out := binary.AppendUvarint(dst, uint64(len(src)))
 	nWords := len(src) / isa.WordSize
 	dct := c.seed
-	head := c.seedN & (cpackDictEntries - 1)
+	head := c.seedN & (cpackDictSize - 1)
 	for w := 0; w < nWords; {
 		if w&(cpackGroupWords-1) == 0 {
 			// Group boundary: restart from the seed state so the group
 			// decodes standalone. w is always even here (pairs), so the
 			// boundary never splits a tag byte.
 			dct = c.seed
-			head = c.seedN & (cpackDictEntries - 1)
+			head = c.seedN & (cpackDictSize - 1)
 		}
 		tagPos := len(out)
 		out = append(out, 0)
@@ -258,14 +258,14 @@ func (c *cpack) compressAppend(dst, src []byte, pats *[cpClassCount]patternAcc) 
 // it to out[l:]. It assumes the payload is in range (the fast pair
 // loop's precondition) and returns the advanced pos, or -1 for a
 // dictionary index out of range.
-func cpackDecodeNibble(cls byte, src []byte, pos int, out []byte, l int, dct *[cpackDictEntries]uint32, head *int) int {
+func cpackDecodeNibble(cls byte, src []byte, pos int, out []byte, l int, dct *[cpackDictSize]uint32, head *int) int {
 	switch cls {
 	case cpZZZZ:
 		isa.ByteOrder.PutUint32(out[l:], 0)
 	case cpMMMM:
 		idx := src[pos]
 		pos++
-		if idx >= cpackDictEntries {
+		if idx >= cpackDictSize {
 			return -1
 		}
 		isa.ByteOrder.PutUint32(out[l:], dct[idx])
@@ -274,30 +274,30 @@ func cpackDecodeNibble(cls byte, src []byte, pos int, out []byte, l int, dct *[c
 		pos++
 	case cpMMXX:
 		idx := src[pos]
-		if idx >= cpackDictEntries {
+		if idx >= cpackDictSize {
 			return -1
 		}
 		v := dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
 		pos += 3
 		isa.ByteOrder.PutUint32(out[l:], v)
 		dct[*head] = v
-		*head = (*head + 1) & (cpackDictEntries - 1)
+		*head = (*head + 1) & (cpackDictSize - 1)
 	case cpMMMX:
 		idx := src[pos]
-		if idx >= cpackDictEntries {
+		if idx >= cpackDictSize {
 			return -1
 		}
 		v := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
 		pos += 2
 		isa.ByteOrder.PutUint32(out[l:], v)
 		dct[*head] = v
-		*head = (*head + 1) & (cpackDictEntries - 1)
+		*head = (*head + 1) & (cpackDictSize - 1)
 	default: // cpXXXX — callers have already rejected invalid nibbles
 		v := isa.ByteOrder.Uint32(src[pos:])
 		pos += isa.WordSize
 		isa.ByteOrder.PutUint32(out[l:], v)
 		dct[*head] = v
-		*head = (*head + 1) & (cpackDictEntries - 1)
+		*head = (*head + 1) & (cpackDictSize - 1)
 	}
 	return pos
 }
@@ -330,7 +330,7 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 	pos := 0
 	w := 0
 	dct := c.seed
-	head := c.seedN & (cpackDictEntries - 1)
+	head := c.seedN & (cpackDictSize - 1)
 	// Fast pair loop: tag plus both payloads is at most 9 bytes, so one
 	// bound check up front covers the whole pair. The nibble decode is
 	// fully inlined (no cpackDecodeNibble call), so dct and head live in
@@ -341,14 +341,14 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 	for w+2 <= nWords && pos+9 <= len(src) {
 		if w&(cpackGroupWords-1) == 0 {
 			dct = c.seed
-			head = c.seedN & (cpackDictEntries - 1)
+			head = c.seedN & (cpackDictSize - 1)
 		}
 		tag := src[pos]
 		pos++
 		switch tag {
 		case cpMMMM | cpMMMM<<4: // both full matches: 2 index loads
 			i0, i1 := src[pos], src[pos+1]
-			if i0 >= cpackDictEntries || i1 >= cpackDictEntries {
+			if i0 >= cpackDictSize || i1 >= cpackDictSize {
 				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
 			pos += 2
@@ -360,23 +360,23 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 			*(*[8]byte)(out[l:]) = *(*[8]byte)(src[pos:])
 			pos += 2 * isa.WordSize
 			dct[head] = v0
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 			dct[head] = v1
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 		case cpXXXX | cpMMMM<<4: // raw then full match
 			v0 := isa.ByteOrder.Uint32(src[pos:])
 			idx := src[pos+isa.WordSize]
-			if idx >= cpackDictEntries {
+			if idx >= cpackDictSize {
 				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
 			pos += isa.WordSize + 1
 			isa.ByteOrder.PutUint32(out[l:], v0)
 			dct[head] = v0
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], dct[idx])
 		case cpMMMM | cpXXXX<<4: // full match then raw
 			idx := src[pos]
-			if idx >= cpackDictEntries {
+			if idx >= cpackDictSize {
 				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
 			v1 := isa.ByteOrder.Uint32(src[pos+1:])
@@ -384,24 +384,24 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 			isa.ByteOrder.PutUint32(out[l:], dct[idx])
 			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v1)
 			dct[head] = v1
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 		case cpXXXX | cpMMMX<<4: // raw then upper-24 match
 			v0 := isa.ByteOrder.Uint32(src[pos:])
 			idx := src[pos+isa.WordSize]
-			if idx >= cpackDictEntries {
+			if idx >= cpackDictSize {
 				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
 			dct[head] = v0
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 			v1 := dct[idx]&^uint32(0xFF) | uint32(src[pos+isa.WordSize+1])
 			pos += isa.WordSize + 2
 			isa.ByteOrder.PutUint32(out[l:], v0)
 			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v1)
 			dct[head] = v1
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 		case cpMMMX | cpXXXX<<4: // upper-24 match then raw
 			idx := src[pos]
-			if idx >= cpackDictEntries {
+			if idx >= cpackDictSize {
 				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
 			v0 := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
@@ -410,9 +410,9 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 			isa.ByteOrder.PutUint32(out[l:], v0)
 			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v1)
 			dct[head] = v0
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 			dct[head] = v1
-			head = (head + 1) & (cpackDictEntries - 1)
+			head = (head + 1) & (cpackDictSize - 1)
 		default:
 			if cpackPairLen[tag] < 0 {
 				return nil, fmt.Errorf("%w: cpack tag %#02x has no pattern class", ErrCorrupt, tag)
@@ -423,7 +423,7 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 			case cpMMMM:
 				idx := src[pos]
 				pos++
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				isa.ByteOrder.PutUint32(out[l:], dct[idx])
@@ -432,30 +432,30 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 				pos++
 			case cpMMXX:
 				idx := src[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v := dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
 				pos += 3
 				isa.ByteOrder.PutUint32(out[l:], v)
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			case cpMMMX:
 				idx := src[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
 				pos += 2
 				isa.ByteOrder.PutUint32(out[l:], v)
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			default: // cpXXXX
 				v := isa.ByteOrder.Uint32(src[pos:])
 				pos += isa.WordSize
 				isa.ByteOrder.PutUint32(out[l:], v)
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			}
 			switch tag >> 4 {
 			case cpZZZZ:
@@ -463,7 +463,7 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 			case cpMMMM:
 				idx := src[pos]
 				pos++
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], dct[idx])
@@ -472,30 +472,30 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 				pos++
 			case cpMMXX:
 				idx := src[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v := dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
 				pos += 3
 				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v)
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			case cpMMMX:
 				idx := src[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
 				pos += 2
 				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v)
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			default: // cpXXXX
 				v := isa.ByteOrder.Uint32(src[pos:])
 				pos += isa.WordSize
 				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v)
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			}
 		}
 		l += 2 * isa.WordSize
@@ -506,7 +506,7 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 	for w < nWords {
 		if w&(cpackGroupWords-1) == 0 {
 			dct = c.seed
-			head = c.seedN & (cpackDictEntries - 1)
+			head = c.seedN & (cpackDictSize - 1)
 		}
 		if pos >= len(src) {
 			return nil, fmt.Errorf("%w: cpack stream truncated at word %d", ErrCorrupt, w)
@@ -537,9 +537,6 @@ func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
 	copy(out[l:l+tail], src[pos:])
 	return out[:l+tail], nil
 }
-
-func (c *cpack) Compress(src []byte) ([]byte, error)   { return c.CompressAppend(nil, src) }
-func (c *cpack) Decompress(src []byte) ([]byte, error) { return c.DecompressAppend(nil, src) }
 
 // CountPatterns implements PatternReporter: a counting compression pass
 // over src whose per-class word and payload-byte totals are merged into
@@ -580,7 +577,7 @@ func (c *cpack) MarshalModel() []byte {
 
 func cpackFromModel(model []byte) (Codec, error) {
 	n, hdr := binary.Uvarint(model)
-	if hdr <= 0 || n > cpackDictEntries {
+	if hdr <= 0 || n > cpackDictSize {
 		return nil, fmt.Errorf("%w: bad cpack model header", ErrCorrupt)
 	}
 	model = model[hdr:]
@@ -594,7 +591,4 @@ func cpackFromModel(model []byte) (Codec, error) {
 	return c, nil
 }
 
-func init() {
-	Register("cpack", func(train []byte) (Codec, error) { return NewCPack(train), nil })
-	RegisterModel("cpack", cpackFromModel)
-}
+func init() { register("cpack", trainCPack, cpackFromModel) }

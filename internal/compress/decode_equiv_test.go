@@ -130,11 +130,11 @@ func TestHuffmanModelKraftViolationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := c.Compress([]byte("kraft-complete"))
+	comp, err := c.CompressAppend(nil, []byte("kraft-complete"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := c.Decompress(comp)
+	plain, err := c.DecompressAppend(nil, comp)
 	if err != nil || string(plain) != "kraft-complete" {
 		t.Fatalf("round trip = %q, %v", plain, err)
 	}

@@ -26,8 +26,6 @@ func refDecompressAppend(t testing.TB, c Codec, dst, src []byte) ([]byte, error)
 		return refLZSSDecompress(dst, src)
 	case *dict:
 		return refDictDecompress(c, dst, src)
-	case rle:
-		return refRLEDecompress(dst, src)
 	case *cpack:
 		return refCPackDecompress(c, dst, src)
 	case bdi:
@@ -172,14 +170,14 @@ func refCPackDecompress(c *cpack, dst, src []byte) ([]byte, error) {
 	nWords := int(n) / isa.WordSize
 	pos := 0
 	dct := c.seed
-	head := c.seedN % cpackDictEntries
+	head := c.seedN % cpackDictSize
 	for w := 0; w < nWords; {
 		if w%cpackGroupWords == 0 {
 			// Group boundary: the dictionary restarts from the seed state
 			// (the wire-behavior change that makes groups independently
 			// decodable; mirrors compressAppend).
 			dct = c.seed
-			head = c.seedN % cpackDictEntries
+			head = c.seedN % cpackDictSize
 		}
 		if pos >= len(src) {
 			return nil, fmt.Errorf("%w: cpack stream truncated at word %d", ErrCorrupt, w)
@@ -202,7 +200,7 @@ func refCPackDecompress(c *cpack, dst, src []byte) ([]byte, error) {
 			case cpMMMM:
 				idx := src[pos]
 				pos++
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index %d", ErrCorrupt, idx)
 				}
 				v = dct[idx]
@@ -211,27 +209,27 @@ func refCPackDecompress(c *cpack, dst, src []byte) ([]byte, error) {
 				pos++
 			case cpMMXX:
 				idx := src[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index %d", ErrCorrupt, idx)
 				}
 				v = dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
 				pos += 3
 				dct[head] = v
-				head = (head + 1) % cpackDictEntries
+				head = (head + 1) % cpackDictSize
 			case cpMMMX:
 				idx := src[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index %d", ErrCorrupt, idx)
 				}
 				v = dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
 				pos += 2
 				dct[head] = v
-				head = (head + 1) % cpackDictEntries
+				head = (head + 1) % cpackDictSize
 			case cpXXXX:
 				v = isa.ByteOrder.Uint32(src[pos:])
 				pos += isa.WordSize
 				dct[head] = v
-				head = (head + 1) % cpackDictEntries
+				head = (head + 1) % cpackDictSize
 			}
 			out = isa.ByteOrder.AppendUint32(out, v)
 			w++
@@ -300,30 +298,4 @@ func refBDIDecompress(dst, src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: bdi tail truncated", ErrCorrupt)
 	}
 	return append(out, src[pos:pos+tail]...), nil
-}
-
-// refRLEDecompress mirrors the (unchanged) RLE decoder so the
-// equivalence harness covers all five codecs uniformly.
-func refRLEDecompress(dst, src []byte) ([]byte, error) {
-	out := dst
-	for i := 0; i < len(src); {
-		b := src[i]
-		if b != rleEscape {
-			out = append(out, b)
-			i++
-			continue
-		}
-		if i+2 >= len(src) {
-			return nil, fmt.Errorf("%w: truncated RLE token at %d", ErrCorrupt, i)
-		}
-		count, v := int(src[i+1]), src[i+2]
-		if count == 0 {
-			return nil, fmt.Errorf("%w: zero-length RLE run at %d", ErrCorrupt, i)
-		}
-		for j := 0; j < count; j++ {
-			out = append(out, v)
-		}
-		i += 3
-	}
-	return out, nil
 }

@@ -38,10 +38,10 @@ type dict struct {
 // DictSize is the dictionary capacity: one byte of index space.
 const DictSize = 256
 
-// NewDict trains the dictionary codec on a program image: the up-to-256
+// trainDict trains the dictionary codec on a program image: the up-to-256
 // most frequent instruction words become the dictionary, ordered by
 // descending frequency (ties by ascending word value, for determinism).
-func NewDict(train []byte) Codec {
+func trainDict(train []byte) Codec {
 	// Singletons cost more as indices than they save.
 	all := rankWords(train, func(w wordCount) bool { return w.c >= 2 })
 	d := &dict{words: make([]uint32, min(len(all), DictSize))}
@@ -103,10 +103,6 @@ func (d *dict) ensureIndex() {
 		}
 	})
 }
-
-// DictEntries reports the trained dictionary size; it is exported for
-// diagnostics via a type assertion in tools.
-func (d *dict) DictEntries() int { return len(d.words) }
 
 func (d *dict) Name() string { return "dict" }
 
@@ -252,9 +248,33 @@ func (d *dict) DecompressAppend(dst, src []byte) ([]byte, error) {
 	return out[:l+tail], nil
 }
 
-func (d *dict) Compress(src []byte) ([]byte, error)   { return d.CompressAppend(nil, src) }
-func (d *dict) Decompress(src []byte) ([]byte, error) { return d.DecompressAppend(nil, src) }
-
-func init() {
-	Register("dict", func(train []byte) (Codec, error) { return NewDict(train), nil })
+// MarshalModel implements ModelMarshaler: uvarint count, then count
+// little-endian words.
+func (d *dict) MarshalModel() []byte {
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+4*len(d.words)), uint64(len(d.words)))
+	for _, w := range d.words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
 }
+
+// dictFromModel rebuilds a dictionary codec from MarshalModel's bytes.
+func dictFromModel(model []byte) (Codec, error) {
+	n, hdr := binary.Uvarint(model)
+	if hdr <= 0 || n > DictSize {
+		return nil, fmt.Errorf("%w: bad dict model header", ErrCorrupt)
+	}
+	model = model[hdr:]
+	if len(model) != int(n)*4 {
+		return nil, fmt.Errorf("%w: dict model wants %d words, has %d bytes", ErrCorrupt, n, len(model))
+	}
+	d := &dict{words: make([]uint32, n)}
+	for i := 0; i < int(n); i++ {
+		d.words[i] = binary.LittleEndian.Uint32(model[i*4:])
+	}
+	// Decode-side state only: the compressor's word->slot map is built
+	// lazily if this codec ever compresses.
+	return d, nil
+}
+
+func init() { register("dict", trainDict, dictFromModel) }

@@ -26,7 +26,7 @@ import (
 
 // GroupCodec is implemented by codecs whose wire format is cut into
 // independently decodable fixed word-count groups. The entropy codecs
-// (huffman, lzss, rle) carry cross-block state or byte-granular framing
+// (huffman, lzss) carry cross-block state or byte-granular framing
 // and do not implement it; callers fall back to full-block decode.
 type GroupCodec interface {
 	Codec
@@ -345,7 +345,7 @@ func (c *cpack) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
 	out := dst
 	pos := 0
 	dct := c.seed
-	head := c.seedN & (cpackDictEntries - 1)
+	head := c.seedN & (cpackDictSize - 1)
 	for w := 0; w < words; {
 		if pos >= len(comp) {
 			return nil, fmt.Errorf("%w: cpack group truncated at word %d", ErrCorrupt, w)
@@ -367,7 +367,7 @@ func (c *cpack) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
 			case cpMMMM:
 				idx := comp[pos]
 				pos++
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v = dct[idx]
@@ -376,27 +376,27 @@ func (c *cpack) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
 				pos++
 			case cpMMXX:
 				idx := comp[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v = dct[idx]&^uint32(0xFFFF) | uint32(comp[pos+1]) | uint32(comp[pos+2])<<8
 				pos += 3
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			case cpMMMX:
 				idx := comp[pos]
-				if idx >= cpackDictEntries {
+				if idx >= cpackDictSize {
 					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 				}
 				v = dct[idx]&^uint32(0xFF) | uint32(comp[pos+1])
 				pos += 2
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			default: // cpXXXX
 				v = isa.ByteOrder.Uint32(comp[pos:])
 				pos += isa.WordSize
 				dct[head] = v
-				head = (head + 1) & (cpackDictEntries - 1)
+				head = (head + 1) & (cpackDictSize - 1)
 			}
 			out = isa.ByteOrder.AppendUint32(out, v)
 			w++

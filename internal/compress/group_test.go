@@ -28,7 +28,7 @@ func groupCodecs(t testing.TB) []GroupCodec {
 func TestGroupCodecRegistry(t *testing.T) {
 	want := map[string]bool{
 		"bdi": true, "cpack": true, "dict": true, "identity": true,
-		"huffman": false, "lzss": false, "rle": false,
+		"huffman": false, "lzss": false,
 	}
 	for _, c := range allCodecs(t) {
 		if _, ok := AsGroupCodec(c); ok != want[c.Name()] {

@@ -36,7 +36,7 @@ type huffman struct {
 	//
 	// A zero entry means the next code is longer than huffTableBits (or
 	// invalid) and decoding falls back to the canonical per-length
-	// ranges above. The table is built once per model (NewHuffman or
+	// ranges above. The table is built once per model (trainHuffman or
 	// huffmanFromModel) and cached on the codec, so every block decoded
 	// under the model shares it.
 	table [1 << huffTableBits]uint32
@@ -55,10 +55,10 @@ const huffTableBits = 11
 // huffPairFlag marks a table entry carrying two decoded symbols.
 const huffPairFlag = 1 << 31
 
-// NewHuffman builds a Huffman codec whose model is trained on the given
-// byte image. Every byte value receives a nonzero frequency (add-one
-// smoothing) so any input can be encoded.
-func NewHuffman(train []byte) Codec {
+// trainHuffman builds a Huffman codec whose model is trained on the
+// given byte image. Every byte value receives a nonzero frequency
+// (add-one smoothing) so any input can be encoded.
+func trainHuffman(train []byte) Codec {
 	var freq [256]uint64
 	for i := range freq {
 		freq[i] = 1
@@ -361,9 +361,41 @@ func (h *huffman) DecompressAppend(dst, src []byte) ([]byte, error) {
 	return out[:l], nil
 }
 
-func (h *huffman) Compress(src []byte) ([]byte, error)   { return h.CompressAppend(nil, src) }
-func (h *huffman) Decompress(src []byte) ([]byte, error) { return h.DecompressAppend(nil, src) }
-
-func init() {
-	Register("huffman", func(train []byte) (Codec, error) { return NewHuffman(train), nil })
+// MarshalModel implements ModelMarshaler: the 256 code lengths.
+func (h *huffman) MarshalModel() []byte {
+	out := make([]byte, 256)
+	copy(out, h.lengths[:])
+	return out
 }
+
+// huffmanFromModel rebuilds a Huffman codec from MarshalModel's code
+// lengths.
+func huffmanFromModel(model []byte) (Codec, error) {
+	if len(model) != 256 {
+		return nil, fmt.Errorf("%w: huffman model wants 256 lengths, has %d", ErrCorrupt, len(model))
+	}
+	h := &huffman{}
+	for i, l := range model {
+		if l == 0 || l > maxCodeLen {
+			return nil, fmt.Errorf("%w: huffman model length %d for symbol %d", ErrCorrupt, l, i)
+		}
+		h.lengths[i] = l
+	}
+	// Kraft check BEFORE building tables: the lengths must form a
+	// prefix code, or canonical code assignment overflows its length
+	// slots — buildCanonical's flat-table fill indexes by code, so a
+	// Kraft-violating model must be rejected here, not trusted to
+	// panic later. (Any violating sum exceeds 1 by at least 2^-16, so
+	// the float tolerance can never admit an overflowing model.)
+	sum := 0.0
+	for _, l := range h.lengths {
+		sum += 1 / float64(uint64(1)<<l)
+	}
+	if sum > 1.0000001 {
+		return nil, fmt.Errorf("%w: huffman model violates Kraft inequality", ErrCorrupt)
+	}
+	h.buildCanonical()
+	return h, nil
+}
+
+func init() { register("huffman", trainHuffman, huffmanFromModel) }

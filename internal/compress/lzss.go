@@ -42,9 +42,6 @@ func lzHash(src []byte, i int) int {
 	return int(uint32(src[i])<<7^uint32(src[i+1])<<4^uint32(src[i+2])) & (lzHashSize - 1)
 }
 
-// NewLZSS returns the LZSS codec.
-func NewLZSS() Codec { return lzss{} }
-
 func (lzss) Name() string { return "lzss" }
 
 func (lzss) Cost() CostModel {
@@ -195,9 +192,6 @@ func (lzss) DecompressAppend(dst, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-func (c lzss) Compress(src []byte) ([]byte, error)   { return c.CompressAppend(nil, src) }
-func (c lzss) Decompress(src []byte) ([]byte, error) { return c.DecompressAppend(nil, src) }
-
 func init() {
-	Register("lzss", func([]byte) (Codec, error) { return NewLZSS(), nil })
+	register("lzss", func([]byte) Codec { return lzss{} }, func([]byte) (Codec, error) { return lzss{}, nil })
 }

@@ -24,15 +24,15 @@ func sameHuffman(a, b *huffman) bool {
 // left by an earlier call must never reach a later one.
 func checkCompressEquivalence(t *testing.T, train []byte) {
 	t.Helper()
-	d, rd := NewDict(train).(*dict), refNewDict(train)
+	d, rd := trainDict(train).(*dict), refTrainDict(train)
 	if !slices.Equal(d.words, rd.words) {
 		t.Fatalf("dict model %v, reference %v", d.words, rd.words)
 	}
-	c, rc := NewCPack(train).(*cpack), refNewCPack(train)
+	c, rc := trainCPack(train).(*cpack), refTrainCPack(train)
 	if c.seed != rc.seed || c.seedN != rc.seedN {
 		t.Fatalf("cpack seed %v/%d, reference %v/%d", c.seed, c.seedN, rc.seed, rc.seedN)
 	}
-	h, rh := NewHuffman(train).(*huffman), refNewHuffman(train)
+	h, rh := trainHuffman(train).(*huffman), refTrainHuffman(train)
 	if !sameHuffman(h, rh) {
 		t.Fatalf("huffman model differs from the reference (lengths %v vs %v)", h.lengths, rh.lengths)
 	}
@@ -68,7 +68,7 @@ func checkCompressEquivalence(t *testing.T, train []byte) {
 		if got := m.compress([]byte{0xEE}, blk); !bytes.Equal(got, want) {
 			t.Fatalf("lzss: %d-byte block compresses to %d bytes, reference %d", len(blk), len(got), len(want))
 		}
-		if got, _ := NewLZSS().CompressAppend([]byte{0xEE}, blk); !bytes.Equal(got, want) {
+		if got, _ := (lzss{}).CompressAppend([]byte{0xEE}, blk); !bytes.Equal(got, want) {
 			t.Fatalf("lzss: pooled CompressAppend of a %d-byte block differs from the reference", len(blk))
 		}
 	}

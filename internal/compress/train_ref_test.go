@@ -16,8 +16,8 @@ import (
 	"apbcc/internal/isa"
 )
 
-// refNewDict is the map-and-sort.Slice dictionary trainer.
-func refNewDict(train []byte) *dict {
+// refTrainDict is the map-and-sort.Slice dictionary trainer.
+func refTrainDict(train []byte) *dict {
 	freq := make(map[uint32]int)
 	for i := 0; i+isa.WordSize <= len(train); i += isa.WordSize {
 		freq[isa.ByteOrder.Uint32(train[i:])]++
@@ -48,8 +48,8 @@ func refNewDict(train []byte) *dict {
 	return d
 }
 
-// refNewCPack is the map-and-sort.Slice C-Pack seed trainer.
-func refNewCPack(train []byte) *cpack {
+// refTrainCPack is the map-and-sort.Slice C-Pack seed trainer.
+func refTrainCPack(train []byte) *cpack {
 	freq := make(map[uint32]int)
 	for i := 0; i+isa.WordSize <= len(train); i += isa.WordSize {
 		freq[isa.ByteOrder.Uint32(train[i:])]++
@@ -70,8 +70,8 @@ func refNewCPack(train []byte) *cpack {
 		}
 		return all[i].w < all[j].w
 	})
-	if len(all) > cpackDictEntries {
-		all = all[:cpackDictEntries]
+	if len(all) > cpackDictSize {
+		all = all[:cpackDictSize]
 	}
 	c := &cpack{seedN: len(all)}
 	for i, e := range all {
@@ -80,8 +80,8 @@ func refNewCPack(train []byte) *cpack {
 	return c
 }
 
-// refNewHuffman is the pointer-tree Huffman trainer.
-func refNewHuffman(train []byte) *huffman {
+// refTrainHuffman is the pointer-tree Huffman trainer.
+func refTrainHuffman(train []byte) *huffman {
 	var freq [256]uint64
 	for i := range freq {
 		freq[i] = 1

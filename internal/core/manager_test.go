@@ -76,7 +76,10 @@ func unitOfLabel(t testing.TB, m *Manager, p *program.Program, label string) Uni
 }
 
 func TestConfigValidate(t *testing.T) {
-	codec := compress.NewIdentity()
+	codec, err := compress.New("identity", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		conf Config

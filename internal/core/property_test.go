@@ -16,7 +16,7 @@ import (
 // and budget compliance.
 func TestManagerPropertyRandomRuns(t *testing.T) {
 	figures := []func() *cfg.Graph{cfg.Figure1, cfg.Figure2, cfg.Figure5}
-	codecs := []string{"dict", "lzss", "rle", "huffman", "identity", "cpack", "bdi"}
+	codecs := []string{"dict", "lzss", "huffman", "identity", "cpack", "bdi"}
 	f := func(seed int64) bool {
 		r := seed
 		next := func(n int64) int64 { // cheap deterministic splitter

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
@@ -74,8 +75,7 @@ var (
 )
 
 // Pack serializes the program with every block compressed by the
-// codec. The codec must be registered with a model unmarshaler (all
-// built-in codecs are).
+// codec, which must come from compress.New or compress.FromModel.
 func Pack(p *program.Program, codec compress.Codec) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -238,8 +238,11 @@ type Info struct {
 // Unpack reconstructs the program and its trained codec from a
 // container: it parses the index, then decompresses the payload section
 // block by block, verifying each block CRC as it lands, and finally the
-// whole-image checksum. A container of any version but Version fails
-// with ErrBadVersion.
+// whole-image checksum. A group directory is checked too: its group
+// size must be the codec's and every block's offsets must be the ones
+// the codec finds in the verified payload, so a word read through the
+// directory decodes the same bytes as the block. A container of any
+// version but Version fails with ErrBadVersion.
 func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
 	idx, err := ParseIndex(data)
 	if err != nil {
@@ -253,6 +256,10 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	gc, grouped := compress.AsGroupCodec(codec)
+	if idx.GroupWords > 0 && (!grouped || gc.GroupWords() != idx.GroupWords) {
+		return nil, nil, nil, fmt.Errorf("%w: %d-word group directory for codec %s", ErrCorrupt, idx.GroupWords, idx.Codec)
+	}
 	// The index fixes the exact plain-image size up front, so the image
 	// streams through one exactly-sized pooled buffer — it is scratch:
 	// finalize decodes instructions straight out of it and the Program
@@ -261,7 +268,8 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 	// to (ParseIndex already bounds each block's Words), so a hostile
 	// index can cost at most one bounded allocation — per-block
 	// verification then rejects the lie, and a legitimately
-	// higher-expansion container (RLE) just grows the buffer.
+	// higher-expansion container (an LZSS match token turns 17 bits
+	// into 18 bytes) just grows the buffer.
 	var totalBytes int64
 	for i := range idx.Blocks {
 		totalBytes += int64(idx.Blocks[i].Words) * isa.WordSize
@@ -272,12 +280,20 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 	plain := compress.GetBuf(int(totalBytes))
 	defer func() { compress.PutBuf(plain) }()
 	blocks := make([]cfg.Block, len(idx.Blocks))
+	// offs takes one block's group offsets, rescanned from its payload;
+	// no block has more groups than the whole directory.
+	offs := make([]uint32, 0, idx.NumGroups())
 	for i := range idx.Blocks {
 		e := idx.Blocks[i]
 		blocks[i] = cfg.Block{Label: e.Label, Func: e.Func, End: e.Words}
 		comp := data[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
 		if plain, err = idx.VerifyBlock(codec, i, comp, plain); err != nil {
 			return nil, nil, nil, err
+		}
+		if idx.GroupWords > 0 {
+			if offs, err = gc.AppendGroupOffsets(offs[:0], comp); err != nil || !slices.Equal(offs, idx.BlockGroupOffsets(i)) {
+				return nil, nil, nil, fmt.Errorf("%w: block %d group directory does not match its payload", ErrCorrupt, i)
+			}
 		}
 	}
 	g, bad, err := cfg.FromParts(blocks, idx.Entry, idx.Edges)

@@ -203,7 +203,7 @@ func TestUnpackRejectsCorruption(t *testing.T) {
 }
 
 func TestUnpackFuzzNeverPanics(t *testing.T) {
-	data, _ := packWorkload(t, "crc32", "rle")
+	data, _ := packWorkload(t, "crc32", "lzss")
 	f := func(seed int64) bool {
 		bad := bytes.Clone(data)
 		// Deterministically flip a few bytes.

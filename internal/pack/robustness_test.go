@@ -2,10 +2,14 @@ package pack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
+	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
+	"apbcc/internal/program"
 	"apbcc/internal/workloads"
 )
 
@@ -190,5 +194,109 @@ func TestUnpackRejectsHugeWordsClaim(t *testing.T) {
 	// the parse-time bound.
 	if _, _, _, err := Unpack("hostile", craft(2)); err == nil {
 		t.Fatal("modest lying claim accepted")
+	}
+}
+
+// withDirectory returns a copy of a packed container whose group
+// directory is rebuilt with gw-word groups and offs(i) as block i's
+// group offsets. The directory and the payload section length end the
+// index, so everything else is kept.
+func withDirectory(t *testing.T, data []byte, gw int, offs func(i int) []uint32) []byte {
+	t.Helper()
+	idx, err := ParseIndex(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(gw int, offs func(int) []uint32) []byte {
+		buf := binary.AppendUvarint(nil, uint64(gw))
+		for i := 0; gw > 0 && i < len(idx.Blocks); i++ {
+			var prev uint32
+			for _, o := range offs(i) {
+				buf = binary.AppendUvarint(buf, uint64(o-prev))
+				prev = o
+			}
+		}
+		return binary.AppendUvarint(buf, uint64(idx.PayloadLen))
+	}
+	old := encode(idx.GroupWords, idx.BlockGroupOffsets)
+	start := int(idx.PayloadBase) - len(old)
+	if !bytes.Equal(data[start:idx.PayloadBase], old) {
+		t.Fatal("the group directory does not end the index")
+	}
+	out := slices.Concat(data[:start], encode(gw, offs), data[idx.PayloadBase:])
+	if _, err := ParseIndex(out); err != nil {
+		t.Fatalf("rebuilt directory fails ParseIndex: %v", err)
+	}
+	return out
+}
+
+// TestUnpackChecksGroupDirectory: a word read decodes through the group
+// directory alone, so Unpack must reject a directory that ParseIndex
+// accepts but that does not fit the payloads. A group codec's container
+// gets block 0's group-1 offset moved by one byte, and groups of twice
+// the codec's size; any other codec's container gets a directory at
+// all. Block 0 has 70 words, three groups even at cpack's 32 words.
+func TestUnpackChecksGroupDirectory(t *testing.T) {
+	g := cfg.New()
+	a, b := g.AddBlock("a", 70), g.AddBlock("b", 9)
+	g.MustAddEdge(a, b, cfg.EdgeJump, 1)
+	p, err := program.Synthesize("groups", g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := p.CodeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range compress.Names() {
+		t.Run(name, func(t *testing.T) {
+			codec, err := compress.New(name, code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := Pack(p, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := Unpack(p.Name, data); err != nil {
+				t.Fatal(err)
+			}
+			idx, err := ParseIndex(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := map[string][]byte{}
+			if idx.GroupWords == 0 {
+				bad["directory"] = withDirectory(t, data, 8, func(i int) []uint32 {
+					offs := make([]uint32, (idx.Blocks[i].Words+7)/8)
+					for g := range offs {
+						offs[g] = uint32(g)
+					}
+					return offs
+				})
+			} else {
+				bad["moved"] = withDirectory(t, data, idx.GroupWords, func(i int) []uint32 {
+					offs := slices.Clone(idx.BlockGroupOffsets(i))
+					if i == 0 {
+						offs[1]++
+					}
+					return offs
+				})
+				bad["regrouped"] = withDirectory(t, data, 2*idx.GroupWords, func(i int) []uint32 {
+					var offs []uint32
+					for g, o := range idx.BlockGroupOffsets(i) {
+						if g%2 == 0 {
+							offs = append(offs, o)
+						}
+					}
+					return offs
+				})
+			}
+			for kind, c := range bad {
+				if _, _, _, err := Unpack(p.Name, c); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s: err = %v, want ErrCorrupt", kind, err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // Package report renders the aligned text tables and CSV the benchmark
-// harnesses and command-line tools print. Every experiment in
-// EXPERIMENTS.md is regenerated through this package so the rows always
-// carry the same columns.
+// harnesses and command-line tools print. Every experiment of the
+// index in README.md is regenerated through this package so the rows
+// always carry the same columns.
 package report
 
 import (

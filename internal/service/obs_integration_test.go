@@ -42,8 +42,8 @@ func TestPromEndpointValid(t *testing.T) {
 	_, ts := newTestServerConfig(t, Config{
 		Workers: 4, StoreDir: t.TempDir(),
 	})
-	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=rle")
-	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=rle")
+	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=lzss")
+	get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=lzss")
 	get(t, ts.Client(), ts.URL+"/v1/pack/nosuch") // error
 
 	code, body, hdr := get(t, ts.Client(), ts.URL+"/metrics/prom")
@@ -87,8 +87,8 @@ func TestPromEndpointValid(t *testing.T) {
 	}
 	// The traffic above must have produced stage attribution series.
 	for _, want := range []string{
-		`apcc_block_stage_seconds_bucket{stage="route",codec="rle",outcome="ok"`,
-		`apcc_block_stage_seconds_bucket{stage="write",codec="rle",outcome="ok"`,
+		`apcc_block_stage_seconds_bucket{stage="route",codec="lzss",outcome="ok"`,
+		`apcc_block_stage_seconds_bucket{stage="write",codec="lzss",outcome="ok"`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %s", want)

@@ -204,8 +204,9 @@ func (e *entry) groups(id int) []uint32 {
 // allocation-free. It also reports how many word groups and compressed
 // bytes it decoded; a whole-block decode counts its payload and no
 // groups. The container passed the full Unpack verification at build,
-// so the decode needs no check of its own. An injected compress.decode
-// fault fails it before anything is decoded.
+// its group directory included, so the decode needs no check of its
+// own. An injected compress.decode fault fails it before anything is
+// decoded.
 func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, groups, decoded int, err error) {
 	if err := compress.FaultDecode.Err(); err != nil {
 		return dst, 0, 0, fmt.Errorf("service: block %d word decode: %w", id, err)
@@ -578,7 +579,7 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 	var container []byte
 	err = s.pool.Do(r.Context(), func() error {
 		var perr error
-		container, _, _, perr = s.buildContainer(p, codecName)
+		container, _, perr = s.buildContainer(p, codecName)
 		return perr
 	})
 	if err != nil {
@@ -845,18 +846,17 @@ func (s *Server) build(ent *entry, workload, codecName string) error {
 	}
 	var (
 		container []byte
-		p         *program.Program
 		codec     compress.Codec
 	)
 	err = s.pool.Do(context.Background(), func() error {
 		var perr error
-		container, p, codec, perr = s.buildContainer(wl.Program, codecName)
+		container, codec, perr = s.buildContainer(wl.Program, codecName)
 		return perr
 	})
 	if err != nil {
 		return err
 	}
-	if err := s.finishEntry(ent, container, p, codec); err != nil {
+	if err := s.finishEntry(ent, container, codec); err != nil {
 		return err
 	}
 	s.metrics.Packs.Add(1)
@@ -881,7 +881,7 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	if err != nil {
 		return false
 	}
-	p, codec, err := s.verifyUnpack(workload, container)
+	codec, err := s.verifyUnpack(workload, container)
 	if err != nil {
 		corrupt := errclass.IsCorrupt(err)
 		if corrupt {
@@ -891,27 +891,26 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 			"key", shortKey(key), "workload", workload, "codec", codecName, "quarantined", corrupt, "err", err)
 		return false
 	}
-	if err := s.finishEntry(ent, container, p, codec); err != nil {
+	if err := s.finishEntry(ent, container, codec); err != nil {
 		return false
 	}
 	s.metrics.StoreWarm.Add(1)
 	return true
 }
 
-// finishEntry fills the entry's serving state from a verified
-// (container, reconstructed program, codec) triple: the container, a
+// finishEntry fills the entry's serving state from a container that
+// passed pack.Unpack and the codec Unpack rebuilt: the container, a
 // layout table copied out of its index, and the index's group
-// directory as one flat offset table.
-func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, codec compress.Codec) error {
+// directory as one flat offset table. Unpack has checked the layout
+// against the payloads and the directory against the codec; only the
+// table's 32-bit offsets add a bound of their own.
+func (s *Server) finishEntry(ent *entry, container []byte, codec compress.Codec) error {
+	if len(container) > math.MaxUint32 {
+		return fmt.Errorf("service: %d-byte container does not fit a 32-bit layout", len(container))
+	}
 	idx, err := pack.ParseIndex(container)
 	if err != nil {
 		return err
-	}
-	gc, grouped := compress.AsGroupCodec(codec)
-	if len(idx.Blocks) != p.Graph.NumBlocks() || idx.PayloadBase+idx.PayloadLen != int64(len(container)) ||
-		len(container) > math.MaxUint32 ||
-		idx.HasGroupIndex() && (!grouped || gc.GroupWords() != idx.GroupWords) {
-		return fmt.Errorf("service: %s container layout does not fit its program", p.Name)
 	}
 	var offs []uint32
 	if idx.HasGroupIndex() {
@@ -974,36 +973,35 @@ func (s *Server) persistAsync(name string, container []byte) {
 
 // buildContainer trains the codec on the program's code and packs it,
 // then round-trips the result through Unpack so no unverifiable
-// container ever leaves the server. The reconstructed program and
-// rebuilt codec from that verification pass are returned alongside the
-// container bytes.
-func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, *program.Program, compress.Codec, error) {
+// container ever leaves the server. The codec rebuilt by that
+// verification pass is returned alongside the container bytes.
+func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, compress.Codec, error) {
 	code, err := p.CodeBytes()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	codec, err := compress.New(codecName, code)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	container, err := pack.Pack(p, codec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	up, ucodec, err := s.verifyUnpack(p.Name, container)
+	ucodec, err := s.verifyUnpack(p.Name, container)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("service: packed container failed verification: %w", err)
+		return nil, nil, fmt.Errorf("service: packed container failed verification: %w", err)
 	}
-	return container, up, ucodec, nil
+	return container, ucodec, nil
 }
 
 // verifyUnpack is the one verification every served container passes,
 // after each build and on each warm restore: a full pack.Unpack,
-// counted in the verify metrics.
-func (s *Server) verifyUnpack(name string, container []byte) (*program.Program, compress.Codec, error) {
+// counted in the verify metrics. It returns the codec Unpack rebuilt.
+func (s *Server) verifyUnpack(name string, container []byte) (compress.Codec, error) {
 	start := time.Now()
-	p, codec, _, err := pack.Unpack(name, container)
+	_, codec, _, err := pack.Unpack(name, container)
 	s.metrics.VerifyUnpacks.Add(1)
 	s.metrics.VerifyNS.Add(int64(time.Since(start)))
-	return p, codec, err
+	return codec, err
 }

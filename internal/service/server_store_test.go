@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -164,41 +166,91 @@ func TestStoreCorruptionNeverReachesBlocks(t *testing.T) {
 	}
 }
 
-// TestWarmRestoreQuarantinesUnpackFailure: a stored container that
-// passes its content hash but fails the restore's Unpack — a copy whose
-// version byte reads 2, a format no build reads — is quarantined, and
-// the entry is rebuilt cold with the original bytes.
-func TestWarmRestoreQuarantinesUnpackFailure(t *testing.T) {
+// checkQuarantinedRestore stores mangle's copy of the (workload, dict)
+// container under the entry's ref. Stored under its own key the copy is
+// hash-valid, so store.Get passes it and only the restore's Unpack can
+// reject it. The restart must quarantine it and rebuild the entry cold
+// with the original bytes: warm 0, packs 1, quarantined 1, and every
+// block and word read serves the packed code.
+func checkQuarantinedRestore(t *testing.T, workload string, mangle func([]byte) []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	s, ts := newTestServerConfig(t, storeConfig(dir))
-	buildPersisted(t, s, ts, "crc32", "dict")
-	want, codec := unpackedBlocks(t, ts, "crc32", "dict")
-	_, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec=dict")
+	buildPersisted(t, s, ts, workload, "dict")
+	want, codec := unpackedBlocks(t, ts, workload, "dict")
+	_, container, _ := get(t, ts.Client(), ts.URL+"/v1/pack/"+workload+"?codec=dict")
 	ts.Close()
 	s.Close()
 
-	// Stored under its own key, the copy is hash-valid, so store.Get
-	// passes it and only Unpack can reject it.
-	v2 := bytes.Clone(container)
-	v2[len(pack.Magic)] = 2
-	key, err := s.Store().Put(v2)
+	key, err := s.Store().Put(mangle(bytes.Clone(container)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Store().PutRef(store.RefName("crc32", "dict"), key); err != nil {
+	if err := s.Store().PutRef(store.RefName(workload, "dict"), key); err != nil {
 		t.Fatal(err)
 	}
 
 	s2, ts2 := newTestServerConfig(t, storeConfig(dir))
-	code, warm, _ := get(t, ts2.Client(), ts2.URL+"/v1/pack/crc32?codec=dict")
+	code, warm, _ := get(t, ts2.Client(), ts2.URL+"/v1/pack/"+workload+"?codec=dict")
 	if code != http.StatusOK || !bytes.Equal(warm, container) {
-		t.Fatalf("restart over a v2 container: status %d, container equal %v", code, bytes.Equal(warm, container))
+		t.Fatalf("restart over a mangled container: status %d, container equal %v", code, bytes.Equal(warm, container))
 	}
 	m := s2.Metrics()
 	if w, p, q := m.StoreWarm.Load(), m.Packs.Load(), s2.Store().Stats().Quarantined; w != 0 || p != 1 || q != 1 {
 		t.Fatalf("warm restores %d, packs %d, quarantined %d; want 0, 1, 1", w, p, q)
 	}
-	checkServes(t, ts2, "crc32", "dict", want, codec)
+	checkServes(t, ts2, workload, "dict", want, codec)
+}
+
+// TestWarmRestoreQuarantinesUnpackFailure: a stored copy whose version
+// byte reads 2, a format no build reads, fails the restore's Unpack.
+func TestWarmRestoreQuarantinesUnpackFailure(t *testing.T) {
+	checkQuarantinedRestore(t, "crc32", func(c []byte) []byte {
+		c[len(pack.Magic)] = 2
+		return c
+	})
+}
+
+// TestWarmRestoreQuarantinesMovedGroupOffset: a stored fft copy whose
+// group directory has block 0's group-1 offset moved one byte later
+// still passes ParseIndex, but word reads would decode through it from
+// the wrong bytes, so the restore's Unpack must reject it.
+func TestWarmRestoreQuarantinesMovedGroupOffset(t *testing.T) {
+	checkQuarantinedRestore(t, "fft", func(c []byte) []byte {
+		idx, err := pack.ParseIndex(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The directory and the payload section length end the index.
+		dir := func(moved uint32) []byte {
+			buf := binary.AppendUvarint(nil, uint64(idx.GroupWords))
+			for i := range idx.Blocks {
+				var prev uint32
+				for g, o := range idx.BlockGroupOffsets(i) {
+					if i == 0 && g == 1 {
+						o = moved
+					}
+					buf = binary.AppendUvarint(buf, uint64(o-prev))
+					prev = o
+				}
+			}
+			return binary.AppendUvarint(buf, uint64(idx.PayloadLen))
+		}
+		offs := idx.BlockGroupOffsets(0)
+		if len(offs) < 2 {
+			t.Fatalf("block 0 has %d word groups, want at least 2", len(offs))
+		}
+		old := dir(offs[1])
+		start := int(idx.PayloadBase) - len(old)
+		if !bytes.Equal(c[start:idx.PayloadBase], old) {
+			t.Fatal("the group directory does not end the index")
+		}
+		moved := slices.Concat(c[:start], dir(offs[1]+1), c[idx.PayloadBase:])
+		if _, err := pack.ParseIndex(moved); err != nil {
+			t.Fatal(err)
+		}
+		return moved
+	})
 }
 
 // TestRunColdWarmScenario drives the loadgen restart scenario end to

@@ -60,7 +60,7 @@ func TestHealthz(t *testing.T) {
 
 func TestPackEndpointRoundTrips(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, codec := range []string{"dict", "lzss", "huffman", "rle", "identity", "cpack", "bdi"} {
+	for _, codec := range []string{"dict", "lzss", "huffman", "identity", "cpack", "bdi"} {
 		code, body, hdr := get(t, ts.Client(), ts.URL+"/v1/pack/crc32?codec="+codec)
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", codec, code, body)
@@ -252,7 +252,7 @@ func TestFailedBuildsAreNotCached(t *testing.T) {
 		t.Fatalf("%d failed entries retained, want 0", n)
 	}
 	// A good request after failures must still work.
-	if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fir?codec=rle"); code != http.StatusOK {
+	if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fir?codec=lzss"); code != http.StatusOK {
 		t.Fatalf("good request after failures: status %d", code)
 	}
 }
@@ -285,8 +285,8 @@ func metricsCSV(t *testing.T, client *http.Client, base string) map[string]strin
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	// Generate traffic: two block fetches and one error.
-	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=rle")
-	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=rle")
+	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=lzss")
+	get(t, ts.Client(), ts.URL+"/v1/block/sha/0?codec=lzss")
 	get(t, ts.Client(), ts.URL+"/v1/pack/nosuch") // one error
 
 	m := metricsCSV(t, ts.Client(), ts.URL)
@@ -310,11 +310,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The aligned-text rendering must carry the rle latency and entry
+	// The aligned-text rendering must carry the lzss latency and entry
 	// memory rows, and no block cache.
 	code, body, _ := get(t, ts.Client(), ts.URL+"/metrics")
-	if code != http.StatusOK || !strings.Contains(string(body), `apcc_block_serve_seconds{codec="rle"}`) ||
-		!strings.Contains(string(body), `apcc_entry_resident_bytes{codec="rle"}`) || !strings.Contains(string(body), "rle") ||
+	if code != http.StatusOK || !strings.Contains(string(body), `apcc_block_serve_seconds{codec="lzss"}`) ||
+		!strings.Contains(string(body), `apcc_entry_resident_bytes{codec="lzss"}`) || !strings.Contains(string(body), "lzss") ||
 		strings.Contains(string(body), "block cache") {
 		t.Errorf("text metrics tables wrong:\n%s", body)
 	}

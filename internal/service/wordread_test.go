@@ -71,7 +71,7 @@ func addEntry(tb testing.TB, s *Server, prog *program.Program, codecName string)
 		tb.Fatal(err)
 	}
 	ent := &entry{ready: make(chan struct{})}
-	if err := s.finishEntry(ent, container, up, codec); err != nil {
+	if err := s.finishEntry(ent, container, codec); err != nil {
 		tb.Fatal(err)
 	}
 	close(ent.ready)

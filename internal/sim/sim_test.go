@@ -252,7 +252,7 @@ func TestGranularityAblation(t *testing.T) {
 // machinery still works but decompression stalls are only fixed costs.
 func TestIdentityCodecZeroStallCost(t *testing.T) {
 	res := runWorkload(t, "crc32", func(c *core.Config) {
-		c.Codec = compress.NewIdentity()
+		c.Codec, _ = compress.New("identity", nil)
 	})
 	if res.DemandStallCycles != 0 {
 		t.Errorf("identity codec demand stalls = %d, want 0", res.DemandStallCycles)
@@ -284,7 +284,7 @@ func TestRestartHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, _ := p.CodeBytes()
-	codec, _ := compress.New("rle", code)
+	codec, _ := compress.New("lzss", code)
 	m, err := core.NewManager(p, core.Config{Codec: codec, CompressK: 2})
 	if err != nil {
 		t.Fatal(err)
