@@ -4,7 +4,7 @@
 // invariant checkers the codebase lives by — pooled-buffer ownership
 // (bufpool), the append-API dst-prefix contract (appendapi),
 // ErrCorrupt discipline on hostile-input paths (corrupterr), no
-// callbacks or logging under shard locks (lockdisc), and obs traces
+// callbacks or logging under a held mutex (lockdisc), and obs traces
 // kept on one goroutine (spanpair) — along with allowcheck, which
 // lints the suppression comments themselves.
 //

@@ -5,27 +5,26 @@ import (
 	"go/types"
 )
 
-// LockDisc generalizes the PR 6 eviction-storm fix into a checked
-// invariant: while a sync.Mutex/RWMutex is held, a function must not
+// LockDisc checks one invariant of every sync.Mutex/RWMutex in the
+// module: while one is held, a function must not
 //
 //   - call through a function value that came from outside the
-//     function (a struct field like cacheShard.onStorm, a parameter,
-//     or a package-level variable) — user callbacks re-enter
-//     arbitrary code and deadlock or stall the shard;
+//     function (a struct field such as a stored hook, a parameter,
+//     or a package-level variable) — callbacks re-enter arbitrary
+//     code and deadlock or stall every waiter on the lock;
 //   - call the log/slog packages or a *slog.Logger method — logging
 //     does I/O and takes its own locks;
 //   - call a method on a *different* value of the lock owner's own
-//     type — shard A reaching into shard B while holding A's lock is
-//     the classic lock-ordering deadlock.
+//     type — instance A reaching into instance B while holding A's
+//     lock is the classic lock-ordering deadlock.
 //
-// Locally-defined closures, interface calls (the policy engine runs
-// under the shard lock by contract), and methods on the locked value
-// itself are all permitted. Lock regions are tracked per selector
+// Locally-defined closures, interface calls, and methods on the locked
+// value itself are all permitted. Lock regions are tracked per selector
 // path (s.mu.Lock … s.mu.Unlock), deferred unlocks hold to function
 // end, and an `if mu.TryLock()` body is treated as a held region.
 var LockDisc = &Analyzer{
 	Name: "lockdisc",
-	Doc:  "check that no user callback, log call, or other-instance method runs while a blockShard/stripe mutex is held",
+	Doc:  "check that no callback, log call, or other-instance method runs while a sync mutex is held",
 	Run:  runLockDisc,
 }
 
@@ -391,7 +390,7 @@ func (w *lockWalker) checkOneCall(call *ast.CallExpr, held lockSet) {
 				if rn := namedType(recvTV.Type); rn != nil {
 					for _, r := range held {
 						if r.ownerType != nil && types.Identical(r.ownerType, rn) && r.ownerName != reName {
-							w.pass.Reportf(call.Pos(), "method call on %s while holding %s's lock: cross-instance calls under a stripe lock invert lock order", reName, r.ownerName)
+							w.pass.Reportf(call.Pos(), "method call on %s while holding %s's lock: cross-instance calls under a held lock invert lock order", reName, r.ownerName)
 						}
 					}
 				}

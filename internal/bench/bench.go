@@ -141,9 +141,9 @@ func OverheadVsK(ks []int, kd, steps int) (*report.Table, error) {
 // Codecs regenerates E3: compression ratio against decompression cost
 // across the codec spectrum, and the end-to-end effect of the choice.
 // Alongside the modeled cycle costs it reports *measured* codec
-// throughput (MB/s of uncompressed bytes, via compress.Measure's
-// scratch-reusing loop) so the host-side cost of each codec is visible
-// next to the simulated one.
+// throughput (MB/s of uncompressed bytes, from compress.Measure's
+// fastest timed whole pass) so the host-side cost of each codec is
+// visible next to the simulated one.
 func Codecs(kc, steps int) (*report.Table, error) {
 	all, err := workloads.Suite()
 	if err != nil {

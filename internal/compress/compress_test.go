@@ -238,6 +238,9 @@ func TestMeasure(t *testing.T) {
 	if s.Ratio() >= 1 {
 		t.Errorf("aggregate ratio = %v", s.Ratio())
 	}
+	if s.CompressMBps() <= 0 || s.DecompressMBps() <= 0 {
+		t.Errorf("throughput unmeasured: %v / %v MB/s", s.CompressMBps(), s.DecompressMBps())
+	}
 }
 
 func TestCorruptInputs(t *testing.T) {

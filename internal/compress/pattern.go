@@ -97,8 +97,9 @@ type PatternReporter interface {
 // Arbiter performs cost-aware per-block codec selection: each candidate
 // codec compresses the block, and the block is charged its compressed
 // size plus its modeled decompression cycles scaled by DecodeWeight —
-// the same size-versus-decode-cost trade GreedyDual-Size makes inside
-// the CostAware cache policy, applied at pack time. The cheapest codec
+// the same size-versus-decode-cost trade GreedyDual-Size makes in the
+// cost-aware replacement policy (internal/policy), applied at pack
+// time. The cheapest codec
 // wins; ties go to the earlier candidate.
 type Arbiter struct {
 	// Codecs are the candidates, tried in order.

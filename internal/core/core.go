@@ -125,15 +125,14 @@ type Config struct {
 	WritebackCompression bool
 	// Policy is the replacement-and-prefetch engine the Manager
 	// delegates its victim-selection, k-edge expiry and
-	// prefetch-scoring decisions to. nil selects the paper's own
-	// policy (policy.NewPaperKLRU), which reproduces the seed
-	// Manager's behavior exactly; internal/policy provides LFU,
-	// cost-aware (GreedyDual-Size over the codec cost model) and
-	// depth-N Markov-prefetch alternatives. The Manager binds and
-	// takes ownership of the value — policies are stateful, so one
-	// value must never be shared between Managers or reused across
-	// runs.
-	Policy policy.Policy[UnitID]
+	// prefetch-scoring decisions to, built by policy.New. nil selects
+	// the paper's own policy, klru, which reproduces the seed
+	// Manager's behavior exactly; the other names are lfu, cost-aware
+	// (GreedyDual-Size over the codec cost model) and markov-prefetch.
+	// The Manager binds and takes ownership of the value — policies
+	// are stateful, so one value must never be shared between Managers
+	// or reused across runs.
+	Policy *policy.Policy[UnitID]
 	// StrictCounters applies the k-edge counter to every decompressed
 	// unit, including pre-decompressed units that have not executed yet
 	// — the literal reading of the paper's Section 5 ("the counter of

@@ -88,7 +88,7 @@ type Manager struct {
 
 	// pol decides victims, k-edge expiry and prefetch candidates; the
 	// Manager feeds it the edge clock and enforces its verdicts.
-	pol policy.Policy[UnitID]
+	pol *policy.Policy[UnitID]
 	// isCompressed is the prefetch-candidate filter handed to the
 	// policy, hoisted here so the hot path allocates no closure.
 	isCompressed func(cfg.BlockID) bool
@@ -115,7 +115,7 @@ func NewManager(p *program.Program, conf Config) (*Manager, error) {
 	m.ccost = conf.Codec.Cost()
 	m.pol = conf.Policy
 	if m.pol == nil {
-		m.pol = policy.NewPaperKLRU[UnitID]()
+		m.pol, _ = policy.New[UnitID]("") // klru; the empty name never fails
 	}
 	mode := policy.PrefetchNone
 	switch conf.Strategy {
@@ -131,7 +131,6 @@ func NewManager(p *program.Program, conf Config) (*Manager, error) {
 		LookaheadK: conf.DecompressK,
 		ExpireK:    conf.CompressK,
 		Strict:     conf.StrictCounters,
-		Cost:       m.ccost,
 	})
 	m.isCompressed = func(b cfg.BlockID) bool {
 		return m.units[m.unitOf[b]].state == stateCompressed
@@ -659,16 +658,11 @@ func (m *Manager) unpatchUnit(u *unit, tr *Transition) int {
 }
 
 // maybePrefetch issues a background decompression for a unit if it is
-// compressed, the policy admits the placement, and memory permits.
-// Prefetch allocation failures are silent: the strategy simply loses
-// its head start. Demand decompression never consults Admit — the
-// handler must place the copy execution is waiting on.
+// compressed and memory permits. Prefetch allocation failures are
+// silent: the strategy simply loses its head start.
 func (m *Manager) maybePrefetch(id UnitID, tr *Transition) {
 	u := m.units[id]
 	if u.state != stateCompressed || id == m.current {
-		return
-	}
-	if !m.pol.Admit(id, policy.Meta{Bytes: len(u.plain), Cost: m.ccost.DecompressCycles(len(u.plain))}) {
 		return
 	}
 	if err := m.allocate(u, tr, false); err != nil {

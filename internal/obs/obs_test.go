@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -167,6 +168,44 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, cycle)
 	if allocs > 0 {
 		t.Errorf("steady-state record allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestRecorderConcurrent: goroutines recording while another
+// snapshots leave a full ring of distinct traces and an exact count.
+func TestRecorderConcurrent(t *testing.T) {
+	const workers, each, capacity = 4, 250, 16
+	rec := NewRecorder(capacity, 2)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tr := rec.StartTrace(StageRoute)
+				tr.Finish(OutcomeOK)
+				rec.Record(tr)
+			}
+		}()
+	}
+	for i := 0; i < 100; i++ {
+		rec.Snapshot(capacity)
+		rec.Exemplars()
+	}
+	wg.Wait()
+	if got := rec.Stats().Recorded; got != workers*each {
+		t.Errorf("recorded %d, want %d", got, workers*each)
+	}
+	snap := rec.Snapshot(2 * capacity)
+	if len(snap) != capacity {
+		t.Fatalf("snapshot holds %d traces, want the ring's %d", len(snap), capacity)
+	}
+	seen := make(map[uint64]bool)
+	for _, r := range snap {
+		if r.ID == 0 || seen[r.ID] {
+			t.Errorf("snapshot repeats or lacks trace id %d", r.ID)
+		}
+		seen[r.ID] = true
 	}
 }
 

@@ -1,15 +1,12 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// ringStripes is the lock-stripe count of a Recorder's ring. Traces
-// land in a stripe by id, so concurrent request finishes contend on a
-// stripe mutex only 1/ringStripes of the time.
-const ringStripes = 8
 
 // Record is one completed trace as stored in the ring and rendered by
 // /debug/trace: the trace's identity plus a deep copy of its tiles.
@@ -38,44 +35,30 @@ type RecorderStats struct {
 	Truncated int64 // traces that hit the per-trace tile cap
 }
 
-// Recorder collects finished traces into a lock-striped ring buffer
-// and keeps the slowest-K traces as exemplars. Traces it starts come
-// from an internal pool and return to it on Record, so steady-state
-// recording allocates nothing. A nil *Recorder is the disabled sink:
-// StartTrace returns nil and everything downstream no-ops.
+// Recorder collects finished traces into a ring buffer and keeps the
+// slowest-K traces as exemplars; one mutex guards both, so recording
+// a trace takes one lock. Traces it starts come from an internal pool
+// and return to it on Record, so steady-state recording allocates
+// nothing. A nil *Recorder is the disabled sink: StartTrace returns
+// nil and everything downstream no-ops.
 type Recorder struct {
-	stripes   [ringStripes]ringStripe
 	seq       atomic.Uint64
 	recorded  atomic.Int64
 	truncated atomic.Int64
 	pool      sync.Pool
 
-	exMu      sync.Mutex
+	mu        sync.Mutex
+	ring      []Record // the last len(ring) traces; ring[next] is the next slot written
+	next      int
+	filled    int      // slots written so far, at most len(ring)
 	exemplars []Record // up to exK, unordered; min evicted on overflow
 	exK       int
 }
 
-type ringStripe struct {
-	mu   sync.Mutex
-	buf  []Record
-	next int
-	n    int // records ever written to this stripe
-}
-
-// NewRecorder creates a recorder holding the last capacity traces
-// (clamped to at least ringStripes) and the exemplarK slowest.
+// NewRecorder creates a recorder holding the last capacity traces (at
+// least one) and the exemplarK slowest (at least one).
 func NewRecorder(capacity, exemplarK int) *Recorder {
-	if capacity < ringStripes {
-		capacity = ringStripes
-	}
-	if exemplarK < 1 {
-		exemplarK = 1
-	}
-	r := &Recorder{exK: exemplarK}
-	per := (capacity + ringStripes - 1) / ringStripes
-	for i := range r.stripes {
-		r.stripes[i].buf = make([]Record, per)
-	}
+	r := &Recorder{ring: make([]Record, max(capacity, 1)), exK: max(exemplarK, 1)}
 	r.pool.New = func() any { return &Trace{spans: make([]Span, 0, maxSpans)} }
 	return r
 }
@@ -104,14 +87,12 @@ func (r *Recorder) Record(t *Trace) {
 	if t.truncated {
 		r.truncated.Add(1)
 	}
-	s := &r.stripes[t.ID%ringStripes]
-	s.mu.Lock()
-	slot := &s.buf[s.next]
-	fillRecord(slot, t)
-	s.next = (s.next + 1) % len(s.buf)
-	s.n++
-	s.mu.Unlock()
+	r.mu.Lock()
+	fillRecord(&r.ring[r.next], t)
+	r.next = (r.next + 1) % len(r.ring)
+	r.filled = min(r.filled+1, len(r.ring))
 	r.offerExemplar(t)
+	r.mu.Unlock()
 	r.pool.Put(t)
 }
 
@@ -128,60 +109,41 @@ func fillRecord(slot *Record, t *Trace) {
 }
 
 // offerExemplar admits t to the slowest-K set if it beats the current
-// minimum (or the set is not full). Exemplars deep-copy: they outlive
-// the pooled trace and the ring's recycling.
+// minimum (or the set is not full); the caller holds r.mu. Exemplars
+// deep-copy: they outlive the pooled trace and the ring's recycling.
 func (r *Recorder) offerExemplar(t *Trace) {
-	r.exMu.Lock()
-	defer r.exMu.Unlock()
 	if len(r.exemplars) < r.exK {
-		var rec Record
-		fillRecord(&rec, t)
-		rec.Spans = append([]Span(nil), t.spans...)
-		r.exemplars = append(r.exemplars, rec)
+		r.exemplars = append(r.exemplars, Record{})
+		fillRecord(&r.exemplars[len(r.exemplars)-1], t)
 		return
 	}
-	min := 0
+	low := 0
 	for i := 1; i < len(r.exemplars); i++ {
-		if r.exemplars[i].TotalNS < r.exemplars[min].TotalNS {
-			min = i
+		if r.exemplars[i].TotalNS < r.exemplars[low].TotalNS {
+			low = i
 		}
 	}
-	if t.TotalNS <= r.exemplars[min].TotalNS {
+	if t.TotalNS <= r.exemplars[low].TotalNS {
 		return
 	}
-	fillRecord(&r.exemplars[min], t)
+	fillRecord(&r.exemplars[low], t)
 }
 
-// Snapshot returns up to n of the most recent records, newest first.
+// Snapshot returns up to n of the most recently recorded traces,
+// newest first.
 // Records are deep copies, safe to hold and marshal while recording
 // continues.
 func (r *Recorder) Snapshot(n int) []Record {
 	if r == nil || n <= 0 {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var out []Record
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.Lock()
-		have := s.n
-		if have > len(s.buf) {
-			have = len(s.buf)
-		}
-		for j := 0; j < have; j++ {
-			slot := s.buf[(s.next-1-j+2*len(s.buf))%len(s.buf)]
-			slot.Spans = append([]Span(nil), slot.Spans...)
-			out = append(out, slot)
-		}
-		s.mu.Unlock()
-	}
-	// Newest first across stripes; ids are globally ordered.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID > out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if len(out) > n {
-		out = out[:n]
+	for i := 0; i < min(n, r.filled); i++ { // backwards from the newest slot
+		rec := r.ring[(r.next-1-i+len(r.ring))%len(r.ring)]
+		rec.Spans = append([]Span(nil), rec.Spans...)
+		out = append(out, rec)
 	}
 	return out
 }
@@ -192,18 +154,14 @@ func (r *Recorder) Exemplars() []Record {
 	if r == nil {
 		return nil
 	}
-	r.exMu.Lock()
+	r.mu.Lock()
 	out := make([]Record, len(r.exemplars))
-	for i := range r.exemplars {
-		out[i] = r.exemplars[i]
-		out[i].Spans = append([]Span(nil), r.exemplars[i].Spans...)
+	for i, rec := range r.exemplars {
+		out[i] = rec
+		out[i].Spans = append([]Span(nil), rec.Spans...)
 	}
-	r.exMu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].TotalNS > out[j-1].TotalNS; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	r.mu.Unlock()
+	slices.SortStableFunc(out, func(a, b Record) int { return cmp.Compare(b.TotalNS, a.TotalNS) })
 	return out
 }
 

@@ -1,78 +1,82 @@
-// Package policy is the pluggable replacement-and-prefetch engine
-// shared by every layer that keeps decompressed (or compressed) block
-// copies under a byte budget: the core runtime Manager, the cycle
-// simulator and concurrent runtime built on it, and the
-// multi-application coordinator.
+// Package policy is the replacement-and-prefetch engine behind the
+// core runtime Manager, and through it the cycle simulator, the
+// concurrent runtime and the multi-application coordinator.
 //
-// The paper's scheme is, at heart, one such policy — k-edge expiry
-// counters, LRU victim selection under a budget, predictor-driven
-// pre-decompression — but it occupies a small corner of a large design
-// space. Extracting the decisions behind an interface lets the same
-// runtime run cost-aware eviction in the spirit of compression-aware
-// memory management (Pekhimenko et al.) or deeper Markov prefetching.
+// The paper's scheme makes three decisions on every traversed edge:
+// expire a copy k edges after its last use (Section 3), evict under a
+// memory budget (Section 2), and pre-decompress ahead (Section 4). The
+// engine always applies the paper's k-edge expiry; a policy's name
+// selects one row of a rule table that fixes the other two:
 //
-// # Interface contract
+//	name             victim order                              prefetch
+//	klru             least recent use                          Figure 3 strategy
+//	lfu              fewest uses, then least recent use        Figure 3 strategy
+//	cost-aware       lowest GreedyDual H, then least recent    Figure 3 strategy
+//	markov-prefetch  least recent use                          depth-N Markov beam
+//
+// klru is the paper's own policy and the default; the seed-golden test
+// in internal/sim pins its exact event stream. cost-aware is
+// GreedyDual-Size (Cao & Irani), the compression-aware replacement
+// rule of Pekhimenko's "Practical Data Compression for Modern Memory
+// Hierarchies": each entry carries H = L + Cost/Bytes, where Cost is
+// the modeled cycle price of decompressing the entry again and Bytes
+// its resident size; evicting the lowest H raises the floor L to it,
+// so long-idle entries age out however expensive they once were.
+// markov-prefetch widens pre-decompress-single into a beam: every
+// block within the lookahead is scored by its best path probability
+// under an online Markov predictor, and the best beamWidth candidates
+// at or above beamMinProb are proposed, under any configured strategy.
+//
+// # Contract
 //
 // A Policy tracks a set of resident entries identified by ordered keys
-// (compression-unit IDs in the runtime) and answers four kinds of
-// questions:
+// (compression-unit IDs in the runtime):
 //
-//   - Observe hooks — OnInsert/OnAccess/OnRemove keep the policy's
-//     view of residency and recency in sync with the caller, fed by
-//     the caller's logical clock (the edge clock in the runtime). Tick
-//     advances that clock across one edge and returns the keys whose
-//     lifetime ended (the k-edge expiry set); the caller must then
-//     remove them.
-//   - Victim selection — Victim picks the next entry to discard among
-//     those the caller marks evictable. Selection is deterministic:
-//     ties always break toward the lowest key, so a simulator and a
-//     concurrent runtime replaying the same edge stream evict
-//     identically.
-//   - Admission — Admit may veto caching an entry entirely (cheap,
-//     large values can be worth recomputing rather than caching).
-//   - Prefetch scoring — PrefetchCandidates proposes blocks to
-//     pre-decompress after execution crosses an edge, best candidate
-//     first; ObserveEdge feeds the traversed edge back so online
-//     predictors adapt.
+//   - OnInsert/OnAccess/OnRemove keep the policy's view of residency
+//     and recency in sync with the caller, fed by the caller's logical
+//     clock (the edge clock in the runtime). Tick advances that clock
+//     across one edge and returns the keys whose lifetime ended (the
+//     k-edge expiry set); the caller must then remove them.
+//   - Victim picks the next entry to discard among those the caller
+//     marks evictable. Ties always break toward the lowest key, so a
+//     simulator and a concurrent runtime replaying the same edge
+//     stream evict identically.
+//   - PrefetchCandidates proposes blocks to pre-decompress after
+//     execution crosses an edge, best candidate first; ObserveEdge
+//     feeds the traversed edge back so online predictors adapt.
 //
-// Callers hold their own lock around every method; implementations are
-// not concurrency-safe and carry per-run state, so one Policy value
-// must not be shared between two Managers, shards or runs.
+// Callers hold their own lock around every method; a Policy is not
+// concurrency-safe and carries per-run state, so one value must not be
+// shared between two Managers or runs.
 //
-// # Key retention
-//
-// When Env.ExpireK > 0 the key universe is closed (the fixed unit set
-// of one program) and records survive removal: a unit that is deleted
-// and later re-prefetched keeps its last-execution timestamp and
-// frequency, exactly as the seed Manager's per-unit fields did. When
-// ExpireK == 0 (an open key universe) records are dropped on removal so the policy's memory stays
-// proportional to the resident set.
+// The key universe is closed (the fixed unit set of one program), so
+// records survive removal: a unit that is deleted and later
+// re-prefetched keeps its last-execution timestamp and use count.
 package policy
 
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"apbcc/internal/cfg"
-	"apbcc/internal/compress"
 	"apbcc/internal/trace"
 )
 
-// Meta describes one entry at admission/insert time.
+// Meta describes one entry at insert time.
 type Meta struct {
 	// Bytes is the entry's resident size: the decompressed copy in the
 	// runtime.
 	Bytes int
 	// Cost is the price of re-producing the entry after discarding it
-	// — modeled decompression cycles for a unit. Cost-aware policies
-	// keep expensive bytes resident longer.
+	// — modeled decompression cycles for a unit. cost-aware keeps
+	// expensive bytes resident longer.
 	Cost int64
 }
 
-// PrefetchMode tells a policy which prefetch decision the runtime's
-// configured strategy expects (the paper's Figure 3 axis). Policies
-// with their own prefetch scheme (MarkovPrefetch) may ignore it.
+// PrefetchMode is the runtime's configured prefetch strategy (the
+// paper's Figure 3 axis). markov-prefetch ignores it.
 type PrefetchMode uint8
 
 // Prefetch modes.
@@ -87,229 +91,342 @@ const (
 	PrefetchBest
 )
 
-// Env is the read-only world a policy is bound to before use. Cache
-// deployments leave the graph fields zero; prefetch hooks then return
-// nil.
+// Env is the read-only world a policy is bound to before use.
 type Env struct {
-	// Graph is the program CFG (prefetch scoring); nil in caches.
+	// Graph is the program CFG, for prefetch scoring.
 	Graph *cfg.Graph
-	// Predictor supplies edge probabilities for prefetch scoring.
-	// Policies that need one build their own when nil.
+	// Predictor supplies edge probabilities for prefetch scoring;
+	// markov-prefetch builds its own when nil.
 	Predictor trace.Predictor
 	// Mode is the configured prefetch strategy.
 	Mode PrefetchMode
 	// LookaheadK is the prefetch lookahead depth (decompress-k).
 	LookaheadK int
-	// ExpireK is the k-edge expiry parameter (compress-k); 0 disables
-	// expiry (and switches to open-universe key retention).
+	// ExpireK is the k-edge expiry parameter (compress-k), at least 1.
 	ExpireK int
 	// Strict ages entries that have not been accessed since insertion
 	// (the literal Section 5 counter reading); the default ages only
 	// entries the execution thread has visited (Section 3).
 	Strict bool
-	// Cost is the bound codec's cycle cost model, for policies that
-	// weigh time against bytes.
-	Cost compress.CostModel
 }
 
-// Policy decides replacement, admission, expiry and prefetch for one
-// set of resident entries. See the package comment for the contract.
-type Policy[K cmp.Ordered] interface {
-	// Name identifies the policy in flags, reports and bench tables.
-	Name() string
-	// Bind gives the policy its environment; call once before use.
-	Bind(env Env)
+// victimOrder ranks eviction candidates; every order falls back to
+// least recent use, then to the lowest key.
+type victimOrder uint8
 
-	// Admit reports whether a new entry is worth placing at all. It is
-	// consulted for optional placements only — prefetch issues in the
-	// runtime, fills in the cache; demand decompression cannot be
-	// vetoed (execution needs the copy regardless).
-	Admit(key K, m Meta) bool
-	// OnInsert registers a resident entry (admission already decided).
-	OnInsert(key K, m Meta, now int64)
-	// OnAccess records a use of a resident entry.
-	OnAccess(key K, now int64)
-	// OnRemove unregisters an entry however it left: k-edge expiry,
-	// eviction, or deletion.
-	OnRemove(key K)
-	// Tick advances the clock across one traversed edge; fresh is the
-	// key accessed on that edge (exempt from aging). It returns the
-	// keys whose lifetime ended, lowest first; the caller removes
-	// them. Policies without expiry return nil.
-	Tick(fresh K, now int64) []K
+const (
+	byRecency    victimOrder = iota // least recent use
+	byFrequency                     // fewest uses
+	byGreedyDual                    // lowest GreedyDual H
+)
 
-	// Victim picks the entry to discard next among resident entries
-	// for which evictable returns true; ok is false when none
-	// qualifies.
-	Victim(evictable func(K) bool) (victim K, ok bool)
-	// OldestUse returns the last-access clock of the least-recently
-	// used evictable entry. All policies track recency regardless of
-	// their victim rule; cross-runtime coordinators (internal/multi)
-	// compare this value across applications.
-	OldestUse(evictable func(K) bool) (clock int64, ok bool)
-
-	// PrefetchCandidates proposes blocks to pre-decompress after
-	// execution crosses the edge ending at anchor, best first.
-	// compressed reports whether a block currently lacks a copy.
-	PrefetchCandidates(anchor cfg.BlockID, compressed func(cfg.BlockID) bool) []cfg.BlockID
-	// ObserveEdge feeds the policy the edge actually traversed, after
-	// PrefetchCandidates for that edge.
-	ObserveEdge(from, to cfg.BlockID)
+// rule is one row of the policy table.
+type rule struct {
+	name  string
+	order victimOrder
+	// markov selects the depth-N Markov beam over the configured
+	// Figure 3 strategy.
+	markov bool
 }
 
-// Names lists the registered policy names, sorted; these are the
-// values the -policy flags accept.
+// rules is the policy table, sorted by name.
+var rules = []rule{
+	{name: "cost-aware", order: byGreedyDual},
+	{name: "klru", order: byRecency},
+	{name: "lfu", order: byFrequency},
+	{name: "markov-prefetch", order: byRecency, markov: true},
+}
+
+// The markov-prefetch beam: at most beamWidth candidates per edge, each
+// with a best path probability of at least beamMinProb, searched
+// LookaheadK edges deep (beamDepth when that is unset).
+const (
+	beamWidth   = 2
+	beamMinProb = 0.05
+	beamDepth   = 3
+)
+
+// Names lists the policy names, sorted; these are the values the
+// -policy flags accept.
 func Names() []string {
-	return []string{"cost-aware", "klru", "lfu", "markov-prefetch"}
-}
-
-// New builds a policy by name with default parameters. The empty name
-// selects the paper's k-edge LRU. Callers Bind the result before use.
-func New[K cmp.Ordered](name string) (Policy[K], error) {
-	switch name {
-	case "", "klru", "paper":
-		return NewPaperKLRU[K](), nil
-	case "lfu":
-		return NewLFU[K](), nil
-	case "cost-aware", "cost":
-		return NewCostAware[K](), nil
-	case "markov-prefetch", "markov":
-		return NewMarkovPrefetch[K](), nil
+	names := make([]string, len(rules))
+	for i, r := range rules {
+		names[i] = r.name
 	}
-	return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
+	return names
 }
 
-// record is the per-key state shared by the built-in policies. Only
-// the fields a concrete policy reads are meaningful under it.
+// Policy decides victims, k-edge expiry and prefetch candidates for
+// one set of resident entries. See the package comment for the
+// contract.
+type Policy[K cmp.Ordered] struct {
+	rule
+	env  Env
+	pred trace.Predictor // the prefetch predictor: Env.Predictor, or the beam's own
+	recs map[K]*record
+	keys []K // resident keys, ascending
+	// floor is the GreedyDual L value: the inflation clock that makes
+	// old H values comparable with fresh ones.
+	floor float64
+}
+
+// record is the per-key state. It carries every rule's fields; only
+// the bound rule reads freq and hval.
 type record struct {
 	resident bool
 	accessed bool    // accessed since (re)insertion
 	counter  int     // edges since last access (k-edge expiry)
 	lastUse  int64   // clock of last access; 0 = never accessed
-	freq     int64   // lifetime access count (LFU)
+	freq     int64   // lifetime access count (lfu)
 	bytes    int     // resident size
 	cost     int64   // re-production cost
-	hval     float64 // GreedyDual key (CostAware)
+	hval     float64 // GreedyDual H (cost-aware)
 }
 
-// table is the bookkeeping core the built-in policies embed: a record
-// per key plus the sorted resident-key list that makes every scan
-// deterministic.
-type table[K cmp.Ordered] struct {
-	env  Env
-	recs map[K]*record
-	keys []K // resident keys, ascending
+// New builds the named policy; the empty name selects klru. Bind the
+// result before use.
+func New[K cmp.Ordered](name string) (*Policy[K], error) {
+	name = cmp.Or(name, "klru")
+	for _, r := range rules {
+		if r.name == name {
+			return &Policy[K]{rule: r}, nil
+		}
+	}
+	return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
 }
 
-func (t *table[K]) init(env Env) {
-	t.env = env
-	t.recs = make(map[K]*record)
-	t.keys = nil
+// Name identifies the policy in flags, reports and bench tables.
+func (p *Policy[K]) Name() string { return p.name }
+
+// Bind gives the policy its environment; call once before use.
+func (p *Policy[K]) Bind(env Env) {
+	p.env = env
+	p.pred = env.Predictor
+	if p.markov && p.pred == nil && env.Graph != nil {
+		p.pred = trace.NewMarkov(env.Graph)
+	}
+	p.recs = make(map[K]*record)
+	p.keys = nil
+	p.floor = 0
 }
 
-// retainRemoved reports whether records survive removal (closed key
-// universes; see the package comment).
-func (t *table[K]) retainRemoved() bool { return t.env.ExpireK > 0 }
-
-func (t *table[K]) insert(key K, m Meta, now int64) *record {
-	r := t.recs[key]
+// OnInsert registers a resident entry. Insertion is not a use: a
+// prefetched copy that never ran keeps lastUse 0, or its previous
+// life's timestamp, so it stays oldest.
+func (p *Policy[K]) OnInsert(key K, m Meta, now int64) {
+	r := p.recs[key]
 	if r == nil {
 		r = &record{}
-		t.recs[key] = r
+		p.recs[key] = r
 	}
 	if !r.resident {
-		i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= key })
-		t.keys = append(t.keys, key)
-		copy(t.keys[i+1:], t.keys[i:])
-		t.keys[i] = key
+		i, _ := slices.BinarySearch(p.keys, key)
+		p.keys = slices.Insert(p.keys, i, key)
 	}
 	r.resident = true
 	r.accessed = false
 	r.counter = 0
 	r.bytes = m.Bytes
 	r.cost = m.Cost
-	if !t.retainRemoved() {
-		// Open universe (caches): insertion is the first use, so a
-		// fresh entry ranks most-recent — list-LRU semantics. Closed
-		// universe keeps the seed runtime's rule instead: recency is
-		// execution-only, so a prefetched copy that never ran stays
-		// oldest (lastUse 0 or its previous life's timestamp).
-		r.lastUse = now
-		r.freq++
-	}
-	return r
+	r.hval = p.floor + r.benefit()
 }
 
-func (t *table[K]) access(key K, now int64) *record {
-	r := t.recs[key]
+// OnAccess records a use of a resident entry, refreshing its H at the
+// current floor.
+func (p *Policy[K]) OnAccess(key K, now int64) {
+	r := p.recs[key]
 	if r == nil || !r.resident {
-		return nil
+		return
 	}
 	r.accessed = true
 	r.counter = 0
 	r.lastUse = now
 	r.freq++
-	return r
+	r.hval = p.floor + r.benefit()
 }
 
-func (t *table[K]) remove(key K) {
-	r := t.recs[key]
+// OnRemove unregisters an entry however it left: k-edge expiry,
+// eviction, or deletion. Its record survives for the next insert.
+func (p *Policy[K]) OnRemove(key K) {
+	r := p.recs[key]
 	if r == nil || !r.resident {
 		return
 	}
 	r.resident = false
-	i := sort.Search(len(t.keys), func(i int) bool { return t.keys[i] >= key })
-	if i < len(t.keys) && t.keys[i] == key {
-		t.keys = append(t.keys[:i], t.keys[i+1:]...)
-	}
-	if !t.retainRemoved() {
-		delete(t.recs, key)
+	if i, ok := slices.BinarySearch(p.keys, key); ok {
+		p.keys = slices.Delete(p.keys, i, i+1)
 	}
 }
 
-// tick ages every resident entry except fresh and returns the keys
-// whose counter reached ExpireK, lowest first — the k-edge algorithm
-// of the paper's Section 3 (Section 5 semantics under Strict).
-func (t *table[K]) tick(fresh K, now int64) []K {
-	if t.env.ExpireK <= 0 {
-		return nil
-	}
+// Tick advances the clock across one traversed edge: it ages every
+// resident entry except fresh, the key accessed on that edge, and
+// returns the keys whose counter reached ExpireK, lowest first — the
+// k-edge algorithm of the paper's Section 3 (Section 5 semantics under
+// Strict). The caller removes them.
+func (p *Policy[K]) Tick(fresh K, now int64) []K {
 	var expired []K
-	for _, key := range t.keys {
+	for _, key := range p.keys {
 		if key == fresh {
 			continue
 		}
-		r := t.recs[key]
-		if !r.accessed && !t.env.Strict {
+		r := p.recs[key]
+		if !r.accessed && !p.env.Strict {
 			continue
 		}
 		r.counter++
-		if r.counter >= t.env.ExpireK {
+		if r.counter >= p.env.ExpireK {
 			expired = append(expired, key)
 		}
 	}
 	return expired
 }
 
-// scan visits resident evictable records in ascending key order.
-func (t *table[K]) scan(evictable func(K) bool, visit func(key K, r *record)) {
-	for _, key := range t.keys {
+// Victim picks the entry to discard next among resident entries for
+// which evictable returns true, by the rule's victim order; ok is
+// false when none qualifies. The scan ascends and only a strictly
+// lower-ranked entry displaces the champion, so ties go to the lowest
+// key. Under cost-aware the pick raises the GreedyDual floor to the
+// victim's H.
+func (p *Policy[K]) Victim(evictable func(K) bool) (victim K, ok bool) {
+	var vrec *record
+	for _, key := range p.keys {
 		if evictable != nil && !evictable(key) {
 			continue
 		}
-		visit(key, t.recs[key])
+		if r := p.recs[key]; vrec == nil || p.ranksBelow(r, vrec) {
+			victim, vrec = key, r
+		}
 	}
+	if vrec == nil {
+		return victim, false
+	}
+	if p.order == byGreedyDual && vrec.hval > p.floor {
+		p.floor = vrec.hval
+	}
+	return victim, true
 }
 
-// oldestUse is the recency floor every built-in policy reports.
-func (t *table[K]) oldestUse(evictable func(K) bool) (int64, bool) {
-	var best int64
-	found := false
-	t.scan(evictable, func(key K, r *record) {
-		if !found || r.lastUse < best {
-			best = r.lastUse
-			found = true
+// ranksBelow reports whether r is a strictly better victim than v.
+func (p *Policy[K]) ranksBelow(r, v *record) bool {
+	switch {
+	case p.order == byFrequency && r.freq != v.freq:
+		return r.freq < v.freq
+	case p.order == byGreedyDual && r.hval != v.hval:
+		return r.hval < v.hval
+	}
+	return r.lastUse < v.lastUse
+}
+
+// benefit is the GreedyDual Cost/Bytes term, the bare cost for an
+// entry of no size.
+func (r *record) benefit() float64 {
+	if r.bytes <= 0 {
+		return float64(r.cost)
+	}
+	return float64(r.cost) / float64(r.bytes)
+}
+
+// OldestUse returns the last-access clock of the least-recently used
+// evictable entry, whatever the victim order; cross-runtime
+// coordinators (internal/multi) compare this value across
+// applications.
+func (p *Policy[K]) OldestUse(evictable func(K) bool) (clock int64, ok bool) {
+	for _, key := range p.keys {
+		if evictable != nil && !evictable(key) {
+			continue
 		}
+		if r := p.recs[key]; !ok || r.lastUse < clock {
+			clock, ok = r.lastUse, true
+		}
+	}
+	return clock, ok
+}
+
+// PrefetchCandidates proposes blocks to pre-decompress after execution
+// crosses the edge ending at anchor, best first. compressed reports
+// whether a block currently lacks a copy. The Figure 3 strategies
+// propose everything within LookaheadK edges (PrefetchAll) or the
+// single most probable compressed block there (PrefetchBest).
+func (p *Policy[K]) PrefetchCandidates(anchor cfg.BlockID, compressed func(cfg.BlockID) bool) []cfg.BlockID {
+	if p.markov {
+		return p.beam(anchor, compressed)
+	}
+	switch p.env.Mode {
+	case PrefetchAll:
+		return p.env.Graph.WithinK(anchor, p.env.LookaheadK)
+	case PrefetchBest:
+		if best, ok := trace.BestWithinK(p.env.Graph, p.pred, anchor, p.env.LookaheadK, compressed); ok {
+			return []cfg.BlockID{best}
+		}
+	}
+	return nil
+}
+
+// beam is markov-prefetch's proposal: a search over path probabilities
+// within the lookahead, best first, deterministic (probability
+// descending, then distance ascending, then block ID ascending).
+func (p *Policy[K]) beam(anchor cfg.BlockID, compressed func(cfg.BlockID) bool) []cfg.BlockID {
+	g := p.env.Graph
+	if g == nil || p.pred == nil {
+		return nil
+	}
+	type cand struct {
+		id   cfg.BlockID
+		prob float64
+		dist int
+	}
+	best := make(map[cfg.BlockID]cand)
+	frontier := map[cfg.BlockID]float64{anchor: 1}
+	depth := cmp.Or(p.env.LookaheadK, beamDepth)
+	for d := 1; d <= depth && len(frontier) > 0; d++ {
+		next := make(map[cfg.BlockID]float64)
+		for id, prob := range frontier {
+			for _, e := range g.Succs(id) {
+				np := prob * p.pred.Prob(id, e.To)
+				if np <= 0 {
+					continue
+				}
+				if np > next[e.To] {
+					next[e.To] = np
+				}
+				if cur, ok := best[e.To]; !ok || np > cur.prob {
+					best[e.To] = cand{e.To, np, d}
+				}
+			}
+		}
+		frontier = next
+	}
+	cands := make([]cand, 0, len(best))
+	for _, c := range best {
+		if c.prob >= beamMinProb && (compressed == nil || compressed(c.id)) {
+			cands = append(cands, c)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.prob != b.prob {
+			return a.prob > b.prob
+		}
+		if a.dist != b.dist {
+			return a.dist < b.dist
+		}
+		return a.id < b.id
 	})
-	return best, found
+	if len(cands) > beamWidth {
+		cands = cands[:beamWidth]
+	}
+	out := make([]cfg.BlockID, len(cands))
+	for i, c := range cands {
+		out[i] = c.id
+	}
+	return out
+}
+
+// ObserveEdge feeds the policy the edge actually traversed, after
+// PrefetchCandidates for that edge: the predictor learns it when it
+// drives prefetch (PrefetchBest, or markov-prefetch always).
+func (p *Policy[K]) ObserveEdge(from, to cfg.BlockID) {
+	if p.pred != nil && (p.markov || p.env.Mode == PrefetchBest) {
+		p.pred.Observe(from, to)
+	}
 }

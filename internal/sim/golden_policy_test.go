@@ -11,11 +11,12 @@ import (
 
 	"apbcc/internal/compress"
 	"apbcc/internal/core"
+	"apbcc/internal/policy"
 	"apbcc/internal/trace"
 	"apbcc/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/seed_golden.json from the current implementation")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata fixtures of the tests that run from the current implementation")
 
 // goldenCell is one (workload, configuration) run captured in the
 // fixture: the full policy-level counter set, the total cycle count and
@@ -108,7 +109,7 @@ func runGoldenCell(w *workloads.Workload, conf core.Config) (*goldenCell, error)
 }
 
 // TestDefaultPolicyMatchesSeedGolden proves the default replacement and
-// prefetch policy (PaperKLRU) reproduces the seed Manager's behavior
+// prefetch policy (klru) reproduces the seed Manager's behavior
 // exactly: for every workload in the suite under every strategy (plus
 // budget mode), the complete event stream, cycle count and Stats must
 // match the fixture captured from the pre-refactor implementation.
@@ -152,7 +153,62 @@ func TestDefaultPolicyMatchesSeedGolden(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("testdata", "seed_golden.json")
+	checkGolden(t, "seed_golden.json", cells)
+}
+
+// TestPoliciesMatchGolden pins the three alternative policies the way
+// the seed fixture pins klru: every E4 workload under every golden
+// configuration must reproduce the event stream, cycle count and Stats
+// recorded in the fixture. The budget configurations force evictions,
+// so each policy's victim rule is exercised, not just its prefetch.
+func TestPoliciesMatchGolden(t *testing.T) {
+	var cells []goldenCell
+	for _, wname := range []string{"zipf", "loopphase", "jpegdct", "mpeg2motion"} {
+		w, err := workloads.ByName(wname)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := w.Program.CodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec, err := compress.New("dict", code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, names, err := goldenConfigs(w, codec)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, pname := range []string{"cost-aware", "lfu", "markov-prefetch"} {
+			for i := range names {
+				// Policies and the pre-single predictor carry per-run
+				// state, so every cell gets fresh ones.
+				confs, _, err := goldenConfigs(w, codec)
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				conf := confs[i]
+				if conf.Policy, err = policy.New[core.UnitID](pname); err != nil {
+					t.Fatal(err)
+				}
+				cell, err := runGoldenCell(w, conf)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", w.Name, pname, names[i], err)
+				}
+				cell.Config = pname + "/" + names[i]
+				cells = append(cells, *cell)
+			}
+		}
+	}
+	checkGolden(t, "policy_golden.json", cells)
+}
+
+// checkGolden compares cells with testdata/<file>, or rewrites the
+// fixture under -update-golden.
+func checkGolden(t *testing.T, file string, cells []goldenCell) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -184,13 +240,13 @@ func TestDefaultPolicyMatchesSeedGolden(t *testing.T) {
 			t.Fatalf("cell %d is %s/%s, fixture has %s/%s", i, g.Workload, g.Config, wc.Workload, wc.Config)
 		}
 		if g.Stats != wc.Stats {
-			t.Errorf("%s/%s: stats diverged from seed\n got %+v\nwant %+v", g.Workload, g.Config, g.Stats, wc.Stats)
+			t.Errorf("%s/%s: stats diverged from the fixture\n got %+v\nwant %+v", g.Workload, g.Config, g.Stats, wc.Stats)
 		}
 		if g.Cycles != wc.Cycles {
-			t.Errorf("%s/%s: cycles %d, seed %d", g.Workload, g.Config, g.Cycles, wc.Cycles)
+			t.Errorf("%s/%s: cycles %d, fixture %d", g.Workload, g.Config, g.Cycles, wc.Cycles)
 		}
 		if g.Events != wc.Events || g.EventsH != wc.EventsH {
-			t.Errorf("%s/%s: event stream diverged from seed (%d events hash %x, seed %d hash %x)",
+			t.Errorf("%s/%s: event stream diverged from the fixture (%d events hash %x, fixture %d hash %x)",
 				g.Workload, g.Config, g.Events, g.EventsH, wc.Events, wc.EventsH)
 		}
 	}
