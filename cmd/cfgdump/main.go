@@ -1,12 +1,17 @@
 // Command cfgdump inspects the control flow graph of a workload or an
 // ERI32 assembly file: a text summary, the analyses (dominators, loops,
-// k-edge reachability) and Graphviz DOT export.
+// the k-edge look-ahead) and Graphviz DOT export.
 //
 // Usage:
 //
 //	cfgdump -workload fft                 # text summary
 //	cfgdump -workload fft -dot            # DOT on stdout
-//	cfgdump -asm prog.s -within B0:3      # blocks ≤3 edges from B0
+//	cfgdump -asm prog.s -within B0:3      # blocks ≤3 edges ahead of B0's exit
+//
+// -within prints a row of the pre-decompression look-ahead table
+// (cfg.Lookahead): the blocks at most K edges ahead of the block's
+// exit, nearest first, with each one's distance. A block that a cycle
+// brings back is listed at the cycle's length.
 package main
 
 import (
@@ -26,7 +31,7 @@ func main() {
 		workload = flag.String("workload", "", "suite workload name")
 		asmFile  = flag.String("asm", "", "ERI32 assembly file to analyze instead")
 		dot      = flag.Bool("dot", false, "emit Graphviz DOT")
-		within   = flag.String("within", "", "LABEL:K — print blocks at most K edges from LABEL")
+		within   = flag.String("within", "", "LABEL:K — print blocks at most K edges ahead of LABEL's exit")
 	)
 	flag.Parse()
 
@@ -70,10 +75,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		dist := g.DistancesFrom(b.ID)
+		ids, dist := g.Lookahead(k).Row(b.ID)
 		tb := report.NewTable(fmt.Sprintf("blocks at most %d edges from %s", k, b), "block", "distance", "bytes")
-		for _, id := range g.WithinK(b.ID, k) {
-			tb.AddRow(g.Block(id).String(), dist[id], g.Block(id).Bytes())
+		for i, id := range ids {
+			tb.AddRow(g.Block(id).String(), dist[i], g.Block(id).Bytes())
 		}
 		fmt.Print(tb)
 		return

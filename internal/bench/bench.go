@@ -218,15 +218,17 @@ func CodecArbitration(weights []float64) (*report.Table, error) {
 		}
 		codecs := make([]compress.Codec, len(names))
 		singles := make([]int, len(names)) // whole-program compressed bytes
+		var buf []byte
 		for i, name := range names {
 			if codecs[i], err = compress.New(name, code); err != nil {
 				return nil, err
 			}
-			st, err := compress.Measure(codecs[i], blocks)
-			if err != nil {
-				return nil, err
+			for _, b := range blocks {
+				if buf, err = codecs[i].CompressAppend(buf[:0], b); err != nil {
+					return nil, fmt.Errorf("bench: E3b %s: %w", w.Name, err)
+				}
+				singles[i] += len(buf)
 			}
-			singles[i] = st.CompressedBytes
 		}
 		bestIdx := 0
 		for i, s := range singles {

@@ -226,30 +226,31 @@ func TestLoopDepths(t *testing.T) {
 
 func TestDistancesFrom(t *testing.T) {
 	g, ids := diamond(t)
-	dist := g.DistancesFrom(ids[0])
-	want := []int{0, 1, 1, 2}
-	for i, w := range want {
-		if dist[ids[i]] != w {
-			t.Errorf("dist[%v] = %d, want %d", ids[i], dist[ids[i]], w)
-		}
+	row, dist := g.Lookahead(2).Row(ids[0])
+	want := []BlockID{ids[1], ids[2], ids[3]}
+	if !slices.Equal(row, want) || !slices.Equal(dist, []int{1, 1, 2}) {
+		t.Errorf("row(A, k=2) = %v at distances %v, want %v at [1 1 2]", row, dist, want)
 	}
 }
 
 func TestWithinK(t *testing.T) {
 	g, ids := diamond(t)
-	got := g.WithinK(ids[0], 1)
+	got, _ := g.Lookahead(1).Row(ids[0])
 	if len(got) != 2 {
-		t.Fatalf("WithinK(A,1) = %v", got)
+		t.Fatalf("row(A, k=1) = %v", got)
 	}
-	got = g.WithinK(ids[0], 2)
+	got, _ = g.Lookahead(2).Row(ids[0])
 	if len(got) != 3 {
-		t.Fatalf("WithinK(A,2) = %v", got)
+		t.Fatalf("row(A, k=2) = %v", got)
 	}
 	if got[len(got)-1] != ids[3] {
 		t.Error("farthest block should sort last")
 	}
-	if g.WithinK(ids[0], 0) != nil {
-		t.Error("WithinK k=0 should be empty")
+	if got, _ := g.Lookahead(0).Row(ids[0]); len(got) != 0 {
+		t.Errorf("row(A, k=0) = %v, want empty", got)
+	}
+	if got, dist := g.Lookahead(2).Row(None); got != nil || dist != nil {
+		t.Errorf("row(None) = %v, %v, want nil", got, dist)
 	}
 }
 
@@ -259,12 +260,15 @@ func TestWithinKCycleIncludesSource(t *testing.T) {
 	b := g.AddBlock("B", 1)
 	g.MustAddEdge(a, b, EdgeJump, 1)
 	g.MustAddEdge(b, a, EdgeJump, 1)
-	got := g.WithinK(a, 2)
+	got, dist := g.Lookahead(2).Row(a)
 	if len(got) != 2 {
-		t.Fatalf("WithinK = %v, want {B, A}", got)
+		t.Fatalf("row = %v, want {B, A}", got)
 	}
 	if got[0] != b || got[1] != a {
 		t.Errorf("order = %v", got)
+	}
+	if dist[1] != 2 {
+		t.Errorf("dist(A->A) = %d, want 2 (the cycle's length)", dist[1])
 	}
 }
 
@@ -277,47 +281,21 @@ func TestFigure2Distances(t *testing.T) {
 	}
 	b1, _ := g.BlockByLabel("B1")
 	b7, _ := g.BlockByLabel("B7")
-	dist := g.DistancesFrom(b1.ID)
-	if dist[b7.ID] != 3 {
-		t.Errorf("dist(B1->B7) = %d, want exactly 3 (k=3 example)", dist[b7.ID])
+	if row, _ := g.Lookahead(3).Row(b1.ID); !slices.Contains(row, b7.ID) {
+		t.Errorf("row(B1, k=3) = %v lacks B7 (k=3 example)", row)
+	}
+	if row, _ := g.Lookahead(2).Row(b1.ID); slices.Contains(row, b7.ID) {
+		t.Errorf("row(B1, k=2) = %v holds B7, which is 3 edges ahead", row)
 	}
 	b0, _ := g.BlockByLabel("B0")
-	within := g.WithinK(b0.ID, 2)
+	within, _ := g.Lookahead(2).Row(b0.ID)
 	set := map[string]bool{}
 	for _, id := range within {
 		set[g.Block(id).Label] = true
 	}
 	for _, want := range []string{"B4", "B5", "B8", "B9"} {
 		if !set[want] {
-			t.Errorf("WithinK(B0,2) missing %s (pre-decompress-all example); got %v", want, set)
-		}
-	}
-}
-
-func TestMaxProbWithin(t *testing.T) {
-	g := New()
-	a := g.AddBlock("A", 1)
-	b := g.AddBlock("B", 1)
-	c := g.AddBlock("C", 1)
-	d := g.AddBlock("D", 1)
-	g.MustAddEdge(a, b, EdgeTaken, 0.9)
-	g.MustAddEdge(a, c, EdgeFallthrough, 0.1)
-	g.MustAddEdge(b, d, EdgeJump, 1)
-	g.MustAddEdge(c, d, EdgeJump, 1)
-	g.Normalize()
-	rps := g.MaxProbWithin(a, 2)
-	if len(rps) != 3 {
-		t.Fatalf("rps = %v", rps)
-	}
-	if rps[0].ID != b || math.Abs(rps[0].Prob-0.9) > 1e-9 {
-		t.Errorf("best = %+v, want B at 0.9", rps[0])
-	}
-	// D reachable via B with prob 0.9 (not via C at 0.1).
-	for _, rp := range rps {
-		if rp.ID == d {
-			if math.Abs(rp.Prob-0.9) > 1e-9 || rp.Dist != 2 {
-				t.Errorf("D = %+v, want prob 0.9 dist 2", rp)
-			}
+			t.Errorf("row(B0, k=2) missing %s (pre-decompress-all example); got %v", want, set)
 		}
 	}
 }

@@ -236,9 +236,9 @@ type Transition struct {
 	InFlight bool
 	// Prefetches are new background decompressions issued by the
 	// pre-decompression strategies on this edge.
-	Prefetches []*Job
+	Prefetches []Job
 	// Deletes are k-edge compressions issued on this edge (background).
-	Deletes []*Job
+	Deletes []Job
 	// Evicted counts LRU evictions performed synchronously to make room
 	// under a memory budget.
 	Evicted int

@@ -300,9 +300,6 @@ func (m *Manager) NumUnits() int { return len(m.units) }
 // UnitBytes returns a unit's uncompressed size.
 func (m *Manager) UnitBytes(u UnitID) int { return len(m.units[u].plain) }
 
-// UnitCompressedBytes returns a unit's compressed size.
-func (m *Manager) UnitCompressedBytes(u UnitID) int { return len(m.units[u].comp) }
-
 // IsLive reports whether the unit currently has a usable or in-flight
 // decompressed copy.
 func (m *Manager) IsLive(u UnitID) bool {
@@ -452,8 +449,7 @@ func (m *Manager) EnterBlock(from, to cfg.BlockID) (*Transition, error) {
 		if id == target || (u.state != stateLive && u.state != stateIssued) {
 			continue // defensive: a policy may only expire resident units
 		}
-		job := m.deleteUnit(u, tr)
-		tr.Deletes = append(tr.Deletes, job)
+		tr.Deletes = append(tr.Deletes, m.deleteUnit(u, tr))
 	}
 
 	// --- Pre-decompression phase -------------------------------------
@@ -606,7 +602,7 @@ func (m *Manager) evictLRU(incoming UnitID, tr *Transition) bool {
 // remembered branch site at the compressed area, drop (or schedule the
 // writeback of) the copy. Returns the background job for the
 // compression thread.
-func (m *Manager) deleteUnit(u *unit, tr *Transition) *Job {
+func (m *Manager) deleteUnit(u *unit, tr *Transition) Job {
 	if u.state == stateIssued || !u.everUsed {
 		m.stats.WastedPrefetches++
 	}
@@ -621,14 +617,14 @@ func (m *Manager) deleteUnit(u *unit, tr *Transition) *Job {
 		u.dying = append(u.dying, u.addr)
 		u.state = stateCompressed
 		m.occTouch()
-		return &Job{Kind: JobWriteback, Unit: u.id, Bytes: len(u.plain), Sites: sites}
+		return Job{Kind: JobWriteback, Unit: u.id, Bytes: len(u.plain), Sites: sites}
 	}
 	if err := m.img.Managed().Free(u.addr); err != nil {
 		panic(fmt.Sprintf("core: delete free: %v", err))
 	}
 	u.state = stateCompressed
 	m.occTouch()
-	return &Job{Kind: JobDelete, Unit: u.id, Bytes: len(u.plain), Sites: sites}
+	return Job{Kind: JobDelete, Unit: u.id, Bytes: len(u.plain), Sites: sites}
 }
 
 // unpatchUnit re-points at the compressed area (a) every remembered
@@ -672,7 +668,7 @@ func (m *Manager) maybePrefetch(id UnitID, tr *Transition) {
 	u.everUsed = false
 	m.stats.Prefetches++
 	m.record(EvPreDecompress, u.blocks[0], id)
-	tr.Prefetches = append(tr.Prefetches, &Job{Kind: JobDecompress, Unit: id, Bytes: len(u.plain)})
+	tr.Prefetches = append(tr.Prefetches, Job{Kind: JobDecompress, Unit: id, Bytes: len(u.plain)})
 }
 
 // ForceEvict synchronously evicts the least-recently-used live unit
@@ -733,17 +729,6 @@ func (m *Manager) FinishDelete(id UnitID) error {
 	}
 	m.occTouch()
 	return nil
-}
-
-// CompressedImage returns a copy of a unit's compressed form; the
-// concurrent runtime feeds it to real decompression workers.
-func (m *Manager) CompressedImage(id UnitID) []byte {
-	return append([]byte(nil), m.units[id].comp...)
-}
-
-// PlainImage returns a copy of a unit's original uncompressed image.
-func (m *Manager) PlainImage(id UnitID) []byte {
-	return append([]byte(nil), m.units[id].plain...)
 }
 
 // UnitPlainView returns a unit's original uncompressed image without

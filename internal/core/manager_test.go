@@ -251,7 +251,7 @@ func TestFigure2GoldenPreDecompression(t *testing.T) {
 		u := func(l string) UnitID { return unitOfLabel(t, m, p, l) }
 		trs := drive(t, m, p, "B1", "B0")
 		// Transition 0 is the initial entry into B1 (anchored at B1 but
-		// covering WithinK(B1,3) = {B0,B3,B4,B5,B7,B8,B9}); the figure's
+		// covering its k=3 look-ahead row {B0,B3,B4,B5,B7,B8,B9}); the figure's
 		// moment is the exit of B1 = transition 1. B7 must have been
 		// issued by then and not before the exit of B1's entry edge...
 		// The defining property: B7 is issued at the *exit* of B1, i.e.
@@ -298,7 +298,7 @@ func TestFigure2GoldenPreDecompression(t *testing.T) {
 		// After entering B0 (transition 1, anchor B1, k=2) the issued
 		// set is {B0 demand, B3, B4 prefetched}. Leaving B0 (transition
 		// 2, anchor B0) must issue exactly the compressed remainder of
-		// WithinK(B0,2) = {B5, B7, B8, B9}.
+		// B0's k=2 look-ahead row, {B5, B7, B8, B9}.
 		got := map[UnitID]bool{}
 		for _, j := range trs[2].Prefetches {
 			got[j.Unit] = true
@@ -552,9 +552,9 @@ func TestWritebackModeDefersFree(t *testing.T) {
 	// Entering B3 deletes B0 (k=2) as a writeback job; its memory stays
 	// claimed until FinishDelete.
 	var job *Job
-	for _, d := range trs[2].Deletes {
-		if d.Unit == u("B0") {
-			job = d
+	for i := range trs[2].Deletes {
+		if trs[2].Deletes[i].Unit == u("B0") {
+			job = &trs[2].Deletes[i]
 		}
 	}
 	if job == nil || job.Kind != JobWriteback {

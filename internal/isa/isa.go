@@ -441,10 +441,6 @@ func (in Instruction) IsControl() bool {
 	return in.IsBranch() || in.IsJump() || in.IsIndirect() || in.Op == OpHALT
 }
 
-// EndsBlock reports whether the instruction terminates a basic block:
-// any control transfer does.
-func (in Instruction) EndsBlock() bool { return in.IsControl() }
-
 // HasFallthrough reports whether control can continue to the next
 // sequential instruction after this one executes. Unconditional jumps,
 // indirect jumps (jr) and halt do not fall through; conditional branches

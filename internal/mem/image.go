@@ -61,9 +61,6 @@ func NewImage(base Addr, compSizes []int, managedSize int) (*Image, error) {
 	return img, nil
 }
 
-// CompressedBase returns the first address of the compressed area.
-func (img *Image) CompressedBase() Addr { return img.compBase }
-
 // CompressedSize returns the compressed area size in bytes: the minimum
 // memory the application can occupy.
 func (img *Image) CompressedSize() int { return img.compSize }

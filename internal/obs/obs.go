@@ -1,8 +1,9 @@
 // Package obs is the serving stack's zero-dependency observability
 // layer: request-scoped traces of back-to-back stage tiles carried via
-// context.Context, a lock-striped ring buffer of completed traces with
-// tail-latency exemplars, Prometheus text-exposition helpers (writer
-// and linter), and log/slog construction shared by the commands.
+// context.Context, a ring buffer of completed traces with tail-latency
+// exemplars under one mutex, Prometheus text-exposition helpers
+// (writer and linter), and log/slog construction shared by the
+// commands.
 //
 // The design center is the nil-sink fast path: every method on a nil
 // *Trace or nil *Recorder is a no-op that touches no clock and

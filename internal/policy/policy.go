@@ -27,6 +27,14 @@
 // under an online Markov predictor, and the best beamWidth candidates
 // at or above beamMinProb are proposed, under any configured strategy.
 //
+// Prefetch scoring asks one question of the CFG: which blocks lie
+// within k edges ahead of the running block (Section 4)?
+// Pre-decompress-all reads the answer from the graph's k-edge table
+// (cfg.Lookahead), which Bind builds once. Pre-decompress-single and
+// markov-prefetch share one path-probability search, which runs in
+// block-indexed scratch that the policy owns. Neither allocates per
+// edge.
+//
 // # Contract
 //
 // A Policy tracks a set of resident entries identified by ordered keys
@@ -42,8 +50,9 @@
 //     simulator and a concurrent runtime replaying the same edge
 //     stream evict identically.
 //   - PrefetchCandidates proposes blocks to pre-decompress after
-//     execution crosses an edge, best candidate first; ObserveEdge
-//     feeds the traversed edge back so online predictors adapt.
+//     execution crosses an edge, best candidate first, in a slice that
+//     is read-only and valid until the next call; ObserveEdge feeds the
+//     traversed edge back so online predictors adapt.
 //
 // Callers hold their own lock around every method; a Policy is not
 // concurrency-safe and carries per-run state, so one value must not be
@@ -58,7 +67,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"apbcc/internal/cfg"
 	"apbcc/internal/trace"
@@ -161,10 +169,12 @@ func Names() []string {
 // contract.
 type Policy[K cmp.Ordered] struct {
 	rule
-	env  Env
-	pred trace.Predictor // the prefetch predictor: Env.Predictor, or the beam's own
-	recs map[K]*record
-	keys []K // resident keys, ascending
+	env   Env
+	pred  trace.Predictor // the prefetch predictor: Env.Predictor, or markov-prefetch's own
+	ahead *cfg.Lookahead  // PrefetchAll's k-edge table
+	paths paths           // the path-probability search's scratch
+	recs  map[K]*record
+	keys  []K // resident keys, ascending
 	// floor is the GreedyDual L value: the inflation clock that makes
 	// old H values comparable with fresh ones.
 	floor float64
@@ -198,12 +208,24 @@ func New[K cmp.Ordered](name string) (*Policy[K], error) {
 // Name identifies the policy in flags, reports and bench tables.
 func (p *Policy[K]) Name() string { return p.name }
 
-// Bind gives the policy its environment; call once before use.
+// Bind gives the policy its environment; call once before use. It
+// builds what prefetch scoring reads: the graph's k-edge table for
+// PrefetchAll, the search's scratch for PrefetchBest and
+// markov-prefetch.
 func (p *Policy[K]) Bind(env Env) {
 	p.env = env
 	p.pred = env.Predictor
-	if p.markov && p.pred == nil && env.Graph != nil {
-		p.pred = trace.NewMarkov(env.Graph)
+	p.ahead, p.paths = nil, paths{}
+	if g := env.Graph; g != nil {
+		if p.markov && p.pred == nil {
+			p.pred = trace.NewMarkov(g)
+		}
+		switch {
+		case p.markov || env.Mode == PrefetchBest:
+			p.paths = newPaths(g.NumBlocks())
+		case env.Mode == PrefetchAll:
+			p.ahead = g.Lookahead(env.LookaheadK)
+		}
 	}
 	p.recs = make(map[K]*record)
 	p.keys = nil
@@ -344,82 +366,124 @@ func (p *Policy[K]) OldestUse(evictable func(K) bool) (clock int64, ok bool) {
 
 // PrefetchCandidates proposes blocks to pre-decompress after execution
 // crosses the edge ending at anchor, best first. compressed reports
-// whether a block currently lacks a copy. The Figure 3 strategies
-// propose everything within LookaheadK edges (PrefetchAll) or the
-// single most probable compressed block there (PrefetchBest).
+// whether a block currently lacks a copy; nil admits every block. The
+// Figure 3 strategies propose everything within LookaheadK edges
+// (PrefetchAll, a row of the table Bind built) or the single most
+// probable compressed block there (PrefetchBest). The result is
+// read-only and valid until the next call.
 func (p *Policy[K]) PrefetchCandidates(anchor cfg.BlockID, compressed func(cfg.BlockID) bool) []cfg.BlockID {
-	if p.markov {
-		return p.beam(anchor, compressed)
-	}
-	switch p.env.Mode {
-	case PrefetchAll:
-		return p.env.Graph.WithinK(anchor, p.env.LookaheadK)
-	case PrefetchBest:
-		if best, ok := trace.BestWithinK(p.env.Graph, p.pred, anchor, p.env.LookaheadK, compressed); ok {
-			return []cfg.BlockID{best}
-		}
+	switch {
+	case p.markov:
+		return p.likeliest(anchor, cmp.Or(p.env.LookaheadK, beamDepth), beamWidth, beamMinProb, compressed)
+	case p.env.Mode == PrefetchAll:
+		ids, _ := p.ahead.Row(anchor)
+		return ids
+	case p.env.Mode == PrefetchBest:
+		return p.likeliest(anchor, p.env.LookaheadK, 1, 0, compressed)
 	}
 	return nil
 }
 
-// beam is markov-prefetch's proposal: a search over path probabilities
-// within the lookahead, best first, deterministic (probability
-// descending, then distance ascending, then block ID ascending).
-func (p *Policy[K]) beam(anchor cfg.BlockID, compressed func(cfg.BlockID) bool) []cfg.BlockID {
-	g := p.env.Graph
-	if g == nil || p.pred == nil {
+// paths is the scratch of the path-probability search, indexed by
+// block and sized in Bind. Every probability is zero between searches,
+// and each list holds a block at most once.
+type paths struct {
+	at, next []float64     // best probability of standing at each block's exit after d and d+1 edges
+	prob     []float64     // best probability over all depths so far
+	dist     []int         // the fewest edges that reach prob
+	front    []cfg.BlockID // the blocks with at > 0
+	grow     []cfg.BlockID // the blocks with next > 0
+	reached  []cfg.BlockID // the blocks with prob > 0
+	out      []cfg.BlockID // the result, best first
+}
+
+// newPaths sizes the scratch for a graph of the given number of
+// blocks, so that no search grows it.
+func newPaths(blocks int) paths {
+	return paths{
+		at: make([]float64, blocks), next: make([]float64, blocks),
+		prob: make([]float64, blocks), dist: make([]int, blocks),
+		front: make([]cfg.BlockID, 0, blocks), grow: make([]cfg.BlockID, 0, blocks),
+		reached: make([]cfg.BlockID, 0, blocks),
+		out:     make([]cfg.BlockID, 0, beamWidth+1),
+	}
+}
+
+// likeliest is the path-probability search of pre-decompress-single
+// (n = 1, floor 0) and markov-prefetch (n = beamWidth, floor
+// beamMinProb). It scores every block at most depth edges ahead of the
+// exit of anchor by its best path probability, the product of the
+// predictor's one-step estimates along the path, and returns the best
+// n blocks whose probability is at least floor and which accept admits
+// (nil admits all): probability descending, then distance, then ID.
+// The result is the scratch's own slice.
+func (p *Policy[K]) likeliest(anchor cfg.BlockID, depth, n int, floor float64, accept func(cfg.BlockID) bool) []cfg.BlockID {
+	s := &p.paths
+	if p.pred == nil || anchor < 0 || int(anchor) >= len(s.at) {
 		return nil
 	}
-	type cand struct {
-		id   cfg.BlockID
-		prob float64
-		dist int
-	}
-	best := make(map[cfg.BlockID]cand)
-	frontier := map[cfg.BlockID]float64{anchor: 1}
-	depth := cmp.Or(p.env.LookaheadK, beamDepth)
-	for d := 1; d <= depth && len(frontier) > 0; d++ {
-		next := make(map[cfg.BlockID]float64)
-		for id, prob := range frontier {
-			for _, e := range g.Succs(id) {
-				np := prob * p.pred.Prob(id, e.To)
+	s.at[anchor] = 1
+	s.front = append(s.front, anchor)
+	for d := 1; d <= depth && len(s.front) > 0; d++ {
+		for _, id := range s.front {
+			for _, e := range p.env.Graph.Succs(id) {
+				np := s.at[id] * p.pred.Prob(id, e.To)
 				if np <= 0 {
 					continue
 				}
-				if np > next[e.To] {
-					next[e.To] = np
+				if s.next[e.To] == 0 {
+					s.grow = append(s.grow, e.To)
 				}
-				if cur, ok := best[e.To]; !ok || np > cur.prob {
-					best[e.To] = cand{e.To, np, d}
+				s.next[e.To] = max(s.next[e.To], np)
+				if s.prob[e.To] == 0 {
+					s.reached = append(s.reached, e.To)
+				}
+				if np > s.prob[e.To] {
+					s.prob[e.To], s.dist[e.To] = np, d
 				}
 			}
 		}
-		frontier = next
+		for _, id := range s.front {
+			s.at[id] = 0
+		}
+		s.at, s.next = s.next, s.at
+		s.front, s.grow = s.grow, s.front[:0]
 	}
-	cands := make([]cand, 0, len(best))
-	for _, c := range best {
-		if c.prob >= beamMinProb && (compressed == nil || compressed(c.id)) {
-			cands = append(cands, c)
+	for _, id := range s.front {
+		s.at[id] = 0
+	}
+	s.front = s.front[:0]
+	s.out = s.out[:0]
+	for _, id := range s.reached {
+		if s.prob[id] < floor || accept != nil && !accept(id) {
+			continue
+		}
+		i := len(s.out)
+		for i > 0 && s.precedes(id, s.out[i-1]) {
+			i--
+		}
+		if i < n {
+			s.out = slices.Insert(s.out, i, id)
+			s.out = s.out[:min(len(s.out), n)]
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.prob != b.prob {
-			return a.prob > b.prob
-		}
-		if a.dist != b.dist {
-			return a.dist < b.dist
-		}
-		return a.id < b.id
-	})
-	if len(cands) > beamWidth {
-		cands = cands[:beamWidth]
+	for _, id := range s.reached {
+		s.prob[id] = 0
 	}
-	out := make([]cfg.BlockID, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
+	s.reached = s.reached[:0]
+	return s.out
+}
+
+// precedes reports whether block a ranks before block b: a higher
+// probability, then fewer edges, then the lower ID.
+func (s *paths) precedes(a, b cfg.BlockID) bool {
+	if s.prob[a] != s.prob[b] {
+		return s.prob[a] > s.prob[b]
 	}
-	return out
+	if s.dist[a] != s.dist[b] {
+		return s.dist[a] < s.dist[b]
+	}
+	return a < b
 }
 
 // ObserveEdge feeds the policy the edge actually traversed, after

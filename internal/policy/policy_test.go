@@ -2,6 +2,7 @@ package policy
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"apbcc/internal/cfg"
@@ -255,6 +256,58 @@ func TestStrategyDispatch(t *testing.T) {
 	got := best.PrefetchCandidates(a, func(cfg.BlockID) bool { return true })
 	if len(got) != 1 || got[0] != b {
 		t.Errorf("pre-single candidates = %v want [B]", got)
+	}
+}
+
+// preSingle binds a klru policy that proposes by pre-decompress-single
+// under g's static annotations, k edges ahead.
+func preSingle(t *testing.T, g *cfg.Graph, k int) *Policy[int] {
+	t.Helper()
+	return bound[int](t, "klru", Env{
+		Graph: g, Mode: PrefetchBest, LookaheadK: k, ExpireK: 4,
+		Predictor: trace.NewStatic(g),
+	})
+}
+
+func TestBestWithinK(t *testing.T) {
+	g := cfg.Figure2()
+	g.Normalize()
+	b0, _ := g.BlockByLabel("B0")
+	b3, _ := g.BlockByLabel("B3")
+	b4, _ := g.BlockByLabel("B4")
+	// Accept everything: the best 1-edge candidate from B0 is B3 (0.6).
+	got := preSingle(t, g, 1).PrefetchCandidates(b0.ID, func(cfg.BlockID) bool { return true })
+	if !slices.Equal(got, []cfg.BlockID{b3.ID}) {
+		t.Errorf("best = %v, want [B3]", got)
+	}
+	// Reject B3: next best within 1 edge is B4 (0.4).
+	got = preSingle(t, g, 1).PrefetchCandidates(b0.ID, func(id cfg.BlockID) bool { return id != b3.ID })
+	if !slices.Equal(got, []cfg.BlockID{b4.ID}) {
+		t.Errorf("best = %v, want [B4]", got)
+	}
+	// Nothing acceptable.
+	if got := preSingle(t, g, 2).PrefetchCandidates(b0.ID, func(cfg.BlockID) bool { return false }); len(got) != 0 {
+		t.Errorf("found %v with universal reject", got)
+	}
+}
+
+func TestBestWithinKPrefersHighProbPath(t *testing.T) {
+	// A -> B (0.9) -> D; A -> C (0.1) -> E. Within 2 edges, D should be
+	// preferred over E.
+	g := cfg.New()
+	a := g.AddBlock("A", 1)
+	b := g.AddBlock("B", 1)
+	c := g.AddBlock("C", 1)
+	d := g.AddBlock("D", 1)
+	e := g.AddBlock("E", 1)
+	g.MustAddEdge(a, b, cfg.EdgeTaken, 0.9)
+	g.MustAddEdge(a, c, cfg.EdgeFallthrough, 0.1)
+	g.MustAddEdge(b, d, cfg.EdgeJump, 1)
+	g.MustAddEdge(c, e, cfg.EdgeJump, 1)
+	g.Normalize()
+	deep := func(id cfg.BlockID) bool { return id == d || id == e }
+	if got := preSingle(t, g, 2).PrefetchCandidates(a, deep); !slices.Equal(got, []cfg.BlockID{d}) {
+		t.Errorf("best = %v, want [D]", got)
 	}
 }
 

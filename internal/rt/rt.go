@@ -229,15 +229,13 @@ func (r *Runtime) Execute(tr *trace.Trace) (*Summary, error) {
 
 		// Register ready channels for new prefetches, then send the
 		// jobs outside the lock (the workers need the lock to make
-		// progress).
-		var sends []core.Job
+		// progress). x is this step's own value, so its job slices can
+		// be read after the unlock.
 		for _, p := range x.Prefetches {
 			if _, dup := r.ready[p.Unit]; !dup {
 				r.ready[p.Unit] = make(chan struct{})
 			}
-			sends = append(sends, *p)
 		}
-		var deletes []core.Job
 		for _, d := range x.Deletes {
 			// The copy is logically gone now. The entered unit is never
 			// in Deletes, so no buffer handed out this step is recycled.
@@ -245,17 +243,16 @@ func (r *Runtime) Execute(tr *trace.Trace) (*Summary, error) {
 				compress.PutBuf(old)
 				delete(r.copies, d.Unit)
 			}
-			deletes = append(deletes, *d)
 		}
 		r.mu.Unlock()
 
 		if wait != nil {
 			<-wait
 		}
-		for _, j := range sends {
+		for _, j := range x.Prefetches {
 			r.decompCh <- j
 		}
-		for _, j := range deletes {
+		for _, j := range x.Deletes {
 			r.compCh <- j
 		}
 

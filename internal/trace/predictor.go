@@ -130,49 +130,3 @@ func (pp *ProfiledPredictor) Prob(from, to cfg.BlockID) float64 {
 
 // Observe implements Predictor as a no-op (the profile is fixed).
 func (pp *ProfiledPredictor) Observe(from, to cfg.BlockID) {}
-
-// BestWithinK scores every block at most k edges ahead of from by its
-// maximum path probability under the predictor's one-step estimates and
-// returns the best-scoring block accepted by the filter (e.g. "is still
-// compressed"). It is the decision procedure of pre-decompress-single.
-func BestWithinK(g *cfg.Graph, pred Predictor, from cfg.BlockID, k int, accept func(cfg.BlockID) bool) (cfg.BlockID, bool) {
-	type cand struct {
-		id   cfg.BlockID
-		prob float64
-		dist int
-	}
-	best := make(map[cfg.BlockID]cand)
-	frontier := map[cfg.BlockID]float64{from: 1}
-	for d := 1; d <= k && len(frontier) > 0; d++ {
-		next := make(map[cfg.BlockID]float64)
-		for id, p := range frontier {
-			for _, e := range g.Succs(id) {
-				np := p * pred.Prob(id, e.To)
-				if np <= 0 {
-					continue
-				}
-				if np > next[e.To] {
-					next[e.To] = np
-				}
-				if cur, ok := best[e.To]; !ok || np > cur.prob {
-					best[e.To] = cand{e.To, np, d}
-				}
-			}
-		}
-		frontier = next
-	}
-	var winner cand
-	found := false
-	for _, c := range best {
-		if !accept(c.id) {
-			continue
-		}
-		if !found || c.prob > winner.prob ||
-			(c.prob == winner.prob && (c.dist < winner.dist ||
-				(c.dist == winner.dist && c.id < winner.id))) {
-			winner = c
-			found = true
-		}
-	}
-	return winner.id, found
-}

@@ -236,51 +236,6 @@ func TestProfiledPredictor(t *testing.T) {
 	}
 }
 
-func TestBestWithinK(t *testing.T) {
-	g := cfg.Figure2()
-	g.Normalize()
-	b0, _ := g.BlockByLabel("B0")
-	b3, _ := g.BlockByLabel("B3")
-	s := NewStatic(g)
-	// Accept everything: the best 1-edge candidate from B0 is B3 (0.6).
-	got, ok := BestWithinK(g, s, b0.ID, 1, func(cfg.BlockID) bool { return true })
-	if !ok || got != b3.ID {
-		t.Errorf("best = %v,%v want B3", got, ok)
-	}
-	// Reject B3: next best within 1 edge is B4 (0.4).
-	b4, _ := g.BlockByLabel("B4")
-	got, ok = BestWithinK(g, s, b0.ID, 1, func(id cfg.BlockID) bool { return id != b3.ID })
-	if !ok || got != b4.ID {
-		t.Errorf("best = %v,%v want B4", got, ok)
-	}
-	// Nothing acceptable.
-	if _, ok := BestWithinK(g, s, b0.ID, 2, func(cfg.BlockID) bool { return false }); ok {
-		t.Error("found a candidate with universal reject")
-	}
-}
-
-func TestBestWithinKPrefersHighProbPath(t *testing.T) {
-	// A -> B (0.9) -> D; A -> C (0.1) -> E. Within 2 edges, D should be
-	// preferred over E.
-	g := cfg.New()
-	a := g.AddBlock("A", 1)
-	b := g.AddBlock("B", 1)
-	c := g.AddBlock("C", 1)
-	d := g.AddBlock("D", 1)
-	e := g.AddBlock("E", 1)
-	g.MustAddEdge(a, b, cfg.EdgeTaken, 0.9)
-	g.MustAddEdge(a, c, cfg.EdgeFallthrough, 0.1)
-	g.MustAddEdge(b, d, cfg.EdgeJump, 1)
-	g.MustAddEdge(c, e, cfg.EdgeJump, 1)
-	g.Normalize()
-	s := NewStatic(g)
-	deep := func(id cfg.BlockID) bool { return id == d || id == e }
-	got, ok := BestWithinK(g, s, a, 2, deep)
-	if !ok || got != d {
-		t.Errorf("best = %v, want D", got)
-	}
-}
-
 func TestGeneratePropertyTracesAreValid(t *testing.T) {
 	figs := []func() *cfg.Graph{cfg.Figure1, cfg.Figure2, cfg.Figure5}
 	f := func(seed int64) bool {
