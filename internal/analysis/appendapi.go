@@ -9,9 +9,11 @@ import (
 
 // AppendAPI enforces the dst-prefix-preservation contract of the
 // zero-alloc codec API: implementations of CompressAppend,
-// DecompressAppend and AppendGroupOffsets receive a dst slice whose
-// existing contents belong to the caller and may only grow it. The
-// analyzer flags, inside any function with one of those names:
+// DecompressAppend, DecompressGroup and AppendGroupOffsets, and the
+// helpers decompressBlock and decompressGroup that the word-pattern
+// codecs' DecompressAppend and DecompressGroup run, receive a dst
+// slice whose existing contents belong to the caller and may only grow
+// it. The analyzer flags, inside any function with one of those names:
 //
 //   - reassignments of dst that are not calls threading dst through
 //     (dst = append(dst, …), dst = extendLen(dst, n), …) — in
@@ -35,11 +37,14 @@ var AppendAPI = &Analyzer{
 	Run:  runAppendAPI,
 }
 
-// appendAPINames are the contract-bearing method names.
+// appendAPINames are the contract-bearing function and method names.
 var appendAPINames = map[string]bool{
 	"CompressAppend":     true,
 	"DecompressAppend":   true,
+	"DecompressGroup":    true,
 	"AppendGroupOffsets": true,
+	"decompressBlock":    true,
+	"decompressGroup":    true,
 }
 
 func runAppendAPI(pass *Pass) error {

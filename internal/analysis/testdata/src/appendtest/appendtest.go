@@ -49,3 +49,11 @@ func (codec) AppendGroupOffsets(dst []uint32, comp []byte) ([]uint32, error) {
 	dst[0] = 0
 	return dst, nil
 }
+
+// decompressGroup is a helper the contract covers by name: it may only
+// grow dst, like the methods that call it.
+func decompressGroup(dst, comp []byte, words int) ([]byte, error) {
+	dst = dst[:words] // want `dst reassigned outside the append idiom`
+	copy(dst, comp)   // want `copy into dst writes from index 0`
+	return dst, nil
+}

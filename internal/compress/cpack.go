@@ -3,7 +3,6 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"apbcc/internal/isa"
 )
@@ -50,8 +49,9 @@ import (
 //
 // Decode is branch-light: a 256-entry table maps each tag byte to the
 // combined payload length of both nibbles (or rejects invalid nibbles),
-// so the hot loop does one table load and one bounds check per *pair*
-// of words, then two small class switches writing whole 4-byte words.
+// so the one decoder does one table load and one bounds check per
+// *pair* of words, then one class switch per word writing a whole
+// 4-byte word; a raw pair is one 8-byte copy.
 type cpack struct {
 	// seed is the trained initial dictionary state, ascending by
 	// frequency over seed[:seedN]; the rest is zero.
@@ -96,8 +96,8 @@ var cpackPayLen = [16]int8{
 
 // cpackPairLen maps a whole tag byte to the combined payload length of
 // both nibbles, or -1 when either nibble is not a pattern class. One
-// load against this table validates a pair and tells the fast loop how
-// far the payload extends.
+// load against this table validates a pair and tells the decoder and
+// the group-offset scan how far the payload extends.
 var cpackPairLen [256]int8
 
 func init() {
@@ -254,288 +254,136 @@ func (c *cpack) compressAppend(dst, src []byte, pats *[cpClassCount]patternAcc) 
 	return out, nil
 }
 
-// cpackDecodeNibble decodes one word of class cls at src[pos], writing
-// it to out[l:]. It assumes the payload is in range (the fast pair
-// loop's precondition) and returns the advanced pos, or -1 for a
-// dictionary index out of range.
-func cpackDecodeNibble(cls byte, src []byte, pos int, out []byte, l int, dct *[cpackDictSize]uint32, head *int) int {
-	switch cls {
-	case cpZZZZ:
-		isa.ByteOrder.PutUint32(out[l:], 0)
-	case cpMMMM:
-		idx := src[pos]
-		pos++
-		if idx >= cpackDictSize {
-			return -1
-		}
-		isa.ByteOrder.PutUint32(out[l:], dct[idx])
-	case cpZZZX:
-		isa.ByteOrder.PutUint32(out[l:], uint32(src[pos]))
-		pos++
-	case cpMMXX:
-		idx := src[pos]
-		if idx >= cpackDictSize {
-			return -1
-		}
-		v := dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
-		pos += 3
-		isa.ByteOrder.PutUint32(out[l:], v)
-		dct[*head] = v
-		*head = (*head + 1) & (cpackDictSize - 1)
-	case cpMMMX:
-		idx := src[pos]
-		if idx >= cpackDictSize {
-			return -1
-		}
-		v := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
-		pos += 2
-		isa.ByteOrder.PutUint32(out[l:], v)
-		dct[*head] = v
-		*head = (*head + 1) & (cpackDictSize - 1)
-	default: // cpXXXX — callers have already rejected invalid nibbles
-		v := isa.ByteOrder.Uint32(src[pos:])
-		pos += isa.WordSize
-		isa.ByteOrder.PutUint32(out[l:], v)
-		dct[*head] = v
-		*head = (*head + 1) & (cpackDictSize - 1)
-	}
-	return pos
+// DecompressAppend decodes a whole block with the codec's one decoder.
+// A tag byte stands for at most two ZZZZ words, 8 output bytes.
+func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
+	return decompressBlock(dst, src, c, 2*isa.WordSize)
 }
 
-// DecompressAppend is the fast-path decoder. The output image is
-// pre-sized from the length header (clamped by the most a ZZZZ-heavy
-// stream could expand to), then filled by 4-byte word stores. The hot
-// loop handles a whole word pair per iteration: one cpackPairLen load
-// both validates the tag byte and bounds the payload, so only the
-// dictionary-index range check survives per word; the two hottest tag
-// bytes (a full-match pair, a raw pair) take straight-line special
-// cases. Behavior is pinned byte-identical to refCPackDecompress by
-// FuzzDecodeEquivalence.
-func (c *cpack) DecompressAppend(dst, src []byte) ([]byte, error) {
-	n, hdr := binary.Uvarint(src)
-	if hdr <= 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: bad cpack length header", ErrCorrupt)
+// cpackTag returns the tag byte of the pair that starts with left words
+// still to decode. A final odd word uses only the low nibble (the
+// encoder writes the high one as zero), so the high nibble is masked
+// off and cpackPairLen of the result is that one word's payload length.
+func cpackTag(tag byte, left int) byte {
+	if left == 1 {
+		return tag & 0xF
 	}
-	src = src[hdr:]
-	// A tag byte (1 byte) can encode two ZZZZ words (8 output bytes),
-	// which bounds what a corrupt header can pre-allocate and proves the
-	// indexed stores stay inside the pre-sized image: each pair consumes
-	// at least its tag byte before writing 8 bytes.
-	need := clampGrow(n, 8*len(src)+isa.WordSize)
-	base := len(dst)
-	out := growCap(dst, need)
-	out = out[:base+need]
-	l := base
-	nWords := int(n) / isa.WordSize
-	pos := 0
-	w := 0
-	dct := c.seed
-	head := c.seedN & (cpackDictSize - 1)
-	// Fast pair loop: tag plus both payloads is at most 9 bytes, so one
-	// bound check up front covers the whole pair. The nibble decode is
-	// fully inlined (no cpackDecodeNibble call), so dct and head live in
-	// registers across the whole loop instead of being spilled for a
-	// non-inlinable call per word — that call was the large-block
-	// throughput collapse: per-pair function-call and dictionary-store
-	// traffic dominated once blocks outgrew the L1-resident sizes.
-	for w+2 <= nWords && pos+9 <= len(src) {
+	return tag
+}
+
+// decodeWords is cpack's one decoder (see wordDecoder). It runs a pair
+// of words per iteration: one cpackPairLen load both validates the tag
+// byte and gives the exact payload length to bound-check, so only the
+// dictionary-index range check is left per word. The three commonest
+// pairs of suite code, XXXX|XXXX, MMMM|XXXX and XXXX|MMMM (86% of the
+// suite's pairs), are decoded straight off their tag byte after a check
+// of their own exact length; a pair cut short takes the general path,
+// which reports it.
+func (c *cpack) decodeWords(out, src []byte, n int) (int, error) {
+	l, pos := 0, 0
+	var dct [cpackDictSize]uint32
+	var head uint // the next FIFO slot is head % cpackDictSize
+	for w := 0; w < n; w += 2 {
 		if w&(cpackGroupWords-1) == 0 {
-			dct = c.seed
-			head = c.seedN & (cpackDictSize - 1)
-		}
-		tag := src[pos]
-		pos++
-		switch tag {
-		case cpMMMM | cpMMMM<<4: // both full matches: 2 index loads
-			i0, i1 := src[pos], src[pos+1]
-			if i0 >= cpackDictSize || i1 >= cpackDictSize {
-				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-			}
-			pos += 2
-			isa.ByteOrder.PutUint32(out[l:], dct[i0])
-			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], dct[i1])
-		case cpXXXX | cpXXXX<<4: // both raw: one 8-byte copy + 2 pushes
-			v0 := isa.ByteOrder.Uint32(src[pos:])
-			v1 := isa.ByteOrder.Uint32(src[pos+isa.WordSize:])
-			*(*[8]byte)(out[l:]) = *(*[8]byte)(src[pos:])
-			pos += 2 * isa.WordSize
-			dct[head] = v0
-			head = (head + 1) & (cpackDictSize - 1)
-			dct[head] = v1
-			head = (head + 1) & (cpackDictSize - 1)
-		case cpXXXX | cpMMMM<<4: // raw then full match
-			v0 := isa.ByteOrder.Uint32(src[pos:])
-			idx := src[pos+isa.WordSize]
-			if idx >= cpackDictSize {
-				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-			}
-			pos += isa.WordSize + 1
-			isa.ByteOrder.PutUint32(out[l:], v0)
-			dct[head] = v0
-			head = (head + 1) & (cpackDictSize - 1)
-			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], dct[idx])
-		case cpMMMM | cpXXXX<<4: // full match then raw
-			idx := src[pos]
-			if idx >= cpackDictSize {
-				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-			}
-			v1 := isa.ByteOrder.Uint32(src[pos+1:])
-			pos += 1 + isa.WordSize
-			isa.ByteOrder.PutUint32(out[l:], dct[idx])
-			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v1)
-			dct[head] = v1
-			head = (head + 1) & (cpackDictSize - 1)
-		case cpXXXX | cpMMMX<<4: // raw then upper-24 match
-			v0 := isa.ByteOrder.Uint32(src[pos:])
-			idx := src[pos+isa.WordSize]
-			if idx >= cpackDictSize {
-				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-			}
-			dct[head] = v0
-			head = (head + 1) & (cpackDictSize - 1)
-			v1 := dct[idx]&^uint32(0xFF) | uint32(src[pos+isa.WordSize+1])
-			pos += isa.WordSize + 2
-			isa.ByteOrder.PutUint32(out[l:], v0)
-			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v1)
-			dct[head] = v1
-			head = (head + 1) & (cpackDictSize - 1)
-		case cpMMMX | cpXXXX<<4: // upper-24 match then raw
-			idx := src[pos]
-			if idx >= cpackDictSize {
-				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-			}
-			v0 := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
-			v1 := isa.ByteOrder.Uint32(src[pos+2:])
-			pos += 2 + isa.WordSize
-			isa.ByteOrder.PutUint32(out[l:], v0)
-			isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v1)
-			dct[head] = v0
-			head = (head + 1) & (cpackDictSize - 1)
-			dct[head] = v1
-			head = (head + 1) & (cpackDictSize - 1)
-		default:
-			if cpackPairLen[tag] < 0 {
-				return nil, fmt.Errorf("%w: cpack tag %#02x has no pattern class", ErrCorrupt, tag)
-			}
-			switch tag & 0xF {
-			case cpZZZZ:
-				isa.ByteOrder.PutUint32(out[l:], 0)
-			case cpMMMM:
-				idx := src[pos]
-				pos++
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				isa.ByteOrder.PutUint32(out[l:], dct[idx])
-			case cpZZZX:
-				isa.ByteOrder.PutUint32(out[l:], uint32(src[pos]))
-				pos++
-			case cpMMXX:
-				idx := src[pos]
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v := dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
-				pos += 3
-				isa.ByteOrder.PutUint32(out[l:], v)
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			case cpMMMX:
-				idx := src[pos]
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
-				pos += 2
-				isa.ByteOrder.PutUint32(out[l:], v)
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			default: // cpXXXX
-				v := isa.ByteOrder.Uint32(src[pos:])
-				pos += isa.WordSize
-				isa.ByteOrder.PutUint32(out[l:], v)
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			}
-			switch tag >> 4 {
-			case cpZZZZ:
-				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], 0)
-			case cpMMMM:
-				idx := src[pos]
-				pos++
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], dct[idx])
-			case cpZZZX:
-				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], uint32(src[pos]))
-				pos++
-			case cpMMXX:
-				idx := src[pos]
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v := dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
-				pos += 3
-				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v)
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			case cpMMMX:
-				idx := src[pos]
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v := dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
-				pos += 2
-				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v)
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			default: // cpXXXX
-				v := isa.ByteOrder.Uint32(src[pos:])
-				pos += isa.WordSize
-				isa.ByteOrder.PutUint32(out[l+isa.WordSize:], v)
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			}
-		}
-		l += 2 * isa.WordSize
-		w += 2
-	}
-	// Careful loop: remaining words with per-payload truncation checks.
-	// Its accept/reject behavior is the codec contract.
-	for w < nWords {
-		if w&(cpackGroupWords-1) == 0 {
-			dct = c.seed
-			head = c.seedN & (cpackDictSize - 1)
+			// Group boundary: the encoder restarted from the seed state.
+			dct, head = c.seed, uint(c.seedN)
 		}
 		if pos >= len(src) {
-			return nil, fmt.Errorf("%w: cpack stream truncated at word %d", ErrCorrupt, w)
+			return 0, fmt.Errorf("%w: cpack stream truncated at word %d", ErrCorrupt, w)
 		}
-		tag := src[pos]
+		tag := cpackTag(src[pos], n-w)
 		pos++
-		for half := 0; half < 2 && w < nWords; half++ {
-			cls := (tag >> (4 * half)) & 0xF
-			pay := cpackPayLen[cls]
-			if pay < 0 {
-				return nil, fmt.Errorf("%w: cpack tag nibble %d has no pattern class", ErrCorrupt, cls)
+		switch {
+		case tag == cpXXXX|cpXXXX<<4 && pos+2*isa.WordSize <= len(src):
+			// Two raw words: one 8-byte copy.
+			*(*[2 * isa.WordSize]byte)(out[l : l+2*isa.WordSize]) = *(*[2 * isa.WordSize]byte)(src[pos : pos+2*isa.WordSize])
+			dct[head%cpackDictSize] = isa.ByteOrder.Uint32(src[pos : pos+isa.WordSize])
+			head++
+			dct[head%cpackDictSize] = isa.ByteOrder.Uint32(src[pos+isa.WordSize : pos+2*isa.WordSize])
+			head++
+			pos += 2 * isa.WordSize
+			l += 2 * isa.WordSize
+			continue
+		case tag == cpXXXX|cpMMMM<<4 && pos+isa.WordSize+1 <= len(src):
+			idx := src[pos+isa.WordSize]
+			if idx >= cpackDictSize {
+				return 0, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
-			if pos+int(pay) > len(src) {
-				return nil, fmt.Errorf("%w: cpack payload truncated at word %d", ErrCorrupt, w)
+			v := isa.ByteOrder.Uint32(src[pos : pos+isa.WordSize])
+			isa.ByteOrder.PutUint32(out[l:l+isa.WordSize], v)
+			dct[head%cpackDictSize] = v
+			head++
+			isa.ByteOrder.PutUint32(out[l+isa.WordSize:l+2*isa.WordSize], dct[idx])
+			pos += isa.WordSize + 1
+			l += 2 * isa.WordSize
+			continue
+		case tag == cpMMMM|cpXXXX<<4 && pos+1+isa.WordSize <= len(src):
+			idx := src[pos]
+			if idx >= cpackDictSize {
+				return 0, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
 			}
-			pos = cpackDecodeNibble(cls, src, pos, out, l, &dct, &head)
-			if pos < 0 {
-				return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+			v := isa.ByteOrder.Uint32(src[pos+1 : pos+1+isa.WordSize])
+			isa.ByteOrder.PutUint32(out[l:l+isa.WordSize], dct[idx])
+			isa.ByteOrder.PutUint32(out[l+isa.WordSize:l+2*isa.WordSize], v)
+			dct[head%cpackDictSize] = v
+			head++
+			pos += 1 + isa.WordSize
+			l += 2 * isa.WordSize
+			continue
+		}
+		pay := cpackPairLen[tag]
+		if pay < 0 {
+			return 0, fmt.Errorf("%w: cpack tag %#02x has no pattern class", ErrCorrupt, tag)
+		}
+		if pos+int(pay) > len(src) {
+			return 0, fmt.Errorf("%w: cpack payload truncated at word %d", ErrCorrupt, w)
+		}
+		for i := 0; i < 2 && w+i < n; i++ {
+			cls := tag & 0xF
+			tag >>= 4
+			// Classes in the order of their share of suite words; ZZZZ
+			// matches no case and decodes to zero.
+			var v uint32
+			switch {
+			case cls == cpXXXX:
+				v = isa.ByteOrder.Uint32(src[pos : pos+isa.WordSize])
+				pos += isa.WordSize
+				dct[head%cpackDictSize] = v
+				head++
+			case cls == cpMMMM:
+				idx := src[pos]
+				if idx >= cpackDictSize {
+					return 0, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+				}
+				v = dct[idx]
+				pos++
+			case cls == cpMMMX:
+				idx := src[pos]
+				if idx >= cpackDictSize {
+					return 0, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+				}
+				v = dct[idx]&^uint32(0xFF) | uint32(src[pos+1])
+				pos += 2
+				dct[head%cpackDictSize] = v
+				head++
+			case cls == cpMMXX:
+				idx := src[pos]
+				if idx >= cpackDictSize {
+					return 0, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+				}
+				v = dct[idx]&^uint32(0xFFFF) | uint32(src[pos+1]) | uint32(src[pos+2])<<8
+				pos += 3
+				dct[head%cpackDictSize] = v
+				head++
+			case cls == cpZZZX:
+				v = uint32(src[pos])
+				pos++
 			}
+			isa.ByteOrder.PutUint32(out[l:l+isa.WordSize], v)
 			l += isa.WordSize
-			w++
 		}
 	}
-	tail := int(n) - nWords*isa.WordSize
-	if pos+tail > len(src) {
-		return nil, fmt.Errorf("%w: cpack tail truncated", ErrCorrupt)
-	}
-	copy(out[l:l+tail], src[pos:])
-	return out[:l+tail], nil
+	return pos, nil
 }
 
 // CountPatterns implements PatternReporter: a counting compression pass

@@ -3,18 +3,28 @@ package compress
 import (
 	"fmt"
 	"testing"
+
+	"apbcc/internal/workloads"
 )
 
-// decodeBenchSizes are the block images the decode benchmarks run
-// over: a typical basic-block unit and a production-sized block like
-// the ones the serving tier moves through its L2 tier.
+// decodeBenchSizes are the instruction counts of the trainImage images
+// the decode benchmarks run over: 2 KiB and 64 KiB of code, far larger
+// than a basic block. The <codec>/suite rows of BenchmarkDecode measure
+// the blocks that exist.
 var decodeBenchSizes = []int{512, 16384}
 
-// BenchmarkDecode is the decompress-only half of the tracked set: one
-// DecompressAppend per op through a reused dst, per codec and block
-// size. MB/s is uncompressed output per second — the number that sits
-// on the paper's instruction-fetch critical path.
+// BenchmarkDecode is the decompress-only half of the tracked set, per
+// codec: one DecompressAppend per op through a reused dst for each
+// trainImage size, and for the suite row one DecompressAppend of every
+// suite basic block per op (171 blocks, 14.6 words on average), each
+// by the codec trained on its own program. MB/s is uncompressed output
+// per second — the number that sits on the paper's instruction-fetch
+// critical path.
 func BenchmarkDecode(b *testing.B) {
+	suite, err := workloads.Suite()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range allCodecs(b) {
 		for _, size := range decodeBenchSizes {
 			c, size := c, size
@@ -36,6 +46,48 @@ func BenchmarkDecode(b *testing.B) {
 				}
 			})
 		}
+		b.Run(c.Name()+"/suite", func(b *testing.B) {
+			var codecs []Codec
+			var comps [][]byte
+			total, largest := 0, 0
+			for _, w := range suite {
+				code, err := w.Program.CodeBytes()
+				if err != nil {
+					b.Fatal(err)
+				}
+				pc, err := New(c.Name(), code)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, blk := range w.Program.Graph.Blocks() {
+					img, err := w.Program.BlockBytes(blk.ID)
+					if err != nil {
+						b.Fatal(err)
+					}
+					comp, err := pc.CompressAppend(nil, img)
+					if err != nil {
+						b.Fatal(err)
+					}
+					codecs = append(codecs, pc)
+					comps = append(comps, comp)
+					total += len(img)
+					largest = max(largest, len(img))
+				}
+			}
+			plain := make([]byte, 0, largest)
+			var err error
+			b.SetBytes(int64(total))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, comp := range comps {
+					plain, err = codecs[j].DecompressAppend(plain[:0], comp)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,14 @@
 package compress
 
-// Reference decoders: the pre-table-driven implementations, kept
-// verbatim as the behavioral oracle for the fast decode path. Every
-// fast decoder must match its reference bit for bit on valid input and
-// agree on accept/reject for hostile input — FuzzDecodeEquivalence and
-// TestDecodeEquivalenceGolden enforce exactly that. They live in a test
-// file so the shipped binary carries only the fast path.
+// Reference decoders, kept verbatim as the behavioral oracle for the
+// shipped decoders. Each codec's DecompressAppend must match its
+// reference below bit for bit on valid input and agree on accept/reject
+// for hostile input (FuzzDecodeEquivalence, TestDecodeEquivalenceGolden),
+// and so must DecompressGroup of dict, bdi and cpack against the group
+// decoders each of them had before they shared one decoder with
+// DecompressAppend (FuzzGroupDecodeEquivalence,
+// TestGroupDecodeEquivalenceGolden). They live in a test file so the
+// shipped binary carries only one decoder per codec.
 
 import (
 	"encoding/binary"
@@ -298,4 +301,171 @@ func refBDIDecompress(dst, src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: bdi tail truncated", ErrCorrupt)
 	}
 	return append(out, src[pos:pos+tail]...), nil
+}
+
+// refDecompressGroup routes to the reference group decoder for gc.
+func refDecompressGroup(t testing.TB, gc GroupCodec, dst, comp []byte, words int) ([]byte, error) {
+	t.Helper()
+	switch c := gc.(type) {
+	case *dict:
+		return refDictDecompressGroup(c, dst, comp, words)
+	case bdi:
+		return refBDIDecompressGroup(dst, comp, words)
+	case *cpack:
+		return refCPackDecompressGroup(c, dst, comp, words)
+	}
+	t.Fatalf("no reference group decoder for %s", gc.Name())
+	return nil, nil
+}
+
+// The group decoders below are dict's, bdi's and cpack's DecompressGroup
+// as they stood before each codec got one decoder for whole blocks and
+// groups: word-at-a-time appends with a truncation check per word.
+
+func refDictDecompressGroup(d *dict, dst, comp []byte, words int) ([]byte, error) {
+	if words <= 0 || words > 8 || len(comp) == 0 {
+		return nil, fmt.Errorf("%w: dict group of %d bytes for %d words", ErrCorrupt, len(comp), words)
+	}
+	tag := comp[0]
+	pos := 1
+	out := dst
+	wordsTab := d.words
+	for i := 0; i < words; i++ {
+		if tag&(1<<i) != 0 {
+			if pos >= len(comp) {
+				return nil, fmt.Errorf("%w: dict index truncated", ErrCorrupt)
+			}
+			idx := int(comp[pos])
+			pos++
+			if idx >= len(wordsTab) {
+				return nil, fmt.Errorf("%w: dict index %d beyond %d entries", ErrCorrupt, idx, len(wordsTab))
+			}
+			out = isa.ByteOrder.AppendUint32(out, wordsTab[idx])
+		} else {
+			if pos+isa.WordSize > len(comp) {
+				return nil, fmt.Errorf("%w: dict raw word truncated", ErrCorrupt)
+			}
+			out = append(out, comp[pos:pos+isa.WordSize]...)
+			pos += isa.WordSize
+		}
+	}
+	if pos != len(comp) {
+		return nil, fmt.Errorf("%w: dict group has %d trailing bytes", ErrCorrupt, len(comp)-pos)
+	}
+	return out, nil
+}
+
+func refBDIDecompressGroup(dst, comp []byte, words int) ([]byte, error) {
+	if words <= 0 || words > bdiGroupWords || len(comp) == 0 {
+		return nil, fmt.Errorf("%w: bdi group of %d bytes for %d words", ErrCorrupt, len(comp), words)
+	}
+	mode := comp[0]
+	pay := bdiPayLen(mode, words)
+	if pay < 0 {
+		return nil, fmt.Errorf("%w: bdi mode byte %d", ErrCorrupt, mode)
+	}
+	if 1+pay != len(comp) {
+		return nil, fmt.Errorf("%w: bdi group is %d bytes, mode %d wants %d", ErrCorrupt, len(comp), mode, 1+pay)
+	}
+	out := dst
+	src := comp[1:]
+	switch mode {
+	case bdiZero:
+		for i := 0; i < words; i++ {
+			out = isa.ByteOrder.AppendUint32(out, 0)
+		}
+	case bdiRep:
+		v := isa.ByteOrder.Uint32(src)
+		for i := 0; i < words; i++ {
+			out = isa.ByteOrder.AppendUint32(out, v)
+		}
+	case bdiD1:
+		b := isa.ByteOrder.Uint32(src)
+		for i := 0; i < words; i++ {
+			out = isa.ByteOrder.AppendUint32(out, b+uint32(int32(int8(src[isa.WordSize+i]))))
+		}
+	case bdiD2:
+		b := isa.ByteOrder.Uint32(src)
+		for i := 0; i < words; i++ {
+			d := int16(binary.LittleEndian.Uint16(src[isa.WordSize+2*i:]))
+			out = isa.ByteOrder.AppendUint32(out, b+uint32(int32(d)))
+		}
+	case bdiRaw:
+		out = append(out, src...)
+	}
+	return out, nil
+}
+
+// refCPackDecompressGroup decodes one cpack group. The moving dictionary is
+// reset to the trained seed at every group boundary by the encoder
+// (see compressAppend), which is exactly what makes mid-stream decode
+// possible: the group's state is the seed state.
+func refCPackDecompressGroup(c *cpack, dst, comp []byte, words int) ([]byte, error) {
+	if words <= 0 || words > cpackGroupWords {
+		return nil, fmt.Errorf("%w: cpack group of %d words", ErrCorrupt, words)
+	}
+	out := dst
+	pos := 0
+	dct := c.seed
+	head := c.seedN & (cpackDictSize - 1)
+	for w := 0; w < words; {
+		if pos >= len(comp) {
+			return nil, fmt.Errorf("%w: cpack group truncated at word %d", ErrCorrupt, w)
+		}
+		tag := comp[pos]
+		pos++
+		for half := 0; half < 2 && w < words; half++ {
+			cls := (tag >> (4 * half)) & 0xF
+			pay := cpackPayLen[cls]
+			if pay < 0 {
+				return nil, fmt.Errorf("%w: cpack tag nibble %d has no pattern class", ErrCorrupt, cls)
+			}
+			if pos+int(pay) > len(comp) {
+				return nil, fmt.Errorf("%w: cpack group payload truncated at word %d", ErrCorrupt, w)
+			}
+			var v uint32
+			switch cls {
+			case cpZZZZ:
+			case cpMMMM:
+				idx := comp[pos]
+				pos++
+				if idx >= cpackDictSize {
+					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+				}
+				v = dct[idx]
+			case cpZZZX:
+				v = uint32(comp[pos])
+				pos++
+			case cpMMXX:
+				idx := comp[pos]
+				if idx >= cpackDictSize {
+					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+				}
+				v = dct[idx]&^uint32(0xFFFF) | uint32(comp[pos+1]) | uint32(comp[pos+2])<<8
+				pos += 3
+				dct[head] = v
+				head = (head + 1) & (cpackDictSize - 1)
+			case cpMMMX:
+				idx := comp[pos]
+				if idx >= cpackDictSize {
+					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
+				}
+				v = dct[idx]&^uint32(0xFF) | uint32(comp[pos+1])
+				pos += 2
+				dct[head] = v
+				head = (head + 1) & (cpackDictSize - 1)
+			default: // cpXXXX
+				v = isa.ByteOrder.Uint32(comp[pos:])
+				pos += isa.WordSize
+				dct[head] = v
+				head = (head + 1) & (cpackDictSize - 1)
+			}
+			out = isa.ByteOrder.AppendUint32(out, v)
+			w++
+		}
+	}
+	if pos != len(comp) {
+		return nil, fmt.Errorf("%w: cpack group has %d trailing bytes", ErrCorrupt, len(comp)-pos)
+	}
+	return out, nil
 }

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -145,107 +145,54 @@ func (d *dict) CompressAppend(dst, src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecompressAppend is the fast-path decoder: the output image is sized
-// up front from the length header (clamped by what the stream could
-// actually encode), then filled by indexed 4-byte stores — a dictionary
-// hit is one table load plus one little-endian store, a full all-raw
-// group is a single 32-byte copy — with no per-word append or capacity
-// checks. Output and accept/reject behavior are identical to the
-// append-per-word decoder (pinned by FuzzDecodeEquivalence).
+// DecompressAppend decodes a whole block with the codec's one decoder.
+// Each compressed byte stands for at most one 4-byte word.
 func (d *dict) DecompressAppend(dst, src []byte) ([]byte, error) {
-	n, hdr := binary.Uvarint(src)
-	// The MaxInt32 cap keeps every derived int (nWords, tail) safely
-	// positive: a 2^63-range header would otherwise wrap int(n)
-	// negative and slip past the truncation checks.
-	if hdr <= 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: bad dict length header", ErrCorrupt)
-	}
-	src = src[hdr:]
-	// Each compressed word is at least an index byte (-> one 4-byte
-	// word out), which bounds what a corrupt header can pre-allocate —
-	// and also proves the indexed writes below stay inside the
-	// pre-sized image even for hostile headers (a stream that would
-	// overrun it hits a truncation error first).
-	need := clampGrow(n, isa.WordSize*len(src)+isa.WordSize)
-	base := len(dst)
-	out := growCap(dst, need)
-	out = out[:base+need]
-	l := base
-	nWords := int(n) / isa.WordSize
-	pos := 0
+	return decompressBlock(dst, src, d, isa.WordSize)
+}
+
+// dictGroupLen is the encoded length of a k-word group led by tag: the
+// tag byte, one index byte per set bit and four raw bytes per clear bit
+// of its k words. Bits at and above k are ignored.
+func dictGroupLen(tag byte, k int) int {
+	return 1 + isa.WordSize*k - (isa.WordSize-1)*bits.OnesCount8(tag&byte(1<<k-1))
+}
+
+// decodeWords is dict's one decoder (see wordDecoder). A dictionary hit
+// is one table load and one 4-byte store, a raw word one 4-byte copy.
+func (d *dict) decodeWords(out, src []byte, n int) (int, error) {
+	l, pos := 0, 0
 	// Hoist the decode table: stores through out cannot be proven
 	// alias-free with d.words by the compiler, so keeping the slice
 	// header in a local avoids a reload per decoded word.
 	words := d.words
-	for g := 0; g < nWords; g += 8 {
-		end := g + 8
-		if end > nWords {
-			end = nWords
-		}
+	for g := 0; g < n; g += 8 {
+		k := min(n-g, 8)
 		if pos >= len(src) {
-			return nil, fmt.Errorf("%w: dict stream truncated at group %d", ErrCorrupt, g)
+			return 0, fmt.Errorf("%w: dict stream truncated at group %d", ErrCorrupt, g/8)
 		}
 		tag := src[pos]
-		pos++
-		// Whole-group fast paths. A full group consumes at most 32
-		// payload bytes (8 raw words), so one bound check up front makes
-		// every per-word truncation check in the group redundant: an
-		// all-raw group collapses to one 32-byte copy, and a mixed group
-		// runs with only the dictionary-index bounds check per word.
-		// (Short tail groups and near-end groups fall through to the
-		// fully-checked loop, whose error behavior is the contract.)
-		if end-g == 8 && pos+8*isa.WordSize <= len(src) {
-			if tag == 0 {
-				copy(out[l:l+8*isa.WordSize], src[pos:])
-				pos += 8 * isa.WordSize
-				l += 8 * isa.WordSize
-				continue
-			}
-			for bit := 0; bit < 8; bit++ {
-				if tag&(1<<bit) != 0 {
-					idx := int(src[pos])
-					pos++
-					if idx >= len(words) {
-						return nil, fmt.Errorf("%w: dict index %d beyond %d entries", ErrCorrupt, idx, len(words))
-					}
-					isa.ByteOrder.PutUint32(out[l:], words[idx])
-				} else {
-					*(*[4]byte)(out[l:]) = *(*[4]byte)(src[pos:])
-					pos += isa.WordSize
-				}
-				l += isa.WordSize
-			}
-			continue
+		if pos+dictGroupLen(tag, k) > len(src) {
+			return 0, fmt.Errorf("%w: dict group %d truncated", ErrCorrupt, g/8)
 		}
-		for i := g; i < end; i++ {
-			if tag&(1<<uint(i-g)) != 0 {
-				if pos >= len(src) {
-					return nil, fmt.Errorf("%w: dict index truncated", ErrCorrupt)
-				}
+		pos++
+		for i := 0; i < k; i++ {
+			if tag&1 != 0 {
 				idx := int(src[pos])
 				pos++
 				if idx >= len(words) {
-					return nil, fmt.Errorf("%w: dict index %d beyond %d entries", ErrCorrupt, idx, len(words))
+					return 0, fmt.Errorf("%w: dict index %d beyond %d entries", ErrCorrupt, idx, len(words))
 				}
-				isa.ByteOrder.PutUint32(out[l:], words[idx])
+				isa.ByteOrder.PutUint32(out[l:l+isa.WordSize], words[idx])
 			} else {
-				if pos+isa.WordSize > len(src) {
-					return nil, fmt.Errorf("%w: dict raw word truncated", ErrCorrupt)
-				}
-				// Word-at-a-time raw copy: one 32-bit load + store beats a
-				// 4-byte memmove call.
-				*(*[4]byte)(out[l:]) = *(*[4]byte)(src[pos:])
+				*(*[isa.WordSize]byte)(out[l : l+isa.WordSize]) = *(*[isa.WordSize]byte)(src[pos : pos+isa.WordSize])
 				pos += isa.WordSize
 			}
+			tag >>= 1
 			l += isa.WordSize
 		}
 	}
-	tail := int(n) - nWords*isa.WordSize
-	if pos+tail > len(src) {
-		return nil, fmt.Errorf("%w: dict tail truncated", ErrCorrupt)
-	}
-	copy(out[l:l+tail], src[pos:])
-	return out[:l+tail], nil
+	return pos, nil
 }
 
 // MarshalModel implements ModelMarshaler: uvarint count, then count

@@ -120,6 +120,72 @@ func groupHeader(comp []byte, codec string) (body []byte, nWords int, err error)
 	return comp[hdr:], int(n) / isa.WordSize, nil
 }
 
+// wordDecoder is a word-pattern codec (dict, bdi, cpack) seen through
+// its one decoder. decodeWords decodes n words from the group boundary
+// at the start of src into out[:4n] and returns how many bytes of src
+// they took. Before it stores a group (or, for cpack, a word pair) it
+// checks once that the group's exact encoded length lies inside src,
+// so the stores themselves need no truncation check. Whole blocks
+// (DecompressAppend) and single groups (DecompressGroup) both run it,
+// through decompressBlock and decompressGroup.
+type wordDecoder interface {
+	Name() string
+	GroupWords() int
+	decodeWords(out, src []byte, n int) (int, error)
+}
+
+// decompressBlock is DecompressAppend for a word-pattern codec: the
+// uvarint plain-length header, the block's words from its first group
+// on, then the raw non-word-multiple tail. expand is the most output
+// bytes one stream byte can stand for. It bounds what a corrupt header
+// can pre-allocate, and it keeps the decoder's stores inside the
+// pre-sized image: a group is stored only once its bytes are known to
+// be in src, so a stream that would overrun the image fails on
+// truncation first.
+func decompressBlock(dst, src []byte, d wordDecoder, expand int) ([]byte, error) {
+	n, hdr := binary.Uvarint(src)
+	// The MaxInt32 cap keeps every derived int (nWords, tail) positive:
+	// a 2^63-range header would otherwise wrap int(n) negative and slip
+	// past the truncation checks.
+	if hdr <= 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: bad %s length header", ErrCorrupt, d.Name())
+	}
+	src = src[hdr:]
+	need := clampGrow(n, expand*len(src)+isa.WordSize)
+	base := len(dst)
+	out := growCap(dst, need)[:base+need]
+	nWords := int(n) / isa.WordSize
+	pos, err := d.decodeWords(out[base:], src, nWords)
+	if err != nil {
+		return nil, err
+	}
+	l := base + nWords*isa.WordSize
+	tail := int(n) - nWords*isa.WordSize
+	if pos+tail > len(src) {
+		return nil, fmt.Errorf("%w: %s tail truncated", ErrCorrupt, d.Name())
+	}
+	copy(out[l:l+tail], src[pos:])
+	return out[:l+tail], nil
+}
+
+// decompressGroup is DecompressGroup for a word-pattern codec: comp
+// must be exactly one group's encoding and words its word count.
+func decompressGroup(dst, comp []byte, words int, d wordDecoder) ([]byte, error) {
+	if words <= 0 || words > d.GroupWords() {
+		return nil, fmt.Errorf("%w: %s group of %d bytes for %d words", ErrCorrupt, d.Name(), len(comp), words)
+	}
+	base := len(dst)
+	out := growCap(dst, words*isa.WordSize)[:base+words*isa.WordSize]
+	pos, err := d.decodeWords(out[base:], comp, words)
+	if err != nil {
+		return nil, err
+	}
+	if pos != len(comp) {
+		return nil, fmt.Errorf("%w: %s group has %d trailing bytes", ErrCorrupt, d.Name(), len(comp)-pos)
+	}
+	return out, nil
+}
+
 // --- identity ---------------------------------------------------------
 
 // identityGroupWords keeps identity's group geometry aligned with the
@@ -158,23 +224,11 @@ func (d *dict) AppendGroupOffsets(dst []uint32, comp []byte) ([]uint32, error) {
 	hdr := len(comp) - len(src)
 	pos := 0
 	for g := 0; g < nWords; g += 8 {
-		k := nWords - g
-		if k > 8 {
-			k = 8
-		}
 		if pos >= len(src) {
 			return nil, fmt.Errorf("%w: dict stream truncated at group %d", ErrCorrupt, g/8)
 		}
 		dst = append(dst, uint32(hdr+pos))
-		tag := src[pos]
-		pos++
-		for i := 0; i < k; i++ {
-			if tag&(1<<i) != 0 {
-				pos++
-			} else {
-				pos += isa.WordSize
-			}
-		}
+		pos += dictGroupLen(src[pos], min(nWords-g, 8))
 		if pos > len(src) {
 			return nil, fmt.Errorf("%w: dict group %d truncated", ErrCorrupt, g/8)
 		}
@@ -183,36 +237,7 @@ func (d *dict) AppendGroupOffsets(dst []uint32, comp []byte) ([]uint32, error) {
 }
 
 func (d *dict) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
-	if words <= 0 || words > 8 || len(comp) == 0 {
-		return nil, fmt.Errorf("%w: dict group of %d bytes for %d words", ErrCorrupt, len(comp), words)
-	}
-	tag := comp[0]
-	pos := 1
-	out := dst
-	wordsTab := d.words
-	for i := 0; i < words; i++ {
-		if tag&(1<<i) != 0 {
-			if pos >= len(comp) {
-				return nil, fmt.Errorf("%w: dict index truncated", ErrCorrupt)
-			}
-			idx := int(comp[pos])
-			pos++
-			if idx >= len(wordsTab) {
-				return nil, fmt.Errorf("%w: dict index %d beyond %d entries", ErrCorrupt, idx, len(wordsTab))
-			}
-			out = isa.ByteOrder.AppendUint32(out, wordsTab[idx])
-		} else {
-			if pos+isa.WordSize > len(comp) {
-				return nil, fmt.Errorf("%w: dict raw word truncated", ErrCorrupt)
-			}
-			out = append(out, comp[pos:pos+isa.WordSize]...)
-			pos += isa.WordSize
-		}
-	}
-	if pos != len(comp) {
-		return nil, fmt.Errorf("%w: dict group has %d trailing bytes", ErrCorrupt, len(comp)-pos)
-	}
-	return out, nil
+	return decompressGroup(dst, comp, words, d)
 }
 
 // --- bdi --------------------------------------------------------------
@@ -247,45 +272,8 @@ func (bdi) AppendGroupOffsets(dst []uint32, comp []byte) ([]uint32, error) {
 	return dst, nil
 }
 
-func (bdi) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
-	if words <= 0 || words > bdiGroupWords || len(comp) == 0 {
-		return nil, fmt.Errorf("%w: bdi group of %d bytes for %d words", ErrCorrupt, len(comp), words)
-	}
-	mode := comp[0]
-	pay := bdiPayLen(mode, words)
-	if pay < 0 {
-		return nil, fmt.Errorf("%w: bdi mode byte %d", ErrCorrupt, mode)
-	}
-	if 1+pay != len(comp) {
-		return nil, fmt.Errorf("%w: bdi group is %d bytes, mode %d wants %d", ErrCorrupt, len(comp), mode, 1+pay)
-	}
-	out := dst
-	src := comp[1:]
-	switch mode {
-	case bdiZero:
-		for i := 0; i < words; i++ {
-			out = isa.ByteOrder.AppendUint32(out, 0)
-		}
-	case bdiRep:
-		v := isa.ByteOrder.Uint32(src)
-		for i := 0; i < words; i++ {
-			out = isa.ByteOrder.AppendUint32(out, v)
-		}
-	case bdiD1:
-		b := isa.ByteOrder.Uint32(src)
-		for i := 0; i < words; i++ {
-			out = isa.ByteOrder.AppendUint32(out, b+uint32(int32(int8(src[isa.WordSize+i]))))
-		}
-	case bdiD2:
-		b := isa.ByteOrder.Uint32(src)
-		for i := 0; i < words; i++ {
-			d := int16(binary.LittleEndian.Uint16(src[isa.WordSize+2*i:]))
-			out = isa.ByteOrder.AppendUint32(out, b+uint32(int32(d)))
-		}
-	case bdiRaw:
-		out = append(out, src...)
-	}
-	return out, nil
+func (c bdi) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
+	return decompressGroup(dst, comp, words, c)
 }
 
 // --- cpack ------------------------------------------------------------
@@ -300,32 +288,17 @@ func (c *cpack) AppendGroupOffsets(dst []uint32, comp []byte) ([]uint32, error) 
 	hdr := len(comp) - len(src)
 	pos := 0
 	for g := 0; g < nWords; g += cpackGroupWords {
-		k := nWords - g
-		if k > cpackGroupWords {
-			k = cpackGroupWords
-		}
+		k := min(nWords-g, cpackGroupWords)
 		dst = append(dst, uint32(hdr+pos))
 		for w := 0; w < k; w += 2 {
 			if pos >= len(src) {
 				return nil, fmt.Errorf("%w: cpack stream truncated at word %d", ErrCorrupt, g+w)
 			}
-			tag := src[pos]
-			pos++
-			var pay int
-			if w+1 < k {
-				if cpackPairLen[tag] < 0 {
-					return nil, fmt.Errorf("%w: cpack tag %#02x has no pattern class", ErrCorrupt, tag)
-				}
-				pay = int(cpackPairLen[tag])
-			} else {
-				// Final odd word of the block: only the low nibble is
-				// meaningful, matching the full decoder.
-				if cpackPayLen[tag&0xF] < 0 {
-					return nil, fmt.Errorf("%w: cpack tag nibble %d has no pattern class", ErrCorrupt, tag&0xF)
-				}
-				pay = int(cpackPayLen[tag&0xF])
+			pay := cpackPairLen[cpackTag(src[pos], k-w)]
+			if pay < 0 {
+				return nil, fmt.Errorf("%w: cpack tag %#02x has no pattern class", ErrCorrupt, src[pos])
 			}
-			pos += pay
+			pos += 1 + int(pay)
 			if pos > len(src) {
 				return nil, fmt.Errorf("%w: cpack payload truncated at word %d", ErrCorrupt, g+w)
 			}
@@ -339,71 +312,5 @@ func (c *cpack) AppendGroupOffsets(dst []uint32, comp []byte) ([]uint32, error) 
 // (see compressAppend), which is exactly what makes mid-stream decode
 // possible: the group's state is the seed state.
 func (c *cpack) DecompressGroup(dst, comp []byte, words int) ([]byte, error) {
-	if words <= 0 || words > cpackGroupWords {
-		return nil, fmt.Errorf("%w: cpack group of %d words", ErrCorrupt, words)
-	}
-	out := dst
-	pos := 0
-	dct := c.seed
-	head := c.seedN & (cpackDictSize - 1)
-	for w := 0; w < words; {
-		if pos >= len(comp) {
-			return nil, fmt.Errorf("%w: cpack group truncated at word %d", ErrCorrupt, w)
-		}
-		tag := comp[pos]
-		pos++
-		for half := 0; half < 2 && w < words; half++ {
-			cls := (tag >> (4 * half)) & 0xF
-			pay := cpackPayLen[cls]
-			if pay < 0 {
-				return nil, fmt.Errorf("%w: cpack tag nibble %d has no pattern class", ErrCorrupt, cls)
-			}
-			if pos+int(pay) > len(comp) {
-				return nil, fmt.Errorf("%w: cpack group payload truncated at word %d", ErrCorrupt, w)
-			}
-			var v uint32
-			switch cls {
-			case cpZZZZ:
-			case cpMMMM:
-				idx := comp[pos]
-				pos++
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v = dct[idx]
-			case cpZZZX:
-				v = uint32(comp[pos])
-				pos++
-			case cpMMXX:
-				idx := comp[pos]
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v = dct[idx]&^uint32(0xFFFF) | uint32(comp[pos+1]) | uint32(comp[pos+2])<<8
-				pos += 3
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			case cpMMMX:
-				idx := comp[pos]
-				if idx >= cpackDictSize {
-					return nil, fmt.Errorf("%w: cpack dictionary index out of range", ErrCorrupt)
-				}
-				v = dct[idx]&^uint32(0xFF) | uint32(comp[pos+1])
-				pos += 2
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			default: // cpXXXX
-				v = isa.ByteOrder.Uint32(comp[pos:])
-				pos += isa.WordSize
-				dct[head] = v
-				head = (head + 1) & (cpackDictSize - 1)
-			}
-			out = isa.ByteOrder.AppendUint32(out, v)
-			w++
-		}
-	}
-	if pos != len(comp) {
-		return nil, fmt.Errorf("%w: cpack group has %d trailing bytes", ErrCorrupt, len(comp)-pos)
-	}
-	return out, nil
+	return decompressGroup(dst, comp, words, c)
 }

@@ -294,3 +294,136 @@ func FuzzGroupDecode(f *testing.F) {
 		}
 	})
 }
+
+// wordDecoders returns the group codecs whose DecompressAppend and
+// DecompressGroup share one decoder: dict, bdi and cpack.
+func wordDecoders(t testing.TB) []GroupCodec {
+	t.Helper()
+	var out []GroupCodec
+	for _, gc := range groupCodecs(t) {
+		if _, ok := gc.(wordDecoder); ok {
+			out = append(out, gc)
+		}
+	}
+	return out
+}
+
+// checkGroupDecodeEquivalence runs DecompressGroup and the reference
+// group decoder on the same bytes and word count: both accept with
+// identical output after an intact dst prefix, or both reject with
+// ErrCorrupt.
+func checkGroupDecodeEquivalence(t *testing.T, gc GroupCodec, comp []byte, words int, prefix []byte) {
+	t.Helper()
+	got, err := gc.DecompressGroup(append([]byte(nil), prefix...), comp, words)
+	want, refErr := refDecompressGroup(t, gc, append([]byte(nil), prefix...), comp, words)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: %d bytes, %d words: err = %v, reference err = %v", gc.Name(), len(comp), words, err, refErr)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(refErr, ErrCorrupt) {
+			t.Fatalf("%s: %d bytes, %d words: errors not ErrCorrupt: %v / %v", gc.Name(), len(comp), words, err, refErr)
+		}
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: %d bytes, %d words: output differs from the reference", gc.Name(), len(comp), words)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("%s: DecompressGroup clobbered the dst prefix", gc.Name())
+	}
+}
+
+// TestGroupDecodeEquivalenceGolden pins DecompressGroup of dict, bdi
+// and cpack to their reference group decoders on every distinct group
+// of TestDecodeGroupMatchesFullDecode's images: the group at every word
+// count from 0 to GroupWords()+1, and at its own word count every
+// truncation of it and it with one trailing byte.
+func TestGroupDecodeEquivalenceGolden(t *testing.T) {
+	images := [][]byte{
+		trainImage(t, 1),
+		trainImage(t, 7),
+		trainImage(t, 8),
+		trainImage(t, 9),
+		trainImage(t, 31),
+		trainImage(t, 32),
+		trainImage(t, 33),
+		trainImage(t, 64),
+		trainImage(t, 513),
+		trainImage(t, 4096),
+		make([]byte, 4096),
+		bytes.Repeat([]byte{0xAB, 0xCD, 0xEF, 0x01}, 1024),
+	}
+	prefix := []byte{0xEE, 0xBB}
+	for _, gc := range wordDecoders(t) {
+		gw := gc.GroupWords()
+		type groupKey struct {
+			words int
+			bytes string
+		}
+		seen := make(map[groupKey]bool)
+		for i, img := range images {
+			comp, err := gc.CompressAppend(nil, img)
+			if err != nil {
+				t.Fatalf("%s image %d: %v", gc.Name(), i, err)
+			}
+			offs, err := gc.AppendGroupOffsets(nil, comp)
+			if err != nil {
+				t.Fatalf("%s image %d: %v", gc.Name(), i, err)
+			}
+			nWords := len(img) / isa.WordSize
+			for g := range offs {
+				end := len(comp)
+				if g+1 < len(offs) {
+					end = int(offs[g+1])
+				}
+				group := comp[offs[g]:end:end]
+				k := min(nWords-g*gw, gw)
+				key := groupKey{k, string(group)}
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				for words := 0; words <= gw+1; words++ {
+					checkGroupDecodeEquivalence(t, gc, group, words, prefix)
+				}
+				for cut := 0; cut < len(group); cut++ {
+					checkGroupDecodeEquivalence(t, gc, group[:cut], k, prefix)
+				}
+				checkGroupDecodeEquivalence(t, gc, append(group, 0xA5), k, prefix)
+			}
+		}
+	}
+}
+
+// FuzzGroupDecodeEquivalence feeds arbitrary bytes with an arbitrary
+// word count to DecompressGroup and to the reference group decoders of
+// dict, bdi and cpack: both must accept or reject alike, a reject must
+// be ErrCorrupt, and an accept must give the same bytes after an intact
+// dst prefix.
+func FuzzGroupDecodeEquivalence(f *testing.F) {
+	codecs := wordDecoders(f)
+	for _, gc := range codecs {
+		comp, err := gc.CompressAppend(nil, trainImage(f, 65))
+		if err != nil {
+			f.Fatal(err)
+		}
+		offs, err := gc.AppendGroupOffsets(nil, comp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		first := comp[offs[0]:offs[1]]
+		gw := gc.GroupWords()
+		f.Add(first, gw, uint8(2))
+		f.Add(first[:len(first)-1], gw, uint8(0))
+		f.Add(append(first[:len(first):len(first)], 0), gw-1, uint8(1))
+		f.Add(comp[offs[len(offs)-1]:], 65%gw, uint8(3))
+	}
+	f.Add([]byte(nil), 0, uint8(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF}, -1, uint8(1))
+	f.Fuzz(func(t *testing.T, comp []byte, words int, prefixLen uint8) {
+		prefix := bytes.Repeat([]byte{0xEE}, int(prefixLen)%17)
+		for _, gc := range codecs {
+			checkGroupDecodeEquivalence(t, gc, comp, words, prefix)
+		}
+	})
+}
