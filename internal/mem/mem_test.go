@@ -210,74 +210,14 @@ func TestImageLayout(t *testing.T) {
 	if img.CompressedSize() != 60 {
 		t.Errorf("CompressedSize = %d", img.CompressedSize())
 	}
-	addr, size, err := img.BlockSpan(1)
-	if err != nil || addr != 0x100a || size != 20 {
-		t.Errorf("BlockSpan(1) = %#x,%d,%v", uint32(addr), size, err)
-	}
-	if _, _, err := img.BlockSpan(3); err == nil {
-		t.Error("BlockSpan(3) succeeded")
-	}
 	if img.Managed().Base() != 0x103c {
 		t.Errorf("managed base = %#x", uint32(img.Managed().Base()))
-	}
-	if img.NumBlocks() != 3 {
-		t.Errorf("NumBlocks = %d", img.NumBlocks())
 	}
 }
 
 func TestImageRejectsBadBlock(t *testing.T) {
 	if _, err := NewImage(0, []int{10, 0}, 100); err == nil {
 		t.Error("zero-size block accepted")
-	}
-}
-
-func TestImageRegions(t *testing.T) {
-	img, err := NewImage(0x1000, []int{16, 16}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		addr Addr
-		want Region
-	}{
-		{0x0fff, RegionNone},
-		{0x1000, RegionCompressed},
-		{0x101f, RegionCompressed},
-		{0x1020, RegionManaged},
-		{0x105f, RegionManaged},
-		{0x1060, RegionNone},
-	}
-	for _, c := range cases {
-		if got := img.RegionOf(c.addr); got != c.want {
-			t.Errorf("RegionOf(%#x) = %v, want %v", uint32(c.addr), got, c.want)
-		}
-	}
-}
-
-func TestImageBlockAt(t *testing.T) {
-	img, err := NewImage(0x1000, []int{10, 20, 30}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		addr Addr
-		idx  int
-		ok   bool
-	}{
-		{0x1000, 0, true},
-		{0x1009, 0, true},
-		{0x100a, 1, true},
-		{0x101d, 1, true},
-		{0x101e, 2, true},
-		{0x103b, 2, true},
-		{0x103c, 0, false},
-		{0x0, 0, false},
-	}
-	for _, c := range cases {
-		idx, ok := img.BlockAt(c.addr)
-		if ok != c.ok || (ok && idx != c.idx) {
-			t.Errorf("BlockAt(%#x) = %d,%v want %d,%v", uint32(c.addr), idx, ok, c.idx, c.ok)
-		}
 	}
 }
 
@@ -318,15 +258,5 @@ func TestOccupancyEmpty(t *testing.T) {
 	var o Occupancy
 	if o.Average() != 0 {
 		t.Error("empty occupancy average")
-	}
-}
-
-func TestRegionString(t *testing.T) {
-	for r, want := range map[Region]string{
-		RegionNone: "none", RegionCompressed: "compressed", RegionManaged: "managed",
-	} {
-		if r.String() != want {
-			t.Errorf("Region %d", uint8(r))
-		}
 	}
 }
