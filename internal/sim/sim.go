@@ -11,11 +11,12 @@
 //
 // Time is a single cycle counter advanced by the execution thread. The
 // background threads are single-server FIFO queues with their own
-// clocks; background work overlaps execution (the paper's "utilizes the
-// idle cycles" assumption), but execution stalls when it reaches a block
-// whose decompression has not finished — or never started, in which
-// case the whole decompression runs in the exception handler on the
-// critical path.
+// clocks: a job starts when the thread becomes free or when the job was
+// issued, whichever is later. Background work overlaps execution (the
+// paper's "utilizes the idle cycles" assumption), but execution stalls
+// when it reaches a block whose decompression has not finished — or
+// never started, in which case the whole decompression runs in the
+// exception handler on the critical path.
 //
 // The decompression thread supports two realities of prefetching
 // hardware/runtime systems: a demanded in-flight job is priority-boosted
@@ -143,9 +144,10 @@ func (r *Result) HitRate() float64 {
 
 // dJob is one decompression-thread work item.
 type dJob struct {
-	unit core.UnitID
-	dur  int64
-	seq  int64 // issue sequence; a stale seq means the job was superseded
+	unit   core.UnitID
+	dur    int64
+	issued int64 // when the job was queued; it cannot start earlier
+	seq    int64 // issue sequence; a stale seq means the job was superseded
 }
 
 // decompThread is the single-server prefetch worker.
@@ -162,7 +164,7 @@ type decompThread struct {
 // issue enqueues a prefetch job at time now.
 func (d *decompThread) issue(now int64, unit core.UnitID, dur int64) {
 	d.seq[unit]++
-	d.queue = append(d.queue, dJob{unit: unit, dur: dur, seq: d.seq[unit]})
+	d.queue = append(d.queue, dJob{unit: unit, dur: dur, issued: now, seq: d.seq[unit]})
 	d.advance(now)
 }
 
@@ -183,26 +185,23 @@ func (d *decompThread) cancel(unit core.UnitID) int64 {
 	return cancelled
 }
 
-// start pulls the next queued job if idle, beginning no earlier than t.
-func (d *decompThread) start(t int64) {
+// start pulls the next queued job if idle. It begins when the thread
+// became free or when it was issued, whichever is later.
+func (d *decompThread) start() {
 	if d.running != nil || len(d.queue) == 0 {
 		return
 	}
 	j := d.queue[0]
 	d.queue = d.queue[1:]
-	begin := d.clock
-	if t > begin {
-		begin = t
-	}
 	d.running = &j
-	d.finish = begin + j.dur
+	d.finish = max(d.clock, j.issued) + j.dur
 	*d.busy += j.dur
 }
 
 // advance completes all work finishing at or before now.
 func (d *decompThread) advance(now int64) {
 	for {
-		d.start(now)
+		d.start()
 		if d.running == nil || d.finish > now {
 			return
 		}

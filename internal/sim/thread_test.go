@@ -56,6 +56,19 @@ func TestDecompThreadFIFO(t *testing.T) {
 	}
 }
 
+// TestDecompThreadFIFOStartsWhenFree: a queued job starts the moment
+// the job ahead of it completes, however late the thread is next
+// advanced.
+func TestDecompThreadFIFOStartsWhenFree(t *testing.T) {
+	_, d, _ := threadFixture(t)
+	d.issue(0, 1, 100)
+	d.issue(0, 2, 50)
+	d.advance(130)
+	if d.running == nil || d.running.unit != 2 || d.finish != 150 {
+		t.Fatalf("second job state at t=130: running=%+v finish=%d, want unit 2 finishing at 150", d.running, d.finish)
+	}
+}
+
 func TestDecompThreadIdleGap(t *testing.T) {
 	_, d, _ := threadFixture(t)
 	d.issue(0, 1, 10)
