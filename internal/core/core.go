@@ -208,6 +208,11 @@ func (k JobKind) String() string {
 // model.
 type Job struct {
 	Kind JobKind
+	// Gen is the generation of the unit's copy that a decompression job
+	// was issued for. Dropping a copy advances its unit's generation, so
+	// a job of an earlier one is stale: Manager.Current reports it, and
+	// FinishDecompress ignores it.
+	Gen uint32
 	// Unit is the unit the job operates on.
 	Unit UnitID
 	// Bytes is the uncompressed size of the unit; cycle costs scale

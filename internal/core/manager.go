@@ -37,6 +37,9 @@ type unit struct {
 
 	state unitState
 	addr  mem.Addr // managed-area address when state != stateCompressed
+	// gen is the copy generation. drop advances it, so the jobs issued
+	// for a dropped copy are stale (Manager.Current).
+	gen uint32
 	// everUsed tracks whether the unit executed since its last
 	// decompression — waste accounting only; the k-edge counters and
 	// recency that used to live here are the Policy's now.
@@ -417,7 +420,7 @@ func (m *Manager) EnterBlock(from, to cfg.BlockID) (*Transition, error) {
 			}
 			tgt.state = stateLive
 			tgt.everUsed = false
-			tr.Demand = &Job{Kind: JobDecompress, Unit: target, Bytes: len(tgt.plain)}
+			tr.Demand = &Job{Kind: JobDecompress, Gen: tgt.gen, Unit: target, Bytes: len(tgt.plain)}
 			m.stats.DemandDecompresses++
 			m.record(EvDecompress, to, target)
 			if hasSite {
@@ -444,12 +447,19 @@ func (m *Manager) EnterBlock(from, to cfg.BlockID) (*Transition, error) {
 	// across this edge (the entered unit was just reset and is exempt)
 	// and returns the expired units, lowest ID first — the same order
 	// the seed Manager's unit-slice walk deleted them in.
+	// The compression thread then patches the remember set and, in
+	// writeback mode, recompresses before the space is reusable.
+	kind := JobDelete
+	if m.conf.WritebackCompression {
+		kind = JobWriteback
+	}
 	for _, id := range m.pol.Tick(target, m.clock) {
 		u := m.units[id]
 		if id == target || (u.state != stateLive && u.state != stateIssued) {
 			continue // defensive: a policy may only expire resident units
 		}
-		tr.Deletes = append(tr.Deletes, m.deleteUnit(u, tr))
+		sites := m.drop(u, false)
+		tr.Deletes = append(tr.Deletes, Job{Kind: kind, Unit: id, Bytes: len(u.plain), Sites: sites})
 	}
 
 	// --- Pre-decompression phase -------------------------------------
@@ -518,13 +528,21 @@ func (m *Manager) allocate(u *unit, tr *Transition, demand bool) error {
 	need := len(u.plain)
 	if m.conf.BudgetBytes > 0 {
 		for m.img.Resident()+need > m.conf.BudgetBytes {
-			if !m.evictLRU(u.id, tr) {
-				if demand {
-					return fmt.Errorf("core: budget %d cannot fit unit %d (%d bytes) with nothing evictable",
-						m.conf.BudgetBytes, u.id, need)
-				}
-				return mem.ErrOutOfMemory
+			// Eviction is synchronous (the handler needs the space now).
+			// With no live victim, wait for the compression thread to
+			// release a pending writeback as a last resort.
+			if _, _, ok := m.evict(u.id); ok {
+				tr.Evicted++
+				continue
 			}
+			if m.forceWriteback(tr) {
+				continue
+			}
+			if demand {
+				return fmt.Errorf("core: budget %d cannot fit unit %d (%d bytes) with nothing evictable",
+					m.conf.BudgetBytes, u.id, need)
+			}
+			return mem.ErrOutOfMemory
 		}
 	}
 	for {
@@ -568,63 +586,50 @@ func (m *Manager) forceWriteback(tr *Transition) bool {
 	return false
 }
 
-// evictLRU discards the policy's chosen victim (least-recently-used
-// under the default policy, equal lastUse broken by lowest UnitID so
-// the choice never depends on iteration order). The unit being brought
-// in and the currently-executing unit are not evictable.
-func (m *Manager) evictLRU(incoming UnitID, tr *Transition) bool {
-	id, ok := m.pol.Victim(func(id UnitID) bool { return id != incoming && id != m.current })
+// evict drops the policy's victim (least-recently-used under the
+// default policy, equal lastUse broken by lowest UnitID so the choice
+// never depends on iteration order), returning its size and the branch
+// sites unpatched. Neither keep nor the executing unit is evictable; ok
+// is false when nothing else is.
+func (m *Manager) evict(keep UnitID) (bytes, sites int, ok bool) {
+	id, ok := m.pol.Victim(func(id UnitID) bool { return id != keep && id != m.current })
 	if !ok {
-		// No live victim; as a last resort wait for the compression
-		// thread to release a pending writeback.
-		return m.forceWriteback(tr)
+		return 0, 0, false
 	}
-	victim := m.units[id]
-	// Eviction is synchronous (the handler needs the space now): patch
-	// and free immediately, regardless of writeback mode.
-	if victim.state == stateIssued || !victim.everUsed {
-		m.stats.WastedPrefetches++
-	}
-	m.unpatchUnit(victim, tr)
-	if err := m.img.Managed().Free(victim.addr); err != nil {
-		panic(fmt.Sprintf("core: evict free: %v", err)) // allocator invariant breach
-	}
-	victim.state = stateCompressed
-	m.pol.OnRemove(victim.id)
-	m.stats.Evictions++
-	tr.Evicted++
-	m.record(EvEvict, victim.blocks[0], victim.id)
-	m.occTouch()
-	return true
+	u := m.units[id]
+	return len(u.plain), m.drop(u, true), true
 }
 
-// deleteUnit performs the k-edge compression of a unit: re-point every
-// remembered branch site at the compressed area, drop (or schedule the
-// writeback of) the copy. Returns the background job for the
-// compression thread.
-func (m *Manager) deleteUnit(u *unit, tr *Transition) Job {
+// drop discards a unit's copy: the one path by which a copy goes,
+// whether the k-edge algorithm deletes it (evict false) or a memory
+// budget evicts it (evict true). It re-points the unit's remembered
+// sites at the compressed area and advances the unit's generation, so
+// every job issued for the dropped copy is stale from here on. The
+// space is free at once, except for a delete in writeback mode, where
+// it stays claimed until FinishDelete. It returns the number of sites
+// unpatched.
+func (m *Manager) drop(u *unit, evict bool) int {
 	if u.state == stateIssued || !u.everUsed {
 		m.stats.WastedPrefetches++
 	}
-	sites := m.unpatchUnit(u, tr)
+	sites := m.unpatchUnit(u)
 	m.pol.OnRemove(u.id)
-	m.stats.Deletes++
-	m.record(EvDelete, u.blocks[0], u.id)
-	if m.conf.WritebackCompression {
-		// Space stays claimed until the compression thread finishes;
-		// FinishDelete releases it. The unit itself is compressed again
-		// immediately (its copy is logically gone).
-		u.dying = append(u.dying, u.addr)
-		u.state = stateCompressed
-		m.occTouch()
-		return Job{Kind: JobWriteback, Unit: u.id, Bytes: len(u.plain), Sites: sites}
-	}
-	if err := m.img.Managed().Free(u.addr); err != nil {
-		panic(fmt.Sprintf("core: delete free: %v", err))
-	}
 	u.state = stateCompressed
+	u.gen++
+	if evict {
+		m.stats.Evictions++
+		m.record(EvEvict, u.blocks[0], u.id)
+	} else {
+		m.stats.Deletes++
+		m.record(EvDelete, u.blocks[0], u.id)
+	}
+	if !evict && m.conf.WritebackCompression {
+		u.dying = append(u.dying, u.addr)
+	} else if err := m.img.Managed().Free(u.addr); err != nil {
+		panic(fmt.Sprintf("core: drop free: %v", err)) // allocator invariant breach
+	}
 	m.occTouch()
-	return Job{Kind: JobDelete, Unit: u.id, Bytes: len(u.plain), Sites: sites}
+	return sites
 }
 
 // unpatchUnit re-points at the compressed area (a) every remembered
@@ -633,7 +638,7 @@ func (m *Manager) deleteUnit(u *unit, tr *Transition) Job {
 // number of sites actually unpatched. These patches happen in the
 // background thread, so they are not charged to tr.Patches; they are
 // still counted in stats.
-func (m *Manager) unpatchUnit(u *unit, tr *Transition) int {
+func (m *Manager) unpatchUnit(u *unit) int {
 	n := 0
 	for _, s := range u.sites {
 		if m.patched[s] {
@@ -668,7 +673,7 @@ func (m *Manager) maybePrefetch(id UnitID, tr *Transition) {
 	u.everUsed = false
 	m.stats.Prefetches++
 	m.record(EvPreDecompress, u.blocks[0], id)
-	tr.Prefetches = append(tr.Prefetches, Job{Kind: JobDecompress, Unit: id, Bytes: len(u.plain)})
+	tr.Prefetches = append(tr.Prefetches, Job{Kind: JobDecompress, Gen: u.gen, Unit: id, Bytes: len(u.plain)})
 }
 
 // ForceEvict synchronously evicts the least-recently-used live unit
@@ -678,25 +683,7 @@ func (m *Manager) maybePrefetch(id UnitID, tr *Transition) {
 // "concurrently executing applications"); ok is false when nothing is
 // evictable.
 func (m *Manager) ForceEvict() (freed, patches int, ok bool) {
-	tr := &Transition{}
-	id, ok := m.pol.Victim(func(id UnitID) bool { return id != m.current })
-	if !ok {
-		return 0, 0, false
-	}
-	victim := m.units[id]
-	if victim.state == stateIssued || !victim.everUsed {
-		m.stats.WastedPrefetches++
-	}
-	n := m.unpatchUnit(victim, tr)
-	if err := m.img.Managed().Free(victim.addr); err != nil {
-		panic(fmt.Sprintf("core: force evict free: %v", err))
-	}
-	victim.state = stateCompressed
-	m.pol.OnRemove(victim.id)
-	m.stats.Evictions++
-	m.record(EvEvict, victim.blocks[0], victim.id)
-	m.occTouch()
-	return len(victim.plain), n, true
+	return m.evict(m.current)
 }
 
 // OldestLiveUse returns the edge-clock timestamp of the
@@ -706,11 +693,19 @@ func (m *Manager) OldestLiveUse() (clock int64, ok bool) {
 	return m.pol.OldestUse(func(id UnitID) bool { return id != m.current })
 }
 
-// FinishDecompress marks an issued unit's copy usable. The simulator
-// calls it when the decompression thread completes the job.
-func (m *Manager) FinishDecompress(id UnitID) {
-	u := m.units[id]
-	if u.state == stateIssued {
+// Current reports whether decompression job j still stands: no delete
+// or eviction has dropped the copy it was issued for. The
+// decompression threads ask it before they spend cycles on a job.
+func (m *Manager) Current(j Job) bool {
+	u := m.units[j.Unit]
+	return u.gen == j.Gen && u.state != stateCompressed
+}
+
+// FinishDecompress marks the copy that job j decompressed usable. The
+// threads call it when they complete the job; a stale job (its copy
+// was dropped, and maybe issued again since) changes nothing.
+func (m *Manager) FinishDecompress(j Job) {
+	if u := m.units[j.Unit]; u.gen == j.Gen && u.state == stateIssued {
 		u.state = stateLive
 	}
 }

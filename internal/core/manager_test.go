@@ -675,21 +675,62 @@ func TestFinishDecompressPromotes(t *testing.T) {
 	})
 	b1, _ := p.Graph.BlockByLabel("B1")
 	b0, _ := p.Graph.BlockByLabel("B0")
-	if _, err := m.EnterBlock(cfg.None, b1.ID); err != nil {
+	x, err := m.EnterBlock(cfg.None, b1.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
 	u := m.UnitOf(b0.ID)
-	if !m.IsLive(u) {
-		t.Fatal("B0 not issued")
+	if len(x.Prefetches) != 1 || x.Prefetches[0].Unit != u {
+		t.Fatalf("prefetches = %+v, want one job for B0", x.Prefetches)
 	}
-	m.FinishDecompress(u)
+	m.FinishDecompress(x.Prefetches[0])
 	// Entering B0 now is a plain prefetch hit with no in-flight wait.
-	x, err := m.EnterBlock(b1.ID, b0.ID)
+	x, err = m.EnterBlock(b1.ID, b0.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x.InFlight {
 		t.Error("completed prefetch still reported in flight")
+	}
+}
+
+// TestStaleJobDoesNotPromote: once the Manager drops a copy, the job
+// issued for it is stale. Finishing it must not promote a copy issued
+// again since; only the new job's completion does.
+func TestStaleJobDoesNotPromote(t *testing.T) {
+	p := buildProgram(t, cfg.Figure2())
+	m := newManager(t, p, func(c *Config) {
+		c.Strategy = PreAll
+		c.DecompressK = 1
+		c.CompressK = 100
+	})
+	trs := drive(t, m, p, "B1")
+	stale := trs[0].Prefetches[0] // B0
+	if !m.Current(stale) {
+		t.Fatal("fresh prefetch not current")
+	}
+	if _, _, ok := m.ForceEvict(); !ok || m.IsLive(stale.Unit) {
+		t.Fatal("ForceEvict did not drop B0's copy")
+	}
+	if m.Current(stale) {
+		t.Error("job of a dropped copy still current")
+	}
+	// Entering B1 again from the graph's entry is a restart; it issues
+	// B0 once more under the next generation.
+	trs = append(trs, drive(t, m, p, "B1")...)
+	fresh := trs[1].Prefetches[0]
+	if fresh.Unit != stale.Unit || fresh.Gen == stale.Gen || m.Current(stale) || !m.Current(fresh) {
+		t.Fatalf("re-issued job %+v, stale %+v", fresh, stale)
+	}
+	m.FinishDecompress(stale)
+	b1, _ := p.Graph.BlockByLabel("B1")
+	b0, _ := p.Graph.BlockByLabel("B0")
+	x, err := m.EnterBlock(b1.ID, b0.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !x.InFlight {
+		t.Error("a stale job's completion promoted the re-issued copy")
 	}
 }
 

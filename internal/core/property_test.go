@@ -106,10 +106,10 @@ func TestManagerPropertyRandomRuns(t *testing.T) {
 			// Model an eager simulator: finish decompressions right
 			// away and writebacks a step later.
 			if x.Demand != nil {
-				m.FinishDecompress(x.Demand.Unit)
+				m.FinishDecompress(*x.Demand)
 			}
 			for _, j := range x.Prefetches {
-				m.FinishDecompress(j.Unit)
+				m.FinishDecompress(j)
 			}
 			for u, n := range pendingDeletes {
 				for k := 0; k < n; k++ {

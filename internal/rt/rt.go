@@ -118,12 +118,12 @@ func (r *Runtime) decompressLoop() {
 			// so keep them and recycle ours. Ours was never published,
 			// so pooling it here cannot race with a reader.
 			compress.PutBuf(out)
-			r.m.FinishDecompress(job.Unit)
+			r.m.FinishDecompress(job)
 			r.summary.BackgroundDecompressions++
 		default:
 			//apcc:owns the copies map owns published buffers; recycled on delete/replace
 			r.copies[job.Unit] = out
-			r.m.FinishDecompress(job.Unit)
+			r.m.FinishDecompress(job)
 			r.summary.BackgroundDecompressions++
 		}
 		if ch != nil {
@@ -217,7 +217,7 @@ func (r *Runtime) Execute(tr *trace.Trace) (*Summary, error) {
 			}
 			//apcc:owns the copies map owns published buffers; recycled on delete/replace
 			r.copies[unit] = out
-			r.m.FinishDecompress(unit)
+			r.m.FinishDecompress(*x.Demand)
 			r.summary.DemandDecompressions++
 		} else if _, hasCopy := r.copies[unit]; !hasCopy {
 			// The copy is still in flight on the decompression thread.

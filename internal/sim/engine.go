@@ -36,7 +36,7 @@ func NewEngine(m *core.Manager, costs CostModel) *Engine {
 		costs: costs,
 		codec: m.CodecCost(),
 		res:   res,
-		dec:   &decompThread{m: m, seq: make(map[core.UnitID]int64), busy: &res.DecompThreadBusy},
+		dec:   &decompThread{m: m, busy: &res.DecompThreadBusy},
 	}
 }
 
@@ -93,18 +93,21 @@ func (e *Engine) Enter(prev, b cfg.BlockID) error {
 		e.now += c
 		e.res.StallCycles += c
 	}
-	if x.Demand != nil {
+	switch {
+	case x.Demand != nil:
 		stall := e.codec.DecompressCycles(x.Demand.Bytes)
 		e.now += stall
 		e.res.StallCycles += stall
 		e.res.DemandStallCycles += stall
-		e.m.FinishDecompress(x.Demand.Unit)
-	} else if stall, ok := e.dec.waitFor(e.now, e.m.UnitOf(b)); ok && stall > 0 {
+		e.m.FinishDecompress(*x.Demand)
+	case x.InFlight:
+		stall := e.dec.waitFor(e.now, e.m.UnitOf(b))
 		e.now += stall
 		e.res.StallCycles += stall
+	default:
+		e.dec.advance(e.now)
 	}
 	for _, d := range x.Deletes {
-		e.res.CancelledPrefetches += e.dec.cancel(d.Unit)
 		start := e.compFree
 		if e.now > start {
 			start = e.now
@@ -120,7 +123,7 @@ func (e *Engine) Enter(prev, b cfg.BlockID) error {
 		e.compQueue = append(e.compQueue, cJob{unit: d.Unit, kind: d.Kind, finish: start + dur})
 	}
 	for _, p := range x.Prefetches {
-		e.dec.issue(e.now, p.Unit, e.codec.DecompressCycles(p.Bytes))
+		e.dec.issue(e.now, p, e.codec.DecompressCycles(p.Bytes))
 	}
 	e.m.Occupancy().Tick(e.now-before, e.m.Resident())
 	return nil

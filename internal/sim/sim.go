@@ -20,9 +20,13 @@
 //
 // The decompression thread supports two realities of prefetching
 // hardware/runtime systems: a demanded in-flight job is priority-boosted
-// past the FIFO queue, and a queued job whose unit gets deleted by the
-// k-edge algorithm before it ever started is cancelled (the thread never
-// spends the cycles).
+// past the FIFO queue, and a job whose copy is dropped before it starts
+// costs nothing. A copy is dropped when the k-edge algorithm deletes it
+// or a memory budget evicts it, and core.Manager alone decides whether a
+// job still stands (Manager.Current): the thread does not queue a job
+// whose copy the issuing transition already dropped, skips a queued job
+// whose copy was dropped while it waited, and lets a running job whose
+// copy was dropped finish without promoting its unit.
 //
 // The timing core is exposed as Engine so that internal/machine can
 // drive the same model from live VM execution instead of a trace.
@@ -88,9 +92,6 @@ type Result struct {
 	// DecompThreadBusy and CompThreadBusy are background busy cycles.
 	DecompThreadBusy int64
 	CompThreadBusy   int64
-	// CancelledPrefetches counts queued prefetch jobs cancelled before
-	// they started (their unit was deleted first).
-	CancelledPrefetches int64
 
 	// PeakResident and AvgResident are the memory metrics: maximum and
 	// cycle-weighted average resident code bytes.
@@ -144,122 +145,106 @@ func (r *Result) HitRate() float64 {
 
 // dJob is one decompression-thread work item.
 type dJob struct {
-	unit   core.UnitID
+	job    core.Job
 	dur    int64
 	issued int64 // when the job was queued; it cannot start earlier
-	seq    int64 // issue sequence; a stale seq means the job was superseded
 }
 
-// decompThread is the single-server prefetch worker.
+// decompThread is the single-server prefetch worker. It asks the
+// Manager whether a job still stands before spending cycles on it.
 type decompThread struct {
 	m       *core.Manager
 	clock   int64 // when the thread last became free
-	running *dJob
-	finish  int64 // running job's completion time
+	running bool  // run occupies the server until finish
+	run     dJob
+	finish  int64
 	queue   []dJob
-	seq     map[core.UnitID]int64
 	busy    *int64
 }
 
-// issue enqueues a prefetch job at time now.
-func (d *decompThread) issue(now int64, unit core.UnitID, dur int64) {
-	d.seq[unit]++
-	d.queue = append(d.queue, dJob{unit: unit, dur: dur, issued: now, seq: d.seq[unit]})
+// issue enqueues a prefetch job at time now, unless its copy was
+// already dropped by the transition that issued it.
+func (d *decompThread) issue(now int64, j core.Job, dur int64) {
+	if !d.m.Current(j) {
+		return
+	}
+	d.queue = append(d.queue, dJob{job: j, dur: dur, issued: now})
 	d.advance(now)
 }
 
-// cancel invalidates any job for the unit; queued jobs are removed
-// without cost, a running job completes but its result is stale.
-func (d *decompThread) cancel(unit core.UnitID) int64 {
-	d.seq[unit]++
-	cancelled := int64(0)
-	keep := d.queue[:0]
-	for _, j := range d.queue {
-		if j.unit == unit {
-			cancelled++
+// start pulls the next queued job if idle, skipping at no cost the jobs
+// whose copy was dropped while they waited. A job begins when the
+// thread became free or when it was issued, whichever is later.
+func (d *decompThread) start() {
+	for !d.running && len(d.queue) > 0 {
+		j := d.queue[0]
+		d.queue = d.queue[1:]
+		if !d.m.Current(j.job) {
 			continue
 		}
-		keep = append(keep, j)
+		d.run, d.running = j, true
+		d.finish = max(d.clock, j.issued) + j.dur
+		*d.busy += j.dur
 	}
-	d.queue = keep
-	return cancelled
 }
 
-// start pulls the next queued job if idle. It begins when the thread
-// became free or when it was issued, whichever is later.
-func (d *decompThread) start() {
-	if d.running != nil || len(d.queue) == 0 {
-		return
-	}
-	j := d.queue[0]
-	d.queue = d.queue[1:]
-	d.running = &j
-	d.finish = max(d.clock, j.issued) + j.dur
-	*d.busy += j.dur
+// complete retires the running job. One whose copy was dropped while it
+// ran has spent its cycles, but the Manager does not promote its unit.
+func (d *decompThread) complete() {
+	d.m.FinishDecompress(d.run.job)
+	d.clock = d.finish
+	d.running = false
 }
 
 // advance completes all work finishing at or before now.
 func (d *decompThread) advance(now int64) {
 	for {
 		d.start()
-		if d.running == nil || d.finish > now {
+		if !d.running || d.finish > now {
 			return
 		}
-		if d.running.seq == d.seq[d.running.unit] {
-			d.m.FinishDecompress(d.running.unit)
-		}
-		d.clock = d.finish
-		d.running = nil
+		d.complete()
 	}
 }
 
 // waitFor blocks execution (at time now) until the unit's in-flight
-// decompression completes, boosting it past the FIFO queue. It returns
-// the stall duration; ok is false when the thread holds no current job
-// for the unit (it already completed, was never issued, or only a stale
-// superseded job exists).
-func (d *decompThread) waitFor(now int64, unit core.UnitID) (int64, bool) {
+// decompression completes, boosting it past the FIFO queue, and returns
+// the stall. The Engine calls it only when the Manager reports the
+// entry in flight, so the unit's current job is running or queued.
+func (d *decompThread) waitFor(now int64, unit core.UnitID) int64 {
 	d.advance(now)
 	// The unit's current job may already occupy the server.
-	if d.running != nil && d.running.unit == unit && d.running.seq == d.seq[unit] {
+	if d.running && d.run.job.Unit == unit && d.m.Current(d.run.job) {
 		t := d.finish
 		d.advance(t)
-		return t - now, true
+		return t - now
 	}
 	// Otherwise find it in the queue; a running job of the same unit
-	// with a stale seq counts as foreign work.
+	// whose copy was dropped counts as foreign work.
 	idx := -1
 	for i, j := range d.queue {
-		if j.unit == unit && j.seq == d.seq[unit] {
+		if j.job.Unit == unit && d.m.Current(j.job) {
 			idx = i
 			break
 		}
 	}
 	if idx < 0 {
-		return 0, false
+		return 0
 	}
 	j := d.queue[idx]
 	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
 	t := now
 	// The server finishes its current job first; then our job is
 	// boosted past the rest of the queue.
-	if d.running != nil {
+	if d.running {
 		t = d.finish
-		if d.running.seq == d.seq[d.running.unit] {
-			d.m.FinishDecompress(d.running.unit)
-		}
-		d.clock = t
-		d.running = nil
+		d.complete()
 	}
-	begin := d.clock
-	if t > begin {
-		begin = t
-	}
-	end := begin + j.dur
+	end := max(d.clock, t) + j.dur
 	*d.busy += j.dur
 	d.clock = end
-	d.m.FinishDecompress(j.unit)
-	return end - now, true
+	d.m.FinishDecompress(j.job)
+	return end - now
 }
 
 // cJob is one compression-thread work item.
