@@ -528,11 +528,13 @@ func (m *Manager) allocate(u *unit, tr *Transition, demand bool) error {
 	need := len(u.plain)
 	if m.conf.BudgetBytes > 0 {
 		for m.img.Resident()+need > m.conf.BudgetBytes {
-			// Eviction is synchronous (the handler needs the space now).
-			// With no live victim, wait for the compression thread to
-			// release a pending writeback as a last resort.
-			if _, _, ok := m.evict(u.id); ok {
+			// Eviction is synchronous (the handler needs the space now),
+			// so the handler also pays for the sites it unpatches. With
+			// no live victim, wait for the compression thread to release
+			// a pending writeback as a last resort.
+			if _, sites, ok := m.evict(u.id); ok {
 				tr.Evicted++
+				tr.Patches += sites
 				continue
 			}
 			if m.forceWriteback(tr) {
@@ -635,9 +637,9 @@ func (m *Manager) drop(u *unit, evict bool) int {
 // unpatchUnit re-points at the compressed area (a) every remembered
 // site targeting the unit, and (b) every patched site contained in the
 // unit's own copy (those sites disappear with the copy). Returns the
-// number of sites actually unpatched. These patches happen in the
-// background thread, so they are not charged to tr.Patches; they are
-// still counted in stats.
+// number of sites actually unpatched, which the caller charges: a
+// delete's to the compression thread (its Job's Sites), an eviction's
+// to the handler (Transition.Patches).
 func (m *Manager) unpatchUnit(u *unit) int {
 	n := 0
 	for _, s := range u.sites {

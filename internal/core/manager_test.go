@@ -514,6 +514,56 @@ func TestBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestEvictionPatchesCharged: every branch-site update is charged,
+// either to the handler (Transition.Patches: the entry patch plus the
+// sites a synchronous eviction unpatches) or to the compression thread
+// (a delete Job's Sites). The budgeted run must include evictions that
+// unpatch sites, or it would prove nothing.
+func TestEvictionPatchesCharged(t *testing.T) {
+	p := buildProgram(t, cfg.Figure2())
+	code, _ := p.CodeBytes()
+	codec, _ := compress.New("dict", code)
+	probe, err := NewManager(p, Config{Codec: codec, CompressK: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := probe.CompressedSize() + p.TotalBytes()/2
+	m := newManager(t, p, func(c *Config) {
+		c.CompressK = 4
+		c.BudgetBytes = budget
+	})
+	tr, err := trace.Generate(p.Graph, trace.GenConfig{Seed: 5, MaxSteps: 2000, Restart: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := cfg.None
+	evictionPatches := 0
+	for step, b := range tr.Blocks {
+		if prev != cfg.None && len(p.Graph.Succs(prev)) == 0 {
+			prev = cfg.None
+		}
+		before := m.Stats().Patches
+		x, err := m.EnterBlock(prev, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged := x.Patches
+		for _, d := range x.Deletes {
+			charged += d.Sites
+		}
+		if got := m.Stats().Patches - before; got != int64(charged) {
+			t.Fatalf("step %d: %d sites updated, %d charged (transition %+v)", step, got, charged, x)
+		}
+		if x.Evicted > 0 && x.Patches > 1 { // at most one entry patch per edge
+			evictionPatches++
+		}
+		prev = b
+	}
+	if evictionPatches == 0 {
+		t.Fatal("no eviction unpatched a site; the budget exercises nothing")
+	}
+}
+
 func TestBudgetTooSmallRejected(t *testing.T) {
 	p := buildProgram(t, cfg.Figure5())
 	code, _ := p.CodeBytes()
