@@ -180,10 +180,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
+		tr := &http.Transport{
 			MaxIdleConns:        cfg.Clients * 2,
 			MaxIdleConnsPerHost: cfg.Clients * 2,
-		}}
+		}
+		// A transport made here is closed here: its keep-alive
+		// connections would otherwise stay open, with a goroutine at
+		// each end, until the server's idle timeout. A caller's client
+		// is the caller's to close.
+		defer tr.CloseIdleConnections()
+		client = &http.Client{Transport: tr}
 	}
 
 	scenarios := strings.Split(cfg.Workload, ",")

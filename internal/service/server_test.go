@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -360,6 +362,45 @@ func TestLoadgenE2E(t *testing.T) {
 	m := metricsCSV(t, ts.Client(), ts.URL)
 	if got := m["apcc_blocks_served_total"]; got != strconv.FormatInt(stats.Requests, 10) {
 		t.Fatalf("/metrics apcc_blocks_served_total = %q, want %d", got, stats.Requests)
+	}
+}
+
+// TestRunLoadClosesOwnTransport: a RunLoad that builds its own
+// transport (LoadConfig.Client nil) closes its connections when it
+// returns, so the server sees every connection close.
+func TestRunLoadClosesOwnTransport(t *testing.T) {
+	s, err := New(Config{Workers: 4, QueueDepth: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open atomic.Int64
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	stats, err := RunLoad(context.Background(), LoadConfig{
+		BaseURL: ts.URL, Workload: "fft", Codec: "dict", Clients: 4, Steps: 20, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Errors != 0 {
+		t.Fatalf("loadgen errors = %d, first: %v", stats.Errors, stats.FirstError)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for open.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d server connections still open after RunLoad returned", open.Load())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
