@@ -110,7 +110,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			prof := trace.NewProfile(w.Program.Graph.NumBlocks())
+			prof := trace.NewProfile()
 			prof.AddTrace(ptr)
 			conf.Predictor = trace.NewProfiled(w.Program.Graph, prof)
 		default:

@@ -441,7 +441,7 @@ func Predictors(kc, kd, steps int) (*report.Table, error) {
 				if perr != nil {
 					return trace.NewStatic(w.Program.Graph)
 				}
-				prof := trace.NewProfile(w.Program.Graph.NumBlocks())
+				prof := trace.NewProfile()
 				prof.AddTrace(ptr)
 				return trace.NewProfiled(w.Program.Graph, prof)
 			},

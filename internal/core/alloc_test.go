@@ -40,7 +40,7 @@ func TestEnterBlockHotPathAllocs(t *testing.T) {
 	}
 	// The copies must still verify after the hot loop.
 	for _, b := range []cfg.BlockID{b3, b4} {
-		if _, err := m.CopyBytes(m.UnitOf(b)); err != nil {
+		if _, err := copyBytes(m, m.UnitOf(b)); err != nil {
 			t.Fatal(err)
 		}
 	}

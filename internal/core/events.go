@@ -66,19 +66,3 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("%d:%s b%d", e.Clock, e.Kind, e.Block)
 }
-
-// FilterEvents returns the subsequence of events matching any of the
-// given kinds, preserving order.
-func FilterEvents(events []Event, kinds ...EventKind) []Event {
-	want := make(map[EventKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []Event
-	for _, e := range events {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}

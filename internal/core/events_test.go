@@ -6,6 +6,22 @@ import (
 	"apbcc/internal/cfg"
 )
 
+// filterEvents returns the subsequence of events matching any of the
+// given kinds, preserving order.
+func filterEvents(events []Event, kinds ...EventKind) []Event {
+	want := make(map[EventKind]bool, len(kinds))
+	for _, k := range kinds {
+		want[k] = true
+	}
+	var out []Event
+	for _, e := range events {
+		if want[e.Kind] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestFilterEvents(t *testing.T) {
 	events := []Event{
 		{Kind: EvEnter, Block: 0, Clock: 1},
@@ -14,18 +30,18 @@ func TestFilterEvents(t *testing.T) {
 		{Kind: EvEnter, Block: 1, Clock: 2},
 		{Kind: EvDelete, Block: 0, Clock: 3},
 	}
-	got := FilterEvents(events, EvEnter)
+	got := filterEvents(events, EvEnter)
 	if len(got) != 2 || got[0].Block != 0 || got[1].Block != 1 {
-		t.Errorf("FilterEvents(enter) = %v", got)
+		t.Errorf("filterEvents(enter) = %v", got)
 	}
-	got = FilterEvents(events, EvException, EvDelete)
+	got = filterEvents(events, EvException, EvDelete)
 	if len(got) != 2 || got[0].Kind != EvException || got[1].Kind != EvDelete {
-		t.Errorf("FilterEvents(exc,del) = %v", got)
+		t.Errorf("filterEvents(exc,del) = %v", got)
 	}
-	if FilterEvents(events) != nil {
+	if filterEvents(events) != nil {
 		t.Error("empty filter should match nothing")
 	}
-	if FilterEvents(nil, EvEnter) != nil {
+	if filterEvents(nil, EvEnter) != nil {
 		t.Error("nil events")
 	}
 }

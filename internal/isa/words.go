@@ -35,19 +35,6 @@ func AppendEncodedBytes(dst []byte, ins []Instruction) ([]byte, error) {
 	return dst, nil
 }
 
-// BytesToWords deserializes a little-endian memory image into
-// instruction words. The image length must be a multiple of WordSize.
-func BytesToWords(buf []byte) ([]uint32, error) {
-	if len(buf)%WordSize != 0 {
-		return nil, fmt.Errorf("%w: %d bytes is not a whole number of words", ErrShortBuffer, len(buf))
-	}
-	words := make([]uint32, len(buf)/WordSize)
-	for i := range words {
-		words[i] = ByteOrder.Uint32(buf[i*WordSize:])
-	}
-	return words, nil
-}
-
 // DecodeAll decodes every word of a program image.
 func DecodeAll(words []uint32) ([]Instruction, error) {
 	ins := make([]Instruction, len(words))

@@ -88,9 +88,6 @@ func (a *Arena) SetPolicy(p FitPolicy) { a.policy = p }
 // Policy returns the current fit policy.
 func (a *Arena) Policy() FitPolicy { return a.policy }
 
-// Base returns the arena's first address.
-func (a *Arena) Base() Addr { return a.base }
-
 // Size returns the arena's capacity in bytes.
 func (a *Arena) Size() int { return a.size }
 

@@ -210,8 +210,8 @@ func TestImageLayout(t *testing.T) {
 	if img.CompressedSize() != 60 {
 		t.Errorf("CompressedSize = %d", img.CompressedSize())
 	}
-	if img.Managed().Base() != 0x103c {
-		t.Errorf("managed base = %#x", uint32(img.Managed().Base()))
+	if img.Managed().base != 0x103c {
+		t.Errorf("managed base = %#x", uint32(img.Managed().base))
 	}
 }
 

@@ -80,14 +80,6 @@ type Trace struct {
 	truncated bool
 }
 
-// NewTrace returns a standalone trace whose first tile is stage (tests
-// and tools; the serving tier gets pooled traces from a Recorder).
-func NewTrace(id uint64, stage string) *Trace {
-	t := &Trace{spans: make([]Span, 0, maxSpans)}
-	t.reset(id, stage)
-	return t
-}
-
 func (t *Trace) reset(id uint64, stage string) {
 	t.ID = id
 	t.Workload, t.Codec, t.Outcome = "", "", ""

@@ -8,11 +8,19 @@ import (
 	"time"
 )
 
+// newTrace returns a standalone trace whose first tile is stage; the
+// serving tier gets pooled traces from a Recorder instead.
+func newTrace(id uint64, stage string) *Trace {
+	t := &Trace{spans: make([]Span, 0, maxSpans)}
+	t.reset(id, stage)
+	return t
+}
+
 // TestTraceTiles: StartTrace, Next and Finish lay tiles back to back,
 // so each starts where the previous one ended, their durations sum to
 // TotalNS exactly, and the request's outcome lands on the last tile.
 func TestTraceTiles(t *testing.T) {
-	tr := NewTrace(7, StageRoute)
+	tr := newTrace(7, StageRoute)
 	tr.Next(StageBuild)
 	time.Sleep(time.Millisecond)
 	tr.Next(StageRoute)
@@ -80,7 +88,7 @@ func TestNilTraceNoops(t *testing.T) {
 // of growing, reports it, and still sums to its total because the
 // open tile keeps running.
 func TestTraceTruncation(t *testing.T) {
-	tr := NewTrace(1, StageRoute)
+	tr := newTrace(1, StageRoute)
 	for i := 0; i < maxSpans+10; i++ {
 		tr.Next(StageDecode)
 	}
@@ -211,7 +219,7 @@ func TestRecorderConcurrent(t *testing.T) {
 
 // TestContextRoundTrip: WithTrace/FromContext carry the trace.
 func TestContextRoundTrip(t *testing.T) {
-	tr := NewTrace(9, StageRoute)
+	tr := newTrace(9, StageRoute)
 	ctx := WithTrace(context.Background(), tr)
 	if got := FromContext(ctx); got != tr {
 		t.Fatalf("FromContext = %p, want %p", got, tr)

@@ -71,11 +71,7 @@ func TestBlockBytes(t *testing.T) {
 	if len(img) != loop.Bytes() {
 		t.Errorf("image = %d bytes, block = %d", len(img), loop.Bytes())
 	}
-	words, err := isa.BytesToWords(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := isa.Decode(words[len(words)-1])
+	in, err := isa.Decode(isa.ByteOrder.Uint32(img[len(img)-isa.WordSize:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +302,7 @@ func TestSynthesizePropertyAllFigures(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			words, err := isa.BytesToWords(code)
-			if err != nil || len(words) != len(p.Ins) {
+			if len(code) != len(p.Ins)*isa.WordSize {
 				return false
 			}
 		}

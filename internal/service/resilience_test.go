@@ -221,8 +221,8 @@ func TestDrainFlipsHealthz(t *testing.T) {
 		t.Fatalf("healthz before drain: %d", code)
 	}
 	s.BeginDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
+	if !s.draining.Load() {
+		t.Fatal("not draining after BeginDrain")
 	}
 	code, body, _ := get(t, ts.Client(), ts.URL+"/healthz")
 	if code != http.StatusServiceUnavailable || strings.TrimSpace(string(body)) != "draining" {

@@ -345,9 +345,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // instrument wraps the mux with request/error/in-flight accounting,
 // queue-depth admission control (shed with 429 + Retry-After instead
 // of blocking on a saturated pool), and the per-request deadline.

@@ -71,7 +71,7 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	// refWrite orders the ref writers (PutRef, DropRef, Quarantine), so
+	// refWrite orders the ref writers (PutRef, Quarantine), so
 	// the refs on disk and the map agree. It is held across their disk
 	// work; mu is held only for the map, so Ref and Stats never wait
 	// behind a slow write.
@@ -295,16 +295,6 @@ func (s *Store) Ref(name string) (string, bool) {
 	defer s.mu.Unlock()
 	key, ok := s.refs[name]
 	return key, ok
-}
-
-// DropRef removes a name (used when its object turns out corrupt).
-func (s *Store) DropRef(name string) {
-	s.refWrite.Lock()
-	defer s.refWrite.Unlock()
-	s.mu.Lock()
-	delete(s.refs, name)
-	s.mu.Unlock()
-	os.Remove(s.refPath(name))
 }
 
 // Quarantine moves an object out of objects/ into quarantine/ where it

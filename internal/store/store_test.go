@@ -99,9 +99,10 @@ func TestRefsSurviveReopen(t *testing.T) {
 	if !ok || got != key {
 		t.Fatalf("reopened ref = %q, %v; want %q", got, ok, key)
 	}
-	s2.DropRef(name)
+	// Quarantining the object drops every ref to it, on disk too.
+	s2.Quarantine(key)
 	if _, ok := s2.Ref(name); ok {
-		t.Fatal("ref survived DropRef")
+		t.Fatal("ref survived Quarantine")
 	}
 	s3, err := Open(dir)
 	if err != nil {

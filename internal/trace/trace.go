@@ -140,20 +140,14 @@ func (t *Trace) Validate(g *cfg.Graph) error {
 	return nil
 }
 
-// Profile aggregates edge and block frequencies.
+// Profile aggregates edge frequencies.
 type Profile struct {
-	nblocks int
-	edges   map[[2]cfg.BlockID]int64
-	blocks  []int64
+	edges map[[2]cfg.BlockID]int64
 }
 
-// NewProfile creates an empty profile for a graph with nblocks blocks.
-func NewProfile(nblocks int) *Profile {
-	return &Profile{
-		nblocks: nblocks,
-		edges:   make(map[[2]cfg.BlockID]int64),
-		blocks:  make([]int64, nblocks),
-	}
+// NewProfile creates an empty profile.
+func NewProfile() *Profile {
+	return &Profile{edges: make(map[[2]cfg.BlockID]int64)}
 }
 
 // AddEdge records one traversal of from→to.
@@ -161,17 +155,9 @@ func (p *Profile) AddEdge(from, to cfg.BlockID) {
 	p.edges[[2]cfg.BlockID{from, to}]++
 }
 
-// AddVisit records one execution of a block.
-func (p *Profile) AddVisit(b cfg.BlockID) {
-	if int(b) < len(p.blocks) {
-		p.blocks[b]++
-	}
-}
-
 // AddTrace folds a whole trace into the profile.
 func (p *Profile) AddTrace(t *Trace) {
 	for i, b := range t.Blocks {
-		p.AddVisit(b)
 		if i+1 < len(t.Blocks) {
 			p.AddEdge(b, t.Blocks[i+1])
 		}
@@ -181,35 +167,4 @@ func (p *Profile) AddTrace(t *Trace) {
 // EdgeCount returns the recorded traversals of from→to.
 func (p *Profile) EdgeCount(from, to cfg.BlockID) int64 {
 	return p.edges[[2]cfg.BlockID{from, to}]
-}
-
-// VisitCount returns the recorded executions of a block.
-func (p *Profile) VisitCount(b cfg.BlockID) int64 {
-	if int(b) >= len(p.blocks) {
-		return 0
-	}
-	return p.blocks[b]
-}
-
-// Annotate writes the profile's edge frequencies into the graph's edge
-// probabilities and normalizes, implementing profile-driven probability
-// annotation. Edges never observed keep a small floor so they stay
-// reachable for the predictor.
-func (p *Profile) Annotate(g *cfg.Graph) {
-	for _, b := range g.Blocks() {
-		succs := g.Succs(b.ID)
-		var total int64
-		for _, e := range succs {
-			total += p.EdgeCount(e.From, e.To)
-		}
-		for i := range succs {
-			c := p.EdgeCount(succs[i].From, succs[i].To)
-			if total == 0 {
-				succs[i].Prob = 1
-			} else {
-				succs[i].Prob = (float64(c) + 0.5) / (float64(total) + 0.5*float64(len(succs)))
-			}
-		}
-	}
-	g.Normalize()
 }

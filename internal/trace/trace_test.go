@@ -88,7 +88,7 @@ func TestGenerateFollowsProbabilities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProfile(g.NumBlocks())
+	p := NewProfile()
 	p.AddTrace(tr)
 	ratio := float64(p.EdgeCount(a, b)) / float64(p.EdgeCount(a, b)+p.EdgeCount(a, c))
 	if math.Abs(ratio-0.9) > 0.03 {
@@ -126,50 +126,16 @@ func TestValidateRejectsNonEdge(t *testing.T) {
 func TestProfileCounts(t *testing.T) {
 	g := cfg.Figure5()
 	tr, _ := FromLabels(g, "B0", "B1", "B0", "B1", "B3")
-	p := NewProfile(g.NumBlocks())
+	p := NewProfile()
 	p.AddTrace(tr)
 	b0, _ := g.BlockByLabel("B0")
 	b1, _ := g.BlockByLabel("B1")
 	b3, _ := g.BlockByLabel("B3")
-	if p.VisitCount(b0.ID) != 2 || p.VisitCount(b1.ID) != 2 || p.VisitCount(b3.ID) != 1 {
-		t.Error("visit counts wrong")
-	}
 	if p.EdgeCount(b0.ID, b1.ID) != 2 {
 		t.Errorf("edge count B0->B1 = %d", p.EdgeCount(b0.ID, b1.ID))
 	}
 	if p.EdgeCount(b1.ID, b3.ID) != 1 {
 		t.Errorf("edge count B1->B3 = %d", p.EdgeCount(b1.ID, b3.ID))
-	}
-	if p.VisitCount(cfg.BlockID(99)) != 0 {
-		t.Error("out-of-range visit count")
-	}
-}
-
-func TestAnnotateFromProfile(t *testing.T) {
-	g := cfg.Figure5()
-	tr, err := Generate(g, GenConfig{Seed: 3, MaxSteps: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProfile(g.NumBlocks())
-	p.AddTrace(tr)
-	p.Annotate(g)
-	// Out-probabilities must be normalized.
-	for _, b := range g.Blocks() {
-		succs := g.Succs(b.ID)
-		if len(succs) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, e := range succs {
-			sum += e.Prob
-			if e.Prob <= 0 {
-				t.Errorf("edge %v->%v has prob %v after Annotate", e.From, e.To, e.Prob)
-			}
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("block %s out-probs sum to %v", b, sum)
-		}
 	}
 }
 
@@ -221,7 +187,7 @@ func TestProfiledPredictor(t *testing.T) {
 	b0, _ := g.BlockByLabel("B0")
 	b1, _ := g.BlockByLabel("B1")
 	b2, _ := g.BlockByLabel("B2")
-	p := NewProfile(g.NumBlocks())
+	p := NewProfile()
 	for i := 0; i < 3; i++ {
 		p.AddEdge(b0.ID, b1.ID)
 	}
