@@ -1,11 +1,12 @@
 // Package service is the concurrent pack-serving subsystem: an HTTP
 // service that packs workloads and assembled programs into APCC
 // containers on demand and serves whole containers as well as
-// individual compressed basic blocks to fleets of devices. It lifts the
-// paper's on-demand/predictive decompression loop from one simulated
-// core to the network: a device under memory pressure fetches exactly
-// the compressed blocks its access pattern touches, and the server's
-// job is to make that path fast at fleet scale.
+// individual compressed basic blocks to fleets of devices. It is the
+// delivery side only: the server hands out the compressed blocks a
+// device asks for and makes that path fast at fleet scale. The paper's
+// on-demand/predictive decompression loop (which blocks to fetch,
+// decompress ahead or drop) is not modeled on the device yet: every
+// load generator device fetches each block its trace visits.
 //
 // The subsystem is built from four pieces:
 //

@@ -1,11 +1,12 @@
 // Package store is the content-addressed on-disk container tier: the
 // cheap secondary storage of the paper's memory hierarchy, holding
 // checksummed compressed-code images that survive process restarts.
-// Containers are keyed by the SHA-256 of their bytes, written
-// crash-safely (tmp file + rename within one filesystem), and served
-// block-at-a-time through the pack index with plain ReadAt calls —
-// a warm store lets a restarted server hand out blocks without ever
-// re-running the packer.
+// Containers are keyed by the SHA-256 of their bytes and written
+// crash-safely (tmp file + rename within one filesystem). The serving
+// tier persists each container it builds and, after a restart, reads
+// it back whole with Get, so a warm store lets a restarted server
+// restore its entries without re-running the packer. No request reads
+// the store: blocks are served from the resident container.
 //
 // On-disk layout under the store root:
 //
