@@ -446,8 +446,8 @@ func (m *Manager) EnterBlock(from, to cfg.BlockID) (*Transition, error) {
 	// deleted." The counters live in the policy now: Tick advances them
 	// across this edge (the entered unit was just reset and is exempt)
 	// and returns the expired units, lowest ID first — the same order
-	// the seed Manager's unit-slice walk deleted them in.
-	// The compression thread then patches the remember set and, in
+	// the seed Manager's unit-slice walk deleted them in. The
+	// compression thread then patches the remember set and, in
 	// writeback mode, recompresses before the space is reusable.
 	kind := JobDelete
 	if m.conf.WritebackCompression {
@@ -593,7 +593,7 @@ func (m *Manager) forceWriteback(tr *Transition) bool {
 // never depends on iteration order), returning its size and the branch
 // sites unpatched. Neither keep nor the executing unit is evictable; ok
 // is false when nothing else is.
-func (m *Manager) evict(keep UnitID) (bytes, sites int, ok bool) {
+func (m *Manager) evict(keep UnitID) (freed, sites int, ok bool) {
 	id, ok := m.pol.Victim(func(id UnitID) bool { return id != keep && id != m.current })
 	if !ok {
 		return 0, 0, false
