@@ -11,7 +11,7 @@ import (
 )
 
 // newCell builds a manager for one workload (dict codec trained on the
-// workload) and its canonical 20,000-step trace.
+// workload) and the workload's own trace: 20,000 steps from its seed.
 func newCell(t *testing.T, w *workloads.Workload, conf core.Config) (*core.Manager, *trace.Trace) {
 	t.Helper()
 	code, err := w.Program.CodeBytes()
@@ -25,7 +25,7 @@ func newCell(t *testing.T, w *workloads.Workload, conf core.Config) (*core.Manag
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Generate(w.Program.Graph, trace.GenConfig{Seed: w.Seed, MaxSteps: 20000, Restart: true})
+	tr, err := w.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
