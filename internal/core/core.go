@@ -104,9 +104,10 @@ type Config struct {
 	// required for that strategy, ignored otherwise.
 	Predictor trace.Predictor
 	// BudgetBytes caps total resident code bytes (compressed area plus
-	// live copies); 0 means unlimited. When a decompression would
-	// exceed the cap, least-recently-used copies are evicted first
-	// (Section 2's note).
+	// live copies); 0 means unlimited. When a demand decompression
+	// would exceed the cap, least-recently-used copies are evicted
+	// first (Section 2's note). A pre-decompression that would exceed
+	// it is not issued: only a demand decompression evicts.
 	BudgetBytes int
 	// ManagedBytes sizes the managed copy area. 0 defaults to twice the
 	// uncompressed program size, which never constrains the run.

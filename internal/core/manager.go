@@ -523,10 +523,15 @@ func (m *Manager) patch(site program.BranchSite, toCopy bool, tr *Transition) {
 // allocate reserves managed memory for a unit's copy, evicting LRU
 // units when a budget is configured. demand distinguishes critical-path
 // allocation (must succeed) from prefetch (may be skipped by caller on
-// failure).
+// failure). Only a demand allocation evicts: a prefetch that does not
+// fit the budget is skipped, so it can never evict a copy that the same
+// edge just prefetched, nor charge an eviction to the critical path.
 func (m *Manager) allocate(u *unit, tr *Transition, demand bool) error {
 	need := len(u.plain)
 	if m.conf.BudgetBytes > 0 {
+		if !demand && m.img.Resident()+need > m.conf.BudgetBytes {
+			return mem.ErrOutOfMemory
+		}
 		for m.img.Resident()+need > m.conf.BudgetBytes {
 			// Eviction is synchronous (the handler needs the space now),
 			// so the handler also pays for the sites it unpatches. With
@@ -540,11 +545,8 @@ func (m *Manager) allocate(u *unit, tr *Transition, demand bool) error {
 			if m.forceWriteback(tr) {
 				continue
 			}
-			if demand {
-				return fmt.Errorf("core: budget %d cannot fit unit %d (%d bytes) with nothing evictable",
-					m.conf.BudgetBytes, u.id, need)
-			}
-			return mem.ErrOutOfMemory
+			return fmt.Errorf("core: budget %d cannot fit unit %d (%d bytes) with nothing evictable",
+				m.conf.BudgetBytes, u.id, need)
 		}
 	}
 	for {

@@ -6,6 +6,7 @@ import (
 	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
 	"apbcc/internal/core"
+	"apbcc/internal/policy"
 	"apbcc/internal/trace"
 	"apbcc/internal/workloads"
 )
@@ -73,13 +74,14 @@ func TestStallsOnlyOnDemandOrInFlight(t *testing.T) {
 	}
 }
 
-// TestEvictedPrefetchCostsNoCycles: under a memory budget, a
-// transition's later prefetch can evict an earlier one it issued. The
-// decompression thread must spend no cycles on such a job, so its busy
-// time stays within the cycles of the prefetches that survived their
-// issuing transition.
-func TestEvictedPrefetchCostsNoCycles(t *testing.T) {
-	for _, name := range []string{"zipf", "mpeg2motion"} {
+// TestOnlyDemandEvicts: under E4's memory budget (pre-all, kc 4, kd 2,
+// halfway between the compressed floor and the unconstrained peak),
+// every transition that evicts a copy demands a decompression. A
+// prefetch that does not fit is skipped instead, so it never evicts a
+// copy the same edge just prefetched, nor charges an eviction to the
+// critical path.
+func TestOnlyDemandEvicts(t *testing.T) {
+	for _, name := range []string{"zipf", "loopphase", "jpegdct", "mpeg2motion"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -90,47 +92,44 @@ func TestEvictedPrefetchCostsNoCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conf.BudgetBytes = free.CompressedSize + (free.PeakResident-free.CompressedSize)/2
-		conf.RecordEvents = true
-		m, tr = newCell(t, w, conf)
-		res, err := Run(m, tr, DefaultCosts())
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cost := m.CodecCost()
-		var bound int64
-		evicted := 0
-		issued := map[core.UnitID]bool{} // prefetched on the current edge
-		clock := int64(-1)
-		settle := func() {
-			for u := range issued {
-				bound += cost.DecompressCycles(m.UnitBytes(u))
+		budget := free.CompressedSize + (free.PeakResident-free.CompressedSize)/2
+		for _, polName := range policy.Names() {
+			pol, err := policy.New[core.UnitID](polName)
+			if err != nil {
+				t.Fatal(err)
 			}
-			clear(issued)
-		}
-		for _, ev := range m.Events() {
-			if ev.Clock != clock {
-				settle()
-				clock = ev.Clock
-			}
-			switch ev.Kind {
-			case core.EvPreDecompress:
-				issued[ev.Unit] = true
-			case core.EvEvict:
-				if issued[ev.Unit] {
-					delete(issued, ev.Unit)
-					evicted++
+			conf.BudgetBytes, conf.Policy = budget, pol
+			m, tr := newCell(t, w, conf)
+			e := NewEngine(m, DefaultCosts())
+			graph := m.Program().Graph
+			prev := cfg.None
+			evicting, bad, first := 0, 0, -1
+			for step, b := range tr.Blocks {
+				if prev != cfg.None && len(graph.Succs(prev)) == 0 {
+					prev = cfg.None
 				}
+				st := m.Stats()
+				if err := e.Enter(prev, b); err != nil {
+					t.Fatalf("%s/%s step %d: %v", name, polName, step, err)
+				}
+				if after := m.Stats(); after.Evictions > st.Evictions {
+					evicting++
+					if after.DemandDecompresses == st.DemandDecompresses {
+						if bad++; first < 0 {
+							first = step
+						}
+					}
+				}
+				e.Exec(graph.Block(b).Words())
+				prev = b
 			}
-		}
-		settle()
-		if evicted == 0 {
-			t.Fatalf("%s: no prefetch was evicted by its own transition; the budget exercises nothing", name)
-		}
-		if res.DecompThreadBusy > bound {
-			t.Errorf("%s: decompression thread busy %d cycles, above the %d of prefetches that survived their transition (%d evicted by it)",
-				name, res.DecompThreadBusy, bound, evicted)
+			if evicting == 0 {
+				t.Fatalf("%s/%s: no transition evicted; the budget exercises nothing", name, polName)
+			}
+			if bad > 0 {
+				t.Errorf("%s/%s: %d of %d evicting transitions demanded no decompression (first at step %d)",
+					name, polName, bad, evicting, first)
+			}
 		}
 	}
 }

@@ -22,11 +22,12 @@
 // hardware/runtime systems: a demanded in-flight job is priority-boosted
 // past the FIFO queue, and a job whose copy is dropped before it starts
 // costs nothing. A copy is dropped when the k-edge algorithm deletes it
-// or a memory budget evicts it, and core.Manager alone decides whether a
-// job still stands (Manager.Current): the thread does not queue a job
-// whose copy the issuing transition already dropped, skips a queued job
-// whose copy was dropped while it waited, and lets a running job whose
-// copy was dropped finish without promoting its unit.
+// or a memory budget evicts it, and core.Manager alone decides whether
+// a job still stands (Manager.Current). Under a budget only a demand
+// decompression evicts, never a prefetch, so every job is current when
+// issued: the thread skips a queued job whose copy was dropped while it
+// waited, and lets a running job whose copy was dropped finish without
+// promoting its unit.
 //
 // The timing core is exposed as Engine so that internal/machine can
 // drive the same model from live VM execution instead of a trace.
@@ -162,12 +163,10 @@ type decompThread struct {
 	busy    *int64
 }
 
-// issue enqueues a prefetch job at time now, unless its copy was
-// already dropped by the transition that issued it.
+// issue enqueues a prefetch job at time now. The job is current: a
+// prefetch never evicts, so the transition that issued it dropped no
+// copy after issuing it.
 func (d *decompThread) issue(now int64, j core.Job, dur int64) {
-	if !d.m.Current(j) {
-		return
-	}
 	d.queue = append(d.queue, dJob{job: j, dur: dur, issued: now})
 	d.advance(now)
 }

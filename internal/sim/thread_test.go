@@ -170,7 +170,8 @@ func TestDecompThreadCancelQueued(t *testing.T) {
 	if *busy != 100 {
 		t.Errorf("busy = %d, want 100", *busy)
 	}
-	// A job whose copy is already dropped is not queued at all.
+	// A job whose copy is already dropped when issued is skipped at
+	// once, at no cost.
 	d.issue(1000, jobs[1], 40)
 	if d.running || len(d.queue) != 0 || *busy != 100 {
 		t.Errorf("stale job queued: running=%v queue=%+v busy=%d", d.running, d.queue, *busy)
