@@ -177,7 +177,9 @@ func (d *decompThread) issue(now int64, j core.Job, dur int64) {
 func (d *decompThread) start() {
 	for !d.running && len(d.queue) > 0 {
 		j := d.queue[0]
-		d.queue = d.queue[1:]
+		// Shift in place, as waitFor does, so issue's append reuses
+		// the array instead of growing a new one as the queue drains.
+		d.queue = d.queue[:copy(d.queue, d.queue[1:])]
 		if !d.m.Current(j.job) {
 			continue
 		}
