@@ -25,25 +25,35 @@ const DefaultSteps = 20000
 // codec on the workload, builds a fresh Manager and runs the canonical
 // trace.
 func RunCell(w *workloads.Workload, conf core.Config, steps int) (*sim.Result, error) {
-	if conf.Codec == nil {
-		code, err := w.Program.CodeBytes()
-		if err != nil {
-			return nil, err
-		}
-		conf.Codec, err = compress.New("dict", code)
-		if err != nil {
-			return nil, err
-		}
-	}
-	m, err := core.NewManager(w.Program, conf)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", w.Name, err)
-	}
-	tr, err := trace.Generate(w.Program.Graph, trace.GenConfig{Seed: w.Seed, MaxSteps: steps, Restart: true})
+	m, tr, err := newCell(w, conf, steps)
 	if err != nil {
 		return nil, err
 	}
 	return sim.Run(m, tr, sim.DefaultCosts())
+}
+
+// newCell builds one cell's fresh Manager, with the dict codec trained
+// on the workload unless conf names a codec, and its canonical trace of
+// steps blocks.
+func newCell(w *workloads.Workload, conf core.Config, steps int) (*core.Manager, *trace.Trace, error) {
+	if conf.Codec == nil {
+		code, err := w.Program.CodeBytes()
+		if err != nil {
+			return nil, nil, err
+		}
+		if conf.Codec, err = compress.New("dict", code); err != nil {
+			return nil, nil, err
+		}
+	}
+	m, err := core.NewManager(w.Program, conf)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: %s: %w", w.Name, err)
+	}
+	tr, err := trace.Generate(w.Program.Graph, trace.GenConfig{Seed: w.Seed, MaxSteps: steps, Restart: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, tr, nil
 }
 
 // strategies enumerated in the paper's Figure 3 order.
@@ -294,11 +304,7 @@ func Policies(kc, kd, steps int) (*report.Table, error) {
 		// compressed area plus the largest unit) so that any error out
 		// of a cell below is a real failure, never shrugged off as a
 		// budget limitation.
-		largest, err := largestUnitBytes(w, kc)
-		if err != nil {
-			return nil, err
-		}
-		if budget < probe.CompressedSize+largest {
+		if budget < probe.CompressedSize+largestBlockBytes(w) {
 			for _, polName := range policy.Names() {
 				tb.AddRow(w.Name, polName, "infeasible", "-", "-", "-", "-", "-", "-")
 			}
@@ -323,29 +329,15 @@ func Policies(kc, kd, steps int) (*report.Table, error) {
 	return tb, nil
 }
 
-// largestUnitBytes measures the workload's largest compression unit
-// (block granularity) via a throwaway manager — the feasibility floor
+// largestBlockBytes is the workload's largest block, and so its
+// largest compression unit at block granularity: the feasibility floor
 // for any resident-memory budget.
-func largestUnitBytes(w *workloads.Workload, kc int) (int, error) {
-	code, err := w.Program.CodeBytes()
-	if err != nil {
-		return 0, err
+func largestBlockBytes(w *workloads.Workload) int {
+	largest := 0
+	for _, b := range w.Program.Graph.Blocks() {
+		largest = max(largest, b.Bytes())
 	}
-	codec, err := compress.New("dict", code)
-	if err != nil {
-		return 0, err
-	}
-	m, err := core.NewManager(w.Program, core.Config{Codec: codec, CompressK: kc})
-	if err != nil {
-		return 0, err
-	}
-	max := 0
-	for u := 0; u < m.NumUnits(); u++ {
-		if b := m.UnitBytes(core.UnitID(u)); b > max {
-			max = b
-		}
-	}
-	return max, nil
+	return largest
 }
 
 // Budget regenerates E4b: Section 2's memory-budget mode under the
@@ -394,20 +386,7 @@ func Granularity(kc, steps int) (*report.Table, error) {
 		"workload", "granularity", "units", "avg-resident", "overhead", "exceptions")
 	for _, w := range all {
 		for _, g := range []core.Granularity{core.GranBlock, core.GranFunction} {
-			conf := core.Config{CompressK: kc, Granularity: g}
-			code, err := w.Program.CodeBytes()
-			if err != nil {
-				return nil, err
-			}
-			conf.Codec, err = compress.New("dict", code)
-			if err != nil {
-				return nil, err
-			}
-			m, err := core.NewManager(w.Program, conf)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := trace.Generate(w.Program.Graph, trace.GenConfig{Seed: w.Seed, MaxSteps: steps, Restart: true})
+			m, tr, err := newCell(w, core.Config{CompressK: kc, Granularity: g}, steps)
 			if err != nil {
 				return nil, err
 			}
@@ -511,22 +490,7 @@ func SharedPool(kc, steps int) (*report.Table, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			code, err := w.Program.CodeBytes()
-			if err != nil {
-				return nil, nil, err
-			}
-			codec, err := compress.New("dict", code)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := core.NewManager(w.Program, core.Config{
-				Codec: codec, CompressK: kc, BudgetBytes: budget,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			tr, err := trace.Generate(w.Program.Graph, trace.GenConfig{Seed: w.Seed, MaxSteps: steps, Restart: true})
-			return m, tr, err
+			return newCell(w, core.Config{CompressK: kc, BudgetBytes: budget}, steps)
 		}
 		// Unconstrained probes give the floor and peak.
 		floor, peak := 0, 0
@@ -620,21 +584,7 @@ func Fragmentation(kc, steps int) (*report.Table, error) {
 		}
 		managed := (probe.PeakResident - probe.CompressedSize) * 8 / 5
 		for _, pol := range []mem.FitPolicy{mem.FirstFit, mem.BestFit} {
-			code, err := w.Program.CodeBytes()
-			if err != nil {
-				return nil, err
-			}
-			codec, err := compress.New("dict", code)
-			if err != nil {
-				return nil, err
-			}
-			m, err := core.NewManager(w.Program, core.Config{
-				Codec: codec, CompressK: kc, ManagedBytes: managed, Alloc: pol,
-			})
-			if err != nil {
-				return nil, err
-			}
-			tr, err := trace.Generate(w.Program.Graph, trace.GenConfig{Seed: w.Seed, MaxSteps: steps, Restart: true})
+			m, tr, err := newCell(w, core.Config{CompressK: kc, ManagedBytes: managed, Alloc: pol}, steps)
 			if err != nil {
 				return nil, err
 			}
