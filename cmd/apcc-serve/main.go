@@ -1,8 +1,8 @@
 // Command apcc-serve runs the concurrent pack-serving subsystem: an
 // HTTP service packing workloads into APCC containers on demand and
 // serving whole containers or individual compressed blocks, plus a
-// load-generator mode that replays workload access patterns against it
-// from many concurrent simulated devices.
+// load-generator mode (internal/loadgen) that replays workload access
+// patterns against it from many concurrent simulated devices.
 //
 // Usage:
 //
@@ -30,6 +30,7 @@ import (
 
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
+	"apbcc/internal/loadgen"
 	"apbcc/internal/obs"
 	"apbcc/internal/report"
 	"apbcc/internal/service"
@@ -63,7 +64,7 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "structured log level: debug | info | warn | error")
 		logFormat = flag.String("log-format", "text", "structured log format: text | json")
 
-		loadgen  = flag.Bool("loadgen", false, "run the load generator instead of serving")
+		loadMode = flag.Bool("loadgen", false, "run the load generator instead of serving")
 		coldwarm = flag.Bool("coldwarm", false, "loadgen: run the cold-start/warm-restart scenario (requires -store)")
 		codecmix = flag.Bool("codecmix", false, "loadgen: replay the scenario once per registered codec\n(ignores -codec) and report a per-codec comparison")
 		target   = flag.String("target", "", "loadgen target base URL (default: in-process server)")
@@ -124,7 +125,7 @@ func main() {
 		}
 		return
 	}
-	if *loadgen {
+	if *loadMode {
 		if err := runLoadgen(cfg, *target, *workload, *codec, *clients, *steps, *seed, *wordread, *traceOut, *retryBusy); err != nil {
 			fatal(err)
 		}
@@ -198,7 +199,7 @@ func runLoadgen(cfg service.Config, target, workload, codec string, clients, ste
 		fmt.Printf("apcc-serve: in-process server on %s\n", target)
 	}
 
-	stats, err := service.RunLoad(context.Background(), service.LoadConfig{
+	stats, err := loadgen.Run(context.Background(), loadgen.Config{
 		BaseURL:   target,
 		Workload:  workload,
 		Codec:     codec,
@@ -244,7 +245,7 @@ func runCodecMix(cfg service.Config, target, workload string, clients, steps int
 		target = base
 		fmt.Printf("apcc-serve: in-process server on %s\n", target)
 	}
-	mix, err := service.RunCodecMix(context.Background(), service.LoadConfig{
+	mix, err := loadgen.RunCodecMix(context.Background(), loadgen.Config{
 		BaseURL:  target,
 		Workload: workload,
 		Clients:  clients,
@@ -287,7 +288,7 @@ func runChaos(cfg service.Config, profile string, faultSeed uint64, workload, co
 	if profile == "" {
 		profile = chaosDefaultProfile
 	}
-	st, err := service.RunChaos(context.Background(), cfg, service.LoadConfig{
+	st, err := loadgen.RunChaos(context.Background(), cfg, loadgen.Config{
 		Workload: workload,
 		Codec:    codec,
 		Clients:  clients,
@@ -310,7 +311,7 @@ func runColdWarm(cfg service.Config, workload, codec string, clients, steps int,
 	if cfg.StoreDir == "" {
 		return fmt.Errorf("-coldwarm requires -store")
 	}
-	stats, err := service.RunColdWarm(context.Background(), cfg, service.LoadConfig{
+	stats, err := loadgen.RunColdWarm(context.Background(), cfg, loadgen.Config{
 		Workload: workload,
 		Codec:    codec,
 		Clients:  clients,

@@ -1,19 +1,18 @@
-package service
+package loadgen
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/pack"
 	"apbcc/internal/report"
+	"apbcc/internal/service"
 	"apbcc/internal/store"
 )
 
@@ -21,7 +20,7 @@ import (
 // how the serving and restore paths reacted, and — the point of the
 // whole exercise — whether any client ever saw wrong bytes.
 type ChaosStats struct {
-	Load *LoadStats // phase-1 load under the injected fault profile
+	Load *Stats // phase-1 load under the injected fault profile
 
 	// WrongBytes is the number of 200 responses whose payload failed
 	// client-side verification. Any value but zero is a correctness
@@ -77,25 +76,23 @@ func (c *ChaosStats) Err() error {
 // persist, so a wedged server fails the run instead of hanging it.
 const chaosPhaseTimeout = 30 * time.Second
 
-// waitPersisted waits until the store holds the (workload, codec)
+// waitPersisted waits until srv's store holds the (workload, codec)
 // entry's own ref. Only that entry's persist writes it, so a persist
 // of some other entry still running cannot satisfy the wait, as it
 // could a wait on StorePersists. A failed persist writes no ref: the
 // wait ends at timeout or when ctx does.
-func (s *Server) waitPersisted(ctx context.Context, workload, codecName string, timeout time.Duration) error {
+func waitPersisted(ctx context.Context, srv *service.Server, workload, codecName string, timeout time.Duration) error {
 	name := store.RefName(workload, codecName)
-	deadline := time.Now().Add(timeout)
-	for {
-		if _, ok := s.store.Ref(name); ok {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(2 * time.Millisecond) {
+		if _, ok := srv.Store().Ref(name); ok {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("service: %s never persisted", name)
+			return fmt.Errorf("loadgen: %s never persisted", name)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
@@ -122,38 +119,33 @@ func (s *Server) waitPersisted(ctx context.Context, workload, codecName string, 
 // The fault layer is reset on the way out. Faults injected by the
 // profile are process-global while the run lasts, so don't run chaos
 // concurrently with anything that must not see them.
-func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, seed uint64) (*ChaosStats, error) {
+func RunChaos(ctx context.Context, cfg service.Config, lcfg Config, profile string, seed uint64) (*ChaosStats, error) {
 	if cfg.StoreDir == "" {
-		return nil, fmt.Errorf("service: chaos scenario requires Config.StoreDir")
+		return nil, fmt.Errorf("loadgen: chaos scenario requires Config.StoreDir")
 	}
 	faults.Reset()
 	defer faults.Reset()
 	faults.SetSeed(seed)
 	client := &http.Client{}
+	lcfg = lcfg.withDefaults()
 	codec := lcfg.Codec
-	if codec == "" {
-		codec = "dict" // RunLoad's default: what phase 1 actually uses
-	}
 
 	// Phase 1: build the load's entries, keep their containers as the
 	// oracle, and wait for their persists, so phases 2 and 3 restore
 	// them; then load under the caller's profile. Clients retry the
 	// busy/transient statuses like a real device would.
-	srv, base, stop, err := ServeLoopback(cfg)
+	srv, base, stop, err := service.ServeLoopback(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
 	var oracle []chaosEntry
-	for _, wl := range strings.Split(lcfg.Workload, ",") {
-		if wl = strings.TrimSpace(wl); wl == "" {
-			continue
-		}
-		container, _, err := fetch(ctx, client, base+"/v1/pack/"+wl+"?codec="+codec)
+	for _, wl := range lcfg.workloads() {
+		container, _, err := get(ctx, client, base+"/v1/pack/"+wl+"?codec="+codec, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("chaos phase 1 container build: %w", err)
 		}
-		if err := srv.waitPersisted(ctx, wl, codec, chaosPhaseTimeout); err != nil {
+		if err := waitPersisted(ctx, srv, wl, codec, chaosPhaseTimeout); err != nil {
 			return nil, fmt.Errorf("chaos phase 1: %w", err)
 		}
 		oracle = append(oracle, chaosEntry{workload: wl, container: container})
@@ -170,7 +162,7 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	if phase.WordFrac == 0 {
 		phase.WordFrac = 0.5
 	}
-	load, err := RunLoad(ctx, phase)
+	load, err := Run(ctx, phase)
 	if err != nil {
 		return nil, fmt.Errorf("chaos load phase: %w", err)
 	}
@@ -186,24 +178,31 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	}
 	stop()
 
+	// restart serves cfg's store afresh under the fault profile rot
+	// and checks every entry against its oracle, then clears the
+	// faults and stops the server, whose counters stay readable.
+	restart := func(rot string) (*service.Server, error) {
+		srv, base, stop, err := service.ServeLoopback(cfg)
+		if err != nil {
+			return nil, err
+		}
+		defer stop()
+		if err := faults.Set(rot); err != nil {
+			return nil, err
+		}
+		for _, o := range oracle {
+			if err := o.check(ctx, client, base, codec, st); err != nil {
+				return nil, err
+			}
+		}
+		return srv, faults.Set("")
+	}
+
 	// Phase 2: every store read flips a bit. No restore may pass; each
 	// one is quarantined and rebuilt, and the rebuilt entries must
 	// serve phase 1's bytes.
-	srv, base, stop, err = ServeLoopback(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	if err := faults.Set("store.read-at:p=1,bitflip"); err != nil {
-		return nil, err
-	}
-	for _, o := range oracle {
-		if err := o.check(ctx, client, base, codec, st); err != nil {
-			return nil, fmt.Errorf("chaos phase 2: %w", err)
-		}
-	}
-	if err := faults.Set(""); err != nil {
-		return nil, err
+	if srv, err = restart("store.read-at:p=1,bitflip"); err != nil {
+		return nil, fmt.Errorf("chaos phase 2: %w", err)
 	}
 	m := srv.Metrics()
 	if warm := m.StoreWarm.Load(); warm != 0 {
@@ -213,18 +212,10 @@ func RunChaos(ctx context.Context, cfg Config, lcfg LoadConfig, profile string, 
 	st.Rebuilt = min(quarantined, m.Packs.Load())
 	st.Quarantined += quarantined
 	st.Shed += m.Shed.Load()
-	stop()
 
 	// Phase 3: healed, every entry restores warm with phase 1's bytes.
-	srv, base, stop, err = ServeLoopback(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-	for _, o := range oracle {
-		if err := o.check(ctx, client, base, codec, st); err != nil {
-			return nil, fmt.Errorf("chaos phase 3: %w", err)
-		}
+	if srv, err = restart(""); err != nil {
+		return nil, fmt.Errorf("chaos phase 3: %w", err)
 	}
 	if packs := srv.Metrics().Packs.Load(); packs != 0 {
 		return nil, fmt.Errorf("chaos phase 3: healed restart packed %d containers, want warm restores only", packs)
@@ -248,12 +239,12 @@ type chaosEntry struct {
 }
 
 // check fetches the entry from the server at base and compares the
-// container, every block and every single-word span with the oracle,
-// counting each response that differs in st.WrongBytes. A failed
-// request is an error: phases 2 and 3 inject no fault a request can
-// reach.
+// container with the oracle, and every block and every single-word
+// span with its unpacked image through the devices' check, counting
+// each response that differs in st.WrongBytes. A failed request is an
+// error: phases 2 and 3 inject no fault a request can reach.
 func (o chaosEntry) check(ctx context.Context, client *http.Client, base, codecName string, st *ChaosStats) error {
-	container, _, err := fetch(ctx, client, base+"/v1/pack/"+o.workload+"?codec="+codecName)
+	container, _, err := get(ctx, client, base+"/v1/pack/"+o.workload+"?codec="+codecName, false, nil)
 	if err != nil {
 		return err
 	}
@@ -271,20 +262,18 @@ func (o chaosEntry) check(ctx context.Context, client *http.Client, base, codecN
 	var scratch []byte
 	for id, img := range want {
 		blockURL := fmt.Sprintf("%s/v1/block/%s/%d?codec=%s", base, o.workload, id, codecName)
-		payload, hdr, err := fetch(ctx, client, blockURL)
-		if err != nil {
-			return err
-		}
-		if scratch, err = verifyBlock(codec, payload, hdr, img, scratch); err != nil {
-			st.WrongBytes++
-		}
-		for w := 0; w < len(img)/isa.WordSize; w++ {
-			body, hdr, err := fetch(ctx, client, fmt.Sprintf("%s&word=%d&words=1", blockURL, w))
+		// w = -1 fetches the whole block; w >= 0 reads word w alone.
+		for w := -1; w < len(img)/isa.WordSize; w++ {
+			url, span := blockURL, img
+			if w >= 0 {
+				url = fmt.Sprintf("%s&word=%d&words=1", blockURL, w)
+				span = img[w*isa.WordSize : (w+1)*isa.WordSize]
+			}
+			body, hdr, err := get(ctx, client, url, false, nil)
 			if err != nil {
 				return err
 			}
-			span := img[w*isa.WordSize : (w+1)*isa.WordSize]
-			if !bytes.Equal(body, span) || hdr.Get(HeaderCRC) != fmt.Sprintf("%08x", crc32.ChecksumIEEE(span)) {
+			if scratch, err = check(codec, body, hdr, span, scratch, w < 0); err != nil {
 				st.WrongBytes++
 			}
 		}

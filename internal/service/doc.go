@@ -6,9 +6,10 @@
 // device asks for and makes that path fast at fleet scale. The paper's
 // on-demand/predictive decompression loop (which blocks to fetch,
 // decompress ahead or drop) is not modeled on the device yet: every
-// load generator device fetches each block its trace visits.
+// internal/loadgen device fetches each block its trace visits, and
+// checks its bytes.
 //
-// The subsystem is built from four pieces:
+// The subsystem is built from three pieces:
 //
 //   - a slot gate bounding concurrent pack and compress jobs
 //     (pool.go). Each job runs on the goroutine that submits it once
@@ -32,12 +33,6 @@
 //     previously-built (workload, codec) entries from disk without
 //     invoking the packer. No request reads it, and no entry holds a
 //     store object open.
-//
-//   - a load generator (loadgen.go) that replays internal/trace access
-//     patterns as HTTP block fetches from N concurrent simulated
-//     devices, decompressing and verifying every payload it receives;
-//     RunColdWarm is the restart scenario quantifying what the disk
-//     tier saves.
 //
 // Endpoints:
 //

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -11,11 +10,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"apbcc/internal/compress"
 	"apbcc/internal/obs"
 	"apbcc/internal/pack"
 	"apbcc/internal/store"
@@ -156,48 +153,6 @@ func TestEntryMemoryGauges(t *testing.T) {
 	}
 }
 
-// TestCodecMixPopulatesPromLabels drives the codecmix scenario end to
-// end against one server and asserts the Prometheus exposition then
-// carries per-stage decode attribution for every registered codec —
-// in particular the word-pattern codecs, whose serving path (pack,
-// verify, route, write) must be exercised by the mix, not just by
-// unit tests.
-func TestCodecMixPopulatesPromLabels(t *testing.T) {
-	_, ts := newTestServerConfig(t, Config{Workers: 4, StoreDir: t.TempDir()})
-	mix, err := RunCodecMix(context.Background(), LoadConfig{
-		BaseURL:  ts.URL,
-		Workload: "crc32",
-		Clients:  2,
-		Steps:    40,
-		Seed:     7,
-		Client:   ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(compress.Names()); len(mix) != want {
-		t.Fatalf("mix legs = %d, want %d", len(mix), want)
-	}
-	for _, leg := range mix {
-		if leg.Stats.Errors != 0 {
-			t.Errorf("%s: %d errors, first: %v", leg.Codec, leg.Stats.Errors, leg.Stats.FirstError)
-		}
-		if leg.Stats.Requests == 0 {
-			t.Errorf("%s: no fetches", leg.Codec)
-		}
-	}
-	_, body, _ := get(t, ts.Client(), ts.URL+"/metrics/prom")
-	if _, err := obs.LintProm(bytes.NewReader(body)); err != nil {
-		t.Fatalf("exposition invalid after mix: %v", err)
-	}
-	for _, codec := range compress.Names() {
-		series := fmt.Sprintf(`apcc_block_stage_seconds_bucket{stage="route",codec=%q`, codec)
-		if !strings.Contains(string(body), series) {
-			t.Errorf("exposition missing stage series for codec %s", codec)
-		}
-	}
-}
-
 // TestMetricsCSVDialect: every table /metrics?format=csv emits parses
 // with encoding/csv — rectangular, properly quoted, header first.
 func TestMetricsCSVDialect(t *testing.T) {
@@ -332,90 +287,6 @@ func TestPromNamesStableAcrossRestarts(t *testing.T) {
 	}
 }
 
-// TestDebugTraceAndStageSum is the tracing acceptance test: a loadgen
-// run against a traced server yields (a) a /debug/trace dump that
-// passes the tiling lint, (b) per-request stage attribution in the
-// X-Apcc-Stages headers collected via TraceOut, and (c) per-stage
-// times that sum exactly to the end-to-end totals.
-func TestDebugTraceAndStageSum(t *testing.T) {
-	_, ts := newTestServerConfig(t, Config{Workers: 4, TraceRing: 1024})
-	var traceOut bytes.Buffer
-	var mu sync.Mutex
-	stats, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:  ts.URL,
-		Workload: "fft",
-		Codec:    "dict",
-		Clients:  8,
-		Steps:    50,
-		Seed:     11,
-		Client:   ts.Client(),
-		TraceOut: lockedWriter{&mu, &traceOut},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Errors != 0 {
-		t.Fatalf("loadgen errors: %d, first: %v", stats.Errors, stats.FirstError)
-	}
-
-	// (a) the dump endpoint.
-	code, body, _ := get(t, ts.Client(), ts.URL+"/debug/trace?n=500")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/trace: %d", code)
-	}
-	traces, spans, err := obs.LintTraceDump(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("trace dump invalid: %v", err)
-	}
-	if traces == 0 || spans == 0 {
-		t.Fatalf("empty trace dump: %d traces, %d spans", traces, spans)
-	}
-
-	// (c) stage attribution accounts for the end-to-end latency: over
-	// the dump, summed tile time equals summed totals.
-	var d obs.Dump
-	if err := json.Unmarshal(body, &d); err != nil {
-		t.Fatal(err)
-	}
-	var excl, total int64
-	for _, rec := range d.Traces {
-		total += rec.TotalNS
-		for i, sp := range rec.Spans {
-			if sp.ExclNS < 0 {
-				t.Fatalf("trace %d span %d (%s): negative exclusive %d", rec.ID, i, sp.Stage, sp.ExclNS)
-			}
-			excl += sp.ExclNS
-		}
-	}
-	if excl != total {
-		t.Errorf("stage times sum to %d ns, end-to-end totals to %d ns", excl, total)
-	}
-
-	// (b) the loadgen joined server attribution into its records.
-	recs := 0
-	withStages := 0
-	dec := json.NewDecoder(bytes.NewReader(traceOut.Bytes()))
-	for dec.More() {
-		var rec FetchRecord
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatalf("trace-out line %d: %v", recs, err)
-		}
-		recs++
-		if rec.TraceID > 0 && len(rec.Stages) > 0 {
-			withStages++
-			if _, ok := rec.Stages[obs.StageRoute]; !ok {
-				t.Fatalf("record missing route stage: %+v", rec)
-			}
-		}
-	}
-	if int64(recs) != stats.Requests {
-		t.Errorf("trace-out has %d records, loadgen made %d requests", recs, stats.Requests)
-	}
-	if withStages == 0 {
-		t.Error("no trace-out record carried stage attribution")
-	}
-}
-
 // TestTraceTilesThroughHandler: on a fresh traced server, a block GET
 // that builds its entry, a GET whose build fails and a word GET each
 // record back-to-back tiles in /debug/trace, charged to the stages
@@ -478,19 +349,6 @@ func TestTraceTilesThroughHandler(t *testing.T) {
 	if !strings.Contains(serve("/metrics/prom", http.StatusOK).Body.String(), series) {
 		t.Errorf("exposition lacks %q", series)
 	}
-}
-
-// lockedWriter serializes concurrent writes in tests (the sink already
-// locks, but the bytes.Buffer itself must not be raced by Read later).
-type lockedWriter struct {
-	mu *sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (l lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }
 
 // TestTracingDisabled: with TraceRing < 0 the endpoint is gone and

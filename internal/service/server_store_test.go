@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
@@ -79,7 +78,7 @@ func TestWarmRestartServesWithoutPacking(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("block %d: status %d", id, code)
 		}
-		if _, err := verifyBlock(codec, payload, hdr, want[id], nil); err != nil {
+		if err := verifyBlock(codec, payload, hdr, want[id]); err != nil {
 			t.Fatalf("block %d: %v", id, err)
 		}
 	}
@@ -251,49 +250,6 @@ func TestWarmRestoreQuarantinesMovedGroupOffset(t *testing.T) {
 		}
 		return moved
 	})
-}
-
-// TestRunColdWarmScenario drives the loadgen restart scenario end to
-// end: the warm phase must not pack and must see zero errors. A second
-// run on the same store starts warm, so its cold phase restores both
-// containers (fft and crc32 under dict) and packs none.
-func TestRunColdWarmScenario(t *testing.T) {
-	cfg := storeConfig(t.TempDir())
-	lcfg := LoadConfig{
-		Workload: "fft,crc32",
-		Codec:    "dict",
-		Clients:  4,
-		Steps:    30,
-		Seed:     7,
-	}
-	stats, err := RunColdWarm(context.Background(), cfg, lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.ColdPacks == 0 || stats.ColdRestores != 0 {
-		t.Errorf("cold phase on an empty store: packs %d, restores %d; want > 0, 0", stats.ColdPacks, stats.ColdRestores)
-	}
-	if stats.WarmPacks != 0 {
-		t.Errorf("warm phase packed %d containers, want 0", stats.WarmPacks)
-	}
-	if stats.WarmRestores == 0 {
-		t.Error("warm phase restored nothing from the store")
-	}
-	if stats.Cold.Errors != 0 || stats.Warm.Errors != 0 {
-		t.Errorf("errors: cold=%d warm=%d (first: %v, %v)",
-			stats.Cold.Errors, stats.Warm.Errors, stats.Cold.FirstError, stats.Warm.FirstError)
-	}
-	if stats.ColdFirst <= 0 || stats.WarmFirst <= 0 {
-		t.Errorf("first-container latencies not measured: %v, %v", stats.ColdFirst, stats.WarmFirst)
-	}
-
-	again, err := RunColdWarm(context.Background(), cfg, lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.ColdPacks != 0 || again.ColdRestores != 2 {
-		t.Errorf("cold phase on a warm store: packs %d, restores %d; want 0, 2", again.ColdPacks, again.ColdRestores)
-	}
 }
 
 // TestPersistFailureLogged: a persist that fails is logged at Warn with

@@ -2,17 +2,14 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/csv"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,7 +142,7 @@ func TestBlockEndpointServesVerifiableBlocks(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("block %d: status %d", id, code)
 		}
-		if _, err := verifyBlock(codec, payload, hdr, want[id], nil); err != nil {
+		if err := verifyBlock(codec, payload, hdr, want[id]); err != nil {
 			t.Fatalf("block %d: %v", id, err)
 		}
 		words, _ := strconv.Atoi(hdr.Get(HeaderWords))
@@ -334,104 +331,6 @@ func TestListEndpoints(t *testing.T) {
 	}
 }
 
-// TestLoadgenE2E is the acceptance run: ≥32 concurrent clients replay a
-// workload trace over HTTP with zero errors, /metrics counts every
-// fetch as a block served, and (inside RunLoad) every container
-// round-trips through pack.Unpack. Run under -race this doubles as the
-// subsystem's concurrency test.
-func TestLoadgenE2E(t *testing.T) {
-	_, ts := newTestServer(t)
-	stats, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:  ts.URL,
-		Workload: "fft",
-		Codec:    "dict",
-		Clients:  32,
-		Steps:    100,
-		Seed:     7,
-		Client:   ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Errors != 0 {
-		t.Fatalf("loadgen errors = %d, first: %v", stats.Errors, stats.FirstError)
-	}
-	if want := int64(32 * 100); stats.Requests != want {
-		t.Fatalf("requests = %d, want %d", stats.Requests, want)
-	}
-	m := metricsCSV(t, ts.Client(), ts.URL)
-	if got := m["apcc_blocks_served_total"]; got != strconv.FormatInt(stats.Requests, 10) {
-		t.Fatalf("/metrics apcc_blocks_served_total = %q, want %d", got, stats.Requests)
-	}
-}
-
-// TestRunLoadClosesOwnTransport: a RunLoad that builds its own
-// transport (LoadConfig.Client nil) closes its connections when it
-// returns, so the server sees every connection close.
-func TestRunLoadClosesOwnTransport(t *testing.T) {
-	s, err := New(Config{Workers: 4, QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var open atomic.Int64
-	ts := httptest.NewUnstartedServer(s.Handler())
-	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		switch st {
-		case http.StateNew:
-			open.Add(1)
-		case http.StateClosed, http.StateHijacked:
-			open.Add(-1)
-		}
-	}
-	ts.Start()
-	t.Cleanup(func() { ts.Close(); s.Close() })
-
-	stats, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: ts.URL, Workload: "fft", Codec: "dict", Clients: 4, Steps: 20, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Errors != 0 {
-		t.Fatalf("loadgen errors = %d, first: %v", stats.Errors, stats.FirstError)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for open.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d server connections still open after RunLoad returned", open.Load())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestLoadgenMixedWorkloads hammers several (workload, codec) pairs at
-// once so entry building, serving and the pool all race.
-func TestLoadgenMixedWorkloads(t *testing.T) {
-	_, ts := newTestServer(t)
-	type run struct {
-		workload, codec string
-	}
-	runs := []run{{"crc32", "dict"}, {"fft", "lzss"}, {"sha", "huffman"}, {"fir", "identity"}}
-	errc := make(chan error, len(runs))
-	for _, r := range runs {
-		go func(r run) {
-			stats, err := RunLoad(context.Background(), LoadConfig{
-				BaseURL: ts.URL, Workload: r.workload, Codec: r.codec,
-				Clients: 8, Steps: 50, Client: ts.Client(),
-			})
-			if err == nil && stats.Errors > 0 {
-				err = fmt.Errorf("%s/%s: %d errors, first: %v", r.workload, r.codec, stats.Errors, stats.FirstError)
-			}
-			errc <- err
-		}(r)
-	}
-	for range runs {
-		if err := <-errc; err != nil {
-			t.Error(err)
-		}
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	if numBuckets != len(histBounds)+1 {
 		t.Fatalf("numBuckets = %d, want len(histBounds)+1 = %d", numBuckets, len(histBounds)+1)
@@ -492,38 +391,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	want := 25*time.Microsecond + time.Duration(0.5*float64(25*time.Microsecond))
 	if got := h3.Quantile(0.5); got != want {
 		t.Errorf("interior p50 = %v, want %v", got, want)
-	}
-}
-
-// TestLoadgenScenarioList replays a comma-separated scenario list: the
-// clients split round-robin across the named workloads (including the
-// skewed/phase scenarios added for policy comparison) with no errors.
-func TestLoadgenScenarioList(t *testing.T) {
-	_, ts := newTestServer(t)
-	stats, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:  ts.URL,
-		Workload: "crc32, zipf,loopphase",
-		Codec:    "dict",
-		Clients:  6,
-		Steps:    40,
-		Seed:     3,
-		Client:   ts.Client(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Errors != 0 {
-		t.Fatalf("loadgen errors = %d, first: %v", stats.Errors, stats.FirstError)
-	}
-	if want := int64(6 * 40); stats.Requests != want {
-		t.Fatalf("requests = %d, want %d", stats.Requests, want)
-	}
-
-	// An empty list is rejected, not silently idle.
-	if _, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: ts.URL, Workload: " , ", Clients: 1, Steps: 1, Client: ts.Client(),
-	}); err == nil {
-		t.Fatal("empty scenario list accepted")
 	}
 }
 

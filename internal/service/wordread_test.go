@@ -2,8 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -194,54 +192,6 @@ func TestWordReadBadRange(t *testing.T) {
 	}
 }
 
-// TestRunLoadWordReadScenario drives the loadgen wordread mix end to
-// end: half the fetches as zipf word reads, all verified client-side,
-// and every JSONL row of a word read carrying its requested span and
-// its decode stage.
-func TestRunLoadWordReadScenario(t *testing.T) {
-	s, ts := newTestServerConfig(t, Config{Workers: 2})
-	var jsonl bytes.Buffer
-	stats, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: ts.URL, Workload: "fft", Codec: "dict",
-		Clients: 2, Steps: 60, Seed: 3, WordFrac: 0.5,
-		Client: ts.Client(), TraceOut: &jsonl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Errors != 0 {
-		t.Fatalf("wordread run saw %d errors; first: %v", stats.Errors, stats.FirstError)
-	}
-	if stats.WordReads == 0 || stats.WordReads == stats.Requests {
-		t.Fatalf("word reads = %d of %d requests, want a mix", stats.WordReads, stats.Requests)
-	}
-	if got := s.Metrics().WordReads.Load(); got != stats.WordReads {
-		t.Fatalf("server counted %d word reads, clients issued %d", got, stats.WordReads)
-	}
-	if got := s.Metrics().WordGroups.Load(); got < stats.WordReads {
-		t.Fatalf("%d word groups decoded for %d dict word reads, want at least one each", got, stats.WordReads)
-	}
-	var wordRows, decodeStages int
-	for dec := json.NewDecoder(&jsonl); dec.More(); {
-		var rec FetchRecord
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Words > 0 {
-			wordRows++
-			if _, ok := rec.Stages["decode"]; ok {
-				decodeStages++
-			}
-		}
-	}
-	if int64(wordRows) != stats.WordReads {
-		t.Fatalf("JSONL word rows = %d, stats.WordReads = %d", wordRows, stats.WordReads)
-	}
-	if decodeStages != wordRows {
-		t.Fatalf("%d of %d word-read rows carried the decode stage", decodeStages, wordRows)
-	}
-}
-
 // TestWordReadTransientErrorNoQuarantine: an injected compress.decode
 // fault reaches every word read, on the group path and the whole-block
 // path alike, as a 503 the client may retry. Block reads decode nothing
@@ -268,7 +218,7 @@ func TestWordReadTransientErrorNoQuarantine(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s block read under a decode fault: %d %s", c, code, body)
 		}
-		if _, err := verifyBlock(oracle[c], body, hdr, want[c][3], nil); err != nil {
+		if err := verifyBlock(oracle[c], body, hdr, want[c][3]); err != nil {
 			t.Fatalf("%s block read under a decode fault: %v", c, err)
 		}
 	}
