@@ -372,8 +372,8 @@ func TestTracingDisabled(t *testing.T) {
 }
 
 // TestTraceHeadersOnHit: a block GET of a built entry advertises its
-// trace id and stage breakdown, and the stages parse back through the
-// loadgen's header parser.
+// trace id and stage breakdown, and the breakdown names the route
+// stage alone.
 func TestTraceHeadersOnHit(t *testing.T) {
 	_, ts := newTestServer(t)
 	get(t, ts.Client(), ts.URL+"/v1/block/crc32/1?codec=dict")
