@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"sort"
 	"time"
+	"unsafe"
 
 	"apbcc/internal/faults"
 )
@@ -189,6 +190,22 @@ func MarshalModel(c Codec) []byte {
 		return m.MarshalModel()
 	}
 	return nil
+}
+
+// DecoderBytes is the heap a codec rebuilt by FromModel holds to
+// decode: huffman's struct (chiefly its flat decode table) and symbols,
+// dict's struct and words, cpack's struct with its seed words. bdi,
+// lzss and identity hold nothing.
+func DecoderBytes(c Codec) int64 {
+	switch c := c.(type) {
+	case *huffman:
+		return int64(unsafe.Sizeof(*c)) + int64(cap(c.symbols))
+	case *dict:
+		return int64(unsafe.Sizeof(*c)) + 4*int64(cap(c.words))
+	case *cpack:
+		return int64(unsafe.Sizeof(*c))
+	}
+	return 0
 }
 
 // Ratio returns compressedSize/originalSize; 1 means no saving. A zero

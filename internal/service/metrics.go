@@ -369,7 +369,7 @@ func (s *Server) writeMetrics(sink metricSink) {
 
 	mem := s.memoryByCodec()
 	sink.family("apcc_entry_resident_bytes", "gauge",
-		"Memory built entries hold, by codec: container capacity plus layout and group-offset tables.")
+		"Memory built entries hold, by codec: container capacity, layout and group-offset tables, each entry's struct, ready channel and map slot, and the decoders word reads have built.")
 	for _, e := range mem {
 		sink.sample("apcc_entry_resident_bytes", []obs.Label{{Name: "codec", Value: e.codec}}, float64(e.resident))
 	}

@@ -2,20 +2,24 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"apbcc/internal/compress"
 	"apbcc/internal/obs"
 	"apbcc/internal/pack"
 	"apbcc/internal/store"
+	"apbcc/internal/workloads"
 )
 
 // promFamilies extracts the "# TYPE name typ" declarations from an
@@ -98,10 +102,11 @@ func TestPromEndpointValid(t *testing.T) {
 
 // TestEntryMemoryGauges: /metrics/prom and /metrics report, by codec,
 // the memory the built entries hold (container capacity, 16 B per
-// layout row, 4 B per group offset) and the plain bytes their
-// containers encode, which must add up to the block images pack.Unpack
-// rebuilds from the served containers. A built container is held at its
-// exact size.
+// layout row, 4 B per group offset, the fixed cost and key of each
+// entry, and the decoder of each entry a word read has reached) and the
+// plain bytes their containers encode, which must add up to the block
+// images pack.Unpack rebuilds from the served containers. A built
+// container is held at its exact size.
 func TestEntryMemoryGauges(t *testing.T) {
 	s, ts := newTestServer(t)
 	resident, plain := map[string]int64{}, map[string]int64{}
@@ -111,7 +116,7 @@ func TestEntryMemoryGauges(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("%s/%s: pack status %d", name, codec, code)
 			}
-			prog, _, _, err := pack.Unpack(name, container)
+			prog, decoder, _, err := pack.Unpack(name, container)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,13 +127,20 @@ func TestEntryMemoryGauges(t *testing.T) {
 			for _, img := range images {
 				plain[codec] += int64(len(img))
 			}
+			key := store.RefName(name, codec)
 			s.mu.Lock()
-			ent := s.entries[store.RefName(name, codec)]
+			ent := s.entries[key]
 			s.mu.Unlock()
 			if cap(ent.container) != len(container) {
 				t.Errorf("%s/%s: entry holds a %d-byte container in %d bytes of capacity", name, codec, len(container), cap(ent.container))
 			}
-			resident[codec] += int64(len(container) + 16*len(ent.blocks) + 4*len(ent.groupOffs))
+			resident[codec] += entryFixedBytes + int64(len(key)+len(container)+16*len(ent.blocks)+4*len(ent.groupOffs))
+			if name == "fft" {
+				if code, _, _ := get(t, ts.Client(), wordURL(ts.URL, name, 0, codec, 0, 1)); code != http.StatusOK {
+					t.Fatalf("%s/%s: word read status %d", name, codec, code)
+				}
+				resident[codec] += decoderSlotBytes + compress.DecoderBytes(decoder)
+			}
 		}
 	}
 
@@ -149,6 +161,77 @@ func TestEntryMemoryGauges(t *testing.T) {
 			if got := tables[row]; got != fmt.Sprint(want) {
 				t.Errorf("/metrics row %s = %q, want %d", row, got, want)
 			}
+		}
+	}
+}
+
+// TestEntryResidentMatchesHeap: apcc_entry_resident_bytes accounts for
+// what the entries hold. Building the l2-miss entry set (every suite
+// program under dict, bdi, cpack, lzss and huffman) on a fresh
+// untraced server, whose codec histograms already exist, grows the live
+// heap by the summed gauge within 10%, both before any word read and
+// after one word read per entry has built its decoder.
+func TestEntryResidentMatchesHeap(t *testing.T) {
+	codecs := []string{"dict", "bdi", "cpack", "lzss", "huffman"}
+	newServer := func() *Server {
+		s, err := New(Config{TraceRing: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		for _, c := range codecs {
+			s.metrics.CodecHist(c)
+		}
+		return s
+	}
+	build := func(s *Server, names []string) []*entry {
+		var ents []*entry
+		for _, name := range names {
+			for _, c := range codecs {
+				ent, _, err := s.entryFor(context.Background(), name, c)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, c, err)
+				}
+				ents = append(ents, ent)
+			}
+		}
+		return ents
+	}
+	buf := make([]byte, 0, 1<<16)
+	readWords := func(ents []*entry) {
+		for _, ent := range ents {
+			if _, _, _, err := ent.decodeWords(buf, 0, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		// Two cycles: the first moves sync.Pool contents to the victim
+		// cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// State built once per process (CRC tables, lazily filled package
+	// tables) belongs to no entry: a throwaway server builds it first.
+	readWords(build(newServer(), workloads.Names()[:1]))
+
+	s := newServer()
+	base := liveHeap()
+	ents := build(s, workloads.Names())
+	for _, when := range []string{"built", "after one word read each"} {
+		if when != "built" {
+			readWords(ents)
+		}
+		grew := liveHeap() - base
+		var gauge int64
+		for _, m := range s.memoryByCodec() {
+			gauge += m.resident
+		}
+		if d := gauge - grew; d > grew/10 || -d > grew/10 {
+			t.Errorf("%s: resident gauge sums to %d B, live heap grew %d B: off by more than 10%%", when, gauge, grew)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"apbcc/internal/compress"
 	"apbcc/internal/errclass"
@@ -153,8 +154,11 @@ type entry struct {
 	// its code: block responses are slices of it, and word reads decode
 	// from it.
 	container []byte
-	codec     compress.Codec
-	blocks    []blockLoc // per-block layout, copied out of the container's index
+	codec     string // codec name, from the container's index
+	// dec holds the codec that decodes the payloads, nil until the first
+	// word read builds it (decoder): block GETs never decode.
+	dec    atomic.Pointer[compress.Codec]
+	blocks []blockLoc // per-block layout, copied out of the container's index
 	// groupOffs holds every block's word-group start offsets from the
 	// container's v3 group directory, flattened in block order and each
 	// relative to its block's payload start. nil when the container has
@@ -197,6 +201,26 @@ func (e *entry) groups(id int) []uint32 {
 	return e.groupOffs[lo:hi:hi]
 }
 
+// decoder returns the codec that decodes the entry's payloads. The
+// entry's first word read builds it from the container's own model;
+// when first readers race, each builds one and the entry keeps the
+// first stored.
+func (e *entry) decoder() (compress.Codec, error) {
+	if c := e.dec.Load(); c != nil {
+		return *c, nil
+	}
+	idx, err := pack.ParseIndex(e.container)
+	if err != nil {
+		return nil, err
+	}
+	c, err := idx.NewCodec()
+	if err != nil {
+		return nil, err
+	}
+	e.dec.CompareAndSwap(nil, &c)
+	return *e.dec.Load(), nil
+}
+
 // decodeWords appends words [word, word+nwords) of block id to dst,
 // decoding them from the resident container: only the covering word
 // groups when the container has a group directory, the whole block
@@ -206,13 +230,17 @@ func (e *entry) groups(id int) []uint32 {
 // groups. The container passed the full Unpack verification at build,
 // its group directory included, so the decode needs no check of its
 // own. An injected compress.decode fault fails it before anything is
-// decoded.
+// decoded, the decoder included.
 func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, groups, decoded int, err error) {
 	if err := compress.FaultDecode.Err(); err != nil {
 		return dst, 0, 0, fmt.Errorf("service: block %d word decode: %w", id, err)
 	}
+	codec, err := e.decoder()
+	if err != nil {
+		return dst, 0, 0, err
+	}
 	comp, words := e.payload(id), int(e.blocks[id].words)
-	if gc, ok := compress.AsGroupCodec(e.codec); ok && e.groupOffs != nil {
+	if gc, ok := compress.AsGroupCodec(codec); ok && e.groupOffs != nil {
 		offs := e.groups(id)
 		if out, err = compress.DecodeWordRange(dst, gc, comp, offs, words, word, nwords); err != nil {
 			return dst, 0, 0, err
@@ -226,7 +254,7 @@ func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, group
 		return out, g1 - g0 + 1, end - int(offs[g0]), nil
 	}
 	base := len(dst)
-	if out, err = e.codec.DecompressAppend(dst, comp); err != nil {
+	if out, err = codec.DecompressAppend(dst, comp); err != nil {
 		return dst, 0, 0, err
 	}
 	// Slide the span to the front of the decoded block and drop the rest.
@@ -431,18 +459,27 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 type entryMemory struct {
 	codec string
 	// resident is what the entries keep: container capacity, 16 B per
-	// layout row and 4 B per group offset.
+	// layout row, 4 B per group offset, each entry's fixed cost and key,
+	// and the decoder of each entry a word read has reached.
 	resident int64
 	// plain is the size of the plain code images the containers encode.
 	plain int64
 }
+
+// Every entry holds its struct, its ready channel (a 112 B allocation)
+// and a map slot (key header and entry pointer); a built decoder adds
+// the 16 B interface value its slot points to.
+const (
+	entryFixedBytes  = int64(unsafe.Sizeof(entry{})) + 112 + 24
+	decoderSlotBytes = 16
+)
 
 // memoryByCodec sums the built entries' memory by codec, in codec
 // order. Entries still building are skipped.
 func (s *Server) memoryByCodec() []entryMemory {
 	byCodec := map[string]*entryMemory{}
 	s.mu.Lock()
-	for _, ent := range s.entries {
+	for key, ent := range s.entries {
 		select {
 		case <-ent.ready:
 		default:
@@ -451,12 +488,15 @@ func (s *Server) memoryByCodec() []entryMemory {
 		if ent.err != nil {
 			continue
 		}
-		m := byCodec[ent.codec.Name()]
+		m := byCodec[ent.codec]
 		if m == nil {
-			m = &entryMemory{codec: ent.codec.Name()}
+			m = &entryMemory{codec: ent.codec}
 			byCodec[m.codec] = m
 		}
-		m.resident += int64(cap(ent.container) + 16*cap(ent.blocks) + 4*cap(ent.groupOffs))
+		m.resident += entryFixedBytes + int64(len(key)+cap(ent.container)+16*cap(ent.blocks)+4*cap(ent.groupOffs))
+		if c := ent.dec.Load(); c != nil {
+			m.resident += decoderSlotBytes + compress.DecoderBytes(*c)
+		}
 		for _, b := range ent.blocks {
 			m.plain += int64(b.words) * isa.WordSize
 		}
@@ -539,7 +579,7 @@ func (s *Server) handlePackWorkload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(HeaderCodec, ent.codec.Name())
+	w.Header().Set(HeaderCodec, ent.codec)
 	w.Write(ent.container)
 }
 
@@ -574,10 +614,9 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var container []byte
-	err = s.pool.Do(r.Context(), func() error {
-		var perr error
-		container, _, perr = s.buildContainer(p, codecName)
-		return perr
+	err = s.pool.Do(r.Context(), func() (err error) {
+		container, err = s.buildContainer(p, codecName)
+		return err
 	})
 	if err != nil {
 		http.Error(w, err.Error(), statusFor(err))
@@ -611,7 +650,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 			http.StatusNotFound)
 		return
 	}
-	tr.SetLabels(r.PathValue("workload"), ent.codec.Name(), id)
+	tr.SetLabels(r.PathValue("workload"), ent.codec, id)
 	if q.Get("word") != "" {
 		s.serveWordRange(w, q, tr, ent, id)
 		return
@@ -633,9 +672,9 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	ent.hist.Observe(time.Since(start))
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set(HeaderCodec, ent.codec.Name())
+	h.Set(HeaderCodec, ent.codec)
 	h.Set(HeaderWords, strconv.Itoa(int(blk.words)))
-	h.Set(HeaderCRC, fmt.Sprintf("%08x", blk.crc))
+	h.Set(HeaderCRC, crcHex(blk.crc))
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
@@ -684,16 +723,27 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set(HeaderCodec, ent.codec.Name())
+	h.Set(HeaderCodec, ent.codec)
 	h.Set(HeaderWords, strconv.Itoa(nwords))
 	h.Set(HeaderWord, strconv.Itoa(word))
-	h.Set(HeaderCRC, fmt.Sprintf("%08x", crc32.ChecksumIEEE(buf)))
+	h.Set(HeaderCRC, crcHex(crc32.ChecksumIEEE(buf)))
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
 	w.Write(buf)
 	s.finishTrace(tr, obs.OutcomeOK)
+}
+
+// crcHex renders a CRC-32 as X-Apcc-Crc32's eight lowercase hex digits,
+// as fmt's %08x would, without boxing the value.
+func crcHex(crc uint32) string {
+	var b [8]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = "0123456789abcdef"[crc&0xf]
+		crc >>= 4
+	}
+	return string(b[:])
 }
 
 // stagesHeader renders a trace's tiles as "stage:exclNS;..." for the
@@ -841,19 +891,15 @@ func (s *Server) build(ent *entry, workload, codecName string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		container []byte
-		codec     compress.Codec
-	)
-	err = s.pool.Do(context.Background(), func() error {
-		var perr error
-		container, codec, perr = s.buildContainer(wl.Program, codecName)
-		return perr
+	var container []byte
+	err = s.pool.Do(context.Background(), func() (err error) {
+		container, err = s.buildContainer(wl.Program, codecName)
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	if err := s.finishEntry(ent, container, codec); err != nil {
+	if err := s.finishEntry(ent, container); err != nil {
 		return err
 	}
 	s.metrics.Packs.Add(1)
@@ -878,8 +924,7 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	if err != nil {
 		return false
 	}
-	codec, err := s.verifyUnpack(workload, container)
-	if err != nil {
+	if err := s.verifyUnpack(workload, container); err != nil {
 		corrupt := errclass.IsCorrupt(err)
 		if corrupt {
 			s.store.Quarantine(key)
@@ -888,7 +933,7 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 			"key", shortKey(key), "workload", workload, "codec", codecName, "quarantined", corrupt, "err", err)
 		return false
 	}
-	if err := s.finishEntry(ent, container, codec); err != nil {
+	if err := s.finishEntry(ent, container); err != nil {
 		return false
 	}
 	s.metrics.StoreWarm.Add(1)
@@ -896,12 +941,12 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 }
 
 // finishEntry fills the entry's serving state from a container that
-// passed pack.Unpack and the codec Unpack rebuilt: the container, a
-// layout table copied out of its index, and the index's group
-// directory as one flat offset table. Unpack has checked the layout
-// against the payloads and the directory against the codec; only the
-// table's 32-bit offsets add a bound of their own.
-func (s *Server) finishEntry(ent *entry, container []byte, codec compress.Codec) error {
+// passed pack.Unpack: the container, its codec's name, a layout table
+// copied out of its index, and the index's group directory as one flat
+// offset table. Unpack has checked the layout against the payloads and
+// the directory against the codec; only the table's 32-bit offsets add
+// a bound of their own.
+func (s *Server) finishEntry(ent *entry, container []byte) error {
 	if len(container) > math.MaxUint32 {
 		return fmt.Errorf("service: %d-byte container does not fit a 32-bit layout", len(container))
 	}
@@ -919,12 +964,12 @@ func (s *Server) finishEntry(ent *entry, container []byte, codec compress.Codec)
 		offs = append(offs, idx.BlockGroupOffsets(i)...)
 	}
 	ent.container = container
-	ent.codec = codec
+	ent.codec = idx.Codec
 	ent.blocks = blocks
 	ent.groupOffs = offs
 	// Resolve the histogram once so the hot path never takes the
 	// metrics mutex.
-	ent.hist = s.metrics.CodecHist(codec.Name())
+	ent.hist = s.metrics.CodecHist(idx.Codec)
 	return nil
 }
 
@@ -970,35 +1015,33 @@ func (s *Server) persistAsync(name string, container []byte) {
 
 // buildContainer trains the codec on the program's code and packs it,
 // then round-trips the result through Unpack so no unverifiable
-// container ever leaves the server. The codec rebuilt by that
-// verification pass is returned alongside the container bytes.
-func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, compress.Codec, error) {
+// container ever leaves the server.
+func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, error) {
 	code, err := p.CodeBytes()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	codec, err := compress.New(codecName, code)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	container, err := pack.Pack(p, codec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ucodec, err := s.verifyUnpack(p.Name, container)
-	if err != nil {
-		return nil, nil, fmt.Errorf("service: packed container failed verification: %w", err)
+	if err := s.verifyUnpack(p.Name, container); err != nil {
+		return nil, fmt.Errorf("service: packed container failed verification: %w", err)
 	}
-	return container, ucodec, nil
+	return container, nil
 }
 
 // verifyUnpack is the one verification every served container passes,
 // after each build and on each warm restore: a full pack.Unpack,
-// counted in the verify metrics. It returns the codec Unpack rebuilt.
-func (s *Server) verifyUnpack(name string, container []byte) (compress.Codec, error) {
+// counted in the verify metrics.
+func (s *Server) verifyUnpack(name string, container []byte) error {
 	start := time.Now()
-	_, codec, _, err := pack.Unpack(name, container)
+	_, _, _, err := pack.Unpack(name, container)
 	s.metrics.VerifyUnpacks.Add(1)
 	s.metrics.VerifyNS.Add(int64(time.Since(start)))
-	return codec, err
+	return err
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"apbcc/internal/cfg"
@@ -69,7 +70,7 @@ func addEntry(tb testing.TB, s *Server, prog *program.Program, codecName string)
 		tb.Fatal(err)
 	}
 	ent := &entry{ready: make(chan struct{})}
-	if err := s.finishEntry(ent, container, codec); err != nil {
+	if err := s.finishEntry(ent, container); err != nil {
 		tb.Fatal(err)
 	}
 	close(ent.ready)
@@ -379,6 +380,80 @@ func TestWordSpansMatchUnpack(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBlockGetsBuildNoDecoder: only a word read decodes, so only a word
+// read builds an entry's decoder. After GET /v1/pack and a GET of every
+// block under every codec, no entry holds one.
+func TestBlockGetsBuildNoDecoder(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, codec := range compress.Names() {
+		want, _ := unpackedBlocks(t, ts, "fft", codec)
+		for id := range want {
+			if code, _, _ := get(t, ts.Client(), fmt.Sprintf("%s/v1/block/fft/%d?codec=%s", ts.URL, id, codec)); code != http.StatusOK {
+				t.Fatalf("%s block %d: status %d", codec, id, code)
+			}
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.entries) != len(compress.Names()) {
+		t.Fatalf("%d entries, want one per codec", len(s.entries))
+	}
+	for key, ent := range s.entries {
+		if ent.dec.Load() != nil {
+			t.Errorf("entry %q holds a decoder without a word read", key)
+		}
+	}
+}
+
+// TestFirstWordReadRace: eight goroutines make the first word reads of
+// a fresh entry at once, whole-block (huffman) and group path (cpack)
+// alike. Each builds a decoder or takes the one stored first, and
+// every response carries the pack.Unpack span.
+func TestFirstWordReadRace(t *testing.T) {
+	s, err := New(Config{Workers: 2, TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, codec := range []string{"huffman", "cpack"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/pack/fft?codec="+codec, nil))
+		prog, _, _, err := pack.Unpack("fft", rec.Body.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := prog.AllBlockBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const readers = 8
+		recs := make([]*httptest.ResponseRecorder, readers)
+		var wg sync.WaitGroup
+		for i := range recs {
+			recs[i] = httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodGet, wordURL("", "fft", i%len(want), codec, 0, 2), nil)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h.ServeHTTP(recs[i], req)
+			}()
+		}
+		wg.Wait()
+		for i, rec := range recs {
+			if span := want[i%len(want)][:2*isa.WordSize]; rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), span) {
+				t.Errorf("%s reader %d: status %d, bytes equal %v", codec, i, rec.Code, bytes.Equal(rec.Body.Bytes(), span))
+			}
+		}
+		s.mu.Lock()
+		ent := s.entries[store.RefName("fft", codec)]
+		s.mu.Unlock()
+		if ent.dec.Load() == nil {
+			t.Errorf("%s: no decoder after the first word reads", codec)
 		}
 	}
 }
