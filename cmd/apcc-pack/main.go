@@ -94,15 +94,7 @@ func main() {
 		if *out == "" && *storeDir == "" {
 			fatal(fmt.Errorf("-o or -store is required when packing"))
 		}
-		code, err := p.CodeBytes()
-		if err != nil {
-			fatal(err)
-		}
-		codec, err := compress.New(*codecName, code)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := pack.Pack(p, codec)
+		data, err := pack.Build(p, *codecName)
 		if err != nil {
 			fatal(err)
 		}
@@ -123,13 +115,13 @@ func main() {
 			// The same (name, codec) binding apcc-serve resolves on a
 			// warm restart: pre-packing a corpus here makes every first
 			// request a store restore, never a packer run.
-			if err := st.PutRef(store.RefName(p.Name, codec.Name()), key); err != nil {
+			if err := st.PutRef(store.RefName(p.Name, *codecName), key); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("stored %s as %s\n", p.Name, key[:12])
 		}
 		fmt.Printf("packed %s: %d bytes of code -> %d-byte container (%s, format v%d)\n",
-			p.Name, p.TotalBytes(), len(data), codec.Name(), pack.Version)
+			p.Name, p.TotalBytes(), len(data), *codecName, pack.Version)
 	}
 }
 

@@ -15,8 +15,10 @@
 package cfg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -128,12 +130,10 @@ func (g *Graph) AddEdge(from, to BlockID, kind EdgeKind, prob float64) error {
 	if !g.valid(from) || !g.valid(to) {
 		return fmt.Errorf("cfg: edge %d->%d references unknown block", from, to)
 	}
-	for _, e := range g.succs[from] {
-		if e.To == to && e.Kind == kind {
-			return fmt.Errorf("cfg: duplicate edge %s->%s (%s)", g.blocks[from], g.blocks[to], kind)
-		}
-	}
 	e := Edge{From: from, To: to, Kind: kind, Prob: prob}
+	if hasEdge(g.succs[from], e) {
+		return g.duplicate(e)
+	}
 	g.succs[from] = append(g.succs[from], e)
 	g.preds[to] = append(g.preds[to], e)
 	return nil
@@ -319,15 +319,18 @@ func (g *Graph) reachable() map[BlockID]bool {
 // the same order, and the same error for the first call that would
 // fail — from a few flat allocations instead of one per block and edge:
 // blocks itself becomes the block store, and every block's Succs and
-// Preds are capacity-capped windows of one edge array each. The graph
-// takes ownership of blocks. On failure bad is the index of the
-// rejected edge, or -1 for a bad entry.
+// Preds are capacity-capped windows of one edge array each. Edges that
+// arrive sorted by source, as Build's and every container's do, are
+// themselves the successor array; others are copied into one. The graph
+// takes ownership of blocks and edges. On failure bad is the index of
+// the rejected edge, or -1 for a bad entry.
 func FromParts(blocks []Block, entry BlockID, edges []Edge) (g *Graph, bad int, err error) {
 	n := len(blocks)
+	lists := make([][]Edge, 2*n)
 	g = &Graph{
 		blocks: make([]*Block, n),
-		succs:  make([][]Edge, n),
-		preds:  make([][]Edge, n),
+		succs:  lists[:n:n],
+		preds:  lists[n:],
 		entry:  None,
 	}
 	for i := range blocks {
@@ -346,14 +349,8 @@ func FromParts(blocks []Block, entry BlockID, edges []Edge) (g *Graph, bad int, 
 			break
 		}
 	}
-	g.succs = carve(g.succs, edges, func(e Edge) BlockID { return e.From })
-	for k, e := range edges {
-		for _, s := range g.succs[e.From] {
-			if s.To == e.To && s.Kind == e.Kind {
-				return nil, k, fmt.Errorf("cfg: duplicate edge %s->%s (%s)", g.blocks[e.From], g.blocks[e.To], e.Kind)
-			}
-		}
-		g.succs[e.From] = append(g.succs[e.From], e)
+	if k, err := g.setSuccs(edges); err != nil {
+		return nil, k, err
 	}
 	if k := len(edges); k < len(all) {
 		return nil, k, fmt.Errorf("cfg: edge %d->%d references unknown block", all[k].From, all[k].To)
@@ -363,6 +360,50 @@ func FromParts(blocks []Block, entry BlockID, edges []Edge) (g *Graph, bad int, 
 		g.preds[e.To] = append(g.preds[e.To], e)
 	}
 	return g, -1, nil
+}
+
+// setSuccs fills the empty successor lists with edges, whose endpoints
+// are valid, in order. It fails at the first edge that duplicates an
+// earlier out-edge of its source, returning that edge's index. Edges
+// sorted by source are cut into one window per source; others are
+// appended, as AddEdge appends them, to windows of a new array.
+func (g *Graph) setSuccs(edges []Edge) (int, error) {
+	if !slices.IsSortedFunc(edges, func(a, b Edge) int { return cmp.Compare(a.From, b.From) }) {
+		g.succs = carve(g.succs, edges, func(e Edge) BlockID { return e.From })
+		for k, e := range edges {
+			if hasEdge(g.succs[e.From], e) {
+				return k, g.duplicate(e)
+			}
+			g.succs[e.From] = append(g.succs[e.From], e)
+		}
+		return -1, nil
+	}
+	lo := 0 // edges[lo:k] are the earlier out-edges of edges[k]'s source
+	for k, e := range edges {
+		if k > 0 && e.From != edges[k-1].From {
+			lo = k
+		}
+		if hasEdge(edges[lo:k], e) {
+			return k, g.duplicate(e)
+		}
+		g.succs[e.From] = edges[lo : k+1 : k+1]
+	}
+	return -1, nil
+}
+
+// hasEdge reports whether list holds an edge to e.To of e's kind.
+func hasEdge(list []Edge, e Edge) bool {
+	for _, s := range list {
+		if s.To == e.To && s.Kind == e.Kind {
+			return true
+		}
+	}
+	return false
+}
+
+// duplicate is AddEdge's error for an edge the graph already has.
+func (g *Graph) duplicate(e Edge) error {
+	return fmt.Errorf("cfg: duplicate edge %s->%s (%s)", g.blocks[e.From], g.blocks[e.To], e.Kind)
 }
 
 // carve gives each block lists[b] an empty window of one shared array,

@@ -1,16 +1,20 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // TestFromPartsMatchesIncremental: FromParts must build exactly the
 // graph — or fail with exactly the error, at the same call — that
 // AddBlock, SetEntry and AddEdge build one call at a time, on random
-// inputs with unknown endpoints, duplicates and bad entries.
+// inputs with unknown endpoints, duplicates and bad entries. Each input
+// runs twice: in its random order, whose edges FromParts copies, and
+// sorted by source, whose edges become the successor store.
 func TestFromPartsMatchesIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 2000; iter++ {
@@ -29,54 +33,83 @@ func TestFromPartsMatchesIncremental(t *testing.T) {
 				Prob: r.Float64(),
 			}
 		}
+		checkFromParts(t, iter, blocks, entry, edges)
+		sorted := slices.Clone(edges)
+		slices.SortStableFunc(sorted, func(a, b Edge) int { return cmp.Compare(a.From, b.From) })
+		checkFromParts(t, iter, blocks, entry, sorted)
+	}
+}
 
-		want := New()
-		for _, b := range blocks {
-			id := want.AddBlock(b.Label, b.End)
-			want.Block(id).Func = b.Func
+// checkFromParts compares FromParts on copies of blocks and edges with
+// the incremental build of the same parts.
+func checkFromParts(t *testing.T, iter int, blocks []Block, entry BlockID, edges []Edge) {
+	t.Helper()
+	n := len(blocks)
+	want := New()
+	for _, b := range blocks {
+		id := want.AddBlock(b.Label, b.End)
+		want.Block(id).Func = b.Func
+	}
+	wantBad, wantErr := -1, want.SetEntry(entry)
+	for i, e := range edges {
+		if wantErr != nil {
+			break
 		}
-		wantBad, wantErr := -1, want.SetEntry(entry)
-		for i, e := range edges {
-			if wantErr != nil {
-				break
-			}
-			if wantErr = want.AddEdge(e.From, e.To, e.Kind, e.Prob); wantErr != nil {
-				wantBad = i
-			}
+		if wantErr = want.AddEdge(e.From, e.To, e.Kind, e.Prob); wantErr != nil {
+			wantBad = i
 		}
+	}
 
-		got, bad, err := FromParts(append([]Block(nil), blocks...), entry, edges)
-		if (err == nil) != (wantErr == nil) || bad != wantBad {
-			t.Fatalf("iter %d: FromParts err %v at %d, incremental %v at %d", iter, err, bad, wantErr, wantBad)
+	got, bad, err := FromParts(slices.Clone(blocks), entry, slices.Clone(edges))
+	if (err == nil) != (wantErr == nil) || bad != wantBad {
+		t.Fatalf("iter %d: FromParts err %v at %d, incremental %v at %d", iter, err, bad, wantErr, wantBad)
+	}
+	if err != nil {
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("iter %d: error %q, incremental %q", iter, err, wantErr)
 		}
-		if err != nil {
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("iter %d: error %q, incremental %q", iter, err, wantErr)
-			}
-			continue
+		return
+	}
+	if got.Entry() != want.Entry() || got.NumBlocks() != want.NumBlocks() {
+		t.Fatalf("iter %d: entry/blocks %d/%d, incremental %d/%d",
+			iter, got.Entry(), got.NumBlocks(), want.Entry(), want.NumBlocks())
+	}
+	for id := BlockID(0); int(id) < n; id++ {
+		if *got.Block(id) != *want.Block(id) {
+			t.Fatalf("iter %d: block %d = %+v, incremental %+v", iter, id, *got.Block(id), *want.Block(id))
 		}
-		if got.Entry() != want.Entry() || got.NumBlocks() != want.NumBlocks() {
-			t.Fatalf("iter %d: entry/blocks %d/%d, incremental %d/%d",
-				iter, got.Entry(), got.NumBlocks(), want.Entry(), want.NumBlocks())
+		if !reflect.DeepEqual(got.Succs(id), want.Succs(id)) || !reflect.DeepEqual(got.Preds(id), want.Preds(id)) {
+			t.Fatalf("iter %d: block %d edges differ:\nsuccs %v vs %v\npreds %v vs %v",
+				iter, id, got.Succs(id), want.Succs(id), got.Preds(id), want.Preds(id))
 		}
-		for id := BlockID(0); int(id) < n; id++ {
-			if *got.Block(id) != *want.Block(id) {
-				t.Fatalf("iter %d: block %d = %+v, incremental %+v", iter, id, *got.Block(id), *want.Block(id))
-			}
-			if !reflect.DeepEqual(got.Succs(id), want.Succs(id)) || !reflect.DeepEqual(got.Preds(id), want.Preds(id)) {
-				t.Fatalf("iter %d: block %d edges differ:\nsuccs %v vs %v\npreds %v vs %v",
-					iter, id, got.Succs(id), want.Succs(id), got.Preds(id), want.Preds(id))
-			}
+	}
+	// The capacity caps keep a later AddEdge from writing into a
+	// neighbour's window.
+	if err := got.AddEdge(0, 0, EdgeReturn, 0); err != nil {
+		t.Fatal(err)
+	}
+	for id := BlockID(1); int(id) < n; id++ {
+		if !reflect.DeepEqual(got.Succs(id), want.Succs(id)) || !reflect.DeepEqual(got.Preds(id), want.Preds(id)) {
+			t.Fatalf("iter %d: AddEdge on block 0 changed block %d's edges", iter, id)
 		}
-		// The capacity caps keep a later AddEdge from writing into a
-		// neighbour's window.
-		if err := got.AddEdge(0, 0, EdgeReturn, 0); err != nil {
-			t.Fatal(err)
-		}
-		for id := BlockID(1); int(id) < n; id++ {
-			if !reflect.DeepEqual(got.Succs(id), want.Succs(id)) || !reflect.DeepEqual(got.Preds(id), want.Preds(id)) {
-				t.Fatalf("iter %d: AddEdge on block 0 changed block %d's edges", iter, id)
-			}
+	}
+}
+
+// TestFromPartsKeepsSortedEdges: edges sorted by source are the graph's
+// successor store, not copied into one.
+func TestFromPartsKeepsSortedEdges(t *testing.T) {
+	blocks := make([]Block, 3)
+	edges := []Edge{
+		{From: 0, To: 1, Kind: EdgeTaken}, {From: 0, To: 2, Kind: EdgeFallthrough},
+		{From: 1, To: 2, Kind: EdgeJump}, {From: 2, To: 0, Kind: EdgeJump},
+	}
+	g, _, err := FromParts(blocks, 0, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, first := range []int{0, 2, 3} { // block k's first out-edge
+		if &g.Succs(BlockID(k))[0] != &edges[first] {
+			t.Fatalf("block %d's out-edges are a copy, not the caller's edges", k)
 		}
 	}
 }

@@ -117,11 +117,13 @@ var FaultDecode = faults.Register("compress.decode")
 // callers branch on it with errors.Is.
 var ErrUnknownCodec = errors.New("compress: unknown codec")
 
-// codecEntry is one registered codec's two constructors: train builds
-// it from a training image (the whole program's code, typically; codecs
-// that need no training ignore it), fromModel from the serialized model
-// a container stores.
+// codecEntry is one registered codec's name and two constructors:
+// train builds it from a training image (the whole program's code,
+// typically; codecs that need no training ignore it), fromModel from
+// the serialized model a container stores. name is the string the codec
+// registered under, which RegisteredName hands out.
 type codecEntry struct {
+	name      string
 	train     func(train []byte) Codec
 	fromModel func(model []byte) (Codec, error)
 }
@@ -136,10 +138,13 @@ func register(name string, train func([]byte) Codec, fromModel func([]byte) (Cod
 	if _, dup := registry[name]; dup {
 		panic("compress: codec registered twice: " + name)
 	}
-	registry[name] = codecEntry{train, fromModel}
+	registry[name] = codecEntry{name, train, fromModel}
 }
 
-// New builds a registered codec by name, training it on train.
+// New builds a registered codec by name, training it on train. Training
+// keeps no reference to train: the codec holds only its own model, so
+// the caller may reuse the buffer at once (pack.Build packs into the
+// buffer it trained from).
 func New(name string, train []byte) (Codec, error) {
 	e, ok := registry[name]
 	if !ok {
@@ -164,6 +169,14 @@ func FromModel(name string, model []byte) (Codec, error) {
 func Registered(name string) bool {
 	_, ok := registry[name]
 	return ok
+}
+
+// RegisteredName returns the registry's own copy of the codec name
+// spelled by name, and whether one is registered. A container header
+// parsed through it shares that string instead of allocating its own.
+func RegisteredName(name []byte) (string, bool) {
+	e, ok := registry[string(name)]
+	return e.name, ok
 }
 
 // Names lists the registered codec names, sorted.
@@ -193,13 +206,17 @@ func MarshalModel(c Codec) []byte {
 }
 
 // DecoderBytes is the heap a codec rebuilt by FromModel holds to
-// decode: huffman's struct (chiefly its flat decode table) and symbols,
-// dict's struct and words, cpack's struct with its seed words. bdi,
-// lzss and identity hold nothing.
+// decode: huffman's struct and symbols, plus its 8 KiB flat decode table
+// once a first decode has built it; dict's struct and words; cpack's
+// struct with its seed words. bdi, lzss and identity hold nothing.
 func DecoderBytes(c Codec) int64 {
 	switch c := c.(type) {
 	case *huffman:
-		return int64(unsafe.Sizeof(*c)) + int64(cap(c.symbols))
+		n := int64(unsafe.Sizeof(*c)) + int64(cap(c.symbols))
+		if c.table.Load() != nil {
+			n += int64(unsafe.Sizeof(huffTable{}))
+		}
+		return n
 	case *dict:
 		return int64(unsafe.Sizeof(*c)) + 4*int64(cap(c.words))
 	case *cpack:

@@ -153,29 +153,35 @@ func (c *cpack) MaxCompressedLen(n int) int {
 
 // cpackClassify picks the cheapest class for w given the dictionary
 // state: with the half-tag share, ZZZZ costs 0.5 bytes, MMMM/ZZZX 1.5,
-// MMMX 2.5, MMXX 3.5 and XXXX 4.5 — so classes are tried in cost
-// order.
+// MMMX 2.5, MMXX 3.5 and XXXX 4.5 — so classes are taken in cost order,
+// each at its lowest matching dictionary index. One pass over the
+// dictionary finds all three matches: a full match ends it, and the
+// first entry sharing w's upper 24 or 16 bits is remembered for MMMX
+// or MMXX.
 func cpackClassify(w uint32, dct *[cpackDictSize]uint32) (cls, idx byte) {
 	if w == 0 {
 		return cpZZZZ, 0
 	}
-	for i := 0; i < cpackDictSize; i++ {
-		if dct[i] == w {
+	mmmx, mmxx := byte(cpackDictSize), byte(cpackDictSize)
+	for i, d := range dct {
+		x := d ^ w
+		if x == 0 {
 			return cpMMMM, byte(i)
 		}
+		if x <= 0xFF && mmmx == cpackDictSize {
+			mmmx = byte(i)
+		}
+		if x <= 0xFFFF && mmxx == cpackDictSize {
+			mmxx = byte(i)
+		}
 	}
-	if w <= 0xFF {
+	switch {
+	case w <= 0xFF:
 		return cpZZZX, 0
-	}
-	for i := 0; i < cpackDictSize; i++ {
-		if dct[i]>>8 == w>>8 {
-			return cpMMMX, byte(i)
-		}
-	}
-	for i := 0; i < cpackDictSize; i++ {
-		if dct[i]>>16 == w>>16 {
-			return cpMMXX, byte(i)
-		}
+	case mmmx < cpackDictSize:
+		return cpMMMX, mmmx
+	case mmxx < cpackDictSize:
+		return cpMMXX, mmxx
 	}
 	return cpXXXX, 0
 }

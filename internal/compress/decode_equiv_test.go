@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -137,5 +138,46 @@ func TestHuffmanModelKraftViolationRejected(t *testing.T) {
 	plain, err := c.DecompressAppend(nil, comp)
 	if err != nil || string(plain) != "kraft-complete" {
 		t.Fatalf("round trip = %q, %v", plain, err)
+	}
+}
+
+// TestHuffmanFirstDecodeRace: eight goroutines make the first decodes
+// of one freshly trained Huffman codec at once. Each builds the decode
+// table or takes the one stored first, and every output equals the
+// bit-serial reference decoder's.
+func TestHuffmanFirstDecodeRace(t *testing.T) {
+	for _, img := range generatedImages(t, 4) {
+		h := trainHuffman(img).(*huffman)
+		comp, err := h.CompressAppend(nil, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refHuffmanDecompress(h, nil, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const decoders = 8
+		outs := make([][]byte, decoders)
+		errs := make([]error, decoders)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				outs[i], errs[i] = h.DecompressAppend(nil, comp)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range outs {
+			if errs[i] != nil || !bytes.Equal(outs[i], want) {
+				t.Errorf("decoder %d: err %v, output equal to the reference %v", i, errs[i], bytes.Equal(outs[i], want))
+			}
+		}
+		if h.table.Load() == nil {
+			t.Error("no decode table after the first decodes")
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // huffman is a shared-model canonical Huffman codec. The model (one
@@ -21,26 +22,30 @@ type huffman struct {
 	firstIdx  [maxCodeLen + 1]int
 	counts    [maxCodeLen + 1]int
 	symbols   []byte // symbols sorted by (length, value)
-	// table is the flat huffTableBits-bit decode table: entry i decodes
-	// the bitstream whose next huffTableBits bits are i. Where two whole
-	// codes fit in the peek window the entry carries both symbols, so one
-	// lookup emits two bytes — the dependent load chain (peek -> load ->
-	// shift -> peek) is the decoder's critical path, and pairing halves
-	// it for the short codes that dominate real streams. Entry layout:
-	//
-	//	bits 0..3   length of the first code (1..huffTableBits)
-	//	bits 4..8   total bits consumed (first + optional second code)
-	//	bits 9..16  first symbol
-	//	bits 17..24 second symbol (pair entries only)
-	//	bit  31     pair flag
-	//
-	// A zero entry means the next code is longer than huffTableBits (or
-	// invalid) and decoding falls back to the canonical per-length
-	// ranges above. The table is built once per model (trainHuffman or
-	// huffmanFromModel) and cached on the codec, so every block decoded
-	// under the model shares it.
-	table [1 << huffTableBits]uint32
+	// table is the flat decode table (see huffTable), nil until the
+	// codec's first decode builds it (decodeTable). Training never
+	// decodes, so a build pays neither its 8 KiB nor its fill. Every block
+	// decoded under the model then shares it; racing first decoders each
+	// build one, and the codec keeps the first stored.
+	table atomic.Pointer[huffTable]
 }
+
+// huffTable is the flat huffTableBits-bit decode table: entry i decodes
+// the bitstream whose next huffTableBits bits are i. Where two whole
+// codes fit in the peek window the entry carries both symbols, so one
+// lookup emits two bytes — the dependent load chain (peek -> load ->
+// shift -> peek) is the decoder's critical path, and pairing halves it
+// for the short codes that dominate real streams. Entry layout:
+//
+//	bits 0..3   length of the first code (1..huffTableBits)
+//	bits 4..8   total bits consumed (first + optional second code)
+//	bits 9..16  first symbol
+//	bits 17..24 second symbol (pair entries only)
+//	bit  31     pair flag
+//
+// A zero entry means the next code is longer than huffTableBits (or
+// invalid) and decoding falls back to the canonical per-length ranges.
+type huffTable [1 << huffTableBits]uint32
 
 // maxCodeLen bounds code lengths so decode tables stay small; the
 // trainer rescales frequencies until the bound holds.
@@ -153,7 +158,8 @@ func buildCodeLengths(freq *[256]uint64, lengths *[256]uint8) (maxLen uint8) {
 	return maxLen
 }
 
-// buildCanonical derives canonical codes and decode tables from lengths.
+// buildCanonical derives canonical codes and the per-length decode
+// ranges from lengths; the flat table waits for the first decode.
 func (h *huffman) buildCanonical() {
 	for _, l := range h.lengths {
 		h.counts[l]++
@@ -180,10 +186,19 @@ func (h *huffman) buildCanonical() {
 		h.symbols[next[l]] = byte(sym)
 		next[l]++
 	}
-	h.buildTable()
 }
 
-// buildTable fills the flat decode table from the canonical codes: a
+// decodeTable returns the codec's flat decode table, building it on the
+// first call.
+func (h *huffman) decodeTable() *huffTable {
+	if t := h.table.Load(); t != nil {
+		return t
+	}
+	h.table.CompareAndSwap(nil, h.buildTable())
+	return h.table.Load()
+}
+
+// buildTable builds the flat decode table from the canonical codes: a
 // symbol with an l-bit code (l <= huffTableBits) owns every table slot
 // whose top l bits equal its code, and where a second whole code fits
 // in the remaining slot bits the entry is upgraded to a two-symbol
@@ -191,8 +206,8 @@ func (h *huffman) buildCanonical() {
 // checked via Kraft in huffmanFromModel) means no slot is claimed by
 // two different decodings, so the table decode is exactly the
 // first-match-by-increasing-length walk of the bit-serial decoder.
-func (h *huffman) buildTable() {
-	clear(h.table[:])
+func (h *huffman) buildTable() *huffTable {
+	t := new(huffTable)
 	for sym := 0; sym < 256; sym++ {
 		l := int(h.lengths[sym])
 		if l == 0 || l > huffTableBits {
@@ -201,7 +216,7 @@ func (h *huffman) buildTable() {
 		entry := uint32(l) | uint32(l)<<4 | uint32(sym)<<9
 		base := h.codes[sym] << (huffTableBits - l)
 		for j := uint32(0); j < 1<<(huffTableBits-l); j++ {
-			h.table[base+j] = entry
+			t[base+j] = entry
 		}
 	}
 	// Pair pass: refine slots whose tail bits start (and finish) a
@@ -224,10 +239,11 @@ func (h *huffman) buildTable() {
 			entry := huffPairFlag | uint32(l1) | uint32(lt)<<4 | uint32(s1)<<9 | uint32(s2)<<17
 			base := h.codes[s1]<<(huffTableBits-l1) | h.codes[s2]<<(huffTableBits-lt)
 			for j := uint32(0); j < 1<<(huffTableBits-lt); j++ {
-				h.table[base+j] = entry
+				t[base+j] = entry
 			}
 		}
 	}
+	return t
 }
 
 func (h *huffman) Name() string { return "huffman" }
@@ -285,6 +301,7 @@ func (h *huffman) DecompressAppend(dst, src []byte) ([]byte, error) {
 	// stay in bounds even for hostile headers (a stream that would
 	// overrun the cap exhausts first).
 	need := clampGrow(n, 8*len(src))
+	table := h.decodeTable()
 	base := len(dst)
 	out := growCap(dst, need)
 	out = out[:base+need]
@@ -310,7 +327,7 @@ func (h *huffman) DecompressAppend(dst, src []byte) ([]byte, error) {
 				}
 			}
 		}
-		e := h.table[acc>>(64-huffTableBits)]
+		e := table[acc>>(64-huffTableBits)]
 		var sym byte
 		var length int
 		if e != 0 {
@@ -383,7 +400,7 @@ func huffmanFromModel(model []byte) (Codec, error) {
 	}
 	// Kraft check BEFORE building tables: the lengths must form a
 	// prefix code, or canonical code assignment overflows its length
-	// slots — buildCanonical's flat-table fill indexes by code, so a
+	// slots — the flat table's fill (buildTable) indexes by code, so a
 	// Kraft-violating model must be rejected here, not trusted to
 	// panic later. (Any violating sum exceeds 1 by at least 2^-16, so
 	// the float tolerance can never admit an overflowing model.)

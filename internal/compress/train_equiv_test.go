@@ -3,16 +3,24 @@ package compress
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
 
 // sameHuffman reports whether two Huffman codecs carry identical
-// models and decode tables.
+// models and decode tables. A codec builds its flat decode table on its
+// first decode, so each side decodes an empty block before the tables
+// are compared.
 func sameHuffman(a, b *huffman) bool {
+	for _, h := range []*huffman{a, b} {
+		if _, err := h.DecompressAppend(nil, []byte{0}); err != nil {
+			return false
+		}
+	}
 	return a.lengths == b.lengths && a.codes == b.codes && a.firstCode == b.firstCode &&
 		a.firstIdx == b.firstIdx && a.counts == b.counts && slices.Equal(a.symbols, b.symbols) &&
-		a.table == b.table
+		*a.table.Load() == *b.table.Load()
 }
 
 // checkCompressEquivalence requires the trainers and the LZSS
@@ -20,8 +28,10 @@ func sameHuffman(a, b *huffman) bool {
 // sequence of blocks cut from it: identical dict, cpack and Huffman
 // models (Huffman decode tables included, both trained and rebuilt from
 // the serialized model) and identical CompressAppend bytes for every
-// codec. The LZSS blocks go through one matcher in turn, so entries
-// left by an earlier call must never reach a later one.
+// codec. Every C-Pack payload must also equal refCPackCompress's, the
+// compressor on the three-scan classifier. The LZSS blocks go through
+// one matcher in turn, so entries left by an earlier call must never
+// reach a later one.
 func checkCompressEquivalence(t *testing.T, train []byte) {
 	t.Helper()
 	d, rd := trainDict(train).(*dict), refTrainDict(train)
@@ -33,12 +43,18 @@ func checkCompressEquivalence(t *testing.T, train []byte) {
 		t.Fatalf("cpack seed %v/%d, reference %v/%d", c.seed, c.seedN, rc.seed, rc.seedN)
 	}
 	h, rh := trainHuffman(train).(*huffman), refTrainHuffman(train)
+	if h.table.Load() != nil {
+		t.Fatal("huffman training built a decode table")
+	}
 	if !sameHuffman(h, rh) {
 		t.Fatalf("huffman model differs from the reference (lengths %v vs %v)", h.lengths, rh.lengths)
 	}
 	fm, err := huffmanFromModel(h.MarshalModel())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fm.(*huffman).table.Load() != nil {
+		t.Fatal("huffman model rebuild built a decode table before any decode")
 	}
 	if !sameHuffman(fm.(*huffman), refHuffmanFromLengths(rh.lengths)) {
 		t.Fatal("huffman model rebuilt from its serialized lengths differs from the reference")
@@ -60,6 +76,9 @@ func checkCompressEquivalence(t *testing.T, train []byte) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: %d-byte block compresses differently from the reference model", p.got.Name(), len(blk))
 			}
+		}
+		if got, _ := c.CompressAppend([]byte{0xEE}, blk); !bytes.Equal(got, refCPackCompress(rc, []byte{0xEE}, blk)) {
+			t.Fatalf("cpack: %d-byte block compresses differently from the three-scan classifier", len(blk))
 		}
 		want, err := refLZSSCompress([]byte{0xEE}, blk)
 		if err != nil {
@@ -95,6 +114,37 @@ func TestCompressEquivalenceGolden(t *testing.T) {
 	images = append(images, generatedImages(t, 16)...)
 	for _, img := range images {
 		checkCompressEquivalence(t, img)
+	}
+}
+
+// TestCPackClassifyMatchesReference: the one-pass classifier picks the
+// three-scan classifier's class and index for words that share their
+// upper 16 or 24 bits, or all 32, with any entries of a dictionary that
+// repeats values and halfwords, as the moving dictionary does.
+func TestCPackClassifyMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 20000; iter++ {
+		var dct [cpackDictSize]uint32
+		for i := range dct {
+			dct[i] = r.Uint32() >> (8 * r.Intn(4))
+			if i > 0 && r.Intn(3) == 0 {
+				// Repeat an earlier entry's upper bits, or all of it.
+				dct[i] = dct[r.Intn(i)]&^(1<<(8*r.Intn(4))-1) | dct[i]&0xFF
+			}
+		}
+		w := dct[r.Intn(cpackDictSize)]
+		switch r.Intn(5) {
+		case 0:
+			w = r.Uint32() >> (8 * r.Intn(4))
+		case 1:
+			w ^= uint32(r.Intn(0x100))
+		case 2:
+			w ^= uint32(r.Intn(0x10000))
+		}
+		cls, idx := cpackClassify(w, &dct)
+		if wantCls, wantIdx := refCpackClassify(w, &dct); cls != wantCls || idx != wantIdx {
+			t.Fatalf("word %#x in %#x: class %d index %d, reference %d index %d", w, dct, cls, idx, wantCls, wantIdx)
+		}
 	}
 }
 

@@ -1,14 +1,15 @@
 package compress
 
-// Reference trainers and the reference LZSS compressor: the
-// implementations the allocation-free ones replaced, kept verbatim
-// (renamed) as the behavioral oracle. FuzzCompressEquivalence and
+// Reference trainers, the reference C-Pack classifier and the reference
+// LZSS compressor: the implementations the allocation-free and one-pass
+// ones replaced, kept verbatim (renamed) as the behavioral oracle. FuzzCompressEquivalence and
 // TestCompressEquivalenceGolden require identical models, decode tables
 // and compressed bytes from both. They live in a test file so the
 // shipped binary carries only the fast path.
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -78,6 +79,69 @@ func refTrainCPack(train []byte) *cpack {
 		c.seed[len(all)-1-i] = e.w
 	}
 	return c
+}
+
+// refCpackClassify is the three-scan C-Pack classifier, which searched
+// the 16-entry dictionary once per class.
+//
+// cpackClassify picks the cheapest class for w given the dictionary
+// state: with the half-tag share, ZZZZ costs 0.5 bytes, MMMM/ZZZX 1.5,
+// MMMX 2.5, MMXX 3.5 and XXXX 4.5 — so classes are tried in cost
+// order.
+func refCpackClassify(w uint32, dct *[cpackDictSize]uint32) (cls, idx byte) {
+	if w == 0 {
+		return cpZZZZ, 0
+	}
+	for i := 0; i < cpackDictSize; i++ {
+		if dct[i] == w {
+			return cpMMMM, byte(i)
+		}
+	}
+	if w <= 0xFF {
+		return cpZZZX, 0
+	}
+	for i := 0; i < cpackDictSize; i++ {
+		if dct[i]>>8 == w>>8 {
+			return cpMMMX, byte(i)
+		}
+	}
+	for i := 0; i < cpackDictSize; i++ {
+		if dct[i]>>16 == w>>16 {
+			return cpMMXX, byte(i)
+		}
+	}
+	return cpXXXX, 0
+}
+
+// refCPackCompress is cpack's CompressAppend on refCpackClassify: the
+// word-pair loop of compressAppend without its pattern accounting.
+func refCPackCompress(c *cpack, dst, src []byte) []byte {
+	out := binary.AppendUvarint(dst, uint64(len(src)))
+	nWords := len(src) / isa.WordSize
+	var dct [cpackDictSize]uint32
+	var head int
+	for w := 0; w < nWords; {
+		if w&(cpackGroupWords-1) == 0 {
+			dct = c.seed
+			head = c.seedN & (cpackDictSize - 1)
+		}
+		tagPos := len(out)
+		out = append(out, 0)
+		v0 := isa.ByteOrder.Uint32(src[w*isa.WordSize:])
+		cls0, idx0 := refCpackClassify(v0, &dct)
+		out = cpackEmit(out, v0, cls0, idx0, &dct, &head)
+		w++
+		var cls1 byte
+		if w < nWords {
+			v1 := isa.ByteOrder.Uint32(src[w*isa.WordSize:])
+			var idx1 byte
+			cls1, idx1 = refCpackClassify(v1, &dct)
+			out = cpackEmit(out, v1, cls1, idx1, &dct, &head)
+			w++
+		}
+		out[tagPos] = cls0 | cls1<<4
+	}
+	return append(out, src[nWords*isa.WordSize:]...)
 }
 
 // refTrainHuffman is the pointer-tree Huffman trainer.
@@ -208,10 +272,13 @@ func refBuildCanonical(h *huffman) {
 	refBuildTable(h)
 }
 
-// refBuildTable fills the decode table with the 256x256 pair pass.
+// refBuildTable fills the decode table with the 256x256 pair pass. It
+// builds the table eagerly and stores it on the codec, where the codec
+// itself builds it on its first decode.
 func refBuildTable(h *huffman) {
-	for i := range h.table {
-		h.table[i] = 0
+	t := new(huffTable)
+	for i := range t {
+		t[i] = 0
 	}
 	for sym := 0; sym < 256; sym++ {
 		l := int(h.lengths[sym])
@@ -221,7 +288,7 @@ func refBuildTable(h *huffman) {
 		entry := uint32(l) | uint32(l)<<4 | uint32(sym)<<9
 		base := h.codes[sym] << (huffTableBits - l)
 		for j := uint32(0); j < 1<<(huffTableBits-l); j++ {
-			h.table[base+j] = entry
+			t[base+j] = entry
 		}
 	}
 	for s1 := 0; s1 < 256; s1++ {
@@ -238,10 +305,11 @@ func refBuildTable(h *huffman) {
 			entry := huffPairFlag | uint32(l1) | uint32(lt)<<4 | uint32(s1)<<9 | uint32(s2)<<17
 			base := h.codes[s1]<<(huffTableBits-l1) | h.codes[s2]<<(huffTableBits-lt)
 			for j := uint32(0); j < 1<<(huffTableBits-lt); j++ {
-				h.table[base+j] = entry
+				t[base+j] = entry
 			}
 		}
 	}
+	h.table.Store(t)
 }
 
 // refLZSSCompress is the LZSS compressor that reset its whole 8192-entry

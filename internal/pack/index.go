@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
@@ -43,18 +44,27 @@ type IndexEntry struct {
 	CRC   uint32 // IEEE CRC-32 of the plain block image
 }
 
+// Header is the front of a container, ahead of its block index: the
+// codec, its trained model and the checksum of the whole plain image.
+type Header struct {
+	// Codec is the codec's name. A registered name is the registry's own
+	// string (compress.RegisteredName), so every parsed header shares it.
+	Codec string
+	// Model is the codec's serialized model. It aliases the parsed data.
+	Model    []byte
+	ImageCRC uint32 // IEEE CRC-32 of the whole plain image
+}
+
 // Index is the parsed metadata prefix of a container: everything
 // except the payload bytes themselves. It is sufficient to reconstruct
 // the CFG, rebuild the trained codec, and read any block's compressed
 // payload directly by offset — and, when a group directory is present,
 // any word span within a block.
 type Index struct {
-	Codec    string
-	Model    []byte
-	ImageCRC uint32 // IEEE CRC-32 of the whole plain image
-	Entry    cfg.BlockID
-	Blocks   []IndexEntry
-	Edges    []cfg.Edge
+	Header
+	Entry  cfg.BlockID
+	Blocks []IndexEntry
+	Edges  []cfg.Edge
 
 	// GroupWords is the group directory granularity in plain words; 0
 	// means the container has no directory (its codec cannot slice) and
@@ -84,42 +94,70 @@ const indexReadChunk = 64 << 10
 // stay sane even before payload verification exposes the lie.
 const maxBlockWords = 1 << 26
 
-// ParseIndex parses the metadata prefix of a container. data may be
-// the full container or any prefix long enough to hold the metadata;
-// payload bytes after the index are not touched. A version other than
-// Version fails with ErrBadVersion.
-func ParseIndex(data []byte) (*Index, error) {
-	r := &reader{data: data}
+// ParseHeader parses just the header of a container: its magic, its
+// version and the Header fields. Nothing after them is read, so data
+// may be any prefix that holds them. A version other than Version fails
+// with ErrBadVersion.
+func ParseHeader(data []byte) (Header, error) {
+	return parseHeader(&reader{data: data})
+}
+
+// parseHeader reads a container's header from r and leaves r at the
+// entry block.
+func parseHeader(r *reader) (Header, error) {
+	var h Header
 	if !bytes.Equal(r.take(len(Magic)), Magic) {
-		return nil, ErrBadMagic
+		return h, ErrBadMagic
 	}
 	v := r.uvarint()
 	if r.err != nil {
-		return nil, r.err
+		return h, r.err
 	}
 	if v != Version {
-		return nil, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, Version)
+		return h, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, Version)
 	}
-	idx := &Index{}
-	idx.Codec = string(r.bytes())
-	idx.Model = bytes.Clone(r.bytes())
-	crcBytes := r.take(4)
+	name := r.bytes()
+	h.Model = r.bytes()
+	crc := r.take(4)
 	if r.err != nil {
-		return nil, r.err
+		return h, r.err
 	}
-	idx.ImageCRC = binary.LittleEndian.Uint32(crcBytes)
+	var ok bool
+	if h.Codec, ok = compress.RegisteredName(name); !ok {
+		h.Codec = string(name)
+	}
+	h.ImageCRC = binary.LittleEndian.Uint32(crc)
+	return h, nil
+}
 
+// ParseIndex parses the metadata prefix of a container. data may be
+// the full container or any prefix long enough to hold the metadata;
+// payload bytes after the index are not touched. The Model, like every
+// slice of ParseHeader's, aliases data; block labels and function names
+// are copied out, all into one string. A version other than Version
+// fails with ErrBadVersion.
+func ParseIndex(data []byte) (*Index, error) {
+	r := &reader{data: data}
+	h, err := parseHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	idx := &Index{Header: h}
 	idx.Entry = cfg.BlockID(r.uvarint())
 	nblocks := int(r.uvarint())
 	if r.err != nil || nblocks <= 0 || nblocks > 1<<20 {
 		return nil, fmt.Errorf("%w: block count", ErrCorrupt)
 	}
 	idx.Blocks = make([]IndexEntry, nblocks)
+	// names collects each block's label and function name as it lies in
+	// data, on the stack for up to 64 blocks; setNames then copies them
+	// all into one string.
+	var stack [128][]byte
+	names := stack[:0]
 	var off int64
 	for i := range idx.Blocks {
 		e := &idx.Blocks[i]
-		e.Label = string(r.bytes())
-		e.Func = string(r.bytes())
+		names = append(names, r.bytes(), r.bytes())
 		e.Words = int(r.uvarint())
 		// Bound the claimed plain size: a hostile Words makes every
 		// derived quantity (pre-allocations, e.Words*WordSize length
@@ -142,6 +180,7 @@ func ParseIndex(data []byte) (*Index, error) {
 		}
 		off += e.Len
 	}
+	idx.setNames(names)
 	nedges := int(r.uvarint())
 	if r.err != nil || nedges < 0 || nedges > 1<<22 {
 		return nil, fmt.Errorf("%w: edge count", ErrCorrupt)
@@ -173,6 +212,26 @@ func ParseIndex(data []byte) (*Index, error) {
 	}
 	idx.PayloadBase = int64(len(data) - len(r.data))
 	return idx, nil
+}
+
+// setNames sets every block's Label and Func from names, which holds
+// them in block order, label first, as windows of one string.
+func (x *Index) setNames(names [][]byte) {
+	n := 0
+	for _, b := range names {
+		n += len(b)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, b := range names {
+		sb.Write(b)
+	}
+	all := sb.String()
+	for i := range x.Blocks {
+		e := &x.Blocks[i]
+		e.Label, all = all[:len(names[2*i])], all[len(names[2*i]):]
+		e.Func, all = all[:len(names[2*i+1])], all[len(names[2*i+1]):]
+	}
 }
 
 // parseGroupDirectory reads the v3 sub-block directory: groupWords,
@@ -288,8 +347,8 @@ func ReadIndexAt(r io.ReaderAt, size int64) (*Index, error) {
 
 // NewCodec rebuilds the trained codec the container's payloads were
 // compressed with.
-func (x *Index) NewCodec() (compress.Codec, error) {
-	c, err := compress.FromModel(x.Codec, x.Model)
+func (h *Header) NewCodec() (compress.Codec, error) {
+	c, err := compress.FromModel(h.Codec, h.Model)
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
 	}

@@ -77,6 +77,22 @@ var (
 // Pack serializes the program with every block compressed by the
 // codec, which must come from compress.New or compress.FromModel.
 func Pack(p *program.Program, codec compress.Codec) ([]byte, error) {
+	return build(p, "", codec)
+}
+
+// Build trains the named codec on the program's code image and packs
+// the program with it. The container is the one Pack gives for the
+// codec compress.New trains on p.CodeBytes(), but the image is encoded
+// once, into the pooled buffer that training reads, packing cuts its
+// blocks from and the metadata then reuses. An unknown name fails with
+// compress.ErrUnknownCodec.
+func Build(p *program.Program, codecName string) ([]byte, error) {
+	return build(p, codecName, nil)
+}
+
+// build packs p with codec or, when codec is nil, with the named codec
+// trained on p's code image.
+func build(p *program.Program, codecName string, codec compress.Codec) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,18 +101,39 @@ func Pack(p *program.Program, codec compress.Codec) ([]byte, error) {
 	for _, b := range g.Blocks() {
 		nedges += len(g.Succs(b.ID))
 	}
-	model := compress.MarshalModel(codec)
 	// One pooled buffer serves twice. It first holds the whole code
-	// image: its CRC goes in the header, and every block's plain image
-	// is a window of it. Once the blocks are compressed it takes the
-	// metadata, sized here by a generous per-block and per-edge
-	// estimate. The container is then allocated at its exact size, so
-	// an entry that keeps it holds no spare capacity.
-	image := compress.GetBuf(max(p.TotalBytes(), len(model)+64*g.NumBlocks()+32*nedges+256))
+	// image: training reads it, its CRC goes in the header, and every
+	// block's plain image is a window of it. Once the blocks are
+	// compressed it takes the metadata, sized by a generous per-block
+	// and per-edge estimate plus the model. The container is then
+	// allocated at its exact size, so an entry that keeps it holds no
+	// spare capacity.
+	var model []byte
+	if codec != nil {
+		model = compress.MarshalModel(codec)
+	}
+	meta := len(model) + 64*g.NumBlocks() + 32*nedges + 256
+	image := compress.GetBuf(max(p.TotalBytes(), meta))
 	defer func() { compress.PutBuf(image) }()
 	image, err := p.AppendCodeBytes(image[:0])
 	if err != nil {
 		return nil, err
+	}
+	if codec == nil {
+		// Training keeps no reference to the image (compress.New), so the
+		// buffer can take the metadata below.
+		if codec, err = compress.New(codecName, image); err != nil {
+			return nil, err
+		}
+		// The estimate did not know the model. If the buffer has no room
+		// for it, move the image to a pooled buffer that has, before any
+		// block is cut from it.
+		model = compress.MarshalModel(codec)
+		if need := meta + len(model); cap(image) < need {
+			small := image
+			image = append(compress.GetBuf(need), small...)
+			compress.PutBuf(small)
+		}
 	}
 	payloads, crcs, err := compressBlocks(p, image, codec)
 	if err != nil {

@@ -2,14 +2,17 @@ package pack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"apbcc/internal/compress"
 	"apbcc/internal/core"
 	"apbcc/internal/kernels"
 	"apbcc/internal/machine"
+	"apbcc/internal/program"
 	"apbcc/internal/sim"
 	"apbcc/internal/workloads"
 )
@@ -237,6 +240,122 @@ func TestPackExactSize(t *testing.T) {
 			data, _ := packWorkload(t, name, codecName)
 			if cap(data) != len(data) {
 				t.Errorf("%s/%s: cap %d, len %d", name, codecName, cap(data), len(data))
+			}
+		}
+	}
+}
+
+// TestBuildMatchesPack: Build gives, byte for byte and at its exact
+// size, the container Pack gives for the codec compress.New trains on
+// the program's CodeBytes, for every suite and generated program under
+// every codec. An unknown codec name fails with ErrUnknownCodec.
+func TestBuildMatchesPack(t *testing.T) {
+	var progs []*program.Program
+	for _, name := range workloads.Names() {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, w.Program)
+	}
+	for _, src := range workloads.GeneratedAssembly(1, 16) {
+		p, err := program.FromAssembly("gen", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		code, err := p.CodeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, codecName := range compress.Names() {
+			codec, err := compress.New(codecName, code)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Pack(p, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Build(p, codecName)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", p.Name, codecName, err)
+			}
+			if !bytes.Equal(got, want) || cap(got) != len(got) {
+				t.Errorf("%s/%s: Build gives %d bytes (cap %d), Pack %d", p.Name, codecName, len(got), cap(got), len(want))
+			}
+		}
+	}
+	if _, err := Build(progs[0], "rle"); !errors.Is(err, compress.ErrUnknownCodec) {
+		t.Errorf("unknown codec: %v, want ErrUnknownCodec", err)
+	}
+}
+
+// TestParseHeader: a container's header parses on its own, from any
+// prefix that holds it, to the fields ParseIndex gives; a registered
+// codec's name is the registry's own string, which two parsed
+// containers share; and a shorter prefix is corrupt.
+func TestParseHeader(t *testing.T) {
+	a, _ := packWorkload(t, "fft", "huffman")
+	b, _ := packWorkload(t, "crc32", "huffman")
+	idx, err := ParseIndex(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Magic, version, length-prefixed name and model, CRC.
+	end := len(Magic) + 1 + 1 + len(idx.Codec) + len(binary.AppendUvarint(nil, uint64(len(idx.Model)))) + len(idx.Model) + 4
+	h, err := ParseHeader(a[:end])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Codec != idx.Codec || !bytes.Equal(h.Model, idx.Model) || h.ImageCRC != idx.ImageCRC {
+		t.Fatalf("header %s/%d B/%#x, index %s/%d B/%#x", h.Codec, len(h.Model), h.ImageCRC, idx.Codec, len(idx.Model), idx.ImageCRC)
+	}
+	if _, err := ParseHeader(a[:end-1]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("header cut one byte short: %v, want ErrCorrupt", err)
+	}
+	hb, err := ParseHeader(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(h.Codec) != unsafe.StringData(hb.Codec) || unsafe.StringData(idx.Codec) != unsafe.StringData(hb.Codec) {
+		t.Error("two parsed containers hold separate copies of their codec's name")
+	}
+}
+
+// TestUnpackAllocBudget pins the verifying Unpack's allocation count on
+// the generated containers POST /v1/pack builds, under every codec. It
+// does not grow with the block count. The index is six allocations at
+// most: the Index, its block table, one string for every label and
+// function name, the edge array and the group directory's two tables.
+// The codec is at most three: huffman's struct, symbols and the decode
+// table its first decode builds. The CFG is six: the block array, the
+// graph, its block pointers and edge lists, and the predecessor store
+// with its offsets; the edges are the successor store. Then the
+// rescanned group offsets, the Info, the instructions, the Program,
+// Validate's branch-site table and the pool's bookkeeping: at most 20.
+// A -race build drops sync.Pool entries at random, so the pin is
+// skipped there.
+func TestUnpackAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
+	}
+	const budget = 20
+	for _, codecName := range compress.Names() {
+		for i, b := range generatedBuilds(t, codecName, 32) {
+			if _, _, _, err := Unpack("gen", b.container); err != nil { // warm the pool
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, _, _, err := Unpack("gen", b.container); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > budget {
+				t.Errorf("%s program %d: Unpack allocates %.0f times, budget %d (blocks=%d)",
+					codecName, i, allocs, budget, b.prog.Graph.NumBlocks())
 			}
 		}
 	}

@@ -13,14 +13,16 @@ import (
 // assembler allocates its result, words, instructions and label list
 // presized, plus the symbol table (four allocations), and pools its
 // fixup list; the CFG is one leader table, one block array, one name
-// string, one edge array, the graph and its seven flat tables, and the
-// Program itself. That is 21 allocations. A -race build drops sync.Pool
-// entries at random, so the pin is skipped there.
+// string, one edge array, which is also the successor store, the graph
+// and its four flat tables (block pointers, one array of successor and
+// predecessor lists, and the predecessor store with its offsets), and
+// the Program itself. That is 18 allocations. A -race build drops
+// sync.Pool entries at random, so the pin is skipped there.
 func TestFromAssemblyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
 	}
-	const budget = 21
+	const budget = 18
 	for i, src := range workloads.GeneratedAssembly(1, 256) {
 		if _, err := program.FromAssembly("gen", src); err != nil { // warm the pool
 			t.Fatal(err)

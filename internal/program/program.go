@@ -129,13 +129,10 @@ func (p *Program) AllBlockBytes() ([][]byte, error) {
 	return out, nil
 }
 
-// CodeBytes returns the whole program image as bytes.
+// CodeBytes returns the whole program image as bytes, encoded straight
+// into one buffer of exactly its size.
 func (p *Program) CodeBytes() ([]byte, error) {
-	words, err := isa.EncodeAll(p.Ins)
-	if err != nil {
-		return nil, fmt.Errorf("program %s: %w", p.Name, err)
-	}
-	return isa.WordsToBytes(words), nil
+	return p.AppendCodeBytes(make([]byte, 0, p.TotalBytes()))
 }
 
 // AppendCodeBytes appends the whole program image to dst and returns

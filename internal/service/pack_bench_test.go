@@ -36,3 +36,48 @@ func BenchmarkPackPost(b *testing.B) {
 		i++
 	}
 }
+
+// rewindBody is a request body a test rewinds between requests.
+type rewindBody struct{ *strings.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// TestPackPostAllocBudget pins the allocations of one untraced POST
+// /v1/pack through Handler() over generated programs and the five
+// codecs the pack-write benchmark workload posts with: read the body
+// once and assemble it in place, build the container (pack.Build) and
+// verify it with the full Unpack. dict, which allocates most, makes 60
+// to 63; the budget keeps one spare. A -race build drops sync.Pool
+// entries at random, so the pin is skipped there.
+func TestPackPostAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
+	}
+	s, err := New(Config{TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	w := &discardWriter{h: http.Header{}}
+	const budget = 64
+	for _, codec := range []string{"dict", "bdi", "cpack", "lzss", "huffman"} {
+		for i, src := range workloads.GeneratedAssembly(1, 16) {
+			body := rewindBody{strings.NewReader(src)}
+			req := httptest.NewRequest(http.MethodPost, "/v1/pack?name=gen&codec="+codec, body)
+			req.ContentLength = int64(len(src))
+			post := func() {
+				body.Reset(src)
+				clear(w.h)
+				h.ServeHTTP(w, req)
+			}
+			post() // warm the pools
+			if w.h.Get("Content-Length") == "" {
+				t.Fatalf("%s program %d: no container (headers %v)", codec, i, w.h)
+			}
+			if allocs := testing.AllocsPerRun(20, post); allocs > budget {
+				t.Errorf("%s program %d: POST /v1/pack allocates %.0f times, budget %d", codec, i, allocs, budget)
+			}
+		}
+	}
+}

@@ -202,18 +202,18 @@ func (e *entry) groups(id int) []uint32 {
 }
 
 // decoder returns the codec that decodes the entry's payloads. The
-// entry's first word read builds it from the container's own model;
-// when first readers race, each builds one and the entry keeps the
-// first stored.
+// entry's first word read builds it from the model in the container's
+// header, the only part of the container it parses; when first readers
+// race, each builds one and the entry keeps the first stored.
 func (e *entry) decoder() (compress.Codec, error) {
 	if c := e.dec.Load(); c != nil {
 		return *c, nil
 	}
-	idx, err := pack.ParseIndex(e.container)
+	h, err := pack.ParseHeader(e.container)
 	if err != nil {
 		return nil, err
 	}
-	c, err := idx.NewCodec()
+	c, err := h.NewCodec()
 	if err != nil {
 		return nil, err
 	}
@@ -578,9 +578,17 @@ func (s *Server) handlePackWorkload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderCodec, ent.codec)
-	w.Write(ent.container)
+	writeContainer(w, ent.container)
+}
+
+// writeContainer sends a whole container. Its declared length keeps a
+// container over net/http's 2 KiB buffer from going out chunked.
+func writeContainer(w http.ResponseWriter, container []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(container)))
+	w.Write(container)
 }
 
 func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
@@ -608,7 +616,9 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	p, err := program.FromAssembly(name, string(src))
+	// The assembler reads the body in place: nothing writes the buffer
+	// after this, and the program's labels may keep windows of it.
+	p, err := program.FromAssembly(name, unsafe.String(unsafe.SliceData(src), len(src)))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -623,8 +633,7 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.Packs.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(container)
+	writeContainer(w, container)
 }
 
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
@@ -1013,19 +1022,11 @@ func (s *Server) persistAsync(name string, container []byte) {
 	}()
 }
 
-// buildContainer trains the codec on the program's code and packs it,
-// then round-trips the result through Unpack so no unverifiable
-// container ever leaves the server.
+// buildContainer trains the codec on the program's code and packs it
+// (pack.Build), then round-trips the result through Unpack so no
+// unverifiable container ever leaves the server.
 func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, error) {
-	code, err := p.CodeBytes()
-	if err != nil {
-		return nil, err
-	}
-	codec, err := compress.New(codecName, code)
-	if err != nil {
-		return nil, err
-	}
-	container, err := pack.Pack(p, codec)
+	container, err := pack.Build(p, codecName)
 	if err != nil {
 		return nil, err
 	}

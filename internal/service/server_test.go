@@ -463,3 +463,38 @@ func TestWordGetAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestContainerResponsesDeclareLength: GET /v1/pack/{workload} and POST
+// /v1/pack declare their container's length, so a container over
+// net/http's 2 KiB response buffer is not sent chunked.
+func TestContainerResponsesDeclareLength(t *testing.T) {
+	_, ts := newTestServer(t)
+	longest := 0
+	check := func(what string, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", what, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d and transfer encoding %v for a %d-byte container",
+				what, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		longest = max(longest, len(body))
+	}
+	for _, name := range workloads.Names() {
+		resp, err := ts.Client().Get(ts.URL + "/v1/pack/" + name + "?codec=identity")
+		check("GET "+name, resp, err)
+	}
+	for i, src := range workloads.GeneratedAssembly(1, 4) {
+		resp, err := ts.Client().Post(ts.URL+"/v1/pack?codec=identity", "text/plain", strings.NewReader(src))
+		check(fmt.Sprintf("POST gen%d", i), resp, err)
+	}
+	if longest <= 2048 {
+		t.Fatalf("the longest container is %d bytes: none would have been chunked", longest)
+	}
+}

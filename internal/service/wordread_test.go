@@ -457,3 +457,30 @@ func TestFirstWordReadRace(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstDecoderBuildAllocs pins what a fresh entry's first decoder
+// build allocates: it parses only the container's header, whose model
+// aliases the container and whose codec name is the registry's, so the
+// cost is the codec FromModel rebuilds (at most two allocations:
+// huffman's struct and symbols, or dict's struct and words) and the
+// slot's value, never the block index.
+func TestFirstDecoderBuildAllocs(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, codec := range compress.Names() {
+		if code, _, _ := get(t, ts.Client(), ts.URL+"/v1/pack/fft?codec="+codec); code != http.StatusOK {
+			t.Fatalf("%s: pack status %d", codec, code)
+		}
+		s.mu.Lock()
+		ent := s.entries[store.RefName("fft", codec)]
+		s.mu.Unlock()
+		allocs := testing.AllocsPerRun(20, func() {
+			ent.dec.Store(nil) // fresh: no word read has built one
+			if _, err := ent.decoder(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%s: a first decoder build allocates %v times, want at most 3", codec, allocs)
+		}
+	}
+}
