@@ -390,15 +390,19 @@ func finalize(name string, g *cfg.Graph, plain []byte, wantCRC uint32) (*program
 
 type reader struct {
 	data []byte
-	err  error
+	err  error // the first failure; data is empty from then on
 }
 
+// The reader's failures, made once so take stays small enough to
+// inline.
+var (
+	errTruncated  = fmt.Errorf("%w: truncated", ErrCorrupt)
+	errBadUvarint = fmt.Errorf("%w: bad uvarint", ErrCorrupt)
+)
+
 func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
 	if n < 0 || n > len(r.data) {
-		r.err = fmt.Errorf("%w: truncated", ErrCorrupt)
+		r.fail(errTruncated)
 		return nil
 	}
 	out := r.data[:n]
@@ -406,13 +410,20 @@ func (r *reader) take(n int) []byte {
 	return out
 }
 
+// uvarint reads a one-byte value, which most index fields are, by
+// itself; longer values and failures take uvarintLong.
 func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	if d := r.data; len(d) > 0 && d[0] < 0x80 {
+		r.data = d[1:]
+		return uint64(d[0])
 	}
+	return r.uvarintLong()
+}
+
+func (r *reader) uvarintLong() uint64 {
 	v, n := binary.Uvarint(r.data)
 	if n <= 0 {
-		r.err = fmt.Errorf("%w: bad uvarint", ErrCorrupt)
+		r.fail(errBadUvarint)
 		return 0
 	}
 	r.data = r.data[n:]
@@ -422,4 +433,13 @@ func (r *reader) uvarint() uint64 {
 func (r *reader) bytes() []byte {
 	n := r.uvarint()
 	return r.take(int(n))
+}
+
+// fail records err unless an earlier failure stands, and empties the
+// input so every later read fails too.
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.data = nil
 }
