@@ -1,5 +1,5 @@
 // Command apcc-lint runs the repo's static invariant suite
-// (internal/analysis): bufpool ownership, the append-API dst-prefix
+// (internal/analysis), five analyzers: the append-API dst-prefix
 // contract, ErrCorrupt discipline, lock hygiene, single-goroutine obs
 // traces, and suppression-comment validity.
 //

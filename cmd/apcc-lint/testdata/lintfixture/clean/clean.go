@@ -2,10 +2,17 @@
 // exits 0 over it.
 package clean
 
-import "lintfixture/internal/compress"
+import (
+	"fmt"
 
-func RoundTrip(n int) int {
-	buf := compress.GetBuf(n)
-	defer compress.PutBuf(buf)
-	return cap(buf)
+	"lintfixture/internal/compress"
+)
+
+// ParseLen rejects an empty input with an error that chains to
+// ErrCorrupt.
+func ParseLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("%w: empty input", compress.ErrCorrupt)
+	}
+	return len(b), nil
 }

@@ -1,13 +1,8 @@
-// Package compress mirrors the repo's pool API inside the smoke-test
-// fixture module: the analyzers match GetBuf/PutBuf/ErrCorrupt by the
-// internal/compress path suffix, so this module exercises the same
-// code paths apcc-lint runs against the real tree.
+// Package compress gives the smoke-test fixture module an ErrCorrupt
+// sentinel, which the clean package wraps as the repo's decode paths
+// wrap theirs.
 package compress
 
 import "errors"
 
 var ErrCorrupt = errors.New("compress: corrupt input")
-
-func GetBuf(n int) []byte { return make([]byte, 0, n) }
-
-func PutBuf(b []byte) {}

@@ -14,7 +14,7 @@ var AllowCheck = &Analyzer{
 }
 
 func runAllowCheck(pass *Pass) error {
-	for _, m := range collectMarks(pass.Fset, pass.Files, allowPrefix) {
+	for _, m := range allowMarks(pass.Fset, pass.Files) {
 		name, reason, _ := strings.Cut(m.Args, " ")
 		switch {
 		case name == "":

@@ -1,12 +1,11 @@
 // Package analysis is the repo's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools
-// go/analysis shape (Analyzer, Pass, Diagnostic) plus the five
-// invariant checkers the codebase lives by — pooled-buffer ownership
-// (bufpool), the append-API dst-prefix contract (appendapi),
-// ErrCorrupt discipline on hostile-input paths (corrupterr), no
-// callbacks or logging under a held mutex (lockdisc), and obs traces
-// kept on one goroutine (spanpair) — along with allowcheck, which
-// lints the suppression comments themselves.
+// go/analysis shape (Analyzer, Pass, Diagnostic) plus the four
+// invariant checkers the codebase lives by — the append-API dst-prefix
+// contract (appendapi), ErrCorrupt discipline on hostile-input paths
+// (corrupterr), no callbacks or logging under a held mutex (lockdisc),
+// and obs traces kept on one goroutine (spanpair) — along with
+// allowcheck, which lints the suppression comments themselves.
 //
 // The suite runs through cmd/apcc-lint, either standalone or as a
 // `go vet -vettool` plugin (the driver in unitchecker.go speaks the
@@ -19,8 +18,7 @@
 //	//apcc:allow <analyzer> <reason>
 //
 // The reason is mandatory; allowcheck flags malformed or unknown
-// suppressions. The bufpool analyzer additionally honors
-// //apcc:owns (see bufpool.go) for intentional ownership transfer.
+// suppressions.
 package analysis
 
 import (
@@ -65,8 +63,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // SourceFiles returns the pass's non-test files. The invariants
-// target production code: tests leak buffers and fabricate errors on
-// purpose, so analyzers iterate these instead of Pass.Files.
+// target production code: tests fabricate errors and break contracts
+// on purpose, so analyzers iterate these instead of Pass.Files.
 func (p *Pass) SourceFiles() []*ast.File {
 	out := make([]*ast.File, 0, len(p.Files))
 	for _, f := range p.Files {
@@ -79,15 +77,11 @@ func (p *Pass) SourceFiles() []*ast.File {
 	return out
 }
 
-// Directive comment prefixes. Both are whole-line or end-of-line
-// comments; see package doc for the allow grammar.
-const (
-	allowPrefix = "//apcc:allow"
-	ownsPrefix  = "//apcc:owns"
-)
+// allowPrefix starts a suppression comment, whole-line or end-of-line;
+// see package doc for the grammar.
+const allowPrefix = "//apcc:allow"
 
-// A Mark is one //apcc:* directive comment, resolved to its file
-// position.
+// A Mark is one //apcc:allow comment, resolved to its file position.
 type Mark struct {
 	File string // filename as recorded in the FileSet
 	Line int
@@ -95,37 +89,23 @@ type Mark struct {
 	Args string // text after the directive word, space-trimmed
 }
 
-// collectMarks gathers every directive comment with the given prefix
-// (e.g. "//apcc:allow") across files. A directive must be its own
-// comment: "//apcc:allowx" does not match "//apcc:allow".
-func collectMarks(fset *token.FileSet, files []*ast.File, prefix string) []Mark {
+// allowMarks gathers every //apcc:allow comment across files. A
+// directive must be its own comment: "//apcc:allowx" does not match.
+func allowMarks(fset *token.FileSet, files []*ast.File) []Mark {
 	var out []Mark
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := cutDirective(c.Text, prefix)
-				if !ok {
+				rest, ok := strings.CutPrefix(c.Text, allowPrefix)
+				if !ok || rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				out = append(out, Mark{File: pos.Filename, Line: pos.Line, Pos: c.Pos(), Args: rest})
+				out = append(out, Mark{File: pos.Filename, Line: pos.Line, Pos: c.Pos(), Args: strings.TrimSpace(rest)})
 			}
 		}
 	}
 	return out
-}
-
-// cutDirective returns the argument text of a directive comment, and
-// whether the comment is that directive (exact word match).
-func cutDirective(text, prefix string) (string, bool) {
-	if !strings.HasPrefix(text, prefix) {
-		return "", false
-	}
-	rest := text[len(prefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false // different directive sharing the prefix
-	}
-	return strings.TrimSpace(rest), true
 }
 
 // Allows indexes //apcc:allow suppressions: analyzer name -> file ->
@@ -138,7 +118,7 @@ type Allows map[string]map[string]map[int]bool
 // never silences anything.
 func CollectAllows(fset *token.FileSet, files []*ast.File) Allows {
 	allows := make(Allows)
-	for _, m := range collectMarks(fset, files, allowPrefix) {
+	for _, m := range allowMarks(fset, files) {
 		name, reason, _ := strings.Cut(m.Args, " ")
 		if name == "" || strings.TrimSpace(reason) == "" {
 			continue
@@ -169,20 +149,6 @@ func (a Allows) Suppresses(fset *token.FileSet, name string, pos token.Pos) bool
 	p := fset.Position(pos)
 	lines := byFile[p.Filename]
 	return lines != nil && (lines[p.Line] || lines[p.Line-1])
-}
-
-// ownsLines returns file -> lines carrying an //apcc:owns mark.
-func ownsLines(fset *token.FileSet, files []*ast.File) map[string]map[int]bool {
-	out := make(map[string]map[int]bool)
-	for _, m := range collectMarks(fset, files, ownsPrefix) {
-		lines := out[m.File]
-		if lines == nil {
-			lines = make(map[int]bool)
-			out[m.File] = lines
-		}
-		lines[m.Line] = true
-	}
-	return out
 }
 
 // ---- shared type/AST helpers ----
@@ -275,4 +241,47 @@ func refersTo(info *types.Info, e ast.Expr, obj types.Object) bool {
 		return !found
 	})
 	return found
+}
+
+// lhsObj resolves an assignment target identifier, skipping blank.
+func lhsObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// isTerminatorCall recognizes calls that never return: panic,
+// os.Exit, runtime.Goexit, log.Fatal*/Panic*, (*testing.T).Fatal*.
+func isTerminatorCall(info *types.Info, call *ast.CallExpr) bool {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
+			return true
+		}
+	}
+	fn := funcObj(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "os":
+		return fn.Name() == "Exit"
+	case "runtime":
+		return fn.Name() == "Goexit"
+	case "log":
+		switch fn.Name() {
+		case "Fatal", "Fatalf", "Fatalln", "Panic", "Panicf", "Panicln":
+			return true
+		}
+	case "testing":
+		switch fn.Name() {
+		case "Fatal", "Fatalf", "SkipNow", "Skipf", "Skip":
+			return true
+		}
+	}
+	return false
 }

@@ -10,8 +10,6 @@ import (
 // analyzer's positive cases, negative cases, and suppressions as
 // `// want` comments (see harness_test.go).
 
-func TestBufPoolFixture(t *testing.T) { checkFixture(t, "bufpooltest", BufPool) }
-
 func TestAppendAPIFixture(t *testing.T) { checkFixture(t, "appendtest", AppendAPI) }
 
 func TestCorruptErrFixture(t *testing.T) { checkFixture(t, "fixmod/internal/pack", CorruptErr) }

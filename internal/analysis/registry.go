@@ -7,7 +7,6 @@ import "sort"
 var All = []*Analyzer{
 	AppendAPI,
 	AllowCheck,
-	BufPool,
 	CorruptErr,
 	LockDisc,
 	SpanPair,
@@ -17,7 +16,7 @@ var All = []*Analyzer{
 // string list (not derived from All) because deriving it would form
 // an initialization cycle through AllowCheck itself; registry_test.go
 // pins it equal to All's names.
-var analyzerNameList = []string{"allowcheck", "appendapi", "bufpool", "corrupterr", "lockdisc", "spanpair"}
+var analyzerNameList = []string{"allowcheck", "appendapi", "corrupterr", "lockdisc", "spanpair"}
 
 func knownAnalyzer(name string) bool {
 	for _, n := range analyzerNameList {

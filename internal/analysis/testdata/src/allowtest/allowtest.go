@@ -9,8 +9,8 @@ func missingName() {}
 //apcc:allow nosuch the analyzer does not exist
 func unknownName() {}
 
-//apcc:allow bufpool
+//apcc:allow lockdisc
 func missingReason() {}
 
-//apcc:allow bufpool the ring owns this buffer and recycles it on close
+//apcc:allow lockdisc the callback only bumps a counter and takes no lock
 func wellFormed() {}

@@ -1,19 +1,8 @@
-// Package compress stubs the repo's compress package: the bufpool
-// analyzer matches GetBuf/PutBuf and the corrupterr analyzer matches
-// ErrCorrupt by the internal/compress path suffix, so fixtures import
-// this copy instead of the real (heavier) package.
+// Package compress stubs the repo's compress package: the fixtures wrap
+// its ErrCorrupt as the real decode paths do, without importing the
+// real (heavier) package.
 package compress
 
 import "errors"
 
 var ErrCorrupt = errors.New("compress: corrupt input")
-
-func GetBuf(n int) []byte { return make([]byte, 0, n) }
-
-func PutBuf(b []byte) {}
-
-type Codec struct{}
-
-func (Codec) CompressAppend(dst, src []byte) ([]byte, error) { return dst, nil }
-
-func (Codec) DecompressAppend(dst, comp []byte) ([]byte, error) { return dst, nil }

@@ -252,16 +252,12 @@ func (bdi) decodeWords(out, src []byte, n int) (int, error) {
 // into acc.
 func (c bdi) CountPatterns(src []byte, acc PatternStats) (PatternStats, error) {
 	var pats [bdiModeCount]patternAcc
-	scratch := GetBuf(c.MaxCompressedLen(len(src)))
-	out, err := c.compressAppend(scratch[:0], src, &pats)
-	if err != nil {
-		PutBuf(scratch)
+	if _, err := c.compressAppend(make([]byte, 0, c.MaxCompressedLen(len(src))), src, &pats); err != nil {
 		return acc, err
 	}
 	for mode, p := range pats {
 		acc = acc.add(bdiModeNames[mode], p.words, p.bytes)
 	}
-	PutBuf(out)
 	return acc, nil
 }
 

@@ -42,10 +42,10 @@
 //     happens in the factory and all per-call state is stack-local or
 //     pooled internally.
 //
-// GetBuf/PutBuf expose the package's size-classed buffer pool for
-// callers that want steady-state-allocation-free (de)compression; see
-// bufpool.go for the pool discipline. CompressAppend(nil, src) is the
-// allocating form.
+// The package keeps no buffer pool: a caller allocates its dst once,
+// sized from MaxCompressedLen or the known plain size, and a caller
+// that repeats an operation passes the same dst[:0] back in.
+// CompressAppend(nil, src) is the allocating form.
 package compress
 
 import (

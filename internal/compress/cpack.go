@@ -398,10 +398,8 @@ func (c *cpack) decodeWords(out, src []byte, n int) (int, error) {
 // the byte totals plus the length header sum to the compressed size.
 func (c *cpack) CountPatterns(src []byte, acc PatternStats) (PatternStats, error) {
 	var pats [cpClassCount]patternAcc
-	scratch := GetBuf(c.MaxCompressedLen(len(src)))
-	out, err := c.compressAppend(scratch[:0], src, &pats)
+	out, err := c.compressAppend(make([]byte, 0, c.MaxCompressedLen(len(src))), src, &pats)
 	if err != nil {
-		PutBuf(scratch)
 		return acc, err
 	}
 	payload := 0
@@ -415,7 +413,6 @@ func (c *cpack) CountPatterns(src []byte, acc PatternStats) (PatternStats, error
 		hdrLen++
 	}
 	acc = acc.add("tags", 0, len(out)-hdrLen-payload-tail)
-	PutBuf(out)
 	return acc, nil
 }
 

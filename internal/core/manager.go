@@ -215,16 +215,10 @@ func (m *Manager) buildUnits() error {
 		u.blocks = append(u.blocks, b.ID)
 	}
 
-	// Build unit images in block-ID order and compress. One pooled
-	// scratch pair is reused across all units for the compressed form
-	// and the verification round trip; only the exact-size compressed
-	// image is retained per unit.
-	scratch := compress.GetBuf(0)
-	back := compress.GetBuf(0)
-	defer func() {
-		compress.PutBuf(scratch)
-		compress.PutBuf(back)
-	}()
+	// Build unit images in block-ID order, then compress them. One
+	// scratch pair, sized for the largest unit, serves every unit's
+	// compressed form and verification round trip; only the exact-size
+	// compressed image is retained per unit.
 	for _, u := range m.units {
 		sort.Slice(u.blocks, func(i, j int) bool { return u.blocks[i] < u.blocks[j] })
 		for _, bid := range u.blocks {
@@ -235,17 +229,11 @@ func (m *Manager) buildUnits() error {
 			m.blockUnitStart[bid] = len(u.plain)
 			u.plain = append(u.plain, img...)
 		}
-		// Re-class the scratch buffers instead of letting append grow
-		// them past their pool class (grown buffers would be dropped by
-		// PutBuf).
-		if need := m.conf.Codec.MaxCompressedLen(len(u.plain)); cap(scratch) < need {
-			compress.PutBuf(scratch)
-			scratch = compress.GetBuf(need)
-		}
-		if cap(back) < len(u.plain) {
-			compress.PutBuf(back)
-			back = compress.GetBuf(len(u.plain))
-		}
+	}
+	largest := m.largestUnitBytes()
+	scratch := make([]byte, 0, m.conf.Codec.MaxCompressedLen(largest))
+	back := make([]byte, 0, largest)
+	for _, u := range m.units {
 		var err error
 		scratch, err = m.conf.Codec.CompressAppend(scratch[:0], u.plain)
 		if err != nil {

@@ -271,15 +271,14 @@ func (d *device) run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// One pooled decode buffer per device, reused across every fetched
-	// block — a simulated device decompresses into fixed scratch, not a
-	// fresh slice per block.
+	// One decode buffer per device, sized for its largest block and
+	// reused across every fetched block — a simulated device
+	// decompresses into fixed scratch, not a fresh slice per block.
 	maxBlock := 0
 	for _, b := range d.want {
 		maxBlock = max(maxBlock, len(b))
 	}
-	scratch := compress.GetBuf(maxBlock)
-	defer func() { compress.PutBuf(scratch) }()
+	scratch := make([]byte, 0, maxBlock)
 	// The wordread scenario draws start words from a zipf over the
 	// largest block's word range (folded into each block's own range):
 	// a few hot words soak up most probes, the tail keeps every group

@@ -10,17 +10,13 @@ import (
 
 // TestPackBuildAllocBudget pins the build's allocation count so the
 // build path cannot silently regress. The budget does not grow with the
-// block count: the whole code image is a pooled buffer every block
-// image is a window of, and all payloads share one arena. What remains
-// is Validate's two BranchSites tables, the payload and CRC tables, the
-// arena, the model marshal, the two group-directory tables, the
-// container itself and the pool's own bookkeeping: at most 10
-// allocations, with one spare. A -race build drops sync.Pool entries at
-// random, so the pin is skipped there.
+// block count: the whole code image is one buffer every block image is
+// a window of and the metadata then reuses, and all payloads share one
+// arena. What remains is Validate's two BranchSites tables, the payload
+// and CRC tables, the arena, the model marshal, the two group-directory
+// tables, the container itself and that image buffer: at most 10
+// allocations, with one spare.
 func TestPackBuildAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
-	}
 	w, err := workloads.ByName("fft")
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +30,7 @@ func TestPackBuildAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Pack(w.Program, codec); err != nil { // warm the pools
+		if _, err := Pack(w.Program, codec); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {

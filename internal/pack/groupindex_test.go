@@ -152,7 +152,7 @@ func TestReadWordRangeAtCodecMismatch(t *testing.T) {
 }
 
 // TestReadWordRangeAtAllocFree pins the steady-state serving cost: with
-// pooled (pre-sized) compressed and plain buffers, a word read through
+// pre-sized compressed and plain buffers, a word read through
 // the group directory performs zero allocations.
 func TestReadWordRangeAtAllocFree(t *testing.T) {
 	for _, codecName := range []string{"bdi", "cpack", "dict", "identity"} {
@@ -311,6 +311,9 @@ func FuzzParseIndexV3(f *testing.F) {
 		writeUvarint(buf, 0)
 		writeUvarint(buf, 32)
 	}), uint16(0), uint16(9))
+	blocks, edges := hugeCountContainers()
+	f.Add(blocks, uint16(0), uint16(0))
+	f.Add(edges, uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, block, word uint16) {
 		idx, err := ParseIndex(data)
 		if err != nil {

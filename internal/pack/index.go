@@ -94,6 +94,16 @@ const indexReadChunk = 64 << 10
 // stay sane even before payload verification exposes the lie.
 const maxBlockWords = 1 << 26
 
+// The fewest bytes an index entry and an edge take on the wire: an
+// entry's two length prefixes, three one-byte uvarints and CRC; an
+// edge's three one-byte uvarints and probability. The input left after
+// a count bounds that count, so a hostile one cannot size a table
+// before a single entry is read.
+const (
+	minEntryBytes = 2 + 3 + 4
+	minEdgeBytes  = 3 + 8
+)
+
 // ParseHeader parses just the header of a container: its magic, its
 // version and the Header fields. Nothing after them is read, so data
 // may be any prefix that holds them. A version other than Version fails
@@ -145,7 +155,7 @@ func ParseIndex(data []byte) (*Index, error) {
 	idx := &Index{Header: h}
 	idx.Entry = cfg.BlockID(r.uvarint())
 	nblocks := int(r.uvarint())
-	if r.err != nil || nblocks <= 0 || nblocks > 1<<20 {
+	if r.err != nil || nblocks <= 0 || nblocks > 1<<20 || nblocks > len(r.data)/minEntryBytes {
 		return nil, fmt.Errorf("%w: block count", ErrCorrupt)
 	}
 	idx.Blocks = make([]IndexEntry, nblocks)
@@ -182,7 +192,7 @@ func ParseIndex(data []byte) (*Index, error) {
 	}
 	idx.setNames(names)
 	nedges := int(r.uvarint())
-	if r.err != nil || nedges < 0 || nedges > 1<<22 {
+	if r.err != nil || nedges < 0 || nedges > 1<<22 || nedges > len(r.data)/minEdgeBytes {
 		return nil, fmt.Errorf("%w: edge count", ErrCorrupt)
 	}
 	idx.Edges = make([]cfg.Edge, nedges)
@@ -370,8 +380,8 @@ func (x *Index) ReadPayloadRangeAt(r io.ReaderAt, lo, hi int, dst []byte) ([]byt
 	start := x.Blocks[lo].Off
 	n := int(x.Blocks[hi].Off + x.Blocks[hi].Len - start)
 	base := len(dst)
-	// The span size is known exactly, so grow in one step: a pooled
-	// pre-sized dst never allocates, a nil dst costs one allocation.
+	// The span size is known exactly, so grow in one step: a pre-sized
+	// dst never allocates, a nil dst costs one allocation.
 	if cap(dst)-base < n {
 		grown := make([]byte, base, base+n)
 		copy(grown, dst)
@@ -392,7 +402,7 @@ func (x *Index) ReadPayloadRangeAt(r io.ReaderAt, lo, hi int, dst []byte) ([]byt
 // compressed bytes, then one DecompressGroup per covering group —
 // the rest of the block is never read or decoded. The span's plain
 // bytes (nwords*4) are appended to dst; the compressed group bytes are
-// appended to compDst (pass pooled buffers to stay allocation-free).
+// appended to compDst (pass pre-sized buffers to stay allocation-free).
 // Both grown slices are returned; plain's appended suffix is the word
 // span. Containers or codecs without group support fail with
 // ErrNoGroupIndex, which callers treat as "fall back to full-block

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"testing"
 
 	"apbcc/internal/compress"
@@ -173,6 +174,54 @@ func TestReadPayloadRangeAt(t *testing.T) {
 	for _, bad := range [][2]int{{-1, 0}, {2, 1}, {0, n}, {n, n}} {
 		if _, err := idx.ReadPayloadRangeAt(r, bad[0], bad[1], nil); err == nil {
 			t.Fatalf("range %d..%d: no error", bad[0], bad[1])
+		}
+	}
+}
+
+// hugeCountContainers returns two truncated containers whose counts
+// claim more than their bytes could hold: 23 bytes claiming 1<<20
+// blocks, and 31 bytes claiming 1<<22 edges after one empty block.
+func hugeCountContainers() (blocks, edges []byte) {
+	header := func(buf *bytes.Buffer) {
+		buf.Write(Magic)
+		writeUvarint(buf, Version)
+		writeBytes(buf, []byte("dict"))
+		writeBytes(buf, nil) // empty model
+		writeFixed32(buf, 0)
+		writeUvarint(buf, 0) // entry
+	}
+	var b bytes.Buffer
+	header(&b)
+	writeUvarint(&b, 1<<20) // nblocks
+	b.Write(make([]byte, 4))
+	var e bytes.Buffer
+	header(&e)
+	writeUvarint(&e, 1)            // nblocks
+	e.Write([]byte{0, 0, 0, 0, 0}) // no label or func, 0 words at offset 0, 0 bytes long
+	writeFixed32(&e, 0)
+	writeUvarint(&e, 1<<22) // nedges
+	e.WriteByte(0)
+	return b.Bytes(), e.Bytes()
+}
+
+// TestParseIndexBoundsCountsByInput: a block or edge count larger than
+// the rest of the input could hold fails with ErrCorrupt before a table
+// is sized from it, so a few hostile bytes cannot cost megabytes.
+func TestParseIndexBoundsCountsByInput(t *testing.T) {
+	blocks, edges := hugeCountContainers()
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"blocks", blocks}, {"edges", edges}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseIndex(c.data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s (%d bytes): ParseIndex allocated %d B before failing, want under 64 KiB", c.name, len(c.data), n)
 		}
 	}
 }

@@ -83,8 +83,8 @@ func Pack(p *program.Program, codec compress.Codec) ([]byte, error) {
 // Build trains the named codec on the program's code image and packs
 // the program with it. The container is the one Pack gives for the
 // codec compress.New trains on p.CodeBytes(), but the image is encoded
-// once, into the pooled buffer that training reads, packing cuts its
-// blocks from and the metadata then reuses. An unknown name fails with
+// once, into the buffer that training reads, packing cuts its blocks
+// from and the metadata then reuses. An unknown name fails with
 // compress.ErrUnknownCodec.
 func Build(p *program.Program, codecName string) ([]byte, error) {
 	return build(p, codecName, nil)
@@ -97,25 +97,26 @@ func build(p *program.Program, codecName string, codec compress.Codec) ([]byte, 
 		return nil, err
 	}
 	g := p.Graph
-	nedges := 0
+	nedges, names := 0, 0
 	for _, b := range g.Blocks() {
 		nedges += len(g.Succs(b.ID))
+		names += len(b.Label) + len(b.Func)
 	}
-	// One pooled buffer serves twice. It first holds the whole code
-	// image: training reads it, its CRC goes in the header, and every
-	// block's plain image is a window of it. Once the blocks are
-	// compressed it takes the metadata, sized by a generous per-block
-	// and per-edge estimate plus the model. The container is then
-	// allocated at its exact size, so an entry that keeps it holds no
-	// spare capacity.
+	// One buffer serves twice. It first holds the whole code image:
+	// training reads it, its CRC goes in the header, and every block's
+	// plain image is a window of it. Once the blocks are compressed it
+	// takes the metadata, sized by an estimate: the labels and function
+	// names, a few bytes per block and per edge, and the model when it
+	// is known. Before training it is not, but the per-block slack has
+	// covered every suite and generated program's model; a longer index
+	// just grows the buffer. The container is then allocated at its
+	// exact size, so an entry that keeps it holds no spare capacity.
 	var model []byte
 	if codec != nil {
 		model = compress.MarshalModel(codec)
 	}
-	meta := len(model) + 64*g.NumBlocks() + 32*nedges + 256
-	image := compress.GetBuf(max(p.TotalBytes(), meta))
-	defer func() { compress.PutBuf(image) }()
-	image, err := p.AppendCodeBytes(image[:0])
+	meta := len(model) + names + 24*g.NumBlocks() + 16*nedges + 64
+	image, err := p.AppendCodeBytes(make([]byte, 0, max(p.TotalBytes(), meta)))
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +126,7 @@ func build(p *program.Program, codecName string, codec compress.Codec) ([]byte, 
 		if codec, err = compress.New(codecName, image); err != nil {
 			return nil, err
 		}
-		// The estimate did not know the model. If the buffer has no room
-		// for it, move the image to a pooled buffer that has, before any
-		// block is cut from it.
 		model = compress.MarshalModel(codec)
-		if need := meta + len(model); cap(image) < need {
-			small := image
-			image = append(compress.GetBuf(need), small...)
-			compress.PutBuf(small)
-		}
 	}
 	payloads, crcs, err := compressBlocks(p, image, codec)
 	if err != nil {
@@ -187,7 +180,6 @@ func build(p *program.Program, codecName string, codec compress.Codec) ([]byte, 
 	for _, pay := range payloads {
 		container = append(container, pay...)
 	}
-	image = buf // pool the scratch, grown or not
 	return container, nil
 }
 
@@ -298,7 +290,7 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 		return nil, nil, nil, fmt.Errorf("%w: %d-word group directory for codec %s", ErrCorrupt, idx.GroupWords, idx.Codec)
 	}
 	// The index fixes the exact plain-image size up front, so the image
-	// streams through one exactly-sized pooled buffer — it is scratch:
+	// streams through one exactly-sized buffer — it is scratch:
 	// finalize decodes instructions straight out of it and the Program
 	// keeps only those. The pre-size is a hint, not trust: the claimed
 	// total is clamped by what the payload bytes could plausibly decode
@@ -314,8 +306,7 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 	if bound := 8*idx.PayloadLen + isa.WordSize; totalBytes > bound {
 		totalBytes = bound
 	}
-	plain := compress.GetBuf(int(totalBytes))
-	defer func() { compress.PutBuf(plain) }()
+	plain := make([]byte, 0, totalBytes)
 	blocks := make([]cfg.Block, len(idx.Blocks))
 	// offs takes one block's group offsets, rescanned from its payload;
 	// no block has more groups than the whole directory.
@@ -354,8 +345,8 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 // finalize is the tail of Unpack: whole-image checksum, instruction
 // decode, block range re-derivation, and full program validation. plain
 // is treated as scratch: instructions are decoded straight out of the
-// byte image (no intermediate word slice), and the caller may pool the
-// buffer once finalize returns.
+// byte image (no intermediate word slice), and the Program keeps no
+// reference to it.
 func finalize(name string, g *cfg.Graph, plain []byte, wantCRC uint32) (*program.Program, error) {
 	if got := crc32.ChecksumIEEE(plain); got != wantCRC {
 		return nil, fmt.Errorf("%w: %#x != %#x", ErrBadChecksum, got, wantCRC)

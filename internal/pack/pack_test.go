@@ -335,17 +335,12 @@ func TestParseHeader(t *testing.T) {
 // graph, its block pointers and edge lists, and the predecessor store
 // with its offsets; the edges are the successor store. Then the
 // rescanned group offsets, the Info, the instructions, the Program,
-// Validate's branch-site table and the pool's bookkeeping: at most 20.
-// A -race build drops sync.Pool entries at random, so the pin is
-// skipped there.
+// Validate's branch-site table and the plain image: at most 20.
 func TestUnpackAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
-	}
 	const budget = 20
 	for _, codecName := range compress.Names() {
 		for i, b := range generatedBuilds(t, codecName, 32) {
-			if _, _, _, err := Unpack("gen", b.container); err != nil { // warm the pool
+			if _, _, _, err := Unpack("gen", b.container); err != nil {
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(5, func() {

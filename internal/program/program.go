@@ -137,7 +137,7 @@ func (p *Program) CodeBytes() ([]byte, error) {
 
 // AppendCodeBytes appends the whole program image to dst and returns
 // the extended slice — CodeBytes for callers that only need the image
-// transiently (checksumming, training) and reuse a pooled buffer.
+// transiently (checksumming, training) and reuse a buffer of their own.
 func (p *Program) AppendCodeBytes(dst []byte) ([]byte, error) {
 	out, err := isa.AppendEncodedBytes(dst, p.Ins)
 	if err != nil {

@@ -89,8 +89,8 @@ func New(m *core.Manager, codec compress.Codec) *Runtime {
 // decompressLoop is the decompression thread. Unit images are
 // immutable after manager construction, so the compressed input and the
 // expected bytes are read through zero-copy views; only the produced
-// copy occupies new memory, drawn from the shared buffer pool and
-// recycled when the copy is deleted.
+// copy occupies new memory, allocated at the unit's plain size and left
+// to the GC when the copy is deleted.
 func (r *Runtime) decompressLoop() {
 	defer r.wg.Done()
 	for job := range r.decompCh {
@@ -100,28 +100,20 @@ func (r *Runtime) decompressLoop() {
 		ch := r.ready[job.Unit]
 		r.mu.Unlock()
 
-		buf := compress.GetBuf(len(want))
-		out, err := r.codec.DecompressAppend(buf, comp)
+		out, err := r.codec.DecompressAppend(make([]byte, 0, len(want)), comp)
 		r.mu.Lock()
 		switch {
 		case err != nil:
-			// out may be nil on a decode error; recycle the buffer we
-			// acquired rather than leaking it into the failure path.
-			compress.PutBuf(buf)
 			r.fail(fmt.Errorf("rt: decompression thread: unit %d: %w", job.Unit, err))
 		case !bytes.Equal(out, want):
-			compress.PutBuf(out)
 			r.fail(fmt.Errorf("rt: decompression thread: unit %d content mismatch", job.Unit))
 		case r.copies[job.Unit] != nil:
 			// A demand decompression (or an overtaken prefetch) raced
 			// ahead of this queued job; the stored bytes are identical,
-			// so keep them and recycle ours. Ours was never published,
-			// so pooling it here cannot race with a reader.
-			compress.PutBuf(out)
+			// so keep them and drop ours.
 			r.m.FinishDecompress(job)
 			r.summary.BackgroundDecompressions++
 		default:
-			//apcc:owns the copies map owns published buffers; recycled on delete/replace
 			r.copies[job.Unit] = out
 			r.m.FinishDecompress(job)
 			r.summary.BackgroundDecompressions++
@@ -141,10 +133,7 @@ func (r *Runtime) compressLoop() {
 	for job := range r.compCh {
 		if job.Kind == core.JobWriteback {
 			plain := r.m.UnitPlainView(job.Unit)
-			scratch := compress.GetBuf(r.codec.MaxCompressedLen(len(plain)))
-			out, err := r.codec.CompressAppend(scratch, plain)
-			compress.PutBuf(out)
-			if err != nil {
+			if _, err := r.codec.CompressAppend(nil, plain); err != nil {
 				r.mu.Lock()
 				r.fail(fmt.Errorf("rt: compression thread: unit %d: %w", job.Unit, err))
 				r.mu.Unlock()
@@ -192,30 +181,20 @@ func (r *Runtime) Execute(tr *trace.Trace) (*Summary, error) {
 		var wait chan struct{}
 		if x.Demand != nil {
 			// Synchronous decompression on the execution thread, into a
-			// pooled buffer sized from the known plain image.
+			// buffer sized from the known plain image.
 			comp := r.m.UnitCompressedView(unit)
 			want := r.m.UnitPlainView(unit)
 			r.mu.Unlock()
-			buf := compress.GetBuf(len(want))
-			out, derr := r.codec.DecompressAppend(buf, comp)
+			out, derr := r.codec.DecompressAppend(make([]byte, 0, len(want)), comp)
 			if derr != nil {
-				// out may be nil on a decode error; recycle our buffer
-				// instead of dropping it on the error return.
-				compress.PutBuf(buf)
 				return nil, fmt.Errorf("rt: demand decompression: %w", derr)
 			}
 			if !bytes.Equal(out, want) {
-				compress.PutBuf(out)
 				return nil, fmt.Errorf("rt: demand decompression: unit %d content mismatch", unit)
 			}
 			r.mu.Lock()
-			if old := r.copies[unit]; old != nil {
-				// Stale copy left by a prefetch that completed after the
-				// unit was deleted; only this thread reads copies, so it
-				// can be recycled safely before being replaced.
-				compress.PutBuf(old)
-			}
-			//apcc:owns the copies map owns published buffers; recycled on delete/replace
+			// This replaces any stale copy left by a prefetch that
+			// completed after the unit was deleted.
 			r.copies[unit] = out
 			r.m.FinishDecompress(*x.Demand)
 			r.summary.DemandDecompressions++
@@ -238,11 +217,8 @@ func (r *Runtime) Execute(tr *trace.Trace) (*Summary, error) {
 		}
 		for _, d := range x.Deletes {
 			// The copy is logically gone now. The entered unit is never
-			// in Deletes, so no buffer handed out this step is recycled.
-			if old := r.copies[d.Unit]; old != nil {
-				compress.PutBuf(old)
-				delete(r.copies, d.Unit)
-			}
+			// in Deletes, so this step's own copy stays.
+			delete(r.copies, d.Unit)
 		}
 		r.mu.Unlock()
 
@@ -257,9 +233,8 @@ func (r *Runtime) Execute(tr *trace.Trace) (*Summary, error) {
 		}
 
 		// "Run" the block: verify the bytes execution would fetch. The
-		// want view is immutable and the copy buffer can only be
-		// recycled by this thread, so comparing outside the lock is
-		// safe.
+		// want view is immutable and a published copy is never written
+		// again, so comparing outside the lock is safe.
 		r.mu.Lock()
 		data, ok := r.copies[unit]
 		var want []byte

@@ -204,8 +204,7 @@ func BenchmarkWordRead(b *testing.B) {
 
 		ent, _, _ := addEntry(b, srv, prog, codecName)
 		b.Run(codecName+"/resident", func(b *testing.B) {
-			dst := compress.GetBuf(len(img))
-			defer func() { compress.PutBuf(dst) }()
+			dst := make([]byte, 0, len(img))
 			word := words/2 + 3 // mid-block, mid-group
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -220,12 +219,8 @@ func BenchmarkWordRead(b *testing.B) {
 			nwords int
 		}{{"l2-word-read", 1}, {"l2-word-read-span16", 16}} {
 			b.Run(codecName+"/"+span.name, func(b *testing.B) {
-				comp := compress.GetBuf(4 << 10)
-				dst := compress.GetBuf(span.nwords * 4)
-				defer func() {
-					compress.PutBuf(comp)
-					compress.PutBuf(dst)
-				}()
+				comp := make([]byte, 0, 4<<10)
+				dst := make([]byte, 0, span.nwords*4)
 				word := words/2 + 3 // mid-block, mid-group
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -237,12 +232,8 @@ func BenchmarkWordRead(b *testing.B) {
 			})
 		}
 		b.Run(codecName+"/l2-index-read", func(b *testing.B) {
-			scratch := compress.GetBuf(len(img))
-			comps := compress.GetBuf(codec.MaxCompressedLen(len(img)))
-			defer func() {
-				compress.PutBuf(scratch)
-				compress.PutBuf(comps)
-			}()
+			scratch := make([]byte, 0, len(img))
+			comps := make([]byte, 0, codec.MaxCompressedLen(len(img)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -252,8 +243,7 @@ func BenchmarkWordRead(b *testing.B) {
 			}
 		})
 		b.Run(codecName+"/full-rebuild", func(b *testing.B) {
-			scratch := compress.GetBuf(codec.MaxCompressedLen(len(img)))
-			defer compress.PutBuf(scratch)
+			scratch := make([]byte, 0, codec.MaxCompressedLen(len(img)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -224,13 +224,14 @@ func (e *entry) decoder() (compress.Codec, error) {
 // decodeWords appends words [word, word+nwords) of block id to dst,
 // decoding them from the resident container: only the covering word
 // groups when the container has a group directory, the whole block
-// otherwise. dst needs the block's plain size in spare capacity to stay
-// allocation-free. It also reports how many word groups and compressed
-// bytes it decoded; a whole-block decode counts its payload and no
-// groups. The container passed the full Unpack verification at build,
-// its group directory included, so the decode needs no check of its
-// own. An injected compress.decode fault fails it before anything is
-// decoded, the decoder included.
+// otherwise. dst is grown once to what that decode writes, so a dst
+// with the block's plain size in spare capacity stays allocation-free
+// and a nil one costs one allocation. It also reports how many word
+// groups and compressed bytes it decoded; a whole-block decode counts
+// its payload and no groups. The container passed the full Unpack
+// verification at build, its group directory included, so the decode
+// needs no check of its own. An injected compress.decode fault fails
+// it before anything is decoded, the decoder included.
 func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, groups, decoded int, err error) {
 	if err := compress.FaultDecode.Err(); err != nil {
 		return dst, 0, 0, fmt.Errorf("service: block %d word decode: %w", id, err)
@@ -242,11 +243,12 @@ func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, group
 	comp, words := e.payload(id), int(e.blocks[id].words)
 	if gc, ok := compress.AsGroupCodec(codec); ok && e.groupOffs != nil {
 		offs := e.groups(id)
+		gw := gc.GroupWords()
+		g0, g1 := word/gw, (word+nwords-1)/gw
+		dst = reserve(dst, (min((g1+1)*gw, words)-g0*gw)*isa.WordSize)
 		if out, err = compress.DecodeWordRange(dst, gc, comp, offs, words, word, nwords); err != nil {
 			return dst, 0, 0, err
 		}
-		gw := gc.GroupWords()
-		g0, g1 := word/gw, (word+nwords-1)/gw
 		end := len(comp)
 		if g1+1 < len(offs) {
 			end = int(offs[g1+1])
@@ -254,12 +256,21 @@ func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, group
 		return out, g1 - g0 + 1, end - int(offs[g0]), nil
 	}
 	base := len(dst)
-	if out, err = codec.DecompressAppend(dst, comp); err != nil {
+	if out, err = codec.DecompressAppend(reserve(dst, words*isa.WordSize), comp); err != nil {
 		return dst, 0, 0, err
 	}
 	// Slide the span to the front of the decoded block and drop the rest.
 	n := copy(out[base:], out[base+word*isa.WordSize:base+(word+nwords)*isa.WordSize])
 	return out[:base+n], 0, len(comp), nil
+}
+
+// reserve returns dst with room for n more bytes, allocating once when
+// it has not. (slices.Grow allocates twice in a -race build.)
+func reserve(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n), dst...)
 }
 
 // New builds a Server. Call Close when done to wait out its pack jobs.
@@ -713,9 +724,7 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 		return
 	}
 	tr.Next(obs.StageDecode)
-	buf := compress.GetBuf(blockWords * isa.WordSize)
-	defer func() { compress.PutBuf(buf) }()
-	buf, groups, decoded, err := ent.decodeWords(buf[:0], id, word, nwords)
+	buf, groups, decoded, err := ent.decodeWords(nil, id, word, nwords)
 	if err != nil {
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, err.Error(), statusFor(err))

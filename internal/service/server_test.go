@@ -433,12 +433,9 @@ func TestBlockGetAllocs(t *testing.T) {
 // TestWordGetAllocs pins the allocations of an untraced word GET
 // through Handler(), beside TestBlockGetAllocs: a two-word span
 // of fft block 3 under each group-decoding codec, decoded from the
-// resident container into pooled scratch. A -race build drops
-// sync.Pool entries at random, so the pin is skipped there.
+// resident container into a scratch buffer sized to the word groups
+// it decodes.
 func TestWordGetAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation budgets count on warm sync.Pool entries, which -race drops")
-	}
 	s, err := New(Config{TraceRing: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -456,8 +453,8 @@ func TestWordGetAllocs(t *testing.T) {
 			clear(w.h)
 			h.ServeHTTP(w, req)
 		})
-		// The decode allocates nothing: it fills pooled scratch with
-		// the decoder the first read built.
+		// The decode allocates only its scratch buffer: it fills it
+		// with the decoder the first read built.
 		if allocs > 16 {
 			t.Errorf("%s word GET makes %v allocations, want at most 16", codec, allocs)
 		}

@@ -372,7 +372,7 @@ func (o *Object) Close() error { return o.f.Close() }
 
 // ReadBlockRange reads the concatenated compressed payloads of blocks
 // lo..hi (inclusive) with one ReadAt, appending to dst (which may be
-// nil, or pooled scratch for allocation-free reads) and returning the
+// nil, or pre-sized scratch for allocation-free reads) and returning the
 // extended slice. The bytes are unverified; use VerifiedBlock when the
 // caller has no checksum path of its own. Block j's payload sits at
 // offset Blocks[j].Off - Blocks[lo].Off of the appended bytes (see
@@ -400,7 +400,7 @@ func (o *Object) HasGroupIndex() bool { return o.idx.HasGroupIndex() }
 // v3 group directory: one ReadAt of exactly the covering word groups'
 // compressed bytes, one group decode each — the rest of the block never
 // leaves disk. The span's plain bytes are appended to plainDst, the
-// compressed group bytes to compDst (pass pooled buffers to stay
+// compressed group bytes to compDst (pass pre-sized buffers to stay
 // allocation-free); both grown slices are returned. Containers without
 // a directory (entropy codecs) fail with pack.ErrNoGroupIndex —
 // callers fall back to a full VerifiedBlock. No per-block CRC covers a
@@ -443,7 +443,7 @@ func (m mangledFile) ReadAt(p []byte, off int64) (int, error) {
 // VerifiedBlock reads block i's compressed payload appending it to
 // compDst, proves it decompresses to a plain image matching the
 // index's length and CRC appending that image to plainDst, and returns
-// both grown slices. Passing pooled buffers for both makes the read
+// both grown slices. Passing pre-sized buffers for both makes the read
 // allocation-free (pinned by TestVerifiedBlockAllocFree). A
 // verification failure reports ErrCorrupt; the caller decides whether
 // to Quarantine.

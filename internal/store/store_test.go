@@ -436,7 +436,7 @@ func TestReadBlockRangeCoalesced(t *testing.T) {
 }
 
 // TestVerifiedBlockAllocFree pins the zero-alloc L2 read path: with
-// pooled compressed and plain scratch, a verified block read costs no
+// pre-sized compressed and plain scratch, a verified block read costs no
 // allocations in steady state — the satellite budget of the decode
 // fast-path PR (the l2-index-read benchmark row tracks the same
 // number).
@@ -461,12 +461,8 @@ func TestVerifiedBlockAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := len(idx.Blocks) / 2
-	comps := compress.GetBuf(int(idx.Blocks[id].Len))
-	plain := compress.GetBuf(idx.Blocks[id].Words * 4)
-	defer func() {
-		compress.PutBuf(comps)
-		compress.PutBuf(plain)
-	}()
+	comps := make([]byte, 0, idx.Blocks[id].Len)
+	plain := make([]byte, 0, idx.Blocks[id].Words*4)
 	if _, _, err := obj.VerifiedBlock(codec, id, comps[:0], plain[:0]); err != nil {
 		t.Fatal(err)
 	}
