@@ -386,7 +386,9 @@ func (g *Graph) setSuccs(edges []Edge) (int, error) {
 		if hasEdge(edges[lo:k], e) {
 			return k, g.duplicate(e)
 		}
-		g.succs[e.From] = edges[lo : k+1 : k+1]
+		if k+1 == len(edges) || edges[k+1].From != e.From {
+			g.succs[e.From] = edges[lo : k+1 : k+1]
+		}
 	}
 	return -1, nil
 }
@@ -408,9 +410,16 @@ func (g *Graph) duplicate(e Edge) error {
 
 // carve gives each block lists[b] an empty window of one shared array,
 // with room for exactly the edges whose key is b; blocks with none keep
-// a nil list, as AddBlock leaves them.
+// a nil list, as AddBlock leaves them. The window bounds of up to 128
+// blocks are counted on the stack.
 func carve(lists [][]Edge, edges []Edge, key func(Edge) BlockID) [][]Edge {
-	start := make([]int, len(lists)+1)
+	var small [129]int
+	var start []int
+	if len(lists) < len(small) {
+		start = small[:len(lists)+1]
+	} else {
+		start = make([]int, len(lists)+1)
+	}
 	for _, e := range edges {
 		start[key(e)+1]++
 	}

@@ -113,3 +113,36 @@ func TestFromPartsKeepsSortedEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestFromPartsLargeGraphs: graphs on either side of the 128 blocks
+// whose edge windows carve counts on the stack build as the
+// incremental calls do, in random and in source order, and fail as
+// they do at a duplicate or an unknown block.
+func TestFromPartsLargeGraphs(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for iter, n := range []int{127, 128, 129, 300} {
+		blocks := make([]Block, n)
+		for i := range blocks {
+			blocks[i] = Block{Label: fmt.Sprintf("L%d", i), End: 1 + r.Intn(9)}
+		}
+		type key struct {
+			from, to BlockID
+			kind     EdgeKind
+		}
+		seen := map[key]bool{}
+		var edges []Edge
+		for len(edges) < 3*n {
+			e := Edge{From: BlockID(r.Intn(n)), To: BlockID(r.Intn(n)), Kind: EdgeKind(r.Intn(5)), Prob: r.Float64()}
+			if k := (key{e.From, e.To, e.Kind}); !seen[k] {
+				seen[k] = true
+				edges = append(edges, e)
+			}
+		}
+		checkFromParts(t, iter, blocks, 0, edges)
+		sorted := slices.Clone(edges)
+		slices.SortStableFunc(sorted, func(a, b Edge) int { return cmp.Compare(a.From, b.From) })
+		checkFromParts(t, iter, blocks, 0, sorted)
+		checkFromParts(t, iter, blocks, 0, append(slices.Clone(edges), edges[n]))
+		checkFromParts(t, iter, blocks, 0, append(slices.Clone(sorted), Edge{From: 0, To: BlockID(n), Kind: EdgeJump}))
+	}
+}

@@ -198,52 +198,64 @@ func (h *huffman) decodeTable() *huffTable {
 	return h.table.Load()
 }
 
-// buildTable builds the flat decode table from the canonical codes: a
-// symbol with an l-bit code (l <= huffTableBits) owns every table slot
-// whose top l bits equal its code, and where a second whole code fits
-// in the remaining slot bits the entry is upgraded to a two-symbol
-// pair. Prefix-freedom (guaranteed by canonical construction and
-// checked via Kraft in huffmanFromModel) means no slot is claimed by
-// two different decodings, so the table decode is exactly the
-// first-match-by-increasing-length walk of the bit-serial decoder.
+// buildTable builds the flat decode table from the canonical codes.
+// Canonical codes taken in symbols order (length, then value) are
+// consecutive, so left-aligned to huffTableBits they tile the table
+// from slot 0: a symbol with an l-bit code (l <= huffTableBits) owns
+// the next 2^(huffTableBits-l) slots, and the slots past the last short
+// code stay zero (long codes fall back to the canonical ranges). The
+// first pass writes every short code's slots. The second upgrades the
+// slots where a second whole code follows the first: inside the run of
+// a code s1 of l1 bits, sub-slot j starts with the code whose slot is
+// j<<l1, and the codes short enough to fit in the run's w =
+// huffTableBits-l1 low bits come first, so each run is upgraded up to
+// the first sub-slot whose code does not fit. That slot's entry may
+// already be a pair; its first code reads the same. Prefix-freedom
+// (guaranteed by canonical construction and checked via Kraft in
+// huffmanFromModel) means no slot is claimed twice, so the table decode
+// is exactly the first-match-by-increasing-length walk of the
+// bit-serial decoder.
 func (h *huffman) buildTable() *huffTable {
 	t := new(huffTable)
-	for sym := 0; sym < 256; sym++ {
-		l := int(h.lengths[sym])
-		if l == 0 || l > huffTableBits {
-			continue
+	slot, shortest := 0, 0
+	for l := 1; l <= huffTableBits; l++ {
+		if h.counts[l] > 0 && shortest == 0 {
+			shortest = l
 		}
-		entry := uint32(l) | uint32(l)<<4 | uint32(sym)<<9
-		base := h.codes[sym] << (huffTableBits - l)
-		for j := uint32(0); j < 1<<(huffTableBits-l); j++ {
-			t[base+j] = entry
+		w := huffTableBits - l
+		for _, sym := range h.symbols[h.firstIdx[l] : h.firstIdx[l]+h.counts[l]] {
+			fill(t[slot:slot+1<<w], uint32(l)|uint32(l)<<4|uint32(sym)<<9)
+			slot += 1 << w
 		}
 	}
-	// Pair pass: refine slots whose tail bits start (and finish) a
-	// second code. symbols is sorted by code length, so both loops stop
-	// at the first code too long to pair: only pairs that fill a slot
-	// are visited, and fills are bounded by 2^huffTableBits times the
-	// Kraft sum. Distinct pairs claim disjoint slots (prefix-freedom
-	// again), so the visiting order does not change the table.
-	for _, s1 := range h.symbols {
-		l1 := int(h.lengths[s1])
-		if l1 >= huffTableBits {
-			break
+	slot = 0
+	for l1 := 1; l1 <= huffTableBits; l1++ {
+		w := huffTableBits - l1
+		end := slot + h.counts[l1]<<w
+		if shortest == 0 || w < shortest {
+			slot = end
+			continue
 		}
-		for _, s2 := range h.symbols {
-			l2 := int(h.lengths[s2])
-			lt := l1 + l2
-			if lt > huffTableBits {
-				break
-			}
-			entry := huffPairFlag | uint32(l1) | uint32(lt)<<4 | uint32(s1)<<9 | uint32(s2)<<17
-			base := h.codes[s1]<<(huffTableBits-l1) | h.codes[s2]<<(huffTableBits-lt)
-			for j := uint32(0); j < 1<<(huffTableBits-lt); j++ {
-				t[base+j] = entry
+		for ; slot < end; slot += 1 << w {
+			run := t[slot : slot+1<<w]
+			for j := range run {
+				e := t[j<<l1]
+				l2 := e & 0xf
+				if e == 0 || int(l2) > w {
+					break
+				}
+				run[j] += huffPairFlag | l2<<4 | (e>>9&0xff)<<17
 			}
 		}
 	}
 	return t
+}
+
+// fill sets every entry of s to e.
+func fill(s []uint32, e uint32) {
+	for i := range s {
+		s[i] = e
+	}
 }
 
 func (h *huffman) Name() string { return "huffman" }
@@ -402,13 +414,12 @@ func huffmanFromModel(model []byte) (Codec, error) {
 	// prefix code, or canonical code assignment overflows its length
 	// slots — the flat table's fill (buildTable) indexes by code, so a
 	// Kraft-violating model must be rejected here, not trusted to
-	// panic later. (Any violating sum exceeds 1 by at least 2^-16, so
-	// the float tolerance can never admit an overflowing model.)
-	sum := 0.0
+	// panic later. The sum is kept exactly, in units of 2^-maxCodeLen.
+	sum := 0
 	for _, l := range h.lengths {
-		sum += 1 / float64(uint64(1)<<l)
+		sum += 1 << (maxCodeLen - l)
 	}
-	if sum > 1.0000001 {
+	if sum > 1<<maxCodeLen {
 		return nil, fmt.Errorf("%w: huffman model violates Kraft inequality", ErrCorrupt)
 	}
 	h.buildCanonical()

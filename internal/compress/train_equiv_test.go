@@ -23,6 +23,43 @@ func sameHuffman(a, b *huffman) bool {
 		*a.table.Load() == *b.table.Load()
 }
 
+// TestHuffmanTableMatchesReference: the decode table a codec builds on
+// its first decode equals the reference's fill-then-pair table for
+// models rebuilt from random code lengths, complete or not. Each set of
+// lengths starts at 16 bits for every symbol and shortens random codes
+// while the Kraft sum stays at most 1, so sets of every shape turn up:
+// a few very short codes, many 8-bit ones, slack left at the end of the
+// table.
+func TestHuffmanTableMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 200; n++ {
+		var lengths [256]uint8
+		kraft := 0 // the Kraft sum in units of 2^-maxCodeLen
+		for i := range lengths {
+			lengths[i] = maxCodeLen
+			kraft++
+		}
+		for steps := rng.Intn(4000); steps > 0; steps-- {
+			sym := rng.Intn(256)
+			l := lengths[sym]
+			if l == 1 {
+				continue
+			}
+			// Shortening by one bit doubles the symbol's share.
+			if grown := kraft + 1<<(maxCodeLen-l); grown <= 1<<maxCodeLen {
+				lengths[sym], kraft = l-1, grown
+			}
+		}
+		c, err := huffmanFromModel(lengths[:])
+		if err != nil {
+			t.Fatalf("set %d: %v", n, err)
+		}
+		if !sameHuffman(c.(*huffman), refHuffmanFromLengths(lengths)) {
+			t.Fatalf("set %d (Kraft %d/%d): table differs from the reference's, lengths %v", n, kraft, 1<<maxCodeLen, lengths)
+		}
+	}
+}
+
 // checkCompressEquivalence requires the trainers and the LZSS
 // compressor to match their references on one training image and a
 // sequence of blocks cut from it: identical dict, cpack and Huffman

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -379,6 +380,104 @@ func TestFormatString(t *testing.T) {
 	for f, want := range map[Format]string{FormatR: "R", FormatI: "I", FormatB: "B", FormatJ: "J"} {
 		if f.String() != want {
 			t.Errorf("Format %v", f)
+		}
+	}
+}
+
+// refDecode is Decode as it stood before decodeInto: a switch on the
+// format filling a copied Instruction.
+func refDecode(w uint32) (Instruction, error) {
+	op := Opcode(w >> 26)
+	if !op.Valid() {
+		return Instruction{}, fmt.Errorf("%w: word %#08x", ErrBadOpcode, w)
+	}
+	in := Instruction{Op: op}
+	switch op.Format() {
+	case FormatR:
+		in.Rd = Reg(w >> 21 & 0x1f)
+		in.Rs1 = Reg(w >> 16 & 0x1f)
+		in.Rs2 = Reg(w >> 11 & 0x1f)
+	case FormatI:
+		in.Rd = Reg(w >> 21 & 0x1f)
+		in.Rs1 = Reg(w >> 16 & 0x1f)
+		in.Imm = int32(int16(uint16(w)))
+	case FormatB:
+		in.Rs1 = Reg(w >> 21 & 0x1f)
+		in.Rs2 = Reg(w >> 16 & 0x1f)
+		in.Imm = int32(int16(uint16(w)))
+	case FormatJ:
+		in.Imm = int32(w & jmpMax26)
+	}
+	return in, nil
+}
+
+// TestDecodeMatchesReference: Decode, DecodeAll and DecodeBytes give
+// refDecode's instruction, or its error, for every opcode value under
+// random and extreme field bits, and DecodeBytes overwrites every field
+// of a destination that held other instructions.
+func TestDecodeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var words []uint32
+	for op := uint32(0); op < 64; op++ {
+		for _, low := range []uint32{0, 1<<26 - 1, 0x8000, 0x7fff, 0x03e0f800} {
+			words = append(words, op<<26|low)
+		}
+		for k := 0; k < 200; k++ {
+			words = append(words, op<<26|r.Uint32()&(1<<26-1))
+		}
+	}
+	image := make([]byte, 4*len(words))
+	for i, w := range words {
+		ByteOrder.PutUint32(image[4*i:], w)
+		want, wantErr := refDecode(w)
+		got, err := Decode(w)
+		if got != want || (err == nil) != (wantErr == nil) || errors.Is(err, ErrBadOpcode) != errors.Is(wantErr, ErrBadOpcode) {
+			t.Fatalf("Decode(%#08x) = %v, %v; reference %v, %v", w, got, err, want, wantErr)
+		}
+		dst := []Instruction{{Op: OpSYS, Rd: 31, Rs1: 31, Rs2: 31, Imm: -1}}
+		err = DecodeBytes(dst, image[4*i:4*i+4])
+		if (err == nil) != (wantErr == nil) || (err == nil && dst[0] != want) {
+			t.Fatalf("DecodeBytes of %#08x = %v, %v; reference %v, %v", w, dst[0], err, want, wantErr)
+		}
+	}
+	// A run of valid words decodes in one call, as DecodeAll decodes it.
+	var valid []uint32
+	for _, w := range words {
+		if Opcode(w >> 26).Valid() {
+			valid = append(valid, w)
+		}
+	}
+	all, err := DecodeAll(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]Instruction, len(valid))
+	if err := DecodeBytes(dst, WordsToBytes(valid)); err != nil || !slices.Equal(dst, all) {
+		t.Fatalf("DecodeBytes of %d valid words: %v, equal to DecodeAll %v", len(valid), err, slices.Equal(dst, all))
+	}
+	if err := DecodeBytes(dst, WordsToBytes(valid)[1:]); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("DecodeBytes of a ragged image: %v, want ErrShortBuffer", err)
+	}
+}
+
+// TestStaticTargetOpcodes: StaticTarget finds a target for exactly the
+// branches (PC-relative) and the J-format transfers (absolute), for
+// every opcode value.
+func TestStaticTargetOpcodes(t *testing.T) {
+	for op := 0; op < 256; op++ {
+		in := Instruction{Op: Opcode(op), Imm: 7}
+		got, ok := in.StaticTarget(10)
+		switch {
+		case in.IsBranch():
+			if !ok || got != 18 {
+				t.Errorf("%v: target %d, %v; want 18", in.Op, got, ok)
+			}
+		case in.IsJump():
+			if !ok || got != 7 {
+				t.Errorf("%v: target %d, %v; want 7", in.Op, got, ok)
+			}
+		case ok:
+			t.Errorf("%v: target %d for an opcode without one", in.Op, got)
 		}
 	}
 }

@@ -39,13 +39,26 @@ func AppendEncodedBytes(dst []byte, ins []Instruction) ([]byte, error) {
 func DecodeAll(words []uint32) ([]Instruction, error) {
 	ins := make([]Instruction, len(words))
 	for i, w := range words {
-		in, err := Decode(w)
-		if err != nil {
+		if err := decodeInto(&ins[i], w); err != nil {
 			return nil, fmt.Errorf("isa: word %d: %w", i, err)
 		}
-		ins[i] = in
 	}
 	return ins, nil
+}
+
+// DecodeBytes decodes src, a little-endian code image of exactly
+// len(dst) words, into dst: word i becomes dst[i]. It fails at the
+// first word that is no instruction, naming its index.
+func DecodeBytes(dst []Instruction, src []byte) error {
+	if len(src) != len(dst)*WordSize {
+		return fmt.Errorf("%w: %d bytes for %d words", ErrShortBuffer, len(src), len(dst))
+	}
+	for i := range dst {
+		if err := decodeInto(&dst[i], ByteOrder.Uint32(src[i*WordSize:])); err != nil {
+			return fmt.Errorf("isa: word %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // EncodeAll encodes a sequence of instructions into words.

@@ -1,13 +1,13 @@
-// Index: the container's block index table, and random block access
-// through it. The index is a pure prefix of the container (header,
-// per-block table, edges and the sub-block group directory), so a
-// reader can locate and decompress any single block with one bounded
-// metadata read plus one ReadAt of the payload bytes — the software
-// analogue of block-granular access to compressed memory, and what lets
-// the disk store serve blocks without inflating whole containers. With
-// a group directory the same holds one level down: ReadWordRangeAt
-// serves any word span by reading and decoding only the covering word
-// groups.
+// Index: the container's block index table. The index is a pure
+// prefix of the container (header, per-block table, edges and the
+// sub-block group directory) that locates every block's payload and
+// its word groups inside the container — the software analogue of
+// block-granular access to compressed memory. Unpack reads it to
+// verify every block, and a server entry copies its block layout and
+// group directory out of it (ParseIndex) to serve block reads as slices
+// of the container it holds and word reads by decoding only the
+// covering groups. ReadIndexAt, ReadPayloadRangeAt and ReadWordRangeAt
+// read through it from a file instead; no request reads a file.
 package pack
 
 import (
@@ -147,86 +147,144 @@ func parseHeader(r *reader) (Header, error) {
 // are copied out, all into one string. A version other than Version
 // fails with ErrBadVersion.
 func ParseIndex(data []byte) (*Index, error) {
+	x := &Index{}
+	if err := x.parse(data, nil); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// graphRows is the block table Unpack reads an index into: the
+// cfg.Blocks it builds the graph from, each already holding its word
+// range in the image, and beside them every payload's length and CRC.
+type graphRows struct {
+	blocks []cfg.Block
+	pays   []payload
+}
+
+// payload is one block's compressed payload: its length and the CRC of
+// the plain block it decodes to.
+type payload struct {
+	len int64
+	crc uint32
+}
+
+// parse reads the index at the front of data into x. It is the one
+// index parser: with rows nil (ParseIndex) each block's row lands in
+// x.Blocks, and otherwise (Unpack) in rows, leaving x.Blocks nil. Both
+// forms pass the same checks in the same order.
+func (x *Index) parse(data []byte, rows *graphRows) error {
 	r := &reader{data: data}
 	h, err := parseHeader(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	idx := &Index{Header: h}
-	idx.Entry = cfg.BlockID(r.uvarint())
+	x.Header = h
+	x.Entry = cfg.BlockID(r.uvarint())
 	nblocks := int(r.uvarint())
-	if r.err != nil || nblocks <= 0 || nblocks > 1<<20 || nblocks > len(r.data)/minEntryBytes {
-		return nil, fmt.Errorf("%w: block count", ErrCorrupt)
+	if r.err != nil || nblocks <= 0 || nblocks > 1<<20 || nblocks > r.left()/minEntryBytes {
+		return fmt.Errorf("%w: block count", ErrCorrupt)
 	}
-	idx.Blocks = make([]IndexEntry, nblocks)
+	if rows == nil {
+		x.Blocks = make([]IndexEntry, nblocks)
+	} else {
+		rows.blocks = make([]cfg.Block, nblocks)
+		rows.pays = make([]payload, nblocks)
+	}
 	// names collects each block's label and function name as it lies in
-	// data, on the stack for up to 64 blocks; setNames then copies them
-	// all into one string.
+	// data, on the stack for up to 64 blocks; they are then copied into
+	// one string.
 	var stack [128][]byte
 	names := stack[:0]
 	var off int64
-	for i := range idx.Blocks {
-		e := &idx.Blocks[i]
+	start := 0 // the block's first word in the image
+	for i := 0; i < nblocks; i++ {
 		names = append(names, r.bytes(), r.bytes())
-		e.Words = int(r.uvarint())
+		words := int(r.uvarint())
 		// Bound the claimed plain size: a hostile Words makes every
-		// derived quantity (pre-allocations, e.Words*WordSize length
+		// derived quantity (pre-allocations, words*WordSize length
 		// checks) lie, and a 2^63-range claim wraps int negative.
-		if e.Words < 0 || e.Words > maxBlockWords {
-			return nil, fmt.Errorf("%w: block %d claims %d words", ErrCorrupt, i, e.Words)
+		if words < 0 || words > maxBlockWords {
+			return fmt.Errorf("%w: block %d claims %d words", ErrCorrupt, i, words)
 		}
-		e.Off = int64(r.uvarint())
-		e.Len = int64(r.uvarint())
-		bcrc := r.take(4)
+		o := int64(r.uvarint())
+		n := int64(r.uvarint())
+		crc := r.take(4)
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		e.CRC = binary.LittleEndian.Uint32(bcrc)
 		// Payloads are packed back to back in block order; anything else
 		// is not a container Pack could have produced.
-		if e.Off != off || e.Len < 0 {
-			return nil, fmt.Errorf("%w: block %d payload at %d/%d, want contiguous at %d",
-				ErrCorrupt, i, e.Off, e.Len, off)
+		if o != off || n < 0 {
+			return fmt.Errorf("%w: block %d payload at %d/%d, want contiguous at %d",
+				ErrCorrupt, i, o, n, off)
 		}
-		off += e.Len
+		// The tables are fresh, so only the numeric fields are set; the
+		// names follow once they are copied out.
+		if rows == nil {
+			e := &x.Blocks[i]
+			e.Words, e.Off, e.Len, e.CRC = words, off, n, binary.LittleEndian.Uint32(crc)
+		} else {
+			b := &rows.blocks[i]
+			b.Start, b.End = start, start+words
+			rows.pays[i] = payload{len: n, crc: binary.LittleEndian.Uint32(crc)}
+		}
+		off += n
+		start += words
 	}
-	idx.setNames(names)
+	all := joinNames(names)
+	for i := 0; i < nblocks; i++ {
+		nl, nf := len(names[2*i]), len(names[2*i+1])
+		label, fn := all[:nl], all[nl:nl+nf]
+		all = all[nl+nf:]
+		if rows == nil {
+			x.Blocks[i].Label, x.Blocks[i].Func = label, fn
+		} else {
+			rows.blocks[i].Label, rows.blocks[i].Func = label, fn
+		}
+	}
 	nedges := int(r.uvarint())
-	if r.err != nil || nedges < 0 || nedges > 1<<22 || nedges > len(r.data)/minEdgeBytes {
-		return nil, fmt.Errorf("%w: edge count", ErrCorrupt)
+	if r.err != nil || nedges < 0 || nedges > 1<<22 || nedges > r.left()/minEdgeBytes {
+		return fmt.Errorf("%w: edge count", ErrCorrupt)
 	}
-	idx.Edges = make([]cfg.Edge, nedges)
-	for i := range idx.Edges {
-		e := &idx.Edges[i]
-		e.From = cfg.BlockID(r.uvarint())
-		e.To = cfg.BlockID(r.uvarint())
-		e.Kind = cfg.EdgeKind(r.uvarint())
-		p64 := r.take(8)
-		if r.err != nil {
-			return nil, r.err
+	x.Edges = make([]cfg.Edge, nedges)
+	for i := range x.Edges {
+		e := &x.Edges[i]
+		var p64 []byte
+		if d := r.data[r.off:]; len(d) >= minEdgeBytes && d[0]|d[1]|d[2] < 0x80 {
+			// The usual edge: three one-byte fields, read in place.
+			e.From, e.To, e.Kind = cfg.BlockID(d[0]), cfg.BlockID(d[1]), cfg.EdgeKind(d[2])
+			p64 = d[3:minEdgeBytes]
+			r.off += minEdgeBytes
+		} else {
+			e.From = cfg.BlockID(r.uvarint())
+			e.To = cfg.BlockID(r.uvarint())
+			e.Kind = cfg.EdgeKind(r.uvarint())
+			if p64 = r.take(8); r.err != nil {
+				return r.err
+			}
 		}
 		e.Prob = math.Float64frombits(binary.LittleEndian.Uint64(p64))
 		if !validProb(e.Prob) {
-			return nil, fmt.Errorf("%w: edge %d probability %v outside [0,1]", ErrCorrupt, i, e.Prob)
+			return fmt.Errorf("%w: edge %d probability %v outside [0,1]", ErrCorrupt, i, e.Prob)
 		}
 	}
-	if err := parseGroupDirectory(r, idx); err != nil {
-		return nil, err
+	if err := x.parseGroupDirectory(r, nblocks, rows); err != nil {
+		return err
 	}
-	idx.PayloadLen = int64(r.uvarint())
+	x.PayloadLen = int64(r.uvarint())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	if idx.PayloadLen != off {
-		return nil, fmt.Errorf("%w: payload section %d bytes, index spans %d", ErrCorrupt, idx.PayloadLen, off)
+	if x.PayloadLen != off {
+		return fmt.Errorf("%w: payload section %d bytes, index spans %d", ErrCorrupt, x.PayloadLen, off)
 	}
-	idx.PayloadBase = int64(len(data) - len(r.data))
-	return idx, nil
+	x.PayloadBase = int64(r.off)
+	return nil
 }
 
-// setNames sets every block's Label and Func from names, which holds
-// them in block order, label first, as windows of one string.
-func (x *Index) setNames(names [][]byte) {
+// joinNames copies names into one string, in order.
+func joinNames(names [][]byte) string {
 	n := 0
 	for _, b := range names {
 		n += len(b)
@@ -236,12 +294,7 @@ func (x *Index) setNames(names [][]byte) {
 	for _, b := range names {
 		sb.Write(b)
 	}
-	all := sb.String()
-	for i := range x.Blocks {
-		e := &x.Blocks[i]
-		e.Label, all = all[:len(names[2*i])], all[len(names[2*i]):]
-		e.Func, all = all[:len(names[2*i+1])], all[len(names[2*i+1]):]
-	}
+	return sb.String()
 }
 
 // parseGroupDirectory reads the v3 sub-block directory: groupWords,
@@ -249,10 +302,12 @@ func (x *Index) setNames(names [][]byte) {
 // strictly increasing and land inside the block's payload — overlapping
 // or out-of-bounds groups are not a container Pack could have produced,
 // so anything else is ErrCorrupt. Group counts are derived from the
-// already-validated block word counts; the offset slice pre-allocation
-// is clamped by the remaining input (every offset costs at least one
-// byte), so a hostile header cannot force an unbounded allocation.
-func parseGroupDirectory(r *reader, idx *Index) error {
+// already-validated block word counts, read from x.Blocks or, when it
+// is not nil, rows; the offset slice pre-allocation is clamped by the
+// remaining input (every offset costs at least one byte), so a hostile
+// header cannot force an unbounded allocation. Unpack walks the
+// offsets in block order, so only ParseIndex gets groupBase.
+func (x *Index) parseGroupDirectory(r *reader, nblocks int, rows *graphRows) error {
 	gw := r.uvarint()
 	if r.err != nil {
 		return r.err
@@ -260,23 +315,35 @@ func parseGroupDirectory(r *reader, idx *Index) error {
 	if gw > maxBlockWords {
 		return fmt.Errorf("%w: group directory claims %d-word groups", ErrCorrupt, gw)
 	}
-	idx.GroupWords = int(gw)
-	if idx.GroupWords == 0 {
+	x.GroupWords = int(gw)
+	if x.GroupWords == 0 {
 		return nil
 	}
-	var total int64
-	for i := range idx.Blocks {
-		total += int64((idx.Blocks[i].Words + idx.GroupWords - 1) / idx.GroupWords)
+	// row returns block i's word count and payload length.
+	row := func(i int) (int, int64) {
+		if rows == nil {
+			return x.Blocks[i].Words, x.Blocks[i].Len
+		}
+		return rows.blocks[i].Words(), rows.pays[i].len
 	}
-	if clamp := int64(len(r.data)); total > clamp {
+	var total int64
+	for i := 0; i < nblocks; i++ {
+		words, _ := row(i)
+		total += int64((words + x.GroupWords - 1) / x.GroupWords)
+	}
+	if clamp := int64(r.left()); total > clamp {
 		total = clamp
 	}
-	idx.groupOffs = make([]uint32, 0, total)
-	idx.groupBase = make([]int, len(idx.Blocks)+1)
-	for i := range idx.Blocks {
-		idx.groupBase[i] = len(idx.groupOffs)
-		e := &idx.Blocks[i]
-		ngroups := (e.Words + idx.GroupWords - 1) / idx.GroupWords
+	x.groupOffs = make([]uint32, 0, total)
+	if rows == nil {
+		x.groupBase = make([]int, nblocks+1)
+	}
+	for i := 0; i < nblocks; i++ {
+		if rows == nil {
+			x.groupBase[i] = len(x.groupOffs)
+		}
+		words, n := row(i)
+		ngroups := (words + x.GroupWords - 1) / x.GroupWords
 		var cur uint64
 		for g := 0; g < ngroups; g++ {
 			d := r.uvarint()
@@ -291,14 +358,16 @@ func parseGroupDirectory(r *reader, idx *Index) error {
 				}
 				cur += d
 			}
-			if cur >= uint64(e.Len) || cur > math.MaxUint32 {
+			if cur >= uint64(n) || cur > math.MaxUint32 {
 				return fmt.Errorf("%w: block %d group %d starts at %d of %d payload bytes",
-					ErrCorrupt, i, g, cur, e.Len)
+					ErrCorrupt, i, g, cur, n)
 			}
-			idx.groupOffs = append(idx.groupOffs, uint32(cur))
+			x.groupOffs = append(x.groupOffs, uint32(cur))
 		}
 	}
-	idx.groupBase[len(idx.Blocks)] = len(idx.groupOffs)
+	if rows == nil {
+		x.groupBase[nblocks] = len(x.groupOffs)
+	}
 	return nil
 }
 
@@ -498,7 +567,12 @@ func (x *Index) VerifyBlock(codec compress.Codec, i int, comp, dst []byte) ([]by
 	if i < 0 || i >= len(x.Blocks) {
 		return dst, fmt.Errorf("%w: no block %d (%d blocks)", ErrCorrupt, i, len(x.Blocks))
 	}
-	e := x.Blocks[i]
+	return verifyBlock(codec, i, x.Blocks[i].Words, x.Blocks[i].CRC, comp, dst)
+}
+
+// verifyBlock decompresses block i's payload comp appending to dst and
+// checks that it decodes to words words whose CRC is crc.
+func verifyBlock(codec compress.Codec, i, words int, crc uint32, comp, dst []byte) ([]byte, error) {
 	start := len(dst)
 	if err := compress.FaultDecode.Err(); err != nil {
 		return dst, fmt.Errorf("pack: block %d: %w", i, err)
@@ -508,12 +582,12 @@ func (x *Index) VerifyBlock(codec compress.Codec, i int, comp, dst []byte) ([]by
 		return dst, fmt.Errorf("pack: block %d: %w", i, err)
 	}
 	got := out[start:]
-	if len(got) != e.Words*isa.WordSize {
+	if len(got) != words*isa.WordSize {
 		return out[:start], fmt.Errorf("%w: block %d decompressed to %d bytes, want %d",
-			ErrCorrupt, i, len(got), e.Words*isa.WordSize)
+			ErrCorrupt, i, len(got), words*isa.WordSize)
 	}
-	if crc := crc32.ChecksumIEEE(got); crc != e.CRC {
-		return out[:start], fmt.Errorf("%w: block %d: %#x != %#x", ErrBadChecksum, i, crc, e.CRC)
+	if c := crc32.ChecksumIEEE(got); c != crc {
+		return out[:start], fmt.Errorf("%w: block %d: %#x != %#x", ErrBadChecksum, i, c, crc)
 	}
 	return out, nil
 }
@@ -523,5 +597,6 @@ func (x *Index) VerifyBlock(codec compress.Codec, i int, comp, dst []byte) ([]by
 // values would poison prefetch scoring downstream, so Unpack rejects
 // them as corruption.
 func validProb(p float64) bool {
-	return !math.IsNaN(p) && !math.IsInf(p, 0) && p >= 0 && p <= 1
+	// NaN fails both comparisons and the infinities lie outside.
+	return p >= 0 && p <= 1
 }

@@ -31,10 +31,11 @@
 // The group directory: when the codec supports group decode
 // (compress.GroupCodec — bdi, cpack, dict, identity), the directory
 // records where each fixed-size word group's bytes start inside every
-// payload, so a word-granular read is one bounded ReadAt of the
-// covering groups plus a DecompressGroup per group — no full-block
-// decode. Group counts are derived from block word counts, never
-// stored. A container whose codec cannot slice (entropy codecs) carries
+// payload, so a word-granular read decodes only the covering groups
+// (compress.DecodeWordRange over the container a server holds, which
+// Unpack verified whole when it was built) — no full-block decode.
+// Group counts are derived from block word counts, never stored. A
+// container whose codec cannot slice (entropy codecs) carries
 // groupWords=0 and reads fall back to whole-block decode.
 //
 // v3 is the only format: Pack writes it, and Unpack and ParseIndex
@@ -47,6 +48,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 
 	"apbcc/internal/cfg"
@@ -91,65 +93,108 @@ func Build(p *program.Program, codecName string) ([]byte, error) {
 }
 
 // build packs p with codec or, when codec is nil, with the named codec
-// trained on p's code image.
+// trained on p's code image. The image is encoded once, into a buffer
+// of exactly its size: training reads it, its CRC goes in the header,
+// and every block's plain image is a window of it. Once the blocks are
+// compressed the index's exact length is known, so the index and the
+// payloads are written into one allocation of the container's exact
+// size, and an entry that keeps it holds no spare capacity.
 func build(p *program.Program, codecName string, codec compress.Codec) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := p.Graph
-	nedges, names := 0, 0
-	for _, b := range g.Blocks() {
-		nedges += len(g.Succs(b.ID))
-		names += len(b.Label) + len(b.Func)
-	}
-	// One buffer serves twice. It first holds the whole code image:
-	// training reads it, its CRC goes in the header, and every block's
-	// plain image is a window of it. Once the blocks are compressed it
-	// takes the metadata, sized by an estimate: the labels and function
-	// names, a few bytes per block and per edge, and the model when it
-	// is known. Before training it is not, but the per-block slack has
-	// covered every suite and generated program's model; a longer index
-	// just grows the buffer. The container is then allocated at its
-	// exact size, so an entry that keeps it holds no spare capacity.
-	var model []byte
-	if codec != nil {
-		model = compress.MarshalModel(codec)
-	}
-	meta := len(model) + names + 24*g.NumBlocks() + 16*nedges + 64
-	image, err := p.AppendCodeBytes(make([]byte, 0, max(p.TotalBytes(), meta)))
+	image, err := p.CodeBytes()
 	if err != nil {
 		return nil, err
 	}
 	if codec == nil {
-		// Training keeps no reference to the image (compress.New), so the
-		// buffer can take the metadata below.
 		if codec, err = compress.New(codecName, image); err != nil {
 			return nil, err
 		}
-		model = compress.MarshalModel(codec)
 	}
 	payloads, crcs, err := compressBlocks(p, image, codec)
 	if err != nil {
 		return nil, err
 	}
-	imageCRC := crc32.ChecksumIEEE(image)
-	buf := append(image[:0], Magic...)
+	gw, flat, bases := groupDirectory(codec, p.Graph.Blocks(), payloads)
+	ix := indexParts{
+		codec: codec.Name(), model: compress.MarshalModel(codec), imageCRC: crc32.ChecksumIEEE(image),
+		g: p.Graph, payloads: payloads, crcs: crcs, gw: gw, flat: flat, bases: bases,
+	}
+	n, section := ix.size()
+	container := ix.append(make([]byte, 0, n+section))
+	for _, pay := range payloads {
+		container = append(container, pay...)
+	}
+	return container, nil
+}
+
+// indexParts is what a container's index is written from: the codec's
+// name and model, the image CRC, the graph, and per block its payload,
+// plain-image CRC and group offsets (flat[bases[i]:bases[i+1]], with gw
+// words a group; gw 0 means no directory).
+type indexParts struct {
+	codec    string
+	model    []byte
+	imageCRC uint32
+	g        *cfg.Graph
+	payloads [][]byte
+	crcs     []uint32
+	gw       int
+	flat     []uint32
+	bases    []int
+}
+
+// size returns the exact length of the index append writes, and of the
+// payload section after it.
+func (ix *indexParts) size() (index, section int) {
+	g := ix.g
+	n := len(Magic) + uvarintLen(Version) + bytesLen(ix.codec) + bytesLen(ix.model) + 4
+	n += uvarintLen(uint64(g.Entry())) + uvarintLen(uint64(g.NumBlocks()))
+	nedges := 0
+	for i, b := range g.Blocks() {
+		n += bytesLen(b.Label) + bytesLen(b.Func) + uvarintLen(uint64(b.Words())) +
+			uvarintLen(uint64(section)) + uvarintLen(uint64(len(ix.payloads[i]))) + 4
+		section += len(ix.payloads[i])
+		for _, e := range g.Succs(b.ID) {
+			n += uvarintLen(uint64(e.From)) + uvarintLen(uint64(e.To)) + uvarintLen(uint64(e.Kind)) + 8
+			nedges++
+		}
+	}
+	n += uvarintLen(uint64(nedges)) + uvarintLen(uint64(ix.gw))
+	for i := 0; ix.gw > 0 && i < len(ix.payloads); i++ {
+		var prev uint32
+		for _, o := range ix.flat[ix.bases[i]:ix.bases[i+1]] {
+			n += uvarintLen(uint64(o - prev))
+			prev = o
+		}
+	}
+	return n + uvarintLen(uint64(section)), section
+}
+
+// append appends the index to buf: everything before the payload
+// section.
+func (ix *indexParts) append(buf []byte) []byte {
+	g := ix.g
+	buf = append(buf, Magic...)
 	buf = binary.AppendUvarint(buf, Version)
-	buf = appendBytes(buf, codec.Name())
-	buf = appendBytes(buf, model)
-	buf = binary.LittleEndian.AppendUint32(buf, imageCRC)
+	buf = appendBytes(buf, ix.codec)
+	buf = appendBytes(buf, ix.model)
+	buf = binary.LittleEndian.AppendUint32(buf, ix.imageCRC)
 
 	buf = binary.AppendUvarint(buf, uint64(g.Entry()))
 	buf = binary.AppendUvarint(buf, uint64(g.NumBlocks()))
 	var off uint64
+	nedges := 0
 	for i, b := range g.Blocks() {
 		buf = appendBytes(buf, b.Label)
 		buf = appendBytes(buf, b.Func)
 		buf = binary.AppendUvarint(buf, uint64(b.Words()))
 		buf = binary.AppendUvarint(buf, off)
-		buf = binary.AppendUvarint(buf, uint64(len(payloads[i])))
-		buf = binary.LittleEndian.AppendUint32(buf, crcs[i])
-		off += uint64(len(payloads[i]))
+		buf = binary.AppendUvarint(buf, uint64(len(ix.payloads[i])))
+		buf = binary.LittleEndian.AppendUint32(buf, ix.crcs[i])
+		off += uint64(len(ix.payloads[i]))
+		nedges += len(g.Succs(b.ID))
 	}
 	buf = binary.AppendUvarint(buf, uint64(nedges))
 	for _, b := range g.Blocks() {
@@ -160,32 +205,33 @@ func build(p *program.Program, codecName string, codec compress.Codec) ([]byte, 
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Prob))
 		}
 	}
-	gw, flat, bases := groupDirectory(codec, g.Blocks(), payloads)
-	buf = binary.AppendUvarint(buf, uint64(gw))
-	for i := 0; gw > 0 && i < len(payloads); i++ {
+	buf = binary.AppendUvarint(buf, uint64(ix.gw))
+	for i := 0; ix.gw > 0 && i < len(ix.payloads); i++ {
+		// The first offset is absolute; prev starts at 0, so it is
+		// written as its own delta.
 		var prev uint32
-		for g, o := range flat[bases[i]:bases[i+1]] {
-			if g == 0 {
-				buf = binary.AppendUvarint(buf, uint64(o))
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(o-prev))
-			}
+		for _, o := range ix.flat[ix.bases[i]:ix.bases[i+1]] {
+			buf = binary.AppendUvarint(buf, uint64(o-prev))
 			prev = o
 		}
 	}
 	// off is the payload section's length.
-	buf = binary.AppendUvarint(buf, off)
-	container := make([]byte, len(buf), len(buf)+int(off))
-	copy(container, buf)
-	for _, pay := range payloads {
-		container = append(container, pay...)
-	}
-	return container, nil
+	return binary.AppendUvarint(buf, off)
 }
 
 // appendBytes appends b with its uvarint length prefix.
 func appendBytes[T []byte | string](buf []byte, b T) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(b))), b...)
+}
+
+// bytesLen is the length appendBytes appends for b.
+func bytesLen[T []byte | string](b T) int {
+	return uvarintLen(uint64(len(b))) + len(b)
+}
+
+// uvarintLen is the length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // groupDirectory computes the v3 sub-block group directory: for a
@@ -272,116 +318,97 @@ type Info struct {
 // the codec finds in the verified payload, so a word read through the
 // directory decodes the same bytes as the block. A container of any
 // version but Version fails with ErrBadVersion.
+//
+// The index rows go straight into the blocks the graph is built from,
+// each holding its word range in the image, and the instructions are
+// decoded in place from the image, which is scratch: the Program keeps
+// neither it nor any slice of data.
 func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
-	idx, err := ParseIndex(data)
-	if err != nil {
+	var x Index
+	var rows graphRows
+	if err := x.parse(data, &rows); err != nil {
 		return nil, nil, nil, err
 	}
-	if idx.PayloadBase+idx.PayloadLen != int64(len(data)) {
+	if x.PayloadBase+x.PayloadLen != int64(len(data)) {
 		return nil, nil, nil, fmt.Errorf("%w: container is %d bytes, index describes %d",
-			ErrCorrupt, len(data), idx.PayloadBase+idx.PayloadLen)
+			ErrCorrupt, len(data), x.PayloadBase+x.PayloadLen)
 	}
-	codec, err := idx.NewCodec()
+	codec, err := x.NewCodec()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	gc, grouped := compress.AsGroupCodec(codec)
-	if idx.GroupWords > 0 && (!grouped || gc.GroupWords() != idx.GroupWords) {
-		return nil, nil, nil, fmt.Errorf("%w: %d-word group directory for codec %s", ErrCorrupt, idx.GroupWords, idx.Codec)
+	if x.GroupWords > 0 && (!grouped || gc.GroupWords() != x.GroupWords) {
+		return nil, nil, nil, fmt.Errorf("%w: %d-word group directory for codec %s", ErrCorrupt, x.GroupWords, x.Codec)
 	}
 	// The index fixes the exact plain-image size up front, so the image
-	// streams through one exactly-sized buffer — it is scratch:
-	// finalize decodes instructions straight out of it and the Program
-	// keeps only those. The pre-size is a hint, not trust: the claimed
-	// total is clamped by what the payload bytes could plausibly decode
-	// to (ParseIndex already bounds each block's Words), so a hostile
-	// index can cost at most one bounded allocation — per-block
-	// verification then rejects the lie, and a legitimately
-	// higher-expansion container (an LZSS match token turns 17 bits
-	// into 18 bytes) just grows the buffer.
-	var totalBytes int64
-	for i := range idx.Blocks {
-		totalBytes += int64(idx.Blocks[i].Words) * isa.WordSize
-	}
-	if bound := 8*idx.PayloadLen + isa.WordSize; totalBytes > bound {
+	// streams through one exactly-sized buffer. The pre-size is a hint,
+	// not trust: the claimed total is clamped by what the payload bytes
+	// could plausibly decode to (the parse already bounds each block's
+	// words), so a hostile index can cost at most one bounded allocation
+	// — per-block verification then rejects the lie, and a legitimately
+	// higher-expansion container (an LZSS match token turns 17 bits into
+	// 18 bytes) just grows the buffer.
+	totalBytes := int64(rows.blocks[len(rows.blocks)-1].End) * isa.WordSize
+	if bound := 8*x.PayloadLen + isa.WordSize; totalBytes > bound {
 		totalBytes = bound
 	}
 	plain := make([]byte, 0, totalBytes)
-	blocks := make([]cfg.Block, len(idx.Blocks))
 	// offs takes one block's group offsets, rescanned from its payload;
-	// no block has more groups than the whole directory.
-	offs := make([]uint32, 0, idx.NumGroups())
-	for i := range idx.Blocks {
-		e := idx.Blocks[i]
-		blocks[i] = cfg.Block{Label: e.Label, Func: e.Func, End: e.Words}
-		comp := data[idx.PayloadBase+e.Off : idx.PayloadBase+e.Off+e.Len]
-		if plain, err = idx.VerifyBlock(codec, i, comp, plain); err != nil {
+	// no block has more groups than the whole directory, whose offsets
+	// dir walks in block order.
+	var offs []uint32
+	if x.GroupWords > 0 {
+		offs = make([]uint32, 0, x.NumGroups())
+	}
+	dir := x.groupOffs
+	comp := data[x.PayloadBase:]
+	for i, pay := range rows.pays {
+		block := comp[:pay.len:pay.len]
+		comp = comp[pay.len:]
+		words := rows.blocks[i].Words()
+		if plain, err = verifyBlock(codec, i, words, pay.crc, block, plain); err != nil {
 			return nil, nil, nil, err
 		}
-		if idx.GroupWords > 0 {
-			if offs, err = gc.AppendGroupOffsets(offs[:0], comp); err != nil || !slices.Equal(offs, idx.BlockGroupOffsets(i)) {
+		if x.GroupWords > 0 {
+			ngroups := (words + x.GroupWords - 1) / x.GroupWords
+			if offs, err = gc.AppendGroupOffsets(offs[:0], block); err != nil || !slices.Equal(offs, dir[:ngroups]) {
 				return nil, nil, nil, fmt.Errorf("%w: block %d group directory does not match its payload", ErrCorrupt, i)
 			}
+			dir = dir[ngroups:]
 		}
 	}
-	g, bad, err := cfg.FromParts(blocks, idx.Entry, idx.Edges)
+	g, bad, err := cfg.FromParts(rows.blocks, x.Entry, x.Edges)
 	switch {
 	case err != nil && bad < 0:
-		return nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, idx.Entry)
+		return nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, x.Entry)
 	case err != nil:
 		return nil, nil, nil, fmt.Errorf("%w: edge %d: %v", ErrCorrupt, bad, err)
 	}
-	p, err := finalize(name, g, plain, idx.ImageCRC)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return p, codec, &Info{
-		Version: Version, Codec: idx.Codec, Blocks: len(idx.Blocks), Edges: len(idx.Edges),
-		CompressedBytes: int(idx.PayloadLen), PlainBytes: len(plain), ContainerBytes: len(data),
-		GroupWords: idx.GroupWords, Groups: idx.NumGroups(),
-	}, nil
-}
-
-// finalize is the tail of Unpack: whole-image checksum, instruction
-// decode, block range re-derivation, and full program validation. plain
-// is treated as scratch: instructions are decoded straight out of the
-// byte image (no intermediate word slice), and the Program keeps no
-// reference to it.
-func finalize(name string, g *cfg.Graph, plain []byte, wantCRC uint32) (*program.Program, error) {
-	if got := crc32.ChecksumIEEE(plain); got != wantCRC {
-		return nil, fmt.Errorf("%w: %#x != %#x", ErrBadChecksum, got, wantCRC)
-	}
-	if len(plain)%isa.WordSize != 0 {
-		return nil, fmt.Errorf("pack: %w: %d bytes is not a whole number of words", isa.ErrShortBuffer, len(plain))
+	if got := crc32.ChecksumIEEE(plain); got != x.ImageCRC {
+		return nil, nil, nil, fmt.Errorf("%w: %#x != %#x", ErrBadChecksum, got, x.ImageCRC)
 	}
 	ins := make([]isa.Instruction, len(plain)/isa.WordSize)
-	for i := range ins {
-		in, err := isa.Decode(isa.ByteOrder.Uint32(plain[i*isa.WordSize:]))
-		if err != nil {
-			return nil, fmt.Errorf("pack: isa: word %d: %w", i, err)
-		}
-		ins[i] = in
-	}
-	// Re-derive block word ranges from the serialized sizes.
-	offset := 0
-	for _, b := range g.Blocks() {
-		w := b.Words()
-		b.Start = offset
-		b.End = offset + w
-		offset += w
+	if err := isa.DecodeBytes(ins, plain); err != nil {
+		return nil, nil, nil, fmt.Errorf("pack: %w", err)
 	}
 	p := &program.Program{Name: name, Graph: g, Ins: ins}
 	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("pack: reconstructed program invalid: %w", err)
+		return nil, nil, nil, fmt.Errorf("pack: reconstructed program invalid: %w", err)
 	}
-	return p, nil
+	return p, codec, &Info{
+		Version: Version, Codec: x.Codec, Blocks: len(rows.blocks), Edges: len(x.Edges),
+		CompressedBytes: int(x.PayloadLen), PlainBytes: len(plain), ContainerBytes: len(data),
+		GroupWords: x.GroupWords, Groups: x.NumGroups(),
+	}, nil
 }
 
 // --- primitive readers ----------------------------------------------
 
 type reader struct {
 	data []byte
-	err  error // the first failure; data is empty from then on
+	off  int   // bytes read so far
+	err  error // the first failure; off is len(data) from then on
 }
 
 // The reader's failures, made once so take stays small enough to
@@ -391,33 +418,37 @@ var (
 	errBadUvarint = fmt.Errorf("%w: bad uvarint", ErrCorrupt)
 )
 
+// left returns how many bytes are still unread.
+func (r *reader) left() int { return len(r.data) - r.off }
+
 func (r *reader) take(n int) []byte {
-	if n < 0 || n > len(r.data) {
+	if n < 0 || n > r.left() {
 		r.fail(errTruncated)
 		return nil
 	}
-	out := r.data[:n]
-	r.data = r.data[n:]
+	out := r.data[r.off : r.off+n]
+	r.off += n
 	return out
 }
 
 // uvarint reads a one-byte value, which most index fields are, by
-// itself; longer values and failures take uvarintLong.
+// itself; longer values and failures take uvarintLong. The reader moves
+// an offset rather than reslicing data, so no read writes a pointer.
 func (r *reader) uvarint() uint64 {
-	if d := r.data; len(d) > 0 && d[0] < 0x80 {
-		r.data = d[1:]
-		return uint64(d[0])
+	if o := r.off; o < len(r.data) && r.data[o] < 0x80 {
+		r.off = o + 1
+		return uint64(r.data[o])
 	}
 	return r.uvarintLong()
 }
 
 func (r *reader) uvarintLong() uint64 {
-	v, n := binary.Uvarint(r.data)
+	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 {
 		r.fail(errBadUvarint)
 		return 0
 	}
-	r.data = r.data[n:]
+	r.off += n
 	return v
 }
 
@@ -426,11 +457,11 @@ func (r *reader) bytes() []byte {
 	return r.take(int(n))
 }
 
-// fail records err unless an earlier failure stands, and empties the
+// fail records err unless an earlier failure stands, and consumes the
 // input so every later read fails too.
 func (r *reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
-	r.data = nil
+	r.off = len(r.data)
 }

@@ -327,17 +327,17 @@ func TestParseHeader(t *testing.T) {
 
 // TestUnpackAllocBudget pins the verifying Unpack's allocation count on
 // the generated containers POST /v1/pack builds, under every codec. It
-// does not grow with the block count. The index is six allocations at
-// most: the Index, its block table, one string for every label and
-// function name, the edge array and the group directory's two tables.
-// The codec is at most three: huffman's struct, symbols and the decode
-// table its first decode builds. The CFG is six: the block array, the
-// graph, its block pointers and edge lists, and the predecessor store
-// with its offsets; the edges are the successor store. Then the
-// rescanned group offsets, the Info, the instructions, the Program,
-// Validate's branch-site table and the plain image: at most 20.
+// does not grow with the block count. The index is five allocations at
+// most: the block table (the graph's own blocks), the payload table,
+// one string for every label and function name, the edge array (the
+// graph's successor store) and the group directory. The codec is at
+// most three: huffman's struct, symbols and the decode table its first
+// decode builds, or dict's struct and word table. The CFG is four: the
+// graph, its block pointers, its edge lists and the predecessor store.
+// Then the plain image, the rescanned group offsets, the instructions,
+// the Program and the Info: at most 16 (dict), and one spare.
 func TestUnpackAllocBudget(t *testing.T) {
-	const budget = 20
+	const budget = 17
 	for _, codecName := range compress.Names() {
 		for i, b := range generatedBuilds(t, codecName, 32) {
 			if _, _, _, err := Unpack("gen", b.container); err != nil {

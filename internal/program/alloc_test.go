@@ -14,9 +14,10 @@ import (
 // presized, plus the symbol table (four allocations), and pools its
 // fixup list; the CFG is one leader table, one block array, one name
 // string, one edge array, which is also the successor store, the graph
-// and its four flat tables (block pointers, one array of successor and
-// predecessor lists, and the predecessor store with its offsets), and
-// the Program itself. That is 18 allocations. A -race build drops
+// and its three flat tables (block pointers, one array of successor and
+// predecessor lists, and the predecessor store, whose offsets are
+// counted on the stack), and the Program itself. That is 17
+// allocations, and the budget keeps one spare. A -race build drops
 // sync.Pool entries at random, so the pin is skipped there.
 func TestFromAssemblyAllocBudget(t *testing.T) {
 	if raceEnabled {

@@ -186,30 +186,14 @@ func (p *Program) BranchSites() ([]BranchSite, error) {
 // same order, without collecting them; it fails where BranchSites
 // fails, after visiting the sites before the failure.
 func (p *Program) eachBranchSite(visit func(BranchSite)) error {
-	// startToBlock[w] is the block starting at word w, or -1; a later
-	// block with the same start replaces an earlier one.
-	startToBlock := make([]int32, len(p.Ins)+1)
-	for i := range startToBlock {
-		startToBlock[i] = -1
-	}
-	for _, b := range p.Graph.Blocks() {
-		if b.Start >= 0 && b.Start < len(startToBlock) {
-			startToBlock[b.Start] = int32(b.ID)
-		}
-	}
-	blockAt := func(w int) (cfg.BlockID, bool) {
-		if w < 0 || w >= len(startToBlock) || startToBlock[w] < 0 {
-			return cfg.None, false
-		}
-		return cfg.BlockID(startToBlock[w]), true
-	}
+	at := newBlockStarts(p)
 	for _, b := range p.Graph.Blocks() {
 		for w := b.Start; w < b.End; w++ {
 			tgt, ok := p.Ins[w].StaticTarget(w)
 			if !ok {
 				continue
 			}
-			tb, ok := blockAt(tgt)
+			tb, ok := at.find(b.ID, tgt)
 			if !ok {
 				return fmt.Errorf("program %s: word %d targets %d, which is not a block start",
 					p.Name, w, tgt)
@@ -218,7 +202,7 @@ func (p *Program) eachBranchSite(visit func(BranchSite)) error {
 		}
 		last := p.Ins[b.End-1]
 		if last.HasFallthrough() && !last.IsJump() && !last.IsIndirect() && b.End < len(p.Ins) {
-			if nb, ok := blockAt(b.End); ok {
+			if nb, ok := at.find(b.ID, b.End); ok {
 				visit(BranchSite{Block: b.ID, Word: b.End - 1, Target: nb, Fallthrough: true})
 			}
 		}
@@ -226,12 +210,71 @@ func (p *Program) eachBranchSite(visit func(BranchSite)) error {
 	return nil
 }
 
-// Validate cross-checks the CFG against the instruction stream: block
-// ranges tile the program, every static control edge in the code has a
-// CFG edge, and vice versa for taken/jump/call edges.
+// blockStarts finds the block that starts at a word of a program, or,
+// where several do, the last of them. A valid program's sites all
+// target successors of their own block, so when no two blocks start at
+// one word it looks among those first; a table of every word's block is
+// built only when that fails.
+type blockStarts struct {
+	p      *Program
+	unique bool    // no two blocks start at one word
+	table  []int32 // the block starting at word w, or -1, for w <= len(p.Ins)
+}
+
+func newBlockStarts(p *Program) blockStarts {
+	blocks := p.Graph.Blocks()
+	unique := true
+	for i := 1; i < len(blocks) && unique; i++ {
+		unique = blocks[i].Start > blocks[i-1].Start
+	}
+	return blockStarts{p: p, unique: unique}
+}
+
+// find returns the block starting at word w, trying from's successors
+// first.
+func (s *blockStarts) find(from cfg.BlockID, w int) (cfg.BlockID, bool) {
+	if w < 0 || w > len(s.p.Ins) {
+		return cfg.None, false
+	}
+	g := s.p.Graph
+	if s.unique {
+		for _, e := range g.Succs(from) {
+			if g.Block(e.To).Start == w {
+				return e.To, true
+			}
+		}
+	}
+	if s.table == nil {
+		// A later block with the same start replaces an earlier one.
+		s.table = make([]int32, len(s.p.Ins)+1)
+		for i := range s.table {
+			s.table[i] = -1
+		}
+		for _, b := range g.Blocks() {
+			if b.Start >= 0 && b.Start < len(s.table) {
+				s.table[b.Start] = int32(b.ID)
+			}
+		}
+	}
+	if s.table[w] < 0 {
+		return cfg.None, false
+	}
+	return cfg.BlockID(s.table[w]), true
+}
+
+// Validate cross-checks the CFG against the instruction stream: every
+// block is a non-empty word range of the program, and every static
+// control transfer in the code, explicit or a fallthrough, has a CFG
+// edge.
 func (p *Program) Validate() error {
 	if err := p.Graph.Validate(false); err != nil {
 		return fmt.Errorf("program %s: %w", p.Name, err)
+	}
+	for _, b := range p.Graph.Blocks() {
+		if b.Start < 0 || b.End <= b.Start || b.End > len(p.Ins) {
+			return fmt.Errorf("program %s: block %s range [%d,%d) is not a non-empty range of its %d words",
+				p.Name, b, b.Start, b.End, len(p.Ins))
+		}
 	}
 	// A site error takes precedence over a missing edge wherever it
 	// appears, so the walk runs to the end before reporting the first
