@@ -266,6 +266,11 @@ func TestParseIndexRejectsHostileDirectory(t *testing.T) {
 			writeUvarint(buf, 200)
 			writeUvarint(buf, 1)
 		}},
+		{"wrapping delta", func(buf *bytes.Buffer) {
+			writeUvarint(buf, 8)
+			writeUvarint(buf, 40)
+			writeUvarint(buf, 1<<64-30) // 40 plus this wraps round to 10
+		}},
 		{"giant group words", func(buf *bytes.Buffer) {
 			writeUvarint(buf, 1<<30) // above maxBlockWords
 		}},
@@ -314,6 +319,7 @@ func FuzzParseIndexV3(f *testing.F) {
 	blocks, edges := hugeCountContainers()
 	f.Add(blocks, uint16(0), uint16(0))
 	f.Add(edges, uint16(0), uint16(0))
+	f.Add(claimedPayloads(nil, 1<<31, 1<<31), uint16(0), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, block, word uint16) {
 		idx, err := ParseIndex(data)
 		if err != nil {

@@ -2,12 +2,16 @@
 // prefix of the container (header, per-block table, edges and the
 // sub-block group directory) that locates every block's payload and
 // its word groups inside the container — the software analogue of
-// block-granular access to compressed memory. Unpack reads it to
-// verify every block, and a server entry copies its block layout and
-// group directory out of it (ParseIndex) to serve block reads as slices
-// of the container it holds and word reads by decoding only the
-// covering groups. ReadIndexAt, ReadPayloadRangeAt and ReadWordRangeAt
-// read through it from a file instead; no request reads a file.
+// block-granular access to compressed memory. One parser reads it into
+// the blocks a graph is built from and a Layout, 16 B per block and 4 B
+// per word group. Unpack verifies every payload and the group directory
+// through that Layout and returns it in Info, and a server entry keeps
+// it to serve block reads as slices of the container it holds and word
+// reads by decoding only the covering groups: the rows it serves from
+// are the rows the verifying read checked. ParseIndex builds IndexEntry
+// rows from the same parse, through which ReadIndexAt,
+// ReadPayloadRangeAt and ReadWordRangeAt read a file instead; no
+// request reads a file.
 package pack
 
 import (
@@ -74,13 +78,61 @@ type Index struct {
 	PayloadBase int64 // absolute container offset of the payload section
 	PayloadLen  int64 // total payload section length in bytes
 
-	// Group start offsets for all blocks, flattened in block order:
-	// block i's ceil(Words/GroupWords) offsets occupy
-	// groupOffs[groupBase[i]:groupBase[i+1]], each relative to the
-	// block's payload start. Flat storage keeps the parse to two
-	// allocations regardless of block count.
-	groupOffs []uint32
-	groupBase []int
+	// layout holds the rows the parser read, which BlockGroupOffsets and
+	// NumGroups read the group directory from.
+	layout Layout
+}
+
+// Layout is a container's block table in the form a server serves from:
+// where each block's payload and word groups start, and what a block
+// response advertises. A payload or group run needs no length of its
+// own: the parser admits only payloads packed back to back in block
+// order, so each ends where the next block's begins and the last at the
+// end of the container (or of Groups). The parser also rejects a
+// container over 4 GiB, so every offset fits 32 bits.
+type Layout struct {
+	Blocks []BlockLoc
+	// Groups holds every block's word-group start offsets from the v3
+	// group directory, flattened in block order and each relative to its
+	// block's payload start. It is nil when the container has no
+	// directory.
+	Groups []uint32
+}
+
+// BlockLoc is one block's 16-byte row of a Layout.
+type BlockLoc struct {
+	Off   uint32 // payload start within the container
+	Group uint32 // index of the block's first offset in Layout.Groups
+	CRC   uint32 // IEEE CRC-32 of the plain block image
+	Words uint32 // plain size in ERI32 words
+}
+
+// Payload returns block id's compressed payload: a zero-copy slice of
+// container, the container the layout was read from, capped so no
+// append can write into it.
+func (l *Layout) Payload(container []byte, id int) []byte {
+	off, end := l.Blocks[id].Off, l.end(id, uint32(len(container)))
+	return container[off:end:end]
+}
+
+// GroupOffsets returns block id's word-group start offsets, each
+// relative to its payload start (nil without a group directory). The
+// slice aliases the layout.
+func (l *Layout) GroupOffsets(id int) []uint32 {
+	lo, hi := l.Blocks[id].Group, uint32(len(l.Groups))
+	if id+1 < len(l.Blocks) {
+		hi = l.Blocks[id+1].Group
+	}
+	return l.Groups[lo:hi:hi]
+}
+
+// end returns where block id's payload ends: where the next block's
+// begins, or at last for the last block.
+func (l *Layout) end(id int, last uint32) uint32 {
+	if id+1 < len(l.Blocks) {
+		return l.Blocks[id+1].Off
+	}
+	return last
 }
 
 // indexReadChunk is the initial (and growth-step) prefix size for
@@ -148,49 +200,39 @@ func parseHeader(r *reader) (Header, error) {
 // fails with ErrBadVersion.
 func ParseIndex(data []byte) (*Index, error) {
 	x := &Index{}
-	if err := x.parse(data, nil); err != nil {
+	blocks, err := x.parse(data)
+	if err != nil {
 		return nil, err
+	}
+	last := uint32(x.PayloadBase + x.PayloadLen)
+	x.Blocks = make([]IndexEntry, len(blocks))
+	for i, b := range blocks {
+		loc := x.layout.Blocks[i]
+		x.Blocks[i] = IndexEntry{
+			Label: b.Label, Func: b.Func, Words: int(loc.Words), CRC: loc.CRC,
+			Off: int64(loc.Off) - x.PayloadBase, Len: int64(x.layout.end(i, last) - loc.Off),
+		}
 	}
 	return x, nil
 }
 
-// graphRows is the block table Unpack reads an index into: the
-// cfg.Blocks it builds the graph from, each already holding its word
-// range in the image, and beside them every payload's length and CRC.
-type graphRows struct {
-	blocks []cfg.Block
-	pays   []payload
-}
-
-// payload is one block's compressed payload: its length and the CRC of
-// the plain block it decodes to.
-type payload struct {
-	len int64
-	crc uint32
-}
-
-// parse reads the index at the front of data into x. It is the one
-// index parser: with rows nil (ParseIndex) each block's row lands in
-// x.Blocks, and otherwise (Unpack) in rows, leaving x.Blocks nil. Both
-// forms pass the same checks in the same order.
-func (x *Index) parse(data []byte, rows *graphRows) error {
+// parse reads the index at the front of data into x, the block layout
+// into x.layout, and returns the blocks a graph is built from, each
+// holding its label, function and word range in the image.
+func (x *Index) parse(data []byte) ([]cfg.Block, error) {
 	r := &reader{data: data}
 	h, err := parseHeader(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	x.Header = h
 	x.Entry = cfg.BlockID(r.uvarint())
 	nblocks := int(r.uvarint())
 	if r.err != nil || nblocks <= 0 || nblocks > 1<<20 || nblocks > r.left()/minEntryBytes {
-		return fmt.Errorf("%w: block count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: block count", ErrCorrupt)
 	}
-	if rows == nil {
-		x.Blocks = make([]IndexEntry, nblocks)
-	} else {
-		rows.blocks = make([]cfg.Block, nblocks)
-		rows.pays = make([]payload, nblocks)
-	}
+	blocks := make([]cfg.Block, nblocks)
+	locs := make([]BlockLoc, nblocks)
 	// names collects each block's label and function name as it lies in
 	// data, on the stack for up to 64 blocks; they are then copied into
 	// one string.
@@ -198,54 +240,49 @@ func (x *Index) parse(data []byte, rows *graphRows) error {
 	names := stack[:0]
 	var off int64
 	start := 0 // the block's first word in the image
-	for i := 0; i < nblocks; i++ {
+	for i := range blocks {
 		names = append(names, r.bytes(), r.bytes())
 		words := int(r.uvarint())
 		// Bound the claimed plain size: a hostile Words makes every
 		// derived quantity (pre-allocations, words*WordSize length
 		// checks) lie, and a 2^63-range claim wraps int negative.
 		if words < 0 || words > maxBlockWords {
-			return fmt.Errorf("%w: block %d claims %d words", ErrCorrupt, i, words)
+			return nil, fmt.Errorf("%w: block %d claims %d words", ErrCorrupt, i, words)
 		}
 		o := int64(r.uvarint())
 		n := int64(r.uvarint())
 		crc := r.take(4)
 		if r.err != nil {
-			return r.err
+			return nil, r.err
 		}
 		// Payloads are packed back to back in block order; anything else
 		// is not a container Pack could have produced.
 		if o != off || n < 0 {
-			return fmt.Errorf("%w: block %d payload at %d/%d, want contiguous at %d",
+			return nil, fmt.Errorf("%w: block %d payload at %d/%d, want contiguous at %d",
 				ErrCorrupt, i, o, n, off)
 		}
-		// The tables are fresh, so only the numeric fields are set; the
-		// names follow once they are copied out.
-		if rows == nil {
-			e := &x.Blocks[i]
-			e.Words, e.Off, e.Len, e.CRC = words, off, n, binary.LittleEndian.Uint32(crc)
-		} else {
-			b := &rows.blocks[i]
-			b.Start, b.End = start, start+words
-			rows.pays[i] = payload{len: n, crc: binary.LittleEndian.Uint32(crc)}
+		// A layout row holds 32-bit offsets, which also keeps off from
+		// wrapping.
+		if n > math.MaxUint32-off {
+			return nil, fmt.Errorf("%w: block %d payload ends past 4 GiB", ErrCorrupt, i)
 		}
+		blocks[i].Start, blocks[i].End = start, start+words
+		// The row counts its offset from the payload section until the
+		// section's start is known.
+		locs[i] = BlockLoc{Off: uint32(off), CRC: binary.LittleEndian.Uint32(crc), Words: uint32(words)}
 		off += n
 		start += words
 	}
 	all := joinNames(names)
-	for i := 0; i < nblocks; i++ {
+	for i := range blocks {
 		nl, nf := len(names[2*i]), len(names[2*i+1])
-		label, fn := all[:nl], all[nl:nl+nf]
+		blocks[i].Label, blocks[i].Func = all[:nl], all[nl:nl+nf]
 		all = all[nl+nf:]
-		if rows == nil {
-			x.Blocks[i].Label, x.Blocks[i].Func = label, fn
-		} else {
-			rows.blocks[i].Label, rows.blocks[i].Func = label, fn
-		}
 	}
+	x.layout.Blocks = locs
 	nedges := int(r.uvarint())
 	if r.err != nil || nedges < 0 || nedges > 1<<22 || nedges > r.left()/minEdgeBytes {
-		return fmt.Errorf("%w: edge count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: edge count", ErrCorrupt)
 	}
 	x.Edges = make([]cfg.Edge, nedges)
 	for i := range x.Edges {
@@ -261,26 +298,32 @@ func (x *Index) parse(data []byte, rows *graphRows) error {
 			e.To = cfg.BlockID(r.uvarint())
 			e.Kind = cfg.EdgeKind(r.uvarint())
 			if p64 = r.take(8); r.err != nil {
-				return r.err
+				return nil, r.err
 			}
 		}
 		e.Prob = math.Float64frombits(binary.LittleEndian.Uint64(p64))
 		if !validProb(e.Prob) {
-			return fmt.Errorf("%w: edge %d probability %v outside [0,1]", ErrCorrupt, i, e.Prob)
+			return nil, fmt.Errorf("%w: edge %d probability %v outside [0,1]", ErrCorrupt, i, e.Prob)
 		}
 	}
-	if err := x.parseGroupDirectory(r, nblocks, rows); err != nil {
-		return err
+	if err := x.parseGroupDirectory(r, uint32(off)); err != nil {
+		return nil, err
 	}
 	x.PayloadLen = int64(r.uvarint())
 	if r.err != nil {
-		return r.err
+		return nil, r.err
 	}
 	if x.PayloadLen != off {
-		return fmt.Errorf("%w: payload section %d bytes, index spans %d", ErrCorrupt, x.PayloadLen, off)
+		return nil, fmt.Errorf("%w: payload section %d bytes, index spans %d", ErrCorrupt, x.PayloadLen, off)
 	}
 	x.PayloadBase = int64(r.off)
-	return nil
+	if x.PayloadBase+off > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: %d-byte container does not fit a 32-bit layout", ErrCorrupt, x.PayloadBase+off)
+	}
+	for i := range locs {
+		locs[i].Off += uint32(x.PayloadBase)
+	}
+	return blocks, nil
 }
 
 // joinNames copies names into one string, in order.
@@ -297,17 +340,17 @@ func joinNames(names [][]byte) string {
 	return sb.String()
 }
 
-// parseGroupDirectory reads the v3 sub-block directory: groupWords,
-// then per block the delta-encoded group start offsets. Offsets must be
-// strictly increasing and land inside the block's payload — overlapping
-// or out-of-bounds groups are not a container Pack could have produced,
-// so anything else is ErrCorrupt. Group counts are derived from the
-// already-validated block word counts, read from x.Blocks or, when it
-// is not nil, rows; the offset slice pre-allocation is clamped by the
-// remaining input (every offset costs at least one byte), so a hostile
-// header cannot force an unbounded allocation. Unpack walks the
-// offsets in block order, so only ParseIndex gets groupBase.
-func (x *Index) parseGroupDirectory(r *reader, nblocks int, rows *graphRows) error {
+// parseGroupDirectory reads the v3 sub-block directory into x.layout:
+// groupWords, then per block the delta-encoded group start offsets.
+// Offsets must be strictly increasing and land inside the block's
+// payload — overlapping or out-of-bounds groups are not a container Pack
+// could have produced, so anything else is ErrCorrupt. Group counts are
+// derived from the already-validated block word counts; the offset
+// slice pre-allocation is clamped by the remaining input (every offset
+// costs at least one byte), so a hostile header cannot force an
+// unbounded allocation. The layout's payload offsets still count from
+// the payload section, section bytes long.
+func (x *Index) parseGroupDirectory(r *reader, section uint32) error {
 	gw := r.uvarint()
 	if r.err != nil {
 		return r.err
@@ -319,55 +362,40 @@ func (x *Index) parseGroupDirectory(r *reader, nblocks int, rows *graphRows) err
 	if x.GroupWords == 0 {
 		return nil
 	}
-	// row returns block i's word count and payload length.
-	row := func(i int) (int, int64) {
-		if rows == nil {
-			return x.Blocks[i].Words, x.Blocks[i].Len
-		}
-		return rows.blocks[i].Words(), rows.pays[i].len
-	}
+	l := &x.layout
 	var total int64
-	for i := 0; i < nblocks; i++ {
-		words, _ := row(i)
-		total += int64((words + x.GroupWords - 1) / x.GroupWords)
+	for _, b := range l.Blocks {
+		total += int64((int(b.Words) + x.GroupWords - 1) / x.GroupWords)
 	}
 	if clamp := int64(r.left()); total > clamp {
 		total = clamp
 	}
-	x.groupOffs = make([]uint32, 0, total)
-	if rows == nil {
-		x.groupBase = make([]int, nblocks+1)
-	}
-	for i := 0; i < nblocks; i++ {
-		if rows == nil {
-			x.groupBase[i] = len(x.groupOffs)
-		}
-		words, n := row(i)
-		ngroups := (words + x.GroupWords - 1) / x.GroupWords
+	groups := make([]uint32, 0, total)
+	for i := range l.Blocks {
+		b := &l.Blocks[i]
+		b.Group = uint32(len(groups))
+		n := uint64(l.end(i, section) - b.Off)
+		ngroups := (int(b.Words) + x.GroupWords - 1) / x.GroupWords
 		var cur uint64
 		for g := 0; g < ngroups; g++ {
 			d := r.uvarint()
 			if r.err != nil {
 				return r.err
 			}
-			if g == 0 {
-				cur = d
-			} else {
-				if d == 0 {
-					return fmt.Errorf("%w: block %d group %d offset not increasing", ErrCorrupt, i, g)
-				}
-				cur += d
+			if g > 0 && d == 0 {
+				return fmt.Errorf("%w: block %d group %d offset not increasing", ErrCorrupt, i, g)
 			}
-			if cur >= uint64(n) || cur > math.MaxUint32 {
-				return fmt.Errorf("%w: block %d group %d starts at %d of %d payload bytes",
-					ErrCorrupt, i, g, cur, n)
+			// cur lies inside the payload, so weighing d against what is
+			// left of it cannot wrap, and every offset fits 32 bits.
+			if d >= n-cur {
+				return fmt.Errorf("%w: block %d group %d starts %d bytes past %d of %d payload bytes",
+					ErrCorrupt, i, g, d, cur, n)
 			}
-			x.groupOffs = append(x.groupOffs, uint32(cur))
+			cur += d
+			groups = append(groups, uint32(cur))
 		}
 	}
-	if rows == nil {
-		x.groupBase[nblocks] = len(x.groupOffs)
-	}
+	l.Groups = groups
 	return nil
 }
 
@@ -377,7 +405,7 @@ func (x *Index) HasGroupIndex() bool { return x.GroupWords > 0 }
 
 // NumGroups returns the total word-group count across all blocks (0
 // without a group directory).
-func (x *Index) NumGroups() int { return len(x.groupOffs) }
+func (x *Index) NumGroups() int { return len(x.layout.Groups) }
 
 // BlockGroupOffsets returns block i's group start offsets, each
 // relative to the block's payload start. The returned slice aliases the
@@ -387,7 +415,7 @@ func (x *Index) BlockGroupOffsets(i int) []uint32 {
 	if x.GroupWords == 0 || i < 0 || i >= len(x.Blocks) {
 		return nil
 	}
-	return x.groupOffs[x.groupBase[i]:x.groupBase[i+1]:x.groupBase[i+1]]
+	return x.layout.GroupOffsets(i)
 }
 
 // ReadIndexAt parses a container's index from a random-access

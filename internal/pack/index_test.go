@@ -225,3 +225,62 @@ func TestParseIndexBoundsCountsByInput(t *testing.T) {
 		}
 	}
 }
+
+// claimedPayloads returns an identity container of one-word blocks
+// whose index claims the payload lengths lens, each block at the running
+// sum of the lengths before it, summed as uint64 so that it may wrap.
+// The payload section claims the sum and holds pay.
+func claimedPayloads(pay []byte, lens ...uint64) []byte {
+	var buf bytes.Buffer
+	buf.Write(Magic)
+	writeUvarint(&buf, Version)
+	writeBytes(&buf, []byte("identity"))
+	writeBytes(&buf, nil) // empty model
+	writeFixed32(&buf, 0)
+	writeUvarint(&buf, 0) // entry
+	writeUvarint(&buf, uint64(len(lens)))
+	var off uint64
+	for _, n := range lens {
+		writeBytes(&buf, []byte("b")) // label
+		writeBytes(&buf, nil)         // func
+		writeUvarint(&buf, 1)         // words
+		writeUvarint(&buf, off)
+		writeUvarint(&buf, n)
+		writeFixed32(&buf, 0)
+		off += n
+	}
+	writeUvarint(&buf, 0) // nedges
+	writeUvarint(&buf, 0) // group words (no directory)
+	writeUvarint(&buf, off)
+	buf.Write(pay)
+	return buf.Bytes()
+}
+
+// TestParseIndexBoundsContainerSize: a Layout row holds 32-bit offsets,
+// so an index that describes a container of 4 GiB or more fails
+// ParseIndex and Unpack with ErrCorrupt, while one that describes a
+// byte less parses. Two 2 GiB payloads cross the bound; so do lengths
+// whose running offset wraps round to the 2 payload bytes that follow,
+// which used to make Unpack slice past its input and panic.
+func TestParseIndexBoundsContainerSize(t *testing.T) {
+	// Every length here takes a 5-byte uvarint, so the index is as long
+	// whatever the lengths are.
+	base := uint64(len(claimedPayloads(nil, 1<<31, 1<<31)))
+	largest := claimedPayloads(nil, 1<<31, math.MaxUint32-base-1<<31)
+	if idx, err := ParseIndex(largest); err != nil || uint64(idx.PayloadBase) != base ||
+		idx.PayloadBase+idx.PayloadLen != math.MaxUint32 {
+		t.Fatalf("an index of a %d-byte container: %v", uint64(math.MaxUint32), err)
+	}
+	for name, data := range map[string][]byte{
+		"one byte over": claimedPayloads(nil, 1<<31, math.MaxUint32-base-1<<31+1),
+		"4 GiB":         claimedPayloads(nil, 1<<31, 1<<31),
+		"wrapped":       claimedPayloads([]byte{0, 0}, 1<<63-1, 1<<63-1, 4),
+	} {
+		if _, err := ParseIndex(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ParseIndex err = %v, want ErrCorrupt", name, err)
+		}
+		if _, _, _, err := Unpack(name, data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Unpack err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}

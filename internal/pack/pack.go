@@ -297,7 +297,7 @@ func compressBlocks(p *program.Program, image []byte, codec compress.Codec) ([][
 	return payloads, crcs, nil
 }
 
-// Info summarizes a container without fully unpacking it.
+// Info summarizes an unpacked container.
 type Info struct {
 	Version         int
 	Codec           string
@@ -308,6 +308,11 @@ type Info struct {
 	ContainerBytes  int
 	GroupWords      int // v3 group directory granularity (0 = absent)
 	Groups          int // total word groups across all blocks
+	// Layout is the block table Unpack verified every payload and the
+	// group directory through. Its offsets locate payloads in the
+	// unpacked container, so whoever keeps that container can serve
+	// block and word reads from it through the Layout.
+	Layout Layout
 }
 
 // Unpack reconstructs the program and its trained codec from a
@@ -316,17 +321,21 @@ type Info struct {
 // whole-image checksum. A group directory is checked too: its group
 // size must be the codec's and every block's offsets must be the ones
 // the codec finds in the verified payload, so a word read through the
-// directory decodes the same bytes as the block. A container of any
-// version but Version fails with ErrBadVersion.
+// directory decodes the same bytes as the block. A container without
+// Magic fails with ErrBadMagic, one of any version but Version with
+// ErrBadVersion, and every other rejection of its bytes wraps
+// ErrCorrupt, ErrBadChecksum or compress.ErrCorrupt, so a caller can
+// tell damaged bytes from an injected decode fault.
 //
-// The index rows go straight into the blocks the graph is built from,
-// each holding its word range in the image, and the instructions are
-// decoded in place from the image, which is scratch: the Program keeps
-// neither it nor any slice of data.
+// The index is read once, into the blocks the graph is built from, each
+// holding its word range in the image, and the Layout that Info
+// returns, through which every payload is verified. The instructions
+// are decoded in place from the image, which is scratch: the Program
+// keeps neither it nor any slice of data.
 func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, error) {
 	var x Index
-	var rows graphRows
-	if err := x.parse(data, &rows); err != nil {
+	blocks, err := x.parse(data)
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	if x.PayloadBase+x.PayloadLen != int64(len(data)) {
@@ -349,36 +358,29 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 	// — per-block verification then rejects the lie, and a legitimately
 	// higher-expansion container (an LZSS match token turns 17 bits into
 	// 18 bytes) just grows the buffer.
-	totalBytes := int64(rows.blocks[len(rows.blocks)-1].End) * isa.WordSize
+	totalBytes := int64(blocks[len(blocks)-1].End) * isa.WordSize
 	if bound := 8*x.PayloadLen + isa.WordSize; totalBytes > bound {
 		totalBytes = bound
 	}
 	plain := make([]byte, 0, totalBytes)
 	// offs takes one block's group offsets, rescanned from its payload;
-	// no block has more groups than the whole directory, whose offsets
-	// dir walks in block order.
+	// no block has more groups than the whole directory.
 	var offs []uint32
 	if x.GroupWords > 0 {
 		offs = make([]uint32, 0, x.NumGroups())
 	}
-	dir := x.groupOffs
-	comp := data[x.PayloadBase:]
-	for i, pay := range rows.pays {
-		block := comp[:pay.len:pay.len]
-		comp = comp[pay.len:]
-		words := rows.blocks[i].Words()
-		if plain, err = verifyBlock(codec, i, words, pay.crc, block, plain); err != nil {
+	for i, loc := range x.layout.Blocks {
+		block := x.layout.Payload(data, i)
+		if plain, err = verifyBlock(codec, i, int(loc.Words), loc.CRC, block, plain); err != nil {
 			return nil, nil, nil, err
 		}
 		if x.GroupWords > 0 {
-			ngroups := (words + x.GroupWords - 1) / x.GroupWords
-			if offs, err = gc.AppendGroupOffsets(offs[:0], block); err != nil || !slices.Equal(offs, dir[:ngroups]) {
+			if offs, err = gc.AppendGroupOffsets(offs[:0], block); err != nil || !slices.Equal(offs, x.layout.GroupOffsets(i)) {
 				return nil, nil, nil, fmt.Errorf("%w: block %d group directory does not match its payload", ErrCorrupt, i)
 			}
-			dir = dir[ngroups:]
 		}
 	}
-	g, bad, err := cfg.FromParts(rows.blocks, x.Entry, x.Edges)
+	g, bad, err := cfg.FromParts(blocks, x.Entry, x.Edges)
 	switch {
 	case err != nil && bad < 0:
 		return nil, nil, nil, fmt.Errorf("%w: entry %d", ErrCorrupt, x.Entry)
@@ -390,16 +392,16 @@ func Unpack(name string, data []byte) (*program.Program, compress.Codec, *Info, 
 	}
 	ins := make([]isa.Instruction, len(plain)/isa.WordSize)
 	if err := isa.DecodeBytes(ins, plain); err != nil {
-		return nil, nil, nil, fmt.Errorf("pack: %w", err)
+		return nil, nil, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	p := &program.Program{Name: name, Graph: g, Ins: ins}
 	if err := p.Validate(); err != nil {
-		return nil, nil, nil, fmt.Errorf("pack: reconstructed program invalid: %w", err)
+		return nil, nil, nil, fmt.Errorf("%w: reconstructed program invalid: %w", ErrCorrupt, err)
 	}
 	return p, codec, &Info{
-		Version: Version, Codec: x.Codec, Blocks: len(rows.blocks), Edges: len(x.Edges),
+		Version: Version, Codec: x.Codec, Blocks: len(blocks), Edges: len(x.Edges),
 		CompressedBytes: int(x.PayloadLen), PlainBytes: len(plain), ContainerBytes: len(data),
-		GroupWords: x.GroupWords, Groups: x.NumGroups(),
+		GroupWords: x.GroupWords, Groups: x.NumGroups(), Layout: x.layout,
 	}, nil
 }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"slices"
 	"testing"
 
 	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
+	"apbcc/internal/isa"
 	"apbcc/internal/program"
 	"apbcc/internal/workloads"
 )
@@ -51,9 +53,10 @@ func TestUnpackTruncated(t *testing.T) {
 
 // TestUnpackBitFlips flips one bit at a time across the whole container
 // and asserts Unpack returns an error (or, rarely, a still-valid
-// program) without panicking. Flips that strike an identity-codec
-// payload keep the payload decodable, so those must surface as the
-// image checksum mismatch specifically.
+// program) without panicking. Every error must carry one of the
+// sentinels errclass classes as corrupt, so a damaged store copy is
+// quarantined: a flipped edge, which no CRC covers, fails as a program
+// whose transfers lack their CFG edges, and that wraps ErrCorrupt too.
 func TestUnpackBitFlips(t *testing.T) {
 	data, _ := buildContainer(t, "crc32", "dict")
 	mut := make([]byte, len(data))
@@ -63,6 +66,9 @@ func TestUnpackBitFlips(t *testing.T) {
 			mut[i] ^= 1 << bit
 			p, _, _, err := Unpack("flip", mut)
 			if err != nil {
+				if !isCorrupt(err) {
+					t.Fatalf("bit %d of byte %d: %v wraps no corrupt sentinel", bit, i, err)
+				}
 				continue
 			}
 			// A flip in an unused float bit of an edge probability can
@@ -72,6 +78,17 @@ func TestUnpackBitFlips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// isCorrupt reports whether err wraps one of the sentinels that mark a
+// damaged container.
+func isCorrupt(err error) bool {
+	for _, s := range []error{ErrCorrupt, ErrBadMagic, ErrBadVersion, ErrBadChecksum, compress.ErrCorrupt} {
+		if errors.Is(err, s) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestUnpackTypedErrors drives each typed failure deliberately.
@@ -111,6 +128,35 @@ func TestUnpackTypedErrors(t *testing.T) {
 		mut[idx] ^= 0x01
 		if _, _, _, err := Unpack("crc", mut); !errors.Is(err, ErrBadChecksum) {
 			t.Fatalf("err = %v, want ErrBadChecksum", err)
+		}
+	})
+
+	t.Run("invalid opcode", func(t *testing.T) {
+		// Packed from an image whose first word encodes no instruction,
+		// the container holds every checksum, so only the instruction
+		// decode rejects it, as corrupt.
+		wl, err := workloads.ByName("fir")
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := bytes.Clone(code)
+		isa.ByteOrder.PutUint32(image, 63<<26) // opcode 63 is undefined
+		codec := identityCodec(t)
+		payloads, crcs, err := compressBlocks(wl.Program, image, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw, flat, bases := groupDirectory(codec, wl.Program.Graph.Blocks(), payloads)
+		ix := indexParts{
+			codec: codec.Name(), model: compress.MarshalModel(codec), imageCRC: crc32.ChecksumIEEE(image),
+			g: wl.Program.Graph, payloads: payloads, crcs: crcs, gw: gw, flat: flat, bases: bases,
+		}
+		mut := ix.append(nil)
+		for _, pay := range payloads {
+			mut = append(mut, pay...)
+		}
+		if _, _, _, err := Unpack("op", mut); !errors.Is(err, ErrCorrupt) || !errors.Is(err, isa.ErrBadOpcode) {
+			t.Fatalf("err = %v, want ErrCorrupt wrapping isa.ErrBadOpcode", err)
 		}
 	})
 

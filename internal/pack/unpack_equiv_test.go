@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -37,10 +39,30 @@ func errClass(err error) uint {
 // unpackDiff unpacks data with Unpack and refUnpack, and parses it with
 // ParseIndex and refParseIndex, and describes the first difference: in
 // whether each succeeds, in the class of a failure, or in what a
-// success returns. It returns "" when there is none.
+// success returns, Unpack's Layout held to the reference's index. It
+// returns "" when there is none. Two differences are intended. Unpack
+// wraps ErrCorrupt around the failures the reference returned with no
+// corrupt sentinel (an instruction that does not decode, a program
+// that does not validate). And the parser rejects the broken indexes
+// the reference parsed (refBroken), which the reference's Unpack
+// rejected only later, in whatever class the damage met there, or by
+// panicking, so for those refUnpack is not run: Unpack and ParseIndex
+// must fail with ErrCorrupt.
 func unpackDiff(data []byte) string {
+	ridx, rperr := refParseIndex(data)
+	if rperr == nil && refBroken(ridx) {
+		_, _, _, err := Unpack("equiv", data)
+		_, perr := ParseIndex(data)
+		if !errors.Is(err, ErrCorrupt) || !errors.Is(perr, ErrCorrupt) {
+			return fmt.Sprintf("broken index: Unpack err %v, ParseIndex err %v, want ErrCorrupt", err, perr)
+		}
+		return ""
+	}
 	p, codec, info, err := Unpack("equiv", data)
 	rp, rcodec, rinfo, rerr := refUnpack("equiv", data)
+	if rerr != nil && !isCorrupt(rerr) && errors.Is(err, ErrCorrupt) {
+		rerr = fmt.Errorf("%w: %w", ErrCorrupt, rerr)
+	}
 	if d := resultDiff("Unpack", err, rerr); d != "" {
 		return d
 	}
@@ -51,19 +73,70 @@ func unpackDiff(data []byte) string {
 		if codec.Name() != rcodec.Name() || !bytes.Equal(compress.MarshalModel(codec), compress.MarshalModel(rcodec)) {
 			return fmt.Sprintf("codec %s, reference %s", codec.Name(), rcodec.Name())
 		}
-		if *info != *rinfo {
-			return fmt.Sprintf("info %+v, reference %+v", *info, *rinfo)
+		// The reference's Info has no Layout; the Layout is held to the
+		// reference's index below.
+		got := *info
+		got.Layout = Layout{}
+		if !reflect.DeepEqual(got, *rinfo) {
+			return fmt.Sprintf("info %+v, reference %+v", got, *rinfo)
+		}
+		// refUnpack succeeded, so its parse of the index did too.
+		if d := layoutDiff(data, &info.Layout, ridx); d != "" {
+			return d
 		}
 	}
 	idx, err := ParseIndex(data)
-	ridx, rerr := refParseIndex(data)
-	if d := resultDiff("ParseIndex", err, rerr); d != "" {
+	if d := resultDiff("ParseIndex", err, rperr); d != "" {
 		return d
 	}
 	if err == nil && !refIndexEqual(idx, ridx) {
 		return "ParseIndex differs from the reference's index"
 	}
 	return ""
+}
+
+// layoutDiff compares the Layout that Unpack returned for data with the
+// reference's index of it: the block count, every block's payload slice
+// (its place in data and its capped length), CRC, word count and group
+// offsets, and a directory held at its exact size, nil when there is
+// none.
+func layoutDiff(data []byte, l *Layout, ref *refIndex) string {
+	if len(l.Blocks) != len(ref.Blocks) || len(l.Groups) != refNumGroups(ref) ||
+		cap(l.Groups) != len(l.Groups) || (l.Groups == nil) != (ref.GroupWords == 0) {
+		return fmt.Sprintf("layout of %d blocks and %d groups (cap %d), reference %d blocks and %d %d-word groups",
+			len(l.Blocks), len(l.Groups), cap(l.Groups), len(ref.Blocks), refNumGroups(ref), ref.GroupWords)
+	}
+	for i, e := range ref.Blocks {
+		loc, pay := l.Blocks[i], l.Payload(data, i)
+		if int64(loc.Off) != ref.PayloadBase+e.Off || int64(len(pay)) != e.Len || cap(pay) != len(pay) ||
+			loc.CRC != e.CRC || int(loc.Words) != e.Words || !slices.Equal(l.GroupOffsets(i), refBlockGroupOffsets(ref, i)) {
+			return fmt.Sprintf("layout block %d is %+v with a %d-byte payload, reference %+v at %d",
+				i, loc, len(pay), e, ref.PayloadBase)
+		}
+	}
+	return ""
+}
+
+// refBroken reports whether an index the reference accepted is one the
+// parser rejects with ErrCorrupt: one that describes a container 32-bit
+// layout offsets cannot address (over 4 GiB, or with a payload over
+// 4 GiB whose length wrapped the reference's running offset), or whose
+// group directory has an offset that a wrapping delta took below the
+// one before it.
+func refBroken(x *refIndex) bool {
+	if x.PayloadBase+x.PayloadLen > math.MaxUint32 ||
+		slices.ContainsFunc(x.Blocks, func(e IndexEntry) bool { return e.Len > math.MaxUint32 }) {
+		return true
+	}
+	for i := range x.Blocks {
+		offs := refBlockGroupOffsets(x, i)
+		for g := 1; g < len(offs); g++ {
+			if offs[g] <= offs[g-1] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // resultDiff compares an error with the reference's.
@@ -204,6 +277,18 @@ func FuzzUnpackEquivalence(f *testing.F) {
 	blocks, edges := hugeCountContainers()
 	f.Add(blocks)
 	f.Add(edges)
+	// Broken indexes that only the reference parses: one of a container
+	// over 4 GiB, one whose payload lengths wrap the running offset round
+	// to the 2 bytes that follow (the reference's Unpack panics on it),
+	// and a group directory whose second offset wraps round below its
+	// first.
+	f.Add(claimedPayloads(nil, 1<<31, 1<<31))
+	f.Add(claimedPayloads([]byte{0, 0}, 1<<63-1, 1<<63-1, 4))
+	f.Add(craftV3(func(buf *bytes.Buffer) {
+		writeUvarint(buf, 8)
+		writeUvarint(buf, 40)
+		writeUvarint(buf, 1<<64-30)
+	}))
 	f.Add([]byte("APCC"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

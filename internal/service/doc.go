@@ -24,7 +24,9 @@
 //     holds its bytes: a block response is the block's payload slice of
 //     it, and a word read (?word=W&words=N) decodes its span from it —
 //     only the covering word groups when the container has a v3 group
-//     directory, the whole block otherwise. /metrics and /metrics/prom
+//     directory, the whole block otherwise. Both find the block through
+//     the pack.Layout that the same Unpack read the index into and
+//     returned in its Info. /metrics and /metrics/prom
 //     report the entries' resident and plain bytes by codec.
 //
 //   - an optional disk tier (Config.StoreDir, internal/store): a

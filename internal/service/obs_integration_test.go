@@ -134,7 +134,7 @@ func TestEntryMemoryGauges(t *testing.T) {
 			if cap(ent.container) != len(container) {
 				t.Errorf("%s/%s: entry holds a %d-byte container in %d bytes of capacity", name, codec, len(container), cap(ent.container))
 			}
-			resident[codec] += entryFixedBytes + int64(len(key)+len(container)+16*len(ent.blocks)+4*len(ent.groupOffs))
+			resident[codec] += entryFixedBytes + int64(len(key)+len(container)+16*len(ent.layout.Blocks)+4*len(ent.layout.Groups))
 			if name == "fft" {
 				if code, _, _ := get(t, ts.Client(), wordURL(ts.URL, name, 0, codec, 0, 1)); code != http.StatusOK {
 					t.Fatalf("%s/%s: word read status %d", name, codec, code)

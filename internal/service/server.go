@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -157,48 +156,14 @@ type entry struct {
 	codec     string // codec name, from the container's index
 	// dec holds the codec that decodes the payloads, nil until the first
 	// word read builds it (decoder): block GETs never decode.
-	dec    atomic.Pointer[compress.Codec]
-	blocks []blockLoc // per-block layout, copied out of the container's index
-	// groupOffs holds every block's word-group start offsets from the
-	// container's v3 group directory, flattened in block order and each
-	// relative to its block's payload start. nil when the container has
-	// no directory: word reads then decode the whole block.
-	groupOffs []uint32
-	hist      *Histogram // latency histogram for this entry's codec
-}
-
-// blockLoc is one block's row of an entry's layout table: where its
-// payload and its word groups start and what its response advertises.
-// The row stays four words because a block's payload and group run end
-// where the next block's begin: pack.ParseIndex rejects payloads that
-// are not back to back, and the last block's end at the container's
-// (or groupOffs's) end. A parsed pack.Index per entry would cost more
-// heap than keeping every block's plain image.
-type blockLoc struct {
-	off   uint32 // payload start within the container
-	group uint32 // index of the block's first offset in entry.groupOffs
-	crc   uint32 // IEEE CRC-32 of the plain block image
-	words uint32 // plain size in ERI32 words
-}
-
-// payload returns block id's compressed payload: a zero-copy slice of
-// the container, capped so no append can write into it.
-func (e *entry) payload(id int) []byte {
-	off, end := e.blocks[id].off, uint32(len(e.container))
-	if id+1 < len(e.blocks) {
-		end = e.blocks[id+1].off
-	}
-	return e.container[off:end:end]
-}
-
-// groups returns block id's word-group start offsets (nil without a
-// group directory).
-func (e *entry) groups(id int) []uint32 {
-	lo, hi := e.blocks[id].group, uint32(len(e.groupOffs))
-	if id+1 < len(e.blocks) {
-		hi = e.blocks[id+1].group
-	}
-	return e.groupOffs[lo:hi:hi]
+	dec atomic.Pointer[compress.Codec]
+	// layout locates every block's payload and word groups in container:
+	// the rows the verifying pack.Unpack read from the container's index
+	// and checked against its payloads and codec. Its Groups are nil when
+	// the container has no group directory: word reads then decode the
+	// whole block.
+	layout pack.Layout
+	hist   *Histogram // latency histogram for this entry's codec
 }
 
 // decoder returns the codec that decodes the entry's payloads. The
@@ -240,9 +205,9 @@ func (e *entry) decodeWords(dst []byte, id, word, nwords int) (out []byte, group
 	if err != nil {
 		return dst, 0, 0, err
 	}
-	comp, words := e.payload(id), int(e.blocks[id].words)
-	if gc, ok := compress.AsGroupCodec(codec); ok && e.groupOffs != nil {
-		offs := e.groups(id)
+	comp, words := e.layout.Payload(e.container, id), int(e.layout.Blocks[id].Words)
+	if gc, ok := compress.AsGroupCodec(codec); ok && e.layout.Groups != nil {
+		offs := e.layout.GroupOffsets(id)
 		gw := gc.GroupWords()
 		g0, g1 := word/gw, (word+nwords-1)/gw
 		dst = reserve(dst, (min((g1+1)*gw, words)-g0*gw)*isa.WordSize)
@@ -504,12 +469,12 @@ func (s *Server) memoryByCodec() []entryMemory {
 			m = &entryMemory{codec: ent.codec}
 			byCodec[m.codec] = m
 		}
-		m.resident += entryFixedBytes + int64(len(key)+cap(ent.container)+16*cap(ent.blocks)+4*cap(ent.groupOffs))
+		m.resident += entryFixedBytes + int64(len(key)+cap(ent.container)+16*cap(ent.layout.Blocks)+4*cap(ent.layout.Groups))
 		if c := ent.dec.Load(); c != nil {
 			m.resident += decoderSlotBytes + compress.DecoderBytes(*c)
 		}
-		for _, b := range ent.blocks {
-			m.plain += int64(b.words) * isa.WordSize
+		for _, b := range ent.layout.Blocks {
+			m.plain += int64(b.Words) * isa.WordSize
 		}
 	}
 	s.mu.Unlock()
@@ -636,7 +601,7 @@ func (s *Server) handlePackAsm(w http.ResponseWriter, r *http.Request) {
 	}
 	var container []byte
 	err = s.pool.Do(r.Context(), func() (err error) {
-		container, err = s.buildContainer(p, codecName)
+		container, _, err = s.buildContainer(p, codecName)
 		return err
 	})
 	if err != nil {
@@ -664,9 +629,9 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil || id < 0 || id >= len(ent.blocks) {
+	if err != nil || id < 0 || id >= len(ent.layout.Blocks) {
 		s.finishTrace(tr, obs.OutcomeError)
-		http.Error(w, fmt.Sprintf("no block %q (%d blocks)", r.PathValue("id"), len(ent.blocks)),
+		http.Error(w, fmt.Sprintf("no block %q (%d blocks)", r.PathValue("id"), len(ent.layout.Blocks)),
 			http.StatusNotFound)
 		return
 	}
@@ -687,19 +652,19 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.Next(obs.StageWrite)
-	blk := ent.blocks[id]
+	blk := ent.layout.Blocks[id]
 	s.metrics.Blocks.Add(1)
 	ent.hist.Observe(time.Since(start))
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderCodec, ent.codec)
-	h.Set(HeaderWords, strconv.Itoa(int(blk.words)))
-	h.Set(HeaderCRC, crcHex(blk.crc))
+	h.Set(HeaderWords, strconv.Itoa(int(blk.Words)))
+	h.Set(HeaderCRC, crcHex(blk.CRC))
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
-	w.Write(ent.payload(id))
+	w.Write(ent.layout.Payload(ent.container, id))
 	s.finishTrace(tr, obs.OutcomeOK)
 }
 
@@ -716,7 +681,7 @@ func (s *Server) serveWordRange(w http.ResponseWriter, q url.Values, tr *obs.Tra
 			nwords, err = strconv.Atoi(ws)
 		}
 	}
-	blockWords := int(ent.blocks[id].words)
+	blockWords := int(ent.layout.Blocks[id].Words)
 	if err != nil || word < 0 || nwords < 1 || word > blockWords-nwords {
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, fmt.Sprintf("bad word range word=%q words=%q (block %d has %d words)",
@@ -910,16 +875,15 @@ func (s *Server) build(ent *entry, workload, codecName string) error {
 		return err
 	}
 	var container []byte
+	var info *pack.Info
 	err = s.pool.Do(context.Background(), func() (err error) {
-		container, err = s.buildContainer(wl.Program, codecName)
+		container, info, err = s.buildContainer(wl.Program, codecName)
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	if err := s.finishEntry(ent, container); err != nil {
-		return err
-	}
+	s.finishEntry(ent, container, info)
 	s.metrics.Packs.Add(1)
 	if s.store != nil {
 		s.persistAsync(store.RefName(workload, codecName), container)
@@ -942,7 +906,8 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	if err != nil {
 		return false
 	}
-	if err := s.verifyUnpack(workload, container); err != nil {
+	info, err := s.verifyUnpack(workload, container)
+	if err != nil {
 		corrupt := errclass.IsCorrupt(err)
 		if corrupt {
 			s.store.Quarantine(key)
@@ -951,44 +916,22 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 			"key", shortKey(key), "workload", workload, "codec", codecName, "quarantined", corrupt, "err", err)
 		return false
 	}
-	if err := s.finishEntry(ent, container); err != nil {
-		return false
-	}
+	s.finishEntry(ent, container, info)
 	s.metrics.StoreWarm.Add(1)
 	return true
 }
 
-// finishEntry fills the entry's serving state from a container that
-// passed pack.Unpack: the container, its codec's name, a layout table
-// copied out of its index, and the index's group directory as one flat
-// offset table. Unpack has checked the layout against the payloads and
-// the directory against the codec; only the table's 32-bit offsets add
-// a bound of their own.
-func (s *Server) finishEntry(ent *entry, container []byte) error {
-	if len(container) > math.MaxUint32 {
-		return fmt.Errorf("service: %d-byte container does not fit a 32-bit layout", len(container))
-	}
-	idx, err := pack.ParseIndex(container)
-	if err != nil {
-		return err
-	}
-	var offs []uint32
-	if idx.HasGroupIndex() {
-		offs = make([]uint32, 0, idx.NumGroups())
-	}
-	blocks := make([]blockLoc, len(idx.Blocks))
-	for i, e := range idx.Blocks {
-		blocks[i] = blockLoc{off: uint32(idx.PayloadBase + e.Off), group: uint32(len(offs)), crc: e.CRC, words: uint32(e.Words)}
-		offs = append(offs, idx.BlockGroupOffsets(i)...)
-	}
+// finishEntry fills the entry's serving state from a container and the
+// Info its verifying pack.Unpack returned: the container, its codec's
+// name, and the block layout Unpack read from its index and checked
+// against its payloads and codec.
+func (s *Server) finishEntry(ent *entry, container []byte, info *pack.Info) {
 	ent.container = container
-	ent.codec = idx.Codec
-	ent.blocks = blocks
-	ent.groupOffs = offs
+	ent.codec = info.Codec
+	ent.layout = info.Layout
 	// Resolve the histogram once so the hot path never takes the
 	// metrics mutex.
-	ent.hist = s.metrics.CodecHist(idx.Codec)
-	return nil
+	ent.hist = s.metrics.CodecHist(info.Codec)
 }
 
 // persistAsync writes a freshly-built container and its ref to the
@@ -1033,25 +976,28 @@ func (s *Server) persistAsync(name string, container []byte) {
 
 // buildContainer trains the codec on the program's code and packs it
 // (pack.Build), then round-trips the result through Unpack so no
-// unverifiable container ever leaves the server.
-func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, error) {
+// unverifiable container ever leaves the server. It returns the Info
+// of that Unpack beside the container.
+func (s *Server) buildContainer(p *program.Program, codecName string) ([]byte, *pack.Info, error) {
 	container, err := pack.Build(p, codecName)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := s.verifyUnpack(p.Name, container); err != nil {
-		return nil, fmt.Errorf("service: packed container failed verification: %w", err)
+	info, err := s.verifyUnpack(p.Name, container)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: packed container failed verification: %w", err)
 	}
-	return container, nil
+	return container, info, nil
 }
 
 // verifyUnpack is the one verification every served container passes,
 // after each build and on each warm restore: a full pack.Unpack,
-// counted in the verify metrics.
-func (s *Server) verifyUnpack(name string, container []byte) error {
+// counted in the verify metrics. Its Info holds the layout the entry
+// serves from.
+func (s *Server) verifyUnpack(name string, container []byte) (*pack.Info, error) {
 	start := time.Now()
-	_, _, _, err := pack.Unpack(name, container)
+	_, _, info, err := pack.Unpack(name, container)
 	s.metrics.VerifyUnpacks.Add(1)
 	s.metrics.VerifyNS.Add(int64(time.Since(start)))
-	return err
+	return info, err
 }

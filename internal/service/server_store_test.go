@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -206,6 +207,22 @@ func checkQuarantinedRestore(t *testing.T, workload string, mangle func([]byte) 
 func TestWarmRestoreQuarantinesUnpackFailure(t *testing.T) {
 	checkQuarantinedRestore(t, "crc32", func(c []byte) []byte {
 		c[len(pack.Magic)] = 2
+		return c
+	})
+}
+
+// TestWarmRestoreQuarantinesEdgeFlip: a stored crc32 copy with bit 0 of
+// byte 553 flipped, in the edge table that no CRC covers, unpacks to a
+// program with a transfer that has no CFG edge. The restore's Unpack
+// rejects it as corrupt, so the copy is quarantined, not kept for the
+// next restart to fail on again.
+func TestWarmRestoreQuarantinesEdgeFlip(t *testing.T) {
+	checkQuarantinedRestore(t, "crc32", func(c []byte) []byte {
+		c[553] ^= 1
+		if _, _, _, err := pack.Unpack("crc32", c); !errors.Is(err, pack.ErrCorrupt) ||
+			!strings.Contains(err.Error(), "without a CFG edge") {
+			t.Fatalf("flipped copy: Unpack err = %v, want ErrCorrupt for a transfer without a CFG edge", err)
+		}
 		return c
 	})
 }

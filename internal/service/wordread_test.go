@@ -65,14 +65,12 @@ func addEntry(tb testing.TB, s *Server, prog *program.Program, codecName string)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	up, codec, _, err := pack.Unpack(prog.Name, container)
+	up, codec, info, err := pack.Unpack(prog.Name, container)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	ent := &entry{ready: make(chan struct{})}
-	if err := s.finishEntry(ent, container); err != nil {
-		tb.Fatal(err)
-	}
+	s.finishEntry(ent, container, info)
 	close(ent.ready)
 	s.mu.Lock()
 	s.entries[store.RefName(prog.Name, codecName)] = ent
