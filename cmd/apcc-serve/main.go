@@ -52,9 +52,8 @@ func main() {
 		storeDir = flag.String("store", "", "content-addressed disk store directory: built containers persist\nthere and a restart restores them warm (no request reads it)")
 
 		reqTimeout = flag.Duration("request-timeout", 0, "per-request deadline; expired requests get 504 (0 disables)")
-		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g.\n'compress.decode:p=0.1,lat=2ms;compress.decode:p=0.01,err'\n(also settable at runtime via POST /debug/faults)")
+		faultSpec  = flag.String("faults", "", "fault-injection spec, armed at boot for the life of the process, e.g.\n'compress.decode:p=0.1,lat=2ms;service.block:p=0.01,err'")
 		faultSeed  = flag.Uint64("fault-seed", 1, "fault-injection PRNG seed (deterministic replay)")
-		faultsHTTP = flag.Bool("debug-faults", false, "mount the GET/POST /debug/faults runtime fault-control endpoint on\nthe serving mux (implied by -faults). Off by default: the endpoint\nmutates process-global fault state, so never expose it to untrusted\nclients")
 		chaos      = flag.Bool("chaos", false, "run the three-phase chaos scenario (requires -store):\nblock and word load under -faults (default "+
 			"10% decode latency / 1% transient block GET errors),\na restart whose every store read flips a bit (each warm restore\nquarantined and rebuilt, every block and word checked), then a\nhealed restart that must restore warm; exits non-zero on wrong bytes")
 		retryBusy = flag.Bool("retry-busy", false, "loadgen: retry 429/503/504 responses with capped backoff")
@@ -88,7 +87,6 @@ func main() {
 		StoreDir:       *storeDir,
 		TraceRing:      *traceRing,
 		RequestTimeout: *reqTimeout,
-		DebugFaults:    *faultsHTTP || *faultSpec != "",
 		Log:            logger,
 	}
 

@@ -177,16 +177,6 @@ func pkgPathMatches(path, want string) bool {
 	return path == want || strings.HasSuffix(path, "/"+want)
 }
 
-// isFuncNamed reports whether fn is a function or method with the
-// given name defined in a package matching pkgSuffix (see
-// pkgPathMatches).
-func isFuncNamed(fn *types.Func, pkgSuffix, name string) bool {
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	return pkgPathMatches(fn.Pkg().Path(), pkgSuffix)
-}
-
 // namedType unwraps pointers and aliases to the underlying named
 // type, nil when t is not named.
 func namedType(t types.Type) *types.Named {

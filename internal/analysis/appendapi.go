@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AppendAPI enforces the dst-prefix-preservation contract of the
@@ -285,10 +284,4 @@ func (c *appendChecker) anchored(e ast.Expr, visiting map[types.Object]bool) boo
 	default:
 		return false
 	}
-}
-
-// nonTestName reports whether the position is in a non-test file
-// (used by analyzers that scan positions outside SourceFiles walks).
-func nonTestName(fset *token.FileSet, pos token.Pos) bool {
-	return !strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }

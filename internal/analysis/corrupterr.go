@@ -10,21 +10,21 @@ import (
 // decode layers: internal/pack and internal/compress promise that
 // every error produced while rejecting malformed input satisfies
 // errors.Is(err, ErrCorrupt) — the robustness tests, the store's
-// quarantine logic, and the server's corrupt-vs-transient triage all
-// dispatch on that sentinel. A decode-path function that constructs
-// an error with errors.New, or with fmt.Errorf and no %w verb,
-// produces an unchainable error that silently falls out of that
-// triage.
+// quarantine of an object that fails its hash, and pack.IsCorrupt,
+// through which the server decides to quarantine a warm restore that
+// fails Unpack, all dispatch on that sentinel. A decode-path function
+// that constructs an error with errors.New, or with fmt.Errorf and no
+// %w verb, produces an unchainable error that silently falls out of
+// that decision.
 //
 // Scope: functions in packages …/internal/pack, …/internal/compress,
 // and …/internal/store whose name starts with a decode-path stem
 // (Decompress, Decode, Parse, Unpack, Verify, Read, FromModel — any
-// case). The store joined the scope when the serving path started
-// triaging its read/verify errors into retry (transient) vs quarantine
-// (corrupt): a naked error there would dodge both branches and be
-// treated as fatal. Errors built with fmt.Errorf("%w: …", ErrCorrupt, …)
-// or wrapping an upstream error with %w pass; package-level sentinel
-// declarations are outside any function and are never flagged.
+// case). In the store, a naked error from a read or verify would let
+// rotten bytes dodge quarantine. Errors built with
+// fmt.Errorf("%w: …", ErrCorrupt, …) or wrapping an upstream error
+// with %w pass; package-level sentinel declarations are outside any
+// function and are never flagged.
 var CorruptErr = &Analyzer{
 	Name: "corrupterr",
 	Doc:  "check that decode paths in pack/compress/store wrap ErrCorrupt (or an upstream error) with %w instead of minting naked errors",

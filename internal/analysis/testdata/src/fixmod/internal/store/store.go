@@ -1,8 +1,8 @@
 // Package store is the corrupterr analyzer's golden fixture for the
 // disk tier. Its import path ends in internal/store so the analyzer's
 // package scoping matches it the same way it matches the real store:
-// read/verify errors there feed the serving path's retry-vs-quarantine
-// triage, so naked errors are just as dangerous as in the decoders.
+// read/verify errors there decide whether an object is quarantined,
+// so naked errors are just as dangerous as in the decoders.
 package store
 
 import (

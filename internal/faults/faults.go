@@ -4,17 +4,17 @@
 // Packages register named sites at init time
 // (faults.Register("store.read-at")) and consult them on the hot
 // path with Site.Err (latency + transient-error actions) or
-// Site.Mangle (bit-flip actions on a byte buffer). The whole layer
-// is disabled by default; the disabled fast path is two atomic
-// loads and zero allocations, so production builds pay nothing for
-// carrying the sites.
+// Site.Mangle (bit-flip actions on a byte buffer). A site is armed
+// exactly while it has actions, and none has any by default; an
+// unarmed site costs one atomic load and zero allocations, so
+// production builds pay nothing for carrying the sites.
 //
-// Behaviour is configured at runtime with a compact spec string
-// (see Set) and a deterministic seed (SetSeed): each site draws
-// from its own splitmix64 stream seeded from the global seed and
-// the site name, so a fixed (seed, spec, request sequence) replays
-// the same injection decisions. The /debug/faults handler (Handler)
-// exposes the same controls over HTTP for live chaos drills.
+// Actions are configured with a compact spec string (see Set) and a
+// deterministic seed (SetSeed): apcc-serve takes both at boot
+// (-faults, -fault-seed), and tests and the chaos scenario call Set
+// in process. Each site draws from its own splitmix64 stream seeded
+// from the global seed and the site name, so a fixed (seed, spec,
+// request sequence) replays the same injection decisions.
 package faults
 
 import (
@@ -30,10 +30,11 @@ import (
 )
 
 // ErrTransient is the sentinel wrapped by every injected transient
-// error. The serving path classifies it as transient (see
-// internal/errclass), which is the point: an injected transient must
-// take the transient path — a 503 to the requester, or a cold rebuild
-// when it fails a warm restore — and never quarantine anything.
+// error. An injected transient must take the transient path and never
+// quarantine anything: the server answers a request that meets one
+// with a 503 the client may retry, and a warm restore that meets one
+// rebuilds cold and keeps the stored object, which pack.IsCorrupt
+// does not call corrupt.
 var ErrTransient = errors.New("faults: injected transient error")
 
 // Action kinds. A site can carry any number of actions of any kind;
@@ -53,11 +54,11 @@ type Action struct {
 	fired   int64         // triggers so far (under the site mutex)
 }
 
-// Site is a named failpoint. The zero cost of the disabled path
+// Site is a named failpoint. The zero cost of the unarmed path
 // depends on the field order here: the armed flag is the first word
 // so the fast-path load needs no offset arithmetic.
 type Site struct {
-	armed atomic.Bool // any actions configured AND layer enabled
+	armed atomic.Bool // any actions configured
 	name  string
 
 	mu       sync.Mutex
@@ -67,8 +68,7 @@ type Site struct {
 }
 
 var (
-	enabled atomic.Bool
-	seed    atomic.Uint64
+	seed atomic.Uint64
 
 	regMu sync.Mutex
 	sites = map[string]*Site{}
@@ -92,10 +92,9 @@ func Register(name string) *Site {
 func (s *Site) Name() string { return s.name }
 
 // Err applies the site's latency and transient-error actions.
-// It returns nil when the layer is disabled, the site has no
-// actions, or no action triggers; otherwise it sleeps for the sum
-// of triggered latencies and returns an error wrapping ErrTransient
-// if a transient action triggered.
+// It returns nil when the site has no actions or no action triggers;
+// otherwise it sleeps for the sum of triggered latencies and returns
+// an error wrapping ErrTransient if a transient action triggered.
 func (s *Site) Err() error {
 	if !s.armed.Load() {
 		return nil
@@ -205,29 +204,9 @@ func SetSeed(v uint64) {
 	}
 }
 
-// Enable turns the whole layer on or off without touching the
-// configured actions. Sites with no actions stay cold either way.
-func Enable(on bool) {
-	enabled.Store(on)
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, s := range sites {
-		s.rearm(on)
-	}
-}
-
-// Enabled reports whether the layer is on.
-func Enabled() bool { return enabled.Load() }
-
-func (s *Site) rearm(on bool) {
-	s.mu.Lock()
-	s.armed.Store(on && len(s.actions) > 0)
-	s.mu.Unlock()
-}
-
-// Set replaces the full fault configuration from a spec string and
-// enables the layer (an empty spec clears all actions and disables
-// it). The grammar is semicolon-separated clauses, one action each:
+// Set replaces the full fault configuration from a spec string: it
+// arms exactly the sites the spec names (an empty spec disarms every
+// site). The grammar is semicolon-separated clauses, one action each:
 //
 //	site:key=val,key,...
 //
@@ -243,26 +222,15 @@ func Set(spec string) error {
 	if err != nil {
 		return err
 	}
+	// parseSpec found every named site registered, and sites are never
+	// unregistered, so each set of actions lands on its site here.
 	regMu.Lock()
 	defer regMu.Unlock()
-	for _, s := range sites {
+	for name, s := range sites {
 		s.mu.Lock()
-		s.actions = nil
+		s.actions = actions[name]
+		s.armed.Store(len(s.actions) > 0)
 		s.mu.Unlock()
-	}
-	for name, acts := range actions {
-		s, ok := sites[name]
-		if !ok {
-			return fmt.Errorf("faults: unknown site %q", name)
-		}
-		s.mu.Lock()
-		s.actions = acts
-		s.mu.Unlock()
-	}
-	on := len(actions) > 0
-	enabled.Store(on)
-	for _, s := range sites {
-		s.rearm(on)
 	}
 	return nil
 }
@@ -335,9 +303,8 @@ func siteNamesLocked() []string {
 	return names
 }
 
-// Reset clears all actions and counters and disables the layer.
+// Reset clears all actions and counters, disarming every site.
 func Reset() {
-	enabled.Store(false)
 	regMu.Lock()
 	defer regMu.Unlock()
 	for name, s := range sites {
@@ -352,26 +319,15 @@ func Reset() {
 	}
 }
 
-// SiteState is one site's configuration and trigger counts, as
-// reported by Snapshot and the /debug/faults handler.
+// SiteState is one site's trigger counts, as reported by Snapshot.
 type SiteState struct {
-	Name     string           `json:"name"`
-	Actions  []ActionState    `json:"actions,omitempty"`
-	Injected map[string]int64 `json:"injected,omitempty"` // kind -> count
+	Name     string
+	Injected map[string]int64 // kind -> count
 }
 
-// ActionState is the JSON shape of one configured action.
-type ActionState struct {
-	Kind    string  `json:"kind"`
-	Prob    float64 `json:"prob"`
-	Latency string  `json:"latency,omitempty"`
-	Limit   int64   `json:"limit,omitempty"`
-	Fired   int64   `json:"fired"`
-}
-
-// Snapshot returns the state of every registered site, sorted by
-// name. Sites with no actions and no recorded injections are
-// included so the metrics exposition can emit a stable series set.
+// Snapshot returns the trigger counts of every registered site, sorted
+// by name. Sites with no recorded injections are included so the
+// metrics exposition can emit a stable series set.
 func Snapshot() []SiteState {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -384,16 +340,6 @@ func Snapshot() []SiteState {
 				st.Injected[kind] = n
 			}
 		}
-		s.mu.Lock()
-		for i := range s.actions {
-			a := &s.actions[i]
-			as := ActionState{Kind: a.Kind, Prob: a.Prob, Limit: a.Limit, Fired: a.fired}
-			if a.Latency > 0 {
-				as.Latency = a.Latency.String()
-			}
-			st.Actions = append(st.Actions, as)
-		}
-		s.mu.Unlock()
 		out = append(out, st)
 	}
 	return out

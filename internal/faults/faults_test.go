@@ -2,8 +2,6 @@ package faults
 
 import (
 	"errors"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -26,14 +24,14 @@ func TestDisabledIsInert(t *testing.T) {
 	buf := []byte{0xAA, 0xBB}
 	for i := 0; i < 100; i++ {
 		if err := tsA.Err(); err != nil {
-			t.Fatalf("disabled Err() = %v", err)
+			t.Fatalf("unarmed Err() = %v", err)
 		}
 		if tsA.Mangle(buf) {
-			t.Fatal("disabled Mangle flipped a bit")
+			t.Fatal("unarmed Mangle flipped a bit")
 		}
 	}
 	if buf[0] != 0xAA || buf[1] != 0xBB {
-		t.Fatalf("buffer changed while disabled: %x", buf)
+		t.Fatalf("buffer changed while unarmed: %x", buf)
 	}
 }
 
@@ -57,22 +55,23 @@ func TestSpecParse(t *testing.T) {
 	if err := Set(good); err != nil {
 		t.Fatalf("Set(%q): %v", good, err)
 	}
-	if !Enabled() {
-		t.Fatal("Set with actions did not enable the layer")
+	if len(tsA.actions) != 2 || len(tsB.actions) != 1 {
+		t.Fatalf("action counts = %d, %d; want 2, 1", len(tsA.actions), len(tsB.actions))
 	}
-	snap := Snapshot()
-	got := map[string]int{}
-	for _, st := range snap {
-		got[st.Name] = len(st.Actions)
+	if !tsA.armed.Load() || !tsB.armed.Load() {
+		t.Fatal("Set did not arm the sites it named")
 	}
-	if got["test.site-a"] != 2 || got["test.site-b"] != 1 {
-		t.Fatalf("action counts = %v", got)
+	if err := Set("test.site-a:err"); err != nil {
+		t.Fatal(err)
+	}
+	if !tsA.armed.Load() || tsB.armed.Load() || len(tsB.actions) != 0 {
+		t.Fatal("Set left a site it no longer names armed")
 	}
 	if err := Set(""); err != nil {
 		t.Fatalf("Set(\"\"): %v", err)
 	}
-	if Enabled() {
-		t.Fatal("empty spec left the layer enabled")
+	if tsA.armed.Load() || tsB.armed.Load() {
+		t.Fatal("empty spec left a site armed")
 	}
 }
 
@@ -194,69 +193,6 @@ func TestLatencyAction(t *testing.T) {
 	}
 }
 
-func TestHandler(t *testing.T) {
-	reset(t)
-	h := Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/debug/faults?seed=7&spec=test.site-a:p=1,err,n=1", nil))
-	if rec.Code != 200 {
-		t.Fatalf("POST spec: status %d body %s", rec.Code, rec.Body)
-	}
-	if !Enabled() {
-		t.Fatal("POST spec did not enable the layer")
-	}
-	if tsA.Err() == nil {
-		t.Fatal("configured site did not fire")
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/faults", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "test.site-a") {
-		t.Fatalf("GET: status %d body %s", rec.Code, rec.Body)
-	}
-	if !strings.Contains(rec.Body.String(), `"seed": 7`) {
-		t.Fatalf("GET state missing seed: %s", rec.Body)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/debug/faults?spec=bogus-spec", nil))
-	if rec.Code != 400 {
-		t.Fatalf("POST bad spec: status %d", rec.Code)
-	}
-
-	// No spec parameter: the raw body is the spec (curl --data form).
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/debug/faults",
-		strings.NewReader("test.site-b:p=1,err,n=1\n")))
-	if rec.Code != 200 {
-		t.Fatalf("POST body spec: status %d body %s", rec.Code, rec.Body)
-	}
-	if tsB.Err() == nil {
-		t.Fatal("body-configured site did not fire")
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/debug/faults",
-		strings.NewReader("bogus-body-spec")))
-	if rec.Code != 400 {
-		t.Fatalf("POST bad body spec: status %d", rec.Code)
-	}
-
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("DELETE", "/debug/faults", nil))
-	if rec.Code != 200 {
-		t.Fatalf("DELETE: status %d", rec.Code)
-	}
-	if Enabled() {
-		t.Fatal("DELETE did not disable the layer")
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("PUT", "/debug/faults", nil))
-	if rec.Code != 405 {
-		t.Fatalf("PUT: status %d, want 405", rec.Code)
-	}
-}
-
 func TestDisabledPathAllocs(t *testing.T) {
 	reset(t)
 	buf := make([]byte, 32)
@@ -267,12 +203,12 @@ func TestDisabledPathAllocs(t *testing.T) {
 		tsA.Mangle(buf)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled failpoint path allocates %.1f/op, want 0", allocs)
+		t.Fatalf("unarmed failpoint path allocates %.1f/op, want 0", allocs)
 	}
 }
 
 // BenchmarkSiteDisabled is the cost of carrying a failpoint on a hot
-// path with the layer off: the BENCH snapshot asserts 0 B/op here.
+// path with the site unarmed: the BENCH snapshot asserts 0 B/op here.
 func BenchmarkSiteDisabled(b *testing.B) {
 	Reset()
 	buf := make([]byte, 32)

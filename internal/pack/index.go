@@ -25,16 +25,7 @@ import (
 
 	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
-	"apbcc/internal/faults"
 	"apbcc/internal/isa"
-)
-
-// Failpoints on the container's random-access disk boundaries. Bit
-// flips are injected one layer up (store.read-at), so these sites
-// carry latency and transient-error actions only.
-var (
-	faultIndexRead   = faults.Register("pack.index-read")
-	faultPayloadRead = faults.Register("pack.payload-read")
 )
 
 // IndexEntry locates one block's compressed payload inside an indexed
@@ -428,9 +419,6 @@ func ReadIndexAt(r io.ReaderAt, size int64) (*Index, error) {
 		if n > size {
 			n = size
 		}
-		if err := faultIndexRead.Err(); err != nil {
-			return nil, fmt.Errorf("pack: index read: %w", err)
-		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(io.NewSectionReader(r, 0, n), buf); err != nil {
 			return nil, fmt.Errorf("pack: index read: %w", err)
@@ -485,9 +473,6 @@ func (x *Index) ReadPayloadRangeAt(r io.ReaderAt, lo, hi int, dst []byte) ([]byt
 		dst = grown
 	}
 	dst = dst[:base+n]
-	if err := faultPayloadRead.Err(); err != nil {
-		return nil, fmt.Errorf("pack: block %d..%d payload read: %w", lo, hi, err)
-	}
 	if _, err := r.ReadAt(dst[base:base+n], x.PayloadBase+start); err != nil {
 		return nil, fmt.Errorf("pack: block %d..%d payload read: %w", lo, hi, err)
 	}
@@ -540,9 +525,6 @@ func (x *Index) ReadWordRangeAt(r io.ReaderAt, codec compress.Codec, block, word
 		compDst = grown
 	}
 	compDst = compDst[:cbase+n]
-	if err := faultPayloadRead.Err(); err != nil {
-		return compDst[:cbase], dst, fmt.Errorf("pack: block %d group read: %w", block, err)
-	}
 	if _, err := r.ReadAt(compDst[cbase:], x.PayloadBase+e.Off+start); err != nil {
 		return compDst[:cbase], dst, fmt.Errorf("pack: block %d group read: %w", block, err)
 	}

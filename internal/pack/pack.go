@@ -76,6 +76,17 @@ var (
 	ErrNoGroupIndex = errors.New("pack: no group directory")
 )
 
+// IsCorrupt reports whether err means the container's bytes are bad:
+// whether it carries one of the sentinels Unpack rejects damaged bytes
+// with (ErrBadMagic, ErrBadVersion, ErrCorrupt, ErrBadChecksum or
+// compress.ErrCorrupt). An injected decode fault is not corrupt; the
+// same bytes may verify on the next read.
+func IsCorrupt(err error) bool {
+	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrBadChecksum) ||
+		errors.Is(err, compress.ErrCorrupt) || errors.Is(err, ErrBadMagic) ||
+		errors.Is(err, ErrBadVersion)
+}
+
 // Pack serializes the program with every block compressed by the
 // codec, which must come from compress.New or compress.FromModel.
 func Pack(p *program.Program, codec compress.Codec) ([]byte, error) {
@@ -324,8 +335,8 @@ type Info struct {
 // directory decodes the same bytes as the block. A container without
 // Magic fails with ErrBadMagic, one of any version but Version with
 // ErrBadVersion, and every other rejection of its bytes wraps
-// ErrCorrupt, ErrBadChecksum or compress.ErrCorrupt, so a caller can
-// tell damaged bytes from an injected decode fault.
+// ErrCorrupt, ErrBadChecksum or compress.ErrCorrupt, so IsCorrupt
+// tells damaged bytes from an injected decode fault.
 //
 // The index is read once, into the blocks the graph is built from, each
 // holding its word range in the image, and the Layout that Info

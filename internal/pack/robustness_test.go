@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"slices"
 	"testing"
 
 	"apbcc/internal/cfg"
 	"apbcc/internal/compress"
+	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/program"
 	"apbcc/internal/workloads"
@@ -54,9 +56,11 @@ func TestUnpackTruncated(t *testing.T) {
 // TestUnpackBitFlips flips one bit at a time across the whole container
 // and asserts Unpack returns an error (or, rarely, a still-valid
 // program) without panicking. Every error must carry one of the
-// sentinels errclass classes as corrupt, so a damaged store copy is
-// quarantined: a flipped edge, which no CRC covers, fails as a program
-// whose transfers lack their CFG edges, and that wraps ErrCorrupt too.
+// sentinels that mark a damaged container (the test's own isCorrupt
+// oracle, which lists the five that IsCorrupt checks), so the server
+// quarantines a damaged store copy: a flipped edge, which no CRC
+// covers, fails as a program whose transfers lack their CFG edges, and
+// that wraps ErrCorrupt too.
 func TestUnpackBitFlips(t *testing.T) {
 	data, _ := buildContainer(t, "crc32", "dict")
 	mut := make([]byte, len(data))
@@ -89,6 +93,52 @@ func isCorrupt(err error) bool {
 		}
 	}
 	return false
+}
+
+// TestIsCorrupt pins the quarantine verdict: each sentinel Unpack
+// rejects damaged bytes with is corrupt bare and however deeply it is
+// wrapped (the way the server sees it), and an injected transient
+// fault, a missing group directory, an unknown codec name or any
+// other error is not.
+func TestIsCorrupt(t *testing.T) {
+	type row struct {
+		name string
+		err  error
+		want bool
+	}
+	var rows []row
+	for _, s := range []struct {
+		name string
+		err  error
+	}{
+		{"pack.ErrCorrupt", ErrCorrupt},
+		{"pack.ErrBadMagic", ErrBadMagic},
+		{"pack.ErrBadVersion", ErrBadVersion},
+		{"pack.ErrBadChecksum", ErrBadChecksum},
+		{"compress.ErrCorrupt", compress.ErrCorrupt},
+	} {
+		rows = append(rows,
+			row{s.name, s.err, true},
+			row{"wrapped " + s.name, fmt.Errorf("pack: block 3: %w", s.err), true},
+			row{"double-wrapped " + s.name, fmt.Errorf("service: %w", fmt.Errorf("pack: block 3: %w", s.err)), true})
+	}
+	_, _, _, garbage := Unpack("garbage", []byte("not a container at all"))
+	rows = append(rows,
+		row{"Unpack(garbage)", garbage, true},
+		row{"faults.ErrTransient", faults.ErrTransient, false},
+		row{"wrapped injected fault", fmt.Errorf("pack: block 3 group decode: %w",
+			fmt.Errorf("faults: site compress.decode: %w", faults.ErrTransient)), false},
+		row{"pack.ErrNoGroupIndex", ErrNoGroupIndex, false},
+		row{"compress.ErrUnknownCodec", compress.ErrUnknownCodec, false},
+		row{"anonymous", errors.New("something else"), false},
+		row{"nil", nil, false})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if got := IsCorrupt(r.err); got != r.want {
+				t.Fatalf("IsCorrupt(%v) = %v, want %v", r.err, got, r.want)
+			}
+		})
+	}
 }
 
 // TestUnpackTypedErrors drives each typed failure deliberately.

@@ -42,7 +42,6 @@
 //	GET  /metrics[?format=csv]             every family as two tables: metrics, latency
 //	GET  /metrics/prom                     the same families as Prometheus text exposition
 //	GET  /debug/trace?n=N                  recent request traces and slowest exemplars (JSON)
-//	GET|POST /debug/faults                 fault-injection control (only with Config.DebugFaults)
 //	GET  /v1/workloads                     the synthetic suite
 //	GET  /v1/codecs                        registered codecs
 //	GET  /v1/pack/{workload}?codec=dict    whole verified container

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -319,27 +320,54 @@ func TestClientDisconnectMidRebuild(t *testing.T) {
 	}
 }
 
-// TestFaultsEndpointGated: the /debug/faults control endpoint mutates
-// process-global fault state (one POST can fail every store read and
-// quarantine healthy objects), so the serving mux must not expose it
-// unless Config.DebugFaults explicitly opts in.
-func TestFaultsEndpointGated(t *testing.T) {
+// TestInjectedTransientAnswers503: an injected transient fault answers
+// 503, which the client may retry, on the two request paths it can
+// reach besides the word read: a block GET (service.block) and a
+// POST /v1/pack waiting for a pool slot (service.pool-submit). Each
+// fault fires once, so the retry succeeds with the right bytes.
+func TestInjectedTransientAnswers503(t *testing.T) {
 	resetFaults(t)
 	_, ts := newTestServerConfig(t, Config{Workers: 2})
-	if code, _, _ := get(t, ts.Client(), ts.URL+"/debug/faults"); code != http.StatusNotFound {
-		t.Fatalf("GET /debug/faults on a default server: %d, want 404", code)
-	}
-	resp, err := ts.Client().Post(ts.URL+"/debug/faults?spec=store.read-at:p=1,err", "", nil)
-	if err != nil {
+	want, codec := unpackedBlocks(t, ts, "crc32", "dict")
+	if err := faults.Set("service.block:p=1,err,n=1"); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /debug/faults on a default server: %d, want 404", resp.StatusCode)
+	for i, status := range []int{http.StatusServiceUnavailable, http.StatusOK} {
+		code, body, hdr := get(t, ts.Client(), ts.URL+"/v1/block/crc32/0?codec=dict")
+		if code != status {
+			t.Fatalf("block GET %d under service.block:p=1,err,n=1: %d %s, want %d", i, code, body, status)
+		}
+		if code == http.StatusOK {
+			if err := verifyBlock(codec, body, hdr, want[0]); err != nil {
+				t.Fatalf("block GET after the fault: %v", err)
+			}
+		}
 	}
 
-	_, armed := newTestServerConfig(t, Config{Workers: 2, DebugFaults: true})
-	if code, _, _ := get(t, armed.Client(), armed.URL+"/debug/faults"); code != http.StatusOK {
-		t.Fatalf("GET /debug/faults with DebugFaults: %d, want 200", code)
+	if err := faults.Set("service.pool-submit:p=1,err,n=1"); err != nil {
+		t.Fatal(err)
+	}
+	for i, status := range []int{http.StatusServiceUnavailable, http.StatusOK} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/pack?name=countdown&codec=dict", "text/plain",
+			strings.NewReader("start: addi r1, r0, 10\nloop: addi r1, r1, -1\nbne r1, r0, loop\nhalt\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != status {
+			t.Fatalf("POST /v1/pack %d under service.pool-submit:p=1,err,n=1: %d %s, want %d", i, resp.StatusCode, body, status)
+		}
+		if resp.StatusCode == http.StatusOK {
+			if _, _, _, err := pack.Unpack("countdown", body); err != nil {
+				t.Fatalf("POST /v1/pack after the fault: container fails Unpack: %v", err)
+			}
+		}
+	}
+	if got := faults.InjectedTotal(faults.KindTransient); got != 2 {
+		t.Fatalf("transient faults injected = %d, want 2 (one per site)", got)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"unsafe"
 
 	"apbcc/internal/compress"
-	"apbcc/internal/errclass"
 	"apbcc/internal/faults"
 	"apbcc/internal/isa"
 	"apbcc/internal/obs"
@@ -85,14 +84,6 @@ type Config struct {
 	// expires, which aborts entry-build waits and pool slot waits, and
 	// the client gets 504. 0 disables (default).
 	RequestTimeout time.Duration
-	// DebugFaults mounts the fault-injection control endpoint
-	// (GET/POST /debug/faults) on the serving mux. Off by default:
-	// unlike /debug/trace, the endpoint mutates process-global fault
-	// state, so an unauthenticated client could fail every decode or
-	// store read with one request. Enable it only on chaos/debug
-	// deployments (apcc-serve arms it via -debug-faults, or implicitly
-	// when -faults is given).
-	DebugFaults bool
 	// Log receives the server's structured events (request debug lines,
 	// quarantines, failed persists). nil discards everything.
 	Log *slog.Logger
@@ -266,9 +257,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	if cfg.DebugFaults {
-		mux.Handle("/debug/faults", faults.Handler())
-	}
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("GET /v1/codecs", s.handleCodecs)
 	mux.HandleFunc("GET /v1/pack/{workload}", s.handlePackWorkload)
@@ -841,8 +829,10 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, ErrPoolClosed), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
-	case errclass.IsTransient(err):
-		// The client may retry; the resource is not (known to be) corrupt.
+	case errors.Is(err, faults.ErrTransient):
+		// An injected fault, the only transient error a request can
+		// meet: no request does I/O past reading its body, whose errors
+		// answer 400 first. The client may retry.
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -908,7 +898,7 @@ func (s *Server) restoreFromStore(ent *entry, workload, codecName string) bool {
 	}
 	info, err := s.verifyUnpack(workload, container)
 	if err != nil {
-		corrupt := errclass.IsCorrupt(err)
+		corrupt := pack.IsCorrupt(err)
 		if corrupt {
 			s.store.Quarantine(key)
 		}

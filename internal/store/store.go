@@ -456,8 +456,8 @@ func (o *Object) VerifiedBlock(codec compress.Codec, i int, compDst, plainDst []
 	plain, err = o.idx.VerifyBlock(codec, i, comp[base:], plainDst)
 	if err != nil {
 		// An injected transient decode fault is a timing failure, not
-		// bad bytes: let it keep its class so the transient path (rather
-		// than quarantine) handles it.
+		// bad bytes: wrap it, not ErrCorrupt, so no caller quarantines
+		// the object for it.
 		if errors.Is(err, faults.ErrTransient) {
 			return nil, nil, fmt.Errorf("store: %s block %d: %w", short(o.key), i, err)
 		}
